@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint coverage regen-golden bench bench-lint bench-smoke graph-smoke bench-serve serve-smoke bench-tables bench-full e1 e2 reference examples clean
+.PHONY: install test lint coverage regen-golden bench bench-lint bench-smoke graph-smoke bench-serve serve-smoke bench-suite-smoke bench-tables bench-full e1 e2 reference examples clean
 
 # Coverage floor for the instrumented packages (ratchet: raise as
 # coverage improves, never lower).
@@ -35,6 +35,7 @@ lint:
 	@$(MAKE) --no-print-directory bench-smoke
 	@$(MAKE) --no-print-directory graph-smoke
 	@$(MAKE) --no-print-directory serve-smoke
+	@$(MAKE) --no-print-directory bench-suite-smoke
 
 # Ratcheted coverage gate over the assertion engines and the
 # observability layer; skipped when pytest-cov is not installed
@@ -98,6 +99,11 @@ serve-smoke:
 	$(PYTHON) benchmarks/bench_serve.py --smoke --out BENCH_smoke_serve.json
 	$(PYTHON) benchmarks/bench_serve.py --check BENCH_smoke_serve.json --smoke
 	rm -f BENCH_smoke_serve.json
+
+# Self-test of the repository benchmark (benchmarks/suite): every
+# workload at smoke scale, untraced and traced, with its output gates.
+bench-suite-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/suite -q
 
 # Fast end-to-end slice through the campaign task graph: cold run, warm
 # replay (zero executions), 2-way shard + merge, byte-identical

@@ -90,14 +90,17 @@ class Calc(ModuleBase):
     # -- per-pass body ---------------------------------------------------
 
     def step(self, now_ms: int) -> None:
-        # Consult the frame-linkage words of the background frame.
-        for word in self._frame_words:
-            outcome = self._frame.consult(word)
-            if outcome.kind == "wedge":
-                self.node.wedge()
-                return
-            if outcome.kind != "ok":
-                return  # this pass is lost to the control-flow upset
+        # Consult the frame-linkage words of the background frame.  An
+        # intact frame consults "ok" on every word, so the per-word walk
+        # only runs once some word is corrupted.
+        if not self._frame.intact():
+            for word in self._frame_words:
+                outcome = self._frame.consult(word)
+                if outcome.kind == "wedge":
+                    self.node.wedge()
+                    return
+                if outcome.kind != "ok":
+                    return  # this pass is lost to the control-flow upset
 
         i = self.checked(self._mon_i, self._i, now_ms)
 

@@ -108,9 +108,12 @@ class MemoryMap:
     # -- state management ---------------------------------------------------
 
     def clear(self) -> None:
-        """Zero all memory (power-on reset)."""
-        for i in range(len(self.data)):
-            self.data[i] = 0
+        """Zero all memory (power-on reset).
+
+        Assigns in place: every :class:`Variable` and control-word table
+        holds a reference to this very ``bytearray``.
+        """
+        self.data[:] = bytes(len(self.data))
 
     def snapshot(self) -> bytes:
         return bytes(self.data)
@@ -170,8 +173,14 @@ class Variable:
 
     def add(self, delta: int) -> int:
         """Read-modify-write increment with 16-bit wrap; returns new value."""
-        self.set(self.get() + delta)
-        return self.get()
+        addr = self._addr
+        data = self._data
+        value = ((data[addr] | (data[addr + 1] << 8)) + delta) & 0xFFFF
+        data[addr] = value & 0xFF
+        data[addr + 1] = value >> 8
+        if self.signed and value >= 0x8000:
+            return value - 0x10000
+        return value
 
     def __repr__(self) -> str:
         return f"Variable({self.symbol.name}@0x{self._addr:04X}={self.get()})"

@@ -63,6 +63,12 @@ class ControlWordTable:
     * tag byte corrupted in its high nibble → **wedge** (the jump lands
       far from any code; the node never returns — on real hardware a
       watchdog-less hang).
+
+    The words are contiguous 16-bit little-endian slots, so the table's
+    pristine contents are one fixed byte string: :meth:`intact` compares
+    the table's byte span with it in a single slice comparison, and
+    :meth:`consult` reads a word's two bytes straight from the memory's
+    ``bytearray``.
     """
 
     #: Tag placed in the high bits of every valid control word.
@@ -83,15 +89,22 @@ class ControlWordTable:
         self.module_ids = list(module_ids)
         self._valid = frozenset(module_ids)
         self._words = [
-            Variable(memory, allocator.allocate(f"{name}[{k}]", 2))
-            for k in range(len(module_ids))
+            Variable(memory, symbol)
+            for symbol in allocator.allocate_array(name, len(module_ids))
         ]
+        self._addresses = [word.address for word in self._words]
+        self._start = self._addresses[0]
+        self._end = self._start + 2 * len(self._words)
+        if self._addresses != list(range(self._start, self._end, 2)):
+            raise ValueError(f"control word table {name!r} is not contiguous")
+        self._expected = [self.BASE + mid for mid in self.module_ids]
+        self._pristine = b"".join(word.to_bytes(2, "little") for word in self._expected)
+        self._data = memory.data
         self.reset()
 
     def reset(self) -> None:
         """Write the pristine control words (node boot)."""
-        for word, mid in zip(self._words, self.module_ids):
-            word.set(self.BASE + mid)
+        self._data[self._start : self._end] = self._pristine
 
     def __len__(self) -> int:
         return len(self._words)
@@ -99,11 +112,21 @@ class ControlWordTable:
     def word_variable(self, slot: int) -> Variable:
         return self._words[slot]
 
+    def intact(self) -> bool:
+        """Whether every word still holds its pristine value.
+
+        Exactly ``all(consult(k).kind == "ok" for k in range(len(self)))``:
+        :meth:`consult` answers ``ok`` if and only if the word equals its
+        pristine value.
+        """
+        return self._data[self._start : self._end] == self._pristine
+
     def consult(self, slot: int) -> DispatchOutcome:
         """Read slot *slot*'s word and derive the dispatch consequence."""
-        word = self._words[slot].get()
-        expected = self.BASE + self.module_ids[slot]
-        if word == expected:
+        address = self._addresses[slot]
+        data = self._data
+        word = data[address] | (data[address + 1] << 8)
+        if word == self._expected[slot]:
             return _OK
         low = word & 0xFF
         high = word & 0xFF00

@@ -149,6 +149,18 @@ class TestSnapshot:
         mem.clear()
         assert mem.read_u16(0) == 0
 
+    def test_clear_keeps_handles_aliased(self):
+        # Handles cache the bytearray, so clear() must zero it in place.
+        mem = _memory()
+        var = Variable(mem, Symbol("x", 0x10, 2))
+        var.set(0xBEEF)
+        mem.clear()
+        assert var.get() == 0
+        mem.write_u16(0x10, 0x1234)
+        assert var.get() == 0x1234
+        var.set(7)
+        assert mem.read_u16(0x10) == 7
+
 
 class TestVariable:
     def test_get_set(self):
@@ -170,6 +182,25 @@ class TestVariable:
         var.set(0xFFFF)
         assert var.add(1) == 0
         assert var.add(5) == 5
+
+    @given(
+        st.one_of(st.sampled_from([0, 1, 0x7FFF, 0x8000, 0xFFFF]), st.integers(0, 0xFFFF)),
+        st.one_of(
+            st.sampled_from([-0x10000, -0x8001, -0x8000, -1, 1, 0x7FFF, 0x8000, 0xFFFF, 0x10000]),
+            st.integers(-0x20000, 0x20000),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_add_equals_set_then_get(self, start, delta, signed):
+        fast, slow = _memory(), _memory()
+        fast_var = Variable(fast, Symbol("x", 0x10, 2), signed=signed)
+        slow_var = Variable(slow, Symbol("x", 0x10, 2), signed=signed)
+        fast.write_u16(0x10, start)
+        slow.write_u16(0x10, start)
+        slow_var.set(slow_var.get() + delta)
+        assert fast_var.add(delta) == slow_var.get()
+        assert fast.data == slow.data
 
     def test_observes_underlying_corruption(self):
         """The property the whole error model rests on."""

@@ -1,6 +1,8 @@
 """Tests for the stack semantics: control words and scratch locals."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory.layout import MemoryRegion, RegionAllocator
 from repro.memory.memmap import MemoryMap
@@ -76,6 +78,39 @@ class TestControlWordTable:
         address = table.word_variable(0).address
         mem.flip_bit(address + 1, 4)  # corrupt the tag byte
         assert table.consult(0).kind != "ok"
+
+    def test_intact_after_clear_and_reset(self):
+        mem, alloc, _ = _stack()
+        table = ControlWordTable(mem, alloc, [0x03, 0x04])
+        assert table.intact()
+        mem.clear()
+        assert not table.intact()
+        table.reset()
+        assert table.intact()
+
+    @given(
+        st.lists(st.integers(0, 0xFF), min_size=1, max_size=12),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("flip"), st.integers(0, 23), st.integers(0, 15)),
+                st.tuples(st.just("write"), st.integers(0, 23), st.integers(0, 0xFFFF)),
+            ),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_intact_iff_every_word_consults_ok(self, module_ids, corruptions):
+        mem, alloc, _ = _stack()
+        alloc.allocate("below", 2)  # the table need not start at address 0
+        table = ControlWordTable(mem, alloc, module_ids)
+        for kind, slot, value in corruptions:
+            word = table.word_variable(slot % len(table))
+            if kind == "flip":
+                mem.flip_bit(word.address + (value >> 3), value & 7)
+            else:
+                word.set(value)
+        every_ok = all(table.consult(k).kind == "ok" for k in range(len(table)))
+        assert table.intact() == every_ok
 
 
 class TestScratchArena:
