@@ -6,7 +6,7 @@ and writes ``BENCH_campaign.json``::
 
     {
       "benchmark": "campaign",
-      "schema_version": 6,
+      "schema_version": 7,
       "repeats": N,
       "cpus": N,
       "scale": {"target": T, "versions": [...], "errors": N, "cases": N,
@@ -22,7 +22,6 @@ and writes ``BENCH_campaign.json``::
         "warm": {"runs": N, "seconds": S, "runs_per_sec": R},
         "speedup": X
       },
-      "store_hit": {"runs": N, "seconds": S, "runs_per_sec": R, "hits": N},
       "tracing": {
         "off":       {"runs": N, "seconds": S, "runs_per_sec": R},
         "null_sink": {"runs": N, "seconds": S, "runs_per_sec": R},
@@ -64,8 +63,6 @@ Interpreting the sections:
   vs warm (boot snapshots + fault-free prefix fast-forward at the
   listed ``injection_start_ms``).  ``make bench-smoke``'s regression
   guard fails the build if ``warm`` drops below ``cold``.
-* ``store_hit`` replays the slice against a pre-filled result store:
-  every record restores from disk and zero runs are simulated.
 * ``tracing`` guards the observability hot path (snapshots off, so the
   numbers stay comparable across schema versions): ``overhead_pct``
   should stay within timing noise (a few percent either way on a busy
@@ -87,7 +84,9 @@ Interpreting the sections:
   slice run as two ``--shard i/2`` halves into separate stores, then
   ``merge``\\ d — its ``seconds`` is the end-to-end overhead of
   splitting a campaign across workers.  ``equivalent`` gates the graph
-  results against the cold serial records.
+  results against the cold serial records.  Schema v7 dropped the
+  ``store_hit`` section: the node store is the only campaign store, and
+  ``warm_replay`` already measures its replay rate.
 
 Every timed configuration is preceded by one untimed warm-up run and
 then measured as the **median of ``--repeats`` (>= 3) timed repeats**;
@@ -122,7 +121,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments.campaign import CampaignConfig, run_e1_campaign  # noqa: E402
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Pool width pinned by ``--smoke`` runs, so smoke artifacts (and the
 #: schema check over them) are deterministic across host CPU counts.
@@ -203,10 +202,6 @@ def validate_bench_json(data: dict, smoke: bool = False) -> None:
             f"throughput regression: snapshot-accelerated runs are slower "
             f"than cold runs (speedup {snapshot['speedup']}x < 1.0x)"
         )
-
-    _throughput("store_hit", data.get("store_hit"), {"hits": int})
-    if data["store_hit"]["hits"] != data["store_hit"]["runs"]:
-        raise ValueError("store_hit.hits must equal store_hit.runs (stale store)")
 
     tracing = data.get("tracing")
     if not isinstance(tracing, dict):
@@ -315,7 +310,6 @@ def _cpus() -> int:
 def run_benchmark(signals, cases: int, workers: int, repeats: int = 3,
                   target=None, injection_start_ms=None) -> dict:
     from repro.experiments.parallel import enumerate_e1_specs, execute_specs
-    from repro.experiments.store import ResultStore
     from repro.obs import MetricsRegistry, NullSink, TraceBus
     from repro.targets.registry import get_target
 
@@ -351,28 +345,6 @@ def run_benchmark(signals, cases: int, workers: int, repeats: int = 3,
         lambda: run_e1_campaign(parallel_cfg, error_filter=error_filter), repeats
     )
 
-    # Store replay: fill a fresh store once, then measure pure-hit passes.
-    store_dir = tempfile.mkdtemp(prefix="bench_store_")
-    try:
-        store = ResultStore(
-            store_dir, target=resolved.name,
-            injection_start_ms=injection_start_ms,
-        )
-        run_e1_campaign(warm_cfg, error_filter=error_filter, store=store)
-
-        def _replay():
-            replay_store = ResultStore(
-                store_dir, target=resolved.name,
-                injection_start_ms=injection_start_ms,
-            )
-            return replay_store, run_e1_campaign(
-                warm_cfg, error_filter=error_filter, store=replay_store
-            )
-
-        (replay_store, store_results), store_s = _measure(_replay, repeats)
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-
     # Disabled-tracing overhead: the same slice through the spec executor
     # with no tracer, then with an enabled bus discarding into a NullSink.
     # Snapshots stay off so these numbers price tracing, not caching.
@@ -393,7 +365,7 @@ def run_benchmark(signals, cases: int, workers: int, repeats: int = 3,
 
     equivalent = (
         cold_results.records == warm_results.records == parallel_results.records
-        == store_results.records == off_results.records == null_results.records
+        == off_results.records == null_results.records
     )
 
     runs = len(cold_results)
@@ -512,10 +484,6 @@ def run_benchmark(signals, cases: int, workers: int, repeats: int = 3,
             "cold": _throughput(runs, cold_s),
             "warm": _throughput(runs, warm_s),
             "speedup": round(cold_s / warm_s, 3) if warm_s else 0.0,
-        },
-        "store_hit": {
-            **_throughput(runs, store_s),
-            "hits": replay_store.stats.hits,
         },
         "batch": batch_section,
         "graph": graph_section,
@@ -643,9 +611,7 @@ def main(argv=None) -> int:
     print(
         f"snapshot layer: warm {snapshot['warm']['runs_per_sec']}/s vs cold "
         f"{snapshot['cold']['runs_per_sec']}/s = {snapshot['speedup']}x "
-        f"(prefix at {snapshot['injection_start_ms']} ms); "
-        f"store replay {data['store_hit']['runs_per_sec']}/s "
-        f"({data['store_hit']['hits']} hits)"
+        f"(prefix at {snapshot['injection_start_ms']} ms)"
     )
     print(
         f"tracing: disabled overhead {tracing['overhead_pct']}% "

@@ -17,10 +17,10 @@ target object:
   signal list (the campaign's E1 error set and the plan would diverge);
 * **EA504** — a module the target source transitively imports is covered
   by no ``fingerprint_sources()`` entry.  This is the stale-cache bug
-  class of the incremental result store: edits to the uncovered module
+  class of the campaign graph's node store: edits to the uncovered module
   change behaviour without invalidating cached campaign results;
 * **EA505** — a ``fingerprint_sources()`` entry resolves to no module or
-  package: the store hashes nothing for it, so the entry is dead weight
+  package: the fingerprint hashes nothing for it, so the entry is dead weight
   (or a typo hiding a real source).
 """
 
@@ -138,7 +138,7 @@ def check_fingerprint_resolvable(ctx: RuleContext) -> Iterator[Finding]:
         yield Finding(
             entry,
             "fingerprint_sources() names a module that does not resolve to "
-            "any source file; the result store hashes nothing for it",
+            "any source file; the campaign fingerprint hashes nothing for it",
             hint="fix the name or drop the entry",
         )
 

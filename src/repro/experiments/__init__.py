@@ -21,8 +21,6 @@ from repro.experiments.parallel import (
     execute_specs,
 )
 from repro.experiments.persistence import (
-    append_records,
-    load_checkpoint,
     load_results,
     results_from_csv,
     results_to_csv,
@@ -76,8 +74,6 @@ __all__ = [
     "enumerate_e1_specs",
     "enumerate_e2_specs",
     "execute_specs",
-    "append_records",
-    "load_checkpoint",
     "render_table6",
     "render_table7",
     "render_table8",

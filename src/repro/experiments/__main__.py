@@ -5,19 +5,19 @@ Runs the paper's experiments and prints the corresponding tables.
 Usage::
 
     python -m repro.experiments e1 [--cases-all N] [--cases-ea N] [--signal S]
-                                   [--workers N] [--checkpoint CSV] [--resume]
-                                   [--store DIR] [--force] [--no-snapshots]
+                                   [--workers N] [--store DIR] [--force]
+                                   [--shard I/N] [--no-snapshots]
                                    [--injection-start MS] [--batch]
                                    [--trace JSONL] [--metrics-out JSON]
     python -m repro.experiments e2 [--cases N] [--workers N]
-                                   [--checkpoint CSV] [--resume]
-                                   [--store DIR] [--force] [--no-snapshots]
-                                   [--injection-start MS] [--batch]
-                                   [--trace JSONL] [--metrics-out JSON]
+                                   [--store DIR] [--force] [--shard I/N]
+                                   [--no-snapshots] [--injection-start MS]
+                                   [--batch] [--trace JSONL]
+                                   [--metrics-out JSON]
     python -m repro.experiments reference
     python -m repro.experiments table6
     python -m repro.experiments merge DEST SHARD [SHARD ...]
-    python -m repro.experiments diff STORE_A STORE_B
+    python -m repro.experiments diff A B
 
 ``e1`` regenerates Tables 7 and 8, ``e2`` Table 9, ``reference`` checks
 the fault-free precondition over the full 25-case grid, and ``table6``
@@ -25,33 +25,32 @@ prints the error-set composition.  ``--target`` selects the workload
 (default ``$REPRO_TARGET`` or the arrestor; ``--list-targets`` shows the
 registry), accepted both before and after the subcommand.  ``--signal``
 restricts E1 to one monitored signal (a quick partial campaign); with
-``--load`` it filters the loaded records the same way.  ``--workers``
-fans the campaign out
-over a process pool, and ``--checkpoint``/``--resume`` stream completed
-runs to an append-only CSV so an interrupted campaign picks up where it
-left off.  ``--store`` points at the content-addressed result store: a
-re-run with unchanged code and configuration restores every record from
-the store and executes zero new runs (``--force`` re-simulates anyway
-while refreshing the store).  ``--no-snapshots`` disables warm-target
-snapshot reuse (strict reboot-per-run), and ``--injection-start``
-delays the first injection, letting the snapshot layer fast-forward
-every run through the shared fault-free prefix.  ``--batch`` runs the
-eligible part of the grid (bit-flips on monitored RAM signals) through
-the target's vectorized kernel — record-for-record identical to the
-serial path, which stays the oracle.  ``--trace`` streams
-the structured event trace (detections,
-injections, run lifecycle) to a JSONL file; a campaign always ends with
-a metrics summary, and ``--metrics-out`` additionally writes the full
-metrics snapshot as JSON.
+``--load`` it filters the loaded records the same way.
 
-``--graph`` routes the campaign through the content-addressed task
-graph (``--store`` then names a per-node completion-record store, and
-an unchanged re-run replays everything from cache); ``--shard I/N``
-executes one content-address partition of the grid, ``merge`` unions
-shard stores (refusing stores produced by different code), and ``diff``
-compares the per-signal detection probabilities of two captured
-campaigns with Wilson confidence intervals, exiting non-zero on
-significant regressions.
+Every campaign runs through the content-addressed task graph
+(:mod:`repro.experiments.dag`).  ``--workers`` fans its runs out over a
+process pool.  ``--store`` names a node-store directory: each completed
+run is recorded there as it finishes, so re-running with the same
+``--store`` is both the resume of an interrupted campaign and the
+replay of an unchanged one — only runs not yet recorded are simulated
+(``--force`` re-simulates everything while refreshing the store).
+``--no-snapshots`` disables warm-target snapshot reuse (strict
+reboot-per-run), and ``--injection-start`` delays the first injection,
+letting the snapshot layer fast-forward every run through the shared
+fault-free prefix.  ``--batch`` runs the eligible part of the grid
+(bit-flips on monitored RAM signals) through the target's vectorized
+kernel — record-for-record identical to the serial path, which stays
+the oracle.  ``--trace`` streams the structured event trace
+(detections, injections, run and node lifecycle) to a JSONL file; a
+traced campaign replays nothing and runs in-process serially.  A
+campaign always ends with a metrics summary, and ``--metrics-out``
+additionally writes the full metrics snapshot as JSON.
+
+``--shard I/N`` executes one content-address partition of the grid,
+``merge`` unions shard stores (refusing stores produced by different
+code), and ``diff`` compares the per-signal detection probabilities of
+two captured campaigns (node stores or ``--save`` CSVs) with Wilson
+confidence intervals, exiting non-zero on significant regressions.
 """
 
 from __future__ import annotations
@@ -73,8 +72,6 @@ from repro.experiments.persistence import load_results, save_results
 from repro.experiments.campaign import (
     CampaignConfig,
     run_campaign_graph,
-    run_e1_campaign,
-    run_e2_campaign,
     run_reference_grid,
 )
 from repro.experiments.results import ResultSet
@@ -127,29 +124,19 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes (default: $REPRO_WORKERS or 1 = serial)",
     )
     parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="CSV",
-        help="stream completed runs to this append-only CSV as they finish",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip runs already recorded in the --checkpoint file",
-    )
-    parser.add_argument(
         "--store",
         default=os.environ.get("REPRO_STORE") or None,
         metavar="DIR",
-        help="content-addressed result store directory: restore records "
-        "computed by earlier campaigns with the same code/config and add "
-        "fresh ones (default: $REPRO_STORE or off)",
+        help="node-store directory: every completed run is recorded as it "
+        "finishes, and a re-run with the same store (after an interrupt, "
+        "or with unchanged code/config) simulates only the runs not yet "
+        "recorded (default: $REPRO_STORE or off)",
     )
     parser.add_argument(
         "--force",
         action="store_true",
-        help="bypass --store lookups and re-simulate (the store is still "
-        "refreshed with the new records)",
+        help="re-simulate every run instead of replaying --store records "
+        "(the store is still refreshed with the new records)",
     )
     parser.add_argument(
         "--injection-start",
@@ -184,25 +171,19 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
         "--metrics-out",
         default=None,
         metavar="JSON",
-        help="write the campaign metrics snapshot to this JSON file",
-    )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        default=os.environ.get("REPRO_GRAPH") == "1",
-        help="run through the content-addressed task graph: --store names "
-        "a node-store directory, per-node completion records replace "
-        "--checkpoint/--resume, and an unchanged re-run replays every "
-        "node from cache (default: $REPRO_GRAPH or off)",
+        help="write the campaign metrics snapshot to this JSON file; "
+        "graph_nodes_executed_total and graph_nodes_cached_total (per node "
+        "kind) and graph_cache_hit_rate say how much was simulated vs "
+        "replayed from --store",
     )
     parser.add_argument(
         "--shard",
         default=None,
         metavar="I/N",
         help="execute only shard I of N of the run grid, partitioned by "
-        "node content address (implies --graph; skips aggregation — "
-        "union shard stores with the 'merge' command, then re-run "
-        "unsharded to aggregate from cache)",
+        "node content address (skips aggregation — union shard stores "
+        "with the 'merge' command, then re-run unsharded to aggregate "
+        "from cache)",
     )
 
 
@@ -226,20 +207,8 @@ def _progress(done: int, total: int) -> None:
         sys.stderr.flush()
 
 
-def _run_graph_campaign(args: argparse.Namespace, config, experiment, error_filter):
-    """The --graph/--shard execution path shared by e1 and e2.
-
-    Returns ``(outcome, exit_code)``; a non-None exit code means a usage
-    error already reported to the user.
-    """
-    if args.checkpoint or args.resume:
-        print(
-            "--checkpoint/--resume are subsumed by per-node completion "
-            "records on the graph path; point --store at a node-store "
-            "directory instead",
-            file=sys.stderr,
-        )
-        return None, 2
+def _run_campaign(args: argparse.Namespace, config, experiment, error_filter):
+    """Run one campaign through the task graph and report it; returns the outcome."""
     start = time.time()
     outcome = run_campaign_graph(
         config,
@@ -254,25 +223,36 @@ def _run_graph_campaign(args: argparse.Namespace, config, experiment, error_filt
     shard_note = f" [shard {args.shard}]" if args.shard else ""
     hit_rate = stats.hit_rate
     print(
-        f"\n{experiment.upper()} campaign (graph{shard_note}): "
+        f"\n{experiment.upper()} campaign{shard_note}: "
         f"{len(outcome.results)} runs in {time.time() - start:.0f}s — "
         f"{stats.executed} nodes executed, {stats.cached} replayed"
         + (f" (hit rate {hit_rate:.0%})" if hit_rate is not None else "")
         + "\n"
     )
-    return outcome, None
+    if args.save:
+        save_results(outcome.results, args.save)
+        print(f"saved run records to {args.save}\n")
+    if args.trace:
+        print(f"trace events written to {args.trace}\n")
+    _print_metrics(config.metrics, args.metrics_out)
+    if args.shard:
+        print(
+            f"shard {args.shard} complete: {len(outcome.results)} runs recorded in "
+            f"{args.store or 'memory (no --store!)'}; merge shard stores "
+            "and re-run unsharded to aggregate"
+        )
+    return outcome
 
 
 def _cmd_e1(args: argparse.Namespace) -> int:
     target = get_target(args.target)
     versions = tuple(args.versions.split(",")) if args.versions else None
-    metrics = MetricsRegistry()
     config = CampaignConfig(
         cases_all=args.cases_all,
         cases_per_ea=args.cases_ea,
         workers=args.workers,
         trace_path=args.trace,
-        metrics=metrics,
+        metrics=MetricsRegistry(),
         target=target.name,
         injection_start_ms=args.injection_start,
         snapshots=False if args.no_snapshots else None,
@@ -288,114 +268,43 @@ def _cmd_e1(args: argparse.Namespace) -> int:
             )
             return 2
         error_filter = lambda e: e.signal == args.signal  # noqa: E731
-    if args.load:
-        results = load_results(args.load)
-        print(f"loaded {len(results)} runs from {args.load}\n")
-        if args.signal is not None:
-            results = ResultSet(results.subset(signal=args.signal))
-            print(f"filtered to {len(results)} runs on signal {args.signal}\n")
-    elif args.graph or args.shard:
-        outcome, code = _run_graph_campaign(args, config, "e1", error_filter)
-        if code is not None:
-            return code
-        results = outcome.results
-        if args.save:
-            save_results(results, args.save)
-            print(f"saved run records to {args.save}\n")
-        if args.trace:
-            print(f"trace events written to {args.trace}\n")
-        _print_metrics(metrics, args.metrics_out)
-        if args.shard:
-            print(
-                f"shard {args.shard} complete: {len(results)} runs recorded in "
-                f"{args.store or 'memory (no --store!)'}; merge shard stores "
-                "and re-run unsharded to aggregate"
-            )
-            return 0
+    if not args.load:
+        outcome = _run_campaign(args, config, "e1", error_filter)
         if outcome.tables is not None:
             print(outcome.tables)
-            return 0
-    else:
-        start = time.time()
-        results = run_e1_campaign(
-            config,
-            progress=_progress,
-            error_filter=error_filter,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            store=args.store,
-            force=args.force,
-        )
-        print(f"\nE1 campaign: {len(results)} runs in {time.time() - start:.0f}s\n")
-        if args.save:
-            save_results(results, args.save)
-            print(f"saved run records to {args.save}\n")
-        if args.trace:
-            print(f"trace events written to {args.trace}\n")
-        _print_metrics(metrics, args.metrics_out)
-    shown = versions if versions else tuple(config.versions)
+        return 0
+    results = load_results(args.load)
+    print(f"loaded {len(results)} runs from {args.load}\n")
+    if args.signal is not None:
+        results = ResultSet(results.subset(signal=args.signal))
+        print(f"filtered to {len(results)} runs on signal {args.signal}\n")
     signals = tuple(target.monitored_signals)
     print("Table 7. Error detection probabilities (%)")
-    print(render_table7(results, shown, signals=signals))
+    print(render_table7(results, config.versions, signals=signals))
     print()
     print("Table 8. Error detection latencies (ms)")
-    print(render_table8(results, shown, signals=signals))
+    print(render_table8(results, config.versions, signals=signals))
     return 0
 
 
 def _cmd_e2(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry()
     config = CampaignConfig(
         cases_e2=args.cases,
         workers=args.workers,
         trace_path=args.trace,
-        metrics=metrics,
+        metrics=MetricsRegistry(),
         target=args.target,
         injection_start_ms=args.injection_start,
         snapshots=False if args.no_snapshots else None,
         batch=args.batch,
     )
-    if args.load:
-        results = load_results(args.load)
-        print(f"loaded {len(results)} runs from {args.load}\n")
-    elif args.graph or args.shard:
-        outcome, code = _run_graph_campaign(args, config, "e2", None)
-        if code is not None:
-            return code
-        results = outcome.results
-        if args.save:
-            save_results(results, args.save)
-            print(f"saved run records to {args.save}\n")
-        if args.trace:
-            print(f"trace events written to {args.trace}\n")
-        _print_metrics(metrics, args.metrics_out)
-        if args.shard:
-            print(
-                f"shard {args.shard} complete: {len(results)} runs recorded in "
-                f"{args.store or 'memory (no --store!)'}; merge shard stores "
-                "and re-run unsharded to aggregate"
-            )
-            return 0
+    if not args.load:
+        outcome = _run_campaign(args, config, "e2", None)
         if outcome.tables is not None:
             print(outcome.tables)
-            return 0
-    else:
-        start = time.time()
-        results = run_e2_campaign(
-            config,
-            progress=_progress,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            store=args.store,
-            force=args.force,
-        )
-        print(f"\nE2 campaign: {len(results)} runs in {time.time() - start:.0f}s\n")
-        if args.save:
-            save_results(results, args.save)
-            print(f"saved run records to {args.save}\n")
-        if args.trace:
-            print(f"trace events written to {args.trace}\n")
-        _print_metrics(metrics, args.metrics_out)
+        return 0
+    results = load_results(args.load)
+    print(f"loaded {len(results)} runs from {args.load}\n")
     print("Table 9. Results for error set E2")
     print(render_table9(results))
     return 0
@@ -549,12 +458,8 @@ def main(argv=None) -> int:
         "diff",
         help="per-signal P(d) regression diff between two captured campaigns",
     )
-    p_diff.add_argument(
-        "store_a", help="baseline: result-store dir, node-store dir, or CSV"
-    )
-    p_diff.add_argument(
-        "store_b", help="candidate: result-store dir, node-store dir, or CSV"
-    )
+    p_diff.add_argument("store_a", help="baseline: node-store dir or --save CSV")
+    p_diff.add_argument("store_b", help="candidate: node-store dir or --save CSV")
     p_diff.set_defaults(func=_cmd_diff)
 
     args = parser.parse_args(argv)

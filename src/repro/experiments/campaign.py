@@ -21,11 +21,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.arrestor.system import RunConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.experiments.parallel import (
-    enumerate_e1_specs,
-    enumerate_e2_specs,
-    execute_specs,
-)
+from repro.experiments.parallel import enumerate_e1_specs, enumerate_e2_specs
 from repro.experiments.results import ResultSet
 from repro.injection.fic import CampaignController
 from repro.targets.registry import get_target
@@ -164,22 +160,6 @@ class CampaignConfig:
         )
 
 
-def _resolve_store(store, config: CampaignConfig):
-    """Coerce a store argument (path or ResultStore) for this config."""
-    if store is None:
-        return None
-    from repro.experiments.store import ResultStore
-
-    if isinstance(store, ResultStore):
-        return store
-    return ResultStore(
-        store,
-        target=config.target,
-        run_config=config.run_config,
-        injection_start_ms=config.injection_start_ms,
-    )
-
-
 def _tables_renderer(experiment: str, config: CampaignConfig):
     """The tables-node renderer for one campaign, plus its fingerprint.
 
@@ -228,13 +208,15 @@ def run_campaign_graph(
 ):
     """Execute a campaign through the content-addressed task graph.
 
-    The graph-native counterpart of :func:`run_e1_campaign` /
-    :func:`run_e2_campaign`: the spec grid becomes ``run`` nodes fed by
-    snapshot-``prewarm`` nodes, with ``aggregate`` and ``tables`` nodes
-    downstream (see :mod:`repro.experiments.dag`).  *store* is a
-    **node-store** directory — per-node completion records replace the
-    flat checkpoint CSV, so resume-after-interrupt and
-    replay-when-unchanged are the same mechanism.  *shard* (``"i/n"``)
+    The one campaign executor (:func:`run_e1_campaign` /
+    :func:`run_e2_campaign` return this call's records): the spec grid
+    becomes ``run`` nodes fed by snapshot-``prewarm`` nodes, with
+    ``aggregate`` and ``tables`` nodes downstream (see
+    :mod:`repro.experiments.dag`).  *store* is a **node-store**
+    directory: every completed run is recorded there as it finishes, so
+    resume-after-interrupt and replay-when-unchanged are the same
+    mechanism — re-run with the same store.  *force* re-executes every
+    node while still refreshing the store.  *shard* (``"i/n"``)
     restricts execution to one content-address partition of the grid;
     merge shard stores with ``python -m repro.experiments merge``.
     Returns a :class:`~repro.experiments.dag.GraphCampaignResult`.
@@ -271,11 +253,8 @@ def run_e1_campaign(
     config: Optional[CampaignConfig] = None,
     progress: Optional[ProgressHook] = None,
     error_filter: Optional[Callable] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    store: Optional[Union[str, Path, "ResultStore"]] = None,
+    store: Optional[Union[str, Path]] = None,
     force: bool = False,
-    graph: bool = False,
     shard: Optional[Union[str, Tuple[int, int]]] = None,
 ) -> ResultSet:
     """Execute the E1 experiment (Tables 7 and 8).
@@ -287,108 +266,45 @@ def run_e1_campaign(
     :class:`~repro.injection.errors.ErrorSpec`), e.g. to a single signal
     for a quick partial campaign.
 
-    Execution is delegated to :mod:`repro.experiments.parallel`:
-    ``config.workers`` processes (1 = the serial in-process path),
-    optionally streaming completed runs to *checkpoint* and — with
-    *resume* — skipping the runs already recorded there.  The result is
-    record-for-record identical whatever the worker count.
-
-    *store* (a directory path or a prebuilt
-    :class:`~repro.experiments.store.ResultStore`) enables the
-    content-addressed result store: records computed by any earlier
-    campaign with the same code and configuration are restored instead
-    of re-simulated, and fresh records are added for the next campaign.
-    *force* re-simulates everything while still refreshing the store.
-
-    *graph* (or a *shard*) routes execution through the task-graph
-    runtime instead — *store* then names a node-store directory and
-    per-node completion records subsume the checkpoint CSV, so
-    *checkpoint*/*resume* cannot be combined with it.
+    Runs on ``config.workers`` processes (1 = the serial in-process
+    path) through :func:`run_campaign_graph`, whose *store*, *force* and
+    *shard* this forwards; the result is record-for-record identical
+    whatever the worker count.
     """
-    if config is None:
-        config = CampaignConfig()
-    if graph or shard is not None:
-        if checkpoint is not None or resume:
-            raise ValueError(
-                "checkpoint/resume are subsumed by per-node completion "
-                "records on the graph path; pass a node store instead"
-            )
-        return run_campaign_graph(
-            config,
-            "e1",
-            progress=progress,
-            error_filter=error_filter,
-            store=store,
-            force=force,
-            shard=shard,
-            tables=False,
-        ).results
-    return execute_specs(
-        enumerate_e1_specs(config, error_filter),
-        run_config=config.run_config,
-        workers=config.workers,
-        checkpoint=checkpoint,
-        resume=resume,
+    return run_campaign_graph(
+        config,
+        "e1",
         progress=progress,
-        timeout_s=config.run_timeout_s,
-        trace=config.trace_path,
-        metrics=config.metrics,
-        store=_resolve_store(store, config),
+        error_filter=error_filter,
+        store=store,
         force=force,
-        snapshots=config.snapshots,
-        batch=config.batch,
-    )
+        shard=shard,
+        tables=False,
+    ).results
 
 
 def run_e2_campaign(
     config: Optional[CampaignConfig] = None,
     progress: Optional[ProgressHook] = None,
     error_filter: Optional[Callable] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    store: Optional[Union[str, Path, "ResultStore"]] = None,
+    store: Optional[Union[str, Path]] = None,
     force: bool = False,
-    graph: bool = False,
     shard: Optional[Union[str, Tuple[int, int]]] = None,
 ) -> ResultSet:
     """Execute the E2 experiment (Table 9): All version, random locations.
 
-    Same execution engine, checkpointing, resume, result-store and
-    graph/shard semantics as :func:`run_e1_campaign`.
+    Same execution, store and shard semantics as :func:`run_e1_campaign`.
     """
-    if config is None:
-        config = CampaignConfig()
-    if graph or shard is not None:
-        if checkpoint is not None or resume:
-            raise ValueError(
-                "checkpoint/resume are subsumed by per-node completion "
-                "records on the graph path; pass a node store instead"
-            )
-        return run_campaign_graph(
-            config,
-            "e2",
-            progress=progress,
-            error_filter=error_filter,
-            store=store,
-            force=force,
-            shard=shard,
-            tables=False,
-        ).results
-    return execute_specs(
-        enumerate_e2_specs(config, error_filter),
-        run_config=config.run_config,
-        workers=config.workers,
-        checkpoint=checkpoint,
-        resume=resume,
+    return run_campaign_graph(
+        config,
+        "e2",
         progress=progress,
-        timeout_s=config.run_timeout_s,
-        trace=config.trace_path,
-        metrics=config.metrics,
-        store=_resolve_store(store, config),
+        error_filter=error_filter,
+        store=store,
         force=force,
-        snapshots=config.snapshots,
-        batch=config.batch,
-    )
+        shard=shard,
+        tables=False,
+    ).results
 
 
 def run_reference_grid(

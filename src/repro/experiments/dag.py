@@ -1,8 +1,8 @@
 """Campaigns expressed as a content-addressed task DAG.
 
-:mod:`repro.experiments.parallel` executes a flat spec list;
-this module re-expresses a campaign as the dependency graph it really
-is, on the :mod:`repro.experiments.graph` runtime:
+Every E1/E2 campaign runs through this module: it expresses the spec
+grid of :mod:`repro.experiments.parallel` as the dependency graph it
+really is, on the :mod:`repro.experiments.graph` runtime:
 
 ``prewarm`` nodes
     One per distinct ``(target, version, test case, prefix)`` grid
@@ -14,13 +14,17 @@ is, on the :mod:`repro.experiments.graph` runtime:
     One per :class:`~repro.experiments.parallel.RunSpec`.  Inputs are
     the spec's fields plus the **context fingerprint** (SHA-256 over the
     target's simulation sources, the run configuration and the
-    injection start — :func:`repro.experiments.store.context_fingerprint`),
-    so editing fingerprinted code re-keys every run node while an
-    unchanged campaign replays entirely from the node store.  Ready run
-    nodes execute as one wave through the existing engine —
-    serial loop, chunked process pool, or vectorized batch kernels —
-    via a group runner wrapping
-    :func:`~repro.experiments.parallel.execute_specs`.
+    injection start — :func:`context_fingerprint`), so editing
+    fingerprinted code re-keys every run node while an unchanged
+    campaign replays entirely from the node store.  Ready run nodes
+    execute as one wave through the run-wave runner — serial loop,
+    chunked process pool, or vectorized batch kernels — via a group
+    runner wrapping :func:`~repro.experiments.parallel.execute_specs`,
+    which reports every completed chunk as it arrives; the graph
+    stores each one at once.  That per-node record is the campaign's
+    only persistence: a campaign interrupted at any point and re-run
+    against the same node store executes only the runs it had not
+    finished.
 ``aggregate`` node
     Depends on every run node; its output is the canonical-order
     campaign CSV (byte-stable regardless of execution or shard order).
@@ -37,15 +41,17 @@ private node store, :func:`~repro.experiments.graph.merge_stores`
 unions them, and a final unsharded pass replays every run node from
 cache — executing zero simulations — before computing aggregation.
 
-Invariants carried over from the flat engine: record-for-record
-equality with the legacy path whatever the worker count, and **a tracer
-disables replay** (traced nodes execute, never replay), so trace
+Invariants: results are record-for-record those of the serial loop
+whatever the worker count, and **a tracer disables replay** (traced
+nodes execute in-process and serially, never replay), so trace
 artifacts like the committed golden trace stay byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import importlib.util
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -59,14 +65,16 @@ from repro.experiments.graph import (
 )
 from repro.experiments.parallel import RunSpec, execute_specs
 from repro.experiments.persistence import decode_row, encode_record, results_to_csv
-from repro.experiments.results import ResultSet, RunRecord
-from repro.experiments.store import context_fingerprint
+from repro.experiments.results import ResultSet, RunRecord, canonical_key
 from repro.targets import snapshot as snapshots_mod
+from repro.targets.base import Target
 from repro.targets.registry import get_target
 
 __all__ = [
     "GraphCampaignResult",
     "build_campaign_graph",
+    "code_fingerprint",
+    "context_fingerprint",
     "run_campaign_graph",
     "run_node_name",
     "AGGREGATE_NODE",
@@ -78,6 +86,66 @@ TABLES_NODE = "tables"
 
 ProgressHook = Callable[[int, int], None]
 TablesRenderer = Callable[[ResultSet], str]
+
+
+def _module_source_files(module_name: str) -> List[Path]:
+    """Every ``.py`` file belonging to *module_name* (package or module).
+
+    Located with ``find_spec``, which imports at most the parent
+    packages: hashing a module must not execute it (the batch kernels
+    would pull numpy into every campaign process).
+    """
+    spec = importlib.util.find_spec(module_name)
+    if spec is None or not spec.has_location:  # namespace/builtin: nothing to hash
+        return []
+    path = Path(spec.origin)
+    if spec.submodule_search_locations is not None:
+        return sorted(path.parent.rglob("*.py"))
+    return [path]
+
+
+def code_fingerprint(target: Target) -> str:
+    """SHA-256 over the source code that determines *target*'s run results.
+
+    Files are hashed in sorted path order, each prefixed by its
+    package-relative name, so renames and content edits both change the
+    digest while the absolute checkout location does not.
+    """
+    digest = hashlib.sha256()
+    seen = set()
+    for module_name in target.fingerprint_sources():
+        for path in _module_source_files(module_name):
+            if path in seen:
+                continue
+            seen.add(path)
+            anchor = path.parts.index(module_name.split(".", 1)[0])
+            digest.update("/".join(path.parts[anchor:]).encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def context_fingerprint(
+    target: Target, run_config: Any = None, injection_start_ms: int = 0
+) -> str:
+    """The content address of one experimental context.
+
+    ``repr(run_config)`` is a complete rendering of a frozen dataclass's
+    fields (the same convention the snapshot cache keys by), so two
+    campaigns differ in context fingerprint iff they could differ in
+    results: different code, different configuration, or a different
+    injection start.
+    """
+    digest = hashlib.sha256()
+    digest.update(code_fingerprint(target).encode("utf-8"))
+    digest.update(b"\0")
+    digest.update(target.name.encode("utf-8"))
+    digest.update(b"\0")
+    digest.update(repr(run_config).encode("utf-8"))
+    digest.update(b"\0")
+    digest.update(str(injection_start_ms).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def run_node_name(spec: RunSpec) -> str:
@@ -306,8 +374,12 @@ def run_campaign_graph(
     order whatever executed, replayed, or ran on how many workers.
 
     *store* (a directory path or :class:`NodeStore`) enables per-node
-    memoization: an unchanged campaign replays 100 % of its nodes from
-    the store and simulates nothing.  *shard* — ``"i/n"`` or ``(i, n)``
+    memoization: every run is stored as its chunk completes, so an
+    unchanged campaign replays 100 % of its nodes from the store and
+    simulates nothing, and an interrupted one re-run against the same
+    store simulates only what it had not finished.  *progress* hears
+    ``(runs replayed + runs executed, runs wanted)`` after each stored
+    chunk.  *shard* — ``"i/n"`` or ``(i, n)``
     — restricts execution to the run nodes whose content address lands
     in shard *i*, skipping aggregation; shards may run on separate
     machines against private stores and be joined with
@@ -359,18 +431,31 @@ def run_campaign_graph(
         wanted = wanted_names
 
     total = len(wanted_names)
-    done_box = [0]
+    stats = GraphStats()
+    # Executed runs keep their live records; only replayed ones are
+    # decoded from the store (which reads integer latencies as floats).
+    executed: Dict[str, RunRecord] = {}
+
+    def _runs_done() -> int:
+        counts = stats.by_kind.get("run", {})
+        return counts.get("cached", 0) + counts.get("executed", 0)
 
     def _runner(
-        nodes: Sequence[Node], _dep_outputs: Mapping[str, Mapping[str, Any]]
-    ) -> Dict[str, Any]:
-        wave_specs = [node.payload for node in nodes]
-        def _inner_progress(done: int, _wave_total: int) -> None:
-            if progress is not None:
-                progress(done_box[0] + done, total)
+        nodes: Sequence[Node],
+        _dep_outputs: Mapping[str, Mapping[str, Any]],
+        complete: Callable[[Mapping[str, Any]], None],
+    ) -> None:
+        names = {node.payload.key: node.name for node in nodes}
 
-        results = execute_specs(
-            wave_specs,
+        def _on_complete(records: Sequence[RunRecord]) -> None:
+            chunk = {names[canonical_key(record)]: record for record in records}
+            executed.update(chunk)
+            complete({name: encode_record(record) for name, record in chunk.items()})
+            if progress is not None:
+                progress(_runs_done(), total)
+
+        execute_specs(
+            [node.payload for node in nodes],
             run_config=run_config,
             workers=1 if tracer is not None else workers,
             timeout_s=timeout_s,
@@ -378,16 +463,10 @@ def run_campaign_graph(
             metrics=metrics,
             snapshots=snapshots,
             batch=batch,
-            progress=_inner_progress if progress is not None else None,
+            on_complete=_on_complete,
         )
-        done_box[0] += len(wave_specs)
-        return {
-            node.name: encode_record(record)
-            for node, record in zip(nodes, results.records)
-        }
 
     runners: Dict[str, GroupRunner] = {"run": _runner}
-    stats = GraphStats()
     try:
         outputs = graph.execute(
             store=node_store,
@@ -402,8 +481,8 @@ def run_campaign_graph(
         if sink is not None:
             sink.close()
 
-    cached_runs = stats.by_kind.get("run", {}).get("cached", 0)
-    if progress is not None and cached_runs:
+    run_counts = stats.by_kind.get("run", {})
+    if progress is not None and run_counts.get("cached") and not run_counts.get("executed"):
         progress(total, total)
     if metrics is not None:
         rate = stats.hit_rate
@@ -411,7 +490,8 @@ def run_campaign_graph(
             metrics.gauge("graph_cache_hit_rate").set(round(rate, 4))
 
     records: List[RunRecord] = [
-        decode_row(list(outputs[name])) for name in wanted_names
+        executed[name] if name in executed else decode_row(list(outputs[name]))
+        for name in wanted_names
     ]
     return GraphCampaignResult(
         results=ResultSet(records),

@@ -1,8 +1,8 @@
 """Cross-campaign regression diff: ``python -m repro.experiments diff A B``.
 
 Compares the per-signal detection probabilities of two captured
-campaigns — result-store directories, node-store directories, or saved
-campaign CSVs, in any combination — and reports each signal's ``P(d)``
+campaigns — node-store directories or saved campaign CSVs, in any
+combination — and reports each signal's ``P(d)``
 delta with Wilson 95 % confidence intervals
 (:func:`repro.stats.wilson_interval`).  A delta is **significant** when
 the two intervals are disjoint, and a **regression** when the newer
@@ -21,7 +21,7 @@ import dataclasses
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from repro.experiments.persistence import decode_row, load_checkpoint
+from repro.experiments.persistence import decode_row, load_results
 from repro.experiments.results import ResultSet, RunRecord
 from repro.stats import wilson_interval
 
@@ -31,41 +31,31 @@ __all__ = ["SignalDelta", "load_records", "diff_results", "render_diff"]
 def load_records(path: Union[str, Path]) -> ResultSet:
     """Every run record captured under *path*, pooled.
 
-    Accepts a campaign CSV (``--save``/checkpoint format), a result-store
-    directory (one context CSV per fingerprint), or a node-store
+    Accepts a campaign CSV written by ``--save`` or a node-store
     directory (per-node completion records; ``run`` nodes carry one
     encoded record each).
     """
     from repro.experiments.graph import NodeStore
 
     path = Path(path)
-    records: List[RunRecord] = []
     if path.is_file():
-        records.extend(load_checkpoint(path).records)
-        return ResultSet(records)
-    if not path.is_dir():
-        raise FileNotFoundError(f"no store or CSV at {path}")
+        return load_results(path)
     node_store = NodeStore(path)
-    if node_store.dir.is_dir():
-        for key in node_store.iter_keys():
-            record = node_store.load(key)
-            if record is None or record.get("kind") != "run":
-                continue
-            output = record.get("output")
-            if isinstance(output, list):
-                try:
-                    records.append(decode_row([str(cell) for cell in output]))
-                except ValueError:
-                    continue
-        return ResultSet(records)
-    csv_files = sorted(path.glob("*.csv"))
-    if not csv_files:
+    if not node_store.dir.is_dir():
         raise FileNotFoundError(
-            f"{path} holds neither node records ({NodeStore.SUBDIR}/) nor "
-            "context CSVs"
+            f"no --save CSV or node store ({NodeStore.SUBDIR}/) at {path}"
         )
-    for csv_file in csv_files:
-        records.extend(load_checkpoint(csv_file, lenient=True).records)
+    records: List[RunRecord] = []
+    for key in node_store.iter_keys():
+        record = node_store.load(key)
+        if record is None or record.get("kind") != "run":
+            continue
+        output = record.get("output")
+        if isinstance(output, list):
+            try:
+                records.append(decode_row([str(cell) for cell in output]))
+            except ValueError:
+                continue
     return ResultSet(records)
 
 

@@ -28,6 +28,9 @@ Scheduling is deterministic: nodes execute in topological order with
 ties broken by insertion order, and nodes of the same ``kind`` that are
 ready together can be handed to a **group runner** (the campaign layer
 uses this to fan the injected-run grid onto the existing worker pool).
+A group runner reports outputs as they arrive and each one is stored at
+once, so an interrupted wave keeps every node it finished and a re-run
+against the same store executes only the rest.
 
 Replay is disabled whenever a tracer is attached — a trace is an
 execution artifact, so traced nodes execute, never replay — and
@@ -68,9 +71,19 @@ __all__ = [
     "shard_of",
 ]
 
-#: A group runner: receives the ready nodes of one kind plus each node's
-#: dependency outputs, returns ``{node name: output}`` for all of them.
-GroupRunner = Callable[[Sequence["Node"], Mapping[str, Mapping[str, Any]]], Mapping[str, Any]]
+#: A group runner: receives the ready nodes of one kind, each node's
+#: dependency outputs and a ``complete`` callback, and reports
+#: ``{node name: output}`` through ``complete`` as outputs arrive (any
+#: number of calls).  Each reported node is finished — stored — at once,
+#: so a runner interrupted part-way keeps everything it reported.
+GroupRunner = Callable[
+    [
+        Sequence["Node"],
+        Mapping[str, Mapping[str, Any]],
+        Callable[[Mapping[str, Any]], None],
+    ],
+    None,
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,7 +419,8 @@ class Graph:
         and still refreshes the store).  Non-cacheable nodes execute
         only when some dependent executes.  *runners* maps a node kind
         to a group runner executing all simultaneously ready nodes of
-        that kind in one call (the campaign layer's pool dispatch);
+        that kind in one call (the campaign layer's pool dispatch),
+        reporting — and so storing — outputs as they arrive;
         kinds without a runner execute their nodes' ``run`` callables
         one by one, in topological order.
         """
@@ -507,16 +521,19 @@ class Graph:
                 for node in nodes:
                     tracer.emit("campaign", "node-start", node=node.name, node_kind=kind)
             if runner is not None:
-                produced = runner(
-                    nodes, {node.name: _dep_outputs(node) for node in nodes}
-                )
+                in_wave = {node.name: node for node in nodes}
+
+                def _complete(produced: Mapping[str, Any]) -> None:
+                    for name, output in produced.items():
+                        _finish(in_wave[name], self.key(name), output)
+
+                runner(nodes, {node.name: _dep_outputs(node) for node in nodes}, _complete)
                 for node in nodes:
-                    if node.name not in produced:
+                    if node.name not in outputs:
                         raise GraphError(
                             f"group runner for kind {kind!r} returned no output "
                             f"for node {node.name!r}"
                         )
-                    _finish(node, self.key(node.name), produced[node.name])
             else:
                 for node in nodes:
                     _finish(node, self.key(node.name), node.run(_dep_outputs(node)))

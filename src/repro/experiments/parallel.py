@@ -1,43 +1,45 @@
 """Parallel campaign engine: the run grid as data, executed by a pool.
 
 The paper's evaluation is 22 400 (E1) + 5 000 (E2) arrestments.  Run
-serially in one Python process, the full-scale campaign takes hours and
-a crash loses everything.  This module turns a campaign into
+serially in one Python process, the full-scale campaign takes hours.
+This module turns a campaign into
 
 1. a deterministic enumeration of **run specs** — self-describing
    (version, error, test-case) triples carrying everything a worker
    needs to execute one run;
-2. an **execution engine** that dispatches specs in chunks to a process
-   pool (each run still gets a pristine system — by default restored
-   from a warm boot/prefix snapshot, which is byte-identical to the
-   evaluation's reboot-between-runs semantics; ``REPRO_SNAPSHOTS=0``
-   reverts to literal reboots), retries failed chunks a bounded number
-   of times, gives every run a wall-clock timeout that classifies a
-   wedged simulation instead of hanging the pool, and streams completed
-   records to an append-only CSV **checkpoint** so an interrupted
-   campaign resumes by skipping the specs already on disk.
+2. a **run-wave runner** that executes specs serially, in chunks on a
+   process pool, or through a target's vectorized batch kernel (each
+   run still gets a pristine system — by default restored from a warm
+   boot/prefix snapshot, which is byte-identical to the evaluation's
+   reboot-between-runs semantics; ``REPRO_SNAPSHOTS=0`` reverts to
+   literal reboots), retries failed chunks a bounded number of times,
+   gives every run a wall-clock timeout that classifies a wedged
+   simulation instead of hanging the pool, and reports each completed
+   chunk to an ``on_complete`` callback as it arrives.
+
+Campaign persistence lives one level up: the task graph
+(:mod:`repro.experiments.dag`) stores every reported chunk as per-node
+completion records, so an interrupted campaign re-run against the same
+node store executes only the runs it had not finished.
 
 Acceleration.  Before forking its pool the dispatcher pre-warms the
 process-global snapshot cache (one boot — and, with a positive
 ``injection_start_ms``, one fault-free prefix simulation — per distinct
 grid point), so every forked worker inherits the warm cache instead of
-rebuilding it.  An optional content-addressed **result store**
-(:mod:`repro.experiments.store`) short-circuits specs whose records were
-already computed by any earlier campaign with the same code and
-configuration.
+rebuilding it.
 
 Observability.  With a trace destination and/or a metrics registry
 (``execute_specs(trace=..., metrics=...)``), the engine publishes run
 lifecycle events and campaign metrics through :mod:`repro.obs`.  Workers
-write per-chunk trace part files the dispatcher merges at checkpoint
-time and return additive metrics snapshots, so both artifacts survive
-the process pool — and chunk retries — without duplication.
+write per-chunk trace part files the dispatcher merges as each chunk
+completes and return additive metrics snapshots, so both artifacts
+survive the process pool — and chunk retries — without duplication.
 
 Equivalence guarantee.  The final :class:`ResultSet` is assembled in
-spec-enumeration order from a key-indexed map, so a parallel campaign —
-and a resumed one — yields record-for-record the same result set as the
-serial loop, regardless of completion order.  With ``workers=1`` (or
-when multiprocessing is unavailable) the engine degrades to an in-process
+spec-enumeration order from a key-indexed map, so a parallel campaign
+yields record-for-record the same result set as the serial loop,
+regardless of completion order.  With ``workers=1`` (or when
+multiprocessing is unavailable) the engine degrades to an in-process
 serial loop over the same specs.
 """
 
@@ -53,7 +55,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments.persistence import append_records, load_checkpoint
 from repro.experiments.results import ResultSet, RunRecord, canonical_key, flatten_record
 from repro.experiments.testcases import select_spread
 from repro.injection.errors import ErrorSpec
@@ -78,6 +79,9 @@ __all__ = [
 SpecKey = Tuple[str, str, float, float]
 
 ProgressHook = Callable[[int, int], None]
+
+#: Receives each completed chunk's records as they arrive.
+CompletionHook = Callable[[Sequence[RunRecord]], None]
 
 #: Chunks that fail (worker crash, pickling error, broken pool) are
 #: retried at most this many times before the campaign aborts.
@@ -117,7 +121,7 @@ class RunSpec:
 
     @property
     def key(self) -> SpecKey:
-        """Resume/equivalence key; matches :func:`canonical_key` of the record."""
+        """Identity key; matches :func:`canonical_key` of the record."""
         return (self.version, self.error_name, self.mass_kg, self.velocity_mps)
 
     def error_spec(self) -> ErrorSpec:
@@ -267,7 +271,7 @@ def _execute_one(
     """Execute one spec on a freshly booted (or snapshot-restored) system.
 
     A timed-out run still yields exactly one record — the synthetic
-    wedged record — which flows into the checkpoint and trace like any
+    wedged record — which flows into the results and trace like any
     other, plus a ``run-timeout`` trace event marking the abort.
     """
     controller = CampaignController(
@@ -431,7 +435,7 @@ def _chunked(specs: Sequence[RunSpec], size: int) -> List[Tuple[RunSpec, ...]]:
 
 
 def _default_chunk_size(pending: int, workers: int) -> int:
-    # Small enough that the checkpoint advances steadily, stragglers
+    # Small enough that completions are reported steadily, stragglers
     # don't serialise the tail, and even a small campaign fans out over
     # every worker (at least two chunks per worker when the pending
     # count allows); large enough to amortise dispatch.  Capped at 8:
@@ -442,113 +446,60 @@ def _default_chunk_size(pending: int, workers: int) -> int:
     return max(1, min(8, pending // (workers * 2) or 1, -(-pending // (workers * 4))))
 
 
-def _restore(
-    checkpoint: Union[str, Path],
-    resume: bool,
-    spec_keys: Dict[SpecKey, int],
-) -> Dict[SpecKey, RunRecord]:
-    path = Path(checkpoint)
-    if not path.exists() or path.stat().st_size == 0:
-        return {}
-    if not resume:
-        raise ValueError(
-            f"checkpoint {path} already exists; pass resume=True to continue "
-            "it (or remove the file to start over)"
-        )
-    restored: Dict[SpecKey, RunRecord] = {}
-    for record in load_checkpoint(path).records:
-        key = canonical_key(record)
-        if key in spec_keys:  # records from other configs/filters are ignored
-            restored[key] = record
-    return restored
-
-
 def execute_specs(
     specs: Sequence[RunSpec],
     run_config=None,
     workers: int = 1,
-    checkpoint: Optional[Union[str, Path]] = None,
-    resume: bool = False,
     progress: Optional[ProgressHook] = None,
     timeout_s: Optional[float] = None,
     chunk_size: Optional[int] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     trace: Optional[Union[str, Path, TraceBus]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    store=None,
-    force: bool = False,
     snapshots: Optional[bool] = None,
     batch: bool = False,
+    on_complete: Optional[CompletionHook] = None,
 ) -> ResultSet:
     """Execute *specs*, serially or on a process pool; return the results.
 
     The returned :class:`ResultSet` is in spec-enumeration order whatever
     the execution order, so ``workers=N`` is record-for-record equivalent
-    to ``workers=1``.  With *checkpoint* set, completed records are
-    appended to that CSV as they arrive; with *resume* additionally set,
-    specs whose records are already in the file are not re-run.
-
-    *store* is an optional
-    :class:`~repro.experiments.store.ResultStore`: specs whose records
-    it already holds are restored instead of re-simulated (unless
-    *force*), and every freshly executed record is added to it, so a
-    repeated campaign with unchanged code executes zero new runs.
+    to ``workers=1``.  *on_complete* receives each completed chunk's
+    records as they arrive (one record at a time on the serial path),
+    before *progress* hears about them — the campaign graph stores them
+    there, so an interrupted wave keeps every chunk it finished.
     *snapshots* opts in/out of warm-target snapshot reuse (``None``
     follows the ``REPRO_SNAPSHOTS`` default); with a pool, the parent
     pre-warms the snapshot cache for every distinct grid point before
     forking so workers inherit it instead of re-simulating prefixes.
 
-    *trace* is either a JSONL file path (one event per line; appended to
-    on resume, otherwise rewritten) or an already-wired
-    :class:`~repro.obs.TraceBus` — the latter only for in-process serial
-    execution, since a live bus cannot cross the process-pool boundary.
-    *metrics* is a :class:`~repro.obs.MetricsRegistry` the campaign
-    updates in place (worker registries are merged in as chunks finish).
+    *trace* is either a JSONL file path (one event per line, rewritten)
+    or an already-wired :class:`~repro.obs.TraceBus` — the latter only
+    for in-process serial execution, since a live bus cannot cross the
+    process-pool boundary.  *metrics* is a
+    :class:`~repro.obs.MetricsRegistry` the campaign updates in place
+    (worker registries are merged in as chunks finish).
 
     *batch* opts into the vectorized per-chunk execution strategy:
-    pending specs a target's batch kernel can express (default-config
-    bit-flips on monitored RAM signals; see :mod:`repro.targets.batch`)
-    run as one ``Target.run_batch`` call per target, the rest stay
-    serial.  The serial path remains the oracle — batch results are
-    pinned identical by the equivalence suite — and tracing forces the
-    serial path (with a warning), keeping trace artifacts like the
-    committed golden trace byte-stable.
+    specs a target's batch kernel can express (default-config bit-flips
+    on monitored RAM signals; see :mod:`repro.targets.batch`) run as one
+    ``Target.run_batch`` call per target, the rest stay serial.  The
+    serial path remains the oracle — batch results are pinned identical
+    by the equivalence suite — and tracing forces the serial path (with
+    a warning), keeping trace artifacts like the committed golden trace
+    byte-stable.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     specs = list(specs)
-    keys = {spec.key: index for index, spec in enumerate(specs)}
-    if len(keys) != len(specs):
+    if len({spec.key for spec in specs}) != len(specs):
         raise ValueError("duplicate run specs: (version, error, case) must be unique")
-
     by_key: Dict[SpecKey, RunRecord] = {}
-    if checkpoint is not None:
-        by_key.update(_restore(checkpoint, resume, keys))
-    pending = [spec for spec in specs if spec.key not in by_key]
-    restored = len(by_key)
-
-    store_hits: List[RunRecord] = []
-    if store is not None and not force and pending:
-        remaining = []
-        for spec in pending:
-            record = store.lookup(spec)
-            if record is None:
-                remaining.append(spec)
-            else:
-                store_hits.append(record)
-        pending = remaining
-        if store_hits:
-            if checkpoint is not None:
-                append_records(checkpoint, store_hits)
-            for record in store_hits:
-                by_key[canonical_key(record)] = record
-
+    pending = specs
     total = len(specs)
-    done = total - len(pending)
-    if progress is not None and done:
-        progress(done, total)
+    done = 0
 
     batch_specs: List[RunSpec] = []
     if batch and pending:
@@ -575,18 +526,16 @@ def execute_specs(
         tracer = trace
     elif trace is not None:
         trace_path = Path(trace)
-        trace_sink = JSONLSink(trace_path, mode="a" if resume else "w")
+        trace_sink = JSONLSink(trace_path, mode="w")
         tracer = TraceBus([trace_sink])
 
     def _complete(chunk_records: Sequence[RunRecord]) -> None:
         nonlocal done
-        if checkpoint is not None:
-            append_records(checkpoint, chunk_records)
-        if store is not None:
-            store.add(chunk_records)
         for record in chunk_records:
             by_key[canonical_key(record)] = record
         done += len(chunk_records)
+        if on_complete is not None:
+            on_complete(chunk_records)
         if progress is not None:
             progress(done, total)
 
@@ -601,14 +550,6 @@ def execute_specs(
             workers=workers,
             target=targets[0] if len(targets) == 1 else targets,
         )
-        if restored:
-            tracer.emit("campaign", "resume-restored", count=restored)
-        if store_hits:
-            tracer.emit("campaign", "store-restored", count=len(store_hits))
-    if metrics is not None and restored:
-        metrics.counter("runs_restored_total").inc(restored)
-    if metrics is not None and store_hits:
-        metrics.counter("runs_store_hits_total").inc(len(store_hits))
 
     if use_pool:
         warmed = _prewarm_pool_snapshots(pending, run_config, snapshots)
@@ -643,18 +584,17 @@ def execute_specs(
                 snapshots=snapshots,
             )
         elapsed = time.perf_counter() - start
-        executed = done - restored - len(store_hits)
         if metrics is not None:
             metrics.gauge("campaign_seconds").set(round(elapsed, 3))
             metrics.gauge("campaign_runs_per_sec").set(
-                round(executed / elapsed, 3) if elapsed > 0 else 0.0
+                round(done / elapsed, 3) if elapsed > 0 else 0.0
             )
         if tracer is not None:
             tracer.emit(
                 "campaign",
                 "campaign-end",
                 runs=total,
-                executed=executed,
+                executed=done,
                 seconds=round(elapsed, 3),
             )
     finally:
@@ -743,7 +683,7 @@ def _run_pool(
             metrics.counter("chunk_retries_total").inc()
 
     def _merge_chunk_trace(index: int) -> None:
-        """Fold the worker's part file into the main trace (checkpoint time)."""
+        """Fold the worker's part file into the main trace as the chunk completes."""
         part = _part_path(index)
         if part is None:
             return
@@ -801,4 +741,5 @@ def _run_pool(
                     if metrics is not None and snapshot is not None:
                         metrics.merge(snapshot)
     finally:
-        executor.shutdown(wait=False)
+        # An interrupted campaign must not leave queued chunks running.
+        executor.shutdown(wait=False, cancel_futures=True)

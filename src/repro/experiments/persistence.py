@@ -14,7 +14,7 @@ import io
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import List, Union
 
 from repro.experiments.results import ResultSet, RunRecord
 
@@ -26,8 +26,6 @@ __all__ = [
     "results_from_csv",
     "encode_record",
     "decode_row",
-    "append_records",
-    "load_checkpoint",
 ]
 
 #: Column order of the CSV representation (one column per record field).
@@ -56,10 +54,6 @@ def encode_record(record: RunRecord) -> List[str]:
         value = getattr(record, column)
         row.append(_NONE if value is None else str(value))
     return row
-
-
-# Backwards-compatible private alias (pre-checkpoint API).
-_encode = encode_record
 
 
 def _parse_optional_int(text: str):
@@ -101,17 +95,13 @@ def decode_row(row: List[str]) -> RunRecord:
     )
 
 
-# Backwards-compatible private alias (pre-checkpoint API).
-_decode = decode_row
-
-
 def results_to_csv(results: ResultSet) -> str:
     """Serialise a result set to CSV text (header + one row per run)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_COLUMNS)
     for record in results.records:
-        writer.writerow(_encode(record))
+        writer.writerow(encode_record(record))
     return buffer.getvalue()
 
 
@@ -159,99 +149,3 @@ def save_results(results: ResultSet, path: Union[str, Path]) -> Path:
 def load_results(path: Union[str, Path]) -> ResultSet:
     """Read a result set written by :func:`save_results`."""
     return results_from_csv(Path(path).read_text(encoding="utf-8"))
-
-
-# -- checkpoint files -------------------------------------------------------
-#
-# A checkpoint is the same CSV format written incrementally: the header
-# plus one appended row per completed run.  Appends are flushed per
-# batch, so after a crash the file holds every finished run (plus at
-# most one torn final line, which the tolerant loader drops).
-
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None
-
-
-def append_records(
-    path: Union[str, Path], records: Iterable[RunRecord], locked: bool = False
-) -> Path:
-    """Append *records* to the checkpoint at *path*, creating it if needed.
-
-    A new (or empty) file gets the :data:`CSV_COLUMNS` header first; an
-    existing one must carry that exact header.  The batch is flushed and
-    fsynced before returning so completed runs survive a crash.
-
-    With *locked*, the whole append (header check included) runs under an
-    exclusive ``flock`` on the file, so concurrent same-file writers —
-    two campaign shards sharing a result-store directory — serialise
-    batch-atomically instead of interleaving rows.  On platforms without
-    ``fcntl`` the flag silently degrades to the unlocked path.
-    """
-    path = Path(path)
-    with path.open("a+", encoding="utf-8", newline="") as handle:
-        hold_lock = locked and fcntl is not None
-        if hold_lock:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            handle.seek(0, os.SEEK_END)
-            fresh = handle.tell() == 0
-            if not fresh:
-                handle.seek(0)
-                header = next(csv.reader(handle), None)
-                if header is None or tuple(header) != CSV_COLUMNS:
-                    raise ValueError(
-                        f"unexpected results header {header!r} in checkpoint "
-                        f"{path}; refusing to append"
-                    )
-                handle.seek(0, os.SEEK_END)
-            writer = csv.writer(handle)
-            if fresh:
-                writer.writerow(CSV_COLUMNS)
-            for record in records:
-                writer.writerow(encode_record(record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        finally:
-            if hold_lock:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-    return path
-
-
-def load_checkpoint(path: Union[str, Path], lenient: bool = False) -> ResultSet:
-    """Read a (possibly torn) checkpoint written by :func:`append_records`.
-
-    Unlike :func:`load_results` this tolerates an interrupted final
-    write: a trailing row that does not parse is dropped rather than
-    rejected, because resuming will simply re-run that spec.  A missing
-    file yields an empty result set; a malformed row *before* the end
-    still raises (the file is not a checkpoint of ours) — unless
-    *lenient*, which drops every malformed row instead.  Lenient loading
-    is for multi-writer store files, where a writer killed mid-append
-    can leave a torn row in the *middle* of the file once a later writer
-    appends past it; the intact rows are still worth restoring.
-    """
-    path = Path(path)
-    if not path.exists():
-        return ResultSet()
-    reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
-    header = next(reader, None)
-    if header is None:
-        return ResultSet()
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(
-            f"unexpected results header {header!r}; {path} was not written "
-            "by this campaign engine"
-        )
-    rows = [row for row in reader if row]
-    records = []
-    for index, row in enumerate(rows):
-        try:
-            records.append(decode_row(row))
-        except ValueError:
-            if lenient or index == len(rows) - 1:
-                continue  # torn row from an interrupted append
-            raise
-    return ResultSet(records)

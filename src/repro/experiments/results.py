@@ -53,9 +53,9 @@ def canonical_key(record: RunRecord) -> Tuple[str, str, float, float]:
 
     ``(version, error_name, mass, velocity)`` uniquely names one run of
     the E1/E2 grids (error names are unique per set, test cases are
-    distinct grid points), so it keys checkpoint resume and defines the
-    canonical order campaigns are compared in regardless of execution
-    order (serial, parallel, or resumed).
+    distinct grid points), so it maps each completed record to its run
+    node and defines the canonical order campaigns are compared in
+    regardless of execution order (serial, parallel, or resumed).
     """
     return (record.version, record.error_name, record.mass_kg, record.velocity_mps)
 

@@ -15,7 +15,7 @@ exposes the detection pipeline the way a production system would:
   across worker processes;
 * sinks — :class:`RingBufferSink` (in memory), :class:`JSONLSink` (one
   JSON object per line; under the process pool each worker writes a
-  per-chunk part file merged at checkpoint time), and :class:`NullSink`
+  per-chunk part file merged as the chunk completes), and :class:`NullSink`
   so that tracing disabled costs exactly one predicate check on the hot
   path.
 

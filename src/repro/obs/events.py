@@ -19,9 +19,12 @@ campaign     run-start         a run begins on a freshly booted system
 campaign     run-end           a run's readouts are packaged
 campaign     run-timeout       a run exceeded its wall-clock budget (wedged)
 campaign     campaign-start    the engine starts executing a spec list
-campaign     resume-restored   checkpointed runs were skipped on resume
+campaign     snapshot-prewarm  the parent warmed snapshots before forking
 campaign     chunk-retry       a worker chunk failed and was resubmitted
 campaign     campaign-end      the engine assembled the final result set
+campaign     node-start        a campaign-graph node starts executing
+campaign     node-cached       a graph node replayed from the node store
+campaign     node-done         a graph node finished (and was stored)
 ===========  ================  ==============================================
 
 ``run-start`` and ``run-timeout`` events carry a ``target`` data field —
@@ -62,8 +65,6 @@ EVENT_KINDS = (
     (SUBSYSTEM_CAMPAIGN, "run-end"),
     (SUBSYSTEM_CAMPAIGN, "run-timeout"),
     (SUBSYSTEM_CAMPAIGN, "campaign-start"),
-    (SUBSYSTEM_CAMPAIGN, "resume-restored"),
-    (SUBSYSTEM_CAMPAIGN, "store-restored"),
     (SUBSYSTEM_CAMPAIGN, "snapshot-prewarm"),
     (SUBSYSTEM_CAMPAIGN, "chunk-retry"),
     (SUBSYSTEM_CAMPAIGN, "campaign-end"),

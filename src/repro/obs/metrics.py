@@ -6,8 +6,8 @@ layer: where the trace answers *what happened*, the registry answers
 ``name{label=value}`` keys, cumulative bucket counts — but stdlib-only:
 
 * counters and histograms are **additive**, so per-worker registries
-  snapshot to plain dicts and merge into the dispatcher's registry at
-  checkpoint time (the same rendezvous the trace part files use);
+  snapshot to plain dicts and merge into the dispatcher's registry as
+  each chunk completes (the same rendezvous the trace part files use);
 * gauges are last-write-wins (a merged snapshot overwrites).
 
 Snapshots are JSON-serialisable; :meth:`MetricsRegistry.render` gives

@@ -47,8 +47,11 @@ def reconcile_trace(events: Iterable[TraceEvent], records: Iterable) -> List[str
       covers that run (in-simulation wedging ends in a normal run-end);
     * no traced run is missing from the records.
 
-    Runs restored from a checkpoint on resume have no trace events in
-    the current file; they are skipped rather than flagged.
+    Records the trace does not cover have no events in the file — a
+    trace of one shard or sub-campaign checked against the merged result
+    set, or records an untraced pass replayed from a node store — so
+    they are skipped rather than flagged; a traced run missing from the
+    records is still flagged (last rule above).
     """
     issues: List[str] = []
     by_run = _index_by_run(events)
@@ -61,7 +64,7 @@ def reconcile_trace(events: Iterable[TraceEvent], records: Iterable) -> List[str
         seen_runs.add(rid)
         kinds = by_run.get(rid)
         if kinds is None:
-            continue  # restored from checkpoint; trace predates this file
+            continue  # not covered by this trace (see docstring)
 
         starts = kinds.get("run-start", [])
         ends = kinds.get("run-end", [])

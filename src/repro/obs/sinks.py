@@ -9,7 +9,7 @@
 * :class:`JSONLSink` — one JSON object per line.  Under the process pool
   each worker writes its chunk's events to a private part file
   (``<trace>.part<chunk>``), which the dispatcher merges into the main
-  file when the chunk's records reach the checkpoint — a crashed or
+  file when the chunk's records are reported complete — a crashed or
   retried chunk simply rewrites its part file, so the merged trace never
   holds duplicate events for a run.
 """

@@ -114,7 +114,6 @@ class ArrestorTarget(Target):
             "repro.experiments.parallel",
             "repro.experiments.persistence",
             "repro.experiments.results",
-            "repro.experiments.store",
             "repro.stats",
             "repro.arrestor",
         )

@@ -55,7 +55,7 @@ class TestCase:
     For the arrestor the axes are literal — aircraft mass (kg) and
     engagement velocity (m/s).  Other targets reinterpret the same grid
     (the tank-level workload reads them as outflow demand and initial
-    level); keeping a single test-case type lets checkpoints, run keys
+    level); keeping a single test-case type lets node stores, run keys
     and result CSVs stay target-agnostic.
     """
 
@@ -289,9 +289,10 @@ class Target(abc.ABC):
     def fingerprint_sources(self) -> Tuple[str, ...]:
         """Module/package names whose source code determines run results.
 
-        The incremental result store hashes these sources into the
-        content-addressed key of every stored record, so editing any of
-        them invalidates exactly the affected target's cache.  The
+        The campaign graph hashes these sources into the content
+        address of every run node (:func:`repro.experiments.dag.code_fingerprint`),
+        so editing any of them invalidates exactly the affected target's
+        stored runs.  The
         default covers the shared simulation stack plus the package the
         concrete target class lives in; targets with code outside that
         package extend the tuple (see :class:`ArrestorTarget`).
@@ -314,7 +315,6 @@ class Target(abc.ABC):
             "repro.experiments.parallel",
             "repro.experiments.persistence",
             "repro.experiments.results",
-            "repro.experiments.store",
             "repro.stats",
             package,
         )

@@ -20,7 +20,7 @@ def _load_bench_module():
 
 VALID = {
     "benchmark": "campaign",
-    "schema_version": 6,
+    "schema_version": 7,
     "repeats": 3,
     "cpus": 1,
     "scale": {
@@ -41,7 +41,6 @@ VALID = {
         "warm": {"runs": 16, "seconds": 0.5, "runs_per_sec": 32.0},
         "speedup": 4.0,
     },
-    "store_hit": {"runs": 16, "seconds": 0.01, "runs_per_sec": 1600.0, "hits": 16},
     "tracing": {
         "off": {"runs": 16, "seconds": 2.0, "runs_per_sec": 8.0},
         "null_sink": {"runs": 16, "seconds": 2.1, "runs_per_sec": 7.6},
@@ -91,11 +90,7 @@ class TestSchemaValidation:
                 {"snapshot": {**VALID["snapshot"], "injection_start_ms": "late"}},
                 "injection_start_ms",
             ),
-            ({"store_hit": None}, "store_hit"),
-            (
-                {"store_hit": {**VALID["store_hit"], "hits": 3}},
-                "stale store",
-            ),
+            ({"schema_version": 6}, "schema_version"),
             ({"tracing": None}, "tracing"),
             ({"tracing": {**VALID["tracing"], "off": {}}}, "tracing.off"),
             (

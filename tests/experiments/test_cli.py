@@ -147,9 +147,9 @@ class TestReportCommand:
         assert "loaded 16 runs" in capsys.readouterr().out
 
 
-class TestCheckpointOptions:
-    def test_checkpoint_then_resume(self, tmp_path, capsys):
-        checkpoint = tmp_path / "ck.csv"
+class TestCampaignOptions:
+    def test_store_rerun_replays_every_run(self, tmp_path, capsys):
+        store = tmp_path / "nodes"
         argv = [
             "e1",
             "--signal",
@@ -158,16 +158,101 @@ class TestCheckpointOptions:
             "All",
             "--cases-all",
             "1",
-            "--checkpoint",
-            str(checkpoint),
+            "--store",
+            str(store),
         ]
         assert main(argv) == 0
-        assert checkpoint.exists()
+        assert "0 replayed" in capsys.readouterr().out
+        # Re-running with the same --store simulates nothing: every run
+        # node (and the aggregate and tables nodes) replays.
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "16 runs" in out and "— 0 nodes executed" in out
+        assert "Table 7" in out
+
+    SMALL = ["e1", "--signal", "i", "--versions", "All", "--cases-all", "1"]
+
+    @pytest.mark.parametrize(
+        "option", [["--checkpoint", "runs.csv"], ["--resume"], ["--graph"]]
+    )
+    def test_removed_campaign_options_are_rejected(self, option, capsys):
+        # The node store (--store) is the only campaign persistence.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.SMALL + option)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_store_defaults_to_the_environment(self, tmp_path, monkeypatch, capsys):
+        store = tmp_path / "env-nodes"
+        monkeypatch.setenv("REPRO_STORE", str(store))
+        assert main(self.SMALL) == 0
+        assert len(list((store / "nodes").glob("*.json"))) == 16 + 2
         capsys.readouterr()
-        # A second invocation with --resume replays from the checkpoint
-        # (all 16 specs are already recorded, so it finishes immediately).
-        assert main(argv + ["--resume"]) == 0
-        assert "16 runs" in capsys.readouterr().out
+        assert main(self.SMALL) == 0
+        assert "— 0 nodes executed" in capsys.readouterr().out
+
+    def test_force_re_executes_every_run_and_keeps_the_store(self, tmp_path, capsys):
+        import json
+
+        store = tmp_path / "nodes"
+        metrics = tmp_path / "metrics.json"
+        argv = self.SMALL + ["--store", str(store)]
+        assert main(argv) == 0
+        before = sorted(p.name for p in (store / "nodes").iterdir())
+        capsys.readouterr()
+        assert main(argv + ["--force", "--metrics-out", str(metrics)]) == 0
+        assert ", 0 replayed" in capsys.readouterr().out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["graph_nodes_executed_total{kind=run}"] == 16
+        assert sorted(p.name for p in (store / "nodes").iterdir()) == before
+
+    def test_metrics_out_reports_a_full_replay(self, tmp_path, capsys):
+        import json
+
+        store = tmp_path / "nodes"
+        metrics = tmp_path / "metrics.json"
+        argv = self.SMALL + ["--store", str(store)]
+        assert main(argv) == 0
+        assert main(argv + ["--metrics-out", str(metrics)]) == 0
+        snapshot = json.loads(metrics.read_text())
+        assert snapshot["gauges"]["graph_cache_hit_rate"] == 1.0
+        assert snapshot["counters"]["graph_nodes_cached_total{kind=run}"] == 16
+        assert not any(
+            key.startswith("graph_nodes_executed_total")
+            for key in snapshot["counters"]
+        )
+
+    def test_replayed_save_loads_to_the_executed_records(self, tmp_path, capsys):
+        from repro.experiments.persistence import load_results
+
+        store = tmp_path / "nodes"
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        argv = self.SMALL + ["--store", str(store)]
+        assert main(argv + ["--save", str(cold)]) == 0
+        assert main(argv + ["--save", str(warm)]) == 0
+        assert "— 0 nodes executed" in capsys.readouterr().out
+        assert load_results(warm).records == load_results(cold).records
+
+    def test_shards_merge_then_aggregate_from_the_merged_store(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        shards = [tmp_path / "s0", tmp_path / "s1"]
+        for index, shard_store in enumerate(shards):
+            argv = self.SMALL + ["--store", str(shard_store), "--shard", f"{index}/2"]
+            assert main(argv) == 0
+            assert f"shard {index}/2 complete" in capsys.readouterr().out
+        merged = tmp_path / "merged"
+        assert main(["merge", str(merged)] + [str(s) for s in shards]) == 0
+        assert "merged 16 node record(s) from 2 store(s)" in capsys.readouterr().out
+        metrics = tmp_path / "metrics.json"
+        argv = self.SMALL + ["--store", str(merged), "--metrics-out", str(metrics)]
+        assert main(argv) == 0
+        assert "Table 7" in capsys.readouterr().out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["graph_nodes_cached_total{kind=run}"] == 16
+        assert "graph_nodes_executed_total{kind=run}" not in counters
 
     def test_workers_option_parses(self, capsys):
         assert (

@@ -1,18 +1,14 @@
-"""The cross-campaign regression diff and the hardened store appends.
+"""The cross-campaign regression diff.
 
 Covers :mod:`repro.experiments.diff` (per-signal P(d) deltas with
-Wilson CIs, regression exit codes, loading from CSVs / result stores /
-node stores), the Wilson estimator itself, and the satellite
-persistence fixes: lenient mid-file torn-row tolerance and locked
-concurrent appends.
+Wilson CIs, regression exit codes, loading from ``--save`` CSVs and
+node stores) and the Wilson estimator itself.
 """
-
-import csv
 
 import pytest
 
 from repro.experiments.diff import diff_results, load_records, render_diff
-from repro.experiments.persistence import append_records, load_checkpoint
+from repro.experiments.persistence import save_results
 from repro.experiments.results import ResultSet, RunRecord
 from repro.stats import wilson_interval
 
@@ -130,17 +126,9 @@ class TestDiffResults:
 
 
 class TestLoadRecords:
-    def test_from_checkpoint_csv(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        append_records(path, results_with_rate("mscnt", 3, 5).records)
+    def test_from_saved_csv(self, tmp_path):
+        path = save_results(results_with_rate("mscnt", 3, 5), tmp_path / "runs.csv")
         assert len(load_records(path)) == 5
-
-    def test_from_result_store_directory(self, tmp_path):
-        from repro.experiments.store import ResultStore
-
-        store = ResultStore(tmp_path, target="arrestor")
-        store.add(results_with_rate("mscnt", 3, 5).records)
-        assert len(load_records(tmp_path)) == 5
 
     def test_from_node_store_directory(self, tmp_path):
         from repro.experiments.dag import run_campaign_graph
@@ -161,6 +149,38 @@ class TestLoadRecords:
             outcome.results.records, key=repr
         )
 
+    def test_torn_saved_csv_is_rejected(self, tmp_path):
+        path = save_results(results_with_rate("mscnt", 3, 5), tmp_path / "runs.csv")
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: text.rindex("\n", 0, len(text) - 1) + 10])
+        with pytest.raises(ValueError, match="malformed results row"):
+            load_records(path)
+
+    def test_node_store_skips_torn_and_non_run_records(self, tmp_path):
+        from repro.experiments.dag import run_campaign_graph
+        from repro.experiments.graph import NodeStore
+        from repro.experiments.parallel import enumerate_e1_specs
+        from repro.experiments.campaign import CampaignConfig
+
+        config = CampaignConfig(cases_all=1, cases_per_ea=1,
+                                target="arrestor", versions=("All",))
+        specs = [
+            spec
+            for spec in enumerate_e1_specs(config)
+            if spec.error_name in ("S1", "S2", "S3")
+        ]
+        store = NodeStore(tmp_path / "ns")
+        outcome = run_campaign_graph(specs, store=store)
+        kinds = {key: store.load(key)["kind"] for key in store.iter_keys()}
+        assert "aggregate" in kinds.values() and outcome.aggregate_csv
+        # The aggregate record is not a run record.
+        assert len(load_records(tmp_path / "ns")) == len(specs) == 3
+        torn = next(key for key, kind in kinds.items() if kind == "run")
+        store.path_for(torn).write_text('{"kind": "run", "outp')
+        loaded = load_records(tmp_path / "ns")
+        assert len(loaded) == len(specs) - 1
+        assert set(loaded.records) < set(outcome.results.records)
+
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_records(tmp_path / "nope")
@@ -171,7 +191,7 @@ class TestLoadRecords:
 
 class TestDiffCli:
     def _write(self, path, results):
-        append_records(path, results.records)
+        save_results(results, path)
 
     def test_exit_zero_without_regression(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
@@ -191,102 +211,31 @@ class TestDiffCli:
         assert main(["diff", str(a), str(b)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_exit_two_on_torn_csv(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self._write(a, results_with_rate("mscnt", 3, 5))
+        self._write(b, results_with_rate("mscnt", 3, 5))
+        b.write_text(b.read_text()[:-20])
+        assert main(["diff", str(a), str(b)]) == 2
+        assert "diff failed" in capsys.readouterr().err
+
+    def test_node_store_against_its_saved_csv(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        store, saved = tmp_path / "nodes", tmp_path / "runs.csv"
+        argv = ["e1", "--signal", "i", "--versions", "All", "--cases-all", "1"]
+        assert main(argv + ["--store", str(store), "--save", str(saved)]) == 0
+        capsys.readouterr()
+        assert main(["diff", str(store), str(saved)]) == 0
+        out = capsys.readouterr().out
+        assert "A: 16 runs" in out and "B: 16 runs" in out
+        assert "no significant regressions" in out
+
     def test_exit_two_on_missing_store(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
         a = tmp_path / "a.csv"
         self._write(a, results_with_rate("mscnt", 3, 5))
         assert main(["diff", str(a), str(tmp_path / "nope")]) == 2
-
-
-class TestTornRowTolerance:
-    """Satellite: a shard killed mid-append must not poison the store."""
-
-    def _checkpoint_with_torn_middle(self, path):
-        results = results_with_rate("mscnt", 3, 5)
-        append_records(path, results.records)
-        lines = path.read_text().splitlines(keepends=True)
-        # Tear a *middle* row, as if a concurrent writer appended past a
-        # crashed one.
-        lines[2] = lines[2][: len(lines[2]) // 2].rstrip("\n") + "\n"
-        path.write_text("".join(lines))
-        return results
-
-    def test_strict_load_still_raises_mid_file(self, tmp_path):
-        path = tmp_path / "store.csv"
-        self._checkpoint_with_torn_middle(path)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_lenient_load_drops_only_the_torn_row(self, tmp_path):
-        path = tmp_path / "store.csv"
-        self._checkpoint_with_torn_middle(path)
-        assert len(load_checkpoint(path, lenient=True)) == 4
-
-    def test_result_store_survives_torn_middle_row(self, tmp_path):
-        from repro.experiments.store import ResultStore
-
-        store = ResultStore(tmp_path, target="arrestor")
-        store.add(results_with_rate("mscnt", 3, 5).records)
-        lines = store.path.read_text().splitlines(keepends=True)
-        lines[2] = lines[2][: len(lines[2]) // 2].rstrip("\n") + "\n"
-        store.path.write_text("".join(lines))
-        reloaded = ResultStore(tmp_path, target="arrestor")
-        assert len(reloaded) == 4  # intact rows restored, torn row lost
-
-    def test_trailing_torn_row_still_tolerated_strictly(self, tmp_path):
-        path = tmp_path / "cp.csv"
-        append_records(path, results_with_rate("mscnt", 2, 3).records)
-        with path.open("a") as handle:
-            handle.write("S9,mscnt,3,RAM,All")  # interrupted final append
-        assert len(load_checkpoint(path)) == 3
-
-
-class TestLockedAppends:
-    def test_locked_append_roundtrips(self, tmp_path):
-        path = tmp_path / "cp.csv"
-        results = results_with_rate("mscnt", 2, 4)
-        append_records(path, results.records[:2], locked=True)
-        append_records(path, results.records[2:], locked=True)
-        assert len(load_checkpoint(path)) == 4
-
-    def test_locked_append_checks_header(self, tmp_path):
-        path = tmp_path / "cp.csv"
-        path.write_text("not,a,checkpoint\n")
-        with pytest.raises(ValueError, match="refusing to append"):
-            append_records(
-                path, results_with_rate("mscnt", 1, 1).records, locked=True
-            )
-
-    def test_concurrent_writers_never_interleave_rows(self, tmp_path):
-        import multiprocessing
-
-        path = tmp_path / "store.csv"
-        context = multiprocessing.get_context("fork")
-        workers = [
-            context.Process(target=_append_batch, args=(str(path), worker))
-            for worker in range(4)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert all(worker.exitcode == 0 for worker in workers)
-        with path.open() as handle:
-            rows = [row for row in csv.reader(handle) if row]
-        # Header exactly once, and every data row fully formed.
-        from repro.experiments.persistence import CSV_COLUMNS
-
-        assert rows[0] == list(CSV_COLUMNS)
-        assert sum(1 for row in rows if row == list(CSV_COLUMNS)) == 1
-        assert len(rows) == 1 + 4 * 25
-        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
-
-
-def _append_batch(path, worker):
-    """Subprocess body: append 25 records under the lock."""
-    records = [
-        record(mass_kg=100.0 * worker + index, bit=index % 16)
-        for index in range(25)
-    ]
-    append_records(path, records, locked=True)

@@ -156,6 +156,45 @@ class TestNodeStore:
         path.write_text('{"kind": "k", "trunc')  # simulated torn write
         assert store.get(node, "k" * 64) == ("miss", None)
 
+    def test_failed_put_keeps_the_previous_record(self, tmp_path, monkeypatch):
+        import repro.experiments.graph as graph_module
+
+        store = NodeStore(tmp_path / "s")
+        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
+        store.put(node, "k" * 64, "old")
+
+        def exploding(*args, **kwargs):
+            raise RuntimeError("simulated crash mid-write")
+
+        monkeypatch.setattr(graph_module.json, "dump", exploding)
+        with pytest.raises(RuntimeError):
+            store.put(node, "k" * 64, "new")
+        monkeypatch.undo()
+        assert store.get(node, "k" * 64) == ("hit", "old")
+        assert [p.name for p in store.dir.iterdir()] == [f"{'k' * 64}.json"]
+
+    def test_concurrent_writers_never_tear_records(self, tmp_path):
+        # Two shards may share one store directory: writers racing on the
+        # same keys must leave every record whole and no temp files.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_put_batch, args=(str(tmp_path / "s"), writer))
+            for writer in range(4)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join()
+        assert all(writer.exitcode == 0 for writer in writers)
+        store = NodeStore(tmp_path / "s")
+        assert len(store) == 50
+        for index in range(50):
+            node = _batch_node(index)
+            assert store.get(node, f"{index:064x}") == ("hit", ["out", index] * 50)
+        assert not list(store.dir.glob("*.tmp"))
+
     def test_records_carry_descriptor(self, tmp_path):
         store = NodeStore(tmp_path / "s")
         node = Node(
@@ -171,6 +210,17 @@ class TestNodeStore:
             "deps": ["up"],
             "output": "out",
         }
+
+
+def _batch_node(index):
+    return Node(name=f"n{index}", kind="k", run=const(0), inputs={"i": str(index)})
+
+
+def _put_batch(root, writer):
+    """Subprocess body: put a window of keys overlapping its neighbours'."""
+    store = NodeStore(root)
+    for index in range(writer * 12, min(writer * 12 + 25, 50)):
+        store.put(_batch_node(index), f"{index:064x}", ["out", index] * 50)
 
 
 class TestMergeStores:
@@ -371,9 +421,9 @@ class TestGroupRunners:
             )
         waves = []
 
-        def runner(nodes, dep_outputs):
+        def runner(nodes, dep_outputs, complete):
             waves.append([node.name for node in nodes])
-            return {node.name: node.inputs["i"] for node in nodes}
+            complete({node.name: node.inputs["i"] for node in nodes})
 
         outputs = graph.execute(runners={"batch": runner})
         assert waves == [["n0", "n1", "n2", "n3"]]
@@ -383,7 +433,33 @@ class TestGroupRunners:
         graph = Graph()
         graph.add(Node(name="n", kind="batch", run=const(0)))
         with pytest.raises(GraphError, match="no output"):
-            graph.execute(runners={"batch": lambda nodes, deps: {}})
+            graph.execute(runners={"batch": lambda nodes, deps, complete: None})
+
+    def test_reported_outputs_are_stored_before_the_runner_returns(self, tmp_path):
+        graph = Graph()
+        for index in range(3):
+            graph.add(Node(name=f"n{index}", kind="batch", run=const(None),
+                           inputs={"i": str(index)}))
+        store = NodeStore(tmp_path / "s")
+
+        def interrupted(nodes, deps, complete):
+            complete({nodes[0].name: "first"})
+            complete({nodes[1].name: "second"})
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            graph.execute(store=store, runners={"batch": interrupted})
+        assert len(store) == 2
+
+        rerun = []
+
+        def rest(nodes, deps, complete):
+            rerun.extend(node.name for node in nodes)
+            complete({node.name: "late" for node in nodes})
+
+        outputs = graph.execute(store=store, runners={"batch": rest})
+        assert rerun == ["n2"]
+        assert outputs == {"n0": "first", "n1": "second", "n2": "late"}
 
     def test_runner_receives_dependency_outputs(self):
         graph = Graph()
@@ -391,9 +467,9 @@ class TestGroupRunners:
         graph.add(Node(name="down", kind="batch", run=const(None), deps=("up",)))
         seen = {}
 
-        def runner(nodes, dep_outputs):
+        def runner(nodes, dep_outputs, complete):
             seen.update(dep_outputs)
-            return {node.name: 0 for node in nodes}
+            complete({node.name: 0 for node in nodes})
 
         graph.execute(runners={"batch": runner})
         assert seen == {"down": {"up": 7}}

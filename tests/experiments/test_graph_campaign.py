@@ -10,7 +10,9 @@ Pins the PR's hard invariants:
   subtree (content-address invalidation);
 * a 2-way sharded run, after ``merge``, reproduces the unsharded
   aggregate CSV byte-for-byte;
-* a tracer disables replay (traced nodes execute, never replay).
+* a tracer disables replay (traced nodes execute, never replay);
+* an interrupted campaign keeps every run it finished in its node
+  store, and re-running with the same store executes only the rest.
 """
 
 import dataclasses
@@ -23,12 +25,14 @@ from repro.experiments.campaign import CampaignConfig
 from repro.experiments.dag import (
     AGGREGATE_NODE,
     build_campaign_graph,
+    code_fingerprint,
+    context_fingerprint,
     run_campaign_graph,
     run_node_name,
 )
 from repro.experiments.graph import GraphStats, NodeStore, merge_stores
 from repro.experiments.parallel import enumerate_e1_specs, execute_specs
-from repro.targets.registry import target_names
+from repro.targets.registry import get_target, target_names
 
 #: Mid-run first injection: the graph's prewarm nodes then matter (boot
 #: + fault-free prefix), matching the batch-equivalence harness.
@@ -105,6 +109,31 @@ class TestReplay:
         assert warm.results.records == cold.results.records
         assert warm.aggregate_csv == cold.aggregate_csv
 
+    def test_full_replay_reports_complete_progress(self, tmp_path):
+        specs = _slice_specs("arrestor", errors=1)
+        store = NodeStore(tmp_path / "nodes")
+        run_campaign_graph(specs, store=store)
+        seen = []
+        warm = run_campaign_graph(
+            specs, store=store, progress=lambda done, total: seen.append((done, total))
+        )
+        assert warm.stats.executed == 0
+        assert seen == [(len(specs), len(specs))]
+
+    def test_torn_run_record_re_executes_only_that_run(self, tmp_path):
+        specs = _slice_specs("arrestor", errors=2)
+        store = NodeStore(tmp_path / "nodes")
+        cold = run_campaign_graph(specs, store=store)
+        graph = build_campaign_graph(specs)
+        torn = graph.key(run_node_name(specs[1]))
+        text = store.path_for(torn).read_text()
+        store.path_for(torn).write_text(text[: len(text) // 2])
+        again = run_campaign_graph(specs, store=store)
+        assert again.stats.by_kind["run"]["executed"] == 1
+        assert again.stats.by_kind["run"]["cached"] == len(specs) - 1
+        assert again.results.records == cold.results.records
+        assert store.path_for(torn).read_text() == text
+
     def test_flipping_one_input_re_executes_one_subtree(self, tmp_path):
         specs = _slice_specs("arrestor", errors=2)
         store = NodeStore(tmp_path / "nodes")
@@ -123,6 +152,63 @@ class TestReplay:
         forced = run_campaign_graph(specs, store=store, force=True)
         assert forced.stats.cached == 0
         assert forced.stats.by_kind["run"]["executed"] == len(specs)
+
+
+class TestFingerprints:
+    """The context fingerprint folded into every run node's inputs."""
+
+    def test_code_fingerprint_stable_within_process(self):
+        target = get_target("tanklevel")
+        assert code_fingerprint(target) == code_fingerprint(target)
+
+    def test_context_differs_by_config_and_start(self):
+        target = get_target("tanklevel")
+        base = context_fingerprint(target)
+        assert context_fingerprint(target, injection_start_ms=500) != base
+        assert context_fingerprint(target, run_config="other") != base
+        assert context_fingerprint(target) == base
+
+    def test_targets_have_distinct_fingerprints(self):
+        a = code_fingerprint(get_target("arrestor"))
+        b = code_fingerprint(get_target("tanklevel"))
+        assert a != b
+
+    def test_fingerprint_does_not_import_the_modules_it_hashes(self):
+        # Importing the batch kernels would pull numpy into every
+        # campaign process just to hash their source.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.experiments.dag import code_fingerprint\n"
+            "from repro.targets.registry import get_target\n"
+            "code_fingerprint(get_target('arrestor'))\n"
+            "print('repro.targets.batch.arrestor' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_stale_code_fingerprint_re_executes_every_run(self, tmp_path, monkeypatch):
+        import repro.experiments.dag as dag_module
+
+        specs = _slice_specs("tanklevel", errors=2)
+        store = NodeStore(tmp_path / "nodes")
+        first = run_campaign_graph(specs, store=store)
+        # The target's source "changed": every run node re-keys and misses.
+        monkeypatch.setattr(dag_module, "code_fingerprint", lambda target: "0" * 64)
+        again = run_campaign_graph(specs, store=store)
+        assert again.stats.by_kind["run"]["executed"] == len(specs)
+        assert again.stats.by_kind["run"]["cached"] == 0
+        assert again.results.records == first.results.records
 
 
 class TestKeyDerivation:
@@ -227,46 +313,96 @@ class TestTracing:
         assert run_node_name(specs[0]) in started
 
 
-class TestCampaignEntryPoints:
-    """run_e1_campaign/run_e2_campaign graph routing."""
-
-    def test_run_e1_campaign_graph_matches_legacy(self, tmp_path):
+    def test_traced_campaign_with_workers_stays_in_process(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.parallel as parallel
         from repro.experiments.campaign import run_e1_campaign
+        from repro.obs import read_trace, reconcile_trace
+
+        def _no_pool(workers):
+            raise AssertionError("a traced campaign must not start a pool")
+
+        monkeypatch.setattr(parallel, "_new_executor", _no_pool)
+        trace = tmp_path / "trace.jsonl"
+        config = CampaignConfig(
+            cases_all=1, versions=("All",), workers=2, trace_path=str(trace)
+        )
+        results = run_e1_campaign(
+            config, error_filter=lambda e: e.signal == "i" and e.signal_bit < 2
+        )
+        assert len(results) == 2
+        assert reconcile_trace(read_trace(trace), results.records) == []
+
+    def test_trace_file_is_rewritten_by_a_rerun(self, tmp_path):
+        from repro.obs import read_trace, reconcile_trace
+
+        specs = _slice_specs("arrestor", errors=1, versions=("All",))
+        store = NodeStore(tmp_path / "nodes")
+        trace = tmp_path / "trace.jsonl"
+        run_campaign_graph(specs, store=store, trace=trace)
+        first = trace.read_text()
+        again = run_campaign_graph(specs, store=store, trace=trace)
+        events = read_trace(trace)
+        assert len(trace.read_text().splitlines()) == len(first.splitlines())
+        assert [e.kind for e in events].count("campaign-start") == 1
+        assert reconcile_trace(events, again.results.records) == []
+
+
+class TestCampaignEntryPoints:
+    """run_e1_campaign/run_e2_campaign are thin wrappers over the graph."""
+
+    def test_run_e1_campaign_matches_the_run_wave_runner(self, tmp_path):
+        from repro.experiments.campaign import run_e1_campaign
+        from repro.experiments.diff import load_records
+        from repro.experiments.persistence import results_to_csv
 
         config = _config("arrestor", versions=("EA1",))
         error_filter = lambda e: e.signal_bit in (0, 15)  # noqa: E731
-        legacy = run_e1_campaign(config, error_filter=error_filter)
+        direct = execute_specs(enumerate_e1_specs(config, error_filter))
         via_graph = run_e1_campaign(
-            config,
-            error_filter=error_filter,
-            graph=True,
-            store=tmp_path / "nodes",
+            config, error_filter=error_filter, store=tmp_path / "nodes"
         )
-        assert via_graph.records == legacy.records
+        assert via_graph.records == direct.records
+        # Executed runs come back as the runner produced them, so a
+        # --save CSV is byte-identical to the run-wave runner's.
+        assert results_to_csv(via_graph) == results_to_csv(direct)
+        assert load_records(tmp_path / "nodes").sorted() == direct.sorted()
 
-    def test_run_e2_campaign_graph_matches_legacy(self, tmp_path):
+    def test_run_e2_campaign_matches_the_run_wave_runner(self, tmp_path):
         from repro.experiments.campaign import run_e2_campaign
+        from repro.experiments.parallel import enumerate_e2_specs
 
         config = CampaignConfig(cases_e2=1, target="arrestor")
         error_filter = lambda e: e.name in ("R1", "R2", "R3")  # noqa: E731
-        legacy = run_e2_campaign(config, error_filter=error_filter)
+        direct = execute_specs(enumerate_e2_specs(config, error_filter))
         via_graph = run_e2_campaign(
-            config,
-            error_filter=error_filter,
-            graph=True,
-            store=tmp_path / "nodes",
+            config, error_filter=error_filter, store=tmp_path / "nodes"
         )
-        assert via_graph.records == legacy.records
+        assert via_graph.records == direct.records
 
-    def test_checkpoint_plus_graph_rejected(self, tmp_path):
-        from repro.experiments.campaign import run_e1_campaign
+    def test_run_e2_campaign_replays_from_its_store(self, tmp_path):
+        from repro.experiments.campaign import run_e2_campaign
+        from repro.obs.metrics import MetricsRegistry
 
-        with pytest.raises(ValueError, match="subsumed"):
-            run_e1_campaign(
-                _config("arrestor"),
-                graph=True,
-                checkpoint=tmp_path / "cp.csv",
-            )
+        error_filter = lambda e: e.name in ("R1", "R2")  # noqa: E731
+        store = tmp_path / "nodes"
+        cold = run_e2_campaign(
+            CampaignConfig(cases_e2=1, target="arrestor"),
+            error_filter=error_filter,
+            store=store,
+        )
+        metrics = MetricsRegistry()
+        warm = run_e2_campaign(
+            CampaignConfig(cases_e2=1, target="arrestor", metrics=metrics),
+            error_filter=error_filter,
+            store=store,
+        )
+        assert warm.records == cold.records
+        assert metrics.counter("graph_nodes_cached_total", kind="run").value == len(
+            cold
+        )
+        assert metrics.gauge("graph_cache_hit_rate").value == 1.0
 
     def test_tables_artifact_rendered_and_cached(self, tmp_path):
         from repro.experiments.campaign import run_campaign_graph as run_graph
@@ -280,6 +416,78 @@ class TestCampaignEntryPoints:
         warm = run_graph(config, "e1", error_filter=error_filter, store=store)
         assert warm.tables == cold.tables
         assert warm.stats.by_kind["tables"]["cached"] == 1
+
+
+class Interrupted(Exception):
+    pass
+
+
+class TestInterruptAndResume:
+    """Per-node completion records are the campaign's checkpoint.
+
+    A progress hook raises after *k* runs.  Every run completed before
+    the interrupt must already be in the node store (exactly *k* on the
+    serial path, every finished chunk on the pool), and the re-run
+    against the same store must execute only the remaining runs and
+    return the uninterrupted campaign's result set.
+    """
+
+    RUNS_BEFORE_INTERRUPT = 3
+
+    @staticmethod
+    def _filter(error):
+        return error.signal == "tick"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rerun_with_the_same_store_executes_only_the_rest(self, tmp_path, workers):
+        from repro.experiments.campaign import run_e1_campaign
+        from repro.experiments.diff import load_records
+        from repro.experiments.persistence import results_to_csv
+        from repro.obs.metrics import MetricsRegistry
+
+        def config(**overrides):
+            return CampaignConfig(
+                cases_all=1, versions=("All",), target="tanklevel", **overrides
+            )
+
+        uninterrupted = run_e1_campaign(config(), error_filter=self._filter)
+        total = len(uninterrupted)
+        store = tmp_path / "nodes"
+        reported = []
+
+        def interrupt(done, _total):
+            reported.append(done)
+            if done >= self.RUNS_BEFORE_INTERRUPT:
+                raise Interrupted
+
+        with pytest.raises(Interrupted):
+            run_e1_campaign(
+                config(workers=workers),
+                progress=interrupt,
+                error_filter=self._filter,
+                store=store,
+            )
+        stored = load_records(store).records
+        if workers == 1:
+            assert len(stored) == self.RUNS_BEFORE_INTERRUPT
+        assert len(stored) == reported[-1] < total
+        assert set(stored) <= set(uninterrupted.records)
+
+        metrics = MetricsRegistry()
+        seen = []
+        resumed = run_e1_campaign(
+            config(workers=workers, metrics=metrics),
+            progress=lambda done, _total: seen.append(done),
+            error_filter=self._filter,
+            store=store,
+        )
+        executed = metrics.counter("graph_nodes_executed_total", kind="run").value
+        cached = metrics.counter("graph_nodes_cached_total", kind="run").value
+        assert (executed, cached) == (total - len(stored), len(stored))
+        assert resumed.records == uninterrupted.records
+        # Progress counts the replayed runs too.
+        assert seen[0] > len(stored) and seen[-1] == total
+        assert len(load_records(store)) == total
 
 
 class TestGraphSmoke:

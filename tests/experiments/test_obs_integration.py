@@ -85,18 +85,14 @@ class TestEngineTracing:
         with pytest.raises(ValueError, match="process-pool boundary"):
             execute_specs(_tiny_specs(), workers=2, trace=TraceBus([NullSink()]))
 
-    def test_resume_appends_to_trace_file(self, tmp_path):
-        specs = _tiny_specs()
-        trace = tmp_path / "trace.jsonl"
-        ck = tmp_path / "ck.csv"
-        execute_specs(specs[:1], checkpoint=ck, trace=trace)
-        results = execute_specs(specs, checkpoint=ck, resume=True, trace=trace)
 
-        events = read_trace(trace)
-        assert len([e for e in events if e.kind == "campaign-start"]) == 2
-        assert len([e for e in events if e.kind == "resume-restored"]) == 1
-        # both campaigns' events reconcile against the final record set
-        assert reconcile_trace(events, results.records) == []
+class TestEventSchema:
+    def test_graph_events_replace_the_restore_events(self):
+        from repro.obs.events import EVENT_KINDS
+
+        kinds = {kind for _subsystem, kind in EVENT_KINDS}
+        assert {"node-start", "node-cached", "node-done", "snapshot-prewarm"} <= kinds
+        assert not kinds & {"resume-restored", "store-restored"}
 
 
 class TestCliTracing:
@@ -148,3 +144,28 @@ class TestCliTracing:
 
         snapshot = json.loads(metrics_out.read_text(encoding="utf-8"))
         assert snapshot["counters"]["runs_total"] == len(records)
+
+    def test_traced_store_rerun_executes_and_rewrites_the_trace(
+        self, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.jsonl"
+        save = tmp_path / "runs.csv"
+        argv = [
+            "e1",
+            "--versions", "All",
+            "--cases-all", "1",
+            "--signal", "i",
+            "--store", str(tmp_path / "nodes"),
+            "--trace", str(trace),
+            "--save", str(save),
+        ]
+        assert main(argv) == 0
+        first = read_trace(trace)
+        capsys.readouterr()
+        assert main(argv) == 0
+        # A tracer disables replay: every run executes again, and the
+        # trace describes this pass only.
+        assert ", 0 replayed" in capsys.readouterr().out
+        events = read_trace(trace)
+        assert len(events) == len(first)
+        assert reconcile_trace(events, load_results(save).records) == []

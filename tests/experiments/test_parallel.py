@@ -1,4 +1,4 @@
-"""Tests for the parallel campaign engine (specs, pool, checkpoint/resume)."""
+"""Tests for the run-wave runner (specs, pool, timeouts, retries)."""
 
 import time
 
@@ -14,7 +14,6 @@ from repro.experiments.parallel import (
     enumerate_e2_specs,
     execute_specs,
 )
-from repro.experiments.persistence import load_checkpoint
 from repro.experiments.results import canonical_key
 from repro.injection.fic import CampaignController
 
@@ -120,6 +119,41 @@ class TestEquivalence:
         assert parallel_results.records == serial.records
         assert parallel_results.sorted().records == serial.sorted().records
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_complete_reports_every_chunk_before_progress(self, workers):
+        completed = []
+        progress = []
+        results = execute_specs(
+            _tiny_specs(),
+            workers=workers,
+            chunk_size=1,
+            on_complete=completed.extend,
+            progress=lambda done, total: progress.append((done, len(completed))),
+        )
+        assert sorted(completed, key=canonical_key) == results.sorted().records
+        assert progress == [(1, 1), (2, 2)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_on_complete_stops_the_campaign(self, workers):
+        # A node-store write that fails must abort the campaign before
+        # progress hears of the chunk (and, on the pool, cancel the rest).
+        class StoreFull(Exception):
+            pass
+
+        def on_complete(records):
+            raise StoreFull
+
+        progress = []
+        with pytest.raises(StoreFull):
+            execute_specs(
+                _tiny_specs(),
+                workers=workers,
+                chunk_size=1,
+                on_complete=on_complete,
+                progress=lambda done, total: progress.append(done),
+            )
+        assert progress == []
+
     def test_result_order_is_enumeration_order(self):
         specs = _tiny_specs()
         results = execute_specs(specs, workers=2, chunk_size=1)
@@ -145,77 +179,8 @@ class TestTimeoutClassification:
         assert not record.wedged
 
 
-class TestCheckpointResume:
-    def test_checkpoint_streams_all_records(self, tmp_path):
-        path = tmp_path / "ck.csv"
-        results = execute_specs(_tiny_specs(), checkpoint=path)
-        assert load_checkpoint(path).records == results.records
-
-    def test_existing_checkpoint_requires_resume(self, tmp_path):
-        path = tmp_path / "ck.csv"
-        execute_specs(_tiny_specs(), checkpoint=path)
-        with pytest.raises(ValueError, match="resume"):
-            execute_specs(_tiny_specs(), checkpoint=path)
-
-    def test_kill_and_resume_skips_finished_specs(self, tmp_path, monkeypatch):
-        specs = _tiny_specs()
-        full = execute_specs(specs)
-        path = tmp_path / "ck.csv"
-        execute_specs(specs, checkpoint=path)
-
-        # Simulate a crash: keep the header + first record, then a torn
-        # partial line from an interrupted append.
-        lines = path.read_text().splitlines(True)
-        path.write_text("".join(lines[:2]) + lines[2][:17])
-
-        executed = []
-        real = parallel._execute_one
-
-        def counting(spec, run_config, timeout_s, *obs):
-            executed.append(spec.key)
-            return real(spec, run_config, timeout_s, *obs)
-
-        monkeypatch.setattr(parallel, "_execute_one", counting)
-        resumed = execute_specs(specs, checkpoint=path, resume=True)
-        assert executed == [specs[1].key]  # only the lost run re-ran
-        assert resumed.records == full.records
-
-    def test_resume_of_complete_checkpoint_runs_nothing(self, tmp_path, monkeypatch):
-        specs = _tiny_specs()
-        path = tmp_path / "ck.csv"
-        expected = execute_specs(specs, checkpoint=path)
-
-        def exploding(spec, run_config, timeout_s, *obs):
-            raise AssertionError(f"spec {spec.key} should not re-run")
-
-        monkeypatch.setattr(parallel, "_execute_one", exploding)
-        resumed = execute_specs(specs, checkpoint=path, resume=True)
-        assert resumed.records == expected.records
-
-    def test_resume_works_with_workers(self, tmp_path):
-        specs = _tiny_specs()
-        path = tmp_path / "ck.csv"
-        serial = execute_specs(specs[:1], checkpoint=path)
-        resumed = execute_specs(specs, workers=2, checkpoint=path, resume=True)
-        assert resumed.records[:1] == serial.records
-        assert len(resumed) == len(specs)
-
-    def test_progress_counts_restored_runs(self, tmp_path):
-        specs = _tiny_specs()
-        path = tmp_path / "ck.csv"
-        execute_specs(specs[:1], checkpoint=path)
-        seen = []
-        execute_specs(
-            specs,
-            checkpoint=path,
-            resume=True,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(1, 2), (2, 2)]
-
-
 class TestWedgedRunTracing:
-    """A timed-out run must be observable and checkpointed exactly once."""
+    """A timed-out run must be observable and recorded exactly once."""
 
     def _wedge_first_spec(self, monkeypatch):
         original = CampaignController.run_injection
@@ -226,17 +191,18 @@ class TestWedgedRunTracing:
 
         monkeypatch.setattr(CampaignController, "run_injection", crawling)
 
-    def test_timeout_emits_trace_event_and_one_checkpoint_record(
-        self, tmp_path, monkeypatch
-    ):
+    def test_timeout_emits_trace_event_and_one_record(self, tmp_path, monkeypatch):
         from repro.obs import read_trace, run_id_for
 
         self._wedge_first_spec(monkeypatch)
         spec = _tiny_specs()[0]
         trace = tmp_path / "trace.jsonl"
-        ck = tmp_path / "ck.csv"
-        results = execute_specs([spec], checkpoint=ck, timeout_s=0.05, trace=trace)
+        completed = []
+        results = execute_specs(
+            [spec], timeout_s=0.05, trace=trace, on_complete=completed.extend
+        )
         assert results.records[0].wedged
+        assert completed == results.records
 
         events = [e for e in read_trace(trace) if e.kind == "run-timeout"]
         assert len(events) == 1
@@ -245,32 +211,22 @@ class TestWedgedRunTracing:
         )
         assert events[0].data["timeout_ms"] == 50
 
-        checkpointed = load_checkpoint(ck).records
-        assert len(checkpointed) == 1 and checkpointed[0].wedged
-
-    def test_resume_skips_wedged_run_without_duplicates(self, tmp_path, monkeypatch):
-        from repro.obs import read_trace
+    def test_wedged_record_replays_from_the_node_store(self, tmp_path, monkeypatch):
+        from repro.experiments.dag import run_campaign_graph
 
         self._wedge_first_spec(monkeypatch)
         spec = _tiny_specs()[0]
-        trace = tmp_path / "trace.jsonl"
-        ck = tmp_path / "ck.csv"
-        first = execute_specs([spec], checkpoint=ck, timeout_s=0.05, trace=trace)
+        store = tmp_path / "nodes"
+        first = run_campaign_graph([spec], timeout_s=0.05, store=store)
+        assert first.results.records[0].wedged
 
         def exploding(spec, run_config, timeout_s, *obs):
             raise AssertionError(f"spec {spec.key} should not re-run")
 
         monkeypatch.setattr(parallel, "_execute_one", exploding)
-        resumed = execute_specs(
-            [spec], checkpoint=ck, resume=True, timeout_s=0.05, trace=trace
-        )
-        assert resumed.records == first.records
-        assert len(load_checkpoint(ck).records) == 1  # still exactly one record
-
-        events = read_trace(trace)  # resume appended to the same file
-        assert len([e for e in events if e.kind == "run-timeout"]) == 1
-        restored = [e for e in events if e.kind == "resume-restored"]
-        assert len(restored) == 1 and restored[0].data["count"] == 1
+        again = run_campaign_graph([spec], timeout_s=0.05, store=store)
+        assert again.results.records == first.results.records
+        assert again.stats.by_kind["run"] == {"executed": 0, "cached": 1, "skipped": 0}
 
 
 class TestRetry:

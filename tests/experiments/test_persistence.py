@@ -4,8 +4,6 @@ import pytest
 
 from repro.experiments.persistence import (
     CSV_COLUMNS,
-    append_records,
-    load_checkpoint,
     load_results,
     results_from_csv,
     results_to_csv,
@@ -90,6 +88,27 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             results_from_csv(text.replace("120.5", "fast"))
 
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_results(tmp_path / "never-written.csv")
+
+    def test_torn_final_row_rejected(self, tmp_path):
+        # Saved CSVs are written atomically, so a torn row means the file
+        # was damaged afterwards: loading refuses it instead of guessing.
+        path = save_results(
+            ResultSet([_record(), _record(error_name="S2")]), tmp_path / "c.csv"
+        )
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: text.rindex("S2") + 8], encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed results row"):
+            load_results(path)
+
+    def test_blank_lines_are_ignored(self):
+        text = results_to_csv(ResultSet([_record(), _record(error_name="S2")]))
+        header, first, second = text.splitlines()
+        loaded = results_from_csv(f"{header}\n\n{first}\n\n{second}\n\n")
+        assert [r.error_name for r in loaded.records] == ["S1", "S2"]
+
 
 class TestAtomicSave:
     def test_overwrite_leaves_no_temp_files(self, tmp_path):
@@ -114,44 +133,3 @@ class TestAtomicSave:
         # The old file is intact and no temp file litters the directory.
         assert len(load_results(path)) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["campaign.csv"]
-
-
-class TestCheckpoint:
-    def test_append_creates_header_once(self, tmp_path):
-        path = tmp_path / "ck.csv"
-        append_records(path, [_record()])
-        append_records(path, [_record(error_name="S2")])
-        text = path.read_text()
-        assert text.count("error_name") == 1
-        assert len(load_checkpoint(path)) == 2
-
-    def test_append_refuses_foreign_file(self, tmp_path):
-        path = tmp_path / "notours.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="refusing to append"):
-            append_records(path, [_record()])
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert len(load_checkpoint(tmp_path / "absent.csv")) == 0
-
-    def test_load_tolerates_torn_final_row(self, tmp_path):
-        path = tmp_path / "ck.csv"
-        append_records(path, [_record(), _record(error_name="S2")])
-        content = path.read_text()
-        path.write_text(content[: content.rindex("S2") + 8])  # torn final line
-        restored = load_checkpoint(path)
-        assert [r.error_name for r in restored.records] == ["S1"]
-
-    def test_load_rejects_malformed_interior_row(self, tmp_path):
-        path = tmp_path / "ck.csv"
-        append_records(path, [_record(), _record(error_name="S2")])
-        lines = path.read_text().splitlines(True)
-        path.write_text(lines[0] + "garbage,row\n" + lines[1] + lines[2])
-        with pytest.raises(ValueError, match="malformed results row"):
-            load_checkpoint(path)
-
-    def test_load_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "ck.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError, match="unexpected results header"):
-            load_checkpoint(path)

@@ -21,7 +21,6 @@ ENGINE_FINGERPRINT = {
     "repro.experiments.parallel",
     "repro.experiments.persistence",
     "repro.experiments.results",
-    "repro.experiments.store",
     "repro.stats",
 }
 
