@@ -5,13 +5,14 @@ Streams synthetic telemetry through :mod:`repro.serve` and writes
 
     {
       "benchmark": "serve",
-      "schema_version": 1,
+      "schema_version": 2,
       "target": T,
       "cpus": N,
-      "workers": N,
       "frame_ticks": N,
+      "repeats": R,
       "sustained": {"sessions": N, "frames": N, "rounds": N, "seconds": S,
-                    "frames_per_sec": F, "ticks_per_sec": T,
+                    "frames_per_sec": F, "frames_per_sec_min": F,
+                    "frames_per_sec_max": F, "ticks_per_sec": T,
                     "dropped_frames": 0, "completed_sessions": N,
                     "detections": N},
       "latency_ms": {"p50": X, "p95": X, "p99": X, "samples": N},
@@ -20,6 +21,7 @@ Streams synthetic telemetry through :mod:`repro.serve` and writes
                 "batch":  {"frames": N, "seconds": S, "frames_per_sec": F},
                 "speedup": X},
       "saturation": [{"sessions": N, "frames_per_sec": F,
+                      "frames_per_sec_min": F, "frames_per_sec_max": F,
                       "ticks_per_sec": T, "seconds": S}, ...],
       "equivalence": {"checked_runs": N, "identical": true,
                       "targets": ["arrestor", "tanklevel"]}
@@ -31,15 +33,19 @@ Interpreting the sections:
   concurrent monitored instances on the vectorized path, every session
   streamed to its natural window end, with **zero dropped frames**.
   ``frames_per_sec`` is measured over the streaming loop only (boots go
-  through the snapshot cache before the clock starts).
+  through the snapshot cache before the clock starts).  The section runs
+  ``repeats`` times: rates and seconds are medians, ``_min``/``_max``
+  give the spread, and ``dropped_frames`` is the worst repeat.
 * ``latency_ms`` is the wall-clock frame-serving latency distribution
-  (ingress enqueue to monitors-advanced) over the sustained run.
+  (ingress enqueue to monitors-advanced) pooled over the sustained
+  repeats.
 * ``paths`` prices the vectorized serving path against the serial
   fallback on the identical load (same sessions, same stream).
   ``speedup`` is the committed artifact's >= 5x gate; ``--check
   --smoke`` only requires >= 1x so tiny smoke scales stay honest.
 * ``saturation`` sweeps session counts at a short horizon so the knee
-  (where per-frame scheduling overhead stops amortizing) is visible.
+  (where per-frame scheduling overhead stops amortizing) is visible;
+  every point is the median of ``repeats`` runs with its min/max.
 * ``equivalence`` is the correctness gate: for every checked spec, the
   fleet's online detection-event sequence must be event-for-event
   identical to the offline campaign path (a fresh system driven by
@@ -49,8 +55,8 @@ Interpreting the sections:
 Usage::
 
     python benchmarks/bench_serve.py [--target NAME] [--sessions N]
-                                     [--frame-ticks MS] [--workers N]
-                                     [--out FILE] [--smoke]
+                                     [--frame-ticks MS] [--out FILE]
+                                     [--smoke]
     python benchmarks/bench_serve.py --check FILE [--smoke]
 
 ``make bench-serve`` writes the committed full-scale artifact;
@@ -63,6 +69,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -76,16 +83,18 @@ from repro.serve import (  # noqa: E402
 )
 from repro.serve.session import events_key  # noqa: E402
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-#: Shard width pinned for emitted artifacts, deterministic across hosts.
-BENCH_WORKERS = 2
+#: Runs of the sustained section and of each saturation point in a full
+#: artifact (the smoke scale runs each once).
+BENCH_REPEATS = 3
 
 #: Sim-milliseconds per telemetry frame.  Large enough that kernel work
 #: (not per-frame scheduling) dominates, as a monitoring heartbeat would.
 BENCH_FRAME_TICKS = 100
 
 _THROUGHPUT_KEYS = {"frames": int, "seconds": float, "frames_per_sec": float}
+_SPREAD_KEYS = {"frames_per_sec_min": float, "frames_per_sec_max": float}
 
 
 def validate_bench_json(data: dict, smoke: bool = False) -> None:
@@ -117,9 +126,20 @@ def validate_bench_json(data: dict, smoke: bool = False) -> None:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}")
     if not isinstance(data.get("target"), str) or not data["target"]:
         raise ValueError("target must be a non-empty string")
-    for key in ("cpus", "workers", "frame_ticks"):
+    for key in ("cpus", "frame_ticks", "repeats"):
         if isinstance(data.get(key), bool) or not isinstance(data.get(key), int):
             raise ValueError(f"{key} must be an integer")
+    if not smoke and data["repeats"] < BENCH_REPEATS:
+        raise ValueError(
+            f"repeats must be >= {BENCH_REPEATS} for a full artifact, "
+            f"got {data['repeats']}"
+        )
+
+    def _check_spread(name: str, point: dict) -> None:
+        if not point["frames_per_sec_min"] <= point["frames_per_sec"] <= point[
+            "frames_per_sec_max"
+        ]:
+            raise ValueError(f"{name}: frames_per_sec must lie within its min/max")
 
     sustained = _section(
         "sustained",
@@ -130,9 +150,11 @@ def validate_bench_json(data: dict, smoke: bool = False) -> None:
             "completed_sessions": int,
             "detections": int,
             **_THROUGHPUT_KEYS,
+            **_SPREAD_KEYS,
             "ticks_per_sec": float,
         },
     )
+    _check_spread("sustained", sustained)
     if sustained["dropped_frames"] != 0:
         raise ValueError(
             f"sustained.dropped_frames must be 0 under backpressure, "
@@ -165,12 +187,14 @@ def validate_bench_json(data: dict, smoke: bool = False) -> None:
     for index, point in enumerate(saturation):
         if not isinstance(point, dict):
             raise ValueError(f"saturation[{index}] must be an object")
-        for key in ("sessions", "frames_per_sec", "ticks_per_sec", "seconds"):
+        for key in ("sessions", "frames_per_sec", "ticks_per_sec", "seconds",
+                    *_SPREAD_KEYS):
             value = point.get(key)
             if value is None or isinstance(value, bool) or not isinstance(
                 value, (int, float)
             ):
                 raise ValueError(f"saturation[{index}].{key} must be a number")
+        _check_spread(f"saturation[{index}]", point)
 
     equivalence = _section("equivalence", {"checked_runs": int})
     if equivalence["checked_runs"] < 1:
@@ -259,7 +283,7 @@ def check_equivalence(frame_ticks: int, specs_per_target: int = 2) -> dict:
             for batch in modes:
                 report = serve_replay(
                     [spec],
-                    FleetConfig(workers=1, batch=batch),
+                    FleetConfig(batch=batch),
                     frame_ticks=frame_ticks,
                 )
                 outcome = report.outcomes[spec.session_id]
@@ -282,26 +306,42 @@ def check_equivalence(frame_ticks: int, specs_per_target: int = 2) -> dict:
     return {"checked_runs": checked, "identical": identical, "targets": targets}
 
 
+def _spread(reports) -> dict:
+    """Median frames/s of *reports* with its min/max, plus median seconds."""
+    rates = sorted(report.frames_per_sec for report in reports)
+    return {
+        "seconds": round(statistics.median(r.seconds for r in reports), 3),
+        "frames_per_sec": round(statistics.median(rates), 1),
+        "frames_per_sec_min": round(rates[0], 1),
+        "frames_per_sec_max": round(rates[-1], 1),
+        "ticks_per_sec": round(
+            statistics.median(r.ticks_per_sec for r in reports), 1
+        ),
+    }
+
+
 def run_benchmark(
     target: str = "tanklevel",
     sessions: int = 1000,
     frame_ticks: int = BENCH_FRAME_TICKS,
-    workers: int = BENCH_WORKERS,
     smoke: bool = False,
 ) -> dict:
-    def _config(batch: bool) -> FleetConfig:
-        return FleetConfig(workers=workers, batch=batch)
+    repeats = 1 if smoke else BENCH_REPEATS
 
     # Sustained load: every session streamed to its natural window end
     # on the vectorized path (the production configuration).
     sustained_specs = synthetic_specs(target, sessions)
-    sustained = serve_replay(
-        sustained_specs,
-        _config(batch=True),
-        frame_ticks=frame_ticks,
-        horizon_ms=500 if smoke else None,
-    )
-    latency = sorted(sustained.latency_samples)
+    sustained_runs = [
+        serve_replay(
+            sustained_specs,
+            FleetConfig(batch=True),
+            frame_ticks=frame_ticks,
+            horizon_ms=500 if smoke else None,
+        )
+        for _ in range(repeats)
+    ]
+    sustained = sustained_runs[0]
+    latency = sorted(s for run in sustained_runs for s in run.latency_samples)
 
     # Serial vs vectorized on the identical (smaller) load.  The smoke
     # scale sits above the batch path's break-even (~48 sessions at this
@@ -310,11 +350,11 @@ def run_benchmark(
     paths_horizon = 1000 if smoke else 2000
     paths_specs = synthetic_specs(target, paths_sessions)
     serial = serve_replay(
-        paths_specs, _config(batch=False),
+        paths_specs, FleetConfig(batch=False),
         frame_ticks=frame_ticks, horizon_ms=paths_horizon,
     )
     batch = serve_replay(
-        paths_specs, _config(batch=True),
+        paths_specs, FleetConfig(batch=True),
         frame_ticks=frame_ticks, horizon_ms=paths_horizon,
     )
     speedup = (
@@ -330,20 +370,16 @@ def run_benchmark(
     )
     saturation = []
     for count in sweep:
-        point = serve_replay(
-            synthetic_specs(target, count),
-            _config(batch=True),
-            frame_ticks=frame_ticks,
-            horizon_ms=500 if smoke else 1000,
-        )
-        saturation.append(
-            {
-                "sessions": count,
-                "frames_per_sec": round(point.frames_per_sec, 1),
-                "ticks_per_sec": round(point.ticks_per_sec, 1),
-                "seconds": round(point.seconds, 3),
-            }
-        )
+        runs = [
+            serve_replay(
+                synthetic_specs(target, count),
+                FleetConfig(batch=True),
+                frame_ticks=frame_ticks,
+                horizon_ms=500 if smoke else 1000,
+            )
+            for _ in range(repeats)
+        ]
+        saturation.append({"sessions": count, **_spread(runs)})
 
     equivalence = check_equivalence(
         frame_ticks=20, specs_per_target=1 if smoke else 2
@@ -354,14 +390,14 @@ def run_benchmark(
         "schema_version": SCHEMA_VERSION,
         "target": target,
         "cpus": _cpus(),
-        "workers": workers,
         "frame_ticks": frame_ticks,
+        "repeats": repeats,
         "sustained": {
             "sessions": len(sustained_specs),
             "rounds": sustained.rounds,
-            **_throughput(sustained.frames_sent, sustained.seconds),
-            "ticks_per_sec": round(sustained.ticks_per_sec, 1),
-            "dropped_frames": sustained.dropped,
+            "frames": sustained.frames_sent,
+            **_spread(sustained_runs),
+            "dropped_frames": max(run.dropped for run in sustained_runs),
             "completed_sessions": sum(
                 1 for o in sustained.outcomes.values() if o.completed
             ),
@@ -399,7 +435,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--frame-ticks", type=int, default=BENCH_FRAME_TICKS, metavar="MS"
     )
-    parser.add_argument("--workers", type=int, default=BENCH_WORKERS, metavar="N")
     parser.add_argument("--out", default="BENCH_serve.json", metavar="FILE")
     parser.add_argument(
         "--check",
@@ -436,7 +471,6 @@ def main(argv=None) -> int:
         target=args.target,
         sessions=args.sessions,
         frame_ticks=args.frame_ticks,
-        workers=args.workers,
         smoke=args.smoke,
     )
     validate_bench_json(data, smoke=args.smoke)
@@ -449,7 +483,8 @@ def main(argv=None) -> int:
     print(
         f"[{data['target']}] sustained {sustained['sessions']} sessions on "
         f"{data['cpus']} cpu(s): {sustained['frames_per_sec']} frames/s "
-        f"({sustained['ticks_per_sec']} sim-ticks/s), "
+        f"[{sustained['frames_per_sec_min']}-{sustained['frames_per_sec_max']} "
+        f"over {data['repeats']}] ({sustained['ticks_per_sec']} sim-ticks/s), "
         f"{sustained['dropped_frames']} dropped, "
         f"{sustained['completed_sessions']} completed, "
         f"{sustained['detections']} detections -> {args.out}"
@@ -464,7 +499,9 @@ def main(argv=None) -> int:
         f"{paths['batch']['frames_per_sec']}/s = {paths['speedup']}x"
     )
     knee = ", ".join(
-        f"{p['sessions']}:{p['frames_per_sec']}/s" for p in data["saturation"]
+        f"{p['sessions']}:{p['frames_per_sec']}/s "
+        f"[{p['frames_per_sec_min']}-{p['frames_per_sec_max']}]"
+        for p in data["saturation"]
     )
     print(f"saturation: {knee}")
     print(

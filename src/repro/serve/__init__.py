@@ -14,9 +14,10 @@ Layers (bottom up):
 * :mod:`repro.serve.batchserve` — lockstep generations of eligible
   sessions over the resumable vectorized kernels (one numpy step per
   round for hundreds of sessions).
-* :mod:`repro.serve.fleet` — sharded scheduler: consistent-hash
-  placement, bounded per-session queues with backpressure, LRU
-  ``max_sessions`` eviction, ``repro.obs`` metrics and traces.
+* :mod:`repro.serve.fleet` — the scheduler: one drain loop over
+  bounded per-session queues with backpressure, LRU ``max_sessions``
+  eviction, per-round failure isolation, ``repro.obs`` metrics and
+  traces.
 * :mod:`repro.serve.load` / :mod:`repro.serve.adapters` — synthetic
   load + replay drivers, and the newline-JSON stdin/socket protocol.
 
@@ -35,7 +36,7 @@ from repro.serve.session import (
     SessionOutcome,
     SessionSpec,
 )
-from repro.serve.fleet import BATCH_ENV_VAR, Fleet, FleetConfig, HashRing, WORKERS_ENV_VAR
+from repro.serve.fleet import BATCH_ENV_VAR, Fleet, FleetConfig
 from repro.serve.load import LoadReport, percentile, run_load, serve_replay, synthetic_specs
 
 __all__ = [
@@ -48,8 +49,6 @@ __all__ = [
     "SessionSpec",
     "Fleet",
     "FleetConfig",
-    "HashRing",
-    "WORKERS_ENV_VAR",
     "BATCH_ENV_VAR",
     "LoadReport",
     "percentile",

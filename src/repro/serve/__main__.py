@@ -12,9 +12,9 @@ newline-JSON protocol on stdin or a TCP socket:
 * ``python -m repro.serve --listen 127.0.0.1:8787`` — TCP server.
 
 Environment (the campaign engine's ``REPRO_*`` conventions):
-``REPRO_SERVE_WORKERS`` shard count, ``REPRO_SERVE_BATCH`` =0 to force
-the serial path, ``REPRO_TARGET`` default workload,
-``REPRO_SNAPSHOTS`` =0 to boot cold instead of snapshot-restoring.
+``REPRO_SERVE_BATCH`` =0 to force the serial path, ``REPRO_TARGET``
+default workload, ``REPRO_SNAPSHOTS`` =0 to boot cold instead of
+snapshot-restoring.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from repro.targets.registry import default_target_name, get_target, target_names
 from repro.serve.adapters import serve_socket, serve_stdin
-from repro.serve.fleet import Fleet, FleetConfig, batch_default, workers_default
+from repro.serve.fleet import Fleet, FleetConfig
 from repro.serve.load import percentile, run_load, synthetic_specs
 from repro.serve.session import ServeError
 
@@ -39,8 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serve",
         description="fleet-scale online assertion monitoring",
         epilog=(
-            "environment: REPRO_SERVE_WORKERS (shards, default 2), "
-            "REPRO_SERVE_BATCH (0 = serial path), REPRO_TARGET "
+            "environment: REPRO_SERVE_BATCH (0 = serial path), REPRO_TARGET "
             "(default workload), REPRO_SNAPSHOTS (0 = cold boots)"
         ),
     )
@@ -82,13 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MS",
         help="cut sessions off after this much sim-time (default: full window)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard workers (default: $REPRO_SERVE_WORKERS or 2)",
     )
     batch = parser.add_mutually_exclusive_group()
     batch.add_argument(
@@ -153,9 +145,8 @@ def _list_targets() -> int:
 
 def _config(args) -> FleetConfig:
     return FleetConfig(
-        workers=args.workers if args.workers is not None else workers_default(),
         queue_depth=args.queue_depth,
-        batch=args.batch if args.batch is not None else batch_default(),
+        batch=args.batch,
         max_sessions=args.max_sessions,
     )
 

@@ -30,7 +30,7 @@ import sys
 from typing import AsyncIterable, Callable, Iterable, Optional
 
 from repro.serve.fleet import Fleet, FleetConfig
-from repro.serve.session import Frame, ServeError, ServeEvent, SessionSpec
+from repro.serve.session import Frame, ServeEvent, SessionSpec
 
 __all__ = ["serve_lines", "iter_lines", "serve_stdin", "serve_socket"]
 
@@ -112,6 +112,10 @@ async def serve_lines(
             ops += 1
             try:
                 message = json.loads(line)
+                if not isinstance(message, dict):
+                    raise ValueError(
+                        f"expected a JSON object, got {type(message).__name__}"
+                    )
                 op = message.get("op")
                 if op == "open":
                     sid = await fleet.open_session(_spec_from(message))
@@ -142,8 +146,8 @@ async def serve_lines(
                     write(json.dumps({"ok": True, "stats": fleet.stats()}))
                 else:
                     write(json.dumps({"ok": False, "error": f"unknown op {op!r}"}))
-            except (ServeError, ValueError, TypeError, KeyError) as exc:
-                write(json.dumps({"ok": False, "error": str(exc)}))
+            except Exception as exc:  # one bad line must not end the stream
+                write(json.dumps({"ok": False, "error": str(exc) or type(exc).__name__}))
     return ops
 
 

@@ -1,6 +1,6 @@
 """Vectorized serving: lockstep batch groups over the batch kernels.
 
-The serving hot path: sessions on the same shard whose specs are
+The serving hot path: sessions of the same target whose specs are
 *batch-eligible* (a kernel exists for the target, numpy is available,
 and the injection schedule is a monitored-signal bit flip — the same
 eligibility the offline campaign's ``--batch`` path uses) are pooled

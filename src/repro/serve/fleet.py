@@ -1,14 +1,11 @@
-"""The sharded fleet scheduler: thousands of sessions, one process.
+"""The fleet scheduler: thousands of sessions, one process.
 
-A :class:`Fleet` owns N shard event-loop workers (asyncio tasks on the
-caller's loop — the sessions are CPU-bound simulations, so concurrency
-comes from multiplexing and from the vectorized batch path, not from
-threads).  Sessions are placed on shards by consistent hashing
-(:class:`HashRing`, so a resize remaps only the moved shard's
-sessions), frames flow through *bounded per-session ingress queues*
-(``await ingest`` blocks when a session's queue is full — backpressure
-instead of unbounded buffering), and each shard routes its traffic two
-ways:
+A :class:`Fleet` runs one drain task on the caller's event loop (the
+sessions are CPU-bound simulations, so concurrency comes from
+multiplexing and from the vectorized batch path, not from threads).
+Frames flow through *bounded per-session ingress queues* (``await
+ingest`` blocks when a session's queue is full — backpressure instead
+of unbounded buffering), and the drain loop routes them two ways:
 
 * **batch path** — sessions eligible for a vectorized kernel are pooled
   into generational :class:`~repro.serve.batchserve.BatchGroup`\\ s; a
@@ -17,26 +14,29 @@ ways:
 * **serial path** — everything else feeds its own
   :class:`~repro.serve.session.Session` frame by frame.
 
+A failure stays local: a round or serial frame that raises drops only
+the frames it popped (counted by ``frames_dropped_total``), its error
+is raised once by the next fleet call, and the drain loop keeps
+serving every other session.
+
 Observability rides along end to end: ``sessions_active`` /
 ``frames_ingested_total`` / ``queue_depth`` metrics, per-session
-detection-latency histograms (sim-time) and wall-clock frame latency,
-and ``serve`` trace events for session lifecycle and detections.
-A ``max_sessions`` LRU eviction policy bounds long-running fleets:
-opening past the cap force-closes the least-recently-active session
-(counted by ``sessions_evicted_total``), whose partial outcome stays
-retrievable.
+detection-latency histograms (sim-time), wall-clock frame latency split
+into queue wait and compute, and ``serve`` trace events for session
+lifecycle and detections.  A ``max_sessions`` LRU eviction policy
+bounds long-running fleets: opening past the cap force-closes the
+least-recently-active session (counted by ``sessions_evicted_total``),
+whose partial outcome stays retrievable.
 """
 
 from __future__ import annotations
 
 import asyncio
-import bisect
 import dataclasses
-import hashlib
 import os
 import time
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.targets.registry import get_target
@@ -54,28 +54,13 @@ from repro.serve.session import (
 )
 
 __all__ = [
-    "WORKERS_ENV_VAR",
     "BATCH_ENV_VAR",
-    "HashRing",
     "FleetConfig",
     "Fleet",
 ]
 
-#: Worker (shard) count for ``python -m repro.serve`` and FleetConfig.
-WORKERS_ENV_VAR = "REPRO_SERVE_WORKERS"
-
 #: Set to ``0``/``false``/``off`` to force the serial serving path.
 BATCH_ENV_VAR = "REPRO_SERVE_BATCH"
-
-
-def workers_default() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if raw:
-        value = int(raw)
-        if value < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return 2
 
 
 def batch_default() -> bool:
@@ -85,47 +70,10 @@ def batch_default() -> bool:
     return numpy_available()
 
 
-class HashRing:
-    """Consistent hashing with virtual nodes.
-
-    Each node owns ``vnodes`` points on a 64-bit ring; a key maps to
-    the first point clockwise from its hash.  Adding or removing one
-    node only remaps the keys that landed on its points — session
-    placement survives fleet resizes mostly intact (pinned by tests).
-    """
-
-    def __init__(self, nodes: Sequence[str], vnodes: int = 64) -> None:
-        if not nodes:
-            raise ValueError("HashRing needs at least one node")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be positive, got {vnodes}")
-        self.vnodes = vnodes
-        points: List[Tuple[int, str]] = []
-        for node in nodes:
-            for replica in range(vnodes):
-                points.append((self._hash(f"{node}#{replica}"), node))
-        points.sort()
-        self._hashes = [h for h, _ in points]
-        self._nodes = [n for _, n in points]
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        return int.from_bytes(
-            hashlib.sha256(key.encode("utf-8")).digest()[:8], "big"
-        )
-
-    def node_for(self, key: str) -> str:
-        index = bisect.bisect(self._hashes, self._hash(key))
-        if index == len(self._hashes):
-            index = 0
-        return self._nodes[index]
-
-
 @dataclasses.dataclass
 class FleetConfig:
     """Knobs of one fleet (env-var defaults follow ``REPRO_*`` convention)."""
 
-    workers: Optional[int] = None
     queue_depth: int = 64
     batch: Optional[bool] = None
     batch_rows: int = 512
@@ -137,10 +85,6 @@ class FleetConfig:
     latency_sample_cap: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.workers is None:
-            self.workers = workers_default()
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.batch is None:
@@ -152,26 +96,17 @@ class FleetConfig:
 
 
 class _Handle:
-    """One open session's shard-side state."""
+    """One open session's scheduler-side state."""
 
-    __slots__ = (
-        "spec",
-        "session",
-        "group",
-        "queue",
-        "events",
-        "latency_done",
-        "shard",
-    )
+    __slots__ = ("spec", "session", "group", "queue", "events", "latency_done")
 
-    def __init__(self, spec, session, group, queue, shard) -> None:
+    def __init__(self, spec, session, group, queue) -> None:
         self.spec = spec
         self.session: Optional[Session] = session
         self.group: Optional[BatchGroup] = group
         self.queue: asyncio.Queue = queue
         self.events: List[ServeEvent] = []
         self.latency_done = False
-        self.shard: "_Shard" = shard
 
     @property
     def is_batch(self) -> bool:
@@ -189,100 +124,6 @@ class _Handle:
         return self.session.first_injection_ms
 
 
-class _Shard:
-    """One worker: drains its sessions' queues whenever woken."""
-
-    def __init__(self, name: str, fleet: "Fleet") -> None:
-        self.name = name
-        self.fleet = fleet
-        self.handles: Dict[str, _Handle] = {}
-        self.groups: List[BatchGroup] = []
-        self.wake = asyncio.Event()
-        self.task: Optional[asyncio.Task] = None
-        self.error: Optional[BaseException] = None
-
-    # -- worker loop ---------------------------------------------------------
-
-    async def run(self) -> None:
-        try:
-            while True:
-                await self.wake.wait()
-                self.wake.clear()
-                while self.drain():
-                    # Yield between rounds so producers (and the other
-                    # shards) interleave; a shard never starves the loop.
-                    await asyncio.sleep(0)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # surfaced on the next fleet call
-            self.error = exc
-
-    def drain(self) -> bool:
-        return self._drain_batch() | self._drain_serial()
-
-    def _drain_serial(self) -> bool:
-        progressed = False
-        for session_id, handle in list(self.handles.items()):
-            if handle.is_batch:
-                continue
-            while True:
-                try:
-                    frame = handle.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                self.fleet._queued -= 1
-                events = handle.session.feed(frame)
-                self.fleet._frame_processed(session_id, handle, frame, events)
-                progressed = True
-        return progressed
-
-    def _drain_batch(self) -> bool:
-        progressed = False
-        for group in self.groups:
-            while self._batch_round(group):
-                progressed = True
-        return progressed
-
-    def _batch_round(self, group: BatchGroup) -> bool:
-        """Fire one lockstep round if every open member has a frame."""
-        members = [
-            (sid, self.handles[sid])
-            for sid in group.session_ids
-            if sid in self.handles
-        ]
-        if not members or any(h.queue.empty() for _, h in members):
-            return False
-        frames = []
-        for sid, handle in members:
-            frame = handle.queue.get_nowait()
-            self.fleet._queued -= 1
-            frames.append((sid, handle, frame))
-        ticks = {frame.ticks for _, _, frame in frames}
-        if len(ticks) != 1:
-            raise ServeError(
-                f"batch group on shard {self.name!r} got a heterogeneous round "
-                f"(tick counts {sorted(ticks)}); batched sessions must advance "
-                f"in lockstep — use the serial path for free-form streams"
-            )
-        events = group.advance(ticks.pop())
-        by_session: Dict[str, List[ServeEvent]] = {}
-        for event in events:
-            by_session.setdefault(event.session_id, []).append(event)
-        for sid, handle, frame in frames:
-            self.fleet._frame_processed(
-                sid, handle, frame, by_session.get(sid, [])
-            )
-        return True
-
-    def group_for(self, target) -> BatchGroup:
-        for group in self.groups:
-            if group.target.name == target.name and group.accepting:
-                return group
-        group = BatchGroup(target, max_rows=self.fleet.config.batch_rows)
-        self.groups.append(group)
-        return group
-
-
 class Fleet:
     """The online detection engine: open sessions, stream frames, harvest."""
 
@@ -290,17 +131,15 @@ class Fleet:
         self.config = config if config is not None else FleetConfig()
         self.metrics = self.config.metrics
         self.tracer = self.config.tracer
-        self._shards = [
-            _Shard(f"shard-{i}", self) for i in range(self.config.workers)
-        ]
-        self._ring = HashRing([shard.name for shard in self._shards])
-        self._by_name = {shard.name: shard for shard in self._shards}
-        self._where: Dict[str, _Shard] = {}
+        self._handles: Dict[str, _Handle] = {}
+        self._groups: List[BatchGroup] = []
+        self._wake = asyncio.Event()
+        self._task: Optional[asyncio.Task] = None
+        self._error: Optional[Exception] = None
         self._lru: "OrderedDict[str, None]" = OrderedDict()
         self._closed: Dict[str, SessionOutcome] = {}
         self._queued = 0
         self._frames_processed = 0
-        self._started = False
         self.frame_latency_samples: Deque[float] = deque(
             maxlen=self.config.latency_sample_cap
         )
@@ -308,22 +147,18 @@ class Fleet:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "Fleet":
-        if not self._started:
-            for shard in self._shards:
-                shard.task = asyncio.ensure_future(shard.run())
-            self._started = True
+        if self._task is None:
+            self._task = asyncio.ensure_future(self._run())
         return self
 
     async def stop(self) -> None:
-        for shard in self._shards:
-            if shard.task is not None:
-                shard.task.cancel()
-                try:
-                    await shard.task
-                except asyncio.CancelledError:
-                    pass
-                shard.task = None
-        self._started = False
+        if self._task is not None:
+            self._task.cancel()
+            try:
+                await self._task
+            except asyncio.CancelledError:
+                pass
+            self._task = None
 
     async def __aenter__(self) -> "Fleet":
         return await self.start()
@@ -331,69 +166,160 @@ class Fleet:
     async def __aexit__(self, *exc) -> None:
         await self.stop()
 
+    def _fail(self, error: Exception, dropped: int = 0) -> None:
+        """Keep *error* for the next fleet call; count *dropped* frames."""
+        if dropped:
+            self.metrics.counter("frames_dropped_total").inc(dropped)
+        if self._error is None:
+            self._error = error
+
     def _check_errors(self) -> None:
-        for shard in self._shards:
-            if shard.error is not None:
-                error, shard.error = shard.error, None
-                raise error
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+
+    # -- drain loop ----------------------------------------------------------
+
+    async def _run(self) -> None:
+        while True:
+            await self._wake.wait()
+            self._wake.clear()
+            try:
+                while self._drain():
+                    # Yield between rounds so producers interleave; the
+                    # drain loop never starves the event loop.
+                    await asyncio.sleep(0)
+            except Exception as exc:  # e.g. a raising on_event callback
+                self._fail(exc)
+
+    def _drain(self) -> bool:
+        return self._drain_batch() | self._drain_serial()
+
+    def _drain_serial(self) -> bool:
+        progressed = False
+        for session_id, handle in list(self._handles.items()):
+            if handle.is_batch:
+                continue
+            while not handle.queue.empty():
+                frame = handle.queue.get_nowait()
+                self._queued -= 1
+                self._feed(session_id, handle, frame)
+                progressed = True
+        return progressed
+
+    def _feed(self, session_id: str, handle: _Handle, frame: Frame) -> None:
+        """Feed one serial frame; a failure drops only this frame."""
+        started = time.monotonic()
+        try:
+            events = handle.session.feed(frame)
+        except Exception as exc:
+            self._fail(exc, dropped=1)
+            return
+        self._frames_done([(session_id, handle, frame, events)], started, time.monotonic())
+
+    def _drain_batch(self) -> bool:
+        progressed = False
+        for group in self._groups:
+            while self._batch_round(group):
+                progressed = True
+        return progressed
+
+    def _batch_round(self, group: BatchGroup) -> bool:
+        """Fire one lockstep round if every open member has a frame."""
+        members = [
+            (sid, self._handles[sid])
+            for sid in group.session_ids
+            if sid in self._handles
+        ]
+        if not members or any(h.queue.empty() for _, h in members):
+            return False
+        frames = [(sid, handle, handle.queue.get_nowait()) for sid, handle in members]
+        self._queued -= len(frames)
+        started = time.monotonic()
+        try:
+            ticks = {frame.ticks for _, _, frame in frames}
+            if len(ticks) != 1:
+                raise ServeError(
+                    f"batch group got a heterogeneous round (tick counts "
+                    f"{sorted(ticks)}); batched sessions must advance in "
+                    f"lockstep — use the serial path for free-form streams"
+                )
+            events = group.advance(ticks.pop())
+        except Exception as exc:
+            self._fail(exc, dropped=len(frames))
+            return True
+        ended = time.monotonic()
+        by_session: Dict[str, List[ServeEvent]] = {}
+        for event in events:
+            by_session.setdefault(event.session_id, []).append(event)
+        self._frames_done(
+            [(sid, handle, frame, by_session.get(sid, [])) for sid, handle, frame in frames],
+            started,
+            ended,
+        )
+        return True
+
+    def _group_for(self, target) -> BatchGroup:
+        for group in self._groups:
+            if group.target.name == target.name and group.accepting:
+                return group
+        group = BatchGroup(target, max_rows=self.config.batch_rows)
+        self._groups.append(group)
+        return group
 
     # -- sessions ------------------------------------------------------------
 
     @property
     def sessions_active(self) -> int:
-        return len(self._where)
+        return len(self._handles)
 
     def is_open(self, session_id: str) -> bool:
-        return session_id in self._where
+        return session_id in self._handles
 
     def is_finished(self, session_id: str) -> bool:
-        handle = self._handle(session_id)
-        return handle.finished
+        return self._handle(session_id).finished
 
     def _handle(self, session_id: str) -> _Handle:
-        shard = self._where.get(session_id)
-        if shard is None:
+        handle = self._handles.get(session_id)
+        if handle is None:
             raise ServeError(f"unknown session {session_id!r}")
-        return shard.handles[session_id]
+        return handle
 
     def _emit(self, kind: str, time_ms: float = 0.0, **data) -> None:
         if self.tracer is not None:
             self.tracer.emit("serve", kind, time_ms=time_ms, **data)
 
     async def open_session(self, spec: SessionSpec) -> str:
-        """Boot (restore) one instance and place it on its shard."""
+        """Boot (restore) one instance and route it to its serving path."""
         self._check_errors()
         sid = spec.session_id
-        if sid in self._where or sid in self._closed:
+        if sid in self._handles or sid in self._closed:
             raise ServeError(f"duplicate session id {sid!r}")
         target = get_target(spec.target)
         require_servable(target)
         if self.config.max_sessions is not None:
-            while len(self._where) >= self.config.max_sessions:
+            while len(self._handles) >= self.config.max_sessions:
                 evict_sid = next(iter(self._lru))
                 await self.close_session(evict_sid, complete=False, _evicted=True)
-        shard = self._by_name[self._ring.node_for(sid)]
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_depth)
         if self.config.batch and batch_eligible(target, spec):
-            group = shard.group_for(target)
+            group = self._group_for(target)
             group.add(spec)
-            handle = _Handle(spec, None, group, queue, shard)
+            handle = _Handle(spec, None, group, queue)
         else:
             session = Session(spec, target=target, snapshots=self.config.snapshots)
-            handle = _Handle(spec, session, None, queue, shard)
-        shard.handles[sid] = handle
-        self._where[sid] = shard
+            handle = _Handle(spec, session, None, queue)
+        self._handles[sid] = handle
         self._lru[sid] = None
         self._lru.move_to_end(sid)
         self.metrics.counter("sessions_opened_total").inc()
-        self.metrics.gauge("sessions_active").set(len(self._where))
+        self.metrics.gauge("sessions_active").set(len(self._handles))
         self._emit(
             "session-open",
             session=sid,
             target=target.name,
             version=spec.version,
             path="batch" if handle.is_batch else "serial",
-            shard=shard.name,
         )
         return sid
 
@@ -404,11 +330,10 @@ class Fleet:
         session is unknown or already closed.
         """
         self._check_errors()
-        shard = self._where.get(frame.session_id)
-        if shard is None:
+        handle = self._handles.get(frame.session_id)
+        if handle is None:
             self.metrics.counter("frames_dropped_total").inc()
             return False
-        handle = shard.handles[frame.session_id]
         if frame.flips and handle.is_batch:
             raise ServeError(
                 f"session {frame.session_id!r} rides the batch path; ad-hoc "
@@ -422,7 +347,7 @@ class Fleet:
         self.metrics.gauge("queue_depth").set(self._queued)
         self._lru[frame.session_id] = None
         self._lru.move_to_end(frame.session_id)
-        shard.wake.set()
+        self._wake.set()
         return True
 
     async def flush(self) -> int:
@@ -436,14 +361,11 @@ class Fleet:
         stall = 0
         last = (self._queued, self._frames_processed)
         while self._queued > 0:
-            if self._started:
-                for shard in self._shards:
-                    if shard.handles:
-                        shard.wake.set()
+            if self._task is not None:
+                self._wake.set()
             else:
-                # No workers running: drain inline (synchronous mode).
-                for shard in self._shards:
-                    shard.drain()
+                # No drain task running: drain inline (synchronous mode).
+                self._drain()
             await asyncio.sleep(0)
             self._check_errors()
             current = (self._queued, self._frames_processed)
@@ -462,28 +384,24 @@ class Fleet:
     ) -> SessionOutcome:
         """Close one session and return its outcome (result + events)."""
         self._check_errors()
-        shard = self._where.get(session_id)
-        if shard is None:
-            raise ServeError(f"unknown session {session_id!r}")
-        handle = shard.handles[session_id]
+        handle = self._handle(session_id)
         # Serial leftovers are fed through; batch leftovers cannot advance
         # a single row of a lockstep group, so they count as dropped.
-        while True:
-            try:
-                frame = handle.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
+        while not handle.queue.empty():
+            frame = handle.queue.get_nowait()
             self._queued -= 1
             if handle.is_batch:
                 self.metrics.counter("frames_dropped_total").inc()
             else:
-                events = handle.session.feed(frame)
-                self._frame_processed(session_id, handle, frame, events)
+                self._feed(session_id, handle, frame)
         if handle.is_batch:
-            handle.group.deactivate(session_id)
-            result = handle.group.result(session_id)
-            completed = handle.group.finished
+            group = handle.group
+            group.deactivate(session_id)
+            result = group.result(session_id)
+            completed = group.finished
             events = tuple(handle.events)
+            if not any(group.active):
+                self._groups.remove(group)
         else:
             result = handle.session.close(complete=complete)
             completed = complete or handle.session.finished
@@ -497,13 +415,12 @@ class Fleet:
             evicted=_evicted,
             completed=completed,
         )
-        del shard.handles[session_id]
-        del self._where[session_id]
+        del self._handles[session_id]
         self._lru.pop(session_id, None)
         self._closed[session_id] = outcome
         counter = "sessions_evicted_total" if _evicted else "sessions_closed_total"
         self.metrics.counter(counter).inc()
-        self.metrics.gauge("sessions_active").set(len(self._where))
+        self.metrics.gauge("sessions_active").set(len(self._handles))
         self._emit(
             "session-evicted" if _evicted else "session-close",
             time_ms=float(result.duration_ms),
@@ -520,22 +437,35 @@ class Fleet:
 
     # -- frame accounting ----------------------------------------------------
 
-    def _frame_processed(
-        self,
-        session_id: str,
-        handle: _Handle,
-        frame: Frame,
-        events: List[ServeEvent],
+    def _frames_done(self, done: List[tuple], started: float, ended: float) -> None:
+        """Account ``(session id, handle, frame, events)`` rows whose round
+        or feed ran from *started* to *ended*.
+
+        Queue wait is ingress to the start of the consuming round, compute
+        is that round's duration, and latency is ingress to this call.
+        """
+        metrics = self.metrics
+        processed = metrics.counter("frames_processed_total")
+        latency = metrics.histogram("serve_frame_latency_ms")
+        wait = metrics.histogram("serve_frame_wait_ms")
+        compute = metrics.histogram("serve_frame_compute_ms")
+        compute_ms = (ended - started) * 1000.0
+        for session_id, handle, frame, events in done:
+            self._frames_processed += 1
+            processed.inc()
+            if frame.enqueued_at is not None:
+                latency_ms = (time.monotonic() - frame.enqueued_at) * 1000.0
+                latency.observe(latency_ms)
+                self.frame_latency_samples.append(latency_ms)
+                wait.observe((started - frame.enqueued_at) * 1000.0)
+                compute.observe(compute_ms)
+            if events:
+                self._dispatch(session_id, handle, events)
+
+    def _dispatch(
+        self, session_id: str, handle: _Handle, events: Sequence[ServeEvent]
     ) -> None:
         metrics = self.metrics
-        self._frames_processed += 1
-        metrics.counter("frames_processed_total").inc()
-        if frame.enqueued_at is not None:
-            latency_ms = (time.monotonic() - frame.enqueued_at) * 1000.0
-            metrics.histogram("serve_frame_latency_ms").observe(latency_ms)
-            self.frame_latency_samples.append(latency_ms)
-        if not events:
-            return
         handle.events.extend(events)
         for event in events:
             metrics.counter("detections_total", monitor=event.monitor_id).inc()
@@ -565,7 +495,7 @@ class Fleet:
         """A JSON-friendly snapshot of the fleet's counters."""
         snap = self.metrics.snapshot()
         return {
-            "sessions_active": len(self._where),
+            "sessions_active": len(self._handles),
             "queued_frames": self._queued,
             "counters": snap["counters"],
             "snapshot_cache": snapshots_mod.cache_stats().as_dict(),

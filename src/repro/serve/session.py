@@ -22,6 +22,7 @@ target.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.targets.base import RunResult, Target, TestCase
@@ -74,6 +75,11 @@ class SessionSpec:
     def __post_init__(self) -> None:
         if not self.session_id:
             raise ValueError("session_id must be non-empty")
+        # Checked here, not at first use: a batch member fails its whole
+        # lockstep group's rounds.
+        for name in ("mass_kg", "velocity_mps"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.period_ms < 1:
             raise ValueError(f"period_ms must be positive, got {self.period_ms}")
         if self.start_ms < 0:
@@ -303,6 +309,13 @@ class Session:
         """Consume one frame; return the detections it produced."""
         if self.closed:
             raise SessionClosed(f"session {self.session_id!r} is closed")
+        size = len(self._system.memory_map.data)
+        for address, bit in frame.flips:
+            if not (0 <= address < size and 0 <= bit <= 7):
+                raise ServeError(
+                    f"flip ({address}, {bit}) is outside the {size}-byte memory "
+                    f"or bits 0..7"
+                )
         self.frames_fed += 1
         if frame.flips and not self.finished:
             for address, bit in frame.flips:

@@ -19,17 +19,19 @@ def _load_bench_module():
 
 VALID = {
     "benchmark": "serve",
-    "schema_version": 1,
+    "schema_version": 2,
     "target": "tanklevel",
     "cpus": 1,
-    "workers": 2,
     "frame_ticks": 100,
+    "repeats": 3,
     "sustained": {
         "sessions": 1000,
         "rounds": 50,
         "frames": 50000,
         "seconds": 5.5,
         "frames_per_sec": 9000.0,
+        "frames_per_sec_min": 8800.0,
+        "frames_per_sec_max": 9100.0,
         "ticks_per_sec": 900000.0,
         "dropped_frames": 0,
         "completed_sessions": 1000,
@@ -44,10 +46,10 @@ VALID = {
         "speedup": 6.45,
     },
     "saturation": [
-        {"sessions": 125, "frames_per_sec": 3000.0, "ticks_per_sec": 300000.0,
-         "seconds": 0.4},
-        {"sessions": 1000, "frames_per_sec": 9400.0, "ticks_per_sec": 940000.0,
-         "seconds": 1.1},
+        {"sessions": 125, "frames_per_sec": 3000.0, "frames_per_sec_min": 2900.0,
+         "frames_per_sec_max": 3100.0, "ticks_per_sec": 300000.0, "seconds": 0.4},
+        {"sessions": 1000, "frames_per_sec": 9400.0, "frames_per_sec_min": 9300.0,
+         "frames_per_sec_max": 9400.0, "ticks_per_sec": 940000.0, "seconds": 1.1},
     ],
     "equivalence": {
         "checked_runs": 8,
@@ -65,13 +67,17 @@ class TestSchemaValidation:
         "mutation, match",
         [
             ({"benchmark": "other"}, "benchmark"),
-            ({"schema_version": 2}, "schema_version"),
+            ({"schema_version": 1}, "schema_version"),
             ({"target": ""}, "target"),
             ({"cpus": "one"}, "cpus"),
-            ({"workers": True}, "workers"),
+            ({"repeats": True}, "repeats"),
             ({"frame_ticks": None}, "frame_ticks"),
             ({"sustained": None}, "sustained"),
             ({"sustained": {**VALID["sustained"], "frames": "many"}}, "frames"),
+            (
+                {"sustained": {**VALID["sustained"], "frames_per_sec_min": 9050.0}},
+                "min/max",
+            ),
             (
                 {"sustained": {**VALID["sustained"], "dropped_frames": 3}},
                 "dropped_frames",
@@ -87,6 +93,10 @@ class TestSchemaValidation:
             ({"paths": {**VALID["paths"], "batch": None}}, "paths.batch"),
             ({"saturation": []}, "saturation"),
             ({"saturation": [{"sessions": 10}]}, "saturation"),
+            (
+                {"saturation": [{**VALID["saturation"][0], "frames_per_sec_max": 2950.0}]},
+                "min/max",
+            ),
             ({"equivalence": None}, "equivalence"),
             (
                 {"equivalence": {**VALID["equivalence"], "identical": False}},
@@ -122,6 +132,13 @@ class TestSchemaValidation:
         bench = _load_bench_module()
         document = {**VALID, "paths": {**VALID["paths"], "speedup": 3.0}}
         with pytest.raises(ValueError, match="regression"):
+            bench.validate_bench_json(document)
+        bench.validate_bench_json(document, smoke=True)
+
+    def test_full_gate_requires_repeats(self):
+        bench = _load_bench_module()
+        document = {**VALID, "repeats": 1}
+        with pytest.raises(ValueError, match="repeats"):
             bench.validate_bench_json(document)
         bench.validate_bench_json(document, smoke=True)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.serve.__main__ import main
 
 
@@ -22,7 +24,6 @@ class TestSyntheticRun:
                 "--sessions", "4",
                 "--horizon-ms", "100",
                 "--frame-ticks", "20",
-                "--workers", "1",
                 "--no-batch",
             ]
         )
@@ -37,7 +38,6 @@ class TestSyntheticRun:
                 "--target", "tanklevel",
                 "--sessions", "2",
                 "--horizon-ms", "60",
-                "--workers", "1",
                 "--json",
             ]
         )
@@ -53,7 +53,6 @@ class TestSyntheticRun:
                 "--target", "tanklevel",
                 "--sessions", "2",
                 "--horizon-ms", "60",
-                "--workers", "1",
                 "--metrics",
             ]
         )
@@ -74,3 +73,9 @@ class TestErrors:
     def test_bad_sessions_exits_2(self, capsys):
         assert main(["--sessions", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err

@@ -1,12 +1,15 @@
-"""Fleet scheduler: placement, backpressure, eviction, accounting."""
+"""Fleet scheduler: backpressure, eviction, failure isolation, accounting."""
 
 import asyncio
+import collections
 
 import pytest
 
-from repro.serve.fleet import Fleet, FleetConfig, HashRing
+from repro.obs.metrics import Histogram
+from repro.serve.batchserve import batch_eligible
+from repro.serve.fleet import Fleet, FleetConfig
 from repro.serve.session import Frame, ServeError, SessionSpec
-from repro.targets.registry import register_target, unregister_target
+from repro.targets.registry import get_target, register_target, unregister_target
 
 
 def _spec(index, target="tanklevel", **kwargs):
@@ -15,37 +18,14 @@ def _spec(index, target="tanklevel", **kwargs):
     return SessionSpec(session_id=f"s{index:03d}", target=target, **kwargs)
 
 
+def _rides_batch(spec):
+    """Whether a batch-enabled fleet serves *spec* on the vectorized path."""
+    return batch_eligible(get_target(spec.target), spec)
+
+
 def _config(**kwargs):
-    kwargs.setdefault("workers", 2)
     kwargs.setdefault("batch", False)
     return FleetConfig(**kwargs)
-
-
-class TestHashRing:
-    def test_deterministic(self):
-        a = HashRing(["w0", "w1", "w2"])
-        b = HashRing(["w0", "w1", "w2"])
-        keys = [f"k{i}" for i in range(100)]
-        assert [a.node_for(k) for k in keys] == [b.node_for(k) for k in keys]
-
-    def test_all_nodes_used(self):
-        ring = HashRing(["w0", "w1", "w2"])
-        hit = {ring.node_for(f"k{i}") for i in range(300)}
-        assert hit == {"w0", "w1", "w2"}
-
-    def test_adding_a_node_remaps_a_minority(self):
-        keys = [f"k{i}" for i in range(1000)]
-        before = HashRing(["w0", "w1", "w2"])
-        after = HashRing(["w0", "w1", "w2", "w3"])
-        moved = sum(
-            1 for k in keys if before.node_for(k) != after.node_for(k)
-        )
-        # Consistent hashing: roughly 1/4 of keys move, never most of them.
-        assert moved < len(keys) // 2
-
-    def test_empty_ring_rejected(self):
-        with pytest.raises(ValueError):
-            HashRing([])
 
 
 class TestFleetLifecycle:
@@ -87,15 +67,9 @@ class TestFleetLifecycle:
 
         asyncio.run(main())
 
-    def test_placement_spreads_shards(self):
-        async def main():
-            async with Fleet(_config(workers=4)) as fleet:
-                for i in range(32):
-                    await fleet.open_session(_spec(i))
-                shards = {shard.name for shard in fleet._where.values()}
-                assert len(shards) > 1
-
-        asyncio.run(main())
+    def test_workers_option_is_gone(self):
+        with pytest.raises(TypeError):
+            FleetConfig(workers=2)
 
     def test_snapshotless_target_clean_error(self):
         class NoSnapshots:
@@ -125,7 +99,7 @@ class TestFleetLifecycle:
 class TestBackpressure:
     def test_ingest_blocks_when_queue_full(self):
         async def main():
-            fleet = Fleet(_config(workers=1, queue_depth=1))
+            fleet = Fleet(_config(queue_depth=1))
             # Not started: no worker drains, so the queue genuinely fills.
             await fleet.open_session(_spec(0))
             assert await fleet.ingest(Frame(session_id="s000", ticks=1))
@@ -141,11 +115,11 @@ class TestBackpressure:
 
     def test_flush_reports_stuck_batch_frames(self):
         async def main():
-            async with Fleet(FleetConfig(workers=1, batch=True)) as fleet:
+            async with Fleet(FleetConfig(batch=True)) as fleet:
                 numpy_sessions = [_spec(0), _spec(1)]
                 for spec in numpy_sessions:
                     await fleet.open_session(spec)
-                if not fleet._where["s000"].handles["s000"].is_batch:
+                if not _rides_batch(_spec(0)):
                     return  # numpy unavailable: the serial fallback drains
                 # Only one member of the lockstep group gets a frame: the
                 # round cannot fire, and flush says so instead of hanging.
@@ -160,7 +134,7 @@ class TestBackpressure:
 class TestLRUEviction:
     def test_eviction_order_and_counter(self):
         async def main():
-            async with Fleet(_config(workers=1, max_sessions=2)) as fleet:
+            async with Fleet(_config(max_sessions=2)) as fleet:
                 await fleet.open_session(_spec(0))
                 await fleet.open_session(_spec(1))
                 # Touch s000 so s001 becomes least-recently-used.
@@ -180,11 +154,11 @@ class TestLRUEviction:
 
     def test_untouched_fleet_evicts_oldest(self):
         async def main():
-            async with Fleet(_config(workers=1, max_sessions=3)) as fleet:
+            async with Fleet(_config(max_sessions=3)) as fleet:
                 for i in range(5):
                     await fleet.open_session(_spec(i))
                 assert fleet.sessions_active == 3
-                assert sorted(fleet._where) == ["s002", "s003", "s004"]
+                assert [i for i in range(5) if fleet.is_open(_spec(i).session_id)] == [2, 3, 4]
                 assert fleet.metrics.counter("sessions_evicted_total").value == 2
 
         asyncio.run(main())
@@ -193,9 +167,9 @@ class TestLRUEviction:
 class TestBatchPath:
     def test_flips_rejected_on_batch_sessions(self):
         async def main():
-            async with Fleet(FleetConfig(workers=1, batch=True)) as fleet:
+            async with Fleet(FleetConfig(batch=True)) as fleet:
                 await fleet.open_session(_spec(0))
-                if not fleet._where["s000"].handles["s000"].is_batch:
+                if not _rides_batch(_spec(0)):
                     return  # numpy unavailable
                 with pytest.raises(ServeError, match="batch path"):
                     await fleet.ingest(
@@ -204,12 +178,26 @@ class TestBatchPath:
 
         asyncio.run(main())
 
-    def test_heterogeneous_ticks_rejected(self):
+    def test_group_leaves_the_scheduler_when_its_members_close(self):
         async def main():
-            async with Fleet(FleetConfig(workers=1, batch=True)) as fleet:
+            async with Fleet(FleetConfig(batch=True)) as fleet:
                 await fleet.open_session(_spec(0))
                 await fleet.open_session(_spec(1))
-                if not fleet._where["s000"].handles["s000"].is_batch:
+                if not _rides_batch(_spec(0)):
+                    return  # numpy unavailable
+                await fleet.close_session("s000", complete=False)
+                assert len(fleet._groups) == 1
+                await fleet.close_session("s001", complete=False)
+                assert fleet._groups == []
+
+        asyncio.run(main())
+
+    def test_heterogeneous_ticks_rejected(self):
+        async def main():
+            async with Fleet(FleetConfig(batch=True)) as fleet:
+                await fleet.open_session(_spec(0))
+                await fleet.open_session(_spec(1))
+                if not _rides_batch(_spec(0)):
                     return  # numpy unavailable
                 await fleet.ingest(Frame(session_id="s000", ticks=20))
                 await fleet.ingest(Frame(session_id="s001", ticks=40))
@@ -219,10 +207,56 @@ class TestBatchPath:
         asyncio.run(main())
 
 
+class TestFailureIsolation:
+    def test_failing_round_does_not_wedge_the_fleet(self):
+        async def main():
+            async with Fleet(FleetConfig(batch=True)) as fleet:
+                await fleet.open_session(_spec(1))
+                await fleet.open_session(_spec(2))
+                if not _rides_batch(_spec(1)):
+                    return  # numpy unavailable: no lockstep rounds
+                await fleet.ingest(Frame(session_id="s001", ticks=20))
+                await fleet.ingest(Frame(session_id="s002", ticks=40))
+                with pytest.raises(ServeError, match="lockstep"):
+                    await fleet.flush()
+                # The failed round's popped frames are dropped, and its
+                # error is raised once.
+                assert fleet.metrics.counter("frames_dropped_total").value == 2
+                assert await fleet.flush() == 0
+                # A fault-free session rides the serial path.
+                await fleet.open_session(SessionSpec(session_id="late", target="tanklevel"))
+                await fleet.ingest(Frame(session_id="late", ticks=20))
+                assert await fleet.flush() == 0
+                assert fleet.metrics.counter("frames_processed_total").value == 1
+                # The group itself keeps serving lockstep rounds.
+                for sid in ("s001", "s002"):
+                    await fleet.ingest(Frame(session_id=sid, ticks=20))
+                assert await fleet.flush() == 0
+                outcome = await fleet.close_session("s001", complete=False)
+                assert outcome.result.duration_ms == 20
+
+        asyncio.run(main())
+
+    def test_failing_serial_frame_drops_only_that_frame(self):
+        async def main():
+            async with Fleet(_config()) as fleet:
+                await fleet.open_session(_spec(0))
+                await fleet.ingest(Frame(session_id="s000", ticks=20, flips=((10**9, 0),)))
+                with pytest.raises(ServeError, match="outside"):
+                    await fleet.flush()
+                assert fleet.metrics.counter("frames_dropped_total").value == 1
+                await fleet.ingest(Frame(session_id="s000", ticks=20))
+                assert await fleet.flush() == 0
+                outcome = await fleet.close_session("s000", complete=False)
+                assert outcome.result.duration_ms == 20
+
+        asyncio.run(main())
+
+
 class TestMetrics:
     def test_counters_track_a_run(self):
         async def main():
-            async with Fleet(_config(workers=1)) as fleet:
+            async with Fleet(_config()) as fleet:
                 await fleet.open_session(_spec(0, signal_bit=6))
                 for _ in range(5):
                     await fleet.ingest(Frame(session_id="s000", ticks=20))
@@ -239,3 +273,40 @@ class TestMetrics:
                 assert stats["counters"]["frames_ingested_total"] == 5
 
         asyncio.run(main())
+
+    def test_frame_latency_splits_into_wait_and_compute(self, monkeypatch):
+        observed = collections.defaultdict(list)
+        observe = Histogram.observe
+
+        def recording(histogram, value):
+            observed[id(histogram)].append(value)
+            observe(histogram, value)
+
+        monkeypatch.setattr(Histogram, "observe", recording)
+
+        async def main():
+            async with Fleet(FleetConfig(batch=True)) as fleet:
+                # Two lockstep members (batch when numpy is available) and
+                # one fault-free serial session.
+                await fleet.open_session(_spec(0))
+                await fleet.open_session(_spec(1))
+                await fleet.open_session(SessionSpec(session_id="free", target="tanklevel"))
+                for _ in range(3):
+                    for sid in ("s000", "s001", "free"):
+                        await fleet.ingest(Frame(session_id=sid, ticks=20))
+                    assert await fleet.flush() == 0
+                return fleet.metrics
+
+        metrics = asyncio.run(main())
+        processed = metrics.counter("frames_processed_total").value
+        assert processed == 9
+        series = [
+            observed[id(metrics.histogram(name))]
+            for name in ("serve_frame_latency_ms", "serve_frame_wait_ms", "serve_frame_compute_ms")
+        ]
+        for name in ("serve_frame_wait_ms", "serve_frame_compute_ms"):
+            assert metrics.histogram(name).count == processed
+        latency, wait, compute = series
+        for total, queued, worked in zip(latency, wait, compute):
+            assert queued >= 0.0 and worked >= 0.0
+            assert queued + worked <= total + 1e-9

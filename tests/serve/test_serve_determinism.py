@@ -84,7 +84,7 @@ def test_serial_fleet_matches_offline_campaign(target_name):
     target = get_target(target_name)
     specs = _specs(target_name)
     report = serve_replay(
-        specs, FleetConfig(workers=2, batch=False), frame_ticks=20
+        specs, FleetConfig(batch=False), frame_ticks=20
     )
     detected_any = False
     for spec in specs:
@@ -103,7 +103,7 @@ def test_batch_fleet_matches_offline_campaign():
         pytest.skip("numpy unavailable: no vectorized serving path")
     specs = _specs("tanklevel", count=4)
     report = serve_replay(
-        specs, FleetConfig(workers=1, batch=True), frame_ticks=20
+        specs, FleetConfig(batch=True), frame_ticks=20
     )
     for spec in specs:
         offline_result, offline_key = _offline(target, spec)
@@ -118,9 +118,9 @@ def test_batch_and_serial_paths_agree_per_frame():
     if not target.supports_batch():
         pytest.skip("numpy unavailable: no vectorized serving path")
     specs = _specs("tanklevel", count=4)
-    serial = serve_replay(specs, FleetConfig(workers=1, batch=False),
+    serial = serve_replay(specs, FleetConfig(batch=False),
                           frame_ticks=50)
-    batch = serve_replay(specs, FleetConfig(workers=1, batch=True),
+    batch = serve_replay(specs, FleetConfig(batch=True),
                          frame_ticks=50)
     for spec in specs:
         a = serial.outcomes[spec.session_id]
@@ -149,9 +149,9 @@ def test_batch_events_carry_the_firing_monitors_signal():
                     signal=signal, signal_bit=bit, period_ms=20, start_ms=0)
         for signal, bit in (("tick", 3), ("SetPoint", 12))
     ]
-    serial = serve_replay(specs, FleetConfig(workers=1, batch=False),
+    serial = serve_replay(specs, FleetConfig(batch=False),
                           frame_ticks=50)
-    batch = serve_replay(specs, FleetConfig(workers=1, batch=True),
+    batch = serve_replay(specs, FleetConfig(batch=True),
                          frame_ticks=50)
     for spec in specs:
         expected = [(e.time_ms, e.monitor_id, e.signal)
@@ -167,7 +167,7 @@ def test_frame_size_does_not_change_events():
     offline_result, offline_key = _offline(target, spec)
     for frame_ticks in (1, 13, 250):
         report = serve_replay(
-            [spec], FleetConfig(workers=1, batch=False), frame_ticks=frame_ticks
+            [spec], FleetConfig(batch=False), frame_ticks=frame_ticks
         )
         _assert_matches_offline(
             report.outcomes[spec.session_id], offline_result, offline_key,

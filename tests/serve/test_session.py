@@ -78,6 +78,12 @@ class TestSessionSpec:
         with pytest.raises(ValueError, match="session_id"):
             SessionSpec(session_id="")
 
+    @pytest.mark.parametrize("field", ["mass_kg", "velocity_mps"])
+    @pytest.mark.parametrize("value", ["heavy", None, [1]])
+    def test_non_numeric_test_case_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            SessionSpec(session_id="s", **{field: value})
+
 
 class TestResolveFlip:
     def test_signal_resolves_to_variable_byte(self):
@@ -177,6 +183,15 @@ class TestSessionStream:
         # A 64-step jump of the schedule's tick counter trips the online
         # monitors within the very next control slot.
         assert session.events
+
+    @pytest.mark.parametrize("flip", [(-1, 0), (10**9, 0), (0, 8), (0, -1)])
+    def test_out_of_range_flip_rejected_before_any_lands(self, flip):
+        session = Session(SessionSpec(session_id="s", target="tanklevel"))
+        before = bytes(session._system.memory_map.data)
+        with pytest.raises(ServeError, match="outside"):
+            session.feed(Frame(session_id="s", ticks=20, flips=((0, 0), flip)))
+        assert bytes(session._system.memory_map.data) == before
+        assert session.clock_ms == 0
 
     def test_feed_after_close_raises(self):
         session = Session(SessionSpec(session_id="s", target="tanklevel"))
