@@ -49,8 +49,10 @@ Interpreting the sections:
 * ``equivalence`` is the correctness gate: for every checked spec, the
   fleet's online detection-event sequence must be event-for-event
   identical to the offline campaign path (a fresh system driven by
-  ``TimeTriggeredInjector``) on **both** registered targets, serial and
-  vectorized.  The validator refuses a document whose gate is false.
+  ``TimeTriggeredInjector``) on **both** registered targets, serially
+  and — where the session rides the vectorized serving path
+  (``batch_eligible``) — batched.  The validator refuses a document
+  whose gate is false.
 
 Usage::
 
@@ -81,6 +83,7 @@ from repro.serve import (  # noqa: E402
     serve_replay,
     synthetic_specs,
 )
+from repro.serve.batchserve import batch_eligible  # noqa: E402
 from repro.serve.session import events_key  # noqa: E402
 
 SCHEMA_VERSION = 2
@@ -279,7 +282,7 @@ def check_equivalence(frame_ticks: int, specs_per_target: int = 2) -> dict:
                 start_ms=0,
             )
             offline_result, offline_key = _offline_events(target, spec)
-            modes = [False] + ([True] if target.supports_batch() else [])
+            modes = [False] + ([True] if batch_eligible(target, spec) else [])
             for batch in modes:
                 report = serve_replay(
                     [spec],

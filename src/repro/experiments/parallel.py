@@ -321,41 +321,25 @@ def _run_chunk(payload) -> Tuple[List[RunRecord], Optional[dict]]:
 # -- batch (vectorized) execution -------------------------------------------
 
 
-def _batch_eligible(spec: RunSpec, target) -> bool:
-    """Whether one spec can take a target's vectorized kernel path.
-
-    The kernels implement exactly the default-configuration E1 shape:
-    a bit-flip on a monitored RAM signal.  Anything else (E2's raw
-    address errors, stack-area flips, byte-level bits >= 16) stays on
-    the serial path, which handles every spec.
-    """
-    return (
-        spec.signal is not None
-        and spec.signal_bit is not None
-        and 0 <= spec.signal_bit < 16
-        and spec.area == "ram"
-        and spec.signal in target.monitored_signals
-    )
-
-
 def _split_batchable(
     pending: Sequence[RunSpec], run_config
 ) -> Tuple[List[RunSpec], List[RunSpec]]:
     """Partition *pending* into (batchable, serial) spec lists, in order.
 
-    A non-default *run_config* changes the simulated window/semantics in
+    A spec is batchable when the kernels model it (``kernel_eligible``)
+    and it flips a RAM signal.  A non-default *run_config* changes the
+    simulated window/semantics in
     target-specific ways the kernels do not model, so it forces the
     whole campaign serial.
     """
     if run_config is not None:
         return [], list(pending)
+    from repro.targets.batch.core import kernel_eligible
+
     batchable: List[RunSpec] = []
     rest: List[RunSpec] = []
-    supports: Dict[str, bool] = {}
     for spec in pending:
-        if spec.target not in supports:
-            supports[spec.target] = get_target(spec.target).supports_batch()
-        if supports[spec.target] and _batch_eligible(spec, get_target(spec.target)):
+        if spec.area == "ram" and kernel_eligible(get_target(spec.target), spec):
             batchable.append(spec)
         else:
             rest.append(spec)

@@ -15,7 +15,8 @@ API one-to-one:
 Replies are JSON lines too: ``{"ok": true, ...}`` acknowledgements,
 ``{"event": "detection", ...}`` pushed as monitors fire, ``{"event":
 "result", ...}`` on close, and ``{"ok": false, "error": "..."}`` for
-protocol errors (the stream keeps going — one bad line doesn't kill
+protocol errors (the stream keeps going — one bad line, including one
+longer than :data:`MAX_LINE_BYTES` on a TCP connection, doesn't kill
 the connection).  The same handler serves stdin (``python -m
 repro.serve --stdin``) and TCP connections (``--listen HOST:PORT``,
 one fleet per connection).
@@ -35,6 +36,9 @@ from repro.serve.session import Frame, ServeEvent, SessionSpec
 __all__ = ["serve_lines", "iter_lines", "serve_stdin", "serve_socket"]
 
 _SPEC_FIELDS = {field.name for field in dataclasses.fields(SessionSpec)}
+
+#: Longest TCP line served; a longer one gets an error reply instead.
+MAX_LINE_BYTES = 1 << 16
 
 
 def _spec_from(message: dict) -> SessionSpec:
@@ -175,15 +179,30 @@ async def serve_socket(
     """Listen for newline-JSON connections; one fleet per connection."""
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        async def socket_lines() -> AsyncIterable[str]:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    return
-                yield raw.decode("utf-8", errors="replace")
-
         def write(line: str) -> None:
             writer.write(line.encode("utf-8") + b"\n")
+
+        async def socket_lines() -> AsyncIterable[str]:
+            oversized = False
+            while True:
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:  # EOF
+                    raw = exc.partial
+                except asyncio.LimitOverrunError as exc:
+                    # Drop what is buffered of the line; its tail (up to
+                    # the newline) is dropped by the next read.
+                    await reader.readexactly(exc.consumed)
+                    oversized = True
+                    continue
+                if oversized:
+                    oversized = False
+                    error = f"line longer than {MAX_LINE_BYTES} bytes"
+                    write(json.dumps({"ok": False, "error": error}))
+                elif raw:
+                    yield raw.decode("utf-8", errors="replace")
+                if not raw.endswith(b"\n"):
+                    return
 
         try:
             await serve_lines(
@@ -192,9 +211,11 @@ async def serve_socket(
                 config_factory() if config_factory is not None else None,
             )
             await writer.drain()
+        except ConnectionError:
+            pass  # the client went away; its fleet is already stopped
         finally:
             writer.close()
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port, limit=MAX_LINE_BYTES)
     async with server:
         await server.serve_forever()

@@ -1,13 +1,14 @@
 """Vectorized serving: lockstep batch groups over the batch kernels.
 
 The serving hot path: sessions of the same target whose specs are
-*batch-eligible* (a kernel exists for the target, numpy is available,
-and the injection schedule is a monitored-signal bit flip — the same
-eligibility the offline campaign's ``--batch`` path uses) are pooled
-into a :class:`BatchGroup`.  One telemetry round pops one frame per
-member and a single resumable-kernel ``advance`` executes the round for
-every member at once — one numpy step advances hundreds of sessions —
-while the per-row detection book yields each session's events.
+*batch-eligible* are pooled into a :class:`BatchGroup`.  One telemetry
+round pops one frame per member and a single ``advance`` of the
+target's ``batch_kernel`` executes the round for every member at once —
+one numpy step advances hundreds of sessions — while the per-row
+detection book yields each session's events.  A group shares one clock
+and one ``finished`` flag, so only a kernel whose rows end together
+(the tank's fixed window) can back one; arrestor rows stop
+independently, so arrestor sessions are served serially.
 
 Groups are *generational*: members join only while the group's shared
 sim-clock is still at zero (all rows of a kernel advance in lockstep),
@@ -19,53 +20,30 @@ readiness.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.targets.base import RunResult, Target
-from repro.targets.batch.core import BatchRunSpec, numpy_available
+from repro.targets.batch.core import BatchRunSpec, injection_stats, kernel_eligible
 from repro.serve.session import ServeError, ServeEvent, SessionSpec
 
 __all__ = [
-    "batch_kernel_factory",
     "batch_eligible",
     "BatchGroup",
 ]
-
-#: Target name -> resumable kernel factory ``(specs, capture_events)``.
-_KERNEL_FACTORIES: Dict[str, Callable] = {}
-
-
-def _tank_kernel(specs, capture_events: bool = True):
-    from repro.targets.batch.tanklevel import TankBatchKernel
-
-    return TankBatchKernel(specs, capture_events=capture_events)
-
-
-_KERNEL_FACTORIES["tanklevel"] = _tank_kernel
-
-
-def batch_kernel_factory(target_name: str) -> Optional[Callable]:
-    """The resumable serving kernel for *target_name*, if one exists."""
-    return _KERNEL_FACTORIES.get(target_name)
 
 
 def batch_eligible(target: Target, spec: SessionSpec) -> bool:
     """Whether a session can ride the vectorized serving path.
 
-    Mirrors the offline campaign's batch eligibility: a scheduled
-    bit-flip into a monitored 16-bit signal on the default run
-    configuration.  Fault-free and raw-address sessions take the serial
-    path (their per-row semantics aren't expressible as the kernels'
-    XOR masks).
+    A signal-addressed flip the kernels model (``kernel_eligible``), on
+    a target whose kernel rows end together.  Fault-free and raw-address
+    sessions take the serial path (their per-row semantics aren't
+    expressible as the kernels' XOR masks).
     """
     return (
-        numpy_available()
-        and batch_kernel_factory(target.name) is not None
-        and spec.signal is not None
-        and spec.signal_bit is not None
-        and 0 <= spec.signal_bit < 16
-        and spec.signal in target.monitored_signals
-        and spec.address is None
+        spec.address is None
+        and kernel_eligible(target, spec)
+        and target.batch_kernel.rows_end_together
     )
 
 
@@ -85,12 +63,10 @@ class BatchGroup:
     """A generation of lockstep sessions sharing one vectorized kernel."""
 
     def __init__(self, target: Target, max_rows: int = 512) -> None:
-        factory = batch_kernel_factory(target.name)
-        if factory is None:
-            raise ServeError(f"no batch serving kernel for target {target.name!r}")
+        if not (target.supports_batch() and target.batch_kernel.rows_end_together):
+            raise ServeError(f"no lockstep batch kernel for target {target.name!r}")
         self.target = target
         self.max_rows = max_rows
-        self._factory = factory
         self._specs: List[BatchRunSpec] = []
         self.session_ids: List[str] = []
         self.active: List[bool] = []
@@ -140,7 +116,7 @@ class BatchGroup:
     def advance(self, ticks: int) -> List[ServeEvent]:
         """One lockstep round: *ticks* milliseconds for every row."""
         if self.kernel is None:
-            self.kernel = self._factory(self._specs, capture_events=True)
+            self.kernel = self.target.batch_kernel(self._specs, capture_events=True)
         self.kernel.advance(ticks)
         events = []
         for row, time_ms, monitor_id in self.kernel.drain_events():
@@ -157,13 +133,18 @@ class BatchGroup:
         return events
 
     def result(self, session_id: str) -> RunResult:
-        """The member's result as of the group's current sim-clock."""
+        """The member's result as of the group's current sim-clock.
+
+        Before the first round the row's boot state comes from a
+        one-row kernel of its own, so the group stays unsealed.
+        """
+        row = self._row_of[session_id]
         if self.kernel is None:
-            self.kernel = self._factory(self._specs, capture_events=True)
-        return self.kernel.outcome(self._row_of[session_id]).result
+            return self.target.batch_kernel([self._specs[row]]).outcome(0).result
+        return self.kernel.outcome(row).result
 
     def first_injection_ms(self, session_id: str) -> Optional[int]:
         spec = self._specs[self._row_of[session_id]]
-        if self.clock_ms - 1 < spec.injection_start_ms:
-            return None
-        return spec.injection_start_ms
+        return injection_stats(
+            spec.injection_start_ms, spec.injection_period_ms, self.clock_ms - 1
+        )[0]

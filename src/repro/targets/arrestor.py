@@ -75,15 +75,16 @@ class ArrestorTarget(Target):
             duration_s=duration_s,
         )
 
-    def supports_batch(self) -> bool:
-        from repro.targets.batch.core import numpy_available
+    @property
+    def batch_kernel(self):
+        from repro.targets.batch.arrestor import ArrestorBatchKernel
 
-        return numpy_available()
+        return ArrestorBatchKernel
 
     def run_batch(self, specs):
-        from repro.targets.batch.arrestor import run_batch
-
-        return run_batch(specs)
+        # Defined on the class itself so each target's batch pass is its
+        # own attribute (the benchmark's span probes wrap it per target).
+        return super().run_batch(specs)
 
     def lint_target(self):
         from repro.arrestor.instrumentation import (

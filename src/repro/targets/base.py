@@ -261,30 +261,43 @@ class Target(abc.ABC):
 
     # -- batch execution -----------------------------------------------------
 
-    def supports_batch(self) -> bool:
-        """Whether :meth:`run_batch` can vectorize eligible runs.
+    @property
+    def batch_kernel(self) -> Optional[type]:
+        """The target's :class:`repro.targets.batch.core.BatchKernel` subclass.
 
-        ``False`` by default: batching is an opt-in capability backed by
-        a target-specific kernel in :mod:`repro.targets.batch` that the
-        equivalence suite pins against the serial path.  Targets without
-        a kernel (or on numpy-less installs) simply stay serial.
+        ``batch_kernel(specs, capture_events=False)`` builds one row per
+        spec; a spec carries the fields of :class:`repro.targets.batch.
+        core.BatchRunSpec` (the campaign engine's ``RunSpec`` qualifies).
+        ``None`` by default: a kernel is an opt-in replay of the serial
+        tick path, pinned against it by the equivalence suite.
         """
-        return False
+        return None
+
+    def supports_batch(self) -> bool:
+        """Whether the target has a :attr:`batch_kernel` and numpy is installed."""
+        if self.batch_kernel is None:
+            return False
+        from repro.targets.batch.core import numpy_available
+
+        return numpy_available()
 
     def run_batch(self, specs: List[Any]) -> List[RunResult]:
         """Run many injection runs in one vectorized pass.
 
-        Each spec carries ``version``, ``signal``, ``signal_bit``,
-        ``mass_kg``, ``velocity_mps``, ``injection_period_ms`` and
-        ``injection_start_ms`` (the campaign engine's ``RunSpec`` and
-        :class:`repro.targets.batch.core.BatchRunSpec` both qualify).
+        One :attr:`batch_kernel` over *specs*, advanced until finished.
         Results are returned in spec order and must be identical to
         booting and running each spec serially — the serial path stays
         the oracle, this is purely an execution strategy.
         """
-        raise NotImplementedError(
-            f"target {self.name!r} does not implement batch execution"
-        )
+        if not self.supports_batch():
+            raise NotImplementedError(
+                f"target {self.name!r} does not implement batch execution"
+            )
+        if not specs:
+            return []
+        kernel = self.batch_kernel(specs)
+        kernel.advance(kernel.window_ms)
+        return [outcome.result for outcome in kernel.outcomes()]
 
     def fingerprint_sources(self) -> Tuple[str, ...]:
         """Module/package names whose source code determines run results.

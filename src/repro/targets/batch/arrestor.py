@@ -1,13 +1,13 @@
 """Vectorized batch kernel for the arrestor target.
 
 Replays :class:`repro.arrestor.system.TargetSystem` over ``(N,)`` arrays:
-one pass over the observation window advances every row's master node,
-slave node and environment in lockstep.  Every statement mirrors a
-statement of the serial tick path in the same order — the 16-bit masked
-variable arithmetic, the within-tick EA test order (EA6, EA5, EA4, then
-the slot module's tests, then EA3), the one-tick-delayed COMM delivery,
-and the float64 physics op-for-op — so results are identical row-for-row
-(pinned by ``tests/targets/test_batch_equivalence.py``).
+each tick advances every row's master node, slave node and environment
+in lockstep.  Every statement mirrors a statement of the serial tick
+path in the same order — the 16-bit masked variable arithmetic, the
+within-tick EA test order (EA6, EA5, EA4, then the slot module's tests,
+then EA3), the one-tick-delayed COMM delivery, and the float64 physics
+op-for-op — so results are identical row-for-row (pinned by
+``tests/targets/test_batch_equivalence.py``).
 
 Two deliberately scalar escapes keep exactness cheap:
 
@@ -20,13 +20,15 @@ Two deliberately scalar escapes keep exactness cheap:
 
 Rows finish independently (post-stop window, overrun, or window
 exhaustion): a finished row's state is frozen under the ``active`` mask
-and the loop exits early once every row is done.
+with its last tick in ``row_last_ms``, and the kernel is finished —
+``advance`` returns early — once every row is done.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from types import SimpleNamespace
+from typing import List
 
 from repro.arrestor import constants as k
 from repro.arrestor.instrumentation import EA_IDS, SIGNAL_BY_EA, assertion_parameters
@@ -34,23 +36,14 @@ from repro.plant.aircraft import BRAKE_FORCE_PER_PA, DRAG_COEFF, GRAVITY
 from repro.plant.drum import PULSE_PITCH_M
 from repro.plant.failure import ArrestmentSummary, FailureClassifier
 from repro.plant.hydraulics import PA_PER_COUNT, VALVE_MAX_PA, VALVE_TIME_CONSTANT_S
-from repro.targets.base import RunResult
-from repro.targets.batch.core import (
-    BatchOutcome,
-    DetectionBook,
-    VecMonitor,
-    injection_due,
-    injection_masks,
-    injection_stats,
-    require_numpy,
-)
+from repro.targets.batch.core import BatchKernel, injection_due
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["OBSERVE_MS_MAX", "POST_STOP_MS", "OVERRUN_DISTANCE_M", "run_batch", "run_batch_detailed"]
+__all__ = ["OBSERVE_MS_MAX", "POST_STOP_MS", "OVERRUN_DISTANCE_M", "ArrestorBatchKernel"]
 
 #: The serial defaults (RunConfig) the batch path is restricted to.
 OBSERVE_MS_MAX = 25000
@@ -88,18 +81,17 @@ def _clamp(value: int, lo: int, hi: int) -> int:
     return value
 
 
-class _Row:
-    """Scalar view of one row's CALC state for the checkpoint handler."""
+#: The CALC state the checkpoint handler reads and writes, by the
+#: kernel's array names; one row of it is a scalar ``SimpleNamespace``.
+_CALC_FIELDS = (
+    "i_var", "dist_acc", "mscnt", "last_cp_mscnt", "last_cp_pulscnt",
+    "pulscnt", "set_value", "target_sv", "v_prev", "v0", "m_est", "p_cap",
+)
 
-    __slots__ = (
-        "i", "dist_acc", "mscnt", "last_cp_mscnt", "last_cp_pulscnt",
-        "pulscnt", "set_value", "target", "v_prev", "v0", "m_est", "p_cap",
-    )
 
-
-def _handle_checkpoint(row: _Row) -> None:
+def _handle_checkpoint(row: SimpleNamespace) -> None:
     """Calc._handle_checkpoint on one row's scalar state (exact integers)."""
-    i = row.i
+    i = row.i_var
     dist_pulses = row.dist_acc
     time_ms = (row.mscnt - row.last_cp_mscnt) & _MASK16
     if time_ms == 0:
@@ -146,20 +138,13 @@ def _handle_checkpoint(row: _Row) -> None:
         counts = int(force_n // k.FORCE_N_PER_COUNT)
         if row.p_cap > 0:
             counts = min(counts, row.p_cap)
-        row.target = _clamp(counts, k.PRETENSION_COUNTS, k.SETVALUE_MAX_COUNTS)
+        row.target_sv = _clamp(counts, k.PRETENSION_COUNTS, k.SETVALUE_MAX_COUNTS)
     # rollover
     row.v_prev = v_cmps
     row.last_cp_pulscnt = row.pulscnt
     row.last_cp_mscnt = row.mscnt
     row.dist_acc = 0
-    row.i = (i + 1) & _MASK16
-
-
-def _monitor_masks(specs):
-    """Per-EA row masks: which rows run with each mechanism enabled."""
-    version_arr = np.array([spec.version for spec in specs])
-    all_rows = version_arr == "All"
-    return {ea: all_rows | (version_arr == ea) for ea in EA_IDS}
+    row.i_var = (i + 1) & _MASK16
 
 
 def _read_counts(pressure_pa):
@@ -168,160 +153,177 @@ def _read_counts(pressure_pa):
     return np.clip(counts, 0, _MASK16)
 
 
-def run_batch_detailed(specs: Sequence) -> List[BatchOutcome]:
-    """Run every spec's injection run in one vectorized pass."""
-    require_numpy()
-    n = len(specs)
-    if n == 0:
-        return []
-    params = assertion_parameters()
-    ea_rows = _monitor_masks(specs)
-    monitors = {ea: VecMonitor(ea, params[SIGNAL_BY_EA[ea]], n) for ea in EA_IDS}
-    book = DetectionBook(n)
-    xor, period, start = injection_masks(specs, tuple(SIGNAL_BY_EA.values()))
-    cp_pulses = np.array(k.CHECKPOINT_PULSES, dtype=np.int64)
+def _pi(set_value, err, integral):
+    """One integer PI pass (V_REG and the slave's): ``(integral, OutValue)``."""
+    integral = np.clip(
+        integral + (err >> k.PID_KI_SHIFT), -k.PID_INTEGRAL_CLAMP, k.PID_INTEGRAL_CLAMP
+    )
+    out = set_value + (err * k.PID_KP_NUM) // k.PID_KP_DEN + integral
+    return integral, np.clip(out, 0, k.OUTVALUE_MAX_COUNTS)
 
-    # -- boot (MasterNode.boot / SlaveNode.__init__ / Environment) -----------
-    mscnt = np.zeros(n, dtype=np.int64)
-    ms_slot_nbr = np.zeros(n, dtype=np.int64)
-    pulscnt = np.zeros(n, dtype=np.int64)
-    i_var = np.zeros(n, dtype=np.int64)
-    set_value = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
-    is_value = np.zeros(n, dtype=np.int64)
-    out_value = np.zeros(n, dtype=np.int64)
-    target_sv = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
-    m_est = np.full(n, k.INITIAL_MASS_GUESS_KG, dtype=np.int64)
-    p_cap = np.zeros(n, dtype=np.int64)
-    v_prev = np.zeros(n, dtype=np.int64)
-    v0 = np.zeros(n, dtype=np.int64)
-    last_cp_pulscnt = np.zeros(n, dtype=np.int64)
-    last_cp_mscnt = np.zeros(n, dtype=np.int64)
-    prev_pulscnt = np.zeros(n, dtype=np.int64)
-    dist_acc = np.zeros(n, dtype=np.int64)
-    integral = np.zeros(n, dtype=np.int64)
-    comm_tx = np.zeros(n, dtype=np.int64)
 
-    s_set_value = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
-    s_is_value = np.zeros(n, dtype=np.int64)
-    s_out_value = np.zeros(n, dtype=np.int64)
-    s_integral = np.zeros(n, dtype=np.int64)
+def _command_pa(out_value):
+    """The valve pressure commanded by PRES_A from OutValue counts."""
+    return np.clip(out_value * PA_PER_COUNT, 0.0, VALVE_MAX_PA)
 
-    mass = np.array([float(spec.mass_kg) for spec in specs], dtype=np.float64)
-    velocity = np.array([float(spec.velocity_mps) for spec in specs], dtype=np.float64)
-    position = np.zeros(n, dtype=np.float64)
-    stopped = np.zeros(n, dtype=bool)
-    master_pa = np.zeros(n, dtype=np.float64)
-    slave_pa = np.zeros(n, dtype=np.float64)
-    master_cmd_pa = np.zeros(n, dtype=np.float64)
-    slave_cmd_pa = np.zeros(n, dtype=np.float64)
-    max_g = np.zeros(n, dtype=np.float64)
-    max_f = np.zeros(n, dtype=np.float64)
-    total_pulses = np.zeros(n, dtype=np.int64)
-    emitted_pulses = np.zeros(n, dtype=np.int64)
 
-    tx_pending = np.zeros(n, dtype=bool)
-    deadline = np.full(n, -1, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    last_ms = np.full(n, OBSERVE_MS_MAX - 1, dtype=np.int64)
+def _valve_lag(pa, cmd_pa, active):
+    """PressureValve.advance over one tick on the active rows."""
+    return np.where(active, pa + (cmd_pa - pa) * _ALPHA, pa)
 
-    for now in range(OBSERVE_MS_MAX):
-        if not active.any():
-            break
+
+class ArrestorBatchKernel(BatchKernel):
+    """The vectorized arrestor system; rows stop independently."""
+
+    window_ms = OBSERVE_MS_MAX
+    rows_end_together = False
+    ea_ids = EA_IDS
+    signal_by_ea = SIGNAL_BY_EA
+    signals = tuple(SIGNAL_BY_EA.values())
+    assertion_parameters = staticmethod(assertion_parameters)
+    classifier = FailureClassifier
+
+    def boot(self) -> None:
+        """MasterNode.boot / SlaveNode.__init__ / Environment."""
+        specs = self.specs
+        n = len(specs)
+        self.cp_pulses = np.array(k.CHECKPOINT_PULSES, dtype=np.int64)
+
+        self.mscnt = np.zeros(n, dtype=np.int64)
+        self.ms_slot_nbr = np.zeros(n, dtype=np.int64)
+        self.pulscnt = np.zeros(n, dtype=np.int64)
+        self.i_var = np.zeros(n, dtype=np.int64)
+        self.set_value = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
+        self.is_value = np.zeros(n, dtype=np.int64)
+        self.out_value = np.zeros(n, dtype=np.int64)
+        self.target_sv = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
+        self.m_est = np.full(n, k.INITIAL_MASS_GUESS_KG, dtype=np.int64)
+        self.p_cap = np.zeros(n, dtype=np.int64)
+        self.v_prev = np.zeros(n, dtype=np.int64)
+        self.v0 = np.zeros(n, dtype=np.int64)
+        self.last_cp_pulscnt = np.zeros(n, dtype=np.int64)
+        self.last_cp_mscnt = np.zeros(n, dtype=np.int64)
+        self.prev_pulscnt = np.zeros(n, dtype=np.int64)
+        self.dist_acc = np.zeros(n, dtype=np.int64)
+        self.integral = np.zeros(n, dtype=np.int64)
+        self.comm_tx = np.zeros(n, dtype=np.int64)
+
+        self.s_set_value = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
+        self.s_is_value = np.zeros(n, dtype=np.int64)
+        self.s_out_value = np.zeros(n, dtype=np.int64)
+        self.s_integral = np.zeros(n, dtype=np.int64)
+
+        self.mass = np.array([float(spec.mass_kg) for spec in specs], dtype=np.float64)
+        self.velocity = np.array(
+            [float(spec.velocity_mps) for spec in specs], dtype=np.float64
+        )
+        self.position = np.zeros(n, dtype=np.float64)
+        self.stopped = np.zeros(n, dtype=bool)
+        self.master_pa = np.zeros(n, dtype=np.float64)
+        self.slave_pa = np.zeros(n, dtype=np.float64)
+        self.master_cmd_pa = np.zeros(n, dtype=np.float64)
+        self.slave_cmd_pa = np.zeros(n, dtype=np.float64)
+        self.max_g = np.zeros(n, dtype=np.float64)
+        self.max_f = np.zeros(n, dtype=np.float64)
+        self.total_pulses = np.zeros(n, dtype=np.int64)
+        self.emitted_pulses = np.zeros(n, dtype=np.int64)
+
+        self.tx_pending = np.zeros(n, dtype=bool)
+        self.deadline = np.full(n, -1, dtype=np.int64)
+        self.active = np.ones(n, dtype=bool)
+        #: The tick each row finished on (-1 = still running).
+        self.row_last_ms = np.full(n, -1, dtype=np.int64)
+
+    @property
+    def finished(self) -> bool:
+        return self.now_ms >= self.window_ms or not self.active.any()
+
+    def last_ms(self, r: int) -> int:
+        if self.active[r]:
+            return self.now_ms - 1
+        return int(self.row_last_ms[r])
+
+    def step(self) -> None:
+        """Execute one millisecond for every still-active row."""
+        now = self.now_ms
+        monitors = self.monitors
+        ea_rows = self.ea_rows
+        book = self.book
+        active = self.active
+        xor = self.xor
 
         # -- injector ---------------------------------------------------------
-        due = injection_due(now, period, start, active)
-        mscnt ^= np.where(due, xor["mscnt"], 0)
-        ms_slot_nbr ^= np.where(due, xor["ms_slot_nbr"], 0)
-        pulscnt ^= np.where(due, xor["pulscnt"], 0)
-        i_var ^= np.where(due, xor["i"], 0)
-        set_value ^= np.where(due, xor["SetValue"], 0)
-        is_value ^= np.where(due, xor["IsValue"], 0)
-        out_value ^= np.where(due, xor["OutValue"], 0)
+        due = injection_due(now, self.period, self.start, active)
+        self.mscnt ^= np.where(due, xor["mscnt"], 0)
+        self.ms_slot_nbr ^= np.where(due, xor["ms_slot_nbr"], 0)
+        self.pulscnt ^= np.where(due, xor["pulscnt"], 0)
+        self.i_var ^= np.where(due, xor["i"], 0)
+        self.set_value ^= np.where(due, xor["SetValue"], 0)
+        self.is_value ^= np.where(due, xor["IsValue"], 0)
+        self.out_value ^= np.where(due, xor["OutValue"], 0)
 
         # -- CLOCK: mscnt + EA6, slot wrap fold + EA5 -------------------------
-        mscnt = np.where(active, (mscnt + 1) & _MASK16, mscnt)
-        monitors["EA6"].test(mscnt, now, active & ea_rows["EA6"], book)
-        slot = ms_slot_nbr + 1
+        self.mscnt = np.where(active, (self.mscnt + 1) & _MASK16, self.mscnt)
+        monitors["EA6"].test(self.mscnt, now, active & ea_rows["EA6"], book)
+        slot = self.ms_slot_nbr + 1
         slot = np.where(slot >= k.N_SLOTS, 0, slot)
-        ms_slot_nbr = np.where(active, slot, ms_slot_nbr)
-        monitors["EA5"].test(ms_slot_nbr, now, active & ea_rows["EA5"], book)
-        slot = ms_slot_nbr  # the checked (stored) slot drives dispatch
+        self.ms_slot_nbr = np.where(active, slot, self.ms_slot_nbr)
+        monitors["EA5"].test(self.ms_slot_nbr, now, active & ea_rows["EA5"], book)
+        slot = self.ms_slot_nbr  # the checked (stored) slot drives dispatch
 
         # -- DIST_S (every tick): poll latch, accumulate, EA4 -----------------
-        new_pulses = (total_pulses - emitted_pulses) & _MASK16
-        emitted_pulses = np.where(active, total_pulses, emitted_pulses)
-        pulscnt = np.where(active, (pulscnt + new_pulses) & _MASK16, pulscnt)
-        monitors["EA4"].test(pulscnt, now, active & ea_rows["EA4"], book)
+        new_pulses = (self.total_pulses - self.emitted_pulses) & _MASK16
+        self.emitted_pulses = np.where(active, self.total_pulses, self.emitted_pulses)
+        self.pulscnt = np.where(active, (self.pulscnt + new_pulses) & _MASK16, self.pulscnt)
+        monitors["EA4"].test(self.pulscnt, now, active & ea_rows["EA4"], book)
 
         # -- PRES_S (slot 0) --------------------------------------------------
         m_pres_s = active & (slot == k.SLOT_PRES_S)
-        is_value = np.where(m_pres_s, _read_counts(master_pa), is_value)
+        self.is_value = np.where(m_pres_s, _read_counts(self.master_pa), self.is_value)
 
         # -- V_REG (slot 2): EA1, EA2, integer PI -----------------------------
+        set_value = self.set_value
         m_v_reg = active & (slot == k.SLOT_V_REG)
         monitors["EA1"].test(set_value, now, m_v_reg & ea_rows["EA1"], book)
-        monitors["EA2"].test(is_value, now, m_v_reg & ea_rows["EA2"], book)
-        err_stored = (set_value - is_value) & _MASK16
+        monitors["EA2"].test(self.is_value, now, m_v_reg & ea_rows["EA2"], book)
+        err_stored = (set_value - self.is_value) & _MASK16
         err = err_stored - ((err_stored & 0x8000) << 1)
-        integral_new = np.clip(
-            integral + (err >> k.PID_KI_SHIFT),
-            -k.PID_INTEGRAL_CLAMP,
-            k.PID_INTEGRAL_CLAMP,
-        )
-        integral = np.where(m_v_reg, integral_new, integral)
-        out = set_value + (err * k.PID_KP_NUM) // k.PID_KP_DEN + integral_new
-        out_value = np.where(
-            m_v_reg, np.clip(out, 0, k.OUTVALUE_MAX_COUNTS), out_value
-        )
+        integral, out = _pi(set_value, err, self.integral)
+        self.integral = np.where(m_v_reg, integral, self.integral)
+        self.out_value = np.where(m_v_reg, out, self.out_value)
 
         # -- PRES_A (slot 4): EA7, valve command ------------------------------
         m_pres_a = active & (slot == k.SLOT_PRES_A)
-        monitors["EA7"].test(out_value, now, m_pres_a & ea_rows["EA7"], book)
-        master_cmd_pa = np.where(
-            m_pres_a,
-            np.clip(out_value * PA_PER_COUNT, 0.0, VALVE_MAX_PA),
-            master_cmd_pa,
+        monitors["EA7"].test(self.out_value, now, m_pres_a & ea_rows["EA7"], book)
+        self.master_cmd_pa = np.where(
+            m_pres_a, _command_pa(self.out_value), self.master_cmd_pa
         )
 
         # -- COMM (slot 6): fill the transmit buffer --------------------------
         m_comm = active & (slot == k.SLOT_COMM)
-        comm_tx = np.where(m_comm, set_value, comm_tx)
+        self.comm_tx = np.where(m_comm, set_value, self.comm_tx)
 
         # -- CALC (background, every tick): EA3, accumulation, slew -----------
-        monitors["EA3"].test(i_var, now, active & ea_rows["EA3"], book)
-        delta = (pulscnt - prev_pulscnt) & _MASK16
+        monitors["EA3"].test(self.i_var, now, active & ea_rows["EA3"], book)
+        pulscnt = self.pulscnt
+        delta = (pulscnt - self.prev_pulscnt) & _MASK16
         delta = np.where(delta > 0x8000, 0, delta)
-        prev_pulscnt = np.where(active, pulscnt, prev_pulscnt)
-        dist_acc = np.where(active, (dist_acc + delta) & _MASK16, dist_acc)
+        self.prev_pulscnt = np.where(active, pulscnt, self.prev_pulscnt)
+        self.dist_acc = np.where(active, (self.dist_acc + delta) & _MASK16, self.dist_acc)
+        i_var = self.i_var
         cp_hit = active & (i_var < k.N_CHECKPOINTS)
         if cp_hit.any():
-            cp_hit &= pulscnt >= cp_pulses[np.minimum(i_var, k.N_CHECKPOINTS - 1)]
+            cp_hit &= pulscnt >= self.cp_pulses[np.minimum(i_var, k.N_CHECKPOINTS - 1)]
         if cp_hit.any():
             for r in np.nonzero(cp_hit)[0]:
-                row = _Row()
-                row.i = int(i_var[r])
-                row.dist_acc = int(dist_acc[r])
-                row.mscnt = int(mscnt[r])
-                row.last_cp_mscnt = int(last_cp_mscnt[r])
-                row.last_cp_pulscnt = int(last_cp_pulscnt[r])
-                row.pulscnt = int(pulscnt[r])
-                row.set_value = int(set_value[r])
-                row.target = int(target_sv[r])
-                row.v_prev = int(v_prev[r])
-                row.v0 = int(v0[r])
-                row.m_est = int(m_est[r])
-                row.p_cap = int(p_cap[r])
+                row = SimpleNamespace(
+                    **{name: int(getattr(self, name)[r]) for name in _CALC_FIELDS}
+                )
                 _handle_checkpoint(row)
-                i_var[r] = row.i
-                dist_acc[r] = row.dist_acc
-                last_cp_mscnt[r] = row.last_cp_mscnt
-                last_cp_pulscnt[r] = row.last_cp_pulscnt
-                target_sv[r] = row.target
-                v_prev[r] = row.v_prev
-                v0[r] = row.v0
-                m_est[r] = row.m_est
-                p_cap[r] = row.p_cap
+                for name in _CALC_FIELDS:
+                    getattr(self, name)[r] = getattr(row, name)
         # _slew_set_value (every pass)
+        target_sv = self.target_sv
         step_up = np.minimum(target_sv - set_value, k.SETVALUE_SLEW_PER_PASS)
         step_down = np.minimum(set_value - target_sv, k.SETVALUE_SLEW_PER_PASS)
         slewed = np.where(
@@ -329,49 +331,39 @@ def run_batch_detailed(specs: Sequence) -> List[BatchOutcome]:
             set_value + step_up,
             np.where(set_value > target_sv, set_value - step_down, set_value),
         )
-        set_value = np.where(active, slewed & _MASK16, set_value)
+        self.set_value = np.where(active, slewed & _MASK16, set_value)
 
         # -- COMM link delivery (one tick after the buffer was filled) --------
-        deliver = active & tx_pending
-        s_set_value = np.where(deliver, comm_tx & _MASK16, s_set_value)
-        tx_pending = (tx_pending & ~deliver) | m_comm
+        deliver = active & self.tx_pending
+        self.s_set_value = np.where(deliver, self.comm_tx & _MASK16, self.s_set_value)
+        self.tx_pending = (self.tx_pending & ~deliver) | m_comm
 
         # -- slave node (its own schedule is the global tick counter) ---------
         s_slot = now % k.N_SLOTS
         if s_slot == k.SLOT_PRES_S:
-            s_is_value = np.where(active, _read_counts(slave_pa), s_is_value)
+            self.s_is_value = np.where(
+                active, _read_counts(self.slave_pa), self.s_is_value
+            )
         elif s_slot == k.SLOT_V_REG:
-            s_err = s_set_value - s_is_value
-            s_integral_new = np.clip(
-                s_integral + (s_err >> k.PID_KI_SHIFT),
-                -k.PID_INTEGRAL_CLAMP,
-                k.PID_INTEGRAL_CLAMP,
-            )
-            s_integral = np.where(active, s_integral_new, s_integral)
-            s_out = (
-                s_set_value + (s_err * k.PID_KP_NUM) // k.PID_KP_DEN + s_integral_new
-            )
-            s_out_value = np.where(
-                active, np.clip(s_out, 0, k.OUTVALUE_MAX_COUNTS), s_out_value
-            )
+            s_err = self.s_set_value - self.s_is_value
+            integral, out = _pi(self.s_set_value, s_err, self.s_integral)
+            self.s_integral = np.where(active, integral, self.s_integral)
+            self.s_out_value = np.where(active, out, self.s_out_value)
         elif s_slot == k.SLOT_PRES_A:
-            slave_cmd_pa = np.where(
-                active,
-                np.clip(s_out_value * PA_PER_COUNT, 0.0, VALVE_MAX_PA),
-                slave_cmd_pa,
+            self.slave_cmd_pa = np.where(
+                active, _command_pa(self.s_out_value), self.slave_cmd_pa
             )
 
         # -- environment ------------------------------------------------------
-        master_pa = np.where(
-            active, master_pa + (master_cmd_pa - master_pa) * _ALPHA, master_pa
-        )
-        slave_pa = np.where(
-            active, slave_pa + (slave_cmd_pa - slave_pa) * _ALPHA, slave_pa
-        )
+        self.master_pa = _valve_lag(self.master_pa, self.master_cmd_pa, active)
+        self.slave_pa = _valve_lag(self.slave_pa, self.slave_cmd_pa, active)
+        velocity = self.velocity
+        position = self.position
+        stopped = self.stopped
         moving = active & ~stopped
-        cable = BRAKE_FORCE_PER_PA * (master_pa + slave_pa)
+        cable = BRAKE_FORCE_PER_PA * (self.master_pa + self.slave_pa)
         drag = DRAG_COEFF * velocity * velocity
-        dec = (cable + drag) / mass
+        dec = (cable + drag) / self.mass
         new_velocity = velocity - dec * _DT_S
         stopping = moving & (new_velocity <= 0.0)
         fraction = np.divide(
@@ -382,62 +374,38 @@ def run_batch_detailed(specs: Sequence) -> List[BatchOutcome]:
             position + velocity * _DT_S * fraction / 2.0,
             np.where(moving, position + (velocity + new_velocity) * _DT_S / 2.0, position),
         )
-        velocity = np.where(stopping, 0.0, np.where(moving, new_velocity, velocity))
+        self.position = position
+        self.velocity = np.where(stopping, 0.0, np.where(moving, new_velocity, velocity))
         stopped = stopped | stopping
+        self.stopped = stopped
         # An already-stopped aircraft reports zero force and deceleration.
         dec_eff = np.where(moving, dec, 0.0)
         force_eff = np.where(moving, cable, 0.0)
-        total_pulses = np.where(
-            active, (position / PULSE_PITCH_M).astype(np.int64), total_pulses
+        self.total_pulses = np.where(
+            active, (position / PULSE_PITCH_M).astype(np.int64), self.total_pulses
         )
         dec_g = dec_eff / GRAVITY
-        max_g = np.where(active & (dec_g > max_g), dec_g, max_g)
-        max_f = np.where(active & (force_eff > max_f), force_eff, max_f)
+        self.max_g = np.where(active & (dec_g > self.max_g), dec_g, self.max_g)
+        self.max_f = np.where(active & (force_eff > self.max_f), force_eff, self.max_f)
 
         # -- stop logic (TargetSystem._advance) -------------------------------
+        deadline = self.deadline
         no_deadline = deadline < 0
         arm = active & no_deadline & stopped
         overrun = active & no_deadline & ~stopped & (position >= OVERRUN_DISTANCE_M)
         expire = active & ~no_deadline & (now >= deadline)
-        deadline = np.where(arm, now + POST_STOP_MS, deadline)
+        self.deadline = np.where(arm, now + POST_STOP_MS, deadline)
         finishing = overrun | expire
-        last_ms = np.where(finishing, now, last_ms)
-        active = active & ~finishing
+        self.row_last_ms = np.where(finishing, now, self.row_last_ms)
+        self.active = active & ~finishing
 
-    # -- assemble -------------------------------------------------------------
-    classifier = FailureClassifier()
-    outcomes: List[BatchOutcome] = []
-    for r, spec in enumerate(specs):
-        row_last_ms = int(last_ms[r])
-        summary = ArrestmentSummary(
-            mass_kg=float(mass[r]),
-            engagement_velocity_mps=float(spec.velocity_mps),
-            max_retardation_g=float(max_g[r]),
-            max_cable_force_n=float(max_f[r]),
-            stop_distance_m=float(position[r]),
-            stopped=bool(stopped[r]),
-            duration_s=_time_s(row_last_ms + 1),
+    def summary(self, r: int, last_ms: int) -> ArrestmentSummary:
+        return ArrestmentSummary(
+            mass_kg=float(self.mass[r]),
+            engagement_velocity_mps=float(self.specs[r].velocity_mps),
+            max_retardation_g=float(self.max_g[r]),
+            max_cable_force_n=float(self.max_f[r]),
+            stop_distance_m=float(self.position[r]),
+            stopped=bool(self.stopped[r]),
+            duration_s=_time_s(last_ms + 1),
         )
-        detected, first_ms, count, first_monitor = book.row(r)
-        first_injection, injections = injection_stats(
-            spec.injection_start_ms, spec.injection_period_ms, row_last_ms
-        )
-        result = RunResult(
-            test_case=spec.test_case(),
-            summary=summary,
-            verdict=classifier.classify(summary),
-            detected=detected,
-            first_detection_ms=first_ms,
-            detection_count=count,
-            first_injection_ms=first_injection,
-            injection_count=injections,
-            wedged=False,
-            duration_ms=row_last_ms + 1,
-        )
-        outcomes.append(BatchOutcome(result=result, first_monitor=first_monitor))
-    return outcomes
-
-
-def run_batch(specs: Sequence) -> List[RunResult]:
-    """The ``Target.run_batch`` surface: plain results, kernel detail dropped."""
-    return [outcome.result for outcome in run_batch_detailed(specs)]

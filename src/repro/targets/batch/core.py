@@ -8,6 +8,9 @@ of :class:`repro.core.monitor.SignalMonitor`, the 16-bit
 over ``(N,)`` int64/float64 arrays instead of one run at a time.  This
 module holds the pieces both kernels share:
 
+* :class:`BatchKernel` — the one resumable kernel shape; each target's
+  subclass (named by ``Target.batch_kernel``) supplies its boot state,
+  tick body and per-row physics summary.
 * :class:`VecMonitor` — the vectorized executable assertion.  Continuous
   bounds/rate/wrap tests and the linear-cyclic discrete sequence test
   evaluate as elementwise comparisons; the reference value ``_prev`` is
@@ -19,15 +22,15 @@ module holds the pieces both kernels share:
   injection statistics of the time-triggered schedule.
 
 numpy is an optional dependency: importing this module without numpy
-succeeds, :func:`numpy_available` reports ``False`` and the target
-adapters keep ``supports_batch()`` false, so every caller falls back to
+succeeds, :func:`numpy_available` reports ``False`` and
+``Target.supports_batch()`` stays false, so every caller falls back to
 the serial path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
@@ -36,13 +39,15 @@ except ImportError:  # pragma: no cover
 
 from repro.core.assertions import ContinuousAssertion
 from repro.core.parameters import ContinuousParams, DiscreteParams
-from repro.targets.base import TestCase
+from repro.targets.base import RunResult, TestCase
 
 __all__ = [
     "numpy_available",
     "require_numpy",
     "BatchRunSpec",
     "BatchOutcome",
+    "BatchKernel",
+    "kernel_eligible",
     "VecMonitor",
     "DetectionBook",
     "linear_cyclic_length",
@@ -308,3 +313,127 @@ def injection_stats(start_ms: int, period_ms: int, last_ms: int) -> Tuple[Option
     if last_ms < start_ms:
         return (None, 0)
     return (start_ms, int((last_ms - start_ms) // period_ms) + 1)
+
+
+def kernel_eligible(target, spec) -> bool:
+    """Whether *spec* is a flip the target's batch kernel can replay here.
+
+    Every kernel models one injection shape: a time-triggered flip of
+    bit 0..15 of a monitored 16-bit signal.  Callers add their own
+    spec-shape check; everything else takes the serial path.
+    """
+    return (
+        spec.signal is not None
+        and spec.signal_bit is not None
+        and 0 <= spec.signal_bit < 16
+        and spec.signal in target.monitored_signals
+        and target.supports_batch()
+    )
+
+
+class BatchKernel:
+    """One target's vectorized system as a resumable lockstep machine.
+
+    Every row is one injection run and all rows share the sim-clock
+    ``now_ms`` (the next tick to execute), so one :meth:`advance` over
+    the whole window (the offline grid) and many small ones (serving
+    rounds) execute the same statements in the same order.  A subclass
+    sets the class attributes and supplies :meth:`boot`, :meth:`step`
+    and :meth:`summary`.
+    """
+
+    #: The observation window: no row executes tick ``window_ms`` or later.
+    window_ms: int
+    #: Whether every row ends on the window's last tick; a kernel whose
+    #: rows stop independently overrides :attr:`finished` and :meth:`last_ms`.
+    rows_end_together: bool = True
+    ea_ids: Tuple[str, ...]
+    signal_by_ea: Dict[str, str]
+    #: The signals a row may inject into.
+    signals: Tuple[str, ...]
+    #: ``staticmethod`` returning ``{signal: params}`` for the EAs.
+    assertion_parameters: Callable[[], Dict[str, Any]]
+    #: Builds the classifier whose ``classify(summary)`` gives the verdict.
+    classifier: Callable[[], Any]
+
+    def __init__(self, specs: Sequence, capture_events: bool = False) -> None:
+        require_numpy()
+        self.specs = list(specs)
+        n = len(self.specs)
+        if n == 0:
+            raise ValueError(f"{type(self).__name__} needs at least one spec")
+        params = self.assertion_parameters()
+        versions = np.array([spec.version for spec in self.specs])
+        every_ea = versions == "All"
+        self.ea_rows = {ea: every_ea | (versions == ea) for ea in self.ea_ids}
+        self.monitors = {
+            ea: VecMonitor(ea, params[self.signal_by_ea[ea]], n) for ea in self.ea_ids
+        }
+        self.book = DetectionBook(n, capture_events=capture_events)
+        self.xor, self.period, self.start = injection_masks(self.specs, self.signals)
+        self.now_ms = 0
+        self.boot()
+
+    def boot(self) -> None:
+        """Set every row's state as the serial system boots it."""
+        raise NotImplementedError
+
+    def step(self) -> None:
+        """Execute tick ``now_ms`` for every row; :meth:`advance` moves the clock."""
+        raise NotImplementedError
+
+    def summary(self, r: int, last_ms: int) -> Any:
+        """Row *r*'s physics summary after its tick *last_ms*."""
+        raise NotImplementedError
+
+    @property
+    def finished(self) -> bool:
+        return self.now_ms >= self.window_ms
+
+    def last_ms(self, r: int) -> int:
+        """The last millisecond row *r* executed (-1 = none yet)."""
+        return self.now_ms - 1
+
+    def advance(self, ticks: int) -> None:
+        """Execute up to *ticks* further milliseconds, stopping when finished."""
+        if ticks < 0:
+            raise ValueError(f"ticks must be non-negative, got {ticks}")
+        end = self.now_ms + ticks
+        while self.now_ms < end and not self.finished:
+            self.step()
+            self.now_ms += 1
+
+    def drain_events(self) -> List[Tuple[int, int, str]]:
+        """Pop captured ``(row, time_ms, monitor_id)`` detection events."""
+        return self.book.drain_events()
+
+    def outcome(self, r: int, classifier: Any = None) -> BatchOutcome:
+        """Row *r*'s result as it stands after its last executed tick."""
+        if classifier is None:
+            classifier = self.classifier()
+        spec = self.specs[r]
+        last_ms = self.last_ms(r)
+        summary = self.summary(r, last_ms)
+        detected, first_ms, count, first_monitor = self.book.row(r)
+        first_injection, injections = injection_stats(
+            spec.injection_start_ms, spec.injection_period_ms, last_ms
+        )
+        result = RunResult(
+            test_case=spec.test_case(),
+            summary=summary,
+            verdict=classifier.classify(summary),
+            detected=detected,
+            first_detection_ms=first_ms,
+            detection_count=count,
+            first_injection_ms=first_injection,
+            injection_count=injections,
+            wedged=False,
+            duration_ms=last_ms + 1,
+        )
+        return BatchOutcome(result=result, first_monitor=first_monitor)
+
+    def outcomes(self) -> List[BatchOutcome]:
+        """Every row's outcome (one shared classifier instance)."""
+        classifier = self.classifier()
+        return [self.outcome(r, classifier) for r in range(len(self.specs))]
+

@@ -1,35 +1,18 @@
 """Vectorized batch kernel for the tank-level target.
 
 Replays :class:`repro.targets.tanklevel.system.TankSystem` over ``(N,)``
-arrays: every row is one injection run, and one pass over the 5000-tick
-observation window advances all rows in lockstep.  The serial system is
-the oracle — every statement here mirrors a statement of the serial tick
-path, in the same order, on the same 16-bit masked integer arithmetic
-and the same float64 plant updates, so results are identical
-row-for-row (pinned by ``tests/targets/test_batch_equivalence.py``).
-
-The kernel is *resumable*: :class:`TankBatchKernel` holds the whole
-vectorized machine state and advances any number of ticks per call, so
-the offline grid path (:func:`run_batch_detailed` — one call over the
-full window) and the online serving engine (:mod:`repro.serve` — one
-small ``advance`` per telemetry frame round, hundreds of sessions per
-numpy step) execute the identical statements in the identical order.
+arrays: every row is one injection run, and the 5000-tick observation
+window advances all rows in lockstep.  The serial system is the oracle —
+every statement here mirrors a statement of the serial tick path, in the
+same order, on the same 16-bit masked integer arithmetic and the same
+float64 plant updates, so results are identical row-for-row (pinned by
+``tests/targets/test_batch_equivalence.py``).  Every row ends on the
+window's last tick, so the kernel also backs lockstep serving groups.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-from repro.targets.base import RunResult
-from repro.targets.batch.core import (
-    BatchOutcome,
-    DetectionBook,
-    VecMonitor,
-    injection_due,
-    injection_masks,
-    injection_stats,
-    require_numpy,
-)
+from repro.targets.batch.core import BatchKernel, injection_due
 from repro.targets.tanklevel import instrumentation as ins
 from repro.targets.tanklevel.memory import MONITORED_SIGNALS
 from repro.targets.tanklevel.plant import (
@@ -50,7 +33,7 @@ try:  # pragma: no cover - exercised only on numpy-less installs
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["OBSERVE_MS", "TankBatchKernel", "run_batch", "run_batch_detailed"]
+__all__ = ["OBSERVE_MS", "TankBatchKernel"]
 
 #: The serial default observation window (TankRunConfig.observe_ms).
 OBSERVE_MS = 5000
@@ -59,41 +42,20 @@ _MASK16 = 0xFFFF
 _TARGET = int(TARGET_LEVEL_MM)
 
 
-def _monitor_masks(specs):
-    """Per-EA row masks: which rows run with each mechanism enabled."""
-    version_arr = np.array([spec.version for spec in specs])
-    all_rows = version_arr == "All"
-    return {ea: all_rows | (version_arr == ea) for ea in ins.EA_IDS}
+class TankBatchKernel(BatchKernel):
+    """The vectorized tank system (all rows end at :data:`OBSERVE_MS`)."""
 
+    window_ms = OBSERVE_MS
+    ea_ids = ins.EA_IDS
+    signal_by_ea = ins.SIGNAL_BY_EA
+    signals = MONITORED_SIGNALS
+    assertion_parameters = staticmethod(ins.assertion_parameters)
+    classifier = TankFailureClassifier
 
-class TankBatchKernel:
-    """The vectorized tank system as a resumable lockstep machine.
-
-    All rows share one sim-clock ``now_ms`` (the next tick to execute);
-    ``advance(ticks)`` executes up to *ticks* further milliseconds for
-    every row, stopping at the observation window's end.  With
-    ``capture_events`` the per-row detection events are recorded into
-    the book (see :meth:`drain_events`).
-    """
-
-    def __init__(self, specs: Sequence, capture_events: bool = False) -> None:
-        require_numpy()
-        self.specs = list(specs)
-        n = len(self.specs)
-        if n == 0:
-            raise ValueError("TankBatchKernel needs at least one spec")
+    def boot(self) -> None:
+        """TankNode.boot on a cleared memory image."""
         specs = self.specs
-        params = ins.assertion_parameters()
-        self.ea_rows = _monitor_masks(specs)
-        self.monitors = {
-            ea: VecMonitor(ea, params[ins.SIGNAL_BY_EA[ea]], n) for ea in ins.EA_IDS
-        }
-        self.book = DetectionBook(n, capture_events=capture_events)
-        self.xor, self.period, self.start = injection_masks(specs, MONITORED_SIGNALS)
-        self.always = np.ones(n, dtype=bool)
-        self.now_ms = 0
-
-        # -- boot (TankNode.boot on a cleared memory image) ------------------
+        n = len(specs)
         self.demand = np.array(
             [demand_for(spec.mass_kg) for spec in specs], dtype=np.float64
         )
@@ -116,22 +78,6 @@ class TankBatchKernel:
         # Boot validates the first level sample (EA2's reference seed).
         self.monitors["EA2"].test(self.level, 0, self.ea_rows["EA2"], self.book)
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    @property
-    def finished(self) -> bool:
-        return self.now_ms >= OBSERVE_MS
-
-    @property
-    def last_ms(self) -> int:
-        """The last millisecond executed so far (-1 = none yet)."""
-        return self.now_ms - 1
-
-    def drain_events(self) -> List[Tuple[int, int, str]]:
-        """Pop captured ``(row, time_ms, monitor_id)`` detection events."""
-        return self.book.drain_events()
-
     def step(self) -> None:
         """Execute one millisecond for every row (the serial tick body)."""
         now = self.now_ms
@@ -140,7 +86,7 @@ class TankBatchKernel:
         book = self.book
 
         # -- injector ---------------------------------------------------------
-        due = injection_due(now, self.period, self.start, self.always)
+        due = injection_due(now, self.period, self.start, True)
         self.tick ^= np.where(due, self.xor["tick"], 0)
         self.slot_id ^= np.where(due, self.xor["slot_id"], 0)
         self.level ^= np.where(due, self.xor["level"], 0)
@@ -225,67 +171,15 @@ class TankBatchKernel:
         )
         self.max_level = np.maximum(self.max_level, self.level_mm)
         self.min_level = np.minimum(self.min_level, self.level_mm)
-        self.now_ms = now + 1
 
-    def advance(self, ticks: int) -> None:
-        """Execute up to *ticks* further milliseconds (lockstep, all rows)."""
-        if ticks < 0:
-            raise ValueError(f"ticks must be non-negative, got {ticks}")
-        end = min(self.now_ms + ticks, OBSERVE_MS)
-        while self.now_ms < end:
-            self.step()
-
-    def outcome(self, r: int, classifier: Optional[TankFailureClassifier] = None) -> BatchOutcome:
-        """Row *r*'s result as it stands after the last executed tick."""
-        if classifier is None:
-            classifier = TankFailureClassifier()
-        spec = self.specs[r]
-        last_ms = self.last_ms
-        summary = TankRunSummary(
+    def summary(self, r: int, last_ms: int) -> TankRunSummary:
+        level_mm = float(self.level_mm[r])
+        return TankRunSummary(
             demand_lps=float(self.demand[r]),
             initial_level_mm=float(self.initial_level[r]),
             max_level_mm=float(self.max_level[r]),
             min_level_mm=float(self.min_level[r]),
-            final_level_mm=float(self.level_mm[r]),
-            settled=bool(
-                abs(float(self.level_mm[r]) - TARGET_LEVEL_MM) <= LEVEL_TOLERANCE_MM
-            ),
+            final_level_mm=level_mm,
+            settled=bool(abs(level_mm - TARGET_LEVEL_MM) <= LEVEL_TOLERANCE_MM),
             duration_s=(last_ms + 1) / 1000.0,
         )
-        detected, first_ms, count, first_monitor = self.book.row(r)
-        first_injection, injections = injection_stats(
-            spec.injection_start_ms, spec.injection_period_ms, last_ms
-        )
-        result = RunResult(
-            test_case=spec.test_case(),
-            summary=summary,
-            verdict=classifier.classify(summary),
-            detected=detected,
-            first_detection_ms=first_ms,
-            detection_count=count,
-            first_injection_ms=first_injection,
-            injection_count=injections,
-            wedged=False,
-            duration_ms=last_ms + 1,
-        )
-        return BatchOutcome(result=result, first_monitor=first_monitor)
-
-    def outcomes(self) -> List[BatchOutcome]:
-        """Every row's outcome (one shared classifier instance)."""
-        classifier = TankFailureClassifier()
-        return [self.outcome(r, classifier) for r in range(len(self.specs))]
-
-
-def run_batch_detailed(specs: Sequence) -> List[BatchOutcome]:
-    """Run every spec's injection run in one vectorized pass."""
-    require_numpy()
-    if len(specs) == 0:
-        return []
-    kernel = TankBatchKernel(specs)
-    kernel.advance(OBSERVE_MS)
-    return kernel.outcomes()
-
-
-def run_batch(specs: Sequence) -> List[RunResult]:
-    """The ``Target.run_batch`` surface: plain results, kernel detail dropped."""
-    return [outcome.result for outcome in run_batch_detailed(specs)]

@@ -76,15 +76,16 @@ class TankLevelTarget(Target):
             duration_s=duration_s,
         )
 
-    def supports_batch(self) -> bool:
-        from repro.targets.batch.core import numpy_available
+    @property
+    def batch_kernel(self):
+        from repro.targets.batch.tanklevel import TankBatchKernel
 
-        return numpy_available()
+        return TankBatchKernel
 
     def run_batch(self, specs):
-        from repro.targets.batch.tanklevel import run_batch
-
-        return run_batch(specs)
+        # Defined on the class itself so each target's batch pass is its
+        # own attribute (the benchmark's span probes wrap it per target).
+        return super().run_batch(specs)
 
     def fingerprint_sources(self) -> Tuple[str, ...]:
         # The batch kernel is an alternate execution path for this

@@ -2,11 +2,12 @@
 
 import asyncio
 import json
+import socket
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.serve.adapters import iter_lines, serve_lines
+from repro.serve.adapters import MAX_LINE_BYTES, iter_lines, serve_lines, serve_socket
 from repro.serve.fleet import FleetConfig
 
 
@@ -111,6 +112,77 @@ class TestProtocol:
         assert ops == 5
         assert [r["ok"] for r in replies] == [False, False, False, False, True]
         assert "JSON object" in replies[0]["error"]
+
+
+class TestSocket:
+    """The TCP listener: one fleet per connection, errors stay per line."""
+
+    @staticmethod
+    def _serve(client):
+        """Run ``client(connect)`` against a live listener on localhost."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+
+        async def connect():
+            for _ in range(200):
+                try:
+                    return await asyncio.open_connection("127.0.0.1", port)
+                except OSError:
+                    await asyncio.sleep(0.01)
+            raise AssertionError("listener never came up")
+
+        async def main():
+            server = asyncio.create_task(
+                serve_socket("127.0.0.1", port, lambda: FleetConfig(batch=False))
+            )
+            try:
+                await asyncio.wait_for(client(connect), timeout=30)
+            finally:
+                server.cancel()
+                try:
+                    await server
+                except asyncio.CancelledError:
+                    pass
+
+        asyncio.run(main())
+
+    @staticmethod
+    async def _stats_reply(connect):
+        reader, writer = await connect()
+        writer.write(b'{"op": "stats"}\n')
+        reply = json.loads(await reader.readline())
+        writer.close()
+        return reply
+
+    def test_oversized_line_is_reported_and_the_next_line_served(self):
+        async def client(connect):
+            reader, writer = await connect()
+            padding = "x" * (MAX_LINE_BYTES + 4000)
+            writer.write(json.dumps({"op": "stats", "pad": padding}).encode() + b"\n")
+            writer.write(b'{"op": "stats"}\n')
+            first = json.loads(await reader.readline())
+            second = json.loads(await reader.readline())
+            writer.close()
+            assert first["ok"] is False
+            assert "longer than" in first["error"]
+            assert second["ok"] is True and "stats" in second
+            assert (await self._stats_reply(connect))["ok"] is True
+
+        self._serve(client)
+
+    def test_client_disconnecting_mid_session_leaves_the_listener_up(self):
+        async def client(connect):
+            reader, writer = await connect()
+            writer.write(
+                b'{"op": "open", "session": "s1", "target": "tanklevel"}\n'
+                b'{"op": "frame", "session": "s1", "ticks": 20}\n'
+            )
+            assert json.loads(await reader.readline())["ok"] is True
+            writer.transport.abort()
+            assert (await self._stats_reply(connect))["ok"] is True
+
+        self._serve(client)
 
 
 # -- fuzzing -----------------------------------------------------------------

@@ -1,23 +1,28 @@
 """The vectorized serving layer: resumable kernel, groups, eligibility."""
 
+import asyncio
+
 import pytest
 
-from repro.serve.batchserve import BatchGroup, batch_eligible, batch_kernel_factory
-from repro.serve.session import SessionSpec
-from repro.targets.registry import get_target
+from repro.serve.batchserve import BatchGroup, batch_eligible
+from repro.serve.fleet import Fleet, FleetConfig
+from repro.serve.session import ServeError, SessionSpec
+from repro.targets.registry import get_target, target_names
 
 numpy = pytest.importorskip("numpy")
 
 from repro.targets.batch.core import DetectionBook  # noqa: E402
 from repro.targets.batch.core import BatchRunSpec  # noqa: E402
-from repro.targets.batch.tanklevel import (  # noqa: E402
-    OBSERVE_MS,
-    TankBatchKernel,
-)
+
+#: Ticks driven per kernel: past the first detections on both targets.
+#: The arrestor's full window, where rows finish at different ticks, is
+#: driven in chunks by ``TestFirstMonitorDetail``
+#: (tests/targets/test_batch_equivalence.py).
+HORIZON_MS = 400
 
 
-def _batch_specs(count=4):
-    target = get_target("tanklevel")
+def _batch_specs(name="tanklevel", count=4):
+    target = get_target(name)
     case = target.test_cases()[0]
     signals = target.monitored_signals
     return [
@@ -34,41 +39,55 @@ def _batch_specs(count=4):
     ]
 
 
+def _kernel(name, count=4, capture_events=False):
+    return get_target(name).batch_kernel(
+        _batch_specs(name, count), capture_events=capture_events
+    )
+
+
+@pytest.mark.parametrize("name", target_names())
 class TestResumableKernel:
-    def test_chunked_advance_equals_one_shot(self):
-        specs = _batch_specs()
-        whole = TankBatchKernel(specs)
-        whole.advance(OBSERVE_MS)
-        chunked = TankBatchKernel(specs)
-        while not chunked.finished:
-            chunked.advance(7)
-        assert whole.now_ms == chunked.now_ms == OBSERVE_MS
-        for row in range(len(specs)):
-            a = whole.outcome(row).result
-            b = chunked.outcome(row).result
-            assert a.detected == b.detected
-            assert a.first_detection_ms == b.first_detection_ms
-            assert a.detection_count == b.detection_count
-            assert a.injection_count == b.injection_count
+    def test_chunked_advance_equals_one_shot(self, name):
+        whole = _kernel(name)
+        whole.advance(HORIZON_MS)
+        chunked = _kernel(name)
+        chunks = (1, 7, 30, 0)
+        while chunked.now_ms < HORIZON_MS:
+            step = chunks[chunked.now_ms % len(chunks)]
+            chunked.advance(min(step, HORIZON_MS - chunked.now_ms))
+        assert whole.now_ms == chunked.now_ms == HORIZON_MS
+        assert whole.outcomes() == chunked.outcomes()
+        assert any(outcome.result.detected for outcome in whole.outcomes())
 
-    def test_advance_clamps_at_window_end(self):
-        kernel = TankBatchKernel(_batch_specs(2))
-        kernel.advance(OBSERVE_MS * 10)
-        assert kernel.now_ms == OBSERVE_MS
+    def test_advance_clamps_at_window_end(self, name):
+        kernel = _kernel(name, count=2)
+        # A short window keeps the arrestor's 25 s one affordable here.
+        kernel.window_ms = HORIZON_MS
+        kernel.advance(HORIZON_MS * 10)
         assert kernel.finished
+        assert kernel.now_ms == HORIZON_MS
+        kernel.advance(HORIZON_MS)
+        assert kernel.now_ms == HORIZON_MS
+        assert all(o.result.duration_ms == HORIZON_MS for o in kernel.outcomes())
 
-    def test_event_capture_off_by_default(self):
-        kernel = TankBatchKernel(_batch_specs(2))
+    def test_negative_advance_rejected(self, name):
+        kernel = _kernel(name, count=1)
+        with pytest.raises(ValueError):
+            kernel.advance(-1)
+        assert kernel.now_ms == 0
+
+    def test_event_capture_off_by_default(self, name):
+        kernel = _kernel(name, count=2)
         kernel.advance(200)
         assert kernel.drain_events() == []
 
-    def test_event_capture_records_rows(self):
-        kernel = TankBatchKernel(_batch_specs(2), capture_events=True)
-        kernel.advance(OBSERVE_MS)
+    def test_event_capture_records_rows(self, name):
+        kernel = _kernel(name, capture_events=True)
+        kernel.advance(HORIZON_MS)
         events = kernel.drain_events()
         assert events
         rows = {row for row, _, _ in events}
-        assert rows <= {0, 1}
+        assert rows <= set(range(len(kernel.specs)))
         times = [t for _, t, _ in events]
         assert times == sorted(times)
         # Draining pops: a second drain is empty.
@@ -105,7 +124,9 @@ class TestEligibility:
         spec = SessionSpec(session_id="s", target="tanklevel", address=10, bit=0)
         assert not batch_eligible(target, spec)
 
-    def test_target_without_kernel_not_eligible(self):
+    def test_kernel_whose_rows_end_apart_serves_serially(self):
+        # The arrestor has a batch kernel, but its rows stop at different
+        # ticks, so one shared group clock cannot serve them.
         target = get_target("arrestor")
         spec = SessionSpec(
             session_id="s",
@@ -113,8 +134,20 @@ class TestEligibility:
             signal=target.monitored_signals[0],
             signal_bit=0,
         )
+        assert target.supports_batch()
+        assert not target.batch_kernel.rows_end_together
         assert not batch_eligible(target, spec)
-        assert batch_kernel_factory("arrestor") is None
+        with pytest.raises(ServeError):
+            BatchGroup(target)
+
+        async def open_one():
+            fleet = Fleet(FleetConfig(batch=True))
+            await fleet.open_session(spec)
+            return fleet
+
+        fleet = asyncio.run(open_one())
+        assert fleet.is_open("s")
+        assert fleet._groups == []
 
 
 class TestBatchGroup:

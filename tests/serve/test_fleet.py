@@ -192,6 +192,22 @@ class TestBatchPath:
 
         asyncio.run(main())
 
+    def test_closing_an_unstepped_member_keeps_its_group_open(self):
+        async def main():
+            async with Fleet(FleetConfig()) as fleet:
+                await fleet.open_session(_spec(0))
+                await fleet.open_session(_spec(1))
+                if not _rides_batch(_spec(0)):
+                    return  # numpy unavailable
+                outcome = await fleet.close_session("s000", complete=False)
+                assert outcome.result.duration_ms == 0
+                await fleet.open_session(_spec(2))
+                # One cohort, one numpy pass: the third session joins the
+                # group instead of seeding a second one.
+                assert [(len(g), g.sealed) for g in fleet._groups] == [(3, False)]
+
+        asyncio.run(main())
+
     def test_heterogeneous_ticks_rejected(self):
         async def main():
             async with Fleet(FleetConfig(batch=True)) as fleet:

@@ -65,17 +65,18 @@ class TestFirstMonitorDetail:
     serially booted systems.  One representative bit per byte half plus
     the sign bit keeps the serial side cheap; the full grids were used
     to validate the kernels and the engine path above re-covers them.
+    The kernel advances in uneven chunks until it finishes, so the same
+    pass proves resumability — for the arrestor including rows that
+    finish at different ticks, mid-chunk.
     """
 
     BITS = (0, 7, 15)
+    CHUNKS = (1, 13, 0, 250, 4096)
 
     def test_detail_matches_serial_log(self, name):
         from repro.targets.batch.core import BatchRunSpec
 
         target = get_target(name)
-        module = __import__(
-            f"repro.targets.batch.{name}", fromlist=["run_batch_detailed"]
-        )
         errors = [
             e for e in target.e1_error_set() if e.signal_bit in self.BITS
         ]
@@ -90,7 +91,18 @@ class TestFirstMonitorDetail:
             )
             for error in errors
         ]
-        outcomes = module.run_batch_detailed(specs)
+        kernel = target.batch_kernel(specs)
+        chunks = 0
+        while not kernel.finished:
+            kernel.advance(self.CHUNKS[chunks % len(self.CHUNKS)])
+            chunks += 1
+        end = kernel.now_ms
+        assert end <= kernel.window_ms
+        kernel.advance(kernel.window_ms)
+        assert kernel.now_ms == end
+        outcomes = kernel.outcomes()
+        durations = {outcome.result.duration_ms for outcome in outcomes}
+        assert (len(durations) == 1) == kernel.rows_end_together
         for error, outcome in zip(errors, outcomes):
             system = target.boot(case, "All")
             result = system.run(TimeTriggeredInjector(error, period_ms=20))

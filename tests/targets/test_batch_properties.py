@@ -7,7 +7,8 @@ if each row ran alone: reordering the specs reorders the results, and
 splitting one batch into two sub-batches changes nothing (no cross-row
 state bleed).
 
-The properties run against the tank-level kernel, whose 5 000-tick runs
+The properties run against the tank-level kernel (through the target's
+``batch_kernel`` and ``run_batch``), whose 5 000-tick runs
 keep the serial oracle affordable per example; the arrestor kernel gets
 the same treatment from the full-grid engine test in
 ``test_batch_equivalence.py`` plus the benchmark's equivalence gate.
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.injection.injector import TimeTriggeredInjector
 from repro.targets.batch.core import BatchRunSpec
-from repro.targets.batch.tanklevel import run_batch, run_batch_detailed
 from repro.targets.registry import get_target
 
 TARGET = get_target("tanklevel")
@@ -55,6 +55,13 @@ common = settings(
 )
 
 
+def _outcomes(specs):
+    """Every row's outcome (result + first monitor) from one kernel pass."""
+    kernel = TARGET.batch_kernel(specs)
+    kernel.advance(kernel.window_ms)
+    return kernel.outcomes()
+
+
 def _serial_outcome(spec):
     """Run one spec through the serial system, the oracle for every row."""
     case = next(
@@ -76,7 +83,7 @@ def _serial_outcome(spec):
 @common
 @given(specs=specs_strategy)
 def test_batch_equals_serial_row_for_row(specs):
-    outcomes = run_batch_detailed(specs)
+    outcomes = _outcomes(specs)
     assert len(outcomes) == len(specs)
     for spec, outcome in zip(specs, outcomes):
         result, first_monitor = _serial_outcome(spec)
@@ -99,13 +106,15 @@ def test_batch_composition_invariance(specs, data):
     an arbitrary point into two sub-batches (including an empty one)
     must return them unchanged again.
     """
-    baseline = run_batch(specs)
+    baseline = TARGET.run_batch(specs)
     order = data.draw(st.permutations(range(len(specs))))
     shuffled_specs = [specs[i] for i in order]
     expected = [baseline[i] for i in order]
-    assert run_batch(shuffled_specs) == expected
+    assert TARGET.run_batch(shuffled_specs) == expected
     split = data.draw(st.integers(min_value=0, max_value=len(specs)))
-    parts = run_batch(shuffled_specs[:split]) + run_batch(shuffled_specs[split:])
+    parts = TARGET.run_batch(shuffled_specs[:split]) + TARGET.run_batch(
+        shuffled_specs[split:]
+    )
     assert parts == expected
 
 
@@ -119,7 +128,7 @@ def test_single_row_batch_matches_serial():
         velocity_mps=CASES[0].velocity_mps,
         injection_start_ms=100,
     )
-    (outcome,) = run_batch_detailed([spec])
+    (outcome,) = _outcomes([spec])
     result, first_monitor = _serial_outcome(spec)
     assert outcome.result == result
     assert outcome.first_monitor == first_monitor
