@@ -19,9 +19,13 @@ Two deliberately scalar escapes keep exactness cheap:
   ``ticks * dt`` (which differs in the last ulp).
 
 Rows finish independently (post-stop window, overrun, or window
-exhaustion): a finished row's state is frozen under the ``active`` mask
-with its last tick in ``row_last_ms``, and the kernel is finished —
-``advance`` returns early — once every row is done.
+exhaustion).  On the tick some rows finish, ``step`` hands them to
+``BatchKernel.retire``, which keeps their summary fields and last tick
+and drops them from every per-row array, so the arrays hold only the
+rows still running and no statement needs an "active" mask; the kernel
+is finished — ``advance`` returns early — once no row is left.  Like the
+tank kernel, each slot module runs only on ticks where some row's stored
+slot selects it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.plant.aircraft import BRAKE_FORCE_PER_PA, DRAG_COEFF, GRAVITY
 from repro.plant.drum import PULSE_PITCH_M
 from repro.plant.failure import ArrestmentSummary, FailureClassifier
 from repro.plant.hydraulics import PA_PER_COUNT, VALVE_MAX_PA, VALVE_TIME_CONSTANT_S
-from repro.targets.batch.core import BatchKernel, injection_due
+from repro.targets.batch.core import BatchKernel
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
@@ -86,6 +90,11 @@ def _clamp(value: int, lo: int, hi: int) -> int:
 _CALC_FIELDS = (
     "i_var", "dist_acc", "mscnt", "last_cp_mscnt", "last_cp_pulscnt",
     "pulscnt", "set_value", "target_sv", "v_prev", "v0", "m_est", "p_cap",
+)
+
+#: Checkpoint i's pulse threshold, then one no 16-bit pulscnt reaches.
+_CP_THRESHOLD = None if np is None else np.array(
+    k.CHECKPOINT_PULSES + (_MASK16 + 1,), dtype=np.int64
 )
 
 
@@ -147,29 +156,34 @@ def _handle_checkpoint(row: SimpleNamespace) -> None:
     row.i_var = (i + 1) & _MASK16
 
 
+def _clip(values, lo, hi):
+    """``np.clip`` without its per-call Python overhead."""
+    return np.minimum(np.maximum(values, lo), hi)
+
+
 def _read_counts(pressure_pa):
     """PressureSensor.read_counts (ripple 0): banker's-rounded, clamped."""
     counts = np.rint(pressure_pa / PA_PER_COUNT).astype(np.int64)
-    return np.clip(counts, 0, _MASK16)
+    return _clip(counts, 0, _MASK16)
 
 
 def _pi(set_value, err, integral):
     """One integer PI pass (V_REG and the slave's): ``(integral, OutValue)``."""
-    integral = np.clip(
+    integral = _clip(
         integral + (err >> k.PID_KI_SHIFT), -k.PID_INTEGRAL_CLAMP, k.PID_INTEGRAL_CLAMP
     )
     out = set_value + (err * k.PID_KP_NUM) // k.PID_KP_DEN + integral
-    return integral, np.clip(out, 0, k.OUTVALUE_MAX_COUNTS)
+    return integral, _clip(out, 0, k.OUTVALUE_MAX_COUNTS)
 
 
 def _command_pa(out_value):
     """The valve pressure commanded by PRES_A from OutValue counts."""
-    return np.clip(out_value * PA_PER_COUNT, 0.0, VALVE_MAX_PA)
+    return _clip(out_value * PA_PER_COUNT, 0.0, VALVE_MAX_PA)
 
 
-def _valve_lag(pa, cmd_pa, active):
-    """PressureValve.advance over one tick on the active rows."""
-    return np.where(active, pa + (cmd_pa - pa) * _ALPHA, pa)
+def _valve_lag(pa, cmd_pa):
+    """PressureValve.advance over one tick."""
+    return pa + (cmd_pa - pa) * _ALPHA
 
 
 class ArrestorBatchKernel(BatchKernel):
@@ -179,7 +193,16 @@ class ArrestorBatchKernel(BatchKernel):
     rows_end_together = False
     ea_ids = EA_IDS
     signal_by_ea = SIGNAL_BY_EA
-    signals = tuple(SIGNAL_BY_EA.values())
+    signal_state = {
+        "SetValue": "set_value",
+        "IsValue": "is_value",
+        "i": "i_var",
+        "pulscnt": "pulscnt",
+        "ms_slot_nbr": "ms_slot_nbr",
+        "mscnt": "mscnt",
+        "OutValue": "out_value",
+    }
+    summary_fields = ("mass", "max_g", "max_f", "position", "stopped")
     assertion_parameters = staticmethod(assertion_parameters)
     classifier = FailureClassifier
 
@@ -187,7 +210,6 @@ class ArrestorBatchKernel(BatchKernel):
         """MasterNode.boot / SlaveNode.__init__ / Environment."""
         specs = self.specs
         n = len(specs)
-        self.cp_pulses = np.array(k.CHECKPOINT_PULSES, dtype=np.int64)
 
         self.mscnt = np.zeros(n, dtype=np.int64)
         self.ms_slot_nbr = np.zeros(n, dtype=np.int64)
@@ -230,91 +252,75 @@ class ArrestorBatchKernel(BatchKernel):
 
         self.tx_pending = np.zeros(n, dtype=bool)
         self.deadline = np.full(n, -1, dtype=np.int64)
-        self.active = np.ones(n, dtype=bool)
-        #: The tick each row finished on (-1 = still running).
-        self.row_last_ms = np.full(n, -1, dtype=np.int64)
-
-    @property
-    def finished(self) -> bool:
-        return self.now_ms >= self.window_ms or not self.active.any()
-
-    def last_ms(self, r: int) -> int:
-        if self.active[r]:
-            return self.now_ms - 1
-        return int(self.row_last_ms[r])
 
     def step(self) -> None:
-        """Execute one millisecond for every still-active row."""
+        """Execute one millisecond for every live row."""
         now = self.now_ms
         monitors = self.monitors
         ea_rows = self.ea_rows
         book = self.book
-        active = self.active
-        xor = self.xor
-
-        # -- injector ---------------------------------------------------------
-        due = injection_due(now, self.period, self.start, active)
-        self.mscnt ^= np.where(due, xor["mscnt"], 0)
-        self.ms_slot_nbr ^= np.where(due, xor["ms_slot_nbr"], 0)
-        self.pulscnt ^= np.where(due, xor["pulscnt"], 0)
-        self.i_var ^= np.where(due, xor["i"], 0)
-        self.set_value ^= np.where(due, xor["SetValue"], 0)
-        self.is_value ^= np.where(due, xor["IsValue"], 0)
-        self.out_value ^= np.where(due, xor["OutValue"], 0)
 
         # -- CLOCK: mscnt + EA6, slot wrap fold + EA5 -------------------------
-        self.mscnt = np.where(active, (self.mscnt + 1) & _MASK16, self.mscnt)
-        monitors["EA6"].test(self.mscnt, now, active & ea_rows["EA6"], book)
+        self.mscnt = (self.mscnt + 1) & _MASK16
+        monitors["EA6"].test(self.mscnt, now, ea_rows["EA6"], book)
         slot = self.ms_slot_nbr + 1
         slot = np.where(slot >= k.N_SLOTS, 0, slot)
-        self.ms_slot_nbr = np.where(active, slot, self.ms_slot_nbr)
-        monitors["EA5"].test(self.ms_slot_nbr, now, active & ea_rows["EA5"], book)
-        slot = self.ms_slot_nbr  # the checked (stored) slot drives dispatch
+        self.ms_slot_nbr = slot
+        monitors["EA5"].test(slot, now, ea_rows["EA5"], book)
+        # The checked (stored) slot drives dispatch.  Rows advance it in
+        # lockstep, so each slot module's mask is all-False on most ticks
+        # (only a corrupted ms_slot_nbr desynchronises a row); an empty
+        # slot section is the identity on every piece of state it
+        # touches, so it is skipped outright.
+        present = np.bincount(slot, minlength=k.N_SLOTS)
 
         # -- DIST_S (every tick): poll latch, accumulate, EA4 -----------------
         new_pulses = (self.total_pulses - self.emitted_pulses) & _MASK16
-        self.emitted_pulses = np.where(active, self.total_pulses, self.emitted_pulses)
-        self.pulscnt = np.where(active, (self.pulscnt + new_pulses) & _MASK16, self.pulscnt)
-        monitors["EA4"].test(self.pulscnt, now, active & ea_rows["EA4"], book)
+        self.emitted_pulses = self.total_pulses
+        self.pulscnt = (self.pulscnt + new_pulses) & _MASK16
+        monitors["EA4"].test(self.pulscnt, now, ea_rows["EA4"], book)
 
         # -- PRES_S (slot 0) --------------------------------------------------
-        m_pres_s = active & (slot == k.SLOT_PRES_S)
-        self.is_value = np.where(m_pres_s, _read_counts(self.master_pa), self.is_value)
+        if present[k.SLOT_PRES_S]:
+            m_pres_s = slot == k.SLOT_PRES_S
+            self.is_value = np.where(m_pres_s, _read_counts(self.master_pa), self.is_value)
 
         # -- V_REG (slot 2): EA1, EA2, integer PI -----------------------------
         set_value = self.set_value
-        m_v_reg = active & (slot == k.SLOT_V_REG)
-        monitors["EA1"].test(set_value, now, m_v_reg & ea_rows["EA1"], book)
-        monitors["EA2"].test(self.is_value, now, m_v_reg & ea_rows["EA2"], book)
-        err_stored = (set_value - self.is_value) & _MASK16
-        err = err_stored - ((err_stored & 0x8000) << 1)
-        integral, out = _pi(set_value, err, self.integral)
-        self.integral = np.where(m_v_reg, integral, self.integral)
-        self.out_value = np.where(m_v_reg, out, self.out_value)
+        if present[k.SLOT_V_REG]:
+            m_v_reg = slot == k.SLOT_V_REG
+            monitors["EA1"].test(set_value, now, m_v_reg & ea_rows["EA1"], book)
+            monitors["EA2"].test(self.is_value, now, m_v_reg & ea_rows["EA2"], book)
+            err_stored = (set_value - self.is_value) & _MASK16
+            err = err_stored - ((err_stored & 0x8000) << 1)
+            integral, out = _pi(set_value, err, self.integral)
+            self.integral = np.where(m_v_reg, integral, self.integral)
+            self.out_value = np.where(m_v_reg, out, self.out_value)
 
         # -- PRES_A (slot 4): EA7, valve command ------------------------------
-        m_pres_a = active & (slot == k.SLOT_PRES_A)
-        monitors["EA7"].test(self.out_value, now, m_pres_a & ea_rows["EA7"], book)
-        self.master_cmd_pa = np.where(
-            m_pres_a, _command_pa(self.out_value), self.master_cmd_pa
-        )
+        if present[k.SLOT_PRES_A]:
+            m_pres_a = slot == k.SLOT_PRES_A
+            monitors["EA7"].test(self.out_value, now, m_pres_a & ea_rows["EA7"], book)
+            self.master_cmd_pa = np.where(
+                m_pres_a, _command_pa(self.out_value), self.master_cmd_pa
+            )
 
         # -- COMM (slot 6): fill the transmit buffer --------------------------
-        m_comm = active & (slot == k.SLOT_COMM)
-        self.comm_tx = np.where(m_comm, set_value, self.comm_tx)
+        m_comm = slot == k.SLOT_COMM
+        if present[k.SLOT_COMM]:
+            self.comm_tx = np.where(m_comm, set_value, self.comm_tx)
 
         # -- CALC (background, every tick): EA3, accumulation, slew -----------
-        monitors["EA3"].test(self.i_var, now, active & ea_rows["EA3"], book)
+        monitors["EA3"].test(self.i_var, now, ea_rows["EA3"], book)
         pulscnt = self.pulscnt
         delta = (pulscnt - self.prev_pulscnt) & _MASK16
         delta = np.where(delta > 0x8000, 0, delta)
-        self.prev_pulscnt = np.where(active, pulscnt, self.prev_pulscnt)
-        self.dist_acc = np.where(active, (self.dist_acc + delta) & _MASK16, self.dist_acc)
-        i_var = self.i_var
-        cp_hit = active & (i_var < k.N_CHECKPOINTS)
-        if cp_hit.any():
-            cp_hit &= pulscnt >= self.cp_pulses[np.minimum(i_var, k.N_CHECKPOINTS - 1)]
-        if cp_hit.any():
+        self.prev_pulscnt = pulscnt
+        self.dist_acc = (self.dist_acc + delta) & _MASK16
+        # A row past its last checkpoint (i >= N_CHECKPOINTS) compares
+        # against an unreachable threshold.
+        cp_hit = pulscnt >= _CP_THRESHOLD[np.minimum(self.i_var, k.N_CHECKPOINTS)]
+        if np.count_nonzero(cp_hit):
             for r in np.nonzero(cp_hit)[0]:
                 row = SimpleNamespace(
                     **{name: int(getattr(self, name)[r]) for name in _CALC_FIELDS}
@@ -322,90 +328,88 @@ class ArrestorBatchKernel(BatchKernel):
                 _handle_checkpoint(row)
                 for name in _CALC_FIELDS:
                     getattr(self, name)[r] = getattr(row, name)
-        # _slew_set_value (every pass)
-        target_sv = self.target_sv
-        step_up = np.minimum(target_sv - set_value, k.SETVALUE_SLEW_PER_PASS)
-        step_down = np.minimum(set_value - target_sv, k.SETVALUE_SLEW_PER_PASS)
-        slewed = np.where(
-            set_value < target_sv,
-            set_value + step_up,
-            np.where(set_value > target_sv, set_value - step_down, set_value),
-        )
-        self.set_value = np.where(active, slewed & _MASK16, set_value)
+        # _slew_set_value (every pass): move toward target_sv by at most
+        # the slew step, i.e. add the clamped integer difference.
+        step = np.maximum(self.target_sv - set_value, -k.SETVALUE_SLEW_PER_PASS)
+        self.set_value = (set_value + np.minimum(step, k.SETVALUE_SLEW_PER_PASS)) & _MASK16
 
         # -- COMM link delivery (one tick after the buffer was filled) --------
-        deliver = active & self.tx_pending
-        self.s_set_value = np.where(deliver, self.comm_tx & _MASK16, self.s_set_value)
-        self.tx_pending = (self.tx_pending & ~deliver) | m_comm
+        if np.count_nonzero(self.tx_pending):
+            self.s_set_value = np.where(
+                self.tx_pending, self.comm_tx & _MASK16, self.s_set_value
+            )
+        self.tx_pending = m_comm
 
         # -- slave node (its own schedule is the global tick counter) ---------
         s_slot = now % k.N_SLOTS
         if s_slot == k.SLOT_PRES_S:
-            self.s_is_value = np.where(
-                active, _read_counts(self.slave_pa), self.s_is_value
-            )
+            self.s_is_value = _read_counts(self.slave_pa)
         elif s_slot == k.SLOT_V_REG:
             s_err = self.s_set_value - self.s_is_value
-            integral, out = _pi(self.s_set_value, s_err, self.s_integral)
-            self.s_integral = np.where(active, integral, self.s_integral)
-            self.s_out_value = np.where(active, out, self.s_out_value)
+            self.s_integral, self.s_out_value = _pi(self.s_set_value, s_err, self.s_integral)
         elif s_slot == k.SLOT_PRES_A:
-            self.slave_cmd_pa = np.where(
-                active, _command_pa(self.s_out_value), self.slave_cmd_pa
-            )
+            self.slave_cmd_pa = _command_pa(self.s_out_value)
 
         # -- environment ------------------------------------------------------
-        self.master_pa = _valve_lag(self.master_pa, self.master_cmd_pa, active)
-        self.slave_pa = _valve_lag(self.slave_pa, self.slave_cmd_pa, active)
+        self.master_pa = _valve_lag(self.master_pa, self.master_cmd_pa)
+        self.slave_pa = _valve_lag(self.slave_pa, self.slave_cmd_pa)
         velocity = self.velocity
         position = self.position
         stopped = self.stopped
-        moving = active & ~stopped
+        moving = ~stopped
         cable = BRAKE_FORCE_PER_PA * (self.master_pa + self.slave_pa)
         drag = DRAG_COEFF * velocity * velocity
         dec = (cable + drag) / self.mass
         new_velocity = velocity - dec * _DT_S
         stopping = moving & (new_velocity <= 0.0)
-        fraction = np.divide(
-            velocity, dec * _DT_S, out=np.zeros_like(velocity), where=stopping
-        )
-        position = np.where(
-            stopping,
-            position + velocity * _DT_S * fraction / 2.0,
-            np.where(moving, position + (velocity + new_velocity) * _DT_S / 2.0, position),
-        )
+        if np.count_nonzero(stopping):
+            fraction = np.divide(
+                velocity, dec * _DT_S, out=np.zeros_like(velocity), where=stopping
+            )
+            position = np.where(
+                stopping,
+                position + velocity * _DT_S * fraction / 2.0,
+                np.where(
+                    moving, position + (velocity + new_velocity) * _DT_S / 2.0, position
+                ),
+            )
+            self.velocity = np.where(
+                stopping, 0.0, np.where(moving, new_velocity, velocity)
+            )
+            # The post-stop window: a row's deadline is set on the tick it
+            # stops (so "stopped" and "has a deadline" coincide) and it
+            # retires on the tick the deadline comes.
+            self.deadline = np.where(stopping, now + POST_STOP_MS, self.deadline)
+            stopped = stopped | stopping
+            self.stopped = stopped
+        else:
+            position = np.where(
+                moving, position + (velocity + new_velocity) * _DT_S / 2.0, position
+            )
+            self.velocity = np.where(moving, new_velocity, velocity)
         self.position = position
-        self.velocity = np.where(stopping, 0.0, np.where(moving, new_velocity, velocity))
-        stopped = stopped | stopping
-        self.stopped = stopped
         # An already-stopped aircraft reports zero force and deceleration.
         dec_eff = np.where(moving, dec, 0.0)
         force_eff = np.where(moving, cable, 0.0)
-        self.total_pulses = np.where(
-            active, (position / PULSE_PITCH_M).astype(np.int64), self.total_pulses
-        )
-        dec_g = dec_eff / GRAVITY
-        self.max_g = np.where(active & (dec_g > self.max_g), dec_g, self.max_g)
-        self.max_f = np.where(active & (force_eff > self.max_f), force_eff, self.max_f)
+        self.total_pulses = (position / PULSE_PITCH_M).astype(np.int64)
+        self.max_g = np.maximum(self.max_g, dec_eff / GRAVITY)
+        self.max_f = np.maximum(self.max_f, force_eff)
 
-        # -- stop logic (TargetSystem._advance) -------------------------------
-        deadline = self.deadline
-        no_deadline = deadline < 0
-        arm = active & no_deadline & stopped
-        overrun = active & no_deadline & ~stopped & (position >= OVERRUN_DISTANCE_M)
-        expire = active & ~no_deadline & (now >= deadline)
-        self.deadline = np.where(arm, now + POST_STOP_MS, deadline)
-        finishing = overrun | expire
-        self.row_last_ms = np.where(finishing, now, self.row_last_ms)
-        self.active = active & ~finishing
+        # -- stop logic (TargetSystem._advance): overrun or deadline ---------
+        finishing = self.deadline == now
+        far = position >= OVERRUN_DISTANCE_M
+        if np.count_nonzero(far):
+            finishing |= far & ~stopped
+        if np.count_nonzero(finishing):
+            self.retire(finishing)
 
-    def summary(self, r: int, last_ms: int) -> ArrestmentSummary:
+    def summary(self, spec, values, last_ms: int) -> ArrestmentSummary:
         return ArrestmentSummary(
-            mass_kg=float(self.mass[r]),
-            engagement_velocity_mps=float(self.specs[r].velocity_mps),
-            max_retardation_g=float(self.max_g[r]),
-            max_cable_force_n=float(self.max_f[r]),
-            stop_distance_m=float(self.position[r]),
-            stopped=bool(self.stopped[r]),
+            mass_kg=float(values["mass"]),
+            engagement_velocity_mps=float(spec.velocity_mps),
+            max_retardation_g=float(values["max_g"]),
+            max_cable_force_n=float(values["max_f"]),
+            stop_distance_m=float(values["position"]),
+            stopped=bool(values["stopped"]),
             duration_s=_time_s(last_ms + 1),
         )

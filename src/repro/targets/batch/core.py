@@ -10,14 +10,22 @@ module holds the pieces both kernels share:
 
 * :class:`BatchKernel` — the one resumable kernel shape; each target's
   subclass (named by ``Target.batch_kernel``) supplies its boot state,
-  tick body and per-row physics summary.
-* :class:`VecMonitor` — the vectorized executable assertion.  Continuous
-  bounds/rate/wrap tests and the linear-cyclic discrete sequence test
-  evaluate as elementwise comparisons; the reference value ``_prev`` is
-  a per-row array updated under the rows-tested-this-tick mask.
-  Hold-last-valid recovery is a masked select of the previous reference.
+  tick body and per-row physics summary.  The base class owns the
+  injector (one scalar test per tick: the next tick on which any row
+  fires) and row compaction: the per-row arrays hold only the rows that
+  are still running, ``rows`` maps them back to spec order, and a row
+  that finishes has its summary fields and last tick copied into
+  full-size final arrays before it is dropped.
+* :class:`VecMonitor` — the vectorized executable assertion.  The continuous
+  bounds test is elementwise and the rate/wrap test is one lookup in a
+  read-only table over ``value - reference``; the linear-cyclic discrete
+  sequence test is an elementwise comparison.  The reference value
+  ``prev`` is a per-row array updated under the rows-tested-this-tick
+  mask.  Hold-last-valid recovery is a masked select of the previous
+  reference.
 * :class:`DetectionBook` — per-row first-detection time, first detecting
-  monitor and detection count, accumulated in the serial test order.
+  monitor and detection count, accumulated in the serial test order and
+  kept in spec order however the kernel has compacted.
 * Injection arithmetic — the per-row XOR masks and the closed-form
   injection statistics of the time-triggered schedule.
 
@@ -30,6 +38,7 @@ the serial path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 try:  # pragma: no cover - exercised only on numpy-less installs
@@ -51,6 +60,7 @@ __all__ = [
     "VecMonitor",
     "DetectionBook",
     "linear_cyclic_length",
+    "rate_table",
     "injection_masks",
     "injection_stats",
 ]
@@ -133,10 +143,15 @@ class DetectionBook:
     The online serving engine drains these to emit detection events;
     the offline kernels leave capture off so the whole-grid fast path
     pays nothing for it.
+
+    The book is always spec-sized while the masks it receives cover the
+    kernel's live rows only: ``rows`` gives the spec index of each mask
+    position, and the kernel replaces it whenever it compacts.
     """
 
     def __init__(self, n: int, capture_events: bool = False) -> None:
         require_numpy()
+        self.rows = np.arange(n)
         self.detected = np.zeros(n, dtype=bool)
         self.first_ms = np.full(n, -1, dtype=np.int64)
         self.first_monitor = np.full(n, -1, dtype=np.int64)
@@ -154,17 +169,18 @@ class DetectionBook:
             return len(self.monitor_ids) - 1
 
     def record(self, violation, now_ms: int, monitor_id: str) -> None:
-        """Record a violation mask for one monitor at sim-time *now_ms*."""
-        if not violation.any():
+        """Record a violation mask (over the live rows) for one monitor."""
+        if not np.count_nonzero(violation):
             return
         index = self._monitor_index(monitor_id)
-        self.count[violation] += 1
-        fresh = violation & ~self.detected
+        hit = self.rows[violation]
+        self.count[hit] += 1
+        fresh = hit[~self.detected[hit]]
         self.first_ms[fresh] = now_ms
         self.first_monitor[fresh] = index
-        self.detected |= violation
+        self.detected[hit] = True
         if self.events is not None:
-            for row in np.nonzero(violation)[0]:
+            for row in hit:
                 self.events.append((int(row), now_ms, monitor_id))
 
     def drain_events(self) -> List[Tuple[int, int, str]]:
@@ -186,6 +202,50 @@ class DetectionBook:
         )
 
 
+#: Stored signals are 16-bit, so ``value - reference`` spans this range.
+_DELTA_MAX = 0xFFFF
+_NOT_16BIT = ~0xFFFF
+#: Deltas per step of the rate table's build (bounds its temporaries).
+_TABLE_CHUNK = 8192
+
+
+def _rate_ok(p: ContinuousParams, delta):
+    """The rate alternatives of ``ContinuousAssertion.holds`` for ``s - s' = delta``."""
+    ok_up = (delta >= p.rmin_incr) & (delta <= p.rmax_incr)
+    ok_down = (-delta >= p.rmin_decr) & (-delta <= p.rmax_decr)
+    if p.wrap:
+        span = p.smax - p.smin
+        wrapped_up = span - delta  # (s' - smin) + (smax - s)
+        ok_up |= (wrapped_up >= p.rmin_decr) & (wrapped_up <= p.rmax_decr)
+        wrapped_down = span + delta  # (smax - s') + (s - smin)
+        ok_down |= (wrapped_down >= p.rmin_incr) & (wrapped_down <= p.rmax_incr)
+    hold_ok = ContinuousAssertion._unchanged_permitted(p)
+    return np.where(delta > 0, ok_up, np.where(delta < 0, ok_down, hold_ok))
+
+
+@functools.lru_cache(maxsize=64)
+def rate_table(params: ContinuousParams):
+    """The continuous rate test of ``ContinuousAssertion.holds`` by delta.
+
+    For a 16-bit value ``s`` and reference ``s'`` every rate alternative
+    of Table 2 — increase, decrease, unchanged, and both wrap terms
+    ``(smax - smin) -/+ delta`` — depends only on ``delta = s - s'``, so
+    the whole test is one lookup at ``delta + 0xFFFF`` in this table
+    over ``delta`` in ``[-0xFFFF, 0xFFFF]``.  The table (128 KiB of
+    bool) is read-only and shared by every monitor with equal
+    parameters; it is built in int32 chunks to keep the build's
+    temporaries small.
+    """
+    require_numpy()
+    table = np.empty(2 * _DELTA_MAX + 1, dtype=bool)
+    for lo in range(0, len(table), _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, len(table))
+        delta = np.arange(lo - _DELTA_MAX, hi - _DELTA_MAX, dtype=np.int32)
+        table[lo:hi] = _rate_ok(params, delta)
+    table.flags.writeable = False
+    return table
+
+
 class VecMonitor:
     """Vectorized :class:`~repro.core.monitor.SignalMonitor` for one EA.
 
@@ -198,6 +258,9 @@ class VecMonitor:
     with hold-last-valid recovery it becomes the recovered value, a
     masked select of the previous reference (or the parameter fallback
     when no reference exists yet).
+
+    Values are 16-bit stored signals: a value outside ``[0, 0xFFFF]``
+    raises :class:`ValueError` rather than index the rate table.
     """
 
     def __init__(
@@ -213,14 +276,20 @@ class VecMonitor:
         self.recovery = recovery
         self.prev = np.zeros(n, dtype=np.int64)
         self.has_prev = np.zeros(n, dtype=bool)
+        #: Every row has a reference (stays true when rows are dropped).
+        self.all_prev = False
         self.discrete = isinstance(params, DiscreteParams)
         if self.discrete:
             self._domain_n = linear_cyclic_length(params)
             # HoldLastValid's no-reference fallback: min(domain, key=repr).
             self._fallback = min(params.domain, key=repr)
         else:
-            self._hold_ok = ContinuousAssertion._unchanged_permitted(params)
+            self._rate_table = rate_table(params)
             self._fallback = params.smin
+            if recovery and not 0 <= self._fallback <= _DELTA_MAX:
+                raise ValueError(
+                    f"{monitor_id}: recovery fallback {self._fallback} is not a 16-bit value"
+                )
 
     def holds(self, values):
         """Elementwise ``assertion.holds`` against the per-row references."""
@@ -231,41 +300,42 @@ class VecMonitor:
             in_domain = (values >= 0) & (values < n)
             prev_in_domain = (prev >= 0) & (prev < n)
             seq_ok = values == (prev + 1) % n
+            if self.all_prev:
+                return in_domain & (~prev_in_domain | seq_ok)
             return in_domain & (~self.has_prev | ~prev_in_domain | seq_ok)
+        if np.count_nonzero(values & _NOT_16BIT):
+            raise ValueError(f"{self.monitor_id}: values must be 16-bit (0..0xFFFF)")
         in_bounds = (values >= p.smin) & (values <= p.smax)
-        up = values > prev
-        down = values < prev
-        delta_up = values - prev
-        ok_up = (delta_up >= p.rmin_incr) & (delta_up <= p.rmax_incr)
-        delta_down = prev - values
-        ok_down = (delta_down >= p.rmin_decr) & (delta_down <= p.rmax_decr)
-        if p.wrap:
-            wrapped_up = (prev - p.smin) + (p.smax - values)
-            ok_up |= (wrapped_up >= p.rmin_decr) & (wrapped_up <= p.rmax_decr)
-            wrapped_down = (p.smax - prev) + (values - p.smin)
-            ok_down |= (wrapped_down >= p.rmin_incr) & (wrapped_down <= p.rmax_incr)
-        rate_ok = np.where(up, ok_up, np.where(down, ok_down, self._hold_ok))
+        index = values - prev
+        index += _DELTA_MAX
+        rate_ok = self._rate_table[index]
+        if self.all_prev:
+            return in_bounds & rate_ok
         return in_bounds & (~self.has_prev | rate_ok)
 
     def test(self, values, now_ms: int, mask, book: DetectionBook):
         """Test the rows in *mask*; return the (possibly recovered) values."""
-        if not mask.any():
+        if not np.count_nonzero(mask):
             # No row selected: nothing is recorded, no reference advances,
             # and the recovery select reduces to the identity — skip the
             # whole battery.  (Slot-gated monitors hit this on most ticks.)
             return values
-        ok = self.holds(values)
-        violation = mask & ~ok
+        violation = mask > self.holds(values)  # tested and not holding
         book.record(violation, now_ms, self.monitor_id)
-        if not self.recovery:
-            self.prev = np.where(mask, values, self.prev)
-            self.has_prev = self.has_prev | mask
-            return values
-        recovered = np.where(self.has_prev, self.prev, self._fallback)
-        result = np.where(violation, recovered, values)
+        result = values
+        if self.recovery:
+            recovered = np.where(self.has_prev, self.prev, self._fallback)
+            result = np.where(violation, recovered, values)
         self.prev = np.where(mask, result, self.prev)
-        self.has_prev = self.has_prev | mask
+        if not self.all_prev:
+            self.has_prev = self.has_prev | mask
+            self.all_prev = bool(self.has_prev.all())
         return result
+
+    def compact(self, keep) -> None:
+        """Drop the rows not in *keep* (the kernel's row compaction)."""
+        self.prev = self.prev[keep]
+        self.has_prev = self.has_prev[keep]
 
 
 def injection_masks(specs, signals, signal_variables=None):
@@ -296,11 +366,6 @@ def injection_masks(specs, signals, signal_variables=None):
         period[r] = spec.injection_period_ms
         start[r] = spec.injection_start_ms
     return xor_by_signal, period, start
-
-
-def injection_due(now_ms: int, period, start, active):
-    """Rows whose injector fires at *now_ms* (the serial trigger test)."""
-    return active & (now_ms >= start) & ((now_ms - start) % period == 0)
 
 
 def injection_stats(start_ms: int, period_ms: int, last_ms: int) -> Tuple[Optional[int], int]:
@@ -340,17 +405,29 @@ class BatchKernel:
     rounds) execute the same statements in the same order.  A subclass
     sets the class attributes and supplies :meth:`boot`, :meth:`step`
     and :meth:`summary`.
+
+    Every numpy array :meth:`boot` sets on the instance is per-row state
+    of shape ``(N,)``.  The arrays hold the live rows only: a kernel
+    whose rows stop independently calls :meth:`retire` on the tick some
+    rows finish, which copies their :attr:`summary_fields` and last tick
+    into spec-sized final arrays and drops them from every per-row array
+    — the boot state, the injection arrays, ``ea_rows`` and each
+    monitor's references — so later ticks cost only what the live rows
+    need.  ``rows`` is the spec index of each live row, in spec order.
     """
 
     #: The observation window: no row executes tick ``window_ms`` or later.
     window_ms: int
     #: Whether every row ends on the window's last tick; a kernel whose
-    #: rows stop independently overrides :attr:`finished` and :meth:`last_ms`.
+    #: rows stop independently calls :meth:`retire` from :meth:`step`.
     rows_end_together: bool = True
     ea_ids: Tuple[str, ...]
     signal_by_ea: Dict[str, str]
-    #: The signals a row may inject into.
-    signals: Tuple[str, ...]
+    #: The signals a row may inject into, each mapped to the name of the
+    #: state array that stores it.
+    signal_state: Dict[str, str]
+    #: The state arrays :meth:`summary` reads.
+    summary_fields: Tuple[str, ...]
     #: ``staticmethod`` returning ``{signal: params}`` for the EAs.
     assertion_parameters: Callable[[], Dict[str, Any]]
     #: Builds the classifier whose ``classify(summary)`` gives the verdict.
@@ -369,30 +446,53 @@ class BatchKernel:
         self.monitors = {
             ea: VecMonitor(ea, params[self.signal_by_ea[ea]], n) for ea in self.ea_ids
         }
+        for ea, monitor in self.monitors.items():
+            # A row whose version leaves this EA out never tests it, so it
+            # never lacks a reference that matters; counting it as having
+            # one lets ``all_prev`` turn true once the tested rows have one.
+            monitor.has_prev = ~self.ea_rows[ea]
         self.book = DetectionBook(n, capture_events=capture_events)
-        self.xor, self.period, self.start = injection_masks(self.specs, self.signals)
+        self.rows = self.book.rows
+        self.xor, self.period, self.start = injection_masks(self.specs, self.signal_state)
         self.now_ms = 0
+        self._next_injection = self._next_injection_ms(0)
+        before = set(vars(self))
         self.boot()
+        self._state = tuple(
+            name
+            for name, value in vars(self).items()
+            if name not in before and isinstance(value, np.ndarray)
+        )
+        for name in self._state:
+            if getattr(self, name).shape != (n,):
+                raise TypeError(f"boot state {name!r} is not a per-row (N,) array")
+        #: The tick each row finished on (-1 = still running).
+        self.row_last_ms = np.full(n, -1, dtype=np.int64)
+        self._final = {
+            name: np.zeros(n, dtype=getattr(self, name).dtype)
+            for name in self.summary_fields
+        }
 
     def boot(self) -> None:
         """Set every row's state as the serial system boots it."""
         raise NotImplementedError
 
     def step(self) -> None:
-        """Execute tick ``now_ms`` for every row; :meth:`advance` moves the clock."""
+        """Execute tick ``now_ms`` after the injector; :meth:`advance` moves the clock."""
         raise NotImplementedError
 
-    def summary(self, r: int, last_ms: int) -> Any:
-        """Row *r*'s physics summary after its tick *last_ms*."""
+    def summary(self, spec: Any, values: Dict[str, Any], last_ms: int) -> Any:
+        """A row's physics summary from its :attr:`summary_fields` *values*."""
         raise NotImplementedError
 
     @property
     def finished(self) -> bool:
-        return self.now_ms >= self.window_ms
+        return self.now_ms >= self.window_ms or len(self.rows) == 0
 
     def last_ms(self, r: int) -> int:
         """The last millisecond row *r* executed (-1 = none yet)."""
-        return self.now_ms - 1
+        last = int(self.row_last_ms[r])
+        return self.now_ms - 1 if last < 0 else last
 
     def advance(self, ticks: int) -> None:
         """Execute up to *ticks* further milliseconds, stopping when finished."""
@@ -400,8 +500,40 @@ class BatchKernel:
             raise ValueError(f"ticks must be non-negative, got {ticks}")
         end = self.now_ms + ticks
         while self.now_ms < end and not self.finished:
+            if self.now_ms == self._next_injection:
+                self._inject()
             self.step()
             self.now_ms += 1
+
+    def _next_injection_ms(self, tick: int) -> int:
+        """The first tick at or after *tick* on which any live row fires."""
+        late = np.maximum(tick - self.start, 0)
+        return int((self.start + -(-late // self.period) * self.period).min())
+
+    def _inject(self) -> None:
+        """The time-triggered injector's trigger test and flip, per row."""
+        now = self.now_ms
+        due = (now >= self.start) & ((now - self.start) % self.period == 0)
+        for signal, name in self.signal_state.items():
+            setattr(self, name, getattr(self, name) ^ np.where(due, self.xor[signal], 0))
+        self._next_injection = self._next_injection_ms(now + 1)
+
+    def retire(self, done) -> None:
+        """Rows *done* (a mask over the live rows) finished on tick ``now_ms``."""
+        gone = self.rows[done]
+        for name, final in self._final.items():
+            final[gone] = getattr(self, name)[done]
+        self.row_last_ms[gone] = self.now_ms
+        keep = ~done
+        self.rows = self.book.rows = self.rows[keep]
+        for name in self._state:
+            setattr(self, name, getattr(self, name)[keep])
+        self.xor = {signal: flips[keep] for signal, flips in self.xor.items()}
+        self.period = self.period[keep]
+        self.start = self.start[keep]
+        self.ea_rows = {ea: rows[keep] for ea, rows in self.ea_rows.items()}
+        for monitor in self.monitors.values():
+            monitor.compact(keep)
 
     def drain_events(self) -> List[Tuple[int, int, str]]:
         """Pop captured ``(row, time_ms, monitor_id)`` detection events."""
@@ -413,7 +545,12 @@ class BatchKernel:
             classifier = self.classifier()
         spec = self.specs[r]
         last_ms = self.last_ms(r)
-        summary = self.summary(r, last_ms)
+        if self.row_last_ms[r] >= 0:
+            values = {name: final[r] for name, final in self._final.items()}
+        else:
+            i = int(np.searchsorted(self.rows, r))
+            values = {name: getattr(self, name)[i] for name in self.summary_fields}
+        summary = self.summary(spec, values, last_ms)
         detected, first_ms, count, first_monitor = self.book.row(r)
         first_injection, injections = injection_stats(
             spec.injection_start_ms, spec.injection_period_ms, last_ms
@@ -436,4 +573,3 @@ class BatchKernel:
         """Every row's outcome (one shared classifier instance)."""
         classifier = self.classifier()
         return [self.outcome(r, classifier) for r in range(len(self.specs))]
-

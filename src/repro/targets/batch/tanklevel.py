@@ -12,9 +12,8 @@ window's last tick, so the kernel also backs lockstep serving groups.
 
 from __future__ import annotations
 
-from repro.targets.batch.core import BatchKernel, injection_due
+from repro.targets.batch.core import BatchKernel
 from repro.targets.tanklevel import instrumentation as ins
-from repro.targets.tanklevel.memory import MONITORED_SIGNALS
 from repro.targets.tanklevel.plant import (
     LEVEL_TOLERANCE_MM,
     MM_PER_LITRE,
@@ -48,7 +47,14 @@ class TankBatchKernel(BatchKernel):
     window_ms = OBSERVE_MS
     ea_ids = ins.EA_IDS
     signal_by_ea = ins.SIGNAL_BY_EA
-    signals = MONITORED_SIGNALS
+    signal_state = {
+        "tick": "tick",
+        "slot_id": "slot_id",
+        "level": "level",
+        "SetPoint": "set_point",
+        "flow_acc": "flow_acc",
+    }
+    summary_fields = ("demand", "initial_level", "max_level", "min_level", "level_mm")
     assertion_parameters = staticmethod(ins.assertion_parameters)
     classifier = TankFailureClassifier
 
@@ -85,14 +91,6 @@ class TankBatchKernel(BatchKernel):
         ea_rows = self.ea_rows
         book = self.book
 
-        # -- injector ---------------------------------------------------------
-        due = injection_due(now, self.period, self.start, True)
-        self.tick ^= np.where(due, self.xor["tick"], 0)
-        self.slot_id ^= np.where(due, self.xor["slot_id"], 0)
-        self.level ^= np.where(due, self.xor["level"], 0)
-        self.set_point ^= np.where(due, self.xor["SetPoint"], 0)
-        self.flow_acc ^= np.where(due, self.xor["flow_acc"], 0)
-
         # -- CLOCK: tick + EA5, slot consumption + EA4, wrap fold ------------
         self.tick = (self.tick + 1) & _MASK16
         monitors["EA5"].test(self.tick, now, ea_rows["EA5"], book)
@@ -105,16 +103,17 @@ class TankBatchKernel(BatchKernel):
         # is all-False on 4 of every 5 ticks (only a corrupted slot_id
         # desynchronises a row); an empty slot section is the identity on
         # every piece of state it touches, so it is skipped outright.
+        present = np.bincount(slot, minlength=ins.N_SLOTS)
 
         # -- LEVEL_S ----------------------------------------------------------
-        m_level_s = slot == 0
-        if m_level_s.any():
+        if present[0]:
+            m_level_s = slot == 0
             latch = np.rint(self.level_mm).astype(np.int64) & _MASK16
             self.level = np.where(m_level_s, latch, self.level)
 
         # -- CTRL -------------------------------------------------------------
-        m_ctrl = slot == 1
-        if m_ctrl.any():
+        if present[1]:
+            m_ctrl = slot == 1
             lvl = monitors["EA2"].test(
                 self.level, now, m_ctrl & ea_rows["EA2"], book
             )
@@ -138,8 +137,8 @@ class TankBatchKernel(BatchKernel):
             monitors["EA3"].test(self.flow_acc, now, m_ctrl & ea_rows["EA3"], book)
 
         # -- VALVE_A ----------------------------------------------------------
-        m_valve = slot == 2
-        if m_valve.any():
+        if present[2]:
+            m_valve = slot == 2
             monitors["EA1"].test(self.set_point, now, m_valve & ea_rows["EA1"], book)
             self.valve_cmd = np.where(
                 m_valve,
@@ -148,8 +147,8 @@ class TankBatchKernel(BatchKernel):
             )
 
         # -- COMM + same-tick drain receive -----------------------------------
-        m_comm = slot == 3
-        if m_comm.any():
+        if present[3]:
+            m_comm = slot == 3
             self.drain_received = np.where(
                 m_comm,
                 np.minimum(np.maximum(self.set_point, 0), ins.SETPOINT_MAX),
@@ -172,13 +171,13 @@ class TankBatchKernel(BatchKernel):
         self.max_level = np.maximum(self.max_level, self.level_mm)
         self.min_level = np.minimum(self.min_level, self.level_mm)
 
-    def summary(self, r: int, last_ms: int) -> TankRunSummary:
-        level_mm = float(self.level_mm[r])
+    def summary(self, spec, values, last_ms: int) -> TankRunSummary:
+        level_mm = float(values["level_mm"])
         return TankRunSummary(
-            demand_lps=float(self.demand[r]),
-            initial_level_mm=float(self.initial_level[r]),
-            max_level_mm=float(self.max_level[r]),
-            min_level_mm=float(self.min_level[r]),
+            demand_lps=float(values["demand"]),
+            initial_level_mm=float(values["initial_level"]),
+            max_level_mm=float(values["max_level"]),
+            min_level_mm=float(values["min_level"]),
             final_level_mm=level_mm,
             settled=bool(abs(level_mm - TARGET_LEVEL_MM) <= LEVEL_TOLERANCE_MM),
             duration_s=(last_ms + 1) / 1000.0,

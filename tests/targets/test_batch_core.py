@@ -7,10 +7,13 @@ so any semantic drift in either implementation is caught at the
 primitive level before it can surface as a whole-run mismatch.
 """
 
+import dataclasses
+
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core.assertions import ContinuousAssertion
 from repro.core.classes import SignalClass
 from repro.core.monitor import SignalMonitor
 from repro.core.parameters import ContinuousParams, linear_transition_map
@@ -21,6 +24,7 @@ from repro.targets.batch.core import (
     VecMonitor,
     injection_stats,
     linear_cyclic_length,
+    rate_table,
 )
 
 
@@ -149,3 +153,94 @@ def test_batch_run_spec_test_case_roundtrip():
     )
     case = spec.test_case()
     assert (case.mass_kg, case.velocity_mps) == (8000.0, 40.0)
+
+
+def _continuous_params():
+    """Every continuous EA parameter set of both targets, plus hold cases."""
+    from repro.arrestor.instrumentation import assertion_parameters
+    from repro.targets.tanklevel.instrumentation import (
+        assertion_parameters as tank_parameters,
+    )
+
+    found = {}
+    for parameters in (assertion_parameters(), tank_parameters()):
+        for signal, params in parameters.items():
+            if isinstance(params, ContinuousParams):
+                found[signal] = params
+    # Hold permitted by test 4c (decrease forbidden, rmin_incr 0) and by
+    # test 5c (random signal), and a wrapping signal that may hold.
+    found["hold-4c"] = ContinuousParams(10, 900, rmin_incr=0, rmax_incr=7)
+    found["hold-5c"] = ContinuousParams(
+        0, 0xFFFF, rmin_incr=0, rmax_incr=3, rmin_decr=2, rmax_decr=5
+    )
+    found["wrap-hold"] = ContinuousParams(
+        3, 700, rmin_incr=0, rmax_incr=2, rmin_decr=0, rmax_decr=0, wrap=True
+    )
+    return found
+
+
+CONTINUOUS_PARAMS = _continuous_params()
+
+
+def _sweep_values(p):
+    """Values around every boundary the rate and bounds tests have."""
+    points = {0, 1, 0xFFFE, 0xFFFF, p.smin, p.smax, (p.smin + p.smax) // 2}
+    for base in (p.smin, p.smax, 0, 0xFFFF, (p.smin + p.smax) // 2):
+        for rate in (p.rmin_incr, p.rmax_incr, p.rmin_decr, p.rmax_decr):
+            for offset in (-rate - 1, -rate, -rate + 1, rate - 1, rate, rate + 1):
+                points.add(base + offset)
+    return sorted(v for v in points if 0 <= v <= 0xFFFF)
+
+
+def test_wrap_signals_and_hold_cases_are_swept():
+    assert CONTINUOUS_PARAMS["mscnt"].wrap and CONTINUOUS_PARAMS["tick"].wrap
+    held = [
+        name
+        for name, p in CONTINUOUS_PARAMS.items()
+        if ContinuousAssertion._unchanged_permitted(p)
+    ]
+    assert {"hold-4c", "hold-5c", "wrap-hold"} <= set(held)
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_PARAMS))
+def test_rate_table_holds_matches_serial_assertion(name):
+    """The table-backed ``holds`` equals ``ContinuousAssertion.holds``."""
+    params = CONTINUOUS_PARAMS[name]
+    assertion = ContinuousAssertion(params)
+    sweep = _sweep_values(params)
+    pairs = [(prev, value) for prev in sweep for value in sweep]
+    prev = np.array([pair[0] for pair in pairs], dtype=np.int64)
+    values = np.array([pair[1] for pair in pairs], dtype=np.int64)
+    monitor = VecMonitor("EAx", params, len(pairs))
+    assert monitor.holds(values).tolist() == [
+        assertion.holds(value, None) for _, value in pairs
+    ]
+    monitor.prev = prev
+    monitor.has_prev = np.ones(len(pairs), dtype=bool)
+    expected = [assertion.holds(value, p) for p, value in pairs]
+    assert monitor.holds(values).tolist() == expected
+    monitor.all_prev = True  # the skip of the no-reference term
+    assert monitor.holds(values).tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [-1, -0xFFFF, 0x10000, 0x1FFFE])
+def test_non_16bit_value_raises(bad):
+    params = CONTINUOUS_PARAMS["mscnt"]
+    monitor = VecMonitor("EA6", params, 2)
+    monitor.prev = np.array([0, 0xFFFF], dtype=np.int64)
+    monitor.has_prev[:] = True
+    values = np.array([5, bad], dtype=np.int64)
+    with pytest.raises(ValueError, match="16-bit"):
+        monitor.holds(values)
+    with pytest.raises(ValueError, match="16-bit"):
+        monitor.test(values, 0, np.ones(2, dtype=bool), DetectionBook(2))
+
+
+def test_rate_table_is_cached_and_read_only():
+    params = CONTINUOUS_PARAMS["SetValue"]
+    table = rate_table(params)
+    assert table.dtype == bool and table.shape == (2 * 0xFFFF + 1,)
+    assert rate_table(dataclasses.replace(params)) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = True

@@ -11,7 +11,9 @@ The properties run against the tank-level kernel (through the target's
 ``batch_kernel`` and ``run_batch``), whose 5 000-tick runs
 keep the serial oracle affordable per example; the arrestor kernel gets
 the same treatment from the full-grid engine test in
-``test_batch_equivalence.py`` plus the benchmark's equivalence gate.
+``test_batch_equivalence.py`` plus the benchmark's equivalence gate, and
+its row compaction (rows retiring on their own ticks) is pinned on a
+small slice by :class:`TestRowCompaction`.
 """
 
 import pytest
@@ -132,3 +134,81 @@ def test_single_row_batch_matches_serial():
     result, first_monitor = _serial_outcome(spec)
     assert outcome.result == result
     assert outcome.first_monitor == first_monitor
+
+
+class TestRowCompaction:
+    """Arrestor rows retire independently and are compacted out.
+
+    A small arrestor slice whose rows stop on different ticks — two of
+    them on the same tick — advances in uneven chunks with event capture
+    on.  Each row's outcome and events must equal its serial run however
+    many compactions happened before or after it finished.
+    """
+
+    ARRESTOR = get_target("arrestor")
+    CHUNKS = (1, 13, 0, 977, 250, 4096)
+
+    def _slice(self):
+        cases = self.ARRESTOR.test_cases()
+        rows = [
+            ("All", "SetValue", 15, cases[12]),
+            ("All", "SetValue", 15, cases[12]),  # same spec: same last tick
+            ("All", "pulscnt", 12, cases[12]),
+            ("All", "i", 0, cases[12]),
+            ("All", "mscnt", 3, cases[12]),
+            ("All", "ms_slot_nbr", 1, cases[24]),
+            ("EA7", "OutValue", 14, cases[0]),
+            ("All", "SetValue", 2, cases[0]),  # never detected
+        ]
+        return [
+            BatchRunSpec(
+                version=version,
+                signal=signal,
+                signal_bit=bit,
+                mass_kg=case.mass_kg,
+                velocity_mps=case.velocity_mps,
+            )
+            for version, signal, bit, case in rows
+        ]
+
+    def _serial(self, spec):
+        errors = {(e.signal, e.signal_bit): e for e in self.ARRESTOR.e1_error_set()}
+        system = self.ARRESTOR.boot(spec.test_case(), spec.version)
+        result = system.run(
+            TimeTriggeredInjector(errors[(spec.signal, spec.signal_bit)], period_ms=20)
+        )
+        events = [(int(e.time), e.monitor_id) for e in system.detection_log.events]
+        return result, events
+
+    def test_retired_rows_keep_outcome_and_events(self):
+        specs = self._slice()
+        kernel = self.ARRESTOR.batch_kernel(specs, capture_events=True)
+        n = len(specs)
+        events = {r: [] for r in range(n)}
+        at_finish = {}
+        chunks = 0
+        while not kernel.finished:
+            retired_before = set(at_finish)
+            kernel.advance(self.CHUNKS[chunks % len(self.CHUNKS)])
+            chunks += 1
+            for row, time_ms, monitor_id in kernel.drain_events():
+                assert row not in retired_before, (row, time_ms)
+                events[row].append((time_ms, monitor_id))
+            for r in range(n):
+                if r not in at_finish and kernel.row_last_ms[r] >= 0:
+                    at_finish[r] = kernel.outcome(r)
+            assert len(kernel.rows) == n - len(at_finish)
+            assert kernel.rows.tolist() == sorted(set(range(n)) - set(at_finish))
+
+        # Every row retired before the window ran out: nothing is live.
+        assert kernel.now_ms < kernel.window_ms
+        assert len(kernel.rows) == 0 and kernel.mscnt.size == 0
+        assert sorted(at_finish) == list(range(n))
+        last = kernel.row_last_ms.tolist()
+        assert last[0] == last[1] and len(set(last)) >= 5
+        for r, spec in enumerate(specs):
+            result, serial_events = self._serial(spec)
+            assert at_finish[r] == kernel.outcome(r), r
+            assert at_finish[r].result == result, r
+            assert events[r] == serial_events, r
+        assert not events[n - 1]
