@@ -22,7 +22,7 @@ class DistS(ModuleBase):
         mem = node.mem
         self._pulscnt = mem.pulscnt
         self._latch = mem.raw_pulse_latch
-        self._env = node.env
+        self._poll = node.env.rotation_sensor.poll
         self._mon = node.monitors.get("EA4")
 
     def step(self, now_ms: int) -> None:
@@ -30,7 +30,7 @@ class DistS(ModuleBase):
             return
         # Hardware read into the interface latch, then accumulate from the
         # latch — the two-stage pattern of a real sensor interface.
-        self._latch.set(self._env.poll_rotation_pulses())
+        self._latch.set(self._poll())
         new_pulses = self._latch.get()
         if new_pulses:
             self._pulscnt.add(new_pulses)

@@ -3,10 +3,11 @@
 Each module:
 
 * keeps its state in the node's emulated memory (so injections reach it),
-* consults its saved-context/return word in the stack-resident context
+* checks its saved-context/return word in the stack-resident context
   block before running — a corrupted word loses the invocation or wedges
   the node (the control-flow-error semantics of
-  :mod:`repro.memory.stack`),
+  :mod:`repro.memory.stack`); an intact word is recognised in place,
+  without a ``consult`` call,
 * runs the executable assertions placed at its location (Table 4) via
   :meth:`checked`, which also writes a recovery value back into the
   signal's memory when the monitor is configured with recovery.
@@ -31,23 +32,37 @@ class ModuleBase:
     def __init__(self, node, return_slot: Optional[int] = None) -> None:
         self.node = node
         self._return_slot = return_slot
-        self._return_table = node.mem.return_words if return_slot is not None else None
+        self._return_table = None
+        if return_slot is not None:
+            table = node.mem.return_words
+            self._return_table = table
+            pristine = table.pristine(return_slot)
+            self._return_data = table.memory.data
+            self._return_address = table.word_variable(return_slot).address
+            self._return_lo = pristine & 0xFF
+            self._return_hi = pristine >> 8
 
     # -- control flow ------------------------------------------------------
 
     def enter(self) -> bool:
-        """Consult the module's saved-context word; False loses the call.
+        """Check the module's saved-context word; False loses the call.
 
-        A ``redirect``/``skip`` outcome means the corrupted context sent
+        An intact word is recognised in place: its two bytes equal the
+        pristine value, which is exactly when
+        :meth:`~repro.memory.stack.ControlWordTable.consult` answers
+        ``ok``.  Any other word goes through ``consult``.  A
+        ``redirect``/``skip`` outcome means the corrupted context sent
         execution somewhere harmless-but-wrong: the module body does not
         run this invocation.  A ``wedge`` outcome halts the node.
         """
-        if self._return_table is None:
+        table = self._return_table
+        if table is None:
             return True
-        outcome = self._return_table.consult(self._return_slot)
-        if outcome.kind == "ok":
+        data = self._return_data
+        address = self._return_address
+        if data[address] == self._return_lo and data[address + 1] == self._return_hi:
             return True
-        if outcome.kind == "wedge":
+        if table.consult(self._return_slot).kind == "wedge":
             self.node.wedge()
         return False
 

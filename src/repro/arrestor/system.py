@@ -248,6 +248,8 @@ class TargetSystem:
         watchdog = self.watchdog
         trace_period = config.signal_trace_period_ms
         tx_pending = state.tx_pending
+        aircraft = env.aircraft
+        slot_comm = k.SLOT_COMM
         for now in range(state.next_ms, config.observe_ms_max):
             if until_ms is not None and now >= until_ms:
                 # Pause *before* executing tick ``now``: the resumed run
@@ -272,7 +274,7 @@ class TargetSystem:
             if tx_pending:
                 slave.receive_set_value(comm_tx.get())
                 tx_pending = False
-            if slot == k.SLOT_COMM:
+            if slot == slot_comm:
                 tx_pending = True
             slave.tick(now)
             env.advance(_DT_S)
@@ -302,9 +304,9 @@ class TargetSystem:
                 pin.pulse(now)
 
             if stop_deadline is None:
-                if env.arrestment_complete:
+                if aircraft.stopped:
                     stop_deadline = now + post_stop
-                elif env.aircraft.position_m >= overrun_m:
+                elif aircraft.position_m >= overrun_m:
                     break
             elif now >= stop_deadline:
                 break

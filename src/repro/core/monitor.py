@@ -159,6 +159,7 @@ class SignalMonitor:
         "_modal",
         "_assertions",
         "_assertion",
+        "_holds",
         "_prev",
         "_last_valid",
         "_reference_observed",
@@ -197,6 +198,7 @@ class SignalMonitor:
             self._modal = None
             self._assertions = None
             self._assertion = build_assertion(signal_class, params)
+        self._holds = self._assertion.holds
         self._prev: Optional[Hashable] = None
         self._last_valid: Optional[Hashable] = None
         self.tests_run = 0
@@ -224,6 +226,7 @@ class SignalMonitor:
             raise ParameterError(f"signal {self.name!r} has no modes")
         self._modal.mode = mode
         self._assertion = self._assertions[mode]
+        self._holds = self._assertion.holds
 
     @property
     def previous(self) -> Optional[Hashable]:
@@ -242,14 +245,16 @@ class SignalMonitor:
 
         Returns the value the consumer should use: *value* itself when the
         test passes, or the recovery strategy's replacement on a violation
-        (falling back to *value* when no recovery is configured).
+        (falling back to *value* when no recovery is configured).  The
+        active assertion's ``holds`` is bound at construction and on every
+        :meth:`set_mode`, so a passing test makes that one call.
         """
         self.tests_run += 1
-        assertion = self._assertion
-        if assertion.holds(value, self._prev):
+        if self._holds(value, self._prev):
             self._prev = value
             self._last_valid = value
             return value
+        assertion = self._assertion
         result = assertion.check(value, self._prev)
         self.violations += 1
         self.log.record(

@@ -112,6 +112,13 @@ class ControlWordTable:
     def word_variable(self, slot: int) -> Variable:
         return self._words[slot]
 
+    def pristine(self, slot: int) -> int:
+        """The word slot *slot* holds at boot.
+
+        :meth:`consult` answers ``ok`` if and only if the word equals it.
+        """
+        return self._expected[slot]
+
     def intact(self) -> bool:
         """Whether every word still holds its pristine value.
 

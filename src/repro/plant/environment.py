@@ -10,13 +10,22 @@ The control nodes interact with it only through the sensor/actuator
 surface (rotation pulses, pressure sensor counts, valve commands); the
 summary of each run is analysed afterwards for system failure, exactly
 as the FIC3 analyses its experiment readouts.
+
+:meth:`Environment.advance` is the serial simulator's plant step and runs
+every simulated millisecond, so it is one function over locals rather
+than a chain of component calls.  The components' own ``advance`` /
+``update`` methods (:class:`PressureValve`, :class:`Aircraft`,
+:class:`RotationSensor`) remain the reference physics: the step is pinned
+bit-identical to their composition by
+``tests/plant/test_environment_step.py``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
-from repro.plant.aircraft import Aircraft
+from repro.plant.aircraft import BRAKE_FORCE_PER_PA, DRAG_COEFF, GRAVITY, Aircraft
 from repro.plant.drum import PULSE_PITCH_M, RotationSensor
 from repro.plant.failure import ArrestmentSummary
 from repro.plant.hydraulics import PressureSensor, PressureValve
@@ -51,6 +60,11 @@ class Environment:
         self.max_cable_force_n = 0.0
         self._trace_period_s = trace_period_s
         self._next_trace_s = 0.0
+        #: The step the cached valve responses ``1 - exp(-dt / tau)`` are
+        #: for; a valve's time constant is fixed when it is built.
+        self._alpha_dt: Optional[float] = None
+        self._alpha_master = 0.0
+        self._alpha_slave = 0.0
         #: Optional (time, position, velocity, retardation_g, force_n) trace.
         self.trace: List[Tuple[float, float, float, float, float]] = []
 
@@ -89,28 +103,67 @@ class Environment:
     # -- simulation ------------------------------------------------------------
 
     def advance(self, dt: float) -> None:
-        """Advance the physical world by *dt* seconds."""
-        self.master_valve.advance(dt)
-        self.slave_valve.advance(dt)
-        self.aircraft.advance(
-            dt, self.master_valve.pressure_pa, self.slave_valve.pressure_pa
-        )
-        self.rotation_sensor.update(self.aircraft.position_m)
-        self.time_s += dt
-        if self.aircraft.deceleration_g > self.max_retardation_g:
-            self.max_retardation_g = self.aircraft.deceleration_g
-        if self.aircraft.cable_force_n > self.max_cable_force_n:
-            self.max_cable_force_n = self.aircraft.cable_force_n
-        if self._trace_period_s is not None and self.time_s >= self._next_trace_s:
-            self.trace.append(
-                (
-                    self.time_s,
-                    self.aircraft.position_m,
-                    self.aircraft.velocity_mps,
-                    self.aircraft.deceleration_g,
-                    self.aircraft.cable_force_n,
-                )
-            )
+        """Advance the physical world by *dt* seconds, in one step.
+
+        The step runs over locals and does the float operations of
+        :meth:`PressureValve.advance` (master, then slave),
+        :meth:`Aircraft.advance` and :meth:`RotationSensor.update`, in that
+        order and operation for operation, then the max/trace bookkeeping.
+        Those component methods stay the reference: a property test pins
+        this step bit-identical to their composition.  The valves'
+        ``1 - exp(-dt / tau)`` is computed once per distinct ``dt``.  *dt*
+        is validated before any state changes.
+        """
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        master = self.master_valve
+        slave = self.slave_valve
+        if dt != self._alpha_dt:
+            self._alpha_dt = dt
+            self._alpha_master = 1.0 - math.exp(-dt / master.tau)
+            self._alpha_slave = 1.0 - math.exp(-dt / slave.tau)
+        master_pa = master.pressure_pa
+        master_pa += (master._command_pa - master_pa) * self._alpha_master
+        master.pressure_pa = master_pa
+        slave_pa = slave.pressure_pa
+        slave_pa += (slave._command_pa - slave_pa) * self._alpha_slave
+        slave.pressure_pa = slave_pa
+
+        aircraft = self.aircraft
+        position = aircraft.position_m
+        velocity = aircraft.velocity_mps
+        if aircraft.stopped:
+            # The cable cannot push: a stopped aircraft stays stopped.
+            decel = force = 0.0
+        else:
+            force = BRAKE_FORCE_PER_PA * (master_pa + slave_pa)
+            decel = (force + DRAG_COEFF * velocity * velocity) / aircraft.mass_kg
+            new_velocity = velocity - decel * dt
+            if new_velocity <= 0.0:
+                # Stop inside the step: advance by the exact stopping fraction.
+                fraction = velocity / (decel * dt)
+                position += velocity * dt * fraction / 2.0
+                velocity = 0.0
+                aircraft.stopped = True
+            else:
+                position += (velocity + new_velocity) * dt / 2.0
+                velocity = new_velocity
+            aircraft.position_m = position
+            aircraft.velocity_mps = velocity
+        aircraft.deceleration_mps2 = decel
+        aircraft.cable_force_n = force
+        sensor = self.rotation_sensor
+        sensor.total_pulses = int(position / sensor.pulse_pitch)
+
+        time_s = self.time_s + dt
+        self.time_s = time_s
+        decel_g = decel / GRAVITY
+        if decel_g > self.max_retardation_g:
+            self.max_retardation_g = decel_g
+        if force > self.max_cable_force_n:
+            self.max_cable_force_n = force
+        if self._trace_period_s is not None and time_s >= self._next_trace_s:
+            self.trace.append((time_s, position, velocity, decel_g, force))
             self._next_trace_s += self._trace_period_s
 
     @property

@@ -20,8 +20,14 @@ which ... runs in the background."*
 Control-flow-error emulation: slot dispatch can be routed through a
 :class:`repro.memory.stack.ControlWordTable` stored in the emulated
 stack.  A corrupted control word then redirects, skips, or wedges the
-dispatch — see :mod:`repro.memory.stack`.  Every-tick and background
-tasks also stop when the node is wedged (the CPU has left its program).
+dispatch — see :mod:`repro.memory.stack`.  Once the node is wedged
+(the CPU has left its program) nothing more runs: a wedge raised by an
+every-tick task or by the slot dispatch ends the tick there, and later
+ticks execute nothing.
+
+Dispatch is direct: :meth:`SlotScheduler.tick` calls each task's
+``step`` itself and keeps the task's ``invocations`` count, so one
+executed task costs one call frame.
 """
 
 from __future__ import annotations
@@ -102,35 +108,42 @@ class SlotScheduler:
     # -- execution -----------------------------------------------------------
 
     def tick(self, now_ms: int, slot: int) -> None:
-        """Run one 1-ms tick: every-tick tasks, slot dispatch, background."""
+        """Run one 1-ms tick: every-tick tasks, slot dispatch, background.
+
+        A task that wedges the node ends the tick: nothing after it runs.
+        """
         if self.wedged:
             return
         self.ticks += 1
         for task in self._every_tick:
-            task.run(now_ms)
-        self._dispatch_slot(now_ms, slot)
-        if not self.wedged and self._background is not None:
-            self._background.run(now_ms)
-
-    def _dispatch_slot(self, now_ms: int, slot: int) -> None:
-        task = self._slot_tasks[slot]
+            task.invocations += 1
+            task.step(now_ms)
+            if self.wedged:
+                return
         table = self._control_words
         if table is None:
-            if task is not None:
-                task.run(now_ms)
-            return
-        outcome = table.consult(slot)
-        kind = outcome.kind
-        if kind == "ok":
-            if task is not None:
-                task.run(now_ms)
-        elif kind == "redirect":
-            target = self._by_id.get(outcome.target)
-            if target is not None:
-                target.run(now_ms)
-        elif kind == "wedge":
-            self.wedged = True
-        # "skip": run nothing this slot.
+            task = self._slot_tasks[slot]
+        else:
+            outcome = table.consult(slot)
+            kind = outcome.kind
+            if kind == "ok":
+                task = self._slot_tasks[slot]
+            elif kind == "redirect":
+                task = self._by_id.get(outcome.target)
+            elif kind == "wedge":
+                self.wedged = True
+                return
+            else:  # "skip": run nothing this slot.
+                task = None
+        if task is not None:
+            task.invocations += 1
+            task.step(now_ms)
+            if self.wedged:
+                return
+        task = self._background
+        if task is not None:
+            task.invocations += 1
+            task.step(now_ms)
 
     def reset(self) -> None:
         """Clear run-time state (node reboot); configuration is kept."""

@@ -18,7 +18,9 @@ class Task:
 
     ``module_id`` is the byte identifying the module in dispatch/control
     words (see :class:`repro.memory.stack.ControlWordTable`); it must be
-    unique within a node.
+    unique within a node.  ``invocations`` counts the executions of
+    ``step``; the :class:`~repro.rtos.scheduler.SlotScheduler` that
+    dispatches the task keeps it.
     """
 
     __slots__ = ("name", "module_id", "step", "invocations")
@@ -30,10 +32,6 @@ class Task:
         self.module_id = module_id
         self.step = step
         self.invocations = 0
-
-    def run(self, now_ms: int) -> None:
-        self.invocations += 1
-        self.step(now_ms)
 
     def __repr__(self) -> str:
         return f"Task({self.name!r}, id=0x{self.module_id:02X})"

@@ -6,8 +6,8 @@ in lockstep.  Every statement mirrors a statement of the serial tick
 path in the same order — the 16-bit masked variable arithmetic, the
 within-tick EA test order (EA6, EA5, EA4, then the slot module's tests,
 then EA3), the one-tick-delayed COMM delivery, and the float64 physics
-op-for-op — so results are identical row-for-row (pinned by
-``tests/targets/test_batch_equivalence.py``).
+of ``Environment.advance`` op-for-op — so results are identical
+row-for-row (pinned by ``tests/targets/test_batch_equivalence.py``).
 
 Two deliberately scalar escapes keep exactness cheap:
 
@@ -57,7 +57,8 @@ OVERRUN_DISTANCE_M = 400.0
 _MASK16 = 0xFFFF
 _DT_S = 0.001
 
-#: The first-order valve response over one tick (PressureValve.advance).
+#: The first-order valve response over one tick (``Environment.advance``
+#: caches the same value for each distinct step).
 _ALPHA = 1.0 - math.exp(-_DT_S / VALVE_TIME_CONSTANT_S)
 
 #: Centimetres per rotation pulse and the remaining-distance table of CALC.
@@ -350,7 +351,7 @@ class ArrestorBatchKernel(BatchKernel):
         elif s_slot == k.SLOT_PRES_A:
             self.slave_cmd_pa = _command_pa(self.s_out_value)
 
-        # -- environment ------------------------------------------------------
+        # -- environment: mirrors Environment.advance statement for statement --
         self.master_pa = _valve_lag(self.master_pa, self.master_cmd_pa)
         self.slave_pa = _valve_lag(self.slave_pa, self.slave_cmd_pa)
         velocity = self.velocity

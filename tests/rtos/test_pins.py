@@ -43,14 +43,6 @@ class TestDigitalPin:
 
 
 class TestTask:
-    def test_counts_invocations(self):
-        calls = []
-        task = Task("T", 0x10, calls.append)
-        task.run(5)
-        task.run(6)
-        assert task.invocations == 2
-        assert calls == [5, 6]
-
     def test_module_id_validated(self):
         with pytest.raises(ValueError, match="one byte"):
             Task("T", 0x100, lambda now: None)

@@ -1,10 +1,16 @@
 """Tests for the slot scheduler, including control-flow-error emulation."""
 
+from collections import Counter
+
 import pytest
 
+from repro.arrestor import constants as k
+from repro.arrestor.master import MasterNode
+from repro.arrestor.pres_s import PresS
 from repro.memory.layout import MemoryRegion, RegionAllocator
 from repro.memory.memmap import MemoryMap
 from repro.memory.stack import ControlWordTable
+from repro.plant.environment import Environment
 from repro.rtos.scheduler import SlotScheduler
 from repro.rtos.task import Task
 
@@ -163,3 +169,112 @@ class TestControlFlowEmulation:
         assert not sched.wedged
         sched.tick(0, 0)
         assert [c[0] for c in rec.calls] == ["A", "BG"]
+
+
+class TestWedgeEndsTheTick:
+    def test_every_tick_wedge_runs_no_slot_or_background_task(self):
+        rec = Recorder()
+        sched = SlotScheduler(7)
+
+        def wedge(now_ms):
+            rec.calls.append(("W", now_ms))
+            sched.wedged = True
+
+        sched.add_every_tick(Task("W", 0x02, wedge))
+        sched.add_every_tick(rec.task("E", 0x05))
+        sched.add_slot_task(0, rec.task("A", 0x03))
+        sched.set_background(rec.task("BG", 0x06))
+        sched.tick(0, 0)
+        assert rec.calls == [("W", 0)]
+        sched.tick(1, 1)
+        assert rec.calls == [("W", 0)]
+
+    def test_dist_s_return_word_wedge_skips_that_ticks_slot_task(self, monkeypatch):
+        """A high-nibble flip of DIST_S's return word wedges the master in
+        DIST_S; PRES_S, due in the same tick, must not run."""
+        clean = MasterNode(Environment(14000, 55))
+        assert [clean.tick(now) for now in range(21)][20] == k.SLOT_PRES_S
+        runs = []
+        step = PresS.step
+
+        def recorded(self, now):
+            runs.append(now)
+            step(self, now)
+
+        monkeypatch.setattr(PresS, "step", recorded)
+        node = MasterNode(Environment(14000, 55))
+        for now in range(20):
+            node.tick(now)
+        before = list(runs)
+        assert before  # PRES_S ran in the earlier cycles
+        word = node.mem.return_words.word_variable(1)  # DIST_S's context
+        word.set(word.get() ^ (1 << 12))
+        node.tick(20)
+        assert node.wedged
+        assert runs == before
+
+
+def _counted_scheduler():
+    """One task on each path: every-tick E, slots A/B (slot 2 empty), background BG."""
+    rec = Recorder()
+    sched = SlotScheduler(3)
+    tasks = {
+        "E": rec.task("E", 0x02),
+        "A": rec.task("A", 0x03),
+        "B": rec.task("B", 0x04),
+        "BG": rec.task("BG", 0x06),
+    }
+    sched.add_every_tick(tasks["E"])
+    sched.add_slot_task(0, tasks["A"])
+    sched.add_slot_task(1, tasks["B"])
+    sched.set_background(tasks["BG"])
+    region = MemoryRegion("stack", 0, 64)
+    table = ControlWordTable(
+        MemoryMap([region]), RegionAllocator(region), sched.expected_control_ids()
+    )
+    sched.attach_control_words(table)
+    return rec, sched, table, tasks
+
+
+def _invocations(tasks):
+    return {name: task.invocations for name, task in tasks.items()}
+
+
+class TestInvocationAccounting:
+    def test_each_execution_counts_once(self):
+        rec, sched, table, tasks = _counted_scheduler()
+        for now in range(6):
+            sched.tick(now, now % 3)
+        assert _invocations(tasks) == {"E": 6, "A": 2, "B": 2, "BG": 6}
+        assert _invocations(tasks) == dict(Counter(name for name, _ in rec.calls))
+
+    def test_redirect_counts_the_task_that_ran(self):
+        rec, sched, table, tasks = _counted_scheduler()
+        table.word_variable(0).set(ControlWordTable.BASE + 0x04)
+        sched.tick(0, 0)
+        assert _invocations(tasks) == {"E": 1, "A": 0, "B": 1, "BG": 1}
+        assert [name for name, _ in rec.calls] == ["E", "B", "BG"]
+
+    def test_skip_counts_nothing_for_the_slot(self):
+        rec, sched, table, tasks = _counted_scheduler()
+        table.word_variable(0).set(ControlWordTable.BASE + 0x77)
+        sched.tick(0, 0)
+        assert _invocations(tasks) == {"E": 1, "A": 0, "B": 0, "BG": 1}
+
+    def test_wedge_counts_nothing_after_it(self):
+        rec, sched, table, tasks = _counted_scheduler()
+        word = table.word_variable(0)
+        word.set(word.get() ^ 0x1800)
+        sched.tick(0, 0)
+        assert sched.wedged
+        assert _invocations(tasks) == {"E": 1, "A": 0, "B": 0, "BG": 0}
+        sched.tick(1, 1)
+        assert _invocations(tasks) == {"E": 1, "A": 0, "B": 0, "BG": 0}
+
+    def test_reset_zeroes_the_counts(self):
+        rec, sched, table, tasks = _counted_scheduler()
+        for now in range(4):
+            sched.tick(now, now % 3)
+        sched.reset()
+        assert _invocations(tasks) == {"E": 0, "A": 0, "B": 0, "BG": 0}
+        assert sched.ticks == 0
