@@ -111,10 +111,18 @@ class MetricsRegistry:
     # -- accessors -------------------------------------------------------
 
     def counter(self, name: str, **labels: str) -> Counter:
-        return self._counters.setdefault(metric_key(name, labels), Counter())
+        key = metric_key(name, labels)
+        found = self._counters.get(key)
+        if found is None:
+            found = self._counters[key] = Counter()
+        return found
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._gauges.setdefault(metric_key(name, labels), Gauge())
+        key = metric_key(name, labels)
+        found = self._gauges.get(key)
+        if found is None:
+            found = self._gauges[key] = Gauge()
+        return found
 
     def histogram(
         self,

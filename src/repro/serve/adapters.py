@@ -85,9 +85,9 @@ async def serve_lines(
     """Serve one newline-JSON stream on a fresh fleet; returns ops handled.
 
     Detections are pushed through *write* as they are processed; every
-    ``frame`` op is followed by a flush so a client sees its detections
-    before the next acknowledgement (the remote path trades throughput
-    for ordering — bulk traffic belongs in-process).
+    ``frame`` and ``close`` op is followed by a flush so a client sees
+    its detections before the next acknowledgement (the remote path
+    trades throughput for ordering — bulk traffic belongs in-process).
     """
     if config is None:
         config = FleetConfig()
@@ -145,7 +145,12 @@ async def serve_lines(
                         str(message.get("session", "")),
                         complete=bool(message.get("complete", True)),
                     )
-                    write(json.dumps(_result_line(outcome)))
+                    try:
+                        # Closing a lockstep member can release its group's
+                        # queued round; serve it before the reply.
+                        await fleet.flush()
+                    finally:
+                        write(json.dumps(_result_line(outcome)))
                 elif op == "stats":
                     write(json.dumps({"ok": True, "stats": fleet.stats()}))
                 else:

@@ -16,14 +16,26 @@ so sessions opened after a group started stepping seed the next group.
 Rows whose session closed early stay in the arrays (advancing a dead
 row is the identity on everything observable) but stop gating
 readiness.
+
+Detections stay numpy arrays: each round's ``(rows, time_ms, monitor)``
+arrays go into the group's event log, and a member's
+:class:`~repro.serve.session.ServeEvent`\\ s are built only when they
+are read — :meth:`BatchGroup.events` at close or eviction, and
+:meth:`BatchGroup.round_events` for a per-event consumer.  The fleet
+counts detections and observes latencies straight from the arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+try:  # pragma: no cover - exercised only on numpy-less installs
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None  # type: ignore[assignment]
 
 from repro.targets.base import RunResult, Target
-from repro.targets.batch.core import BatchRunSpec, injection_stats, kernel_eligible
+from repro.targets.batch.core import BatchRunSpec, kernel_eligible
 from repro.serve.session import ServeError, ServeEvent, SessionSpec
 
 __all__ = [
@@ -73,6 +85,13 @@ class BatchGroup:
         self._signals: List[Optional[str]] = []
         self.kernel = None
         self._row_of: Dict[str, int] = {}
+        #: One ``(rows, time_ms, monitor)`` triple per round that detected,
+        #: sorted by row so each member's events are one slice of it.
+        self._log: List[Tuple[Any, Any, Any]] = []
+        #: Per row, set at seal: the injection start, and whether the
+        #: first detection at or after it has been reported.
+        self._start = None
+        self._latency_done = None
 
     def __len__(self) -> int:
         return len(self.session_ids)
@@ -109,28 +128,103 @@ class BatchGroup:
     def row_of(self, session_id: str) -> int:
         return self._row_of[session_id]
 
-    def deactivate(self, session_id: str) -> None:
-        """Stop gating rounds on this member (its session closed)."""
-        self.active[self._row_of[session_id]] = False
+    @property
+    def monitor_ids(self) -> List[str]:
+        """The monitor names the ``monitor`` arrays index."""
+        return self.kernel.book.monitor_ids
 
-    def advance(self, ticks: int) -> List[ServeEvent]:
-        """One lockstep round: *ticks* milliseconds for every row."""
+    def deactivate(self, session_id: str) -> None:
+        """Stop gating rounds on this member (its session closed).
+
+        The last member out frees the event log.
+        """
+        self.active[self._row_of[session_id]] = False
+        if not any(self.active):
+            self._log = []
+
+    def advance(self, ticks: int) -> Tuple[Any, Any, Any]:
+        """One lockstep round: *ticks* milliseconds for every row.
+
+        Returns the active members' detections of the round as aligned
+        int64 arrays ``(rows, time_ms, monitor)``, ordered by row and, within
+        a row, in record order; ``monitor`` indexes :attr:`monitor_ids`.
+        """
         if self.kernel is None:
             self.kernel = self.target.batch_kernel(self._specs, capture_events=True)
-        self.kernel.advance(ticks)
-        events = []
-        for row, time_ms, monitor_id in self.kernel.drain_events():
-            if not self.active[row]:
-                continue
-            events.append(
-                ServeEvent(
-                    session_id=self.session_ids[row],
-                    time_ms=int(time_ms),
-                    monitor_id=str(monitor_id),
-                    signal=self._signals[row],
-                )
+            self._start = np.array(
+                [spec.injection_start_ms for spec in self._specs], dtype=np.int64
             )
-        return events
+            self._latency_done = np.zeros(len(self._specs), dtype=bool)
+        self.kernel.advance(ticks)
+        rows, time_ms, monitor = self.kernel.drain_events()
+        if not all(self.active):
+            keep = np.array(self.active)[rows]
+            rows, time_ms, monitor = rows[keep], time_ms[keep], monitor[keep]
+        order = np.argsort(rows, kind="stable")
+        detections = (rows[order], time_ms[order], monitor[order])
+        if len(order):
+            self._log.append(detections)
+        return detections
+
+    def _serve_events(
+        self, rows: Sequence[int], times: Sequence[int], monitors: Sequence[int]
+    ) -> List[ServeEvent]:
+        # ``map`` keeps the per-event loop in C: a close builds hundreds.
+        return list(
+            map(
+                ServeEvent,
+                map(self.session_ids.__getitem__, rows),
+                times,
+                map(self.monitor_ids.__getitem__, monitors),
+                map(self._signals.__getitem__, rows),
+            )
+        )
+
+    def round_events(self, rows, time_ms, monitor) -> List[ServeEvent]:
+        """One round's :meth:`advance` arrays as events, in their order."""
+        return self._serve_events(rows.tolist(), time_ms.tolist(), monitor.tolist())
+
+    def events(self, session_id: str) -> Tuple[ServeEvent, ...]:
+        """The member's detections so far as events, in record order.
+
+        One binary search per logged round finds the member's slice, so
+        the cost is the member's events plus the group's rounds.
+        """
+        row = self._row_of[session_id]
+        times: List[int] = []
+        monitors: List[int] = []
+        for rows, time_ms, monitor in self._log:
+            lo, hi = rows.searchsorted((row, row + 1)).tolist()
+            if lo < hi:
+                times += time_ms[lo:hi].tolist()
+                monitors += monitor[lo:hi].tolist()
+        if not times:
+            return ()
+        return tuple(self._serve_events([row] * len(times), times, monitors))
+
+    def monitor_counts(self, monitor) -> List[Tuple[str, int]]:
+        """``(monitor id, detections)`` for each monitor in a round's *monitor* array."""
+        counts = np.bincount(monitor).tolist()
+        return [(self.monitor_ids[i], n) for i, n in enumerate(counts) if n]
+
+    def detection_latencies(self, rows, time_ms) -> List[int]:
+        """Latencies of members' first detections at or after injection start.
+
+        A member's detection latency is the time of its first event with
+        ``time_ms`` at or after its injection start, minus that start.
+        Given one round's :meth:`advance` arrays, returns the latency of
+        each member whose first such event is in this round, in row
+        order; each member is reported once.
+        """
+        late = (time_ms >= self._start[rows]) & ~self._latency_done[rows]
+        rows, time_ms = rows[late], time_ms[late]
+        if not len(rows):
+            return []
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        rows = rows[first]
+        self._latency_done[rows] = True
+        return (time_ms[first] - self._start[rows]).tolist()
 
     def result(self, session_id: str) -> RunResult:
         """The member's result as of the group's current sim-clock.
@@ -142,9 +236,3 @@ class BatchGroup:
         if self.kernel is None:
             return self.target.batch_kernel([self._specs[row]]).outcome(0).result
         return self.kernel.outcome(row).result
-
-    def first_injection_ms(self, session_id: str) -> Optional[int]:
-        spec = self._specs[self._row_of[session_id]]
-        return injection_stats(
-            spec.injection_start_ms, spec.injection_period_ms, self.clock_ms - 1
-        )[0]

@@ -10,7 +10,10 @@ of unbounded buffering), and the drain loop routes them two ways:
 * **batch path** — sessions eligible for a vectorized kernel are pooled
   into generational :class:`~repro.serve.batchserve.BatchGroup`\\ s; a
   round fires when every open member has a frame queued and one numpy
-  step advances the whole group;
+  step advances the whole group.  Its detections stay arrays: counters
+  and latencies are taken from them per round, and
+  :class:`~repro.serve.session.ServeEvent`\\ s are built only for a
+  per-event consumer (``on_event`` or a tracer) or when a member closes;
 * **serial path** — everything else feeds its own
   :class:`~repro.serve.session.Session` frame by frame.
 
@@ -98,14 +101,14 @@ class FleetConfig:
 class _Handle:
     """One open session's scheduler-side state."""
 
-    __slots__ = ("spec", "session", "group", "queue", "events", "latency_done")
+    __slots__ = ("spec", "session", "group", "queue", "latency_done")
 
     def __init__(self, spec, session, group, queue) -> None:
         self.spec = spec
         self.session: Optional[Session] = session
         self.group: Optional[BatchGroup] = group
         self.queue: asyncio.Queue = queue
-        self.events: List[ServeEvent] = []
+        #: Serial sessions only (a group tracks its members' latencies).
         self.latency_done = False
 
     @property
@@ -117,11 +120,6 @@ class _Handle:
         if self.group is not None:
             return self.group.finished
         return self.session.finished
-
-    def first_injection_ms(self, session_id: str) -> Optional[int]:
-        if self.group is not None:
-            return self.group.first_injection_ms(session_id)
-        return self.session.first_injection_ms
 
 
 class Fleet:
@@ -197,17 +195,17 @@ class Fleet:
 
     def _drain_serial(self) -> bool:
         progressed = False
-        for session_id, handle in list(self._handles.items()):
+        for handle in list(self._handles.values()):
             if handle.is_batch:
                 continue
             while not handle.queue.empty():
                 frame = handle.queue.get_nowait()
                 self._queued -= 1
-                self._feed(session_id, handle, frame)
+                self._feed(handle, frame)
                 progressed = True
         return progressed
 
-    def _feed(self, session_id: str, handle: _Handle, frame: Frame) -> None:
+    def _feed(self, handle: _Handle, frame: Frame) -> None:
         """Feed one serial frame; a failure drops only this frame."""
         started = time.monotonic()
         try:
@@ -215,7 +213,9 @@ class Fleet:
         except Exception as exc:
             self._fail(exc, dropped=1)
             return
-        self._frames_done([(session_id, handle, frame, events)], started, time.monotonic())
+        self._frames_done([frame], started, time.monotonic())
+        if events:
+            self._dispatch(handle, events)
 
     def _drain_batch(self) -> bool:
         progressed = False
@@ -226,38 +226,42 @@ class Fleet:
 
     def _batch_round(self, group: BatchGroup) -> bool:
         """Fire one lockstep round if every open member has a frame."""
+        handles = self._handles
         members = [
-            (sid, self._handles[sid])
-            for sid in group.session_ids
-            if sid in self._handles
+            handles[sid] for sid, active in zip(group.session_ids, group.active) if active
         ]
-        if not members or any(h.queue.empty() for _, h in members):
+        if not members or any(h.queue.empty() for h in members):
             return False
-        frames = [(sid, handle, handle.queue.get_nowait()) for sid, handle in members]
+        frames = [handle.queue.get_nowait() for handle in members]
         self._queued -= len(frames)
         started = time.monotonic()
         try:
-            ticks = {frame.ticks for _, _, frame in frames}
+            ticks = {frame.ticks for frame in frames}
             if len(ticks) != 1:
                 raise ServeError(
                     f"batch group got a heterogeneous round (tick counts "
                     f"{sorted(ticks)}); batched sessions must advance in "
                     f"lockstep — use the serial path for free-form streams"
                 )
-            events = group.advance(ticks.pop())
+            detections = group.advance(ticks.pop())
         except Exception as exc:
             self._fail(exc, dropped=len(frames))
             return True
-        ended = time.monotonic()
-        by_session: Dict[str, List[ServeEvent]] = {}
-        for event in events:
-            by_session.setdefault(event.session_id, []).append(event)
-        self._frames_done(
-            [(sid, handle, frame, by_session.get(sid, [])) for sid, handle, frame in frames],
-            started,
-            ended,
-        )
+        self._frames_done(frames, started, time.monotonic())
+        if len(detections[0]):
+            self._batch_detections(group, *detections)
         return True
+
+    def _batch_detections(self, group: BatchGroup, rows, time_ms, monitor) -> None:
+        """Account one round's detections from the group's arrays."""
+        metrics = self.metrics
+        for monitor_id, count in group.monitor_counts(monitor):
+            metrics.counter("detections_total", monitor=monitor_id).inc(count)
+        for latency in group.detection_latencies(rows, time_ms):
+            metrics.histogram("serve_detection_latency_ms").observe(latency)
+        if self.tracer is not None or self.config.on_event is not None:
+            for event in group.round_events(rows, time_ms, monitor):
+                self._deliver(event)
 
     def _group_for(self, target) -> BatchGroup:
         for group in self._groups:
@@ -393,15 +397,17 @@ class Fleet:
             if handle.is_batch:
                 self.metrics.counter("frames_dropped_total").inc()
             else:
-                self._feed(session_id, handle, frame)
+                self._feed(handle, frame)
         if handle.is_batch:
             group = handle.group
+            events = group.events(session_id)
             group.deactivate(session_id)
             result = group.result(session_id)
             completed = group.finished
-            events = tuple(handle.events)
             if not any(group.active):
                 self._groups.remove(group)
+            # A round this member was holding back may be ready now.
+            self._wake.set()
         else:
             result = handle.session.close(complete=complete)
             completed = complete or handle.session.finished
@@ -437,9 +443,8 @@ class Fleet:
 
     # -- frame accounting ----------------------------------------------------
 
-    def _frames_done(self, done: List[tuple], started: float, ended: float) -> None:
-        """Account ``(session id, handle, frame, events)`` rows whose round
-        or feed ran from *started* to *ended*.
+    def _frames_done(self, frames: List[Frame], started: float, ended: float) -> None:
+        """Account *frames* whose round or feed ran from *started* to *ended*.
 
         Queue wait is ingress to the start of the consuming round, compute
         is that round's duration, and latency is ingress to this call.
@@ -450,7 +455,7 @@ class Fleet:
         wait = metrics.histogram("serve_frame_wait_ms")
         compute = metrics.histogram("serve_frame_compute_ms")
         compute_ms = (ended - started) * 1000.0
-        for session_id, handle, frame, events in done:
+        for frame in frames:
             self._frames_processed += 1
             processed.inc()
             if frame.enqueued_at is not None:
@@ -459,27 +464,27 @@ class Fleet:
                 self.frame_latency_samples.append(latency_ms)
                 wait.observe((started - frame.enqueued_at) * 1000.0)
                 compute.observe(compute_ms)
-            if events:
-                self._dispatch(session_id, handle, events)
 
-    def _dispatch(
-        self, session_id: str, handle: _Handle, events: Sequence[ServeEvent]
-    ) -> None:
+    def _deliver(self, event: ServeEvent) -> None:
+        """Hand one detection to the tracer and the ``on_event`` consumer."""
+        self._emit(
+            "detection",
+            time_ms=float(event.time_ms),
+            session=event.session_id,
+            monitor=event.monitor_id,
+            signal=event.signal,
+        )
+        if self.config.on_event is not None:
+            self.config.on_event(event)
+
+    def _dispatch(self, handle: _Handle, events: Sequence[ServeEvent]) -> None:
+        """Account one serial frame's detections."""
         metrics = self.metrics
-        handle.events.extend(events)
         for event in events:
             metrics.counter("detections_total", monitor=event.monitor_id).inc()
-            self._emit(
-                "detection",
-                time_ms=float(event.time_ms),
-                session=session_id,
-                monitor=event.monitor_id,
-                signal=event.signal,
-            )
-            if self.config.on_event is not None:
-                self.config.on_event(event)
+            self._deliver(event)
         if not handle.latency_done:
-            first_injection = handle.first_injection_ms(session_id)
+            first_injection = handle.session.first_injection_ms
             if first_injection is not None:
                 for event in events:
                     if event.time_ms >= first_injection:

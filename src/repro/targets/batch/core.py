@@ -137,12 +137,14 @@ class DetectionBook:
     ``SignalMonitor.test`` within a tick, so ``first_monitor`` names the
     same EA the serial log's first event does.
 
-    With ``capture_events`` every violation is additionally appended to
-    ``events`` as ``(row, now_ms, monitor_id)`` in record order — the
-    per-row projection of the serial detection log's event sequence.
-    The online serving engine drains these to emit detection events;
-    the offline kernels leave capture off so the whole-grid fast path
-    pays nothing for it.
+    With ``capture_events`` every violating call additionally appends
+    one ``(rows, now_ms, monitor_index)`` chunk to ``events``, where
+    ``rows`` are the violating rows in spec order and ``monitor_index``
+    indexes ``monitor_ids``; :meth:`drain_events` flattens the chunks
+    into aligned arrays — the per-row projection of the serial
+    detection log's event sequence.  The online serving engine drains
+    these to emit detection events; the offline kernels leave capture
+    off so the whole-grid fast path pays nothing for it.
 
     The book is always spec-sized while the masks it receives cover the
     kernel's live rows only: ``rows`` gives the spec index of each mask
@@ -157,7 +159,7 @@ class DetectionBook:
         self.first_monitor = np.full(n, -1, dtype=np.int64)
         self.count = np.zeros(n, dtype=np.int64)
         self.monitor_ids: List[str] = []
-        self.events: Optional[List[Tuple[int, int, str]]] = (
+        self.events: Optional[List[Tuple[Any, int, int]]] = (
             [] if capture_events else None
         )
 
@@ -180,15 +182,25 @@ class DetectionBook:
         self.first_monitor[fresh] = index
         self.detected[hit] = True
         if self.events is not None:
-            for row in hit:
-                self.events.append((int(row), now_ms, monitor_id))
+            self.events.append((hit, now_ms, index))
 
-    def drain_events(self) -> List[Tuple[int, int, str]]:
-        """Pop and return captured ``(row, now_ms, monitor_id)`` events."""
-        if self.events is None:
-            return []
-        drained, self.events = self.events, []
-        return drained
+    def drain_events(self) -> Tuple[Any, Any, Any]:
+        """Pop the captured events as aligned int64 arrays in record order.
+
+        Returns ``(rows, time_ms, monitor)``: each event's row in spec
+        order, its tick, and its monitor's index into ``monitor_ids``.
+        The arrays are empty when nothing was captured (or capture is off).
+        """
+        chunks = self.events
+        if not chunks:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        self.events = []
+        sizes = [len(rows) for rows, _, _ in chunks]
+        rows = np.concatenate([rows for rows, _, _ in chunks])
+        time_ms = np.repeat(np.array([t for _, t, _ in chunks], dtype=np.int64), sizes)
+        monitor = np.repeat(np.array([m for _, _, m in chunks], dtype=np.int64), sizes)
+        return rows, time_ms, monitor
 
     def row(self, r: int) -> Tuple[bool, Optional[int], int, Optional[str]]:
         """(detected, first_detection_ms, detection_count, first_monitor)."""
@@ -535,8 +547,9 @@ class BatchKernel:
         for monitor in self.monitors.values():
             monitor.compact(keep)
 
-    def drain_events(self) -> List[Tuple[int, int, str]]:
-        """Pop captured ``(row, time_ms, monitor_id)`` detection events."""
+    def drain_events(self) -> Tuple[Any, Any, Any]:
+        """Pop captured detections as ``(rows, time_ms, monitor)`` arrays;
+        see :meth:`DetectionBook.drain_events`."""
         return self.book.drain_events()
 
     def outcome(self, r: int, classifier: Any = None) -> BatchOutcome:

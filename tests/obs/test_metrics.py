@@ -77,6 +77,37 @@ class TestMetricsRegistry:
         )
         assert len(registry) == 4
 
+    def test_lookups_build_a_metric_only_on_a_miss(self, monkeypatch):
+        from repro.obs import metrics
+
+        built = []
+
+        class CountingCounter(metrics.Counter):
+            __slots__ = ()
+
+            def __init__(self):
+                built.append("counter")
+                super().__init__()
+
+        class CountingGauge(metrics.Gauge):
+            __slots__ = ()
+
+            def __init__(self):
+                built.append("gauge")
+                super().__init__()
+
+        monkeypatch.setattr(metrics, "Counter", CountingCounter)
+        monkeypatch.setattr(metrics, "Gauge", CountingGauge)
+        registry = MetricsRegistry()
+        registry.counter("frames_total").inc()
+        registry.gauge("queue_depth").set(3)
+        snapshot = registry.snapshot()
+        for _ in range(5):
+            assert registry.counter("frames_total") is registry.counter("frames_total")
+            assert registry.gauge("queue_depth") is registry.gauge("queue_depth")
+        assert built == ["counter", "gauge"]
+        assert registry.snapshot() == snapshot
+
     def test_histogram_bucket_conflict_raises(self):
         registry = MetricsRegistry()
         registry.histogram("lat", buckets=(1.0, 2.0))

@@ -206,6 +206,13 @@ _HETEROGENEOUS_ROUND = [
     json.dumps({"op": "frame", "session": "lock-b", "ticks": 40}),
 ]
 
+#: After a failed round, lock-a queues a frame that only lock-b holds
+#: back; closing lock-b must serve that round before the reply.
+_CLOSE_RELEASES_ROUND = _HETEROGENEOUS_ROUND + [
+    json.dumps({"op": "frame", "session": "lock-a", "ticks": 0}),
+    json.dumps({"op": "close", "session": "lock-b", "complete": False}),
+]
+
 _valid = st.one_of(
     st.sampled_from(_OPENS),
     st.builds(
@@ -268,6 +275,7 @@ _bad = st.one_of(
 )
 @example(stream=["[1]", '"x"', "3"], probe_ticks=20)
 @example(stream=_HETEROGENEOUS_ROUND, probe_ticks=20)
+@example(stream=_CLOSE_RELEASES_ROUND, probe_ticks=1)
 def test_no_line_sequence_kills_the_stream(stream, probe_ticks):
     # Multi-line draws are split so every entry is one protocol line.
     lines = [line for entry in stream for line in entry.split("\n")]

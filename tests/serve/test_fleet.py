@@ -208,6 +208,24 @@ class TestBatchPath:
 
         asyncio.run(main())
 
+    def test_closing_a_member_releases_the_round_it_held_back(self):
+        async def main():
+            async with Fleet(FleetConfig(batch=True)) as fleet:
+                await fleet.open_session(_spec(0))
+                await fleet.open_session(_spec(1))
+                if not _rides_batch(_spec(0)):
+                    return  # numpy unavailable
+                await fleet.ingest(Frame(session_id="s000", ticks=20))
+                assert await fleet.flush() == 1
+                await fleet.close_session("s001", complete=False)
+                # No flush: the close alone wakes the drain task.
+                for _ in range(4):
+                    await asyncio.sleep(0)
+                assert fleet.metrics.counter("frames_processed_total").value == 1
+                assert fleet.stats()["queued_frames"] == 0
+
+        asyncio.run(main())
+
     def test_heterogeneous_ticks_rejected(self):
         async def main():
             async with Fleet(FleetConfig(batch=True)) as fleet:

@@ -191,9 +191,10 @@ class TestRowCompaction:
             retired_before = set(at_finish)
             kernel.advance(self.CHUNKS[chunks % len(self.CHUNKS)])
             chunks += 1
-            for row, time_ms, monitor_id in kernel.drain_events():
+            rows, times, monitors = kernel.drain_events()
+            for row, time_ms, monitor in zip(rows.tolist(), times.tolist(), monitors.tolist()):
                 assert row not in retired_before, (row, time_ms)
-                events[row].append((time_ms, monitor_id))
+                events[row].append((time_ms, kernel.book.monitor_ids[monitor]))
             for r in range(n):
                 if r not in at_finish and kernel.row_last_ms[r] >= 0:
                     at_finish[r] = kernel.outcome(r)
