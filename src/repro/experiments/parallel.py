@@ -349,9 +349,11 @@ def _split_batchable(
 def _record_batch_metrics(metrics: Optional[MetricsRegistry], result) -> None:
     """The aggregate half of ``CampaignController._record_metrics``.
 
-    Batch kernels keep per-row aggregates rather than per-event
-    :class:`DetectionEvent` streams, so the per-monitor counters and
-    latency histograms remain a serial-path-only observability feature.
+    Batch kernels keep per-(row, monitor) aggregates rather than
+    per-event :class:`DetectionEvent` streams, and not the first tick at
+    or after injection each monitor's latency needs, so the per-monitor
+    counters and latency histograms remain a serial-path-only
+    observability feature.
     """
     if metrics is None:
         return

@@ -34,7 +34,7 @@ import abc
 import copy
 import dataclasses
 import pickle
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.plant.failure import FailureVerdict
 
@@ -284,10 +284,26 @@ class Target(abc.ABC):
     def run_batch(self, specs: List[Any]) -> List[RunResult]:
         """Run many injection runs in one vectorized pass.
 
-        One :attr:`batch_kernel` over *specs*, advanced until finished.
         Results are returned in spec order and must be identical to
         booting and running each spec serially — the serial path stays
-        the oracle, this is purely an execution strategy.
+        the oracle, this is purely an execution strategy.  See
+        :meth:`batch_outcomes`.
+        """
+        return [outcome.result for outcome in self.batch_outcomes(specs)]
+
+    def batch_outcomes(self, specs: List[Any]) -> List[Any]:
+        """Each spec's :class:`~repro.targets.batch.core.BatchOutcome`, in spec order.
+
+        Kernel monitors only observe, so the versions of one error
+        follow the same trajectory and differ only in which monitors'
+        detections count.  The specs are grouped by trajectory — every
+        field of :class:`~repro.targets.batch.core.BatchRunSpec` (the
+        fields the kernel reads) except ``version`` — and one
+        :attr:`batch_kernel` runs one row per group to the end of its
+        window; each spec's outcome is its group's row read through the
+        spec's version.  A row tests every EA (``"All"``) unless all of
+        its group's specs share one version, so a grid without repeats
+        does no more monitor work than one row per spec.
         """
         if not self.supports_batch():
             raise NotImplementedError(
@@ -295,9 +311,36 @@ class Target(abc.ABC):
             )
         if not specs:
             return []
-        kernel = self.batch_kernel(specs)
+        from repro.targets.batch.core import BatchRunSpec
+
+        kernel_type = self.batch_kernel
+        for i, spec in enumerate(specs):
+            kernel_type.version_monitors(spec.version, i)  # refuse before simulating
+        fields = [f.name for f in dataclasses.fields(BatchRunSpec) if f.name != "version"]
+        trajectories: Dict[Tuple[Any, ...], int] = {}
+        versions: List[str] = []
+        row_of: List[int] = []
+        for spec in specs:
+            r = trajectories.setdefault(
+                tuple(getattr(spec, name) for name in fields), len(trajectories)
+            )
+            if r == len(versions):
+                versions.append(spec.version)
+            elif versions[r] != spec.version:
+                versions[r] = "All"
+            row_of.append(r)
+        kernel = kernel_type(
+            [
+                BatchRunSpec(version, **dict(zip(fields, key)))
+                for version, key in zip(versions, trajectories)
+            ]
+        )
         kernel.advance(kernel.window_ms)
-        return [outcome.result for outcome in kernel.outcomes()]
+        classifier = kernel.classifier()
+        return [
+            kernel.outcome(r, classifier, spec.version)
+            for r, spec in zip(row_of, specs)
+        ]
 
     def fingerprint_sources(self) -> Tuple[str, ...]:
         """Module/package names whose source code determines run results.

@@ -21,11 +21,14 @@ module holds the pieces both kernels share:
   read-only table over ``value - reference``; the linear-cyclic discrete
   sequence test is an elementwise comparison.  The reference value
   ``prev`` is a per-row array updated under the rows-tested-this-tick
-  mask.  Hold-last-valid recovery is a masked select of the previous
-  reference.
-* :class:`DetectionBook` — per-row first-detection time, first detecting
-  monitor and detection count, accumulated in the serial test order and
-  kept in spec order however the kernel has compacted.
+  mask.  A kernel monitor only observes (no recovery), so the EAs a row
+  tests never change its trajectory.
+* :class:`DetectionBook` — per-(row, monitor) violation count, first
+  violating tick and first record order, accumulated in the serial test
+  order and kept in spec order however the kernel has compacted.  A row
+  read through a subset of monitors is the detection of the version
+  that enables exactly that subset, which is how ``Target.run_batch``
+  runs each trajectory once for all of an error's versions.
 * Injection arithmetic — the per-row XOR masks and the closed-form
   injection statistics of the time-triggered schedule.
 
@@ -131,11 +134,18 @@ def linear_cyclic_length(params: DiscreteParams) -> int:
 
 
 class DetectionBook:
-    """Per-row detection log aggregate: ``DetectionLog`` minus the events.
+    """Per-(row, monitor) detection aggregates: ``DetectionLog`` minus the events.
 
-    ``record`` must be called in the same order the serial system calls
-    ``SignalMonitor.test`` within a tick, so ``first_monitor`` names the
-    same EA the serial log's first event does.
+    For every monitor the book keeps three spec-sized int64 arrays: each
+    row's violation count, the tick of its first violation, and the
+    *record order* of that first violation — the value of one counter
+    that every violating ``record`` call increments.  ``record`` must be
+    called in the order the serial system calls ``SignalMonitor.test``
+    within a tick, so among any subset of monitors the one with the
+    smallest first record order is the EA whose event comes first in the
+    serial log of a version that enables exactly that subset.
+    :meth:`row` reads a row through such a subset; that is how one row
+    that tested every EA yields the result of every version.
 
     With ``capture_events`` every violating call additionally appends
     one ``(rows, now_ms, monitor_index)`` chunk to ``events``, where
@@ -153,22 +163,28 @@ class DetectionBook:
 
     def __init__(self, n: int, capture_events: bool = False) -> None:
         require_numpy()
+        self._n = n
         self.rows = np.arange(n)
-        self.detected = np.zeros(n, dtype=bool)
-        self.first_ms = np.full(n, -1, dtype=np.int64)
-        self.first_monitor = np.full(n, -1, dtype=np.int64)
-        self.count = np.zeros(n, dtype=np.int64)
         self.monitor_ids: List[str] = []
+        self._index: Dict[str, int] = {}
+        #: Per monitor (indexed like ``monitor_ids``), per spec row.
+        self.count: List[Any] = []
+        self.first_ms: List[Any] = []
+        self.first_order: List[Any] = []
+        self._recorded = 0
         self.events: Optional[List[Tuple[Any, int, int]]] = (
             [] if capture_events else None
         )
 
     def _monitor_index(self, monitor_id: str) -> int:
-        try:
-            return self.monitor_ids.index(monitor_id)
-        except ValueError:
+        index = self._index.get(monitor_id)
+        if index is None:
+            index = self._index[monitor_id] = len(self.monitor_ids)
             self.monitor_ids.append(monitor_id)
-            return len(self.monitor_ids) - 1
+            self.count.append(np.zeros(self._n, dtype=np.int64))
+            self.first_ms.append(np.full(self._n, -1, dtype=np.int64))
+            self.first_order.append(np.full(self._n, -1, dtype=np.int64))
+        return index
 
     def record(self, violation, now_ms: int, monitor_id: str) -> None:
         """Record a violation mask (over the live rows) for one monitor."""
@@ -176,11 +192,13 @@ class DetectionBook:
             return
         index = self._monitor_index(monitor_id)
         hit = self.rows[violation]
-        self.count[hit] += 1
-        fresh = hit[~self.detected[hit]]
-        self.first_ms[fresh] = now_ms
-        self.first_monitor[fresh] = index
-        self.detected[hit] = True
+        self.count[index][hit] += 1
+        first_ms = self.first_ms[index]
+        fresh = hit[first_ms[hit] < 0]
+        if len(fresh):
+            first_ms[fresh] = now_ms
+            self.first_order[index][fresh] = self._recorded
+        self._recorded += 1
         if self.events is not None:
             self.events.append((hit, now_ms, index))
 
@@ -202,16 +220,29 @@ class DetectionBook:
         monitor = np.repeat(np.array([m for _, _, m in chunks], dtype=np.int64), sizes)
         return rows, time_ms, monitor
 
-    def row(self, r: int) -> Tuple[bool, Optional[int], int, Optional[str]]:
-        """(detected, first_detection_ms, detection_count, first_monitor)."""
-        if not self.detected[r]:
-            return (False, None, int(self.count[r]), None)
-        return (
-            True,
-            int(self.first_ms[r]),
-            int(self.count[r]),
-            self.monitor_ids[int(self.first_monitor[r])],
-        )
+    def row(
+        self, r: int, monitors: Optional[Sequence[str]] = None
+    ) -> Tuple[bool, Optional[int], int, Optional[str]]:
+        """(detected, first_detection_ms, detection_count, first_monitor).
+
+        Read over the monitor ids in *monitors* (``None``: every
+        monitor); a monitor that never violated counts zero.
+        """
+        if monitors is None:
+            indices: Sequence[int] = range(len(self.monitor_ids))
+        else:
+            indices = [self._index[m] for m in monitors if m in self._index]
+        count = 0
+        first = -1
+        first_order = -1
+        for i in indices:
+            count += int(self.count[i][r])
+            order = int(self.first_order[i][r])
+            if order >= 0 and (first < 0 or order < first_order):
+                first, first_order = i, order
+        if first < 0:
+            return (False, None, count, None)
+        return (True, int(self.first_ms[first][r]), count, self.monitor_ids[first])
 
 
 #: Stored signals are 16-bit, so ``value - reference`` spans this range.
@@ -264,12 +295,11 @@ class VecMonitor:
     ``test(values, now_ms, mask, book)`` replays the serial monitor on
     the rows selected by *mask*: the assertion evaluates elementwise,
     violations are recorded into *book*, and the reference value is
-    advanced exactly as the serial monitor's ``_prev`` is — on a pass it
-    becomes the tested value; on a violation without recovery it still
-    becomes the tested value (the default ``reference_policy="observed"``);
-    with hold-last-valid recovery it becomes the recovered value, a
-    masked select of the previous reference (or the parameter fallback
-    when no reference exists yet).
+    advanced exactly as the serial monitor's ``_prev`` is without
+    recovery — it becomes the tested value, pass or violation (the
+    default ``reference_policy="observed"``).  A kernel monitor only
+    observes: it never changes a value the system goes on to use, so
+    the EAs a row tests cannot change its trajectory.
 
     Values are 16-bit stored signals: a value outside ``[0, 0xFFFF]``
     raises :class:`ValueError` rather than index the rate table.
@@ -280,12 +310,10 @@ class VecMonitor:
         monitor_id: str,
         params: Union[ContinuousParams, DiscreteParams],
         n: int,
-        recovery: bool = False,
     ) -> None:
         require_numpy()
         self.monitor_id = monitor_id
         self.params = params
-        self.recovery = recovery
         self.prev = np.zeros(n, dtype=np.int64)
         self.has_prev = np.zeros(n, dtype=bool)
         #: Every row has a reference (stays true when rows are dropped).
@@ -293,15 +321,8 @@ class VecMonitor:
         self.discrete = isinstance(params, DiscreteParams)
         if self.discrete:
             self._domain_n = linear_cyclic_length(params)
-            # HoldLastValid's no-reference fallback: min(domain, key=repr).
-            self._fallback = min(params.domain, key=repr)
         else:
             self._rate_table = rate_table(params)
-            self._fallback = params.smin
-            if recovery and not 0 <= self._fallback <= _DELTA_MAX:
-                raise ValueError(
-                    f"{monitor_id}: recovery fallback {self._fallback} is not a 16-bit value"
-                )
 
     def holds(self, values):
         """Elementwise ``assertion.holds`` against the per-row references."""
@@ -325,24 +346,19 @@ class VecMonitor:
             return in_bounds & rate_ok
         return in_bounds & (~self.has_prev | rate_ok)
 
-    def test(self, values, now_ms: int, mask, book: DetectionBook):
-        """Test the rows in *mask*; return the (possibly recovered) values."""
+    def test(self, values, now_ms: int, mask, book: DetectionBook) -> None:
+        """Test the rows in *mask*, recording their violations into *book*."""
         if not np.count_nonzero(mask):
-            # No row selected: nothing is recorded, no reference advances,
-            # and the recovery select reduces to the identity — skip the
-            # whole battery.  (Slot-gated monitors hit this on most ticks.)
-            return values
+            # No row selected: nothing is recorded and no reference
+            # advances, so skip the whole battery.  (Slot-gated monitors
+            # hit this on most ticks.)
+            return
         violation = mask > self.holds(values)  # tested and not holding
         book.record(violation, now_ms, self.monitor_id)
-        result = values
-        if self.recovery:
-            recovered = np.where(self.has_prev, self.prev, self._fallback)
-            result = np.where(violation, recovered, values)
-        self.prev = np.where(mask, result, self.prev)
+        self.prev = np.where(mask, values, self.prev)
         if not self.all_prev:
             self.has_prev = self.has_prev | mask
             self.all_prev = bool(self.has_prev.all())
-        return result
 
     def compact(self, keep) -> None:
         """Drop the rows not in *keep* (the kernel's row compaction)."""
@@ -396,11 +412,13 @@ def kernel_eligible(target, spec) -> bool:
     """Whether *spec* is a flip the target's batch kernel can replay here.
 
     Every kernel models one injection shape: a time-triggered flip of
-    bit 0..15 of a monitored 16-bit signal.  Callers add their own
-    spec-shape check; everything else takes the serial path.
+    bit 0..15 of a monitored 16-bit signal, in one of the target's
+    versions.  Callers add their own spec-shape check; everything else
+    takes the serial path (which rejects an unknown version at boot).
     """
     return (
-        spec.signal is not None
+        spec.version in target.versions
+        and spec.signal is not None
         and spec.signal_bit is not None
         and 0 <= spec.signal_bit < 16
         and spec.signal in target.monitored_signals
@@ -411,12 +429,13 @@ def kernel_eligible(target, spec) -> bool:
 class BatchKernel:
     """One target's vectorized system as a resumable lockstep machine.
 
-    Every row is one injection run and all rows share the sim-clock
-    ``now_ms`` (the next tick to execute), so one :meth:`advance` over
-    the whole window (the offline grid) and many small ones (serving
-    rounds) execute the same statements in the same order.  A subclass
-    sets the class attributes and supplies :meth:`boot`, :meth:`step`
-    and :meth:`summary`.
+    Every row is one injection run, tested by the EAs of its spec's
+    version (``ea_rows``), and all rows share the sim-clock ``now_ms``
+    (the next tick to execute), so one :meth:`advance` over the whole
+    window (the offline grid) and many small ones (serving rounds)
+    execute the same statements in the same order.  A subclass sets the
+    class attributes and supplies :meth:`boot`, :meth:`step` and
+    :meth:`summary`.
 
     Every numpy array :meth:`boot` sets on the instance is per-row state
     of shape ``(N,)``.  The arrays hold the live rows only: a kernel
@@ -451,6 +470,8 @@ class BatchKernel:
         n = len(self.specs)
         if n == 0:
             raise ValueError(f"{type(self).__name__} needs at least one spec")
+        for r, spec in enumerate(self.specs):
+            self.version_monitors(spec.version, r)
         params = self.assertion_parameters()
         versions = np.array([spec.version for spec in self.specs])
         every_ea = versions == "All"
@@ -496,6 +517,23 @@ class BatchKernel:
     def summary(self, spec: Any, values: Dict[str, Any], last_ms: int) -> Any:
         """A row's physics summary from its :attr:`summary_fields` *values*."""
         raise NotImplementedError
+
+    @classmethod
+    def version_monitors(cls, version: str, r: Optional[int] = None) -> Tuple[str, ...]:
+        """The EAs a *version* enables: ``"All"`` is every EA, ``"EAx"`` EAx alone.
+
+        The rule of ``Target.version_eas``; any other version raises
+        :class:`ValueError` (naming row *r* when given).
+        """
+        if version == "All":
+            return cls.ea_ids
+        if version in cls.ea_ids:
+            return (version,)
+        where = "" if r is None else f"row {r}: "
+        raise ValueError(
+            f"{where}unknown version {version!r} for {cls.__name__} "
+            f"(expected 'All' or one of {', '.join(cls.ea_ids)})"
+        )
 
     @property
     def finished(self) -> bool:
@@ -552,11 +590,19 @@ class BatchKernel:
         see :meth:`DetectionBook.drain_events`."""
         return self.book.drain_events()
 
-    def outcome(self, r: int, classifier: Any = None) -> BatchOutcome:
-        """Row *r*'s result as it stands after its last executed tick."""
+    def outcome(
+        self, r: int, classifier: Any = None, version: Optional[str] = None
+    ) -> BatchOutcome:
+        """Row *r*'s result as it stands after its last executed tick.
+
+        The detections are read through *version* (default: the row's
+        own spec's).  Monitors only observe, so one row that tested
+        every EA yields the result of every version on its trajectory.
+        """
         if classifier is None:
             classifier = self.classifier()
         spec = self.specs[r]
+        monitors = self.version_monitors(spec.version if version is None else version)
         last_ms = self.last_ms(r)
         if self.row_last_ms[r] >= 0:
             values = {name: final[r] for name, final in self._final.items()}
@@ -564,7 +610,7 @@ class BatchKernel:
             i = int(np.searchsorted(self.rows, r))
             values = {name: getattr(self, name)[i] for name in self.summary_fields}
         summary = self.summary(spec, values, last_ms)
-        detected, first_ms, count, first_monitor = self.book.row(r)
+        detected, first_ms, count, first_monitor = self.book.row(r, monitors)
         first_injection, injections = injection_stats(
             spec.injection_start_ms, spec.injection_period_ms, last_ms
         )

@@ -114,9 +114,8 @@ class TankBatchKernel(BatchKernel):
         # -- CTRL -------------------------------------------------------------
         if present[1]:
             m_ctrl = slot == 1
-            lvl = monitors["EA2"].test(
-                self.level, now, m_ctrl & ea_rows["EA2"], book
-            )
+            lvl = self.level
+            monitors["EA2"].test(lvl, now, m_ctrl & ea_rows["EA2"], book)
             elapsed = (self.tick - self.last_ctrl_tick) & _MASK16
             self.last_ctrl_tick = np.where(m_ctrl, self.tick, self.last_ctrl_tick)
             budget = ins.SLEW_PER_MS * elapsed

@@ -226,6 +226,20 @@ class TestBatchPath:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_unknown_version_refused_at_open(self, batch):
+        """Both paths refuse a version the target does not have, as boot does."""
+        spec = _spec(0, version="EA9")
+
+        async def main():
+            async with Fleet(FleetConfig(batch=batch)) as fleet:
+                with pytest.raises(ValueError, match="EA9"):
+                    await fleet.open_session(spec)
+                assert fleet.sessions_active == 0
+
+        assert not _rides_batch(spec)
+        asyncio.run(main())
+
     def test_heterogeneous_ticks_rejected(self):
         async def main():
             async with Fleet(FleetConfig(batch=True)) as fleet:

@@ -17,7 +17,6 @@ from repro.core.assertions import ContinuousAssertion
 from repro.core.classes import SignalClass
 from repro.core.monitor import SignalMonitor
 from repro.core.parameters import ContinuousParams, linear_transition_map
-from repro.core.recovery import HoldLastValid
 from repro.targets.batch.core import (
     BatchRunSpec,
     DetectionBook,
@@ -28,45 +27,37 @@ from repro.targets.batch.core import (
 )
 
 
-def _drive_pair(signal_class, params, rows, recovery):
+def _drive_pair(signal_class, params, rows):
     """Run N serial monitors and one N-row VecMonitor over *rows*.
 
     *rows* is a list of per-row value sequences, all the same length.
-    Asserts the returned (possibly recovered) values and the violation
-    flags agree elementwise at every step, then returns the book.
+    Asserts the violation flags agree elementwise at every step, then
+    returns the book.
     """
     n = len(rows)
     steps = len(rows[0])
     serial = [
-        SignalMonitor(
-            f"s{r}",
-            signal_class,
-            params,
-            recovery=HoldLastValid() if recovery else None,
-            monitor_id="EAx",
-        )
+        SignalMonitor(f"s{r}", signal_class, params, monitor_id="EAx")
         for r in range(n)
     ]
-    vec = VecMonitor("EAx", params, n, recovery=recovery)
+    vec = VecMonitor("EAx", params, n)
     book = DetectionBook(n)
     mask = np.ones(n, dtype=bool)
     for t in range(steps):
         values = np.array([rows[r][t] for r in range(n)], dtype=np.int64)
         before = [m.violations for m in serial]
-        expected = [m.test(rows[r][t], time=t) for r, m in enumerate(serial)]
+        for r, m in enumerate(serial):
+            m.test(rows[r][t], time=t)
         flagged = [m.violations != b for m, b in zip(serial, before)]
-        detected_before = book.detected.copy()
-        count_before = book.count.copy()
-        out = vec.test(values, t, mask, book)
+        count_before = [book.row(r)[2] for r in range(n)]
+        vec.test(values, t, mask, book)
         for r in range(n):
-            assert out[r] == expected[r], (t, r)
-            newly_counted = book.count[r] != count_before[r]
+            newly_counted = book.row(r)[2] != count_before[r]
             assert newly_counted == flagged[r], (t, r)
-        del detected_before
     return book
 
 
-def test_continuous_hold_last_valid_matches_serial():
+def test_continuous_rows_match_serial():
     params = ContinuousParams.random(0, 100, rmax_incr=10, rmax_decr=10)
     rows = [
         [5, 10, 14, 90, 91, 95, 99],  # one out-of-rate jump mid-sequence
@@ -74,17 +65,16 @@ def test_continuous_hold_last_valid_matches_serial():
         [120, 5, 6, 200, 7, 8, 9],  # violates on the very first sample
         [5, 5, 5, 5, 5, 5, 5],  # unchanged every step
     ]
-    book = _drive_pair(SignalClass.CONTINUOUS_RANDOM, params, rows, True)
+    book = _drive_pair(SignalClass.CONTINUOUS_RANDOM, params, rows)
     assert book.row(1) == (False, None, 0, None)
-    detected, first_ms, _count, monitor = book.row(0)
-    assert detected and monitor == "EAx" and first_ms == 3
+    assert book.row(0) == (True, 3, 1, "EAx")
 
 
 def test_continuous_no_recovery_adopts_observed_value():
     """Without recovery the erroneous sample becomes the new reference."""
     params = ContinuousParams.random(0, 100, rmax_incr=10, rmax_decr=10)
     rows = [[5, 50, 55, 60, 0, 5, 10]]
-    _drive_pair(SignalClass.CONTINUOUS_RANDOM, params, rows, False)
+    _drive_pair(SignalClass.CONTINUOUS_RANDOM, params, rows)
 
 
 def test_continuous_wrap_matches_serial():
@@ -95,9 +85,7 @@ def test_continuous_wrap_matches_serial():
         [0, 1, 2, 3, 4, 5, 6, 7, 0, 1],  # clean wrap-around
         [0, 1, 5, 6, 7, 0, 1, 2, 3, 4],  # one bad jump, then clean again
     ]
-    _drive_pair(
-        SignalClass.CONTINUOUS_MONOTONIC_STATIC, params, rows, True
-    )
+    _drive_pair(SignalClass.CONTINUOUS_MONOTONIC_STATIC, params, rows)
 
 
 def test_discrete_linear_cyclic_matches_serial():
@@ -108,15 +96,13 @@ def test_discrete_linear_cyclic_matches_serial():
         [0, 1, 2, 9, 4, 5, 6, 0, 1],  # out-of-domain spike
         [0, 2, 3, 4, 5, 6, 0, 1, 2],  # skipped step
     ]
-    _drive_pair(
-        SignalClass.DISCRETE_SEQUENTIAL_LINEAR, params, rows, True
-    )
+    _drive_pair(SignalClass.DISCRETE_SEQUENTIAL_LINEAR, params, rows)
 
 
 def test_discrete_no_recovery_matches_serial():
     params = linear_transition_map(range(7), cyclic=True)
     rows = [[0, 1, 5, 6, 0, 1, 2]]
-    _drive_pair(SignalClass.DISCRETE_SEQUENTIAL_LINEAR, params, rows, False)
+    _drive_pair(SignalClass.DISCRETE_SEQUENTIAL_LINEAR, params, rows)
 
 
 @pytest.mark.parametrize("start", [0, 1, 19, 20, 4990, 5000, 5001])
