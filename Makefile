@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint coverage regen-golden bench bench-lint bench-smoke graph-smoke bench-serve serve-smoke bench-suite-smoke bench-tables bench-full e1 e2 reference examples clean
+.PHONY: install test lint coverage regen-golden bench bench-lint graph-smoke bench-suite-smoke bench-tables bench-full e1 e2 reference examples clean
 
 # Coverage floor for the instrumented packages (ratchet: raise as
 # coverage improves, never lower).
@@ -17,8 +17,9 @@ test:
 # Static checks: ruff + mypy when installed (pip install -e .[lint]),
 # always followed by the repo's own assertion linter — plan rules plus
 # the EA4xx/EA5xx source-level packs (AST def-use over every
-# fingerprinted module) — on every registered target, and the
-# cross-target campaign smoke benchmark.  Fails on any new finding.
+# fingerprinted module) — on every registered target, the task-graph
+# smoke and the repository benchmark's self-test.  Fails on any new
+# finding.
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check src/repro/; \
@@ -32,9 +33,7 @@ lint:
 	fi
 	PYTHONPATH=src $(PYTHON) -m repro.analysis --all-targets --source
 	@$(MAKE) --no-print-directory coverage
-	@$(MAKE) --no-print-directory bench-smoke
 	@$(MAKE) --no-print-directory graph-smoke
-	@$(MAKE) --no-print-directory serve-smoke
 	@$(MAKE) --no-print-directory bench-suite-smoke
 
 # Ratcheted coverage gate over the assertion engines and the
@@ -55,11 +54,14 @@ coverage:
 regen-golden:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.golden tests/data/golden_arrestment.jsonl
 
-# Campaign-engine throughput (tiny scale) + schema check of the emitted
-# BENCH_campaign.json.  Scale up via e.g. BENCH_ARGS="--signals mscnt,i --cases 3".
+# The repository benchmark (benchmarks/suite, declared by BENCHMARK.json):
+# every workload once, end-to-end metrics on the last stdout line of each.
+# Pass suite options via e.g. BENCH_ARGS="--seed 3 --trace 1".
 bench:
-	$(PYTHON) benchmarks/bench_campaign.py --out BENCH_campaign.json $(BENCH_ARGS)
-	$(PYTHON) benchmarks/bench_campaign.py --check BENCH_campaign.json
+	@for workload in $$($(PYTHON) -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		echo "== bench: $$workload"; \
+		$(PYTHON) benchmarks/suite/run.py --workload $$workload $(BENCH_ARGS) || exit 1; \
+	done
 
 # Source-level lint cost per target (wall-time, closure size, rule
 # traffic) + schema check of the emitted BENCH_lint.json; the check also
@@ -67,38 +69,6 @@ bench:
 bench-lint:
 	$(PYTHON) benchmarks/bench_lint.py --out BENCH_lint.json $(BENCH_LINT_ARGS)
 	$(PYTHON) benchmarks/bench_lint.py --check BENCH_lint.json
-
-# Tiny single-repeat sweep over every registered target: exercises the
-# cold, snapshot-warm, parallel, store-replay and vectorized-batch
-# engines, the cross-configuration equivalence checks (including the
-# batch-vs-serial differential gate), the schema validator and the
-# throughput-regression guards per target, without the full bench's
-# repeat count.  --smoke on the run pins the pool width so the artifact
-# is deterministic across host CPU counts.
-bench-smoke:
-	@for target in $$(PYTHONPATH=src $(PYTHON) -c "from repro.targets import target_names; print(' '.join(target_names()))"); do \
-		echo "== bench-smoke: $$target"; \
-		$(PYTHON) benchmarks/bench_campaign.py --target $$target --repeats 1 \
-			--smoke --out BENCH_smoke_$$target.json || exit 1; \
-		$(PYTHON) benchmarks/bench_campaign.py --check BENCH_smoke_$$target.json --smoke || exit 1; \
-		rm -f BENCH_smoke_$$target.json; \
-	done
-
-# Serving-engine throughput at the committed full scale (>= 1000
-# sustained sessions, the >= 5x vectorized-path gate, and the
-# serve-vs-offline equivalence check) + schema check of BENCH_serve.json.
-bench-serve:
-	$(PYTHON) benchmarks/bench_serve.py --out BENCH_serve.json $(BENCH_SERVE_ARGS)
-	$(PYTHON) benchmarks/bench_serve.py --check BENCH_serve.json
-
-# Tiny serving smoke: a short synthetic load through both serving paths
-# plus the serve-vs-offline determinism gate on every servable target.
-# Fails on any dropped frame, a batch-path throughput regression
-# (< 1x serial), or any online/offline detection-sequence mismatch.
-serve-smoke:
-	$(PYTHON) benchmarks/bench_serve.py --smoke --out BENCH_smoke_serve.json
-	$(PYTHON) benchmarks/bench_serve.py --check BENCH_smoke_serve.json --smoke
-	rm -f BENCH_smoke_serve.json
 
 # Self-test of the repository benchmark (benchmarks/suite): every
 # workload at smoke scale, untraced and traced, with its output gates.

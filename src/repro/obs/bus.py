@@ -2,10 +2,10 @@
 
 Publishers (monitors, recovery, injectors, the campaign engine) hold an
 optional bus reference that is ``None`` when tracing is disabled — the
-entire disabled-path cost is one ``is not None`` predicate, benchmarked
-by ``benchmarks/bench_campaign.py``.  When enabled, :meth:`TraceBus.emit`
-stamps a monotonic sequence number and the current run id onto the event
-and fans it out to every attached sink.
+entire disabled-path cost is one ``is not None`` predicate.  When
+enabled, :meth:`TraceBus.emit` stamps a monotonic sequence number and
+the current run id onto the event and fans it out to every attached
+sink.
 """
 
 from __future__ import annotations

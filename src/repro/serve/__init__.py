@@ -2,7 +2,7 @@
 
 Where :mod:`repro.experiments` replays error grids offline, this
 package turns the same Section-2 executable assertions into a
-long-running detection service: thousands of concurrent monitored
+long-running detection service: hundreds of concurrent monitored
 target instances multiplexed in one process, each consuming streamed
 per-tick telemetry and emitting detection events online.
 
@@ -22,9 +22,9 @@ Layers (bottom up):
   load + replay drivers, and the newline-JSON stdin/socket protocol.
 
 ``python -m repro.serve --target tanklevel --sessions 1000 --load
-synthetic`` runs the built-in load generator; see
-``benchmarks/bench_serve.py`` for the committed throughput/latency
-figures (BENCH_serve.json).
+synthetic`` runs the built-in load generator; the repository
+benchmark's ``serve-fleet`` workload (``benchmarks/suite``) measures
+serving throughput and frame latency.
 """
 
 from repro.serve.session import (

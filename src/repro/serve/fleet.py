@@ -1,4 +1,4 @@
-"""The fleet scheduler: thousands of sessions, one process.
+"""The fleet scheduler: hundreds of sessions, one process.
 
 A :class:`Fleet` runs one drain task on the caller's event loop (the
 sessions are CPU-bound simulations, so concurrency comes from

@@ -86,6 +86,11 @@ class SessionSpec:
             raise ValueError(f"start_ms must be non-negative, got {self.start_ms}")
         if self.signal is not None and self.address is not None:
             raise ValueError("give signal/signal_bit or address/bit, not both")
+        # An orphan bit would silently serve a fault-free session.
+        if self.signal_bit is not None and self.signal is None:
+            raise ValueError("signal_bit needs signal")
+        if self.bit is not None and self.address is None:
+            raise ValueError("bit needs address")
         if self.signal is not None and (
             self.signal_bit is None or not 0 <= self.signal_bit <= 15
         ):

@@ -15,6 +15,7 @@ np = pytest.importorskip("numpy")
 
 from repro.experiments.campaign import CampaignConfig
 from repro.experiments.parallel import enumerate_e1_specs, execute_specs
+from repro.injection.fic import CampaignController
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -47,11 +48,21 @@ def test_trace_forces_serial_fallback_with_warning(tmp_path):
     assert trace_path.exists() and trace_path.stat().st_size > 0
 
 
-def test_batch_records_match_serial_through_engine():
+def test_batch_records_match_serial_through_engine(monkeypatch):
     specs = _specs()
     serial = execute_specs(specs)
+    serial_runs = []
+    run_injection = CampaignController.run_injection
+
+    def counted(self, *args, **kwargs):
+        serial_runs.append(args)
+        return run_injection(self, *args, **kwargs)
+
+    monkeypatch.setattr(CampaignController, "run_injection", counted)
     batched = execute_specs(specs, batch=True)
     assert batched.records == serial.records
+    # Every spec of the slice is eligible: none takes the serial engine.
+    assert serial_runs == []
 
 
 def test_batch_metrics_cover_aggregates_only():

@@ -39,6 +39,8 @@ class TestEngineTracing:
         trace = tmp_path / "trace.jsonl"
         metrics = MetricsRegistry()
         results = execute_specs(_tiny_specs(), trace=trace, metrics=metrics)
+        # Tracing observes the runs without changing them.
+        assert results.records == execute_specs(_tiny_specs()).records
 
         events = read_trace(trace)  # parseable JSONL, line by line
         assert reconcile_trace(events, results.records) == []

@@ -1,5 +1,6 @@
 """Tests for the run-wave runner (specs, pool, timeouts, retries)."""
 
+import dataclasses
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.results import canonical_key
 from repro.injection.fic import CampaignController
+from repro.targets.registry import get_target, target_names
 
 # A 2-run slice (signal i, bits 0-1, All version) keeps sim time small.
 TINY = CampaignConfig(cases_all=1, versions=("All",))
@@ -112,10 +114,19 @@ class TestChunkSizing:
 
 
 class TestEquivalence:
-    def test_parallel_equals_serial(self):
-        serial = run_e1_campaign(TINY, error_filter=_tiny_filter)
-        par_config = CampaignConfig(cases_all=1, versions=("All",), workers=2)
-        parallel_results = run_e1_campaign(par_config, error_filter=_tiny_filter)
+    @pytest.mark.parametrize("target", target_names())
+    def test_parallel_equals_serial(self, target):
+        # Two bits of the target's first monitored signal.
+        signal = get_target(target).monitored_signals[0]
+
+        def two_bits(error):
+            return error.signal == signal and error.signal_bit < 2
+
+        config = CampaignConfig(target=target, cases_all=1, versions=("All",))
+        serial = run_e1_campaign(config, error_filter=two_bits)
+        par_config = dataclasses.replace(config, workers=2)
+        parallel_results = run_e1_campaign(par_config, error_filter=two_bits)
+        assert len(serial) == 2
         assert parallel_results.records == serial.records
         assert parallel_results.sorted().records == serial.sorted().records
 

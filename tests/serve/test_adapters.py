@@ -86,6 +86,22 @@ class TestProtocol:
         assert replies[1]["ok"] is True
         assert replies[1]["stats"]["sessions_active"] == 0
 
+    def test_misspelled_signal_key_is_refused_not_served_fault_free(self):
+        # "sigal" is not a spec field, so the adapter drops it; the
+        # orphan signal_bit must refuse the open instead of serving a
+        # session without its fault.
+        lines = [
+            json.dumps({"op": "open", "session": "s1", "target": "tanklevel",
+                        "sigal": "tick", "signal_bit": 3}),
+            json.dumps({"op": "stats"}),
+        ]
+        ops, replies = _run(lines)
+        assert ops == 2
+        assert replies[0]["ok"] is False
+        assert "signal_bit needs signal" in replies[0]["error"]
+        assert replies[1]["ok"] is True
+        assert replies[1]["stats"]["sessions_active"] == 0
+
     def test_session_id_alias_accepted(self):
         lines = [
             json.dumps({"op": "open", "session_id": "s9", "target": "tanklevel"}),

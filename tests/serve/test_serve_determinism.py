@@ -12,7 +12,7 @@ from repro.injection.errors import ErrorSpec
 from repro.injection.fic import CampaignController
 from repro.injection.injector import TimeTriggeredInjector
 from repro.serve import FleetConfig, SessionSpec, serve_replay
-from repro.serve.session import events_key
+from repro.serve.session import Session, events_key
 from repro.targets.registry import get_target, target_names
 
 
@@ -97,14 +97,24 @@ def test_serial_fleet_matches_offline_campaign(target_name):
     assert detected_any
 
 
-def test_batch_fleet_matches_offline_campaign():
+def test_batch_fleet_matches_offline_campaign(monkeypatch):
     target = get_target("tanklevel")
     if not target.supports_batch():
         pytest.skip("numpy unavailable: no vectorized serving path")
     specs = _specs("tanklevel", count=4)
+    serial_feeds = []
+    feed = Session.feed
+
+    def counted(self, *args, **kwargs):
+        serial_feeds.append(self)
+        return feed(self, *args, **kwargs)
+
+    monkeypatch.setattr(Session, "feed", counted)
     report = serve_replay(
         specs, FleetConfig(batch=True), frame_ticks=20
     )
+    # Every session is eligible: no frame takes the serial path.
+    assert serial_feeds == []
     for spec in specs:
         offline_result, offline_key = _offline(target, spec)
         _assert_matches_offline(

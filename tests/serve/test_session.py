@@ -70,6 +70,15 @@ class TestSessionSpec:
         with pytest.raises(ValueError, match="bit"):
             SessionSpec(session_id="s", address=10)
 
+    @pytest.mark.parametrize(
+        "location, needs",
+        [({"signal_bit": 3}, "signal"), ({"bit": 3}, "address")],
+    )
+    def test_orphan_bit_rejected(self, location, needs):
+        # Without its signal/address the bit would serve a fault-free session.
+        with pytest.raises(ValueError, match=f"needs {needs}"):
+            SessionSpec(session_id="s", target="tanklevel", **location)
+
     def test_fault_free_spec(self):
         spec = SessionSpec(session_id="s")
         assert not spec.injects

@@ -11,24 +11,49 @@ campaign engine's acceleration; these tests pin its core promises:
 * the LRU cache accounts hits/misses/evictions and is bounded.
 """
 
+import functools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.arrestor.master import MasterNode
 from repro.injection.fic import CampaignController, clear_reference_memo
 from repro.targets import booted_system, cache_stats, clear_cache, prefixed_system
 from repro.targets.base import Snapshot
-from repro.targets.registry import get_target
+from repro.targets.registry import get_target, target_names
 from repro.targets.snapshot import (
     SnapshotCache,
     _cache_key,
     snapshots_enabled_default,
 )
+from repro.targets.tanklevel.system import TankNode
 
-TARGETS = ("arrestor", "tanklevel")
+#: Each target's node class, whose ``tick`` runs once per simulated
+#: millisecond (the benchmark suite's ``ticks.*`` counters).
+NODE_TICK = {"arrestor": MasterNode, "tanklevel": TankNode}
 
-#: Per-target first-injection time exercising the prefix fast-forward.
-PREFIX_MS = {"arrestor": 2000, "tanklevel": 1000}
+
+@functools.lru_cache(maxsize=None)
+def _prefix_ms(name):
+    """First-injection time exercising the prefix fast-forward: a fifth
+    of the target's own fault-free run on its first test case."""
+    target = get_target(name)
+    return target.boot(target.test_cases()[0], "All").run().duration_ms // 5
+
+
+def _count_node_ticks(monkeypatch, name):
+    """Count calls of *name*'s node ``tick``; returns a one-item list."""
+    cls = NODE_TICK[name]
+    original = cls.tick
+    calls = [0]
+
+    def counted(self, now_ms):
+        calls[0] += 1
+        return original(self, now_ms)
+
+    monkeypatch.setattr(cls, "tick", counted)
+    return calls
 
 
 @pytest.fixture(autouse=True)
@@ -41,7 +66,7 @@ def _fresh_caches():
 
 
 class TestColdVsRestored:
-    @pytest.mark.parametrize("name", TARGETS)
+    @pytest.mark.parametrize("name", target_names())
     def test_fault_free_run_identical(self, name):
         target = get_target(name)
         case = target.test_cases()[0]
@@ -54,7 +79,7 @@ class TestColdVsRestored:
         assert warm == cold
         assert warm_system.detection_log.events == cold_system.detection_log.events
 
-    @pytest.mark.parametrize("name", TARGETS)
+    @pytest.mark.parametrize("name", target_names())
     def test_injected_run_identical_on_miss_and_hit(self, name):
         target = get_target(name)
         case = target.test_cases()[0]
@@ -69,12 +94,13 @@ class TestColdVsRestored:
         assert miss == reference
         assert hit == reference
 
-    @pytest.mark.parametrize("name", TARGETS)
-    def test_prefix_fast_forward_identical(self, name):
+    @pytest.mark.parametrize("name", target_names())
+    def test_prefix_fast_forward_identical(self, name, monkeypatch):
         target = get_target(name)
         case = target.test_cases()[1]
         error = target.e1_error_set()[3]
-        start = PREFIX_MS[name]
+        start = _prefix_ms(name)
+        ticks = _count_node_ticks(monkeypatch, name)
 
         cold = CampaignController(
             target=name, snapshots=False, injection_start_ms=start
@@ -83,24 +109,29 @@ class TestColdVsRestored:
         assert reference.first_injection_ms is None or (
             reference.first_injection_ms >= start
         )
+        cold_ticks = ticks[0]
 
         warm = CampaignController(
             target=name, snapshots=True, injection_start_ms=start
         )
         for _ in range(2):  # prefix-miss, then prefix-hit
+            ticks[0] = 0
             assert warm.run_injection(error, case, "All").result == reference
+        # The prefix hit restores the fault-free prefix instead of
+        # simulating it: *start* fewer node ticks than the cold run.
+        assert cold_ticks - ticks[0] == start
 
-    @pytest.mark.parametrize("name", TARGETS)
+    @pytest.mark.parametrize("name", target_names())
     def test_prefixed_system_resumes_like_cold(self, name):
         # The raw snapshot API, without the controller: restoring a
         # prefix snapshot and finishing fault-free equals one cold run.
         target = get_target(name)
         case = target.test_cases()[2]
         cold = target.boot(case, "All").run()
-        resumed = prefixed_system(target, case, "All", PREFIX_MS[name]).run()
+        resumed = prefixed_system(target, case, "All", _prefix_ms(name)).run()
         assert resumed == cold
 
-    @pytest.mark.parametrize("name", TARGETS)
+    @pytest.mark.parametrize("name", target_names())
     def test_reference_memoization_identical(self, name):
         target = get_target(name)
         case = target.test_cases()[0]
