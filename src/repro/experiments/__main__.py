@@ -71,6 +71,7 @@ from repro.experiments.analysis import (
 from repro.experiments.persistence import load_results, save_results
 from repro.experiments.campaign import (
     CampaignConfig,
+    _tables_renderer,
     run_campaign_graph,
     run_reference_grid,
 )
@@ -278,12 +279,8 @@ def _cmd_e1(args: argparse.Namespace) -> int:
     if args.signal is not None:
         results = ResultSet(results.subset(signal=args.signal))
         print(f"filtered to {len(results)} runs on signal {args.signal}\n")
-    signals = tuple(target.monitored_signals)
-    print("Table 7. Error detection probabilities (%)")
-    print(render_table7(results, config.versions, signals=signals))
-    print()
-    print("Table 8. Error detection latencies (ms)")
-    print(render_table8(results, config.versions, signals=signals))
+    render, _ = _tables_renderer("e1", config)
+    print(render(results))
     return 0
 
 
@@ -305,8 +302,8 @@ def _cmd_e2(args: argparse.Namespace) -> int:
         return 0
     results = load_results(args.load)
     print(f"loaded {len(results)} runs from {args.load}\n")
-    print("Table 9. Results for error set E2")
-    print(render_table9(results))
+    render, _ = _tables_renderer("e2", config)
+    print(render(results))
     return 0
 
 

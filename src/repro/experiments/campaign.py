@@ -210,9 +210,8 @@ def run_campaign_graph(
 
     The one campaign executor (:func:`run_e1_campaign` /
     :func:`run_e2_campaign` return this call's records): the spec grid
-    becomes ``run`` nodes fed by snapshot-``prewarm`` nodes, with
-    ``aggregate`` and ``tables`` nodes downstream (see
-    :mod:`repro.experiments.dag`).  *store* is a **node-store**
+    becomes ``run`` nodes, with ``aggregate`` and ``tables`` nodes
+    downstream (see :mod:`repro.experiments.dag`).  *store* is a **node-store**
     directory: every completed run is recorded there as it finishes, so
     resume-after-interrupt and replay-when-unchanged are the same
     mechanism — re-run with the same store.  *force* re-executes every

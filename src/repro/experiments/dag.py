@@ -2,14 +2,10 @@
 
 Every E1/E2 campaign runs through this module: it expresses the spec
 grid of :mod:`repro.experiments.parallel` as the dependency graph it
-really is, on the :mod:`repro.experiments.graph` runtime:
+really is, on the :mod:`repro.experiments.graph` runtime.  Every node
+is stored work; snapshot warm-up is not a node but part of running a
+wave (see :func:`~repro.experiments.parallel.execute_specs`):
 
-``prewarm`` nodes
-    One per distinct ``(target, version, test case, prefix)`` grid
-    point: warm the process-global snapshot cache (boot — and, with a
-    positive ``injection_start_ms``, the fault-free prefix) exactly
-    once before any run that needs it.  Side-effect nodes: never
-    stored, executed only when a dependent run node executes.
 ``run`` nodes
     One per :class:`~repro.experiments.parallel.RunSpec`.  Inputs are
     the spec's fields plus the **context fingerprint** (SHA-256 over the
@@ -19,7 +15,8 @@ really is, on the :mod:`repro.experiments.graph` runtime:
     campaign replays entirely from the node store.  Ready run nodes
     execute as one wave through the run-wave runner — serial loop,
     chunked process pool, or vectorized batch kernels — via a group
-    runner wrapping :func:`~repro.experiments.parallel.execute_specs`,
+    runner wrapping :func:`~repro.experiments.parallel.execute_specs`
+    (their only execution path: run nodes carry no ``run`` callable),
     which reports every completed chunk as it arrives; the graph
     stores each one at once.  That per-node record is the campaign's
     only persistence: a campaign interrupted at any point and re-run
@@ -66,7 +63,6 @@ from repro.experiments.graph import (
 from repro.experiments.parallel import RunSpec, execute_specs
 from repro.experiments.persistence import decode_row, encode_record, results_to_csv
 from repro.experiments.results import ResultSet, RunRecord, canonical_key
-from repro.targets import snapshot as snapshots_mod
 from repro.targets.base import Target
 from repro.targets.registry import get_target
 
@@ -156,13 +152,6 @@ def run_node_name(spec: RunSpec) -> str:
     )
 
 
-def _prewarm_node_name(spec: RunSpec) -> str:
-    return (
-        f"prewarm/{spec.target}/{spec.version}"
-        f"|m{spec.mass_kg:g}|v{spec.velocity_mps:g}|p{spec.injection_start_ms}"
-    )
-
-
 def _spec_inputs(spec: RunSpec, context: str) -> Dict[str, str]:
     """Every result-determining field of one run, as key material."""
     return {
@@ -203,23 +192,20 @@ class GraphCampaignResult:
 def build_campaign_graph(
     specs: Sequence[RunSpec],
     run_config: Any = None,
-    snapshots: Optional[bool] = None,
-    timeout_s: Optional[float] = None,
     tables_renderer: Optional[TablesRenderer] = None,
     tables_fingerprint: str = "",
 ) -> Graph:
-    """The campaign DAG for *specs*: prewarm -> run -> aggregate -> tables.
+    """The campaign DAG for *specs*: run -> aggregate -> tables.
 
     Node keys are fully determined here (content addresses over inputs
-    and dependency keys); nothing is executed.  The single-spec ``run``
-    callables route through :func:`execute_specs` so an individually
-    executed node matches the engine bit-for-bit; bulk execution
-    replaces them with a pooled group runner (see
-    :func:`run_campaign_graph`).
+    and dependency keys); nothing is executed.  Run nodes carry their
+    :class:`RunSpec` as payload and no ``run`` callable: they execute
+    only through the run-wave group runner of :func:`run_campaign_graph`.
     """
     specs = list(specs)
     graph = Graph()
     contexts: Dict[Tuple[str, int], str] = {}
+    run_names: List[str] = []
     for spec in specs:
         ctx_key = (spec.target, spec.injection_start_ms)
         if ctx_key not in contexts:
@@ -228,70 +214,12 @@ def build_campaign_graph(
                 run_config,
                 injection_start_ms=spec.injection_start_ms,
             )
-
-    def _prewarm_runner(spec: RunSpec) -> Callable[[Mapping[str, Any]], Any]:
-        def run(_deps: Mapping[str, Any]) -> Dict[str, Any]:
-            enabled = (
-                snapshots
-                if snapshots is not None
-                else snapshots_mod.snapshots_enabled_default()
-            )
-            target = get_target(spec.target)
-            if not enabled or not target.supports_snapshots():
-                return {"warmed": False}
-            warmed = snapshots_mod.prewarm(
-                target,
-                spec.test_case(),
-                spec.version,
-                prefix_ms=spec.injection_start_ms,
-                run_config=run_config,
-            )
-            return {"warmed": bool(warmed)}
-
-        return run
-
-    def _run_runner(spec: RunSpec) -> Callable[[Mapping[str, Any]], Any]:
-        def run(_deps: Mapping[str, Any]) -> List[str]:
-            results = execute_specs(
-                [spec],
-                run_config=run_config,
-                timeout_s=timeout_s,
-                snapshots=snapshots,
-            )
-            return encode_record(results.records[0])
-
-        return run
-
-    run_names: List[str] = []
-    for spec in specs:
-        prewarm_name = _prewarm_node_name(spec)
-        context = contexts[(spec.target, spec.injection_start_ms)]
-        if prewarm_name not in graph:
-            graph.add(
-                Node(
-                    name=prewarm_name,
-                    kind="prewarm",
-                    run=_prewarm_runner(spec),
-                    inputs={
-                        "target": spec.target,
-                        "version": spec.version,
-                        "mass_kg": repr(spec.mass_kg),
-                        "velocity_mps": repr(spec.velocity_mps),
-                        "prefix_ms": str(spec.injection_start_ms),
-                        "context": context,
-                    },
-                    cacheable=False,
-                    payload=spec,
-                )
-            )
         name = run_node_name(spec)
         graph.add(
             Node(
                 name=name,
                 kind="run",
-                run=_run_runner(spec),
-                inputs=_spec_inputs(spec, context),
-                deps=(prewarm_name,),
+                inputs=_spec_inputs(spec, contexts[ctx_key]),
                 payload=spec,
             )
         )
@@ -401,8 +329,6 @@ def run_campaign_graph(
     graph = build_campaign_graph(
         specs,
         run_config=run_config,
-        snapshots=snapshots,
-        timeout_s=timeout_s,
         tables_renderer=tables_renderer,
         tables_fingerprint=tables_fingerprint,
     )

@@ -6,10 +6,11 @@ artifacts — and :mod:`repro.experiments.dag` expresses campaigns that
 way.  This module is the underlying runtime, deliberately generic and
 free of simulation imports:
 
-* :class:`Node` — one unit of work: a ``kind`` (its taxonomy group), a
-  mapping of **input strings** (everything that determines its output),
-  the names of its dependency nodes, and a ``run`` callable receiving
-  the dependencies' outputs.
+* :class:`Node` — one unit of stored work: a ``kind`` (its taxonomy
+  group), a mapping of **input strings** (everything that determines
+  its output), the names of its dependency nodes, and a ``run``
+  callable receiving the dependencies' outputs (or none, when a group
+  runner executes the kind).
 * :class:`Graph` — nodes wired by name, topologically scheduled.  Every
   node has a **content address**: SHA-256 over its kind, its sorted
   inputs and its dependencies' keys, so a key transitively covers the
@@ -88,26 +89,24 @@ GroupRunner = Callable[
 
 @dataclasses.dataclass(frozen=True)
 class Node:
-    """One unit of work in a campaign graph.
+    """One unit of work in a campaign graph; its output is stored.
 
     ``inputs`` must carry *every* value that determines the output (the
     campaign layer folds the code/config context fingerprint in here);
     the content address is derived from them plus the dependency keys.
     ``run`` receives ``{dep name: dep output}`` and returns the output,
-    which must be JSON-serialisable when the node is ``cacheable``.
-    ``payload`` is free-form execution context (e.g. the
+    which must be JSON-serialisable.  It may be ``None`` for a kind that
+    :meth:`Graph.execute` hands to a group runner (the campaign's run
+    nodes).  ``payload`` is free-form execution context (e.g. the
     :class:`~repro.experiments.parallel.RunSpec` a run node executes);
-    it never enters the key.  Non-cacheable nodes model side effects
-    (snapshot prewarm): they are never stored and execute only when a
-    downstream node executes.
+    it never enters the key.
     """
 
     name: str
     kind: str
-    run: Callable[[Mapping[str, Any]], Any]
+    run: Optional[Callable[[Mapping[str, Any]], Any]] = None
     inputs: Mapping[str, str] = dataclasses.field(default_factory=dict)
     deps: Tuple[str, ...] = ()
-    cacheable: bool = True
     payload: Any = None
 
 
@@ -220,8 +219,6 @@ class NodeStore:
 
     def put(self, node: Node, key: str, output: Any) -> Path:
         """Persist *node*'s completion record atomically; returns its path."""
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
         record = {
             "key": key,
             "name": node.name,
@@ -230,6 +227,12 @@ class NodeStore:
             "deps": list(node.deps),
             "output": output,
         }
+        return self.write(key, record)
+
+    def write(self, key: str, record: Mapping[str, Any]) -> Path:
+        """Write one raw completion record durably: temp file, ``fsync``, rename."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(key)
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:16]}.", suffix=".tmp", dir=self.dir
         )
@@ -279,23 +282,7 @@ def merge_stores(
                     )
                 present += 1
                 continue
-            dest_store.dir.mkdir(parents=True, exist_ok=True)
-            # Re-serialise through put-equivalent atomic write.
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{key[:16]}.", suffix=".tmp", dir=dest_store.dir
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle, sort_keys=True, separators=(",", ":"))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, dest_store.path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            dest_store.write(key, record)
             merged += 1
     return merged, present
 
@@ -413,11 +400,10 @@ class Graph:
 
         *wanted* restricts the goal set (a shard executes only its run
         nodes); dependencies of wanted nodes are pulled in as needed.
-        With a *store*, cacheable nodes whose key is stored **replay**
-        — unless *force*, or a *tracer* is attached (traces are
-        execution artifacts: a traced graph executes every needed node
-        and still refreshes the store).  Non-cacheable nodes execute
-        only when some dependent executes.  *runners* maps a node kind
+        With a *store*, nodes whose key is stored **replay** — unless
+        *force*, or a *tracer* is attached (traces are execution
+        artifacts: a traced graph executes every needed node and still
+        refreshes the store).  *runners* maps a node kind
         to a group runner executing all simultaneously ready nodes of
         that kind in one call (the campaign layer's pool dispatch),
         reporting — and so storing — outputs as they arrive;
@@ -440,25 +426,16 @@ class Graph:
         for name in order:
             for dep in self._nodes[name].deps:
                 dependents[dep].append(name)
-        explicit: Set[str] = set() if wanted is None else set(wanted)
         needed: Set[str] = set()
         pending: Set[str] = set()
         cached_output: Dict[str, Any] = {}
         for name in reversed(order):
+            if not (
+                name in goal
+                or any(dependent in pending for dependent in dependents[name])
+            ):
+                continue
             node = self._nodes[name]
-            feeds_pending = any(
-                dependent in pending for dependent in dependents[name]
-            )
-            if not node.cacheable:
-                # Side-effect nodes have no storable output: they run
-                # only for an executing dependent (or when explicitly
-                # wanted), never to satisfy a replayed one.
-                if name in explicit or feeds_pending:
-                    needed.add(name)
-                    pending.add(name)
-                continue
-            if not (name in goal or feeds_pending):
-                continue
             needed.add(name)
             if replay_ok:
                 status, output = store.get(node, self.key(name))
@@ -486,7 +463,7 @@ class Graph:
         def _finish(node: Node, key: str, output: Any) -> None:
             outputs[node.name] = output
             stats.note(node.kind, "executed")
-            if node.cacheable and store is not None:
+            if store is not None:
                 store.put(node, key, output)
             if metrics is not None:
                 metrics.counter("graph_nodes_executed_total", kind=node.kind).inc()
@@ -536,6 +513,11 @@ class Graph:
                         )
             else:
                 for node in nodes:
+                    if node.run is None:
+                        raise GraphError(
+                            f"node {node.name!r} has no run callable and no group "
+                            f"runner handles kind {kind!r}"
+                        )
                     _finish(node, self.key(node.name), node.run(_dep_outputs(node)))
             completed.update(wave)
             remaining = [name for name in remaining if name not in completed]

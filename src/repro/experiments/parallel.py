@@ -26,7 +26,8 @@ Acceleration.  Before forking its pool the dispatcher pre-warms the
 process-global snapshot cache (one boot — and, with a positive
 ``injection_start_ms``, one fault-free prefix simulation — per distinct
 grid point), so every forked worker inherits the warm cache instead of
-rebuilding it.
+rebuilding it.  This is the only ahead-of-time warm-up: a serial wave
+captures each grid point's snapshot on its first run.
 
 Observability.  With a trace destination and/or a metrics registry
 (``execute_specs(trace=..., metrics=...)``), the engine publishes run
@@ -58,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.experiments.results import ResultSet, RunRecord, canonical_key, flatten_record
 from repro.experiments.testcases import select_spread
 from repro.injection.errors import ErrorSpec
-from repro.injection.fic import CampaignController, ExperimentRecord
+from repro.injection.fic import CampaignController, ExperimentRecord, record_run_metrics
 from repro.targets import snapshot as snapshots_mod
 from repro.targets.base import TestCase
 from repro.targets.registry import DEFAULT_TARGET, get_target
@@ -346,36 +347,6 @@ def _split_batchable(
     return batchable, rest
 
 
-def _record_batch_metrics(metrics: Optional[MetricsRegistry], result) -> None:
-    """The aggregate half of ``CampaignController._record_metrics``.
-
-    Batch kernels keep per-(row, monitor) aggregates rather than
-    per-event :class:`DetectionEvent` streams, and not the first tick at
-    or after injection each monitor's latency needs, so the per-monitor
-    counters and latency histograms remain a serial-path-only
-    observability feature.
-    """
-    if metrics is None:
-        return
-    metrics.counter("runs_total").inc()
-    if result.detected:
-        metrics.counter("runs_detected_total").inc()
-    if result.failed:
-        metrics.counter("runs_failed_total").inc()
-    if result.wedged:
-        metrics.counter("runs_wedged_total").inc()
-    metrics.counter("injections_total").inc(result.injection_count)
-    metrics.counter("detections_total").inc(result.detection_count)
-    first_injection = result.first_injection_ms
-    if result.detected and (
-        first_injection is None or result.first_detection_ms < first_injection
-    ):
-        metrics.counter("false_alarms_total").inc()
-    latency = result.detection_latency_ms
-    if latency is not None:
-        metrics.histogram("detection_latency_ms").observe(latency)
-
-
 def _execute_batch_group(
     group: Sequence[RunSpec], metrics: Optional[MetricsRegistry]
 ) -> List[RunRecord]:
@@ -384,7 +355,7 @@ def _execute_batch_group(
     results = target.run_batch(list(group))
     records: List[RunRecord] = []
     for spec, result in zip(group, results):
-        _record_batch_metrics(metrics, result)
+        record_run_metrics(metrics, result)
         records.append(
             flatten_record(
                 ExperimentRecord(

@@ -30,7 +30,7 @@ additionally memoized outright (one simulation per (version, case)).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.injection.errors import ErrorSpec
 from repro.injection.injector import INJECTION_PERIOD_MS, TimeTriggeredInjector
@@ -39,7 +39,12 @@ from repro.targets.base import RunResult, TestCase
 from repro.targets.registry import get_target
 from repro.targets import snapshot as snapshots_mod
 
-__all__ = ["ExperimentRecord", "CampaignController", "TIMEOUT_VIOLATION"]
+__all__ = [
+    "ExperimentRecord",
+    "CampaignController",
+    "TIMEOUT_VIOLATION",
+    "record_run_metrics",
+]
 
 #: Memoized fault-free reference runs: cache key -> (RunResult, events).
 #: Per process, like the snapshot cache (forked workers inherit it).
@@ -52,6 +57,37 @@ def clear_reference_memo() -> None:
 
 #: Constraint name recorded in the verdict of a timed-out run.
 TIMEOUT_VIOLATION = "worker-timeout"
+
+
+def record_run_metrics(metrics, result: RunResult) -> None:
+    """Count one finished run into the campaign's aggregate metrics.
+
+    Shared by the serial controller and the batch kernels; per-monitor
+    counters and latency histograms need the detection-event stream,
+    which only the serial path keeps (see
+    ``CampaignController._record_metrics``).
+    """
+    if metrics is None:
+        return
+    metrics.counter("runs_total").inc()
+    if result.detected:
+        metrics.counter("runs_detected_total").inc()
+    if result.failed:
+        metrics.counter("runs_failed_total").inc()
+    if result.wedged:
+        metrics.counter("runs_wedged_total").inc()
+    metrics.counter("injections_total").inc(result.injection_count)
+    metrics.counter("detections_total").inc(result.detection_count)
+    first_injection = result.first_injection_ms
+    if result.detected and (
+        first_injection is None or result.first_detection_ms < first_injection
+    ):
+        # A detection with nothing injected yet: the assertion fired
+        # on the system's own behaviour (the false-alarm measure).
+        metrics.counter("false_alarms_total").inc()
+    latency = result.detection_latency_ms
+    if latency is not None:
+        metrics.histogram("detection_latency_ms").observe(latency)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,25 +211,8 @@ class CampaignController:
         metrics = self.metrics
         if metrics is None:
             return
-        metrics.counter("runs_total").inc()
-        if result.detected:
-            metrics.counter("runs_detected_total").inc()
-        if result.failed:
-            metrics.counter("runs_failed_total").inc()
-        if result.wedged:
-            metrics.counter("runs_wedged_total").inc()
-        metrics.counter("injections_total").inc(result.injection_count)
-        metrics.counter("detections_total").inc(result.detection_count)
+        record_run_metrics(metrics, result)
         first_injection = result.first_injection_ms
-        if result.detected and (
-            first_injection is None or result.first_detection_ms < first_injection
-        ):
-            # A detection with nothing injected yet: the assertion fired
-            # on the system's own behaviour (the false-alarm measure).
-            metrics.counter("false_alarms_total").inc()
-        latency = result.detection_latency_ms
-        if latency is not None:
-            metrics.histogram("detection_latency_ms").observe(latency)
         seen = set()
         for event in detection_events:
             monitor = str(event.monitor_id)
@@ -207,13 +226,6 @@ class CampaignController:
                 metrics.histogram(
                     "detection_latency_ms", monitor=monitor
                 ).observe(event.time - first_injection)
-
-    @staticmethod
-    def version_eas(version: str) -> Optional[Tuple[str, ...]]:
-        """EA ids enabled in a named system version (None = all)."""
-        if version == "All":
-            return None
-        return (version,)
 
     def _snapshots_usable(self) -> bool:
         """Snapshot reuse applies: enabled, default classifier, capable target."""

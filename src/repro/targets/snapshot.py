@@ -24,12 +24,13 @@ consumer receives its own independent copy, and the cold-vs-restored
 equivalence (full :class:`RunResult` plus detection-event list) is
 pinned by tests for every built-in target.
 
-The cache is per process.  Pool workers fork from the dispatcher, so
-snapshots pre-warmed in the parent (see ``execute_specs``) are inherited
-by every worker at zero cost; workers also warm their own cache across
-the chunks they execute.  Disable the whole layer with
-``REPRO_SNAPSHOTS=0`` (or per call site) to return to strict
-reboot-per-run semantics.
+The cache is per process and fills lazily: the first run of a grid
+point captures its snapshot, every later one restores it.  Only the
+pool dispatcher warms ahead of time (:func:`prewarm`, before it forks),
+so forked workers inherit every snapshot at zero cost; workers also
+warm their own cache across the chunks they execute.  Disable the
+whole layer with ``REPRO_SNAPSHOTS=0`` (or per call site) to return to
+strict reboot-per-run semantics.
 """
 
 from __future__ import annotations
@@ -160,6 +161,43 @@ def _boot(
     return target.boot(test_case, version, run_config=run_config, classifier=None)
 
 
+def _lookup_or_capture(
+    target: Target,
+    test_case: TestCase,
+    version: str,
+    prefix_ms: int,
+    run_config: Any,
+) -> Optional[Snapshot]:
+    """The cached snapshot of one grid point, captured on first lookup.
+
+    *prefix_ms* 0 (or less) is the boot snapshot; a positive one is the
+    system advanced through that much fault-free prefix, or ``None`` when
+    the booted system has no ``run_prefix`` capability.
+    """
+    prefix_ms = max(prefix_ms, 0)
+    stats = _CACHE.stats
+    key = _cache_key(target, version, test_case, run_config, prefix_ms)
+    snapshot = _CACHE.get(key)
+    if snapshot is not None:
+        if prefix_ms > 0:
+            stats.prefix_hits += 1
+        else:
+            stats.boot_hits += 1
+        return snapshot
+    system = _boot(target, test_case, version, run_config)
+    if prefix_ms > 0:
+        run_prefix = getattr(system, "run_prefix", None)
+        if run_prefix is None:
+            return None
+        stats.prefix_misses += 1
+        run_prefix(prefix_ms)
+    else:
+        stats.boot_misses += 1
+    snapshot = target.snapshot(system)
+    _CACHE.put(key, snapshot)
+    return snapshot
+
+
 def booted_system(
     target: Target,
     test_case: TestCase,
@@ -174,15 +212,7 @@ def booted_system(
     uniform.  Only classifier-default boots are cached (a caller-supplied
     classifier instance has no stable identity to key on).
     """
-    key = _cache_key(target, version, test_case, run_config, prefix_ms=0)
-    snapshot = _CACHE.get(key)
-    if snapshot is None:
-        _CACHE.stats.boot_misses += 1
-        snapshot = target.snapshot(_boot(target, test_case, version, run_config))
-        _CACHE.put(key, snapshot)
-    else:
-        _CACHE.stats.boot_hits += 1
-    return target.restore(snapshot)
+    return target.restore(_lookup_or_capture(target, test_case, version, 0, run_config))
 
 
 def prefixed_system(
@@ -200,22 +230,8 @@ def prefixed_system(
     Returns ``None`` when the target's booted system does not expose the
     ``run_prefix`` capability — callers fall back to a cold run.
     """
-    if prefix_ms <= 0:
-        return booted_system(target, test_case, version, run_config)
-    key = _cache_key(target, version, test_case, run_config, prefix_ms)
-    snapshot = _CACHE.get(key)
-    if snapshot is None:
-        system = _boot(target, test_case, version, run_config)
-        run_prefix = getattr(system, "run_prefix", None)
-        if run_prefix is None:
-            return None
-        _CACHE.stats.prefix_misses += 1
-        run_prefix(prefix_ms)
-        snapshot = target.snapshot(system)
-        _CACHE.put(key, snapshot)
-    else:
-        _CACHE.stats.prefix_hits += 1
-    return target.restore(snapshot)
+    snapshot = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
+    return None if snapshot is None else target.restore(snapshot)
 
 
 def prewarm(
@@ -227,12 +243,11 @@ def prewarm(
 ) -> bool:
     """Ensure the snapshot for one grid point exists; report availability.
 
-    The dispatcher calls this for every distinct (version, case) of a
-    campaign *before* forking its worker pool, so the expensive prefix
+    The pool dispatcher calls this for every distinct (version, case) of
+    a campaign *before* forking its workers, so the expensive prefix
     simulations happen exactly once and reach every worker through the
-    forked address space instead of being redone per worker.
+    forked address space instead of being redone per worker.  Nothing
+    is restored: the snapshot is only captured (or found).
     """
-    if prefix_ms > 0:
-        return prefixed_system(target, test_case, version, prefix_ms, run_config) is not None
-    booted_system(target, test_case, version, run_config)
-    return True
+    snapshot = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
+    return snapshot is not None

@@ -3,7 +3,7 @@
 Covers graph construction and ordering, content-address derivation (the
 invalidation rule), the file-backed node store, the shard/merge
 protocol, and the execution planner (replay, force, tracer, group
-runners, side-effect nodes).
+runners).
 """
 
 import json
@@ -356,57 +356,6 @@ class TestExecutionPlanning:
             diamond().execute(wanted=["ghost"])
 
 
-class TestSideEffectNodes:
-    def _graph(self, log):
-        graph = Graph()
-        graph.add(
-            Node(
-                name="warm",
-                kind="prewarm",
-                run=lambda d: log.append("warm"),
-                cacheable=False,
-            )
-        )
-        graph.add(
-            Node(
-                name="run",
-                kind="run",
-                run=lambda d: (log.append("run"), 42)[1],
-                inputs={"v": "1"},
-                deps=("warm",),
-            )
-        )
-        return graph
-
-    def test_side_effect_runs_for_executing_dependent(self, tmp_path):
-        log = []
-        self._graph(log).execute(store=NodeStore(tmp_path / "s"))
-        assert log == ["warm", "run"]
-
-    def test_side_effect_skipped_when_dependent_replays(self, tmp_path):
-        store = NodeStore(tmp_path / "s")
-        self._graph([]).execute(store=store)
-        log = []
-        stats = GraphStats()
-        outputs = self._graph(log).execute(store=store, stats=stats)
-        assert outputs["run"] == 42
-        assert log == []  # no side effect re-ran
-        assert stats.by_kind["prewarm"]["skipped"] == 1
-
-    def test_side_effect_output_never_stored(self, tmp_path):
-        store = NodeStore(tmp_path / "s")
-        graph = self._graph([])
-        graph.execute(store=store)
-        assert store.load(graph.key("warm")) is None
-
-    def test_explicitly_wanted_side_effect_executes(self, tmp_path):
-        log = []
-        self._graph(log).execute(
-            store=NodeStore(tmp_path / "s"), wanted=["warm"]
-        )
-        assert log == ["warm"]
-
-
 class TestGroupRunners:
     def test_same_kind_wave_dispatched_together(self):
         graph = Graph()
@@ -428,6 +377,15 @@ class TestGroupRunners:
         outputs = graph.execute(runners={"batch": runner})
         assert waves == [["n0", "n1", "n2", "n3"]]
         assert outputs == {"n0": "0", "n1": "1", "n2": "2", "n3": "3"}
+
+    def test_node_without_run_needs_a_runner(self):
+        graph = Graph()
+        graph.add(Node(name="n", kind="batch"))
+        with pytest.raises(GraphError, match="no run callable"):
+            graph.execute()
+        assert graph.execute(
+            runners={"batch": lambda nodes, deps, complete: complete({"n": 1})}
+        ) == {"n": 1}
 
     def test_runner_must_cover_all_nodes(self):
         graph = Graph()

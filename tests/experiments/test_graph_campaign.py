@@ -32,10 +32,13 @@ from repro.experiments.dag import (
 )
 from repro.experiments.graph import GraphStats, NodeStore, merge_stores
 from repro.experiments.parallel import enumerate_e1_specs, execute_specs
+from repro.targets import snapshot as snapshots
+from repro.targets.base import Target
 from repro.targets.registry import get_target, target_names
 
-#: Mid-run first injection: the graph's prewarm nodes then matter (boot
-#: + fault-free prefix), matching the batch-equivalence harness.
+#: Mid-run first injection, so runs restore fault-free prefix snapshots
+#: (captured on a cell's first run, or before the pool forks), matching
+#: the batch-equivalence harness.
 INJECTION_START = {"arrestor": 12000, "tanklevel": 3000}
 
 
@@ -241,11 +244,60 @@ class TestKeyDerivation:
                 assert changed_keys[node_name] == base_keys[node_name]
         assert changed_keys[AGGREGATE_NODE] != base_keys[AGGREGATE_NODE]
 
+    def test_graph_holds_only_stored_work(self):
+        specs = _slice_specs("arrestor")
+        graph = build_campaign_graph(specs, tables_renderer=str)
+        kinds = {node.kind for node in graph.nodes()}
+        assert kinds == {"run", "aggregate", "tables"}
+        runs = [node for node in graph.nodes() if node.kind == "run"]
+        assert len(runs) == len(specs)
+        # Run nodes execute only through the run-wave runner.
+        assert all(node.run is None and node.deps == () for node in runs)
+
     def test_identical_grid_has_identical_keys(self):
         specs = _slice_specs("tanklevel", errors=2)
         assert build_campaign_graph(specs).keys() == build_campaign_graph(
             specs
         ).keys()
+
+
+class TestSnapshotWarmUp:
+    """Warm-up happens once: lazily when serial, before the fork when pooled."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"snapshot": 0, "restore": 0}
+        for method in counts:
+            original = getattr(Target, method)
+
+            def counted(self, arg, _method=method, _original=original):
+                counts[_method] += 1
+                return _original(self, arg)
+
+            monkeypatch.setattr(Target, method, counted)
+        snapshots.clear_cache()
+        yield counts
+        snapshots.clear_cache()
+
+    @staticmethod
+    def _cells(specs):
+        return len({(spec.version, spec.mass_kg, spec.velocity_mps) for spec in specs})
+
+    @pytest.mark.parametrize("name", target_names())
+    def test_serial_captures_once_per_cell_and_restores_once_per_run(
+        self, name, calls
+    ):
+        specs = _slice_specs(name, errors=2)
+        outcome = run_campaign_graph(specs, snapshots=True)
+        assert outcome.stats.by_kind["run"]["executed"] == len(specs)
+        assert calls == {"snapshot": self._cells(specs), "restore": len(specs)}
+
+    def test_pool_parent_captures_without_restoring(self, calls):
+        specs = _slice_specs("tanklevel", errors=2)
+        outcome = run_campaign_graph(specs, workers=2, snapshots=True)
+        assert outcome.stats.by_kind["run"]["executed"] == len(specs)
+        # Counted in this process only: the forked workers restore.
+        assert calls == {"snapshot": self._cells(specs), "restore": 0}
 
 
 class TestSharding:

@@ -55,10 +55,6 @@ class TestTimeTriggeredInjector:
 
 
 class TestCampaignController:
-    def test_version_eas(self):
-        assert CampaignController.version_eas("All") is None
-        assert CampaignController.version_eas("EA3") == ("EA3",)
-
     def test_reference_run_is_clean(self):
         controller = CampaignController()
         record = controller.run_reference(TestCase(14000, 55))
