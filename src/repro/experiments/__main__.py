@@ -76,12 +76,7 @@ from repro.experiments.campaign import (
     run_reference_grid,
 )
 from repro.experiments.results import ResultSet
-from repro.experiments.tables import (
-    render_table6,
-    render_table7,
-    render_table8,
-    render_table9,
-)
+from repro.experiments.tables import render_table6
 from repro.targets.registry import default_target_name, get_target, target_names
 
 
@@ -223,10 +218,12 @@ def _run_campaign(args: argparse.Namespace, config, experiment, error_filter):
     stats = outcome.stats
     shard_note = f" [shard {args.shard}]" if args.shard else ""
     hit_rate = stats.hit_rate
+    pruned = config.metrics.snapshot()["counters"].get("runs_pruned_total", 0)
     print(
         f"\n{experiment.upper()} campaign{shard_note}: "
         f"{len(outcome.results)} runs in {time.time() - start:.0f}s — "
-        f"{stats.executed} nodes executed, {stats.cached} replayed"
+        f"{stats.executed} nodes executed, {stats.cached} replayed, "
+        f"{pruned} pruned"
         + (f" (hit rate {hit_rate:.0%})" if hit_rate is not None else "")
         + "\n"
     )
@@ -279,7 +276,7 @@ def _cmd_e1(args: argparse.Namespace) -> int:
     if args.signal is not None:
         results = ResultSet(results.subset(signal=args.signal))
         print(f"filtered to {len(results)} runs on signal {args.signal}\n")
-    render, _ = _tables_renderer("e1", config)
+    render, _ = _tables_renderer("e1", config.versions, target.monitored_signals)
     print(render(results))
     return 0
 
@@ -302,7 +299,7 @@ def _cmd_e2(args: argparse.Namespace) -> int:
         return 0
     results = load_results(args.load)
     print(f"loaded {len(results)} runs from {args.load}\n")
-    render, _ = _tables_renderer("e2", config)
+    render, _ = _tables_renderer("e2", config.versions)
     print(render(results))
     return 0
 
@@ -324,32 +321,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
     results = load_results(args.results)
     print(f"report over {len(results)} saved runs\n")
     versions = results.versions
+    e1_signals = results.signals
+    if not e1_signals:
+        render, _ = _tables_renderer("e2", versions)
+        print(render(results))
+        return 0
 
-    print("Table 7. Error detection probabilities (%)")
-    print(render_table7(results, versions))
+    render, _ = _tables_renderer("e1", versions, e1_signals)
+    print(render(results))
     print()
-    print("Table 8. Error detection latencies (ms)")
-    print(render_table8(results, versions))
-
-    e1_signals = [s for s in results.signals if s is not None]
-    if e1_signals:
-        print()
-        print("Detection threshold bit per signal (lowest bit with total")
-        print("detection upward; '-' = no such threshold):")
-        for signal in e1_signals:
-            threshold = detection_threshold_bit(results, signal, version=versions[-1])
-            per_bit = detection_by_bit(results, signal, version=versions[-1])
-            probed = len(per_bit)
-            shown = threshold if threshold is not None else "-"
-            print(f"  {signal:12s} threshold bit {shown}  ({probed} bit positions probed)")
-        print()
-        print("Failure rate per injected signal:")
-        for signal, rate in failure_rate_by_signal(results, version=versions[-1]).items():
-            print(f"  {signal:12s} {rate.format()} %")
-    else:
-        print()
-        print("Table 9. Results for error set E2")
-        print(render_table9(results))
+    print("Detection threshold bit per signal (lowest bit with total")
+    print("detection upward; '-' = no such threshold):")
+    for signal in e1_signals:
+        threshold = detection_threshold_bit(results, signal, version=versions[-1])
+        per_bit = detection_by_bit(results, signal, version=versions[-1])
+        probed = len(per_bit)
+        shown = threshold if threshold is not None else "-"
+        print(f"  {signal:12s} threshold bit {shown}  ({probed} bit positions probed)")
+    print()
+    print("Failure rate per injected signal:")
+    for signal, rate in failure_rate_by_signal(results, version=versions[-1]).items():
+        print(f"  {signal:12s} {rate.format()} %")
     return 0
 
 

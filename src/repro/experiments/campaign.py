@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.arrestor.system import RunConfig
 from repro.obs.metrics import MetricsRegistry
@@ -160,9 +160,15 @@ class CampaignConfig:
         )
 
 
-def _tables_renderer(experiment: str, config: CampaignConfig):
-    """The tables-node renderer for one campaign, plus its fingerprint.
+def _tables_renderer(
+    experiment: str, versions: Sequence[str], signals: Sequence[str] = ()
+):
+    """The tables renderer for one experiment's records, plus its fingerprint.
 
+    E1 records render as Tables 7 and 8 over *versions* (columns) and
+    *signals* (rows); E2 records as Table 9 alone.  A campaign's tables
+    node uses it with the config's versions and the target's monitored
+    signals, ``report``/``--load`` with what the saved records carry.
     The renderer is keyed by a digest of the table layer's source, so a
     table-layout change re-renders the artifact without re-simulating a
     single run (the run nodes' keys are untouched).
@@ -174,9 +180,8 @@ def _tables_renderer(experiment: str, config: CampaignConfig):
     fingerprint = hashlib.sha256(
         Path(tables_module.__file__).read_bytes()
     ).hexdigest()
-    target = get_target(config.target)
-    signals = tuple(target.monitored_signals)
-    versions = tuple(config.versions)
+    signals = tuple(signals)
+    versions = tuple(versions)
 
     if experiment == "e1":
         def render(results: ResultSet) -> str:
@@ -229,7 +234,11 @@ def run_campaign_graph(
     enumerate = enumerate_e1_specs if experiment == "e1" else enumerate_e2_specs
     renderer = fingerprint = None
     if tables and shard is None:
-        renderer, fingerprint = _tables_renderer(experiment, config)
+        renderer, fingerprint = _tables_renderer(
+            experiment,
+            config.versions,
+            get_target(config.target).monitored_signals,
+        )
     return dag.run_campaign_graph(
         enumerate(config, error_filter),
         run_config=config.run_config,

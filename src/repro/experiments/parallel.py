@@ -25,9 +25,11 @@ node store executes only the runs it had not finished.
 Acceleration.  Before forking its pool the dispatcher pre-warms the
 process-global snapshot cache (one boot — and, with a positive
 ``injection_start_ms``, one fault-free prefix simulation — per distinct
-grid point), so every forked worker inherits the warm cache instead of
-rebuilding it.  This is the only ahead-of-time warm-up: a serial wave
-captures each grid point's snapshot on its first run.
+grid point; for grid points with E2 specs also the read-logged
+fault-free continuation that resolves dead flips), so every forked
+worker inherits the warm cache instead of rebuilding it.  This is the
+only ahead-of-time warm-up: a serial wave captures each grid point's
+snapshot on its first run.
 
 Observability.  With a trace destination and/or a metrics registry
 (``execute_specs(trace=..., metrics=...)``), the engine publishes run
@@ -509,7 +511,9 @@ def execute_specs(
         )
 
     if use_pool:
-        warmed = _prewarm_pool_snapshots(pending, run_config, snapshots)
+        warmed = _prewarm_pool_snapshots(
+            pending, run_config, snapshots, traced=tracer is not None
+        )
         if warmed and tracer is not None:
             tracer.emit("campaign", "snapshot-prewarm", count=warmed)
 
@@ -562,38 +566,46 @@ def execute_specs(
 
 
 def _prewarm_pool_snapshots(
-    pending: Sequence[RunSpec], run_config, snapshots: Optional[bool]
+    pending: Sequence[RunSpec], run_config, snapshots: Optional[bool], traced: bool
 ) -> int:
     """Warm the parent's snapshot cache before the pool forks.
 
     Forked workers inherit the parent's address space, so every distinct
     (target, version, case, prefix) snapshot built here is shared by all
     workers for free — without this, each worker re-simulates the same
-    fault-free prefixes.  Returns how many grid points were warmed (0
-    when snapshots are off or tracing makes the controller bypass them).
+    fault-free prefixes.  Grid points with signal-less (E2) specs also
+    get their read-logged fault-free continuation, from which workers
+    resolve dead flips without simulating them — unless the campaign is
+    *traced*, which keeps every run simulated.  Returns how many grid
+    points were warmed (0 when snapshots are off).
     """
     enabled = snapshots if snapshots is not None else snapshots_mod.snapshots_enabled_default()
     if not enabled:
         return 0
     warmed = 0
-    seen = set()
+    points: Dict[Tuple, RunSpec] = {}
+    reading = set()
     for spec in pending:
         point = (spec.target, spec.version, spec.mass_kg, spec.velocity_mps,
                  spec.injection_start_ms)
-        if point in seen:
-            continue
-        seen.add(point)
+        points.setdefault(point, spec)
+        if spec.signal is None and not traced:
+            reading.add(point)
+    for point, spec in points.items():
         target = get_target(spec.target)
         if not target.supports_snapshots():
             continue
-        if snapshots_mod.prewarm(
-            target,
-            spec.test_case(),
-            spec.version,
-            prefix_ms=spec.injection_start_ms,
-            run_config=run_config,
+        case = spec.test_case()
+        if point in reading:
+            snapshots_mod.fault_free_run(
+                target, case, spec.version, spec.injection_start_ms, run_config,
+                record_reads=True,
+            )
+        elif not snapshots_mod.prewarm(
+            target, case, spec.version, spec.injection_start_ms, run_config
         ):
-            warmed += 1
+            continue
+        warmed += 1
     return warmed
 
 

@@ -24,13 +24,31 @@ graph (:mod:`repro.targets.snapshot`), and — when ``injection_start_ms
 fault-free prefix, so the pre-injection trajectory of a (version, case)
 grid point is simulated once rather than once per error.  Both paths
 are byte-identical to a cold run; fault-free reference runs are
-additionally memoized outright (one simulation per (version, case)).
+additionally memoized outright (one simulation per (version, case)),
+on the boot snapshot's cache entry.
+
+Dead-flip resolution.  Under the same gate (snapshots usable, no
+tracer), a bit flip at a random location — an :class:`ErrorSpec` with
+no ``signal``, i.e. the E2 RAM and stack sets — is checked against the
+grid point's fault-free continuation from ``injection_start_ms``,
+recorded once with read logging
+(:func:`repro.targets.snapshot.fault_free_run`).  When that run never
+reads the flipped byte, the flip is dead: the system's state can only
+diverge from the fault-free run through a read of a corrupted byte, and
+every read the software would make is a read the fault-free run makes.
+The run then returns the fault-free :class:`RunResult` and detection
+events, with the injection counters the injector would have fired over
+that duration (:meth:`TimeTriggeredInjector.schedule`) — exactly the
+record the simulation produces, without building or ticking a system.
+E1 flips land on monitored signals, read every cycle, and are always
+simulated; so are traced runs, keeping trace artifacts byte-stable.
+Such runs count in the ``runs_pruned_total`` metric.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.injection.errors import ErrorSpec
 from repro.injection.injector import INJECTION_PERIOD_MS, TimeTriggeredInjector
@@ -45,15 +63,6 @@ __all__ = [
     "TIMEOUT_VIOLATION",
     "record_run_metrics",
 ]
-
-#: Memoized fault-free reference runs: cache key -> (RunResult, events).
-#: Per process, like the snapshot cache (forked workers inherit it).
-_REFERENCE_MEMO: Dict[Tuple, Tuple[RunResult, Tuple]] = {}
-
-
-def clear_reference_memo() -> None:
-    """Drop memoized reference results (tests; after editing a target)."""
-    _REFERENCE_MEMO.clear()
 
 #: Constraint name recorded in the verdict of a timed-out run.
 TIMEOUT_VIOLATION = "worker-timeout"
@@ -265,44 +274,57 @@ class CampaignController:
             classifier=self.classifier,
         )
 
-    def _reference_memo_key(self, test_case: TestCase, version: str) -> Tuple:
-        return (
-            self.target.name,
-            version,
-            test_case.mass_kg,
-            test_case.velocity_mps,
-            repr(self.run_config),
-        )
-
     def run_reference(self, test_case: TestCase, version: str = "All") -> ExperimentRecord:
         """A fault-free reference run (the Section-3.4 precondition check).
 
         With snapshots enabled and no tracer attached, the result is
-        memoized per (target, version, case, config): re-validating the
-        reference grid — including the per-version fault-free rows of a
-        campaign — costs one simulation per grid point per process.
+        memoized per (target, version, case, config) on the snapshot
+        cache: re-validating the reference grid — including the
+        per-version fault-free rows of a campaign — costs one simulation
+        per grid point per process.
         """
         self._emit_run_start(None, test_case, version)
-        memo_key = None
         if self._snapshots_usable() and self.tracer is None:
-            memo_key = self._reference_memo_key(test_case, version)
-            cached = _REFERENCE_MEMO.get(memo_key)
-            if cached is not None:
-                result, events = cached
-                self.runs_executed += 1
-                self._emit_run_end(result)
-                self._record_metrics(result, events)
-                return ExperimentRecord(error=None, version=version, result=result)
-        system = self._build_system(test_case, version)
-        if self.tracer is not None:
-            system.detection_log.tracer = self.tracer
-        result = system.run()
-        if memo_key is not None:
-            _REFERENCE_MEMO[memo_key] = (result, tuple(system.detection_log.events))
+            continuation = snapshots_mod.fault_free_run(
+                self.target, test_case, version, run_config=self.run_config
+            )
+            result, events = continuation.result, continuation.events
+        else:
+            system = self._build_system(test_case, version)
+            if self.tracer is not None:
+                system.detection_log.tracer = self.tracer
+            result = system.run()
+            events = system.detection_log.events
         self.runs_executed += 1
         self._emit_run_end(result)
-        self._record_metrics(result, system.detection_log.events)
+        self._record_metrics(result, events)
         return ExperimentRecord(error=None, version=version, result=result)
+
+    def _dead_flip_continuation(
+        self, error: ErrorSpec, test_case: TestCase, version: str
+    ) -> Optional[snapshots_mod.Continuation]:
+        """The fault-free continuation when *error* flips a never-read byte.
+
+        ``None`` — simulate the run — unless the gate holds (snapshots
+        usable, no tracer, a signal-less E2 flip) and the grid point's
+        fault-free run from ``injection_start_ms`` on never reads the
+        flipped address.
+        """
+        if error.signal is not None or self.tracer is not None:
+            return None
+        if not self._snapshots_usable():
+            return None
+        continuation = snapshots_mod.fault_free_run(
+            self.target,
+            test_case,
+            version,
+            self.injection_start_ms,
+            run_config=self.run_config,
+            record_reads=True,
+        )
+        if error.address in continuation.reads:
+            return None
+        return continuation
 
     def run_injection(
         self,
@@ -310,21 +332,40 @@ class CampaignController:
         test_case: TestCase,
         version: str = "All",
     ) -> ExperimentRecord:
-        """One injected experiment run on a freshly booted system."""
+        """One injected experiment run on a freshly booted system.
+
+        A dead flip (see the module docstring) is resolved from the
+        fault-free continuation instead of being simulated.
+        """
         self._emit_run_start(error, test_case, version)
-        system = self._build_system(test_case, version, fast_forward=True)
-        if self.tracer is not None:
-            system.detection_log.tracer = self.tracer
         injector = TimeTriggeredInjector(
             error,
             period_ms=self.injection_period_ms,
             start_ms=self.injection_start_ms,
             tracer=self.tracer,
         )
-        result = system.run(injector)
+        continuation = self._dead_flip_continuation(error, test_case, version)
+        if continuation is not None:
+            first_injection_ms, injections = injector.schedule(
+                continuation.result.duration_ms
+            )
+            result = dataclasses.replace(
+                continuation.result,
+                first_injection_ms=first_injection_ms,
+                injection_count=injections,
+            )
+            events = continuation.events
+            if self.metrics is not None:
+                self.metrics.counter("runs_pruned_total").inc()
+        else:
+            system = self._build_system(test_case, version, fast_forward=True)
+            if self.tracer is not None:
+                system.detection_log.tracer = self.tracer
+            result = system.run(injector)
+            events = system.detection_log.events
         self.runs_executed += 1
         self._emit_run_end(result)
-        self._record_metrics(result, system.detection_log.events)
+        self._record_metrics(result, events)
         return ExperimentRecord(error=error, version=version, result=result)
 
     def timeout_record(

@@ -30,7 +30,7 @@ the every-millisecond fast path.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.injection.errors import ErrorSpec
 from repro.memory.memmap import MemoryMap
@@ -102,6 +102,19 @@ class TimeTriggeredInjector:
         if self.tracer is not None:
             _trace_injection(self, now_ms, "time-triggered")
         return True
+
+    def schedule(self, end_ms: int) -> Tuple[Optional[int], int]:
+        """``(first_injection_ms, injections)`` of a run ending before *end_ms*.
+
+        What a fresh injector records when :meth:`tick` is called at every
+        millisecond in ``range(end_ms)`` (a run of ``duration_ms`` ticks),
+        without touching any memory: the campaign controller resolves
+        flips into never-read bytes from the fault-free run and takes the
+        injection counters from here.
+        """
+        if end_ms <= self.start_ms:
+            return None, 0
+        return self.start_ms, (end_ms - self.start_ms - 1) // self.period_ms + 1
 
     def reset(self) -> None:
         """Forget injection history (new experiment run)."""

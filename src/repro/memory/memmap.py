@@ -9,11 +9,11 @@ functions over a ``bytearray``: they sit on the 1-ms simulation hot path.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.memory.layout import MemoryRegion, Symbol
 
-__all__ = ["MemoryMap", "Variable"]
+__all__ = ["MemoryMap", "Variable", "ReadLog"]
 
 
 class MemoryMap:
@@ -124,6 +124,33 @@ class MemoryMap:
                 f"snapshot size {len(snapshot)} does not match memory size {len(self.data)}"
             )
         self.data[:] = snapshot
+
+
+class ReadLog(bytearray):
+    """A memory image that records the address of every byte read from it.
+
+    Indexed and sliced reads are recorded in :attr:`reads`; writes record
+    nothing.  Every typed accessor (:class:`Variable`, the ``read_*``
+    methods, control-word checks) reads through ``__getitem__``, so the
+    set is exactly the bytes the software computed with.  The snapshot
+    layer runs a cell's fault-free continuation once on a copy whose
+    memory is a ``ReadLog`` (see
+    :func:`repro.targets.snapshot.fault_free_run`); ordinary runs keep
+    the plain ``bytearray``.
+    """
+
+    __slots__ = ("reads",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.reads: Set[int] = set()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.reads.update(range(*index.indices(len(self))))
+        else:
+            self.reads.add(index if index >= 0 else index + len(self))
+        return bytearray.__getitem__(self, index)
 
 
 class Variable:

@@ -24,6 +24,14 @@ consumer receives its own independent copy, and the cold-vs-restored
 equivalence (full :class:`RunResult` plus detection-event list) is
 pinned by tests for every built-in target.
 
+* **Fault-free continuations** — the run from a snapshot to the end
+  with no injector, stored on the snapshot's own cache entry
+  (:func:`fault_free_run`): the memoized fault-free reference of a
+  grid point and, when asked, the set of injectable memory bytes that
+  run reads.  A bit flip into a byte outside that set can never be
+  observed, so the campaign controller resolves such a run from the
+  continuation without simulating it (see :mod:`repro.injection.fic`).
+
 The cache is per process and fills lazily: the first run of a grid
 point captures its snapshot, every later one restores it.  Only the
 pool dispatcher warms ahead of time (:func:`prewarm`, before it forks),
@@ -35,21 +43,26 @@ strict reboot-per-run semantics.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
-from repro.targets.base import Snapshot, Target, TestCase
+from repro.memory.memmap import ReadLog
+from repro.targets.base import RunResult, Snapshot, Target, TestCase
 
 __all__ = [
     "SNAPSHOTS_ENV_VAR",
     "snapshots_enabled_default",
     "SnapshotCache",
+    "CacheEntry",
     "CacheStats",
+    "Continuation",
     "booted_system",
     "prefixed_system",
     "prewarm",
+    "fault_free_run",
     "cache_stats",
     "clear_cache",
 ]
@@ -109,31 +122,55 @@ def _cache_key(
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class Continuation:
+    """The fault-free run of one grid point from its snapshot to the end.
+
+    ``result`` and ``events`` (the detection log) equal an uninterrupted
+    fault-free run's.  ``reads`` holds the addresses of the injectable
+    memory (``system.memory_map``) the continuation read, or ``None``
+    when it was run without read logging.
+    """
+
+    result: RunResult
+    events: Tuple
+    reads: Optional[FrozenSet[int]] = None
+
+
+@dataclasses.dataclass
+class CacheEntry:
+    """One grid point's snapshot and, once run, its fault-free continuation."""
+
+    snapshot: Snapshot
+    continuation: Optional[Continuation] = None
+
+
 class SnapshotCache:
-    """An LRU map of :class:`CacheKey` to :class:`Snapshot`."""
+    """An LRU map of :class:`CacheKey` to :class:`CacheEntry`."""
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be at least 1, got {maxsize}")
         self.maxsize = maxsize
         self.stats = CacheStats()
-        self._entries: "OrderedDict[CacheKey, Snapshot]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: CacheKey) -> Optional[Snapshot]:
-        snapshot = self._entries.get(key)
-        if snapshot is not None:
+    def get(self, key: CacheKey) -> Optional[CacheEntry]:
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
-        return snapshot
+        return entry
 
-    def put(self, key: CacheKey, snapshot: Snapshot) -> None:
-        self._entries[key] = snapshot
+    def put(self, key: CacheKey, snapshot: Snapshot) -> CacheEntry:
+        entry = self._entries[key] = CacheEntry(snapshot)
         self._entries.move_to_end(key)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+        return entry
 
     def clear(self) -> None:
         self._entries.clear()
@@ -146,7 +183,7 @@ _CACHE = SnapshotCache()
 
 
 def clear_cache() -> None:
-    """Drop every cached snapshot (tests; after hot-editing a target)."""
+    """Drop every cached snapshot and continuation (tests; after editing a target)."""
     _CACHE.clear()
 
 
@@ -167,8 +204,8 @@ def _lookup_or_capture(
     version: str,
     prefix_ms: int,
     run_config: Any,
-) -> Optional[Snapshot]:
-    """The cached snapshot of one grid point, captured on first lookup.
+) -> Optional[CacheEntry]:
+    """The cache entry of one grid point, its snapshot captured on first lookup.
 
     *prefix_ms* 0 (or less) is the boot snapshot; a positive one is the
     system advanced through that much fault-free prefix, or ``None`` when
@@ -177,13 +214,13 @@ def _lookup_or_capture(
     prefix_ms = max(prefix_ms, 0)
     stats = _CACHE.stats
     key = _cache_key(target, version, test_case, run_config, prefix_ms)
-    snapshot = _CACHE.get(key)
-    if snapshot is not None:
+    entry = _CACHE.get(key)
+    if entry is not None:
         if prefix_ms > 0:
             stats.prefix_hits += 1
         else:
             stats.boot_hits += 1
-        return snapshot
+        return entry
     system = _boot(target, test_case, version, run_config)
     if prefix_ms > 0:
         run_prefix = getattr(system, "run_prefix", None)
@@ -193,9 +230,7 @@ def _lookup_or_capture(
         run_prefix(prefix_ms)
     else:
         stats.boot_misses += 1
-    snapshot = target.snapshot(system)
-    _CACHE.put(key, snapshot)
-    return snapshot
+    return _CACHE.put(key, target.snapshot(system))
 
 
 def booted_system(
@@ -212,7 +247,8 @@ def booted_system(
     uniform.  Only classifier-default boots are cached (a caller-supplied
     classifier instance has no stable identity to key on).
     """
-    return target.restore(_lookup_or_capture(target, test_case, version, 0, run_config))
+    entry = _lookup_or_capture(target, test_case, version, 0, run_config)
+    return target.restore(entry.snapshot)
 
 
 def prefixed_system(
@@ -230,8 +266,8 @@ def prefixed_system(
     Returns ``None`` when the target's booted system does not expose the
     ``run_prefix`` capability — callers fall back to a cold run.
     """
-    snapshot = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
-    return None if snapshot is None else target.restore(snapshot)
+    entry = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
+    return None if entry is None else target.restore(entry.snapshot)
 
 
 def prewarm(
@@ -249,5 +285,52 @@ def prewarm(
     forked address space instead of being redone per worker.  Nothing
     is restored: the snapshot is only captured (or found).
     """
-    snapshot = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
-    return snapshot is not None
+    entry = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
+    return entry is not None
+
+
+def fault_free_run(
+    target: Target,
+    test_case: TestCase,
+    version: str,
+    prefix_ms: int = 0,
+    run_config: Any = None,
+    record_reads: bool = False,
+) -> Continuation:
+    """The fault-free continuation from one grid point's snapshot, memoized.
+
+    *prefix_ms* selects the prefix snapshot (falling back to the boot
+    snapshot when the target has no ``run_prefix``), so the continuation
+    covers every tick at or after *prefix_ms*.  The first call restores
+    the snapshot and runs it with no injector; the result and detection
+    events are stored on the snapshot's cache entry — same key, same LRU,
+    dropped by :func:`clear_cache` and inherited by forked workers.
+
+    With *record_reads* the restored system is deep-copied with its
+    injectable memory (``system.memory_map.data``) swapped for a
+    :class:`~repro.memory.memmap.ReadLog`, so every consumer of that
+    ``bytearray`` reads through the log, and :attr:`Continuation.reads`
+    holds the addresses the run read (the system must expose its
+    injectable memory as ``memory_map``, as serving sessions also
+    require).  A continuation stored without reads is re-run once to
+    record them.
+    """
+    entry = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
+    if entry is None:
+        entry = _lookup_or_capture(target, test_case, version, 0, run_config)
+    continuation = entry.continuation
+    if continuation is not None and (not record_reads or continuation.reads is not None):
+        return continuation
+    system = target.restore(entry.snapshot)
+    log = None
+    if record_reads:
+        data = system.memory_map.data
+        log = ReadLog(data)
+        system = copy.deepcopy(system, {id(data): log})
+    result = system.run()
+    entry.continuation = Continuation(
+        result,
+        tuple(system.detection_log.events),
+        None if log is None else frozenset(log.reads),
+    )
+    return entry.continuation

@@ -34,6 +34,22 @@ class TestE1Command:
             main(["e1", "--signal", "mscnt", "--versions", "EA9"])
 
 
+class TestE2Command:
+    def test_summary_counts_pruned_runs(self, capsys):
+        import re
+
+        assert main(["e2", "--target", "tanklevel", "--cases", "1"]) == 0
+        out = capsys.readouterr().out
+        summary = re.search(
+            r"200 runs in \d+s — \d+ nodes executed, 0 replayed, (\d+) pruned", out
+        )
+        assert summary is not None, out
+        pruned = int(summary.group(1))
+        assert 0 < pruned < 200
+        assert f"runs_pruned_total {pruned}" in out
+        assert "Table 9" in out
+
+
 class TestArgumentParsing:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -95,6 +111,53 @@ class TestReportCommand:
         path = save_results(ResultSet(records), tmp_path / "e2.csv")
         assert main(["report", str(path)]) == 0
         assert "Table 9" in capsys.readouterr().out
+
+    @staticmethod
+    def _record(name, signal, bit=0):
+        from repro.experiments.results import RunRecord
+
+        return RunRecord(
+            error_name=name,
+            signal=signal,
+            signal_bit=bit if signal is not None else None,
+            area="ram",
+            version="All",
+            mass_kg=14000,
+            velocity_mps=55,
+            detected=signal is not None,
+            failed=False,
+            latency_ms=20.0 if signal is not None else None,
+            wedged=False,
+            duration_ms=5000,
+        )
+
+    def test_report_renders_the_records_own_signals(self, tmp_path, capsys):
+        from repro.experiments.persistence import save_results
+        from repro.experiments.results import ResultSet
+
+        records = [
+            self._record(f"S{16 * index + bit + 1}", signal, bit)
+            for index, signal in enumerate(("level", "tick"))
+            for bit in range(2)
+        ]
+        path = save_results(ResultSet(records), tmp_path / "tank_e1.csv")
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        table7 = out[out.index("Table 7") : out.index("Table 8")]
+        rows = {line.split()[0] for line in table7.splitlines()[2:] if line.strip()}
+        assert {"level", "tick", "Total"} <= rows
+        assert not rows & {"SetValue", "IsValue", "pulscnt", "mscnt", "OutValue"}
+
+    def test_report_e2_results_render_only_table9(self, tmp_path, capsys):
+        from repro.experiments.persistence import save_results
+        from repro.experiments.results import ResultSet
+
+        records = [self._record(f"R{n}", None) for n in range(1, 4)]
+        path = save_results(ResultSet(records), tmp_path / "e2.csv")
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Table 9" in out
+        assert "Table 7" not in out and "Table 8" not in out
 
     def test_load_applies_signal_filter(self, tmp_path, capsys):
         from repro.experiments.persistence import save_results

@@ -47,6 +47,18 @@ class TestTimeTriggeredInjector:
         assert injector.injections == 0
         assert injector.first_injection_ms is None
 
+    @pytest.mark.parametrize("start, period", [(0, 20), (15, 20), (12000, 20), (7, 3)])
+    def test_schedule_equals_ticking(self, start, period):
+        # Runs ending before, at, just after and well after the start.
+        for end in (0, start, start + 1, start + period, start + period + 1, start + 417):
+            memory = MasterMemory().map
+            ticked = TimeTriggeredInjector(_spec(), period_ms=period, start_ms=start)
+            for now in range(end):
+                ticked.tick(now, memory)
+            fresh = TimeTriggeredInjector(_spec(), period_ms=period, start_ms=start)
+            assert fresh.schedule(end) == (ticked.first_injection_ms, ticked.injections)
+            assert fresh.injections == 0  # the schedule changes nothing
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeTriggeredInjector(_spec(), period_ms=0)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arrestor.master import MasterNode
-from repro.injection.fic import CampaignController, clear_reference_memo
+from repro.injection.fic import CampaignController
 from repro.targets import booted_system, cache_stats, clear_cache, prefixed_system
 from repro.targets.base import Snapshot
 from repro.targets.registry import get_target, target_names
@@ -59,10 +59,8 @@ def _count_node_ticks(monkeypatch, name):
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_cache()
-    clear_reference_memo()
     yield
     clear_cache()
-    clear_reference_memo()
 
 
 class TestColdVsRestored:
@@ -143,6 +141,21 @@ class TestColdVsRestored:
         assert first == reference
         assert memoized == reference
         assert warm.runs_executed == 2  # memoized calls still count
+
+    @pytest.mark.parametrize("name", target_names())
+    def test_reference_memo_lives_in_the_snapshot_cache(self, name, monkeypatch):
+        target = get_target(name)
+        case = target.test_cases()[0]
+        ticks = _count_node_ticks(monkeypatch, name)
+        warm = CampaignController(target=name, snapshots=True)
+        first = warm.run_reference(case, "All").result
+        simulated = ticks[0]
+        assert simulated > 0
+        assert warm.run_reference(case, "All").result == first
+        assert ticks[0] == simulated  # memoized: nothing ticked
+        clear_cache()  # one cache: the memo goes with the snapshots
+        assert warm.run_reference(case, "All").result == first
+        assert ticks[0] == 2 * simulated
 
 
 class TestNoStateLeak:
