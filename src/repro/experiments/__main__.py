@@ -203,6 +203,20 @@ def _progress(done: int, total: int) -> None:
         sys.stderr.flush()
 
 
+def _fallback_note(counters: dict) -> str:
+    """``", N batch fallbacks (reason n, ...)"`` from the counters, or ``""``."""
+    prefix = "runs_fallback_total{reason="
+    reasons = {
+        key[len(prefix):].split(",")[0]: count
+        for key, count in counters.items()
+        if key.startswith(prefix) and key.endswith(",strategy=batch}")
+    }
+    if not reasons:
+        return ""
+    detail = ", ".join(f"{reason} {count}" for reason, count in sorted(reasons.items()))
+    return f", {sum(reasons.values())} batch fallbacks ({detail})"
+
+
 def _run_campaign(args: argparse.Namespace, config, experiment, error_filter):
     """Run one campaign through the task graph and report it; returns the outcome."""
     start = time.time()
@@ -218,12 +232,14 @@ def _run_campaign(args: argparse.Namespace, config, experiment, error_filter):
     stats = outcome.stats
     shard_note = f" [shard {args.shard}]" if args.shard else ""
     hit_rate = stats.hit_rate
-    pruned = config.metrics.snapshot()["counters"].get("runs_pruned_total", 0)
+    counters = config.metrics.snapshot()["counters"]
+    pruned = counters.get("runs_pruned_total", 0)
     print(
         f"\n{experiment.upper()} campaign{shard_note}: "
         f"{len(outcome.results)} runs in {time.time() - start:.0f}s — "
         f"{stats.executed} nodes executed, {stats.cached} replayed, "
         f"{pruned} pruned"
+        + _fallback_note(counters)
         + (f" (hit rate {hit_rate:.0%})" if hit_rate is not None else "")
         + "\n"
     )

@@ -446,7 +446,10 @@ def execute_specs(
     serial path remains the oracle — batch results are pinned identical
     by the equivalence suite — and tracing forces the serial path (with
     a warning), keeping trace artifacts like the committed golden trace
-    byte-stable.
+    byte-stable.  Every spec a batched campaign leaves serial counts in
+    ``runs_fallback_total{strategy="batch",reason}``: ``tracer``,
+    ``run_config`` (a non-default run configuration) or ``spec`` (E2
+    raw-address and stack errors, and any flip the kernels do not model).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -469,8 +472,14 @@ def execute_specs(
                 RuntimeWarning,
                 stacklevel=2,
             )
+            reason = "tracer"
         else:
             batch_specs, pending = _split_batchable(pending, run_config)
+            reason = "spec" if run_config is None else "run_config"
+        if metrics is not None and pending:
+            metrics.counter("runs_fallback_total", strategy="batch", reason=reason).inc(
+                len(pending)
+            )
 
     use_pool = workers > 1 and pending and _multiprocessing_usable()
     tracer: Optional[TraceBus] = None

@@ -4,10 +4,11 @@ Replays :class:`repro.arrestor.system.TargetSystem` over ``(N,)`` arrays:
 each tick advances every row's master node, slave node and environment
 in lockstep.  Every statement mirrors a statement of the serial tick
 path in the same order — the 16-bit masked variable arithmetic, the
-within-tick EA test order (EA6, EA5, EA4, then the slot module's tests,
-then EA3), the one-tick-delayed COMM delivery, and the float64 physics
-of ``Environment.advance`` op-for-op — so results are identical
-row-for-row (pinned by ``tests/targets/test_batch_equivalence.py``).
+within-tick order in which EA checks are staged (EA6, EA5, EA4, then
+the slot module's checks, then EA3), the one-tick-delayed COMM
+delivery, and the float64 physics of ``Environment.advance``
+op-for-op — so results are identical row-for-row (pinned by
+``tests/targets/test_batch_equivalence.py``).
 
 Two deliberately scalar escapes keep exactness cheap:
 
@@ -263,11 +264,11 @@ class ArrestorBatchKernel(BatchKernel):
 
         # -- CLOCK: mscnt + EA6, slot wrap fold + EA5 -------------------------
         self.mscnt = (self.mscnt + 1) & _MASK16
-        monitors["EA6"].test(self.mscnt, now, ea_rows["EA6"], book)
+        monitors["EA6"].stage(self.mscnt, now, ea_rows["EA6"], book)
         slot = self.ms_slot_nbr + 1
         slot = np.where(slot >= k.N_SLOTS, 0, slot)
         self.ms_slot_nbr = slot
-        monitors["EA5"].test(slot, now, ea_rows["EA5"], book)
+        monitors["EA5"].stage(slot, now, ea_rows["EA5"], book)
         # The checked (stored) slot drives dispatch.  Rows advance it in
         # lockstep, so each slot module's mask is all-False on most ticks
         # (only a corrupted ms_slot_nbr desynchronises a row); an empty
@@ -279,7 +280,7 @@ class ArrestorBatchKernel(BatchKernel):
         new_pulses = (self.total_pulses - self.emitted_pulses) & _MASK16
         self.emitted_pulses = self.total_pulses
         self.pulscnt = (self.pulscnt + new_pulses) & _MASK16
-        monitors["EA4"].test(self.pulscnt, now, ea_rows["EA4"], book)
+        monitors["EA4"].stage(self.pulscnt, now, ea_rows["EA4"], book)
 
         # -- PRES_S (slot 0) --------------------------------------------------
         if present[k.SLOT_PRES_S]:
@@ -290,8 +291,8 @@ class ArrestorBatchKernel(BatchKernel):
         set_value = self.set_value
         if present[k.SLOT_V_REG]:
             m_v_reg = slot == k.SLOT_V_REG
-            monitors["EA1"].test(set_value, now, m_v_reg & ea_rows["EA1"], book)
-            monitors["EA2"].test(self.is_value, now, m_v_reg & ea_rows["EA2"], book)
+            monitors["EA1"].stage(set_value, now, m_v_reg & ea_rows["EA1"], book)
+            monitors["EA2"].stage(self.is_value, now, m_v_reg & ea_rows["EA2"], book)
             err_stored = (set_value - self.is_value) & _MASK16
             err = err_stored - ((err_stored & 0x8000) << 1)
             integral, out = _pi(set_value, err, self.integral)
@@ -301,7 +302,7 @@ class ArrestorBatchKernel(BatchKernel):
         # -- PRES_A (slot 4): EA7, valve command ------------------------------
         if present[k.SLOT_PRES_A]:
             m_pres_a = slot == k.SLOT_PRES_A
-            monitors["EA7"].test(self.out_value, now, m_pres_a & ea_rows["EA7"], book)
+            monitors["EA7"].stage(self.out_value, now, m_pres_a & ea_rows["EA7"], book)
             self.master_cmd_pa = np.where(
                 m_pres_a, _command_pa(self.out_value), self.master_cmd_pa
             )
@@ -312,7 +313,9 @@ class ArrestorBatchKernel(BatchKernel):
             self.comm_tx = np.where(m_comm, set_value, self.comm_tx)
 
         # -- CALC (background, every tick): EA3, accumulation, slew -----------
-        monitors["EA3"].test(self.i_var, now, ea_rows["EA3"], book)
+        # Staging copies i_var: the checkpoint handler below rewrites it
+        # (and set_value) in place after EA3 has tested it.
+        monitors["EA3"].stage(self.i_var, now, ea_rows["EA3"], book)
         pulscnt = self.pulscnt
         delta = (pulscnt - self.prev_pulscnt) & _MASK16
         delta = np.where(delta > 0x8000, 0, delta)

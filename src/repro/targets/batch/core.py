@@ -16,19 +16,22 @@ module holds the pieces both kernels share:
   are still running, ``rows`` maps them back to spec order, and a row
   that finishes has its summary fields and last tick copied into
   full-size final arrays before it is dropped.
-* :class:`VecMonitor` — the vectorized executable assertion.  The continuous
-  bounds test is elementwise and the rate/wrap test is one lookup in a
-  read-only table over ``value - reference``; the linear-cyclic discrete
-  sequence test is an elementwise comparison.  The reference value
-  ``prev`` is a per-row array updated under the rows-tested-this-tick
-  mask.  A kernel monitor only observes (no recovery), so the EAs a row
-  tests never change its trajectory.
+* :class:`VecMonitor` — the vectorized executable assertion, tested a
+  block of ticks at a time.  A kernel *stages* each check (the tested
+  values and the row mask, copied into a ``(ticks, live rows)`` buffer)
+  and the monitor tests the whole block in one vectorized pass: the
+  references are forward-filled through the block, the continuous
+  bounds test is elementwise, the rate/wrap test is one lookup in a
+  read-only table over ``value - reference`` and the linear-cyclic
+  discrete sequence test is an elementwise comparison.  A kernel
+  monitor only observes (no recovery), so the EAs a row tests never
+  change its trajectory and testing can wait for the end of the block.
 * :class:`DetectionBook` — per-(row, monitor) violation count, first
-  violating tick and first record order, accumulated in the serial test
-  order and kept in spec order however the kernel has compacted.  A row
-  read through a subset of monitors is the detection of the version
-  that enables exactly that subset, which is how ``Target.run_batch``
-  runs each trajectory once for all of an error's versions.
+  violating tick and first staging sequence number, kept in spec order
+  however the kernel has compacted.  A row read through a subset of
+  monitors is the detection of the version that enables exactly that
+  subset, which is how ``Target.run_batch`` runs each trajectory once
+  for all of an error's versions.
 * Injection arithmetic — the per-row XOR masks and the closed-form
   injection statistics of the time-triggered schedule.
 
@@ -138,23 +141,24 @@ class DetectionBook:
 
     For every monitor the book keeps three spec-sized int64 arrays: each
     row's violation count, the tick of its first violation, and the
-    *record order* of that first violation — the value of one counter
-    that every violating ``record`` call increments.  ``record`` must be
-    called in the order the serial system calls ``SignalMonitor.test``
-    within a tick, so among any subset of monitors the one with the
-    smallest first record order is the EA whose event comes first in the
-    serial log of a version that enables exactly that subset.
-    :meth:`row` reads a row through such a subset; that is how one row
-    that tested every EA yields the result of every version.
+    *order* of that first violation — the sequence number of the check
+    that found it.  Sequence numbers come from :attr:`sequence`, which
+    every check takes one of when it is staged, in the order the serial
+    system calls ``SignalMonitor.test`` within a tick, so among any
+    subset of monitors the one with the smallest first order is the EA
+    whose event comes first in the serial log of a version that enables
+    exactly that subset.  :meth:`row` reads a row through such a
+    subset; that is how one row that tested every EA yields the result
+    of every version.
 
-    With ``capture_events`` every violating call additionally appends
-    one ``(rows, now_ms, monitor_index)`` chunk to ``events``, where
-    ``rows`` are the violating rows in spec order and ``monitor_index``
-    indexes ``monitor_ids``; :meth:`drain_events` flattens the chunks
-    into aligned arrays — the per-row projection of the serial
-    detection log's event sequence.  The online serving engine drains
-    these to emit detection events; the offline kernels leave capture
-    off so the whole-grid fast path pays nothing for it.
+    With ``capture_events`` every violation additionally becomes one
+    event: :meth:`drain_events` returns the events recorded so far as
+    aligned arrays in check order and, within one check, in spec order
+    — the per-row projection of the serial detection log's event
+    sequence, whatever order the blocks were recorded in.  The online
+    serving engine drains these to emit detection events; the offline
+    kernels leave capture off so the whole-grid fast path pays nothing
+    for it.
 
     The book is always spec-sized while the masks it receives cover the
     kernel's live rows only: ``rows`` gives the spec index of each mask
@@ -171,8 +175,10 @@ class DetectionBook:
         self.count: List[Any] = []
         self.first_ms: List[Any] = []
         self.first_order: List[Any] = []
-        self._recorded = 0
-        self.events: Optional[List[Tuple[Any, int, int]]] = (
+        #: The sequence number the next staged check takes.
+        self.sequence = 0
+        #: ``(order, rows, time_ms, monitor index)`` per recorded block.
+        self.events: Optional[List[Tuple[Any, Any, Any, int]]] = (
             [] if capture_events else None
         )
 
@@ -186,24 +192,44 @@ class DetectionBook:
             self.first_order.append(np.full(self._n, -1, dtype=np.int64))
         return index
 
-    def record(self, violation, now_ms: int, monitor_id: str) -> None:
-        """Record a violation mask (over the live rows) for one monitor."""
+    def record(self, violation, now_ms, monitor_id: str, order=None) -> None:
+        """Record one monitor's violations over the live rows.
+
+        *violation* is a ``(checks, live rows)`` mask, one line per
+        check, and *now_ms* and *order* give each check's tick and
+        sequence number.  A one-dimensional *violation* is one check at
+        tick *now_ms*; without *order* the checks take the next
+        sequence numbers.
+        """
+        violation = np.asarray(violation)
+        if violation.ndim == 1:
+            violation = violation[None]
+            now_ms = (now_ms,)
+        if order is None:
+            order = range(self.sequence, self.sequence + len(violation))
+            self.sequence += len(violation)
         if not np.count_nonzero(violation):
             return
         index = self._monitor_index(monitor_id)
-        hit = self.rows[violation]
-        self.count[index][hit] += 1
+        hits = np.count_nonzero(violation, axis=0)
+        cols = np.flatnonzero(hits)
+        rows = self.rows[cols]
+        self.count[index][rows] += hits[cols]
+        now_ms = np.asarray(now_ms, dtype=np.int64)
+        order = np.asarray(order, dtype=np.int64)
         first_ms = self.first_ms[index]
-        fresh = hit[first_ms[hit] < 0]
-        if len(fresh):
-            first_ms[fresh] = now_ms
-            self.first_order[index][fresh] = self._recorded
-        self._recorded += 1
+        fresh = first_ms[rows] < 0
+        if np.count_nonzero(fresh):
+            cols, rows = cols[fresh], rows[fresh]
+            first = violation[:, cols].argmax(axis=0)
+            first_ms[rows] = now_ms[first]
+            self.first_order[index][rows] = order[first]
         if self.events is not None:
-            self.events.append((hit, now_ms, index))
+            checks, cols = np.nonzero(violation)
+            self.events.append((order[checks], self.rows[cols], now_ms[checks], index))
 
     def drain_events(self) -> Tuple[Any, Any, Any]:
-        """Pop the captured events as aligned int64 arrays in record order.
+        """Pop the recorded events as aligned int64 arrays in check order.
 
         Returns ``(rows, time_ms, monitor)``: each event's row in spec
         order, its tick, and its monitor's index into ``monitor_ids``.
@@ -214,10 +240,15 @@ class DetectionBook:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
         self.events = []
-        sizes = [len(rows) for rows, _, _ in chunks]
-        rows = np.concatenate([rows for rows, _, _ in chunks])
-        time_ms = np.repeat(np.array([t for _, t, _ in chunks], dtype=np.int64), sizes)
-        monitor = np.repeat(np.array([m for _, _, m in chunks], dtype=np.int64), sizes)
+        order = np.concatenate([chunk[0] for chunk in chunks])
+        # Stable: the events of one check are already in spec order.
+        by_check = np.argsort(order, kind="stable")
+        rows = np.concatenate([chunk[1] for chunk in chunks])[by_check]
+        time_ms = np.concatenate([chunk[2] for chunk in chunks])[by_check]
+        monitor = np.repeat(
+            np.array([chunk[3] for chunk in chunks], dtype=np.int64),
+            [len(chunk[0]) for chunk in chunks],
+        )[by_check]
         return rows, time_ms, monitor
 
     def row(
@@ -247,9 +278,11 @@ class DetectionBook:
 
 #: Stored signals are 16-bit, so ``value - reference`` spans this range.
 _DELTA_MAX = 0xFFFF
-_NOT_16BIT = ~0xFFFF
 #: Deltas per step of the rate table's build (bounds its temporaries).
 _TABLE_CHUNK = 8192
+#: At most about this many (tick, row) cells make one block, which
+#: bounds each monitor's staging buffer and its block test's temporaries.
+_BLOCK_CELLS = 1 << 16
 
 
 def _rate_ok(p: ContinuousParams, delta):
@@ -292,14 +325,20 @@ def rate_table(params: ContinuousParams):
 class VecMonitor:
     """Vectorized :class:`~repro.core.monitor.SignalMonitor` for one EA.
 
-    ``test(values, now_ms, mask, book)`` replays the serial monitor on
-    the rows selected by *mask*: the assertion evaluates elementwise,
-    violations are recorded into *book*, and the reference value is
-    advanced exactly as the serial monitor's ``_prev`` is without
-    recovery — it becomes the tested value, pass or violation (the
-    default ``reference_policy="observed"``).  A kernel monitor only
-    observes: it never changes a value the system goes on to use, so
-    the EAs a row tests cannot change its trajectory.
+    The monitor replays the serial one on every row a block at a time.
+    :meth:`stage` copies one check — the tested values and the mask of
+    rows that test them this tick — into a ``(block, live rows)``
+    buffer, and :meth:`flush` tests the staged checks as one block with
+    :meth:`test_block` (a full buffer flushes itself).  The staged
+    values must be copies: a kernel may rewrite the array later in the
+    same tick.  Within the block each row's reference is forward-filled
+    from its last tested value, exactly as the serial monitor's
+    ``_prev`` advances without recovery — it becomes the tested value,
+    pass or violation (the default ``reference_policy="observed"``).  A
+    kernel monitor only observes: it never changes a value the system
+    goes on to use, so the EAs a row tests cannot change its trajectory
+    and deferring the test to the end of the block changes nothing.
+    :meth:`test` is one check tested at once, a block of one.
 
     Values are 16-bit stored signals: a value outside ``[0, 0xFFFF]``
     raises :class:`ValueError` rather than index the rate table.
@@ -310,6 +349,7 @@ class VecMonitor:
         monitor_id: str,
         params: Union[ContinuousParams, DiscreteParams],
         n: int,
+        block: int = 1,
     ) -> None:
         require_numpy()
         self.monitor_id = monitor_id
@@ -323,47 +363,127 @@ class VecMonitor:
             self._domain_n = linear_cyclic_length(params)
         else:
             self._rate_table = rate_table(params)
+        self.block = block
+        self._allocate(n)
+
+    def _allocate(self, n: int) -> None:
+        self._values = np.empty((self.block, n), dtype=np.int64)
+        self._mask = np.empty((self.block, n), dtype=bool)
+        self._now: List[int] = []
+        self._order: List[int] = []
 
     def holds(self, values):
         """Elementwise ``assertion.holds`` against the per-row references."""
-        p = self.params
-        prev = self.prev
+        values = np.asarray(values, dtype=np.int64)
+        return self._holds(values, self.prev, None if self.all_prev else self.has_prev)
+
+    def _holds(self, values, ref, has_ref):
+        """``assertion.holds`` of int64 *values* against *ref*.
+
+        ``None`` for *has_ref* means every value has a reference.  Read
+        as unsigned, a negative int64 is larger than any bound, so one
+        unsigned comparison tests both ends of a range.
+        """
         if self.discrete:
             n = self._domain_n
-            in_domain = (values >= 0) & (values < n)
-            prev_in_domain = (prev >= 0) & (prev < n)
-            seq_ok = values == (prev + 1) % n
-            if self.all_prev:
-                return in_domain & (~prev_in_domain | seq_ok)
-            return in_domain & (~self.has_prev | ~prev_in_domain | seq_ok)
-        if np.count_nonzero(values & _NOT_16BIT):
-            raise ValueError(f"{self.monitor_id}: values must be 16-bit (0..0xFFFF)")
-        in_bounds = (values >= p.smin) & (values <= p.smax)
-        index = values - prev
-        index += _DELTA_MAX
-        rate_ok = self._rate_table[index]
-        if self.all_prev:
-            return in_bounds & rate_ok
-        return in_bounds & (~self.has_prev | rate_ok)
+            in_domain = values.view(np.uint64) < n
+            # For value and reference in range(n), value == (ref + 1) % n.
+            step = values - ref
+            ok = (step == 1) | (step == 1 - n) | (ref.view(np.uint64) >= n)
+        else:
+            if values.view(np.uint64).max(initial=0) > _DELTA_MAX:
+                raise ValueError(f"{self.monitor_id}: values must be 16-bit (0..0xFFFF)")
+            p = self.params
+            in_domain = (values >= p.smin) & (values <= p.smax)
+            index = values - ref
+            index += _DELTA_MAX
+            ok = self._rate_table.take(index)
+        if has_ref is not None:
+            ok |= ~has_ref
+        return in_domain & ok
+
+    def stage(self, values, now_ms: int, mask, book: DetectionBook) -> None:
+        """Stage one check of the rows in *mask* at tick *now_ms*."""
+        k = len(self._now)
+        self._values[k] = values
+        self._mask[k] = mask
+        self._now.append(now_ms)
+        self._order.append(book.sequence)
+        book.sequence += 1
+        if k + 1 == self.block:
+            self.flush(book)
+
+    def flush(self, book: DetectionBook) -> None:
+        """Test the staged checks as one block, recording into *book*."""
+        k = len(self._now)
+        if k:
+            self.test_block(self._values[:k], self._now, self._order, self._mask[:k], book)
+            self._now = []
+            self._order = []
 
     def test(self, values, now_ms: int, mask, book: DetectionBook) -> None:
-        """Test the rows in *mask*, recording their violations into *book*."""
+        """Test the rows in *mask* now, recording their violations into *book*."""
+        self.stage(values, now_ms, mask, book)
+        self.flush(book)
+
+    def test_block(self, values, now_ms, order, mask, book: DetectionBook) -> None:
+        """Test a ``(checks, live rows)`` block of *values* under *mask*.
+
+        Check ``t`` happened at tick ``now_ms[t]`` with sequence number
+        ``order[t]``; the rows in ``mask[t]`` test ``values[t]``.
+        """
         if not np.count_nonzero(mask):
-            # No row selected: nothing is recorded and no reference
-            # advances, so skip the whole battery.  (Slot-gated monitors
-            # hit this on most ticks.)
+            # No row selected: nothing is recorded and no reference advances.
             return
-        violation = mask > self.holds(values)  # tested and not holding
-        book.record(violation, now_ms, self.monitor_id)
-        self.prev = np.where(mask, values, self.prev)
-        if not self.all_prev:
-            self.has_prev = self.has_prev | mask
-            self.all_prev = bool(self.has_prev.all())
+        if mask.all():
+            ref = np.empty_like(values)
+            ref[0] = self.prev
+            ref[1:] = values[:-1]
+            has_ref = None
+            if not self.all_prev:
+                has_ref = np.ones(values.shape, dtype=bool)
+                has_ref[0] = self.has_prev
+            violation = ~self._holds(values, ref, has_ref)
+            self.prev = values[-1].copy()
+            self.has_prev = np.ones(len(self.prev), dtype=bool)
+        else:
+            # The tested cells column by column, each column in check
+            # order: a cell's reference is the cell before it, or the
+            # carried reference for its column's first cell.
+            by_row = mask.T
+            tested = values.T[by_row]
+            k, n = values.shape
+            row = np.broadcast_to(np.arange(n)[:, None], (n, k))[by_row]
+            first = np.empty(len(row), dtype=bool)
+            first[0] = True
+            np.not_equal(row[1:], row[:-1], out=first[1:])
+            starts = row[first]
+            ref = np.empty_like(tested)
+            ref[1:] = tested[:-1]
+            ref[first] = self.prev[starts]
+            has_ref = None
+            if not self.all_prev:
+                has_ref = ~first
+                has_ref[first] = self.has_prev[starts]
+            violated = np.zeros((n, k), dtype=bool)
+            violated[by_row] = ~self._holds(tested, ref, has_ref)
+            violation = violated.T
+            last = np.empty(len(row), dtype=bool)
+            last[-1] = True
+            last[:-1] = first[1:]
+            self.prev[starts] = tested[last]
+            self.has_prev[starts] = True
+        self.all_prev = self.all_prev or bool(self.has_prev.all())
+        book.record(violation, now_ms, self.monitor_id, order)
 
     def compact(self, keep) -> None:
-        """Drop the rows not in *keep* (the kernel's row compaction)."""
+        """Drop the rows not in *keep* (the kernel's row compaction).
+
+        The kernel flushes first: staged checks cover the old rows.
+        """
         self.prev = self.prev[keep]
         self.has_prev = self.has_prev[keep]
+        self._allocate(len(self.prev))
 
 
 def injection_masks(specs, signals, signal_variables=None):
@@ -445,10 +565,20 @@ class BatchKernel:
     — the boot state, the injection arrays, ``ea_rows`` and each
     monitor's references — so later ticks cost only what the live rows
     need.  ``rows`` is the spec index of each live row, in spec order.
+
+    A :meth:`step` *stages* each check on its monitor
+    (:meth:`VecMonitor.stage`) instead of testing it, and the monitors
+    test their staged checks a block of up to :attr:`block` ticks at a
+    time: when a buffer fills, before every :meth:`retire` compaction
+    and at the end of :meth:`__init__` and of every :meth:`advance`
+    (:meth:`flush`).  So between calls nothing is staged and the
+    detection book is current.
     """
 
     #: The observation window: no row executes tick ``window_ms`` or later.
     window_ms: int
+    #: The most ticks one block test covers (fewer for many rows).
+    block_ticks: int = 256
     #: Whether every row ends on the window's last tick; a kernel whose
     #: rows stop independently calls :meth:`retire` from :meth:`step`.
     rows_end_together: bool = True
@@ -476,8 +606,11 @@ class BatchKernel:
         versions = np.array([spec.version for spec in self.specs])
         every_ea = versions == "All"
         self.ea_rows = {ea: every_ea | (versions == ea) for ea in self.ea_ids}
+        #: Ticks per block test (see :data:`_BLOCK_CELLS`).
+        self.block = max(1, min(self.block_ticks, _BLOCK_CELLS // n))
         self.monitors = {
-            ea: VecMonitor(ea, params[self.signal_by_ea[ea]], n) for ea in self.ea_ids
+            ea: VecMonitor(ea, params[self.signal_by_ea[ea]], n, self.block)
+            for ea in self.ea_ids
         }
         for ea, monitor in self.monitors.items():
             # A row whose version leaves this EA out never tests it, so it
@@ -505,13 +638,18 @@ class BatchKernel:
             name: np.zeros(n, dtype=getattr(self, name).dtype)
             for name in self.summary_fields
         }
+        self.flush()
 
     def boot(self) -> None:
         """Set every row's state as the serial system boots it."""
         raise NotImplementedError
 
     def step(self) -> None:
-        """Execute tick ``now_ms`` after the injector; :meth:`advance` moves the clock."""
+        """Execute tick ``now_ms`` after the injector; :meth:`advance` moves the clock.
+
+        Checks are staged (``self.monitors[ea].stage(values, now_ms,
+        mask, self.book)``) in the serial test order.
+        """
         raise NotImplementedError
 
     def summary(self, spec: Any, values: Dict[str, Any], last_ms: int) -> Any:
@@ -554,6 +692,12 @@ class BatchKernel:
                 self._inject()
             self.step()
             self.now_ms += 1
+        self.flush()
+
+    def flush(self) -> None:
+        """Test every monitor's staged checks (see :meth:`VecMonitor.flush`)."""
+        for monitor in self.monitors.values():
+            monitor.flush(self.book)
 
     def _next_injection_ms(self, tick: int) -> int:
         """The first tick at or after *tick* on which any live row fires."""
@@ -570,6 +714,7 @@ class BatchKernel:
 
     def retire(self, done) -> None:
         """Rows *done* (a mask over the live rows) finished on tick ``now_ms``."""
+        self.flush()
         gone = self.rows[done]
         for name, final in self._final.items():
             final[gone] = getattr(self, name)[done]

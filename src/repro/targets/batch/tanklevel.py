@@ -82,7 +82,7 @@ class TankBatchKernel(BatchKernel):
         self.last_ctrl_tick = np.zeros(n, dtype=np.int64)
         self.drain_received = np.zeros(n, dtype=np.int64)
         # Boot validates the first level sample (EA2's reference seed).
-        self.monitors["EA2"].test(self.level, 0, self.ea_rows["EA2"], self.book)
+        self.monitors["EA2"].stage(self.level, 0, self.ea_rows["EA2"], self.book)
 
     def step(self) -> None:
         """Execute one millisecond for every row (the serial tick body)."""
@@ -93,8 +93,8 @@ class TankBatchKernel(BatchKernel):
 
         # -- CLOCK: tick + EA5, slot consumption + EA4, wrap fold ------------
         self.tick = (self.tick + 1) & _MASK16
-        monitors["EA5"].test(self.tick, now, ea_rows["EA5"], book)
-        monitors["EA4"].test(self.slot_id, now, ea_rows["EA4"], book)
+        monitors["EA5"].stage(self.tick, now, ea_rows["EA5"], book)
+        monitors["EA4"].stage(self.slot_id, now, ea_rows["EA4"], book)
         slot = self.slot_id + 1
         slot = np.where(slot >= ins.N_SLOTS, 0, slot)
         self.slot_id = slot
@@ -115,7 +115,7 @@ class TankBatchKernel(BatchKernel):
         if present[1]:
             m_ctrl = slot == 1
             lvl = self.level
-            monitors["EA2"].test(lvl, now, m_ctrl & ea_rows["EA2"], book)
+            monitors["EA2"].stage(lvl, now, m_ctrl & ea_rows["EA2"], book)
             elapsed = (self.tick - self.last_ctrl_tick) & _MASK16
             self.last_ctrl_tick = np.where(m_ctrl, self.tick, self.last_ctrl_tick)
             budget = ins.SLEW_PER_MS * elapsed
@@ -133,12 +133,12 @@ class TankBatchKernel(BatchKernel):
             self.set_point = np.where(m_ctrl, sp_new, self.set_point)
             flow_new = (self.flow_acc + (sp_new >> 6)) & _MASK16
             self.flow_acc = np.where(m_ctrl, flow_new, self.flow_acc)
-            monitors["EA3"].test(self.flow_acc, now, m_ctrl & ea_rows["EA3"], book)
+            monitors["EA3"].stage(self.flow_acc, now, m_ctrl & ea_rows["EA3"], book)
 
         # -- VALVE_A ----------------------------------------------------------
         if present[2]:
             m_valve = slot == 2
-            monitors["EA1"].test(self.set_point, now, m_valve & ea_rows["EA1"], book)
+            monitors["EA1"].stage(self.set_point, now, m_valve & ea_rows["EA1"], book)
             self.valve_cmd = np.where(
                 m_valve,
                 np.minimum(np.maximum(self.set_point, 0), ins.SETPOINT_MAX),

@@ -14,7 +14,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.experiments.campaign import CampaignConfig
-from repro.experiments.parallel import enumerate_e1_specs, execute_specs
+from repro.experiments.parallel import enumerate_e1_specs, enumerate_e2_specs, execute_specs
 from repro.injection.fic import CampaignController
 from repro.obs.metrics import MetricsRegistry
 
@@ -99,6 +99,64 @@ def test_batch_metrics_cover_aggregates_only():
     assert per_monitor, "serial path should expose per-monitor counters"
     for key in per_monitor:
         assert key not in batch_snap["counters"]
+
+
+def _fallbacks(metrics):
+    return {
+        key: count
+        for key, count in metrics.snapshot()["counters"].items()
+        if key.startswith("runs_fallback_total")
+    }
+
+
+def test_fallback_counts_specs_the_kernels_do_not_model():
+    """E2 raw-address flips stay serial and count under ``reason=spec``."""
+    e1 = _specs()[:4]
+    e2 = enumerate_e2_specs(
+        CampaignConfig(target="tanklevel", cases_e2=1, injection_start_ms=3000)
+    )[:3]
+    metrics = MetricsRegistry()
+    execute_specs(e1 + e2, batch=True, metrics=metrics)
+    assert _fallbacks(metrics) == {"runs_fallback_total{reason=spec,strategy=batch}": 3}
+    eligible_only = MetricsRegistry()
+    execute_specs(e1, batch=True, metrics=eligible_only)
+    assert _fallbacks(eligible_only) == {}
+    unbatched = MetricsRegistry()
+    execute_specs(e1 + e2, metrics=unbatched)
+    assert _fallbacks(unbatched) == {}
+
+
+def test_fallback_counts_a_run_config():
+    from repro.targets.tanklevel.system import TankRunConfig
+
+    specs = _specs()[:3]
+    metrics = MetricsRegistry()
+    execute_specs(specs, run_config=TankRunConfig(), batch=True, metrics=metrics)
+    assert _fallbacks(metrics) == {
+        "runs_fallback_total{reason=run_config,strategy=batch}": 3
+    }
+
+
+def test_fallback_counts_a_tracer(tmp_path):
+    specs = _specs()[:3]
+    metrics = MetricsRegistry()
+    with pytest.warns(RuntimeWarning, match="incompatible with run tracing"):
+        execute_specs(specs, batch=True, trace=tmp_path / "t.jsonl", metrics=metrics)
+    assert _fallbacks(metrics) == {"runs_fallback_total{reason=tracer,strategy=batch}": 3}
+
+
+def test_cli_summary_shows_batch_fallbacks(monkeypatch, capsys, tmp_path):
+    from repro.experiments.__main__ import main
+
+    monkeypatch.delenv("REPRO_BATCH", raising=False)
+    base = ["e1", "--target", "tanklevel", "--versions", "All", "--signal", "level",
+            "--cases-all", "1", "--batch"]
+    main(base)
+    assert "batch fallbacks" not in capsys.readouterr().out
+    with pytest.warns(RuntimeWarning, match="incompatible with run tracing"):
+        main(base + ["--trace", str(tmp_path / "t.jsonl")])
+    out = capsys.readouterr().out
+    assert "0 pruned, 16 batch fallbacks (tracer 16)" in out
 
 
 def test_repro_batch_env_opts_in(monkeypatch):

@@ -7,17 +7,30 @@ so any semantic drift in either implementation is caught at the
 primitive level before it can surface as a whole-run mismatch.
 """
 
+import collections
 import dataclasses
+import itertools
 
 import pytest
 
 np = pytest.importorskip("numpy")
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.assertions import ContinuousAssertion
 from repro.core.classes import SignalClass
+from repro.experiments.campaign import CampaignConfig
+from repro.experiments.parallel import enumerate_e1_specs
 from repro.core.monitor import SignalMonitor
-from repro.core.parameters import ContinuousParams, linear_transition_map
+from repro.core.parameters import (
+    ContinuousParams,
+    classify_continuous,
+    linear_transition_map,
+)
 from repro.targets.batch.core import (
+    BatchKernel,
     BatchRunSpec,
     DetectionBook,
     VecMonitor,
@@ -25,6 +38,7 @@ from repro.targets.batch.core import (
     linear_cyclic_length,
     rate_table,
 )
+from repro.targets.registry import get_target
 
 
 def _drive_pair(signal_class, params, rows):
@@ -230,3 +244,197 @@ def test_rate_table_is_cached_and_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = True
+
+
+# -- block testing against the serial monitors ------------------------------
+
+#: Parameter sets a drawn monitor may take: every continuous set above
+#: (wrapping, rate-limited and hold-permitting) and two cyclic sequences.
+MONITOR_PARAMS = [CONTINUOUS_PARAMS[name] for name in sorted(CONTINUOUS_PARAMS)] + [
+    linear_transition_map(range(n), cyclic=True) for n in (3, 7)
+]
+
+
+def _signal_class(params):
+    if isinstance(params, ContinuousParams):
+        return classify_continuous(params)
+    return params.classify()
+
+
+class _ScriptKernel(BatchKernel):
+    """A kernel whose tick only stages scripted checks.
+
+    ``script[t]`` lists tick *t*'s checks in test order as ``(monitor,
+    values, mask)`` over spec rows; rows in ``retire_rows`` finish on
+    tick ``retire_ms``.  Subclasses set the monitors and block length.
+    """
+
+    signal_state = {"x": "x"}
+    summary_fields = ()
+    script = ()
+    retire_ms = -1
+    retire_rows = None
+
+    def boot(self):
+        self.x = np.zeros(len(self.specs), dtype=np.int64)
+
+    def step(self):
+        now = self.now_ms
+        live = self.rows
+        for ea, values, mask in self.script[now]:
+            self.monitors[ea].stage(
+                values[live], now, mask[live] & self.ea_rows[ea], self.book
+            )
+        if now == self.retire_ms and self.retire_rows[live].any():
+            self.retire(self.retire_rows[live])
+
+
+def _values(data, params, steps):
+    """A row's values: small steps, boundary jumps and out-of-domain values."""
+    if not isinstance(params, ContinuousParams):
+        n = len(params.domain)
+        return data.draw(st.lists(st.integers(0, n + 1), min_size=steps, max_size=steps))
+    jumps = _sweep_values(params)
+    value = data.draw(st.sampled_from(jumps))
+    out = []
+    for _ in range(steps):
+        if data.draw(st.integers(0, 3)) == 0:
+            value = data.draw(st.sampled_from(jumps))
+        else:
+            value = min(max(value + data.draw(st.integers(-4, 4)), 0), 0xFFFF)
+        out.append(value)
+    return out
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_block_testing_matches_serial_monitors(data):
+    """Staged, block-tested checks equal N serial monitors, the oracle.
+
+    Draws 2-3 monitors, 1-5 rows with their versions, a scripted tick
+    sequence (a monitor may skip a tick; masks may be all-False, and a
+    row may never get a reference), a block length, a split of the
+    ticks into ``advance`` calls and a row compaction mid-block.  Every
+    row's detection read through every subset of monitors, and the
+    drained event order, must equal the serial monitors'.
+    """
+    ids = tuple(f"M{i}" for i in range(data.draw(st.integers(2, 3))))
+    params = {ea: data.draw(st.sampled_from(MONITOR_PARAMS)) for ea in ids}
+    n = data.draw(st.integers(1, 5))
+    ticks = data.draw(st.integers(1, 24))
+    versions = data.draw(
+        st.lists(st.sampled_from(("All",) + ids), min_size=n, max_size=n)
+    )
+    columns = {ea: [_values(data, params[ea], ticks) for _ in range(n)] for ea in ids}
+    bools = st.lists(st.booleans(), min_size=n, max_size=n)
+    script = []
+    for t in range(ticks):
+        checks = []
+        for ea in ids:
+            if data.draw(st.integers(0, 4)):  # a monitor may skip a tick
+                values = np.array([columns[ea][r][t] for r in range(n)], dtype=np.int64)
+                checks.append((ea, values, np.array(data.draw(bools), dtype=bool)))
+        script.append(checks)
+    retire_ms = data.draw(st.integers(-1, ticks - 1))
+    retire_rows = np.array(data.draw(bools), dtype=bool)
+    kernel_type = type(
+        "Scripted",
+        (_ScriptKernel,),
+        {
+            "window_ms": ticks,
+            "ea_ids": ids,
+            "signal_by_ea": {ea: ea for ea in ids},
+            "assertion_parameters": staticmethod(lambda: params),
+            "block_ticks": data.draw(st.integers(1, 6)),
+            "script": script,
+            "retire_ms": retire_ms,
+            "retire_rows": retire_rows,
+        },
+    )
+    specs = [
+        BatchRunSpec(version, "x", 0, 0.0, 0.0, injection_start_ms=10**6)
+        for version in versions
+    ]
+    kernel = kernel_type(specs, capture_events=True)
+    drained = []
+    while not kernel.finished:
+        kernel.advance(data.draw(st.integers(1, ticks)))
+        rows, times, monitors = kernel.drain_events()
+        names = [kernel.book.monitor_ids[m] for m in monitors.tolist()]
+        drained += zip(rows.tolist(), times.tolist(), names)
+
+    serial = {
+        (ea, r): SignalMonitor(ea, _signal_class(params[ea]), params[ea], monitor_id=ea)
+        for ea in ids
+        for r in range(n)
+    }
+    tests = {r: set(ids) if v == "All" else {v} for r, v in enumerate(versions)}
+    live = set(range(n))
+    events = []  # (row, tick, monitor) in serial test order
+    for t, checks in enumerate(script):
+        if not live:
+            break
+        for ea, values, mask in checks:
+            for r in sorted(live):
+                if mask[r] and ea in tests[r]:
+                    if serial[ea, r].test_detects(int(values[r]), time=t):
+                        events.append((r, t, ea))
+        if t == retire_ms:
+            live -= {r for r in live if retire_rows[r]}
+    assert drained == events
+    for r in range(n):
+        for size in range(len(ids) + 1):
+            for subset in [None] if size == 0 else itertools.combinations(ids, size):
+                hits = [e for e in events if e[0] == r and (subset is None or e[2] in subset)]
+                expected = (
+                    (True, hits[0][1], len(hits), hits[0][2])
+                    if hits
+                    else (False, None, 0, None)
+                )
+                assert kernel.book.row(r, subset) == expected, (r, subset)
+
+
+def test_arrestor_grid_tests_each_monitor_once_per_block(monkeypatch):
+    """A full-window advance tests each monitor per block, not per tick.
+
+    Monitors flush when their buffer fills and before each compaction,
+    so one advance over the one-case E1 grid makes at most
+    ``ceil(ticks / block) + retire ticks`` block tests per monitor.
+    """
+    blocks = collections.Counter()
+    retired = []
+    kernels = []
+    test_block = VecMonitor.test_block
+    retire = BatchKernel.retire
+    advance = BatchKernel.advance
+
+    def counted_test_block(self, *args):
+        blocks[self.monitor_id] += 1
+        return test_block(self, *args)
+
+    def counted_retire(self, done):
+        retired.append(self.now_ms)
+        return retire(self, done)
+
+    def counted_advance(self, ticks):
+        kernels.append(self)
+        return advance(self, ticks)
+
+    monkeypatch.setattr(VecMonitor, "test_block", counted_test_block)
+    monkeypatch.setattr(BatchKernel, "retire", counted_retire)
+    monkeypatch.setattr(BatchKernel, "advance", counted_advance)
+    target = get_target("arrestor")
+    specs = enumerate_e1_specs(CampaignConfig(target="arrestor", cases_all=1, cases_per_ea=1))
+    target.run_batch(specs)
+    (kernel,) = kernels
+    assert kernel.finished and kernel.block > 1
+    retire_ticks = len(set(retired))
+    assert 0 < retire_ticks == len(retired)
+    bound = -(-kernel.now_ms // kernel.block) + retire_ticks
+    assert set(blocks) == set(target.batch_kernel.ea_ids)
+    assert max(blocks.values()) <= bound, (blocks, bound)
