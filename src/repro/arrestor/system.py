@@ -28,7 +28,7 @@ from repro.plant.environment import Environment
 from repro.plant.failure import FailureClassifier
 from repro.rtos.pins import DigitalPin
 from repro.rtos.watchdog import WatchdogTimer
-from repro.targets.base import RunResult, TestCase
+from repro.targets.base import BootedSystem, RunResult, TestCase
 
 __all__ = ["TestCase", "RunConfig", "RunResult", "TargetSystem"]
 
@@ -69,29 +69,7 @@ class RunConfig:
             object.__setattr__(self, "enabled_eas", tuple(self.enabled_eas))
 
 
-@dataclasses.dataclass
-class _LoopState:
-    """Where a (possibly paused) run loop stands.
-
-    Keeping the loop variables on the system instead of the stack is what
-    makes a run *resumable*: :meth:`TargetSystem.run_prefix` can execute
-    the fault-free prefix, the snapshot layer can deep-copy the whole
-    system (this state included), and :meth:`TargetSystem.run` continues
-    from the restored tick with behaviour byte-identical to an
-    uninterrupted run.
-    """
-
-    #: The next millisecond to execute.
-    next_ms: int = 0
-    #: The last millisecond actually executed (-1 = none yet).
-    last_ms: int = -1
-    stop_deadline: Optional[int] = None
-    events_seen: int = 0
-    tx_pending: bool = False
-    finished: bool = False
-
-
-class TargetSystem:
+class TargetSystem(BootedSystem):
     """Master + slave + environment, ready to execute one arrestment."""
 
     def __init__(
@@ -139,26 +117,15 @@ class TargetSystem:
         #: (time, mscnt, ms_slot_nbr, pulscnt, i, SetValue, IsValue,
         #: OutValue) samples when ``signal_trace_period_ms`` is set.
         self.signal_trace: list = []
-        #: Loop state of an in-progress (or finished) run; ``None`` until
-        #: the first :meth:`run`/:meth:`run_prefix` call.
-        self._loop: Optional[_LoopState] = None
+        # The loop body's own state between ticks (see ``_advance``).
+        self._stop_deadline: Optional[int] = None
+        self._events_seen = 0
+        self._tx_pending = False
 
     @property
     def detection_log(self):
         """The master node's detection log (the target-protocol surface)."""
         return self.master.detection_log
-
-    # -- serving seam (see repro.serve) --------------------------------------
-
-    @property
-    def clock_ms(self) -> int:
-        """The next millisecond the run loop will execute."""
-        return self._loop.next_ms if self._loop is not None else 0
-
-    @property
-    def finished(self) -> bool:
-        """Whether the run has completed (window end or early stop)."""
-        return self._loop is not None and self._loop.finished
 
     @property
     def horizon_ms(self) -> int:
@@ -170,39 +137,7 @@ class TargetSystem:
         """The master node's injectable memory image."""
         return self.master.mem.map
 
-    def run_prefix(self, until_ms: int) -> None:
-        """Advance the fault-free run up to (excluding) tick *until_ms*.
-
-        Used by the snapshot layer: the fault-free prefix of an injected
-        run with ``injection_start_ms > 0`` is identical for every error,
-        so it is simulated once, the paused system is snapshotted, and
-        every run restores it and continues with :meth:`run`.  Ticking an
-        armed-but-not-yet-due injector is a no-op, so skipping those
-        ticks entirely preserves byte-identical behaviour.
-        """
-        if until_ms < 0:
-            raise ValueError(f"until_ms must be non-negative, got {until_ms}")
-        self._advance(None, until_ms)
-
-    def run(self, injector=None) -> RunResult:
-        """Execute the arrestment; *injector* is ticked every millisecond.
-
-        On a system advanced with :meth:`run_prefix` the loop resumes
-        where the prefix paused; otherwise it runs start to finish.
-        """
-        self._advance(injector, None)
-        return self.result_now(injector)
-
     def result_now(self, injector=None) -> RunResult:
-        """The run's result as it stands, without advancing the loop.
-
-        The online serving path uses this to close a session whose
-        telemetry stream ended before the arrestment did; :meth:`run`
-        delegates here after advancing to the end.  *injector* only
-        supplies the injection counters — anything with
-        ``first_injection_ms``/``injections`` attributes duck-types.
-        """
-        last_ms = self._loop.last_ms if self._loop is not None else -1
         summary = self.env.summary()
         verdict = self.classifier.classify(summary)
         log = self.master.detection_log
@@ -218,19 +153,16 @@ class TargetSystem:
             ),
             injection_count=(injector.injections if injector is not None else 0),
             wedged=self.master.wedged,
-            duration_ms=last_ms + 1,
+            duration_ms=self.clock_ms,
             watchdog_fired_ms=(
                 self.watchdog.fired_at_ms if self.watchdog is not None else None
             ),
         )
 
-    def _advance(self, injector, until_ms: Optional[int]) -> None:
-        """The run loop, from the stored state up to *until_ms* (or the end)."""
-        state = self._loop
-        if state is None:
-            state = self._loop = _LoopState()
-        if state.finished:
-            return
+    def _advance(self, injector, start_ms: int, end_ms: int) -> Optional[int]:
+        """The run loop over ticks *start_ms* .. *end_ms* - 1 (see
+        :meth:`BootedSystem._advance`); stops at the post-stop deadline
+        or at the overrun boundary."""
         master = self.master
         slave = self.slave
         env = self.env
@@ -242,25 +174,14 @@ class TargetSystem:
 
         overrun_m = config.overrun_distance_m
         post_stop = config.post_stop_ms
-        stop_deadline = state.stop_deadline
-        events_seen = state.events_seen
-        now = state.next_ms
+        stop_deadline = self._stop_deadline
+        events_seen = self._events_seen
         watchdog = self.watchdog
         trace_period = config.signal_trace_period_ms
-        tx_pending = state.tx_pending
+        tx_pending = self._tx_pending
         aircraft = env.aircraft
         slot_comm = k.SLOT_COMM
-        for now in range(state.next_ms, config.observe_ms_max):
-            if until_ms is not None and now >= until_ms:
-                # Pause *before* executing tick ``now``: the resumed run
-                # executes it (injector first), exactly as the cold loop
-                # would have.
-                state.next_ms = now
-                state.last_ms = now - 1
-                state.stop_deadline = stop_deadline
-                state.events_seen = events_seen
-                state.tx_pending = tx_pending
-                return
+        for now in range(start_ms, end_ms):
             if injector is not None:
                 injector.tick(now, memory)
             slot = master.tick(now)
@@ -310,10 +231,9 @@ class TargetSystem:
                     break
             elif now >= stop_deadline:
                 break
-
-        state.next_ms = now + 1
-        state.last_ms = now
-        state.stop_deadline = stop_deadline
-        state.events_seen = events_seen
-        state.tx_pending = tx_pending
-        state.finished = True
+        else:
+            now = None
+        self._stop_deadline = stop_deadline
+        self._events_seen = events_seen
+        self._tx_pending = tx_pending
+        return now

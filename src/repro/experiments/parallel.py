@@ -610,10 +610,10 @@ def _prewarm_pool_snapshots(
                 target, case, spec.version, spec.injection_start_ms, run_config,
                 record_reads=True,
             )
-        elif not snapshots_mod.prewarm(
-            target, case, spec.version, spec.injection_start_ms, run_config
-        ):
-            continue
+        else:
+            snapshots_mod.prewarm(
+                target, case, spec.version, spec.injection_start_ms, run_config
+            )
         warmed += 1
     return warmed
 

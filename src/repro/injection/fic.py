@@ -255,15 +255,13 @@ class CampaignController:
         """
         if self._snapshots_usable():
             if fast_forward and self.injection_start_ms > 0 and self.tracer is None:
-                system = snapshots_mod.prefixed_system(
+                return snapshots_mod.prefixed_system(
                     self.target,
                     test_case,
                     version,
                     self.injection_start_ms,
                     run_config=self.run_config,
                 )
-                if system is not None:
-                    return system
             return snapshots_mod.booted_system(
                 self.target, test_case, version, run_config=self.run_config
             )

@@ -37,6 +37,7 @@ from repro.memory.memmap import MemoryMap
 
 __all__ = [
     "TimeTriggeredInjector",
+    "schedule_counts",
     "TransientInjector",
     "StuckAtInjector",
     "INJECTION_PERIOD_MS",
@@ -59,6 +60,20 @@ def _trace_injection(injector, now_ms: int, model: str) -> None:
         model=model,
         count=injector.injections,
     )
+
+
+def schedule_counts(
+    start_ms: int, period_ms: int, end_ms: int
+) -> Tuple[Optional[int], int]:
+    """``(first_injection_ms, injections)`` of a time-triggered injector
+    ticked at every millisecond in ``range(end_ms)``: it fires at
+    ``start_ms, start_ms + period_ms, ...``.  See
+    :meth:`TimeTriggeredInjector.schedule`; the batch kernels take their
+    rows' counters from here too.
+    """
+    if end_ms <= start_ms:
+        return None, 0
+    return start_ms, (end_ms - start_ms - 1) // period_ms + 1
 
 
 class TimeTriggeredInjector:
@@ -112,9 +127,7 @@ class TimeTriggeredInjector:
         flips into never-read bytes from the fault-free run and takes the
         injection counters from here.
         """
-        if end_ms <= self.start_ms:
-            return None, 0
-        return self.start_ms, (end_ms - self.start_ms - 1) // self.period_ms + 1
+        return schedule_counts(self.start_ms, self.period_ms, end_ms)
 
     def reset(self) -> None:
         """Forget injection history (new experiment run)."""

@@ -8,15 +8,15 @@ advances the simulation and its monitors incrementally, and emits the
 detection events as they happen.
 
 Equivalence with the offline path is by construction: the session
-drives the *same* resumable run loop (``run_prefix``/``run``) the
-campaign controller drives, and applies the session's declared
-injection schedule at exactly the tick boundaries the offline
-:class:`~repro.injection.injector.TimeTriggeredInjector` would — flips
-land *before* the due tick executes, flips past the run's early stop
-are skipped, counters match the serial injector's.  The determinism
-tests pin the full detection-event sequence against
-:class:`~repro.injection.fic.CampaignController` on every registered
-target.
+builds the campaign's own
+:class:`~repro.injection.injector.TimeTriggeredInjector` from its
+declared schedule and feeds each frame as one
+:meth:`~repro.targets.base.BootedSystem.advance` of the resumable run
+loop the campaign runs on, so a flip lands before its due tick, flips
+past the run's early stop never happen, and the counters are the
+injector's.  Frame boundaries are invisible to the simulation.  The
+determinism tests pin the full detection-event sequence against the
+cold-boot oracle on every registered target, at any frame sizes.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import dataclasses
 import numbers
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.injection.errors import ErrorSpec
+from repro.injection.injector import TimeTriggeredInjector
 from repro.targets.base import RunResult, Target, TestCase
 from repro.targets.registry import get_target
 from repro.targets import snapshot as snapshots_mod
@@ -162,16 +164,6 @@ class SessionOutcome:
     completed: bool = True
 
 
-class _InjectionCounts:
-    """Duck-types the injector counters ``result_now`` reads."""
-
-    __slots__ = ("injections", "first_injection_ms")
-
-    def __init__(self) -> None:
-        self.injections = 0
-        self.first_injection_ms: Optional[int] = None
-
-
 def resolve_flip(target: Target, spec: SessionSpec) -> Optional[Tuple[int, int]]:
     """The (byte address, bit-in-byte) a spec's schedule flips, if any.
 
@@ -226,8 +218,24 @@ class Session:
             )
         else:
             self._system = self.target.boot(spec.test_case(), spec.version)
-        self._flip = resolve_flip(self.target, spec)
-        self._counts = _InjectionCounts()
+        self._injector: Optional[TimeTriggeredInjector] = None
+        flip = resolve_flip(self.target, spec)
+        if flip is not None:
+            address, bit = flip
+            # The injector reads only the address and bit of its error.
+            error = ErrorSpec(
+                name=spec.session_id,
+                address=address,
+                bit=bit,
+                area="ram",
+                signal=spec.signal,
+                signal_bit=spec.signal_bit,
+            )
+            self._injector = TimeTriggeredInjector(
+                error, period_ms=spec.period_ms, start_ms=spec.start_ms
+            )
+        #: The clock at each ad-hoc ``Frame.flips`` flip, one entry per flip.
+        self._adhoc_ms: List[int] = []
         self._events_seen = len(self._system.detection_log.events)
         self.events: List[ServeEvent] = []
         self.frames_fed = 0
@@ -249,48 +257,19 @@ class Session:
 
     @property
     def first_injection_ms(self) -> Optional[int]:
-        return self._counts.first_injection_ms
+        return self._injection_counts()[0]
+
+    def _injection_counts(self) -> Tuple[Optional[int], int]:
+        """``(first_injection_ms, injections)`` of the schedule and the ad-hoc flips."""
+        times = self._adhoc_ms[:1]
+        count = len(self._adhoc_ms)
+        injector = self._injector
+        if injector is not None and injector.injections:
+            times.append(injector.first_injection_ms)
+            count += injector.injections
+        return min(times, default=None), count
 
     # -- stream --------------------------------------------------------------
-
-    def _apply_flip(self, address: int, bit: int) -> None:
-        self._system.memory_map.data[address] ^= 1 << bit
-        self._counts.injections += 1
-        if self._counts.first_injection_ms is None:
-            self._counts.first_injection_ms = self.clock_ms
-
-    def _next_due(self, now_ms: int) -> int:
-        """The first scheduled flip time at or after *now_ms*."""
-        spec = self.spec
-        if now_ms <= spec.start_ms:
-            return spec.start_ms
-        periods = -(-(now_ms - spec.start_ms) // spec.period_ms)
-        return spec.start_ms + periods * spec.period_ms
-
-    def _advance_to(self, target_ms: int) -> None:
-        """Advance the system, landing scheduled flips at their due ticks.
-
-        Mirrors the serial injector exactly: a flip lands *before* its
-        due tick executes, and flips falling after the run finished
-        (the arrestor's early stop) are skipped — the offline loop only
-        ticks its injector on executed milliseconds.
-        """
-        system = self._system
-        if self._flip is None:
-            system.run_prefix(target_ms)
-            return
-        address, bit = self._flip
-        while not system.finished and system.clock_ms < target_ms:
-            due = self._next_due(system.clock_ms)
-            if due >= target_ms:
-                system.run_prefix(target_ms)
-                return
-            if due > system.clock_ms:
-                system.run_prefix(due)
-                if system.finished:
-                    return
-            self._apply_flip(address, bit)
-            system.run_prefix(due + 1)
 
     def _drain_events(self) -> List[ServeEvent]:
         log = self._system.detection_log
@@ -323,9 +302,11 @@ class Session:
                 )
         self.frames_fed += 1
         if frame.flips and not self.finished:
+            data = self._system.memory_map.data
             for address, bit in frame.flips:
-                self._apply_flip(address, bit)
-        self._advance_to(self.clock_ms + frame.ticks)
+                data[address] ^= 1 << bit
+                self._adhoc_ms.append(self.clock_ms)
+        self._system.advance(self.clock_ms + frame.ticks, self._injector)
         return self._drain_events()
 
     def close(self, complete: bool = True) -> RunResult:
@@ -339,11 +320,15 @@ class Session:
         if self.closed:
             raise SessionClosed(f"session {self.session_id!r} is closed")
         if complete:
-            while not self.finished:
-                self._advance_to(self.horizon_ms)
+            self._system.advance(self.horizon_ms, self._injector)
             self._drain_events()
         self.closed = True
-        return self._system.result_now(self._counts)
+        first_ms, count = self._injection_counts()
+        return dataclasses.replace(
+            self._system.result_now(self._injector),
+            first_injection_ms=first_ms,
+            injection_count=count,
+        )
 
 
 def events_key(events: Sequence[ServeEvent]):

@@ -16,8 +16,9 @@ A target provides:
   — the surface the E1/E2 error-set builders and the injectors use;
 * the **monitored signals** and the **system versions** (one per
   assertion mechanism plus the aggregate ``"All"`` build of Section 3.4);
-* ``boot()`` — a freshly built system for one run, exposing
-  ``run(injector) -> RunResult`` and a ``detection_log``;
+* ``boot()`` — a freshly built :class:`BootedSystem` for one run: the
+  shared resumable run loop (``advance``/``run``) around the target's
+  own tick body, plus its ``detection_log``;
 * a **failure classification** (via the booted system) and a
   ``timeout_summary`` for runs the engine aborts on wall clock;
 * ``lint_target()`` — the Section-2.3 instrumentation plan plus FMECA
@@ -113,21 +114,84 @@ class RunResult:
 
 
 class BootedSystem(abc.ABC):
-    """What :meth:`Target.boot` returns: one system, ready for one run.
+    """What :meth:`Target.boot` returns: one system on the resumable run loop.
 
-    Concrete systems need not inherit from this class — it documents the
-    duck-typed surface the campaign controller uses (``register`` is via
-    :func:`Target.boot`, not isinstance checks).
+    A run executes ticks ``0, 1, ...`` until :attr:`horizon_ms`, or
+    until the target's own early stop.  The loop state lives on the
+    system, not on the stack (:attr:`clock_ms`, :attr:`finished`, plus
+    whatever a target's loop body keeps between ticks), so a run can
+    pause before any tick, be snapshotted or fed more work, and resume
+    byte-identically to an uninterrupted run.  :meth:`advance` is the
+    one way to move the clock: the snapshot layer fast-forwards the
+    fault-free prefix with it, serving sessions advance frame by frame,
+    and :meth:`run` is one :meth:`advance` to the horizon.
+
+    A subclass supplies the loop body (:meth:`_advance`), the readout
+    (:meth:`result_now`), its :attr:`horizon_ms`, its injectable
+    :attr:`memory_map` and its :attr:`detection_log`.
     """
 
+    #: The next millisecond the run loop will execute.
+    clock_ms: int = 0
+    #: Whether the run has ended (its horizon, or the target's own stop).
+    finished: bool = False
+
+    @property
     @abc.abstractmethod
-    def run(self, injector=None) -> RunResult:
-        """Execute the run; *injector* is ticked every millisecond."""
+    def horizon_ms(self) -> int:
+        """The observation window: no tick at or after it executes."""
+
+    @property
+    @abc.abstractmethod
+    def memory_map(self):
+        """The injectable :class:`~repro.memory.memmap.MemoryMap` an injector ticks."""
 
     @property
     @abc.abstractmethod
     def detection_log(self):
         """The run's :class:`~repro.core.monitor.DetectionLog`."""
+
+    @abc.abstractmethod
+    def _advance(self, injector, start_ms: int, end_ms: int) -> Optional[int]:
+        """Execute ticks *start_ms* .. *end_ms* - 1, *injector* first on each.
+
+        Returns the tick the run stopped on, or ``None`` when it ran to
+        *end_ms*.  Only :meth:`advance` calls it, never with an empty range.
+        """
+
+    @abc.abstractmethod
+    def result_now(self, injector=None) -> RunResult:
+        """The run's result as it stands, without advancing the loop.
+
+        *injector* supplies ``first_injection_ms``/``injections`` (``None``:
+        nothing injected); ``duration_ms`` is :attr:`clock_ms`.
+        """
+
+    def advance(self, until_ms: int, injector=None) -> None:
+        """Run the loop up to (excluding) tick *until_ms*, or until it ends.
+
+        *injector* (``tick(now_ms, memory)``) is ticked before each
+        executed tick, so a flip due at tick *t* lands before *t* runs
+        and nothing is ticked after the run ended.  Advancing in pieces
+        executes the same ticks in the same order as one call.
+        """
+        if until_ms < 0:
+            raise ValueError(f"until_ms must be non-negative, got {until_ms}")
+        end = min(until_ms, self.horizon_ms)
+        if self.finished or end <= self.clock_ms:
+            return
+        stopped_ms = self._advance(injector, self.clock_ms, end)
+        if stopped_ms is None:
+            self.clock_ms = end
+            self.finished = end == self.horizon_ms
+        else:
+            self.clock_ms = stopped_ms + 1
+            self.finished = True
+
+    def run(self, injector=None) -> RunResult:
+        """Advance to the end of the run and return its result."""
+        self.advance(self.horizon_ms, injector)
+        return self.result_now(injector)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,8 +246,14 @@ class Target(abc.ABC):
     def test_cases(self) -> List[TestCase]:
         """The full experimental grid (the paper's 25 cases)."""
 
-    def version_eas(self, version: str) -> Optional[Tuple[str, ...]]:
-        """Mechanism ids enabled in a named version (``None`` = all)."""
+    @staticmethod
+    def version_eas(version: str) -> Optional[Tuple[str, ...]]:
+        """Mechanism ids enabled in a named version (``None`` = all).
+
+        ``"All"`` enables every EA and ``"EAx"`` EAx alone — the one
+        version rule; the batch kernels read it through
+        ``BatchKernel.version_monitors``.
+        """
         if version == "All":
             return None
         return (version,)
@@ -211,10 +281,9 @@ class Target(abc.ABC):
         version: str = "All",
         run_config: Any = None,
         classifier: Any = None,
-    ) -> Any:
+    ) -> BootedSystem:
         """A freshly built system for one run (reboot-per-run semantics).
 
-        The returned object satisfies the :class:`BootedSystem` surface.
         *run_config* and *classifier* are target-specific and optional;
         ``None`` selects the target's defaults.
         """

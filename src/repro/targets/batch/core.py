@@ -54,7 +54,8 @@ except ImportError:  # pragma: no cover
 
 from repro.core.assertions import ContinuousAssertion
 from repro.core.parameters import ContinuousParams, DiscreteParams
-from repro.targets.base import RunResult, TestCase
+from repro.injection.injector import schedule_counts
+from repro.targets.base import RunResult, Target, TestCase
 
 __all__ = [
     "numpy_available",
@@ -68,7 +69,6 @@ __all__ = [
     "linear_cyclic_length",
     "rate_table",
     "injection_masks",
-    "injection_stats",
 ]
 
 
@@ -516,18 +516,6 @@ def injection_masks(specs, signals, signal_variables=None):
     return xor_by_signal, period, start
 
 
-def injection_stats(start_ms: int, period_ms: int, last_ms: int) -> Tuple[Optional[int], int]:
-    """Closed form of the time-triggered injector's counters.
-
-    The serial injector fires at ``start, start + period, ...`` for every
-    executed tick; a run whose last executed tick is *last_ms* therefore
-    saw its first injection at *start_ms* iff ``last_ms >= start_ms``.
-    """
-    if last_ms < start_ms:
-        return (None, 0)
-    return (start_ms, int((last_ms - start_ms) // period_ms) + 1)
-
-
 def kernel_eligible(target, spec) -> bool:
     """Whether *spec* is a flip the target's batch kernel can replay here.
 
@@ -658,15 +646,16 @@ class BatchKernel:
 
     @classmethod
     def version_monitors(cls, version: str, r: Optional[int] = None) -> Tuple[str, ...]:
-        """The EAs a *version* enables: ``"All"`` is every EA, ``"EAx"`` EAx alone.
+        """The EAs a *version* enables, by :meth:`Target.version_eas`.
 
-        The rule of ``Target.version_eas``; any other version raises
+        A version naming an EA the kernel lacks raises
         :class:`ValueError` (naming row *r* when given).
         """
-        if version == "All":
+        enabled = Target.version_eas(version)
+        if enabled is None:
             return cls.ea_ids
-        if version in cls.ea_ids:
-            return (version,)
+        if set(enabled) <= set(cls.ea_ids):
+            return enabled
         where = "" if r is None else f"row {r}: "
         raise ValueError(
             f"{where}unknown version {version!r} for {cls.__name__} "
@@ -756,8 +745,8 @@ class BatchKernel:
             values = {name: getattr(self, name)[i] for name in self.summary_fields}
         summary = self.summary(spec, values, last_ms)
         detected, first_ms, count, first_monitor = self.book.row(r, monitors)
-        first_injection, injections = injection_stats(
-            spec.injection_start_ms, spec.injection_period_ms, last_ms
+        first_injection, injections = schedule_counts(
+            spec.injection_start_ms, spec.injection_period_ms, last_ms + 1
         )
         result = RunResult(
             test_case=spec.test_case(),

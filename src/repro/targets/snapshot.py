@@ -11,12 +11,13 @@ fresh restored copy:
   Restoring (a single ``pickle.loads``) replaces re-wiring the module
   graph, monitors and plant on every run.
 * **Prefix snapshots** — additionally advanced through the fault-free
-  prefix with :meth:`run_prefix` when the campaign injects from
-  ``injection_start_ms > 0``.  Every error of the grid shares the same
-  fault-free trajectory up to the first injection tick (the injector is
-  a strict no-op before its start time), so the prefix is simulated
-  **once per (version, case)** instead of once per run — the
-  checkpoint-based SWIFI acceleration of the FIC/GOOFI lineage.
+  prefix with :meth:`~repro.targets.base.BootedSystem.advance`, the
+  resumable run loop every booted system shares, when the campaign
+  injects from ``injection_start_ms > 0``.  Every error of the grid
+  shares the same fault-free trajectory up to the first injection tick
+  (the injector is a strict no-op before its start time), so the prefix
+  is simulated **once per (version, case)** instead of once per run —
+  the checkpoint-based SWIFI acceleration of the FIC/GOOFI lineage.
 
 Restored runs are byte-identical to cold runs: a snapshot is captured
 from a freshly booted system *before* any tracer is attached, every
@@ -204,12 +205,11 @@ def _lookup_or_capture(
     version: str,
     prefix_ms: int,
     run_config: Any,
-) -> Optional[CacheEntry]:
+) -> CacheEntry:
     """The cache entry of one grid point, its snapshot captured on first lookup.
 
     *prefix_ms* 0 (or less) is the boot snapshot; a positive one is the
-    system advanced through that much fault-free prefix, or ``None`` when
-    the booted system has no ``run_prefix`` capability.
+    system advanced through that much fault-free prefix.
     """
     prefix_ms = max(prefix_ms, 0)
     stats = _CACHE.stats
@@ -223,11 +223,8 @@ def _lookup_or_capture(
         return entry
     system = _boot(target, test_case, version, run_config)
     if prefix_ms > 0:
-        run_prefix = getattr(system, "run_prefix", None)
-        if run_prefix is None:
-            return None
         stats.prefix_misses += 1
-        run_prefix(prefix_ms)
+        system.advance(prefix_ms)
     else:
         stats.boot_misses += 1
     return _CACHE.put(key, target.snapshot(system))
@@ -257,17 +254,15 @@ def prefixed_system(
     version: str,
     prefix_ms: int,
     run_config: Any = None,
-) -> Optional[Any]:
-    """A system fast-forwarded through the fault-free prefix, or ``None``.
+) -> Any:
+    """A system fast-forwarded through the fault-free prefix.
 
     Sound only when the caller's injector performs its first write at or
     after *prefix_ms* (the campaign passes ``injection_start_ms``), so
     the skipped ticks are provably identical to the fault-free run.
-    Returns ``None`` when the target's booted system does not expose the
-    ``run_prefix`` capability — callers fall back to a cold run.
     """
     entry = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
-    return None if entry is None else target.restore(entry.snapshot)
+    return target.restore(entry.snapshot)
 
 
 def prewarm(
@@ -276,8 +271,8 @@ def prewarm(
     version: str,
     prefix_ms: int = 0,
     run_config: Any = None,
-) -> bool:
-    """Ensure the snapshot for one grid point exists; report availability.
+) -> None:
+    """Ensure the snapshot for one grid point exists.
 
     The pool dispatcher calls this for every distinct (version, case) of
     a campaign *before* forking its workers, so the expensive prefix
@@ -285,8 +280,7 @@ def prewarm(
     forked address space instead of being redone per worker.  Nothing
     is restored: the snapshot is only captured (or found).
     """
-    entry = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
-    return entry is not None
+    _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
 
 
 def fault_free_run(
@@ -299,9 +293,8 @@ def fault_free_run(
 ) -> Continuation:
     """The fault-free continuation from one grid point's snapshot, memoized.
 
-    *prefix_ms* selects the prefix snapshot (falling back to the boot
-    snapshot when the target has no ``run_prefix``), so the continuation
-    covers every tick at or after *prefix_ms*.  The first call restores
+    *prefix_ms* selects the prefix snapshot, so the continuation covers
+    every tick at or after *prefix_ms*.  The first call restores
     the snapshot and runs it with no injector; the result and detection
     events are stored on the snapshot's cache entry — same key, same LRU,
     dropped by :func:`clear_cache` and inherited by forked workers.
@@ -310,14 +303,10 @@ def fault_free_run(
     injectable memory (``system.memory_map.data``) swapped for a
     :class:`~repro.memory.memmap.ReadLog`, so every consumer of that
     ``bytearray`` reads through the log, and :attr:`Continuation.reads`
-    holds the addresses the run read (the system must expose its
-    injectable memory as ``memory_map``, as serving sessions also
-    require).  A continuation stored without reads is re-run once to
-    record them.
+    holds the addresses the run read.  A continuation stored without
+    reads is re-run once to record them.
     """
     entry = _lookup_or_capture(target, test_case, version, prefix_ms, run_config)
-    if entry is None:
-        entry = _lookup_or_capture(target, test_case, version, 0, run_config)
     continuation = entry.continuation
     if continuation is not None and (not record_reads or continuation.reads is not None):
         return continuation

@@ -16,7 +16,7 @@ import dataclasses
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.monitor import DetectionLog, SignalMonitor
-from repro.targets.base import RunResult, TestCase
+from repro.targets.base import BootedSystem, RunResult, TestCase
 from repro.targets.tanklevel import instrumentation as ins
 from repro.targets.tanklevel.memory import TankMemory
 from repro.targets.tanklevel.plant import (
@@ -207,19 +207,7 @@ class TankNode:
         return slot
 
 
-@dataclasses.dataclass
-class _LoopState:
-    """Loop variables of a (possibly paused) run — see the arrestor's
-    :class:`repro.arrestor.system._LoopState` for why they live on the
-    system: pausing + snapshotting + resuming must be byte-identical to
-    an uninterrupted run."""
-
-    next_ms: int = 0
-    last_ms: int = -1
-    finished: bool = False
-
-
-class TankSystem:
+class TankSystem(BootedSystem):
     """Controller node + drain node + plant, ready to execute one run."""
 
     def __init__(
@@ -248,28 +236,15 @@ class TankSystem:
             with_recovery=config.with_recovery,
         )
         self.drain = DrainNode()
-        self._loop: Optional[_LoopState] = None
 
     @property
     def detection_log(self):
         """The controller node's detection log (the target-protocol surface)."""
         return self.node.detection_log
 
-    # -- serving seam (see repro.serve) --------------------------------------
-
-    @property
-    def clock_ms(self) -> int:
-        """The next millisecond the run loop will execute."""
-        return self._loop.next_ms if self._loop is not None else 0
-
-    @property
-    def finished(self) -> bool:
-        """Whether the observation window has run to completion."""
-        return self._loop is not None and self._loop.finished
-
     @property
     def horizon_ms(self) -> int:
-        """The observation window's end (exclusive upper bound on ticks)."""
+        """The observation window's end (every run reaches it)."""
         return self.config.observe_ms
 
     @property
@@ -277,66 +252,26 @@ class TankSystem:
         """The controller node's injectable memory image."""
         return self.node.mem.map
 
-    def run_prefix(self, until_ms: int) -> None:
-        """Advance the fault-free run up to (excluding) tick *until_ms*.
-
-        The snapshot-layer hook (see the arrestor's ``run_prefix``): the
-        paused system is snapshotted once per (version, case) and every
-        injected run restores it instead of re-simulating the prefix.
-        """
-        if until_ms < 0:
-            raise ValueError(f"until_ms must be non-negative, got {until_ms}")
-        self._advance(None, until_ms)
-
-    def _advance(self, injector, until_ms: Optional[int]) -> None:
-        """The run loop, from the stored state up to *until_ms* (or the end)."""
-        state = self._loop
-        if state is None:
-            state = self._loop = _LoopState()
-        if state.finished:
-            return
+    def _advance(self, injector, start_ms: int, end_ms: int) -> Optional[int]:
+        """The run loop over ticks *start_ms* .. *end_ms* - 1 (see
+        :meth:`BootedSystem._advance`); a tank run never stops early."""
         node = self.node
         mem = node.mem
         plant = self.plant
         drain = self.drain
         memory = mem.map
-        now = state.next_ms
-        for now in range(state.next_ms, self.config.observe_ms):
-            if until_ms is not None and now >= until_ms:
-                state.next_ms = now
-                state.last_ms = now - 1
-                return
+        for now in range(start_ms, end_ms):
             if injector is not None:
                 injector.tick(now, memory)
             slot = node.tick(now)
             if slot == SLOT_COMM:
                 drain.receive(mem.comm_set_point.get())
             plant.advance(_DT_S, mem.valve_cmd.get(), drain.trim_lps)
-        state.next_ms = now + 1
-        state.last_ms = now
-        state.finished = True
-
-    def run(self, injector=None) -> RunResult:
-        """Execute the regulation run; *injector* is ticked every millisecond.
-
-        On a system advanced with :meth:`run_prefix` the loop resumes
-        where the prefix paused; otherwise it runs start to finish.
-        """
-        self._advance(injector, None)
-        return self.result_now(injector)
+        return None
 
     def result_now(self, injector=None) -> RunResult:
-        """The run's result as it stands, without advancing the loop.
-
-        The online serving path uses this to close a session whose
-        telemetry stream ended before the observation window did;
-        :meth:`run` delegates here after advancing to the end.
-        *injector* only supplies the injection counters — anything with
-        ``first_injection_ms``/``injections`` attributes duck-types.
-        """
         log = self.node.detection_log
-        now = self._loop.last_ms if self._loop is not None else -1
-        summary = self.plant.summary((now + 1) / 1000.0)
+        summary = self.plant.summary(self.clock_ms / 1000.0)
         verdict = self.classifier.classify(summary)
         return RunResult(
             test_case=self.test_case,
@@ -350,5 +285,5 @@ class TankSystem:
             ),
             injection_count=(injector.injections if injector is not None else 0),
             wedged=False,
-            duration_ms=now + 1,
+            duration_ms=self.clock_ms,
         )

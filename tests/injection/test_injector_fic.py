@@ -47,10 +47,16 @@ class TestTimeTriggeredInjector:
         assert injector.injections == 0
         assert injector.first_injection_ms is None
 
-    @pytest.mark.parametrize("start, period", [(0, 20), (15, 20), (12000, 20), (7, 3)])
+    @pytest.mark.parametrize(
+        "start, period",
+        [(0, 20), (15, 20), (12000, 20), (7, 3), (0, 1), (1, 7), (19, 1), (4990, 7),
+         (5000, 20), (5001, 1)],
+    )
     def test_schedule_equals_ticking(self, start, period):
-        # Runs ending before, at, just after and well after the start.
-        for end in (0, start, start + 1, start + period, start + period + 1, start + 417):
+        # Runs ending before, at, just after and well after the start,
+        # and at the tank-level window's end.
+        for end in (0, start, start + 1, start + period, start + period + 1, start + 417,
+                    5000):
             memory = MasterMemory().map
             ticked = TimeTriggeredInjector(_spec(), period_ms=period, start_ms=start)
             for now in range(end):

@@ -1,6 +1,8 @@
 """Session-level serving: one streamed instance vs the offline loop."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.injection.errors import ErrorSpec
 from repro.injection.fic import CampaignController
@@ -15,7 +17,7 @@ from repro.serve.session import (
     require_servable,
     resolve_flip,
 )
-from repro.targets.registry import get_target
+from repro.targets.registry import get_target, target_names
 
 
 def _offline(target, spec):
@@ -218,3 +220,86 @@ class TestSessionStream:
         assert result.injection_count == 0
         assert not result.detected
         assert session.events == []
+
+
+def _cold_oracle(target, spec, until_ms=None):
+    """A cold boot ticked by ``TimeTriggeredInjector`` in one piece, to the
+    end or to *until_ms*: ``(RunResult, event keys)``."""
+    system = target.boot(spec.test_case(), spec.version)
+    address, bit = resolve_flip(target, spec)
+    error = ErrorSpec("oracle", address, bit, "ram", spec.signal, spec.signal_bit)
+    injector = TimeTriggeredInjector(
+        error, period_ms=spec.period_ms, start_ms=spec.start_ms
+    )
+    system.advance(system.horizon_ms if until_ms is None else until_ms, injector)
+    key = [
+        (e.time, str(e.monitor_id), e.signal, e.value, e.previous)
+        for e in system.detection_log.events
+    ]
+    return system.result_now(injector), key
+
+
+#: Frames of a stream: ``("ticks", n)`` is one frame of n ticks;
+#: ``("burst", n)`` is 300 frames of n ticks; ``("due", k)`` ends k ticks
+#: after the next due flip tick (0: the flip is next to execute);
+#: ``("end", k)`` ends k ticks before the run's end (the arrestor's
+#: early stop, the tank's window end), or is a 0-tick frame once that
+#: is behind the clock.
+_FRAMES = st.lists(
+    st.one_of(
+        st.tuples(st.just("ticks"), st.integers(0, 45)),
+        st.tuples(st.just("burst"), st.integers(1, 9)),
+        st.tuples(st.just("due"), st.integers(0, 1)),
+        st.tuples(st.just("end"), st.integers(0, 30)),
+        st.tuples(st.just("ticks"), st.integers(0, 6000)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("name", target_names())
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mixed_frame_sizes_equal_the_cold_oracle(name, data):
+    """A session fed frames of any sizes, closed partly or completely,
+    equals one cold-boot run of its schedule in one piece: the whole
+    ``RunResult`` and every event field."""
+    target = get_target(name)
+    # Two grid cases; the arrestor stops about 12-14 s into its window on both.
+    mass_kg, velocity_mps = data.draw(st.sampled_from([(20000.0, 70.0), (14000.0, 55.0)]))
+    spec = SessionSpec(
+        session_id="s",
+        target=name,
+        version=data.draw(st.sampled_from(target.versions)),
+        mass_kg=mass_kg,
+        velocity_mps=velocity_mps,
+        signal=data.draw(st.sampled_from(target.monitored_signals)),
+        signal_bit=data.draw(st.integers(0, 15)),
+        period_ms=data.draw(st.integers(1, 60)),
+        start_ms=data.draw(st.one_of(st.integers(0, 80), st.integers(0, 15000))),
+    )
+    complete = data.draw(st.booleans(), label="complete")
+    full_result, full_key = _cold_oracle(target, spec)
+    end_ms = full_result.duration_ms
+
+    session = Session(spec)
+    for kind, k in data.draw(_FRAMES, label="frames"):
+        clock = session.clock_ms
+        if kind in ("ticks", "burst"):
+            sizes = [k] * (300 if kind == "burst" else 1)
+        elif kind == "due":
+            periods = max(0, -(-(clock - spec.start_ms) // spec.period_ms))
+            sizes = [spec.start_ms + periods * spec.period_ms + k - clock]
+        else:
+            sizes = [max(0, end_ms - k - clock)]
+        for ticks in sizes:
+            session.feed(Frame(session_id="s", ticks=ticks))
+    clock = session.clock_ms
+    result = session.close(complete=complete)
+
+    expected, key = (
+        (full_result, full_key) if complete else _cold_oracle(target, spec, clock)
+    )
+    assert result == expected
+    assert events_key(session.events) == key

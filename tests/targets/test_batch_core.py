@@ -34,7 +34,6 @@ from repro.targets.batch.core import (
     BatchRunSpec,
     DetectionBook,
     VecMonitor,
-    injection_stats,
     linear_cyclic_length,
     rate_table,
 )
@@ -122,15 +121,24 @@ def test_discrete_no_recovery_matches_serial():
 @pytest.mark.parametrize("start", [0, 1, 19, 20, 4990, 5000, 5001])
 @pytest.mark.parametrize("period", [1, 7, 20])
 def test_injection_stats_matches_brute_force(start, period):
+    """A row's injection counters are the injector's over its executed ticks.
+
+    ``outcome`` reads them from ``schedule_counts``, the closed form of
+    ``TimeTriggeredInjector.schedule``; only the last executed tick
+    matters, so the clock is set to the window end without stepping.
+    """
     last_ms = 4999
     ticks = [
         now
         for now in range(last_ms + 1)
         if now >= start and (now - start) % period == 0
     ]
-    first, count = injection_stats(start, period, last_ms)
-    assert first == (ticks[0] if ticks else None)
-    assert count == len(ticks)
+    spec = BatchRunSpec("All", "tick", 0, 10000.0, 60.0, period, start)
+    kernel = get_target("tanklevel").batch_kernel([spec])
+    kernel.now_ms = last_ms + 1
+    result = kernel.outcome(0).result
+    assert result.first_injection_ms == (ticks[0] if ticks else None)
+    assert result.injection_count == len(ticks)
 
 
 def test_detection_book_orders_monitors_by_first_record():

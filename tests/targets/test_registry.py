@@ -1,8 +1,11 @@
 """Tests for the target protocol and the scenario registry."""
 
+import itertools
+
 import pytest
 
-from repro.targets.base import Target, TestCase, validate_target
+from repro.injection.injector import TimeTriggeredInjector
+from repro.targets.base import BootedSystem, Target, TestCase, validate_target
 from repro.targets.registry import (
     DEFAULT_TARGET,
     TARGET_ENV_VAR,
@@ -168,6 +171,42 @@ class TestTargetSurface:
     def test_test_cases_form_the_grid(self, target):
         cases = target.test_cases()
         assert len(cases) == 25
+
+
+@pytest.mark.parametrize("name", target_names())
+def test_boot_runs_on_the_shared_run_loop(name):
+    """Every registered target boots a :class:`BootedSystem`, and advancing
+    it in pieces (empty, one-tick and past-the-end calls included) equals
+    one ``run()``: the protocol the snapshot layer and serving rely on."""
+    target = get_target(name)
+    case = target.test_cases()[-1]
+    error = target.e1_error_set()[3]
+
+    def injector():
+        return TimeTriggeredInjector(error, period_ms=20, start_ms=13)
+
+    whole = target.boot(case)
+    assert isinstance(whole, BootedSystem)
+    expected = whole.run(injector())
+
+    pieces = target.boot(case)
+    assert isinstance(pieces, BootedSystem)
+    with pytest.raises(ValueError, match="non-negative"):
+        pieces.advance(-1)
+    ticked = injector()
+    clock = 0
+    for until in (0, 0, 1, 13, 14, 14, 33, 1000, 999, 4321):
+        pieces.advance(until, ticked)
+        clock = max(clock, until)
+        assert (pieces.clock_ms, pieces.finished) == (clock, False)
+    # Pauses after every residue of the schedule's slot cycles.
+    sizes = itertools.cycle((1, 2, 3, 5, 8, 13, 21, 34, 55, 89))
+    while not pieces.finished:
+        pieces.advance(pieces.clock_ms + next(sizes), ticked)
+    assert pieces.clock_ms == expected.duration_ms
+    pieces.advance(pieces.horizon_ms + 1, ticked)
+    assert pieces.run(ticked) == expected
+    assert pieces.detection_log.events == whole.detection_log.events
 
 
 class TestCheckAllTargets:
