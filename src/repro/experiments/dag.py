@@ -18,10 +18,12 @@ wave (see :func:`~repro.experiments.parallel.execute_specs`):
     runner wrapping :func:`~repro.experiments.parallel.execute_specs`
     (their only execution path: run nodes carry no ``run`` callable),
     which reports every completed chunk as it arrives; the graph
-    stores each one at once.  That per-node record is the campaign's
-    only persistence: a campaign interrupted at any point and re-run
-    against the same node store executes only the runs it had not
-    finished.
+    stores each one at once as one durable **pack** of run records (a
+    batched grid is one pack per target, a pool wave one per chunk of
+    at most 8 runs, the serial path one per run).  Those packs are the
+    campaign's only persistence: a campaign interrupted at any point
+    and re-run against the same node store executes only the runs it
+    had not finished.
 ``aggregate`` node
     Depends on every run node; its output is the canonical-order
     campaign CSV (byte-stable regardless of execution or shard order).
@@ -302,7 +304,8 @@ def run_campaign_graph(
     order whatever executed, replayed, or ran on how many workers.
 
     *store* (a directory path or :class:`NodeStore`) enables per-node
-    memoization: every run is stored as its chunk completes, so an
+    memoization: each completed chunk of runs is stored as one pack as
+    it arrives, so an
     unchanged campaign replays 100 % of its nodes from the store and
     simulates nothing, and an interrupted one re-run against the same
     store simulates only what it had not finished.  *progress* hears

@@ -32,8 +32,8 @@ def load_records(path: Union[str, Path]) -> ResultSet:
     """Every run record captured under *path*, pooled.
 
     Accepts a campaign CSV written by ``--save`` or a node-store
-    directory (per-node completion records; ``run`` nodes carry one
-    encoded record each).
+    directory (packs of node completion records; ``run`` nodes carry
+    one encoded record each).
     """
     from repro.experiments.graph import NodeStore
 

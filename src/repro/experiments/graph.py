@@ -17,9 +17,11 @@ free of simulation imports:
   whole upstream subgraph.  Flip one input anywhere and exactly the
   downstream subtree re-keys.
 * :class:`NodeStore` — a file-backed map from node key to completion
-  record (descriptor + output payload), written atomically via temp
-  file + rename.  A node whose key is stored **replays** instead of
-  executing; an executed node's output is stored for the next session.
+  record (descriptor + output payload).  Records are written in
+  **packs**, one durable file per completed chunk (temp file,
+  ``fsync``, rename), and read back once into an in-memory index.  A
+  node whose key is stored **replays** instead of executing; an
+  executed node's output is stored for the next session.
   Stores union with :func:`merge_stores` (descriptor-verified), which
   is what makes multi-machine sharding work: partition the grid by node
   key, run each shard against a private store, merge, and a final pass
@@ -29,9 +31,9 @@ Scheduling is deterministic: nodes execute in topological order with
 ties broken by insertion order, and nodes of the same ``kind`` that are
 ready together can be handed to a **group runner** (the campaign layer
 uses this to fan the injected-run grid onto the existing worker pool).
-A group runner reports outputs as they arrive and each one is stored at
-once, so an interrupted wave keeps every node it finished and a re-run
-against the same store executes only the rest.
+A group runner reports outputs as they arrive and each report is stored
+at once as one pack, so an interrupted wave keeps every chunk it
+finished and a re-run against the same store executes only the rest.
 
 Replay is disabled whenever a tracer is attached — a trace is an
 execution artifact, so traced nodes execute, never replay — and
@@ -46,7 +48,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import secrets
 import tempfile
+import time
 from pathlib import Path
 from typing import (
     Any,
@@ -75,8 +79,8 @@ __all__ = [
 #: A group runner: receives the ready nodes of one kind, each node's
 #: dependency outputs and a ``complete`` callback, and reports
 #: ``{node name: output}`` through ``complete`` as outputs arrive (any
-#: number of calls).  Each reported node is finished — stored — at once,
-#: so a runner interrupted part-way keeps everything it reported.
+#: number of calls).  Each report is finished — stored as one pack — at
+#: once, so a runner interrupted part-way keeps everything it reported.
 GroupRunner = Callable[
     [
         Sequence["Node"],
@@ -150,76 +154,46 @@ class StoreMergeError(RuntimeError):
 
 
 class NodeStore:
-    """File-backed, content-addressed node completion records.
+    """File-backed, content-addressed node completion records, in packs.
 
-    One JSON file per completed node under ``<root>/nodes/``, named by
-    the node's key.  Each file carries the node's **descriptor** (name,
-    kind, inputs) next to its output, so lookups verify the stored
-    record describes the same work before replaying it — a key
-    collision or a foreign file is treated as a miss, never silently
-    returned — and :func:`merge_stores` can refuse conflicting shards.
+    A **pack** is one JSON file under ``<root>/nodes/`` holding the
+    completion records of one completed chunk of work (a run wave's
+    chunk, one aggregate or tables node, or one source store's share of
+    a merge).  Each record carries the node's key and **descriptor**
+    (name, kind, inputs, deps) next to its output, so lookups verify
+    the stored record describes the same work before replaying it — a
+    key collision or a foreign record is treated as a miss, never
+    silently returned — and :func:`merge_stores` can refuse conflicting
+    shards.
 
-    Writes are atomic (temp file in the same directory + ``os.replace``)
-    so concurrent same-directory writers — two shards sharing a store —
-    can at worst duplicate a byte-identical record, never tear one.
+    :meth:`put` is the only writer: temp file in the same directory,
+    ``fsync``, ``os.replace`` onto a fresh name, so a pack is either
+    whole or absent and concurrent writers — two shards sharing a store
+    — never touch each other's files.  Pack names start with the write
+    time in nanoseconds, so reading them in name order reads them in
+    write order.
+
+    The packs are read once, on the first lookup, into a key → latest
+    record index; what this instance writes afterwards joins it too.  A
+    torn or foreign pack, and any file that is not a pack (the
+    one-file-per-node ``<key>.json`` layout included), reads as empty:
+    its nodes simply re-execute.
     """
 
     SUBDIR = "nodes"
+    SUFFIX = ".pack"
+    #: The ``format`` field every pack carries; anything else is foreign.
+    FORMAT = "repro-node-pack/1"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.dir = self.root / self.SUBDIR
+        self._index: Optional[Dict[str, dict]] = None
 
-    def path_for(self, key: str) -> Path:
-        return self.dir / f"{key}.json"
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.iter_keys())
-
-    def iter_keys(self) -> Iterable[str]:
-        if not self.dir.is_dir():
-            return
-        for entry in sorted(self.dir.glob("*.json")):
-            yield entry.stem
-
-    def load(self, key: str) -> Optional[dict]:
-        """The raw completion record for *key*, or ``None``.
-
-        A torn or foreign file (interrupted write predating the atomic
-        path, hand-edited store) reads as a miss rather than an error —
-        the node simply re-executes.
-        """
-        path = self.path_for(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            record = json.loads(text)
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
-
-    def get(self, node: Node, key: str) -> Tuple[str, Any]:
-        """``(status, output)`` for *node* at *key*, descriptor-verified.
-
-        *status* is ``"hit"``, ``"miss"`` (no record), or ``"mismatch"``
-        (a record exists but describes different work — key collision or
-        foreign file); only a hit carries an output.
-        """
-        record = self.load(key)
-        if record is None:
-            return "miss", None
-        if (
-            record.get("kind") != node.kind
-            or record.get("inputs") != dict(node.inputs)
-        ):
-            return "mismatch", None
-        return "hit", record.get("output")
-
-    def put(self, node: Node, key: str, output: Any) -> Path:
-        """Persist *node*'s completion record atomically; returns its path."""
-        record = {
+    @staticmethod
+    def record(node: Node, key: str, output: Any) -> Dict[str, Any]:
+        """The completion record of *node* at *key* with *output*."""
+        return {
             "key": key,
             "name": node.name,
             "kind": node.kind,
@@ -227,18 +201,63 @@ class NodeStore:
             "deps": list(node.deps),
             "output": output,
         }
-        return self.write(key, record)
 
-    def write(self, key: str, record: Mapping[str, Any]) -> Path:
-        """Write one raw completion record durably: temp file, ``fsync``, rename."""
+    def _records(self) -> Dict[str, dict]:
+        """Key → its latest record (the packs, read once in write order)."""
+        if self._index is None:
+            self._index = {}
+            paths = sorted(self.dir.glob(f"*{self.SUFFIX}")) if self.dir.is_dir() else []
+            for path in paths:
+                self._index.update((record["key"], record) for record in _read_pack(path))
+        return self._index
+
+    def __len__(self) -> int:
+        return len(self._records())
+
+    def iter_keys(self) -> Iterable[str]:
+        return iter(sorted(self._records()))
+
+    def load(self, key: str) -> Optional[dict]:
+        """The latest raw completion record for *key*, or ``None``."""
+        return self._records().get(key)
+
+    def get(self, node: Node, key: str) -> Tuple[str, Any]:
+        """``(status, output)`` for *node* at *key*, descriptor-verified.
+
+        *status* is ``"hit"``, ``"miss"`` (no record), or ``"mismatch"``
+        (the latest record describes different work — key collision or
+        foreign record); only a hit carries an output.  The latest
+        record is the one a node re-executed after a mismatch or under
+        ``force`` wrote, so that is what later lookups return.
+        """
+        record = self.load(key)
+        if record is None:
+            return "miss", None
+        if record.get("kind") != node.kind or record.get("inputs") != dict(node.inputs):
+            return "mismatch", None
+        return "hit", record.get("output")
+
+    def put(self, records: Sequence[Mapping[str, Any]]) -> Path:
+        """Write *records* as one pack, durably; returns the pack's path.
+
+        Temp file, ``fsync``, rename: a crash at any point leaves every
+        earlier pack intact and this one either whole or absent.
+        """
+        records = list(records)
+        if not records:
+            raise ValueError("a pack holds at least one record")
         self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:16]}.", suffix=".tmp", dir=self.dir
-        )
+        path = self.dir / f"{time.time_ns():020d}-{secrets.token_hex(6)}{self.SUFFIX}"
+        fd, tmp_name = tempfile.mkstemp(prefix=f".{path.stem}.", suffix=".tmp", dir=self.dir)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True, separators=(",", ":"))
+                handle.write(
+                    json.dumps(
+                        {"format": self.FORMAT, "records": records},
+                        sort_keys=True,
+                        separators=(",", ":"),
+                    )
+                )
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
@@ -248,7 +267,27 @@ class NodeStore:
             except OSError:
                 pass
             raise
+        if self._index is not None:
+            self._index.update((record["key"], record) for record in records)
         return path
+
+
+def _read_pack(path: Path) -> List[dict]:
+    """The well-formed records of one pack; ``[]`` for anything else."""
+    try:
+        pack = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return []
+    if not isinstance(pack, dict) or pack.get("format") != NodeStore.FORMAT:
+        return []
+    records = pack.get("records")
+    if not isinstance(records, list):
+        return []
+    return [
+        record
+        for record in records
+        if isinstance(record, dict) and isinstance(record.get("key"), str)
+    ]
 
 
 def merge_stores(
@@ -263,15 +302,16 @@ def merge_stores(
     agree byte-for-byte — a disagreement means the shards were produced
     by different code or configurations and raising
     :class:`StoreMergeError` beats silently preferring one of them.
+    Each source's new records land in *dest* as one pack, written only
+    once the whole source has been checked.
     """
     dest_store = dest if isinstance(dest, NodeStore) else NodeStore(dest)
     merged = present = 0
     for source in sources:
         src_store = source if isinstance(source, NodeStore) else NodeStore(source)
+        fresh: List[dict] = []
         for key in src_store.iter_keys():
             record = src_store.load(key)
-            if record is None:  # torn source file: nothing to merge
-                continue
             existing = dest_store.load(key)
             if existing is not None:
                 if existing != record:
@@ -282,8 +322,10 @@ def merge_stores(
                     )
                 present += 1
                 continue
-            dest_store.write(key, record)
-            merged += 1
+            fresh.append(record)
+        if fresh:
+            dest_store.put(fresh)
+            merged += len(fresh)
     return merged, present
 
 
@@ -406,9 +448,9 @@ class Graph:
         refreshes the store).  *runners* maps a node kind
         to a group runner executing all simultaneously ready nodes of
         that kind in one call (the campaign layer's pool dispatch),
-        reporting — and so storing — outputs as they arrive;
-        kinds without a runner execute their nodes' ``run`` callables
-        one by one, in topological order.
+        reporting — and so storing, one pack per report — outputs as
+        they arrive; kinds without a runner execute their nodes' ``run``
+        callables one by one, in topological order, one pack each.
         """
         order = self.topo_order()
         position = {name: index for index, name in enumerate(order)}
@@ -460,15 +502,20 @@ class Graph:
         def _dep_outputs(node: Node) -> Dict[str, Any]:
             return {dep: outputs.get(dep) for dep in node.deps}
 
-        def _finish(node: Node, key: str, output: Any) -> None:
-            outputs[node.name] = output
-            stats.note(node.kind, "executed")
-            if store is not None:
-                store.put(node, key, output)
-            if metrics is not None:
-                metrics.counter("graph_nodes_executed_total", kind=node.kind).inc()
-            if tracer is not None:
-                tracer.emit("campaign", "node-done", node=node.name, node_kind=node.kind)
+        def _finish(chunk: Sequence[Tuple[Node, Any]]) -> None:
+            """Record one completed chunk and store it as one pack."""
+            for node, output in chunk:
+                outputs[node.name] = output
+                stats.note(node.kind, "executed")
+            if store is not None and chunk:
+                store.put(
+                    [NodeStore.record(node, self.key(node.name), output) for node, output in chunk]
+                )
+            for node, _ in chunk:
+                if metrics is not None:
+                    metrics.counter("graph_nodes_executed_total", kind=node.kind).inc()
+                if tracer is not None:
+                    tracer.emit("campaign", "node-done", node=node.name, node_kind=node.kind)
 
         # Execute in topological waves: ready pending nodes of one kind
         # go to that kind's group runner together, everything else runs
@@ -501,8 +548,7 @@ class Graph:
                 in_wave = {node.name: node for node in nodes}
 
                 def _complete(produced: Mapping[str, Any]) -> None:
-                    for name, output in produced.items():
-                        _finish(in_wave[name], self.key(name), output)
+                    _finish([(in_wave[name], output) for name, output in produced.items()])
 
                 runner(nodes, {node.name: _dep_outputs(node) for node in nodes}, _complete)
                 for node in nodes:
@@ -518,7 +564,7 @@ class Graph:
                             f"node {node.name!r} has no run callable and no group "
                             f"runner handles kind {kind!r}"
                         )
-                    _finish(node, self.key(node.name), node.run(_dep_outputs(node)))
+                    _finish([(node, node.run(_dep_outputs(node)))])
             completed.update(wave)
             remaining = [name for name in remaining if name not in completed]
         return outputs

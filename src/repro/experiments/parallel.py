@@ -18,8 +18,8 @@ This module turns a campaign into
    chunk to an ``on_complete`` callback as it arrives.
 
 Campaign persistence lives one level up: the task graph
-(:mod:`repro.experiments.dag`) stores every reported chunk as per-node
-completion records, so an interrupted campaign re-run against the same
+(:mod:`repro.experiments.dag`) stores every reported chunk as one pack
+of completion records, so an interrupted campaign re-run against the same
 node store executes only the runs it had not finished.
 
 Acceleration.  Before forking its pool the dispatcher pre-warms the

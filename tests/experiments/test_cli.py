@@ -249,7 +249,8 @@ class TestCampaignOptions:
         store = tmp_path / "env-nodes"
         monkeypatch.setenv("REPRO_STORE", str(store))
         assert main(self.SMALL) == 0
-        assert len(list((store / "nodes").glob("*.json"))) == 16 + 2
+        # Serial: one pack per run, plus one each for aggregate and tables.
+        assert len(list((store / "nodes").glob("*.pack"))) == 16 + 2
         capsys.readouterr()
         assert main(self.SMALL) == 0
         assert "— 0 nodes executed" in capsys.readouterr().out
@@ -260,14 +261,21 @@ class TestCampaignOptions:
         store = tmp_path / "nodes"
         metrics = tmp_path / "metrics.json"
         argv = self.SMALL + ["--store", str(store)]
+        from repro.experiments.graph import NodeStore
+
         assert main(argv) == 0
-        before = sorted(p.name for p in (store / "nodes").iterdir())
+        before = {p.name for p in (store / "nodes").iterdir()}
+        keys = list(NodeStore(store).iter_keys())
         capsys.readouterr()
         assert main(argv + ["--force", "--metrics-out", str(metrics)]) == 0
         assert ", 0 replayed" in capsys.readouterr().out
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["graph_nodes_executed_total{kind=run}"] == 16
-        assert sorted(p.name for p in (store / "nodes").iterdir()) == before
+        # Every earlier pack is kept; the re-executed nodes add one pack
+        # each (serial path) under the same keys.
+        after = {p.name for p in (store / "nodes").iterdir()}
+        assert before < after and len(after) == 2 * len(before)
+        assert list(NodeStore(store).iter_keys()) == keys
 
     def test_metrics_out_reports_a_full_replay(self, tmp_path, capsys):
         import json

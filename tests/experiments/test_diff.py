@@ -5,12 +5,15 @@ Wilson CIs, regression exit codes, loading from ``--save`` CSVs and
 node stores) and the Wilson estimator itself.
 """
 
+import json
+
 import pytest
 
 from repro.experiments.diff import diff_results, load_records, render_diff
-from repro.experiments.persistence import save_results
+from repro.experiments.persistence import encode_record, save_results
 from repro.experiments.results import ResultSet, RunRecord
 from repro.stats import wilson_interval
+from tests.experiments.store_fixtures import pack_holding
 
 
 def record(signal="mscnt", detected=True, version="All", bit=0, **overrides):
@@ -175,11 +178,22 @@ class TestLoadRecords:
         assert "aggregate" in kinds.values() and outcome.aggregate_csv
         # The aggregate record is not a run record.
         assert len(load_records(tmp_path / "ns")) == len(specs) == 3
+        # The serial path stores one pack per run: tearing one loses one run.
         torn = next(key for key, kind in kinds.items() if kind == "run")
-        store.path_for(torn).write_text('{"kind": "run", "outp')
+        pack_holding(store, torn).write_text('{"format": "repro-node-pack/1", "rec')
         loaded = load_records(tmp_path / "ns")
         assert len(loaded) == len(specs) - 1
         assert set(loaded.records) < set(outcome.results.records)
+
+    def test_per_node_store_layout_reads_as_empty(self, tmp_path):
+        # Stores written one file per node, before packs, hold no packs:
+        # they read as empty (their runs re-execute once), never an error.
+        nodes = tmp_path / "old" / "nodes"
+        nodes.mkdir(parents=True)
+        (nodes / f"{'a' * 64}.json").write_text(
+            json.dumps({"key": "a" * 64, "kind": "run", "output": encode_record(record())})
+        )
+        assert len(load_records(tmp_path / "old")) == 0
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -232,6 +246,25 @@ class TestDiffCli:
         out = capsys.readouterr().out
         assert "A: 16 runs" in out and "B: 16 runs" in out
         assert "no significant regressions" in out
+
+    def test_batched_store_against_serial_store(self, tmp_path, capsys):
+        # Two cold graph runs: a batched grid (its runs in one pack) and
+        # the serial path (one pack per run) hold the same campaign.
+        pytest.importorskip("numpy")  # batch path
+        from repro.experiments.__main__ import main
+
+        argv = ["e1", "--signal", "i", "--versions", "All", "--cases-all", "1"]
+        batched, serial = tmp_path / "batched", tmp_path / "serial"
+        assert main(argv + ["--batch", "--store", str(batched)]) == 0
+        assert main(argv + ["--store", str(serial)]) == 0
+        capsys.readouterr()
+        assert len(list((batched / "nodes").glob("*.pack"))) == 1 + 2
+        assert len(list((serial / "nodes").glob("*.pack"))) == 16 + 2
+        assert main(["diff", str(batched), str(serial)]) == 0
+        out = capsys.readouterr().out
+        assert "A: 16 runs" in out and "B: 16 runs" in out
+        assert "no significant regressions" in out
+        assert load_records(batched).records == load_records(serial).records
 
     def test_exit_two_on_missing_store(self, tmp_path, capsys):
         from repro.experiments.__main__ import main

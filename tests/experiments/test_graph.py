@@ -20,6 +20,7 @@ from repro.experiments.graph import (
     merge_stores,
     shard_of,
 )
+from tests.experiments.store_fixtures import pack_holding, packs
 
 
 def const(value):
@@ -128,50 +129,74 @@ class TestContentAddresses:
         assert g1.key("n1") == g2.key("n2")
 
 
+def _put(store, node, key, output):
+    """Store one node as a pack of one; returns the pack's path."""
+    return store.put([NodeStore.record(node, key, output)])
+
+
 class TestNodeStore:
     def test_roundtrip(self, tmp_path):
         store = NodeStore(tmp_path / "s")
         node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
-        store.put(node, "k" * 64, {"answer": 42})
+        path = _put(store, node, "k" * 64, {"answer": 42})
+        assert path.parent == store.dir and path.suffix == ".pack"
         assert store.get(node, "k" * 64) == ("hit", {"answer": 42})
         assert list(store.iter_keys()) == ["k" * 64]
         assert len(store) == 1
+        reopened = NodeStore(tmp_path / "s")
+        assert reopened.get(node, "k" * 64) == ("hit", {"answer": 42})
+        assert len(reopened) == 1
 
     def test_missing_key_is_a_miss(self, tmp_path):
         store = NodeStore(tmp_path / "s")
         node = Node(name="n", kind="k", run=const(0))
         assert store.get(node, "0" * 64) == ("miss", None)
+        assert len(store) == 0 and list(store.iter_keys()) == []
 
     def test_descriptor_mismatch_is_not_a_hit(self, tmp_path):
         store = NodeStore(tmp_path / "s")
         node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
-        store.put(node, "k" * 64, 1)
+        _put(store, node, "k" * 64, 1)
         other = Node(name="n", kind="k", run=const(0), inputs={"v": "2"})
         assert store.get(other, "k" * 64) == ("mismatch", None)
+        assert NodeStore(tmp_path / "s").get(other, "k" * 64) == ("mismatch", None)
 
     def test_torn_file_reads_as_miss(self, tmp_path):
+        # A torn pack loses exactly its own records; other packs still hit.
         store = NodeStore(tmp_path / "s")
-        node = Node(name="n", kind="k", run=const(0))
-        path = store.put(node, "k" * 64, 1)
-        path.write_text('{"kind": "k", "trunc')  # simulated torn write
-        assert store.get(node, "k" * 64) == ("miss", None)
+        nodes = [_batch_node(index) for index in range(5)]
+        torn = store.put([NodeStore.record(node, f"{i:064x}", i) for i, node in
+                          enumerate(nodes[:3])])
+        store.put([NodeStore.record(node, f"{i + 3:064x}", i + 3) for i, node in
+                   enumerate(nodes[3:])])
+        torn.write_text(torn.read_text()[:40])  # simulated torn write
+        reopened = NodeStore(tmp_path / "s")
+        assert [reopened.get(node, f"{i:064x}")[0] for i, node in enumerate(nodes)] == [
+            "miss", "miss", "miss", "hit", "hit"
+        ]
+        assert len(reopened) == 2
 
     def test_failed_put_keeps_the_previous_record(self, tmp_path, monkeypatch):
         import repro.experiments.graph as graph_module
 
         store = NodeStore(tmp_path / "s")
         node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
-        store.put(node, "k" * 64, "old")
+        first = _put(store, node, "k" * 64, "old")
 
         def exploding(*args, **kwargs):
             raise RuntimeError("simulated crash mid-write")
 
-        monkeypatch.setattr(graph_module.json, "dump", exploding)
-        with pytest.raises(RuntimeError):
-            store.put(node, "k" * 64, "new")
-        monkeypatch.undo()
-        assert store.get(node, "k" * 64) == ("hit", "old")
-        assert [p.name for p in store.dir.iterdir()] == [f"{'k' * 64}.json"]
+        # A crash while the pack is encoded, then one after its bytes are
+        # written but before they are durable.
+        for module, name in ((graph_module.json, "dumps"), (graph_module.os, "fsync")):
+            monkeypatch.setattr(module, name, exploding)
+            with pytest.raises(RuntimeError):
+                _put(store, node, "k" * 64, "new")
+            monkeypatch.undo()
+            assert packs(store) == [first]
+            assert not list(store.dir.glob("*.tmp"))
+            assert store.get(node, "k" * 64) == ("hit", "old")
+            assert NodeStore(tmp_path / "s").get(node, "k" * 64) == ("hit", "old")
 
     def test_concurrent_writers_never_tear_records(self, tmp_path):
         # Two shards may share one store directory: writers racing on the
@@ -194,22 +219,68 @@ class TestNodeStore:
             node = _batch_node(index)
             assert store.get(node, f"{index:064x}") == ("hit", ["out", index] * 50)
         assert not list(store.dir.glob("*.tmp"))
+        # 4 writers, each 25 keys (fewer for the last two) in packs of 5.
+        assert len(packs(store)) == 5 + 5 + 5 + 3
+        for path in packs(store):
+            assert json.loads(path.read_text())["format"] == NodeStore.FORMAT
 
     def test_records_carry_descriptor(self, tmp_path):
         store = NodeStore(tmp_path / "s")
         node = Node(
             name="n", kind="k", run=const(0), inputs={"v": "1"}, deps=("up",)
         )
-        path = store.put(node, "k" * 64, "out")
-        record = json.loads(path.read_text())
-        assert record == {
-            "key": "k" * 64,
-            "name": "n",
-            "kind": "k",
-            "inputs": {"v": "1"},
-            "deps": ["up"],
-            "output": "out",
+        path = _put(store, node, "k" * 64, "out")
+        assert json.loads(path.read_text()) == {
+            "format": NodeStore.FORMAT,
+            "records": [
+                {
+                    "key": "k" * 64,
+                    "name": "n",
+                    "kind": "k",
+                    "inputs": {"v": "1"},
+                    "deps": ["up"],
+                    "output": "out",
+                }
+            ],
         }
+
+    def test_foreign_and_per_node_files_are_ignored(self, tmp_path):
+        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
+        store = NodeStore(tmp_path / "s")
+        store.dir.mkdir(parents=True)
+        record = NodeStore.record(node, "k" * 64, "old layout")
+        (store.dir / f"{'k' * 64}.json").write_text(json.dumps(record))
+        (store.dir / "garbage.pack").write_bytes(b"\xff\x00 not json")
+        (store.dir / "list.pack").write_text(json.dumps([record]))
+        (store.dir / "other.pack").write_text(
+            json.dumps({"format": "something-else/1", "records": [record]})
+        )
+        (store.dir / "bad-records.pack").write_text(
+            json.dumps({"format": NodeStore.FORMAT, "records": {"k": record}})
+        )
+        assert store.get(node, "k" * 64) == ("miss", None)
+        assert len(store) == 0
+        _put(store, node, "k" * 64, "new")
+        assert NodeStore(tmp_path / "s").get(node, "k" * 64) == ("hit", "new")
+
+    def test_latest_matching_record_wins(self, tmp_path):
+        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
+        poisoned = Node(name="n", kind="k", run=const(0), inputs={"v": "poisoned"})
+        store = NodeStore(tmp_path / "s")
+        _put(store, poisoned, "k" * 64, "foreign")
+        _put(store, node, "k" * 64, "first")
+        assert store.get(node, "k" * 64) == ("hit", "first")
+        _put(store, node, "k" * 64, "forced")  # re-executed under force
+        for view in (store, NodeStore(tmp_path / "s")):
+            assert view.get(node, "k" * 64) == ("hit", "forced")
+            assert view.load("k" * 64)["output"] == "forced"
+            assert len(view) == 1
+
+    def test_empty_pack_refused(self, tmp_path):
+        store = NodeStore(tmp_path / "s")
+        with pytest.raises(ValueError, match="at least one record"):
+            store.put([])
+        assert not store.dir.exists()
 
 
 def _batch_node(index):
@@ -217,10 +288,14 @@ def _batch_node(index):
 
 
 def _put_batch(root, writer):
-    """Subprocess body: put a window of keys overlapping its neighbours'."""
+    """Subprocess body: put a window of keys overlapping its neighbours', 5 per pack."""
     store = NodeStore(root)
-    for index in range(writer * 12, min(writer * 12 + 25, 50)):
-        store.put(_batch_node(index), f"{index:064x}", ["out", index] * 50)
+    window = range(writer * 12, min(writer * 12 + 25, 50))
+    for start in range(window.start, window.stop, 5):
+        store.put([
+            NodeStore.record(_batch_node(index), f"{index:064x}", ["out", index] * 50)
+            for index in range(start, min(start + 5, window.stop))
+        ])
 
 
 class TestMergeStores:
@@ -229,7 +304,7 @@ class TestMergeStores:
         node = Node(name=name, kind="k", run=const(0), inputs={"n": name})
         graph = Graph()
         graph.add(node)
-        store.put(node, graph.key(name), value)
+        _put(store, node, graph.key(name), value)
         return store
 
     def test_union_of_disjoint_stores(self, tmp_path):
@@ -240,6 +315,26 @@ class TestMergeStores:
         assert sorted(dest.iter_keys()) == sorted(
             list(s0.iter_keys()) + list(s1.iter_keys())
         )
+        assert sorted(NodeStore(tmp_path / "dest").iter_keys()) == sorted(dest.iter_keys())
+
+    def test_one_pack_per_source_store(self, tmp_path):
+        sources = []
+        for index in range(2):
+            store = NodeStore(tmp_path / f"s{index}")
+            for start in range(0, 6, 2):  # three packs of two records
+                store.put([
+                    NodeStore.record(_batch_node(i), f"{i:064x}", i)
+                    for i in range(index * 6 + start, index * 6 + start + 2)
+                ])
+            sources.append(store)
+        dest = NodeStore(tmp_path / "dest")
+        assert merge_stores(dest, sources) == (12, 0)
+        assert len(packs(dest)) == 2
+        assert merge_stores(dest, sources) == (0, 12)
+        assert len(packs(dest)) == 2  # nothing new, nothing written
+        reopened = NodeStore(tmp_path / "dest")
+        for i in range(12):
+            assert reopened.get(_batch_node(i), f"{i:064x}") == ("hit", i)
 
     def test_identical_duplicates_count_as_present(self, tmp_path):
         s0 = self._store_with(tmp_path / "s0", "a", 1)
@@ -250,16 +345,17 @@ class TestMergeStores:
     def test_conflicting_records_refused(self, tmp_path):
         s0 = self._store_with(tmp_path / "s0", "a", 1)
         s1 = self._store_with(tmp_path / "s1", "a, but different", 1)
-        # Force the same key with a different record body.
+        # Give s1 a record under s0's key with a different record body.
         [key0] = list(s0.iter_keys())
         [key1] = list(s1.iter_keys())
-        (s1.dir / f"{key0}.json").write_text(
-            (s1.dir / f"{key1}.json").read_text()
-        )
+        s1.put([dict(s1.load(key1), key=key0)])
         dest = NodeStore(tmp_path / "dest")
         merge_stores(dest, [s0])
         with pytest.raises(StoreMergeError, match="refusing"):
-            merge_stores(dest, [s1])
+            merge_stores(dest, [NodeStore(tmp_path / "s1")])
+        # A refused source writes nothing, not even its agreeing records.
+        assert len(packs(dest)) == 1
+        assert list(NodeStore(tmp_path / "dest").iter_keys()) == [key0]
 
     def test_merge_is_idempotent(self, tmp_path):
         s0 = self._store_with(tmp_path / "s0", "a", 1)
@@ -340,16 +436,35 @@ class TestExecutionPlanning:
         store = NodeStore(tmp_path / "s")
         graph = diamond()
         graph.execute(store=store)
-        # Corrupt node b's record descriptor in place.
-        path = store.path_for(graph.key("b"))
-        record = json.loads(path.read_text())
-        record["inputs"] = {"v": "poisoned"}
-        path.write_text(json.dumps(record))
+        # Corrupt node b's record descriptor in place, inside its pack.
+        key = graph.key("b")
+        path = pack_holding(store, key)
+        pack = json.loads(path.read_text())
+        for record in pack["records"]:
+            if record["key"] == key:
+                record["inputs"] = {"v": "poisoned"}
+        path.write_text(json.dumps(pack))
         stats = GraphStats()
-        outputs = diamond().execute(store=store, stats=stats)
+        outputs = diamond().execute(store=NodeStore(tmp_path / "s"), stats=stats)
         assert outputs["d"] == 32
         assert stats.mismatches == 1
-        assert stats.executed >= 1
+        assert stats.by_kind["mid"]["executed"] == 1
+        # The re-executed record is what later lookups return; the
+        # earlier mismatched one never shadows it.
+        again = GraphStats()
+        assert diamond().execute(store=NodeStore(tmp_path / "s"), stats=again) == outputs
+        assert (again.executed, again.cached, again.mismatches) == (0, 4, 0)
+
+    def test_force_refresh_is_what_later_lookups_return(self, tmp_path):
+        store = NodeStore(tmp_path / "s")
+        graph = Graph()
+        graph.add(Node(name="n", kind="k", run=const("old"), inputs={"v": "1"}))
+        graph.execute(store=store)
+        forced = Graph()
+        forced.add(Node(name="n", kind="k", run=const("new"), inputs={"v": "1"}))
+        forced.execute(store=store, force=True)
+        assert graph.execute(store=store) == {"n": "new"}
+        assert graph.execute(store=NodeStore(tmp_path / "s")) == {"n": "new"}
 
     def test_unknown_wanted_rejected(self):
         with pytest.raises(GraphError, match="ghost"):
@@ -408,6 +523,7 @@ class TestGroupRunners:
         with pytest.raises(KeyboardInterrupt):
             graph.execute(store=store, runners={"batch": interrupted})
         assert len(store) == 2
+        assert len(packs(store)) == 2  # one pack per report
 
         rerun = []
 

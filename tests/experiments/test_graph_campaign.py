@@ -16,6 +16,7 @@ Pins the PR's hard invariants:
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from repro.experiments.parallel import enumerate_e1_specs, execute_specs
 from repro.targets import snapshot as snapshots
 from repro.targets.base import Target
 from repro.targets.registry import get_target, target_names
+from tests.experiments.store_fixtures import count_fsyncs, pack_holding, packs
 
 #: Mid-run first injection, so runs restore fault-free prefix snapshots
 #: (captured on a cell's first run, or before the pool forks), matching
@@ -124,18 +126,23 @@ class TestReplay:
         assert seen == [(len(specs), len(specs))]
 
     def test_torn_run_record_re_executes_only_that_run(self, tmp_path):
+        # The serial path stores one pack per run, so tearing one pack
+        # loses exactly one run; every other pack still replays.
         specs = _slice_specs("arrestor", errors=2)
         store = NodeStore(tmp_path / "nodes")
         cold = run_campaign_graph(specs, store=store)
         graph = build_campaign_graph(specs)
         torn = graph.key(run_node_name(specs[1]))
-        text = store.path_for(torn).read_text()
-        store.path_for(torn).write_text(text[: len(text) // 2])
-        again = run_campaign_graph(specs, store=store)
+        path = pack_holding(store, torn)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        again = run_campaign_graph(specs, store=NodeStore(tmp_path / "nodes"))
         assert again.stats.by_kind["run"]["executed"] == 1
         assert again.stats.by_kind["run"]["cached"] == len(specs) - 1
         assert again.results.records == cold.results.records
-        assert store.path_for(torn).read_text() == text
+        [record] = json.loads(text)["records"]
+        assert NodeStore(tmp_path / "nodes").load(torn) == record
+        assert pack_holding(store, torn) != path
 
     def test_flipping_one_input_re_executes_one_subtree(self, tmp_path):
         specs = _slice_specs("arrestor", errors=2)
@@ -542,6 +549,47 @@ class TestInterruptAndResume:
         assert len(load_records(store)) == total
 
 
+class TestStoreWrites:
+    """One durable write — one ``fsync``'d pack — per completed chunk.
+
+    A batched grid is one chunk per target, a pool wave one per chunk,
+    the serial path one per run; aggregate and tables are one each.
+    """
+
+    def test_batched_grid_is_one_write(self, tmp_path, monkeypatch):
+        pytest.importorskip("numpy")  # batch path
+        from repro.experiments import campaign
+
+        config = CampaignConfig(target="tanklevel", cases_all=1, cases_per_ea=1, batch=True)
+        fsyncs = count_fsyncs(monkeypatch)
+        outcome = campaign.run_campaign_graph(config, "e1", store=tmp_path / "nodes")
+        assert outcome.stats.by_kind["run"]["executed"] == len(enumerate_e1_specs(config)) > 1
+        assert outcome.tables
+        assert len(fsyncs) == 1 + 1 + 1  # the grid, aggregate, tables
+        assert len(packs(NodeStore(tmp_path / "nodes"))) == 3
+
+    def test_pool_wave_writes_one_pack_per_chunk(self, tmp_path, monkeypatch):
+        from repro.experiments import parallel
+
+        if not parallel._multiprocessing_usable():
+            pytest.skip("no process pool on this platform")
+        specs = _slice_specs("tanklevel", errors=5)
+        size = parallel._default_chunk_size(len(specs), 2)
+        chunks = -(-len(specs) // size)
+        assert 1 < chunks < len(specs)
+        fsyncs = count_fsyncs(monkeypatch)
+        run_campaign_graph(specs, store=NodeStore(tmp_path / "nodes"), workers=2)
+        assert len(fsyncs) == chunks + 1  # + aggregate
+        assert len(packs(NodeStore(tmp_path / "nodes"))) == chunks + 1
+
+    def test_serial_slice_writes_one_pack_per_run(self, tmp_path, monkeypatch):
+        specs = _slice_specs("tanklevel", errors=2)
+        fsyncs = count_fsyncs(monkeypatch)
+        run_campaign_graph(specs, store=NodeStore(tmp_path / "nodes"))
+        assert len(fsyncs) == len(specs) + 1  # + aggregate
+        assert len(packs(NodeStore(tmp_path / "nodes"))) == len(specs) + 1
+
+
 class TestGraphSmoke:
     """Fast end-to-end slice for ``make graph-smoke``."""
 
@@ -549,14 +597,19 @@ class TestGraphSmoke:
         specs = _slice_specs("arrestor", errors=1, versions=("All",))
         store = NodeStore(tmp_path / "nodes")
         cold = run_campaign_graph(specs, store=store)
+        # Serial: one pack per run, plus one for the aggregate.
+        assert len(packs(store)) == len(specs) + 1
         warm = run_campaign_graph(specs, store=store)
         assert cold.results.records == warm.results.records
         assert warm.stats.executed == 0
+        assert len(packs(store)) == len(specs) + 1
         shards = [NodeStore(tmp_path / f"s{i}") for i in range(2)]
         for i in range(2):
-            run_campaign_graph(specs, store=shards[i], shard=(i, 2))
+            shard = run_campaign_graph(specs, store=shards[i], shard=(i, 2))
+            assert len(packs(shards[i])) == len(shard.results.records)
         merged = NodeStore(tmp_path / "merged")
-        merge_stores(merged, shards)
+        assert merge_stores(merged, shards) == (len(specs), 0)
+        assert len(packs(merged)) == sum(1 for shard in shards if len(shard))
         final = run_campaign_graph(specs, store=merged)
         assert final.stats.by_kind["run"]["executed"] == 0
         assert final.aggregate_csv == cold.aggregate_csv
