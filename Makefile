@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint coverage regen-golden bench bench-lint graph-smoke bench-suite-smoke bench-tables bench-full e1 e2 reference examples clean
+.PHONY: install test lint coverage regen-golden bench graph-smoke bench-suite-smoke e1 e2 ablations reference examples clean
 
 # Coverage floor for the instrumented packages (ratchet: raise as
 # coverage improves, never lower).
@@ -63,13 +63,6 @@ bench:
 		$(PYTHON) benchmarks/suite/run.py --workload $$workload $(BENCH_ARGS) || exit 1; \
 	done
 
-# Source-level lint cost per target (wall-time, closure size, rule
-# traffic) + schema check of the emitted BENCH_lint.json; the check also
-# gates on zero error-severity findings.
-bench-lint:
-	$(PYTHON) benchmarks/bench_lint.py --out BENCH_lint.json $(BENCH_LINT_ARGS)
-	$(PYTHON) benchmarks/bench_lint.py --check BENCH_lint.json
-
 # Self-test of the repository benchmark (benchmarks/suite): every
 # workload at smoke scale, untraced and traced, with its output gates.
 bench-suite-smoke:
@@ -82,19 +75,17 @@ graph-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/experiments/test_graph_campaign.py::TestGraphSmoke
 
-# The table/figure regeneration benchmarks (pytest-benchmark suite).
-bench-tables:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# The paper's full 25-case scale (hours of wall clock).
-bench-full:
-	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 e1:
 	$(PYTHON) -m repro.experiments e1 --save results/e1.csv
 
 e2:
 	$(PYTHON) -m repro.experiments e2 --save results/e2.csv
+
+# The ablations beyond the paper's tables (EXPERIMENTS.md), through the
+# campaign graph; regenerates the committed results/ablations.{csv,txt}.
+ablations:
+	PYTHONPATH=src $(PYTHON) -m repro.experiments ablations \
+		--save results/ablations.csv > results/ablations.txt
 
 reference:
 	$(PYTHON) -m repro.experiments reference
@@ -103,5 +94,5 @@ examples:
 	for script in examples/*.py; do echo "== $$script"; $(PYTHON) $$script || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis src/repro.egg-info BENCH_lint.json
+	rm -rf .pytest_cache .hypothesis src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -14,8 +14,8 @@ unprotected — a corrupt set point sampled between the master's V_REG and
 COMM slots reaches the slave's drum unchecked.  Passing a
 :class:`~repro.core.monitor.SignalMonitor` as ``receive_monitor`` guards
 the reception with the same executable assertion (and, with recovery,
-repairs it); the ``bench_ablation_slave_assertion`` benchmark measures
-what that buys.
+repairs it); the ``slave-assertion`` ablation
+(:mod:`repro.experiments.ablations`) measures what that buys.
 """
 
 from __future__ import annotations

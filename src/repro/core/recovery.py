@@ -4,7 +4,8 @@ Section 2 of the paper: *"Should an error be detected, measures can be
 taken to recover from the error, and the signal can be returned to a valid
 state."*  The evaluation itself measures detection only, but the library
 ships the recovery half of the mechanism so the combination can be used
-(and is exercised by the ``bench_ablation_recovery`` benchmark).
+(and the ``recovery`` ablation of :mod:`repro.experiments.ablations`
+exercises it).
 
 A recovery strategy maps the rejected sample ``s`` and the previous
 reference ``s'`` onto a replacement value that satisfies the signal's

@@ -14,15 +14,18 @@ Usage::
                                    [--no-snapshots] [--injection-start MS]
                                    [--batch] [--trace JSONL]
                                    [--metrics-out JSON]
+    python -m repro.experiments ablations [--store DIR] [--workers N]
+                                          [--save CSV]
     python -m repro.experiments reference
     python -m repro.experiments table6
     python -m repro.experiments merge DEST SHARD [SHARD ...]
     python -m repro.experiments diff A B
 
-``e1`` regenerates Tables 7 and 8, ``e2`` Table 9, ``reference`` checks
-the fault-free precondition over the full 25-case grid, and ``table6``
-prints the error-set composition.  ``--target`` selects the workload
-(default ``$REPRO_TARGET`` or the arrestor; ``--list-targets`` shows the
+``e1`` regenerates Tables 7 and 8, ``e2`` Table 9, ``ablations`` the
+ablation rows of EXPERIMENTS.md (:mod:`repro.experiments.ablations`),
+``reference`` checks the fault-free precondition over the full 25-case
+grid, and ``table6`` prints the error-set composition.  ``--target``
+selects the workload (default ``$REPRO_TARGET`` or the arrestor; ``--list-targets`` shows the
 registry), accepted both before and after the subcommand.  ``--signal``
 restricts E1 to one monitored signal (a quick partial campaign); with
 ``--load`` it filters the loaded records the same way.
@@ -68,7 +71,11 @@ from repro.experiments.analysis import (
     detection_threshold_bit,
     failure_rate_by_signal,
 )
-from repro.experiments.persistence import load_results, save_results
+from repro.experiments.persistence import (
+    load_results,
+    save_results,
+    write_text_atomic,
+)
 from repro.experiments.campaign import (
     CampaignConfig,
     _tables_renderer,
@@ -110,8 +117,7 @@ def _list_targets() -> int:
     return 0
 
 
-def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
-    _add_target_option(parser)
+def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
@@ -128,6 +134,11 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
         "or with unchanged code/config) simulates only the runs not yet "
         "recorded (default: $REPRO_STORE or off)",
     )
+
+
+def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
+    _add_target_option(parser)
+    _add_execution_options(parser)
     parser.add_argument(
         "--force",
         action="store_true",
@@ -392,6 +403,27 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1 if any(delta.regression for delta in deltas) else 0
 
 
+def _cmd_ablations(args: argparse.Namespace) -> int:
+    from repro.experiments.ablations import (
+        ablations_to_csv,
+        render_ablations,
+        run_ablations,
+    )
+
+    start = time.time()
+    run = run_ablations(store=args.store, workers=args.workers, progress=_progress)
+    print(
+        f"\nAblations: {run.executed + run.replayed} runs in "
+        f"{time.time() - start:.0f}s — {run.executed} runs executed, "
+        f"{run.replayed} replayed\n"
+    )
+    if args.save:
+        write_text_atomic(args.save, ablations_to_csv(run.results))
+        print(f"saved run records to {args.save}\n")
+    print(render_ablations(run.results))
+    return 0
+
+
 def _cmd_table6(args: argparse.Namespace) -> int:
     target = get_target(args.target)
     errors = target.e1_error_set()
@@ -445,6 +477,14 @@ def main(argv=None) -> int:
     p_rep.add_argument("results", help="CSV file written with --save")
     p_rep.set_defaults(func=_cmd_report)
 
+    p_abl = sub.add_parser(
+        "ablations",
+        help="run the ablations beyond the paper's tables (EXPERIMENTS.md)",
+    )
+    _add_execution_options(p_abl)
+    p_abl.add_argument("--save", default=None, metavar="CSV", help="write run records to a CSV file")
+    p_abl.set_defaults(func=_cmd_ablations)
+
     p_t6 = sub.add_parser("table6", help="print the E1 error-set composition")
     _add_target_option(p_t6)
     p_t6.set_defaults(func=_cmd_table6)
@@ -472,7 +512,8 @@ def main(argv=None) -> int:
         return _list_targets()
     if args.command is None:
         parser.error(
-            "a command is required (e1, e2, reference, report, table6, merge, diff)"
+            "a command is required "
+            "(e1, e2, ablations, reference, report, table6, merge, diff)"
         )
     return args.func(args)
 

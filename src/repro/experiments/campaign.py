@@ -6,20 +6,18 @@ E2: the all-assertions version only, 200 random-location errors.
 
 Scale.  The paper executes 22 400 + 5 000 arrestments on bare hardware;
 a pure-Python reproduction budgets its runs through
-:class:`CampaignConfig` (overridable via ``REPRO_*`` environment
-variables — see ``from_env``).  Scaled campaigns keep *all* errors and
-subsample test cases, because the tables' structure lives in the error
-axis (signal x bit position), not the test-case axis.
+:class:`CampaignConfig` (the CLI's ``--cases-*`` options).  Scaled
+campaigns keep *all* errors and subsample test cases, because the
+tables' structure lives in the error axis (signal x bit position), not
+the test-case axis.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.arrestor.system import RunConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.experiments.parallel import enumerate_e1_specs, enumerate_e2_specs
 from repro.experiments.results import ResultSet
@@ -48,7 +46,7 @@ class CampaignConfig:
     ``cases_all`` test cases are run per error on the All version;
     ``cases_per_ea`` per error on each single-EA version; ``cases_e2``
     per error in the E2 campaign.  The paper's full scale is 25 for all
-    three (set ``REPRO_FULL=1``).
+    three.
     """
 
     cases_all: int = 3
@@ -64,14 +62,16 @@ class CampaignConfig:
     #: error); 0 reproduces the paper's inject-from-boot campaigns.
     injection_start_ms: int = 0
     e2_seed: int = 2000
-    run_config: Optional[RunConfig] = None
+    #: The target's own run configuration (``Target.run_config_type``,
+    #: checked at construction); ``None`` selects its defaults.
+    run_config: Any = None
     #: Worker processes for campaign execution; 1 = in-process serial.
     workers: int = 1
     #: Wall-clock limit per run (seconds); a run exceeding it is
     #: classified as wedged instead of hanging its worker.  None = no limit.
     run_timeout_s: Optional[float] = None
     #: Structured-trace destination (JSONL, one event per line); None =
-    #: tracing disabled.  Also settable via ``REPRO_TRACE``.
+    #: tracing disabled.
     trace_path: Optional[Union[str, Path]] = None
     #: Metrics registry the campaign updates in place (counters, latency
     #: histograms, runs/sec); None = no metrics.
@@ -83,7 +83,7 @@ class CampaignConfig:
     #: ``None`` follows the session default (``REPRO_SNAPSHOTS``).
     snapshots: Optional[bool] = None
     #: Vectorized batch execution of eligible specs (see
-    #: ``execute_specs(batch=...)``); also settable via ``REPRO_BATCH=1``.
+    #: ``execute_specs(batch=...)``).
     #: The serial path stays the oracle and the default.
     batch: bool = False
 
@@ -93,6 +93,7 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be at least 1")
         resolved = get_target(self.target)
         object.__setattr__(self, "target", resolved.name)
+        resolved.check_run_config(self.run_config)
         if self.versions is None:
             object.__setattr__(self, "versions", tuple(resolved.versions))
         unknown = set(self.versions) - set(resolved.versions)
@@ -106,58 +107,6 @@ class CampaignConfig:
             raise ValueError(
                 f"injection_start_ms must be non-negative, got {self.injection_start_ms}"
             )
-
-    @classmethod
-    def from_env(cls) -> "CampaignConfig":
-        """Build a config from ``REPRO_*`` environment variables.
-
-        ``REPRO_FULL=1`` selects the paper's full scale (25 test cases
-        everywhere) as the baseline; ``REPRO_CASES_ALL``,
-        ``REPRO_CASES_EA`` and ``REPRO_CASES_E2`` override individual
-        sizes on top of whichever baseline applies.  ``REPRO_WORKERS``
-        sets the process-pool width, ``REPRO_RUN_TIMEOUT`` the per-run
-        wall-clock limit in seconds, and ``REPRO_TRACE`` a JSONL file
-        the structured trace streams to.  ``REPRO_TARGET`` selects the
-        workload (it also applies to configs built without ``from_env``,
-        via the registry default).  ``REPRO_INJECTION_START`` sets the
-        first-injection sim-time in ms (enabling prefix fast-forward);
-        ``REPRO_SNAPSHOTS=0`` disables warm-target snapshot reuse (the
-        snapshot layer reads that variable itself, so ``snapshots``
-        stays ``None`` here).  ``REPRO_BATCH=1`` opts into vectorized
-        batch execution of eligible specs.
-        """
-        full = os.environ.get("REPRO_FULL") == "1"
-
-        def _env_int(name: str, default: int) -> int:
-            raw = os.environ.get(name)
-            if not raw:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{name} must be an integer, got {raw!r}"
-                ) from None
-
-        def _env_float(name: str) -> Optional[float]:
-            raw = os.environ.get(name)
-            if not raw:
-                return None
-            try:
-                return float(raw)
-            except ValueError:
-                raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-        return cls(
-            cases_all=_env_int("REPRO_CASES_ALL", 25 if full else 3),
-            cases_per_ea=_env_int("REPRO_CASES_EA", 25 if full else 1),
-            cases_e2=_env_int("REPRO_CASES_E2", 25 if full else 3),
-            workers=_env_int("REPRO_WORKERS", 1),
-            run_timeout_s=_env_float("REPRO_RUN_TIMEOUT"),
-            trace_path=os.environ.get("REPRO_TRACE") or None,
-            injection_start_ms=_env_int("REPRO_INJECTION_START", 0),
-            batch=os.environ.get("REPRO_BATCH") == "1",
-        )
 
 
 def _tables_renderer(

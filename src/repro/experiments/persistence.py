@@ -21,6 +21,7 @@ from repro.experiments.results import ResultSet, RunRecord
 __all__ = [
     "CSV_COLUMNS",
     "save_results",
+    "write_text_atomic",
     "load_results",
     "results_to_csv",
     "results_from_csv",
@@ -121,9 +122,14 @@ def results_from_csv(text: str) -> ResultSet:
 
 
 def save_results(results: ResultSet, path: Union[str, Path]) -> Path:
-    """Write a result set to *path* atomically; returns the resolved path.
+    """Write a result set to *path* atomically; returns the resolved path."""
+    return write_text_atomic(path, results_to_csv(results))
 
-    The CSV is written to a temporary file in the same directory and
+
+def write_text_atomic(path: Union[str, Path], text: str) -> Path:
+    """Write *text* to *path* atomically (no newline translation).
+
+    The text is written to a temporary file in the same directory and
     renamed into place, so a crash mid-write can never leave a truncated
     file where an hours-long campaign's only artifact used to be.
     """
@@ -133,7 +139,7 @@ def save_results(results: ResultSet, path: Union[str, Path]) -> Path:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(results_to_csv(results))
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

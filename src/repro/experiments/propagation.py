@@ -10,8 +10,8 @@ the same test case.
 
 With ``Pem`` computed from the memory layout, measured ``Pprop`` and the
 E1-measured ``Pds``, the model's predicted ``Pdetect`` can be compared
-against the E2-measured detection probability — the
-``bench_model_validation`` benchmark does exactly that.
+against the E2-measured detection probability —
+``tests/experiments/test_propagation.py`` does exactly that.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ The paper's discussion (Sections 5.2 and 6) attributes the low detection
 coverage for stack errors to control-flow errors, *"and the evaluated
 mechanisms are not aimed at detecting such errors."*  The canonical
 mechanism that *is* aimed at them — a hardware watchdog that fires when
-the software stops kicking it — is provided here as an extension, so the
-``bench_ablation_watchdog`` benchmark can quantify how much of the
-stack-error gap it closes.
+the software stops kicking it — is provided here as an extension;
+``tests/rtos/test_watchdog.py::TestWatchdogAblation`` measures how much
+of the stack-error gap it closes.
 """
 
 from __future__ import annotations

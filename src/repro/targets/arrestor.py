@@ -47,6 +47,12 @@ class ArrestorTarget(Target):
 
         return make_test_cases()
 
+    @property
+    def run_config_type(self) -> type:
+        from repro.arrestor.system import RunConfig
+
+        return RunConfig
+
     def boot(
         self,
         test_case: TestCase,
@@ -57,6 +63,7 @@ class ArrestorTarget(Target):
         from repro.arrestor.system import TargetSystem
 
         enabled = self.version_eas(version)
+        self.check_run_config(run_config)
         if run_config is not None:
             config = dataclasses.replace(run_config, enabled_eas=enabled)
             return TargetSystem(test_case, config=config, classifier=classifier)

@@ -285,8 +285,29 @@ class Target(abc.ABC):
         """A freshly built system for one run (reboot-per-run semantics).
 
         *run_config* and *classifier* are target-specific and optional;
-        ``None`` selects the target's defaults.
+        ``None`` selects the target's defaults.  Implementations pass
+        *run_config* through :meth:`check_run_config`.
         """
+
+    @property
+    def run_config_type(self) -> type:
+        """The run-configuration class :meth:`boot` accepts (default: any)."""
+        return object
+
+    def check_run_config(self, run_config: Any) -> None:
+        """Raise ``TypeError`` unless this target can boot with *run_config*.
+
+        ``None`` (the target's defaults) always passes.  Every ``boot``
+        and :class:`~repro.experiments.campaign.CampaignConfig` call it,
+        so a configuration built for another target fails where it is
+        handed over, never inside a run or a pool worker.
+        """
+        expected = self.run_config_type
+        if run_config is not None and not isinstance(run_config, expected):
+            raise TypeError(
+                f"{self.name} expects a {expected.__name__}, got "
+                f"{type(run_config).__name__}"
+            )
 
     @abc.abstractmethod
     def timeout_summary(self, test_case: TestCase, duration_s: float) -> Any:

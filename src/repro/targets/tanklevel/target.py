@@ -45,16 +45,18 @@ class TankLevelTarget(Target):
 
         return make_test_cases()
 
+    @property
+    def run_config_type(self) -> type:
+        from repro.targets.tanklevel.system import TankRunConfig
+
+        return TankRunConfig
+
     def boot(self, test_case, version="All", run_config=None, classifier=None):
-        from repro.targets.tanklevel.system import TankRunConfig, TankSystem
+        from repro.targets.tanklevel.system import TankSystem
 
         enabled = self.version_eas(version)
+        self.check_run_config(run_config)
         if run_config is not None:
-            if not isinstance(run_config, TankRunConfig):
-                raise TypeError(
-                    f"tanklevel expects a TankRunConfig, got "
-                    f"{type(run_config).__name__}"
-                )
             config = dataclasses.replace(run_config, enabled_eas=enabled)
             return TankSystem(test_case, config=config, classifier=classifier)
         return TankSystem(test_case, classifier=classifier, enabled_eas=enabled)

@@ -92,6 +92,9 @@ class TestTargetSystem:
         assert result.detection_count == 0
         assert result.first_injection_ms is None
         assert not result.wedged
+        # The monitors only observe: the bare build arrests identically.
+        bare = TargetSystem(TestCase(14000, 55), enabled_eas=()).run()
+        assert (bare.duration_ms, bare.summary) == (result.duration_ms, result.summary)
 
     def test_master_and_slave_share_braking(self):
         system = TargetSystem(TestCase(14000, 55))

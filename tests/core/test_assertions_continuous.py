@@ -1,5 +1,7 @@
 """Tests for the continuous executable assertions: Table 2, test by test."""
 
+import math
+
 import pytest
 
 from repro.core.assertions import ContinuousAssertion
@@ -194,6 +196,79 @@ class TestPaperSignalShapes:
         trajectory = [50, 52, 49, 49, 53, 50, 46]
         for prev, value in zip(trajectory, trajectory[1:]):
             assert a.holds(value, prev)
+
+
+def _figure2_traces(n=2000):
+    """Figure 2's three shapes as 2000-sample traces, with their parameters."""
+    dynamic, value = [], 0
+    for t in range(n):
+        value += (t * 2654435761 >> 8) % 4  # pseudo-random increments 0..3
+        dynamic.append(value)
+    return {
+        "random": (
+            [int(500 + 200 * math.sin(0.07 * t) + 120 * math.sin(0.31 * t + 1.0))
+             for t in range(n)],
+            ContinuousParams.random(0, 1000, rmax_incr=60, rmax_decr=60),
+        ),
+        # The Table-2 wrap formula measures (s'-smin)+(smax-s) across the
+        # edge, so smax sits one rate step below the modulus.
+        "static-monotonic-wrap": (
+            [(7 * t) % 1000 for t in range(n)],
+            ContinuousParams.static_monotonic(0, 1000, 7, wrap=True),
+        ),
+        "dynamic-monotonic": (dynamic, ContinuousParams.dynamic_monotonic(0, 10_000, 0, 3)),
+    }
+
+
+@pytest.mark.parametrize("shape", ["random", "static-monotonic-wrap", "dynamic-monotonic"])
+def test_figure2_trace_passes_clean_and_flags_a_bit9_flip(shape):
+    trace, params = _figure2_traces()[shape]
+    assertion = ContinuousAssertion(params)
+
+    def flagged(samples):
+        return sum(
+            not assertion.holds(value, prev)
+            for prev, value in zip([None] + samples[:-1], samples)
+        )
+
+    assert flagged(trace) == 0
+    corrupted = list(trace)
+    corrupted[len(trace) // 2] ^= 1 << 9
+    assert flagged(corrupted) > 0
+
+
+def _period_detects(test_period_ms, bit):
+    """Does a pulscnt monitor tested every *test_period_ms* catch a 2^bit flip?
+
+    The stream is the paper's pulscnt shape (55 m/s over the pulse
+    pitch: 1.1 pulses/ms), the flip toggles every 20 ms, and the
+    Table-2 rate envelope (2 pulses per ms) scales with the period.
+    """
+    assertion = ContinuousAssertion(
+        ContinuousParams.dynamic_monotonic(
+            0, 60000, rmin=0, rmax=2 * test_period_ms, increasing=True
+        )
+    )
+    prev = None
+    for t in range(0, 8000, test_period_ms):
+        sample = int(1.1 * t) + ((1 << bit) if (t // 20) % 2 else 0)
+        if not assertion.holds(sample, prev):
+            return True
+        prev = sample
+    return False
+
+
+def test_slower_testing_lets_more_bits_hide():
+    """Per-test rates widen with the test period, and so does the envelope."""
+    detected = {
+        period: {bit for bit in range(1, 7) if _period_detects(period, bit)}
+        for period in (1, 7, 21)
+    }
+    assert detected[21] <= detected[7] <= detected[1]
+    # DIST_S tests pulscnt every 1 ms (EA4): everything from bit 2 up.
+    assert {2, 3, 4, 5, 6} <= detected[1]
+    # At 21 ms a flip below the ~23-pulse natural increment hides.
+    assert 4 not in detected[21]
 
 
 class TestHotAndDiagnosticPathsAgree:

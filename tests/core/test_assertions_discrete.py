@@ -66,6 +66,24 @@ class TestSequentialDiscrete:
         assert not result.ok
         assert result.failed_tests == ("T",)
 
+    def test_every_pair_of_states_is_judged_by_the_diagram(self):
+        # 25 (previous, next) pairs: the 7 arrows of Figure 3 pass, the
+        # other 18 are detected.
+        targets = self.assertion.params.transitions
+        states = sorted(targets)
+        verdicts = [
+            self.assertion.holds(value, prev) for prev in states for value in states
+        ]
+        assert verdicts == [value in targets[prev] for prev in states for value in states]
+        assert verdicts.count(False) == 18
+
+    def test_long_valid_walk_passes(self):
+        walk = ["v1", "v2", "v3", "v4", "v5"] * 100 + ["v1", "v4", "v5"] * 100
+        assert all(
+            self.assertion.holds(value, prev)
+            for prev, value in zip([None] + walk[:-1], walk)
+        )
+
     def test_domain_violation_reports_both_tests(self):
         """Table 3 notes s in T(s') implies s in D, but both are used."""
         result = self.assertion.check("v9", "v1")

@@ -160,12 +160,24 @@ def test_cli_summary_shows_batch_fallbacks(monkeypatch, capsys, tmp_path):
 
 
 def test_repro_batch_env_opts_in(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert CampaignConfig.from_env().batch is False
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert CampaignConfig.from_env().batch is True
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    assert CampaignConfig.from_env().batch is False
+    """``REPRO_BATCH=1`` is the default of the CLI's ``--batch``; anything else leaves it off."""
+    import repro.experiments.__main__ as cli
+
+    seen = []
+
+    def capture(config, *args, **kwargs):
+        seen.append(config.batch)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "run_campaign_graph", capture)
+    for value in (None, "1", "0"):
+        if value is None:
+            monkeypatch.delenv("REPRO_BATCH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BATCH", value)
+        with pytest.raises(SystemExit):
+            cli.main(["e2", "--target", "tanklevel"])
+    assert seen == [False, True, False]
 
 
 def test_cli_batch_flag_parses(monkeypatch, capsys, tmp_path):

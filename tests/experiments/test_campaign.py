@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arrestor.system import RunConfig
+from repro.arrestor.system import RunConfig, TestCase
 from repro.experiments.campaign import (
     E1_VERSIONS,
     CampaignConfig,
@@ -24,51 +24,17 @@ class TestCampaignConfig:
         with pytest.raises(ValueError, match="unknown versions"):
             CampaignConfig(versions=("EA9",))
 
-    def test_from_env_defaults(self, monkeypatch):
-        for var in ("REPRO_FULL", "REPRO_CASES_ALL", "REPRO_CASES_EA", "REPRO_CASES_E2"):
-            monkeypatch.delenv(var, raising=False)
-        config = CampaignConfig.from_env()
-        assert config.cases_all == 3
-        assert config.cases_per_ea == 1
+    def test_run_config_of_another_target_fails_at_construction(self):
+        from repro.targets.registry import get_target
+        from repro.targets.tanklevel import TankRunConfig
 
-    def test_from_env_full_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        config = CampaignConfig.from_env()
-        assert config.cases_all == config.cases_per_ea == config.cases_e2 == 25
-
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        monkeypatch.setenv("REPRO_CASES_ALL", "7")
-        monkeypatch.setenv("REPRO_CASES_E2", "4")
-        config = CampaignConfig.from_env()
-        assert config.cases_all == 7
-        assert config.cases_e2 == 4
-        assert config.cases_per_ea == 1
-
-    def test_from_env_full_scale_honours_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        monkeypatch.setenv("REPRO_CASES_EA", "5")
-        config = CampaignConfig.from_env()
-        assert config.cases_per_ea == 5  # explicit override wins
-        assert config.cases_all == 25  # full-scale baseline elsewhere
-        assert config.cases_e2 == 25
-
-    def test_from_env_malformed_value_names_variable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        monkeypatch.setenv("REPRO_CASES_ALL", "ten")
-        with pytest.raises(ValueError, match="REPRO_CASES_ALL"):
-            CampaignConfig.from_env()
-
-    def test_from_env_workers_and_timeout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "2.5")
-        config = CampaignConfig.from_env()
-        assert config.workers == 3
-        assert config.run_timeout_s == 2.5
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            CampaignConfig.from_env()
+        with pytest.raises(TypeError, match="arrestor expects a RunConfig, got TankRunConfig"):
+            CampaignConfig(target="arrestor", run_config=TankRunConfig())
+        with pytest.raises(TypeError, match="tanklevel expects a TankRunConfig, got RunConfig"):
+            CampaignConfig(target="tanklevel", run_config=RunConfig())
+        with pytest.raises(TypeError, match="arrestor expects a RunConfig"):
+            get_target("arrestor").boot(TestCase(14000.0, 55.0), run_config=TankRunConfig())
+        assert CampaignConfig(target="tanklevel", run_config=TankRunConfig()).run_config
 
     def test_workers_validated(self):
         with pytest.raises(ValueError, match="workers"):

@@ -255,6 +255,27 @@ class TestCampaignOptions:
         assert main(self.SMALL) == 0
         assert "— 0 nodes executed" in capsys.readouterr().out
 
+    def test_environment_sets_the_worker_default(self, monkeypatch):
+        """``REPRO_WORKERS`` is the default of the CLI's ``--workers``."""
+        import repro.experiments.__main__ as cli
+
+        seen = []
+
+        def capture(config, *args, **kwargs):
+            seen.append(config.workers)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli, "run_campaign_graph", capture)
+        for value in (None, "3", "many"):
+            if value is None:
+                monkeypatch.delenv("REPRO_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_WORKERS", value)
+            with pytest.raises(SystemExit):
+                main(["e2", "--target", "tanklevel"])
+        # A malformed worker count falls back to serial.
+        assert seen == [1, 3, 1]
+
     def test_force_re_executes_every_run_and_keeps_the_store(self, tmp_path, capsys):
         import json
 

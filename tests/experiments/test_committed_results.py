@@ -10,7 +10,9 @@ cell.  The E1 slice is one error per monitored signal, on the ``All``
 version and on one single-EA version, two test cases each.  The E2
 slice mixes RAM and stack flips the fault-free run reads (simulated,
 among them the wedged ``K16``) with flips it never reads (resolved
-from the fault-free run without simulation), on two test cases.
+from the fault-free run without simulation), on two test cases.  The
+ablation slice re-runs one context of ``results/ablations.csv`` whose
+runs boot with a non-default run configuration (recovery on).
 """
 
 from pathlib import Path
@@ -91,3 +93,21 @@ def test_e2_slice_reproduces_committed_rows():
     assert [encode_record(record) for record in records] == expected
     # R1, R2, K1 and K2 land in bytes the fault-free run never reads.
     assert metrics.counter("runs_pruned_total").value == 4 * E2_CASES
+
+
+def test_ablation_slice_reproduces_committed_rows():
+    """A context with a non-default run configuration, through the graph."""
+    from repro.experiments.ablations import (
+        ablation_contexts,
+        ablations_from_csv,
+        run_ablations,
+    )
+
+    committed = ablations_from_csv(
+        RESULTS.with_name("ablations.csv").read_text(encoding="utf-8")
+    )
+    context = next(c for c in ablation_contexts() if c.name == "detection+recovery")
+    assert context.run_config is not None
+    key = (context.ablation, context.name)
+    rows = [encode_record(r) for r in run_ablations([context]).results[key].records]
+    assert rows == [encode_record(r) for r in committed[key].records]

@@ -93,3 +93,26 @@ class TestStudy:
         assert model.pem == study.pem
         assert 0.0 <= model.pdetect <= 1.0
         assert study.predicted_pdetect(0.75) == model.pdetect
+
+
+def test_model_over_predicts_propagated_detection():
+    """Section 2.4's model against a measurement on 60 E2 locations.
+
+    ``Pdetect = (Pen * Pprop + Pem) * Pds`` with ``Pds`` from the
+    committed E1 campaign: errors that propagate into a monitored signal
+    arrive as small, smooth disturbances the envelopes tolerate more
+    often than E1's bit-flips, so the model (uniformity assumption, the
+    paper's Section-5.2 caveat) upper-bounds the measured detection.
+    """
+    from pathlib import Path
+
+    from repro.experiments.persistence import load_results
+    from repro.injection.errors import build_e2_error_set
+
+    e1 = load_results(Path(__file__).resolve().parents[2] / "results" / "e1_scaled.csv")
+    pds = e1.coverage(version="All").p_d.fraction
+    study = run_propagation_study(build_e2_error_set(MasterMemory())[:60], CASE)
+    assert 0.0 < study.pem < 0.05  # 14 monitored bytes of 1425
+    assert study.pprop.ne >= 48  # few of the errors sit in monitored bytes
+    assert 0.0 < study.pprop.fraction < 0.6  # propagation exists, not universal
+    assert study.predicted_pdetect(pds) >= study.detected.fraction

@@ -5,7 +5,11 @@ import pytest
 from repro.arrestor.signals_map import MasterMemory
 from repro.arrestor.system import TargetSystem, TestCase
 from repro.injection.errors import ErrorSpec, build_e1_error_set
-from repro.injection.injector import StuckAtInjector, TransientInjector
+from repro.injection.injector import (
+    StuckAtInjector,
+    TimeTriggeredInjector,
+    TransientInjector,
+)
 
 CASE = TestCase(14000.0, 55.0)
 
@@ -110,3 +114,26 @@ class TestFaultModelsOnTargetSystem:
         result = TargetSystem(CASE).run(StuckAtInjector(lsb, stuck_value=1))
         assert not result.detected
         assert not result.failed
+
+
+def test_fault_model_coverage_ordering():
+    """Detections over eight probed signal bits under each fault model.
+
+    A recurring disturbance gives the mechanisms at least as many
+    chances as a single one, so one transient flip lower-bounds the
+    paper's periodic flip (Section 3.4); even a single upset is caught
+    on at least four probes, as many as there are counter probes.
+    """
+    probes = [("mscnt", 4), ("ms_slot_nbr", 1), ("pulscnt", 7), ("i", 2),
+              ("SetValue", 5), ("SetValue", 12), ("IsValue", 13), ("OutValue", 14)]
+    errors = {(e.signal, e.signal_bit): e for e in build_e1_error_set(MasterMemory())}
+
+    def detections(make_injector):
+        return sum(TargetSystem(CASE).run(make_injector(errors[p])).detected for p in probes)
+
+    transient = detections(lambda e: TransientInjector(e, at_ms=500))
+    intermittent = detections(lambda e: TimeTriggeredInjector(e, start_ms=500))
+    stuck = detections(lambda e: StuckAtInjector(e, stuck_value=1, start_ms=500))
+    assert transient <= intermittent
+    assert transient >= 4
+    assert (transient, intermittent, stuck) == (6, 7, 8)  # EXPERIMENTS.md

@@ -4,7 +4,7 @@ Table 7's strongest per-signal claims are the 100.0 rows: every bit
 position of every counter-like signal is detected under the
 all-assertions version.  These sweeps verify the claim bit by bit for
 the two clock signals (cheap 16-run sweeps; pulscnt and i are covered by
-the campaign benchmarks).
+the committed E1 campaign, checked in ``tests/experiments/test_tables.py``).
 """
 
 import pytest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arrestor import constants as k
 from repro.rtos.watchdog import WatchdogTimer
 
 
@@ -74,3 +75,45 @@ class TestWatchdogOnTargetSystem:
         result = TargetSystem(TestCase(14000, 55), config=config).run()
         assert result.watchdog_fired_ms is None
         assert not result.detected_with_watchdog
+
+
+
+def _wedged_run(table, slot, xor, watchdog_timeout_ms):
+    """A run whose master wedges: one control word corrupted at boot."""
+    from repro.arrestor.system import RunConfig, TargetSystem, TestCase
+
+    config = RunConfig(watchdog_timeout_ms=watchdog_timeout_ms)
+    system = TargetSystem(TestCase(14000.0, 55.0), config=config)
+    word = getattr(system.master.mem, table).word_variable(slot)
+    word.set(word.get() ^ xor)
+    return system.run()
+
+
+class TestWatchdogAblation:
+    """The paper's control-flow gap (Sections 5.2/6), closed by a watchdog."""
+
+    @pytest.mark.parametrize(
+        "table, slot, xor",
+        [
+            ("dispatch", k.SLOT_V_REG, 0x4000),
+            ("dispatch", k.SLOT_PRES_A, 0x8000),
+            ("calc_frame", 0, 0x1000),
+            ("calc_frame", 5, 0x2000),
+        ],
+    )
+    def test_only_the_watchdog_sees_a_control_flow_error(self, table, slot, xor):
+        without = _wedged_run(table, slot, xor, None)
+        with_watchdog = _wedged_run(table, slot, xor, 50)
+        assert not without.detected and not without.detected_with_watchdog
+        assert not with_watchdog.detected
+        assert with_watchdog.detected_with_watchdog
+        # Detection is not recovery: the arrestment fails either way.
+        assert without.failed and with_watchdog.failed
+
+    def test_detection_follows_the_timeout(self):
+        fired = [
+            _wedged_run("dispatch", k.SLOT_V_REG, 0x4000, timeout).watchdog_fired_ms
+            for timeout in (20, 100, 500)
+        ]
+        assert None not in fired
+        assert fired == sorted(set(fired))
