@@ -6,7 +6,9 @@ newline-JSON protocol on stdin or a TCP socket:
 * ``python -m repro.serve --target tanklevel --sessions 1000 --load
   synthetic`` — open 1000 monitored instances cycling the target's
   signal × bit × case grid, stream heartbeats to completion, print
-  throughput and latency percentiles.
+  throughput, latency percentiles and the two serving phases
+  (``open``, ``feed``, ``round``, ``close``) that took the most wall
+  time.
 * ``python -m repro.serve --stdin`` — serve the line protocol on
   stdin/stdout (see :mod:`repro.serve.adapters`).
 * ``python -m repro.serve --listen 127.0.0.1:8787`` — TCP server.
@@ -27,7 +29,7 @@ from typing import List, Optional
 
 from repro.targets.registry import default_target_name, get_target, target_names
 from repro.serve.adapters import serve_socket, serve_stdin
-from repro.serve.fleet import Fleet, FleetConfig
+from repro.serve.fleet import PHASES, Fleet, FleetConfig
 from repro.serve.load import percentile, run_load, synthetic_specs
 from repro.serve.session import ServeError
 
@@ -167,6 +169,10 @@ def _run_synthetic(args) -> int:
 
     report, metrics = asyncio.run(_main())
     lat = report.latency_samples
+    phases = {
+        phase: round(metrics.counter("serve_phase_seconds_total", phase=phase).value, 3)
+        for phase in PHASES
+    }
     summary = {
         "target": get_target(args.target).name,
         "sessions": len(specs),
@@ -182,6 +188,7 @@ def _run_synthetic(args) -> int:
             "p95": percentile(lat, 0.95),
             "p99": percentile(lat, 0.99),
         },
+        "phase_seconds": phases,
     }
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -199,6 +206,8 @@ def _run_synthetic(args) -> int:
             f"{summary['dropped_frames']} dropped"
         )
         print(f"frame latency: {latline}")
+        largest = sorted(phases.items(), key=lambda item: -item[1])[:2]
+        print("largest phases: " + ", ".join(f"{phase} {secs}s" for phase, secs in largest))
     if args.metrics:
         print(metrics.render())
     return 0

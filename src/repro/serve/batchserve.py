@@ -18,16 +18,19 @@ row is the identity on everything observable) but stop gating
 readiness.
 
 Detections stay numpy arrays: each round's ``(rows, time_ms, monitor)``
-arrays go into the group's event log, and a member's
+arrays go into the group's :class:`EventLog`, and a member's
 :class:`~repro.serve.session.ServeEvent`\\ s are built only when they
-are read — :meth:`BatchGroup.events` at close or eviction, and
-:meth:`BatchGroup.round_events` for a per-event consumer.  The fleet
-counts detections and observes latencies straight from the arrays.
+are read.  Closing a member costs the same whatever its event count:
+its outcome keeps the log (never the kernel) and builds its events on
+first read, and :meth:`EventLog.round_events` serves a per-event
+consumer.  The fleet counts detections and observes latencies straight
+from the arrays.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
@@ -40,23 +43,33 @@ from repro.serve.session import ServeError, ServeEvent, SessionSpec
 
 __all__ = [
     "batch_eligible",
+    "batch_fallback_reason",
+    "EventLog",
     "BatchGroup",
 ]
 
 
-def batch_eligible(target: Target, spec: SessionSpec) -> bool:
-    """Whether a session can ride the vectorized serving path.
+def batch_fallback_reason(target: Target, spec: SessionSpec) -> Optional[str]:
+    """Why a session cannot ride the vectorized serving path, or ``None``.
 
-    A signal-addressed flip the kernels model (``kernel_eligible``), on
-    a target whose kernel rows end together.  Fault-free and raw-address
-    sessions take the serial path (their per-row semantics aren't
-    expressible as the kernels' XOR masks).
+    ``address``: a raw-address flip, whose per-row semantics are not
+    expressible as the kernels' XOR masks.  ``spec``: a spec the kernel
+    does not model (``kernel_eligible``; e.g. fault-free).  ``kernel``:
+    the target's kernel rows do not end together, so one group clock
+    cannot serve them.
     """
-    return (
-        spec.address is None
-        and kernel_eligible(target, spec)
-        and target.batch_kernel.rows_end_together
-    )
+    if spec.address is not None:
+        return "address"
+    if not kernel_eligible(target, spec):
+        return "spec"
+    if not target.batch_kernel.rows_end_together:
+        return "kernel"
+    return None
+
+
+def batch_eligible(target: Target, spec: SessionSpec) -> bool:
+    """Whether a session can ride the vectorized serving path."""
+    return batch_fallback_reason(target, spec) is None
 
 
 def _batch_spec(spec: SessionSpec) -> BatchRunSpec:
@@ -69,6 +82,78 @@ def _batch_spec(spec: SessionSpec) -> BatchRunSpec:
         injection_period_ms=spec.period_ms,
         injection_start_ms=spec.start_ms,
     )
+
+
+class EventLog:
+    """A batch group's detections, kept as arrays until a member reads them.
+
+    :meth:`append` logs one round's ``(rows, time_ms, monitor)`` arrays.
+    The first :meth:`events` read after new rounds folds them into one
+    array set sorted by row — a stable sort, so each member's events stay
+    in record order — and every member's events are then one slice of
+    it.  The log holds the label tables and the arrays, never the
+    kernel, so a closed member's outcome can keep it past its group.
+    """
+
+    def __init__(self, session_ids: List[str], signals: List[Optional[str]]) -> None:
+        #: The group's own label lists; they grow as members join.
+        self.session_ids = session_ids
+        self.monitor_ids: List[str] = []
+        self._signals = signals
+        #: Rounds logged since the last fold.
+        self._rounds: List[Tuple[Any, Any, Any]] = []
+        #: The folded events, sorted by row, and each row's ``[lo, hi)``
+        #: bounds into them (row ``r`` is ``bounds[r]:bounds[r + 1]``).
+        self._sorted: Optional[Tuple[Any, Any, Any]] = None
+        self._bounds: List[int] = []
+
+    def append(self, rows, time_ms, monitor) -> None:
+        if len(rows):
+            # Narrow: a closed member's outcome may keep the log past its group.
+            self._rounds.append(
+                (rows.astype(np.int32), time_ms.astype(np.int32), monitor.astype(np.int16))
+            )
+
+    def _fold(self) -> None:
+        parts = self._rounds if self._sorted is None else [self._sorted] + self._rounds
+        rows, time_ms, monitor = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        self._sorted = (rows[order], time_ms[order], monitor[order])
+        self._rounds = []
+        counts = np.bincount(rows, minlength=len(self.session_ids))
+        self._bounds = [0] + np.cumsum(counts).tolist()
+
+    def events(self, row: int) -> Tuple[ServeEvent, ...]:
+        """Row *row*'s detections so far as events, in record order."""
+        if self._rounds:
+            self._fold()
+        if self._sorted is None:
+            return ()
+        lo, hi = self._bounds[row], self._bounds[row + 1]
+        _, time_ms, monitor = self._sorted
+        # ``map`` keeps the per-event loop in C: a read builds hundreds.
+        return tuple(
+            map(
+                ServeEvent,
+                repeat(self.session_ids[row], hi - lo),
+                time_ms[lo:hi].tolist(),
+                map(self.monitor_ids.__getitem__, monitor[lo:hi].tolist()),
+                repeat(self._signals[row], hi - lo),
+            )
+        )
+
+    def round_events(self, rows, time_ms, monitor) -> List[ServeEvent]:
+        """One round's :meth:`BatchGroup.advance` arrays as events, in their order."""
+        rows = rows.tolist()
+        return list(
+            map(
+                ServeEvent,
+                map(self.session_ids.__getitem__, rows),
+                time_ms.tolist(),
+                map(self.monitor_ids.__getitem__, monitor.tolist()),
+                map(self._signals.__getitem__, rows),
+            )
+        )
 
 
 class BatchGroup:
@@ -85,9 +170,7 @@ class BatchGroup:
         self._signals: List[Optional[str]] = []
         self.kernel = None
         self._row_of: Dict[str, int] = {}
-        #: One ``(rows, time_ms, monitor)`` triple per round that detected,
-        #: sorted by row so each member's events are one slice of it.
-        self._log: List[Tuple[Any, Any, Any]] = []
+        self.log = EventLog(self.session_ids, self._signals)
         #: Per row, set at seal: the injection start, and whether the
         #: first detection at or after it has been reported.
         self._start = None
@@ -131,16 +214,11 @@ class BatchGroup:
     @property
     def monitor_ids(self) -> List[str]:
         """The monitor names the ``monitor`` arrays index."""
-        return self.kernel.book.monitor_ids
+        return self.log.monitor_ids
 
     def deactivate(self, session_id: str) -> None:
-        """Stop gating rounds on this member (its session closed).
-
-        The last member out frees the event log.
-        """
+        """Stop gating rounds on this member (its session closed)."""
         self.active[self._row_of[session_id]] = False
-        if not any(self.active):
-            self._log = []
 
     def advance(self, ticks: int) -> Tuple[Any, Any, Any]:
         """One lockstep round: *ticks* milliseconds for every row.
@@ -151,6 +229,7 @@ class BatchGroup:
         """
         if self.kernel is None:
             self.kernel = self.target.batch_kernel(self._specs, capture_events=True)
+            self.log.monitor_ids = self.kernel.book.monitor_ids
             self._start = np.array(
                 [spec.injection_start_ms for spec in self._specs], dtype=np.int64
             )
@@ -162,45 +241,8 @@ class BatchGroup:
             rows, time_ms, monitor = rows[keep], time_ms[keep], monitor[keep]
         order = np.argsort(rows, kind="stable")
         detections = (rows[order], time_ms[order], monitor[order])
-        if len(order):
-            self._log.append(detections)
+        self.log.append(*detections)
         return detections
-
-    def _serve_events(
-        self, rows: Sequence[int], times: Sequence[int], monitors: Sequence[int]
-    ) -> List[ServeEvent]:
-        # ``map`` keeps the per-event loop in C: a close builds hundreds.
-        return list(
-            map(
-                ServeEvent,
-                map(self.session_ids.__getitem__, rows),
-                times,
-                map(self.monitor_ids.__getitem__, monitors),
-                map(self._signals.__getitem__, rows),
-            )
-        )
-
-    def round_events(self, rows, time_ms, monitor) -> List[ServeEvent]:
-        """One round's :meth:`advance` arrays as events, in their order."""
-        return self._serve_events(rows.tolist(), time_ms.tolist(), monitor.tolist())
-
-    def events(self, session_id: str) -> Tuple[ServeEvent, ...]:
-        """The member's detections so far as events, in record order.
-
-        One binary search per logged round finds the member's slice, so
-        the cost is the member's events plus the group's rounds.
-        """
-        row = self._row_of[session_id]
-        times: List[int] = []
-        monitors: List[int] = []
-        for rows, time_ms, monitor in self._log:
-            lo, hi = rows.searchsorted((row, row + 1)).tolist()
-            if lo < hi:
-                times += time_ms[lo:hi].tolist()
-                monitors += monitor[lo:hi].tolist()
-        if not times:
-            return ()
-        return tuple(self._serve_events([row] * len(times), times, monitors))
 
     def monitor_counts(self, monitor) -> List[Tuple[str, int]]:
         """``(monitor id, detections)`` for each monitor in a round's *monitor* array."""

@@ -13,9 +13,13 @@ of unbounded buffering), and the drain loop routes them two ways:
   step advances the whole group.  Its detections stay arrays: counters
   and latencies are taken from them per round, and
   :class:`~repro.serve.session.ServeEvent`\\ s are built only for a
-  per-event consumer (``on_event`` or a tracer) or when a member closes;
+  per-event consumer (``on_event`` or a tracer) or when a closed
+  member's outcome is read;
 * **serial path** — everything else feeds its own
-  :class:`~repro.serve.session.Session` frame by frame.
+  :class:`~repro.serve.session.Session` frame by frame.  In a
+  batch-enabled fleet each such session counts in
+  ``runs_fallback_total{strategy="serve",reason}`` (see
+  :func:`~repro.serve.batchserve.batch_fallback_reason`).
 
 A failure stays local: a round or serial frame that raises drops only
 the frames it popped (counted by ``frames_dropped_total``), its error
@@ -25,17 +29,21 @@ serving every other session.
 Observability rides along end to end: ``sessions_active`` /
 ``frames_ingested_total`` / ``queue_depth`` metrics, per-session
 detection-latency histograms (sim-time), wall-clock frame latency split
-into queue wait and compute, and ``serve`` trace events for session
-lifecycle and detections.  A ``max_sessions`` LRU eviction policy
-bounds long-running fleets: opening past the cap force-closes the
-least-recently-active session (counted by ``sessions_evicted_total``),
-whose partial outcome stays retrievable.
+into queue wait and compute, wall-clock seconds per serving phase
+(``serve_phase_seconds_total{phase}``: ``open``, ``feed``, ``round`` and
+``close``, timed per call and never per tick, and kept off the trace
+bus), and ``serve`` trace events for session lifecycle and detections.
+A ``max_sessions`` LRU eviction policy bounds long-running fleets:
+opening past the cap force-closes the least-recently-active session
+(counted by ``sessions_evicted_total``), whose partial outcome stays
+retrievable.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import os
 import time
 from collections import OrderedDict, deque
@@ -45,7 +53,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.targets.registry import get_target
 from repro.targets import snapshot as snapshots_mod
 from repro.targets.batch.core import numpy_available
-from repro.serve.batchserve import BatchGroup, batch_eligible
+from repro.serve.batchserve import BatchGroup, batch_fallback_reason
 from repro.serve.session import (
     Frame,
     ServeError,
@@ -58,12 +66,16 @@ from repro.serve.session import (
 
 __all__ = [
     "BATCH_ENV_VAR",
+    "PHASES",
     "FleetConfig",
     "Fleet",
 ]
 
 #: Set to ``0``/``false``/``off`` to force the serial serving path.
 BATCH_ENV_VAR = "REPRO_SERVE_BATCH"
+
+#: The ``phase`` labels of ``serve_phase_seconds_total``.
+PHASES = ("open", "feed", "round", "close")
 
 
 def batch_default() -> bool:
@@ -141,6 +153,18 @@ class Fleet:
         self.frame_latency_samples: Deque[float] = deque(
             maxlen=self.config.latency_sample_cap
         )
+        # Bound once: the per-frame paths would look each one up by key.
+        metrics = self.metrics
+        self._ingested = metrics.counter("frames_ingested_total")
+        self._queue_depth = metrics.gauge("queue_depth")
+        self._processed = metrics.counter("frames_processed_total")
+        self._latency = metrics.histogram("serve_frame_latency_ms")
+        self._wait = metrics.histogram("serve_frame_wait_ms")
+        self._compute = metrics.histogram("serve_frame_compute_ms")
+        self._phase = {
+            phase: metrics.counter("serve_phase_seconds_total", phase=phase)
+            for phase in PHASES
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -212,10 +236,11 @@ class Fleet:
             events = handle.session.feed(frame)
         except Exception as exc:
             self._fail(exc, dropped=1)
-            return
-        self._frames_done([frame], started, time.monotonic())
-        if events:
-            self._dispatch(handle, events)
+        else:
+            self._frames_done([frame], started, time.monotonic())
+            if events:
+                self._dispatch(handle, events)
+        self._phase["feed"].inc(time.monotonic() - started)
 
     def _drain_batch(self) -> bool:
         progressed = False
@@ -246,10 +271,11 @@ class Fleet:
             detections = group.advance(ticks.pop())
         except Exception as exc:
             self._fail(exc, dropped=len(frames))
-            return True
-        self._frames_done(frames, started, time.monotonic())
-        if len(detections[0]):
-            self._batch_detections(group, *detections)
+        else:
+            self._frames_done(frames, started, time.monotonic())
+            if len(detections[0]):
+                self._batch_detections(group, *detections)
+        self._phase["round"].inc(time.monotonic() - started)
         return True
 
     def _batch_detections(self, group: BatchGroup, rows, time_ms, monitor) -> None:
@@ -260,7 +286,7 @@ class Fleet:
         for latency in group.detection_latencies(rows, time_ms):
             metrics.histogram("serve_detection_latency_ms").observe(latency)
         if self.tracer is not None or self.config.on_event is not None:
-            for event in group.round_events(rows, time_ms, monitor):
+            for event in group.log.round_events(rows, time_ms, monitor):
                 self._deliver(event)
 
     def _group_for(self, target) -> BatchGroup:
@@ -305,14 +331,19 @@ class Fleet:
             while len(self._handles) >= self.config.max_sessions:
                 evict_sid = next(iter(self._lru))
                 await self.close_session(evict_sid, complete=False, _evicted=True)
+        started = time.monotonic()
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        if self.config.batch and batch_eligible(target, spec):
+        batch = self.config.batch
+        reason = batch_fallback_reason(target, spec) if batch else None
+        if batch and reason is None:
             group = self._group_for(target)
             group.add(spec)
             handle = _Handle(spec, None, group, queue)
         else:
             session = Session(spec, target=target, snapshots=self.config.snapshots)
             handle = _Handle(spec, session, None, queue)
+        if reason is not None:
+            self.metrics.counter("runs_fallback_total", strategy="serve", reason=reason).inc()
         self._handles[sid] = handle
         self._lru[sid] = None
         self._lru.move_to_end(sid)
@@ -325,6 +356,7 @@ class Fleet:
             version=spec.version,
             path="batch" if handle.is_batch else "serial",
         )
+        self._phase["open"].inc(time.monotonic() - started)
         return sid
 
     async def ingest(self, frame: Frame) -> bool:
@@ -347,8 +379,8 @@ class Fleet:
         frame.enqueued_at = time.monotonic()
         await handle.queue.put(frame)
         self._queued += 1
-        self.metrics.counter("frames_ingested_total").inc()
-        self.metrics.gauge("queue_depth").set(self._queued)
+        self._ingested.inc()
+        self._queue_depth.set(self._queued)
         self._lru[frame.session_id] = None
         self._lru.move_to_end(frame.session_id)
         self._wake.set()
@@ -380,13 +412,18 @@ class Fleet:
             else:
                 stall = 0
                 last = current
-        self.metrics.gauge("queue_depth").set(self._queued)
+        self._queue_depth.set(self._queued)
         return self._queued
 
     async def close_session(
         self, session_id: str, complete: bool = True, _evicted: bool = False
     ) -> SessionOutcome:
-        """Close one session and return its outcome (result + events)."""
+        """Close one session and return its outcome (result + events).
+
+        A batch member's events are built when its outcome's ``events``
+        is first read, so the close itself costs the same at any event
+        count.
+        """
         self._check_errors()
         handle = self._handle(session_id)
         # Serial leftovers are fed through; batch leftovers cannot advance
@@ -398,9 +435,10 @@ class Fleet:
                 self.metrics.counter("frames_dropped_total").inc()
             else:
                 self._feed(handle, frame)
+        started = time.monotonic()
         if handle.is_batch:
             group = handle.group
-            events = group.events(session_id)
+            events = functools.partial(group.log.events, group.row_of(session_id))
             group.deactivate(session_id)
             result = group.result(session_id)
             completed = group.finished
@@ -435,6 +473,7 @@ class Fleet:
             detections=result.detection_count,
             duration_ms=result.duration_ms,
         )
+        self._phase["close"].inc(time.monotonic() - started)
         return outcome
 
     def pop_outcome(self, session_id: str) -> Optional[SessionOutcome]:
@@ -449,20 +488,19 @@ class Fleet:
         Queue wait is ingress to the start of the consuming round, compute
         is that round's duration, and latency is ingress to this call.
         """
-        metrics = self.metrics
-        processed = metrics.counter("frames_processed_total")
-        latency = metrics.histogram("serve_frame_latency_ms")
-        wait = metrics.histogram("serve_frame_wait_ms")
-        compute = metrics.histogram("serve_frame_compute_ms")
+        now = time.monotonic()
+        latency, wait, compute = self._latency, self._wait, self._compute
+        samples = self.frame_latency_samples
         compute_ms = (ended - started) * 1000.0
+        self._frames_processed += len(frames)
+        self._processed.inc(len(frames))
         for frame in frames:
-            self._frames_processed += 1
-            processed.inc()
-            if frame.enqueued_at is not None:
-                latency_ms = (time.monotonic() - frame.enqueued_at) * 1000.0
+            enqueued = frame.enqueued_at
+            if enqueued is not None:
+                latency_ms = (now - enqueued) * 1000.0
                 latency.observe(latency_ms)
-                self.frame_latency_samples.append(latency_ms)
-                wait.observe((started - frame.enqueued_at) * 1000.0)
+                samples.append(latency_ms)
+                wait.observe((started - enqueued) * 1000.0)
                 compute.observe(compute_ms)
 
     def _deliver(self, event: ServeEvent) -> None:

@@ -94,7 +94,8 @@ class LoadReport:
 
     @property
     def detections(self) -> int:
-        return sum(len(o.events) for o in self.outcomes.values())
+        """Every outcome's detection count, without building its events."""
+        return sum(o.result.detection_count for o in self.outcomes.values())
 
 
 async def run_load(

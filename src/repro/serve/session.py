@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.injection.errors import ErrorSpec
 from repro.injection.injector import TimeTriggeredInjector
@@ -153,15 +153,42 @@ class ServeEvent:
     previous: Optional[int] = None
 
 
-@dataclasses.dataclass(frozen=True)
 class SessionOutcome:
-    """A closed session's final readouts."""
+    """A closed session's final readouts.
 
-    session_id: str
-    result: RunResult
-    events: Tuple[ServeEvent, ...]
-    evicted: bool = False
-    completed: bool = True
+    *events* is the session's detections in record order, or a
+    zero-argument callable that builds them: a batch member's outcome
+    passes one, so a close builds no events, and the first read of
+    :attr:`events` calls it and keeps the tuple.
+    """
+
+    __slots__ = ("session_id", "result", "evicted", "completed", "_events")
+
+    def __init__(
+        self,
+        session_id: str,
+        result: RunResult,
+        events: Union[Tuple[ServeEvent, ...], Callable[[], Tuple[ServeEvent, ...]]],
+        evicted: bool = False,
+        completed: bool = True,
+    ) -> None:
+        self.session_id = session_id
+        self.result = result
+        self.evicted = evicted
+        self.completed = completed
+        self._events = events
+
+    @property
+    def events(self) -> Tuple[ServeEvent, ...]:
+        if callable(self._events):
+            self._events = self._events()
+        return self._events
+
+    def __repr__(self) -> str:
+        return (
+            f"SessionOutcome(session_id={self.session_id!r}, result={self.result!r}, "
+            f"evicted={self.evicted!r}, completed={self.completed!r})"
+        )
 
 
 def resolve_flip(target: Target, spec: SessionSpec) -> Optional[Tuple[int, int]]:

@@ -4,6 +4,7 @@ import asyncio
 import json
 import socket
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,39 @@ class TestProtocol:
         assert ops == 5
         assert [r["ok"] for r in replies] == [False, False, False, False, True]
         assert "JSON object" in replies[0]["error"]
+
+    def test_stats_counts_each_serial_fallback_reason(self):
+        pytest.importorskip("numpy")
+        opens = [
+            {"session": "batch", "target": "tanklevel", "signal": "tick", "signal_bit": 6},
+            {"session": "raw", "target": "tanklevel", "address": 10, "bit": 0},
+            {"session": "free", "target": "tanklevel"},
+            {"session": "arr", "target": "arrestor", "signal": "mscnt", "signal_bit": 6},
+        ]
+        lines = [json.dumps({"op": "open", **message}) for message in opens]
+        lines.append(json.dumps({"op": "stats"}))
+        _, replies = _run(lines, FleetConfig(batch=True))
+        assert all(reply["ok"] for reply in replies)
+        fallbacks = {
+            key: count
+            for key, count in replies[-1]["stats"]["counters"].items()
+            if key.startswith("runs_fallback_total")
+        }
+        assert fallbacks == {
+            "runs_fallback_total{reason=address,strategy=serve}": 1,
+            "runs_fallback_total{reason=kernel,strategy=serve}": 1,
+            "runs_fallback_total{reason=spec,strategy=serve}": 1,
+        }
+
+    def test_a_serial_fleet_counts_no_fallbacks(self):
+        lines = [
+            json.dumps({"op": "open", "session": "s1", "target": "tanklevel",
+                        "signal": "tick", "signal_bit": 6}),
+            json.dumps({"op": "stats"}),
+        ]
+        _, replies = _run(lines, FleetConfig(batch=False))
+        counters = replies[-1]["stats"]["counters"]
+        assert not any(key.startswith("runs_fallback_total") for key in counters)
 
 
 class TestSocket:

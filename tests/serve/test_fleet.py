@@ -2,12 +2,14 @@
 
 import asyncio
 import collections
+import time
 
 import pytest
 
 from repro.obs.metrics import Histogram
 from repro.serve.batchserve import batch_eligible
-from repro.serve.fleet import Fleet, FleetConfig
+from repro.serve.fleet import PHASES, Fleet, FleetConfig
+from repro.serve.load import serve_replay, synthetic_specs
 from repro.serve.session import Frame, ServeError, SessionSpec
 from repro.targets.registry import get_target, register_target, unregister_target
 
@@ -358,3 +360,19 @@ class TestMetrics:
         for total, queued, worked in zip(latency, wait, compute):
             assert queued >= 0.0 and worked >= 0.0
             assert queued + worked <= total + 1e-9
+
+    def test_phase_clocks_cover_each_phase_within_the_wall(self):
+        # Tank sessions ride the batch path (rounds) when numpy is there,
+        # and arrestor sessions feed serially; every session opens and closes.
+        specs = synthetic_specs("tanklevel", sessions=4) + synthetic_specs("arrestor", sessions=2)
+        config = FleetConfig()
+        started = time.monotonic()
+        serve_replay(specs, config, frame_ticks=20, horizon_ms=100)
+        wall = time.monotonic() - started
+        phases = {
+            phase: config.metrics.counter("serve_phase_seconds_total", phase=phase).value
+            for phase in PHASES
+        }
+        expected = set(PHASES) if config.batch else set(PHASES) - {"round"}
+        assert {phase for phase, seconds in phases.items() if seconds > 0} == expected
+        assert sum(phases.values()) <= wall

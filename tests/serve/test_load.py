@@ -9,12 +9,15 @@ natural-end accounting of a load run, that no frame is ever dropped
 and that the serial and batch fleets report the same run.
 """
 
+import asyncio
 import math
 import random
+import types
 
 import pytest
 
 from repro.serve import (
+    Fleet,
     FleetConfig,
     LoadReport,
     SessionOutcome,
@@ -22,7 +25,7 @@ from repro.serve import (
     serve_replay,
     synthetic_specs,
 )
-from repro.serve.session import ServeEvent, events_key, resolve_flip
+from repro.serve.session import Frame, ServeEvent, events_key, resolve_flip
 from repro.targets.registry import get_target, target_names
 
 SHUFFLED = random.Random(7).sample(range(101), 101)
@@ -152,7 +155,8 @@ class TestSyntheticSpecsArguments:
 
 
 def _outcome(sid, events):
-    return SessionOutcome(session_id=sid, result=None, events=tuple(events))
+    result = types.SimpleNamespace(detection_count=len(events))
+    return SessionOutcome(session_id=sid, result=result, events=tuple(events))
 
 
 class TestLoadReport:
@@ -227,6 +231,48 @@ def test_serial_and_batch_fleets_report_the_same_run(name):
             key[:3] for key in events_key(batch.outcomes[sid].events)
         ]
         assert outcome.result == batch.outcomes[sid].result
+
+
+def _detecting_specs(name, count=4):
+    """*count* synthetic specs that flip bit 5 of the target's signals."""
+    signals = len(get_target(name).monitored_signals)
+    return synthetic_specs(name, sessions=6 * signals)[-count:]
+
+
+async def _evicting_run(specs, config, frame_ticks=100, rounds=4):
+    """Serve *specs* but the last, then open it: the cap evicts the first."""
+    async with Fleet(config) as fleet:
+        for spec in specs[:-1]:
+            await fleet.open_session(spec)
+        for _ in range(rounds):
+            for spec in specs[:-1]:
+                await fleet.ingest(Frame(session_id=spec.session_id, ticks=frame_ticks))
+            assert await fleet.flush() == 0
+        await fleet.open_session(specs[-1])
+        outcomes = [fleet.pop_outcome(specs[0].session_id)]
+        for spec in specs[1:]:
+            outcomes.append(await fleet.close_session(spec.session_id, complete=False))
+    assert outcomes[0].evicted
+    return outcomes
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["serial", "batch"])
+@pytest.mark.parametrize("name", target_names())
+def test_detection_count_is_the_outcome_event_count(name, batch):
+    specs = _detecting_specs(name)
+    outcomes = [
+        *serve_replay(specs, FleetConfig(batch=batch), frame_ticks=500).outcomes.values(),
+        *serve_replay(
+            specs, FleetConfig(batch=batch), frame_ticks=100, horizon_ms=300
+        ).outcomes.values(),
+        *asyncio.run(
+            _evicting_run(specs, FleetConfig(batch=batch, max_sessions=len(specs) - 1))
+        ),
+    ]
+    assert len(outcomes) == 3 * len(specs)
+    assert any(outcome.events for outcome in outcomes)
+    for outcome in outcomes:
+        assert outcome.result.detection_count == len(outcome.events)
 
 
 @pytest.mark.parametrize("frame_ticks", [0, -1])

@@ -6,13 +6,15 @@ identical to a fresh system driven by ``TimeTriggeredInjector`` — on
 both registered targets, on both serving paths.
 """
 
+import asyncio
+
 import pytest
 
 from repro.injection.errors import ErrorSpec
 from repro.injection.fic import CampaignController
 from repro.injection.injector import TimeTriggeredInjector
-from repro.serve import FleetConfig, SessionSpec, serve_replay
-from repro.serve.session import Session, events_key
+from repro.serve import Fleet, FleetConfig, SessionSpec, serve_replay
+from repro.serve.session import Frame, Session, events_key
 from repro.targets.registry import get_target, target_names
 
 
@@ -169,6 +171,84 @@ def test_batch_events_carry_the_firing_monitors_signal():
         assert any(signal != spec.signal for _, _, signal in expected)
         assert [(e.time_ms, e.monitor_id, e.signal)
                 for e in batch.outcomes[spec.session_id].events] == expected
+
+
+async def _rounds(fleet, session_ids, count, frame_ticks):
+    for _ in range(count):
+        for sid in session_ids:
+            assert await fleet.ingest(Frame(session_id=sid, ticks=frame_ticks))
+        assert await fleet.flush() == 0
+
+
+@pytest.mark.parametrize("read", ["at_close", "after_more_rounds", "after_group_left"])
+def test_batch_outcomes_match_offline_whenever_their_events_are_read(read):
+    # One group's members leave at different rounds: evicted, closed
+    # early without completing, and at the natural end.  A batch outcome
+    # builds its events on first read, so the read may come at the close,
+    # after the group ran on, or after the group left the fleet.
+    target = get_target("tanklevel")
+    if not target.supports_batch():
+        pytest.skip("numpy unavailable: no vectorized serving path")
+    frame_ticks = 100
+    specs = _specs("tanklevel", count=4)
+    ids = [spec.session_id for spec in specs]
+    evicted, early, last = ids[0], ids[1], ids[2:]
+    events = {}
+
+    def read_events(outcome):
+        events[outcome.session_id] = outcome.events
+        assert outcome.events is events[outcome.session_id]
+
+    async def main():
+        outcomes = {}
+        async with Fleet(FleetConfig(batch=True, max_sessions=4)) as fleet:
+            for spec in specs:
+                await fleet.open_session(spec)
+            group = fleet._groups[0]
+            await _rounds(fleet, ids, 3, frame_ticks)
+            # The least recently fed member makes room for a fifth session.
+            await fleet.open_session(SessionSpec(session_id="free", target="tanklevel"))
+            outcomes[evicted] = fleet.pop_outcome(evicted)
+            assert outcomes[evicted].evicted
+            if read == "at_close":
+                read_events(outcomes[evicted])
+            await _rounds(fleet, ids[1:], 3, frame_ticks)
+            outcomes[early] = await fleet.close_session(early, complete=False)
+            if read == "at_close":
+                read_events(outcomes[early])
+            while not fleet.is_finished(last[0]):
+                await _rounds(fleet, last, 1, frame_ticks)
+            if read == "after_more_rounds":
+                read_events(outcomes[evicted])
+                read_events(outcomes[early])
+            for sid in last:
+                outcomes[sid] = await fleet.close_session(sid)
+                if read != "after_group_left":
+                    read_events(outcomes[sid])
+            assert group not in fleet._groups
+            await fleet.close_session("free", complete=False)
+        for outcome in outcomes.values():
+            if outcome.session_id not in events:
+                read_events(outcome)
+        return outcomes
+
+    outcomes = asyncio.run(main())
+    assert outcomes[evicted].result.duration_ms == 3 * frame_ticks
+    assert outcomes[early].result.duration_ms == 6 * frame_ticks
+    assert events[evicted] or events[early]
+    for spec in specs:
+        outcome = outcomes[spec.session_id]
+        assert events[spec.session_id] is outcome.events
+        offline_result, offline_key = _offline(target, spec)
+        if spec.session_id in last:
+            _assert_matches_offline(outcome, offline_result, offline_key, batch=True)
+            continue
+        assert not outcome.completed
+        cut = [key for key in offline_key if key[0] < outcome.result.duration_ms]
+        assert [(t, m, s) for (t, m, s, _, _) in events_key(outcome.events)] == [
+            (t, m, s) for (t, m, s, _, _) in cut
+        ]
+        assert outcome.result.detection_count == len(cut)
 
 
 def test_frame_size_does_not_change_events():
