@@ -49,10 +49,12 @@ coverage:
 		echo "pytest-cov not installed; skipping coverage gate (pip install -e .[test])"; \
 	fi
 
-# Regenerate the committed golden arrestment trace.  The file is a
-# regression oracle: review the diff like any behavioural change.
+# Regenerate the committed golden arrestment trace and the per-run
+# digests of the golden campaign trace.  Both are regression oracles:
+# review the diff like any behavioural change.
 regen-golden:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.golden tests/data/golden_arrestment.jsonl
+	PYTHONPATH=src:. $(PYTHON) -m tests.obs.campaign_golden tests/data/golden_campaign_trace.json
 
 # The repository benchmark (benchmarks/suite, declared by BENCHMARK.json):
 # every workload once, end-to-end metrics on the last stdout line of each.

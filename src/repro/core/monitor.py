@@ -44,7 +44,12 @@ Params = Union[ContinuousParams, DiscreteParams]
 
 @dataclasses.dataclass(frozen=True)
 class DetectionEvent:
-    """One assertion violation: which signal, when, and what failed."""
+    """One assertion violation: which signal, when, and what failed.
+
+    When the monitor recovers, ``recovery`` names the strategy's class
+    and ``replacement`` is the value the consumer received instead of
+    ``value``.
+    """
 
     signal: str
     time: float
@@ -52,6 +57,8 @@ class DetectionEvent:
     previous: Optional[Hashable]
     result: AssertionResult
     monitor_id: Optional[str] = None
+    recovery: Optional[str] = None
+    replacement: Optional[Hashable] = None
 
 
 class DetectionLog:
@@ -60,37 +67,18 @@ class DetectionLog:
     The log keeps every event plus O(1) access to the statistics the
     evaluation needs: whether anything was detected and the time of the
     first detection.
-
-    ``tracer`` optionally names a :class:`repro.obs.TraceBus`; every
-    recorded detection is then also published as a structured
-    ``monitor/detection`` trace event.  The attribute is ``None`` by
-    default, so tracing disabled costs one predicate check per
-    *violation* (the pass path never reaches the log).
     """
 
-    __slots__ = ("events", "_first_time", "tracer")
+    __slots__ = ("events", "_first_time")
 
-    def __init__(self, tracer=None) -> None:
+    def __init__(self) -> None:
         self.events: List[DetectionEvent] = []
         self._first_time: Optional[float] = None
-        self.tracer = tracer
 
     def record(self, event: DetectionEvent) -> None:
         if self._first_time is None:
             self._first_time = event.time
         self.events.append(event)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "monitor",
-                "detection",
-                time_ms=event.time,
-                signal=event.signal,
-                monitor=event.monitor_id,
-                value=event.value,
-                previous=event.previous,
-                failed_tests=list(event.result.failed_tests),
-            )
 
     @property
     def detected(self) -> bool:
@@ -257,6 +245,11 @@ class SignalMonitor:
         assertion = self._assertion
         result = assertion.check(value, self._prev)
         self.violations += 1
+        recovery = self.recovery
+        strategy = replacement = None
+        if recovery is not None:
+            strategy = type(recovery).__name__
+            replacement = recovery.recover(value, self._prev, assertion.params)
         self.log.record(
             DetectionEvent(
                 signal=self.name,
@@ -265,24 +258,13 @@ class SignalMonitor:
                 previous=self._prev,
                 result=result,
                 monitor_id=self.monitor_id,
+                recovery=strategy,
+                replacement=replacement,
             )
         )
-        if self.recovery is not None:
-            recovered = self.recovery.recover(value, self._prev, assertion.params)
-            tracer = self.log.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "recovery",
-                    "recovery",
-                    time_ms=time,
-                    signal=self.name,
-                    monitor=self.monitor_id,
-                    strategy=type(self.recovery).__name__,
-                    rejected=value,
-                    replacement=recovered,
-                )
-            self._prev = recovered
-            return recovered
+        if recovery is not None:
+            self._prev = replacement
+            return replacement
         if self._reference_observed:
             self._prev = value
         return value

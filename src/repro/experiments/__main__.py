@@ -45,7 +45,8 @@ fault-free prefix.  ``--batch`` runs the eligible part of the grid
 kernel — record-for-record identical to the serial path, which stays
 the oracle.  ``--trace`` streams the structured event trace
 (detections, injections, run and node lifecycle) to a JSONL file; a
-traced campaign replays nothing and runs in-process serially.  A
+traced campaign replays nothing from ``--store``, but keeps its pool
+and its snapshot fast paths.  A
 campaign always ends with a metrics summary, and ``--metrics-out``
 additionally writes the full metrics snapshot as JSON.
 

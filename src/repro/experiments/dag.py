@@ -41,9 +41,10 @@ unions them, and a final unsharded pass replays every run node from
 cache — executing zero simulations — before computing aggregation.
 
 Invariants: results are record-for-record those of the serial loop
-whatever the worker count, and **a tracer disables replay** (traced
-nodes execute in-process and serially, never replay), so trace
-artifacts like the committed golden trace stay byte-identical.
+whatever the worker count, and **a tracer disables replay**: a stored
+record keeps no detection log to build its run's events from, so a
+traced campaign executes every run node — on the pool, with snapshots
+and dead-flip pruning, like an untraced one.
 """
 
 from __future__ import annotations
@@ -316,11 +317,12 @@ def run_campaign_graph(
     machines against private stores and be joined with
     :func:`~repro.experiments.graph.merge_stores`.
 
-    With *trace* (a JSONL path or a live
+    With *trace* (a JSONL path, rewritten, or a live
     :class:`~repro.obs.TraceBus`), replay is disabled — every needed
-    node executes, emitting ``node-start``/``node-done`` plus the usual
-    run-lifecycle events — and execution is forced in-process serial,
-    since one live bus cannot cross a process-pool boundary.
+    node executes, emitting ``node-start``/``node-done`` plus each run's
+    events — on as many *workers* as an untraced campaign; run nodes
+    whose record was stored count in
+    ``runs_fallback_total{strategy="replay",reason="tracer"}``.
     """
     specs = list(specs)
     shard_spec = _parse_shard(shard)
@@ -386,7 +388,7 @@ def run_campaign_graph(
         execute_specs(
             [node.payload for node in nodes],
             run_config=run_config,
-            workers=1 if tracer is not None else workers,
+            workers=workers,
             timeout_s=timeout_s,
             trace=tracer,
             metrics=metrics,

@@ -35,11 +35,11 @@ A group runner reports outputs as they arrive and each report is stored
 at once as one pack, so an interrupted wave keeps every chunk it
 finished and a re-run against the same store executes only the rest.
 
-Replay is disabled whenever a tracer is attached — a trace is an
-execution artifact, so traced nodes execute, never replay — and
-per-node lifecycle is published as ``node-start`` / ``node-cached`` /
-``node-done`` trace events plus per-kind counters on the metrics
-registry.
+Replay is disabled whenever a tracer is attached — a stored output
+keeps none of the events its execution publishes, so traced nodes
+execute, never replay — and per-node lifecycle is published as
+``node-start`` / ``node-cached`` / ``node-done`` trace events plus
+per-kind counters on the metrics registry.
 """
 
 from __future__ import annotations
@@ -443,9 +443,11 @@ class Graph:
         *wanted* restricts the goal set (a shard executes only its run
         nodes); dependencies of wanted nodes are pulled in as needed.
         With a *store*, nodes whose key is stored **replay** — unless
-        *force*, or a *tracer* is attached (traces are execution
-        artifacts: a traced graph executes every needed node and still
-        refreshes the store).  *runners* maps a node kind
+        *force*, or a *tracer* is attached (a stored output keeps no
+        events to publish: a traced graph executes every needed node,
+        counting stored run nodes in
+        ``runs_fallback_total{strategy="replay",reason="tracer"}``, and
+        still refreshes the store).  *runners* maps a node kind
         to a group runner executing all simultaneously ready nodes of
         that kind in one call (the campaign layer's pool dispatch),
         reporting — and so storing, one pack per report — outputs as
@@ -459,7 +461,7 @@ class Graph:
             if name not in self._nodes:
                 raise GraphError(f"unknown wanted node {name!r}")
         stats = stats if stats is not None else GraphStats()
-        replay_ok = store is not None and not force and tracer is None
+        replay_ok = store is not None and not force
 
         # Plan, dependents before dependencies: a node is *needed* when
         # it is a goal or feeds a pending dependent; it is *pending*
@@ -481,9 +483,15 @@ class Graph:
             needed.add(name)
             if replay_ok:
                 status, output = store.get(node, self.key(name))
-                if status == "hit":
+                if status == "hit" and tracer is None:
                     cached_output[name] = output
                     continue
+                if status == "hit" and metrics is not None and node.kind == "run":
+                    # A stored record keeps no detection log to build
+                    # the run's events from: a traced run executes.
+                    metrics.counter(
+                        "runs_fallback_total", strategy="replay", reason="tracer"
+                    ).inc()
                 if status == "mismatch":
                     stats.mismatches += 1
             pending.add(name)

@@ -31,12 +31,14 @@ worker inherits the warm cache instead of rebuilding it.  This is the
 only ahead-of-time warm-up: a serial wave captures each grid point's
 snapshot on its first run.
 
-Observability.  With a trace destination and/or a metrics registry
-(``execute_specs(trace=..., metrics=...)``), the engine publishes run
-lifecycle events and campaign metrics through :mod:`repro.obs`.  Workers
-write per-chunk trace part files the dispatcher merges as each chunk
-completes and return additive metrics snapshots, so both artifacts
-survive the process pool — and chunk retries — without duplication.
+Observability.  With a trace bus and/or a metrics registry
+(``execute_specs(trace=..., metrics=...)``), the engine publishes each
+run's events (built after the run by the campaign controller) and
+campaign metrics through :mod:`repro.obs`.  A worker returns its
+chunk's events and an additive metrics snapshot with the chunk's
+records; the dispatcher re-emits the events through the one bus as the
+chunk completes, so ``seq`` runs over the whole trace and a failed,
+retried chunk contributes nothing twice.
 
 Equivalence guarantee.  The final :class:`ResultSet` is assembled in
 spec-enumeration order from a key-indexed map, so a parallel campaign
@@ -55,8 +57,7 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.results import ResultSet, RunRecord, canonical_key, flatten_record
 from repro.experiments.testcases import select_spread
@@ -67,7 +68,7 @@ from repro.targets.base import TestCase
 from repro.targets.registry import DEFAULT_TARGET, get_target
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import JSONLSink
+from repro.obs.sinks import RingBufferSink
 
 __all__ = [
     "RunSpec",
@@ -274,8 +275,8 @@ def _execute_one(
     """Execute one spec on a freshly booted (or snapshot-restored) system.
 
     A timed-out run still yields exactly one record — the synthetic
-    wedged record — which flows into the results and trace like any
-    other, plus a ``run-timeout`` trace event marking the abort.
+    wedged record — which flows into the results like any other; its
+    trace is ``run-start`` and ``run-timeout``, with no body events.
     """
     controller = CampaignController(
         injection_period_ms=spec.injection_period_ms,
@@ -298,27 +299,22 @@ def _execute_one(
     return flatten_record(record)
 
 
-def _run_chunk(payload) -> Tuple[List[RunRecord], Optional[dict]]:
+def _run_chunk(payload) -> Tuple[List[RunRecord], Optional[dict], list]:
     """Worker entry point: execute a chunk of specs, return their records.
 
-    With tracing on, the chunk's events go to a private part file the
-    dispatcher merges on completion (a retry rewrites the part file from
-    scratch, so duplicates cannot survive).  With metrics on, a fresh
-    per-chunk registry travels back as an additive snapshot.
+    With tracing on, the chunk's events come back with its records, for
+    the dispatcher to re-emit; with metrics on, a fresh per-chunk
+    registry travels back as an additive snapshot.
     """
-    specs, run_config, timeout_s, trace_part, metrics_enabled, snapshots = payload
+    specs, run_config, timeout_s, traced, metrics_enabled, snapshots = payload
     registry = MetricsRegistry() if metrics_enabled else None
-    sink = JSONLSink(trace_part, mode="w") if trace_part is not None else None
-    tracer = TraceBus([sink]) if sink is not None else None
-    try:
-        records = [
-            _execute_one(spec, run_config, timeout_s, tracer, registry, snapshots)
-            for spec in specs
-        ]
-    finally:
-        if sink is not None:
-            sink.close()
-    return records, registry.snapshot() if registry is not None else None
+    buffer = RingBufferSink()
+    tracer = TraceBus([buffer]) if traced else None
+    records = [
+        _execute_one(spec, run_config, timeout_s, tracer, registry, snapshots)
+        for spec in specs
+    ]
+    return records, registry.snapshot() if registry is not None else None, buffer.events
 
 
 # -- batch (vectorized) execution -------------------------------------------
@@ -413,7 +409,7 @@ def execute_specs(
     timeout_s: Optional[float] = None,
     chunk_size: Optional[int] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    trace: Optional[Union[str, Path, TraceBus]] = None,
+    trace: Optional[TraceBus] = None,
     metrics: Optional[MetricsRegistry] = None,
     snapshots: Optional[bool] = None,
     batch: bool = False,
@@ -432,10 +428,10 @@ def execute_specs(
     pre-warms the snapshot cache for every distinct grid point before
     forking so workers inherit it instead of re-simulating prefixes.
 
-    *trace* is either a JSONL file path (one event per line, rewritten)
-    or an already-wired :class:`~repro.obs.TraceBus` — the latter only
-    for in-process serial execution, since a live bus cannot cross the
-    process-pool boundary.  *metrics* is a
+    *trace* is a :class:`~repro.obs.TraceBus` receiving every run's
+    events, serial or pooled (workers' events are re-emitted through it
+    as chunks finish; :func:`~repro.experiments.dag.run_campaign_graph`
+    also takes a JSONL path).  *metrics* is a
     :class:`~repro.obs.MetricsRegistry` the campaign updates in place
     (worker registries are merged in as chunks finish).
 
@@ -445,8 +441,7 @@ def execute_specs(
     ``Target.run_batch`` call per target, the rest stay serial.  The
     serial path remains the oracle — batch results are pinned identical
     by the equivalence suite — and tracing forces the serial path (with
-    a warning), keeping trace artifacts like the committed golden trace
-    byte-stable.  Every spec a batched campaign leaves serial counts in
+    a warning).  Every spec a batched campaign leaves serial counts in
     ``runs_fallback_total{strategy="batch",reason}``: ``tracer``,
     ``run_config`` (a non-default run configuration) or ``spec`` (E2
     raw-address and stack errors, and any flip the kernels do not model).
@@ -455,6 +450,11 @@ def execute_specs(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
+    if trace is not None and not isinstance(trace, TraceBus):
+        raise TypeError(
+            f"trace must be a TraceBus, got {type(trace).__name__} "
+            "(run_campaign_graph takes a JSONL path)"
+        )
     specs = list(specs)
     if len({spec.key for spec in specs}) != len(specs):
         raise ValueError("duplicate run specs: (version, error, case) must be unique")
@@ -466,6 +466,8 @@ def execute_specs(
     batch_specs: List[RunSpec] = []
     if batch and pending:
         if trace is not None:
+            # The kernels keep no per-event values to build a run's
+            # trace from, so a traced campaign runs every spec serially.
             warnings.warn(
                 "batch execution is incompatible with run tracing (traces are "
                 "a serial-path artifact); running every spec serially",
@@ -482,20 +484,6 @@ def execute_specs(
             )
 
     use_pool = workers > 1 and pending and _multiprocessing_usable()
-    tracer: Optional[TraceBus] = None
-    trace_sink: Optional[JSONLSink] = None
-    trace_path: Optional[Path] = None
-    if isinstance(trace, TraceBus):
-        if use_pool:
-            raise ValueError(
-                "a TraceBus instance cannot cross the process-pool boundary; "
-                "pass a trace file path when workers > 1"
-            )
-        tracer = trace
-    elif trace is not None:
-        trace_path = Path(trace)
-        trace_sink = JSONLSink(trace_path, mode="w")
-        tracer = TraceBus([trace_sink])
 
     def _complete(chunk_records: Sequence[RunRecord]) -> None:
         nonlocal done
@@ -508,9 +496,9 @@ def execute_specs(
             progress(done, total)
 
     start = time.perf_counter()
-    if tracer is not None:
+    if trace is not None:
         targets = sorted({spec.target for spec in specs})
-        tracer.emit(
+        trace.emit(
             "campaign",
             "campaign-start",
             runs=total,
@@ -520,62 +508,54 @@ def execute_specs(
         )
 
     if use_pool:
-        warmed = _prewarm_pool_snapshots(
-            pending, run_config, snapshots, traced=tracer is not None
-        )
-        if warmed and tracer is not None:
-            tracer.emit("campaign", "snapshot-prewarm", count=warmed)
+        warmed = _prewarm_pool_snapshots(pending, run_config, snapshots)
+        if warmed and trace is not None:
+            trace.emit("campaign", "snapshot-prewarm", count=warmed)
 
-    try:
-        if batch_specs:
-            groups: Dict[str, List[RunSpec]] = {}
-            for spec in batch_specs:
-                groups.setdefault(spec.target, []).append(spec)
-            for group in groups.values():
-                _complete(_execute_batch_group(group, metrics))
-        if not use_pool:
-            for spec in pending:
-                _complete(
-                    [_execute_one(spec, run_config, timeout_s, tracer, metrics, snapshots)]
-                )
-        else:
-            _run_pool(
-                pending,
-                run_config,
-                min(workers, len(pending)),
-                timeout_s,
-                chunk_size,
-                max_attempts,
-                _complete,
-                tracer=tracer,
-                trace_path=trace_path,
-                trace_sink=trace_sink,
-                metrics=metrics,
-                snapshots=snapshots,
+    if batch_specs:
+        groups: Dict[str, List[RunSpec]] = {}
+        for spec in batch_specs:
+            groups.setdefault(spec.target, []).append(spec)
+        for group in groups.values():
+            _complete(_execute_batch_group(group, metrics))
+    if not use_pool:
+        for spec in pending:
+            _complete(
+                [_execute_one(spec, run_config, timeout_s, trace, metrics, snapshots)]
             )
-        elapsed = time.perf_counter() - start
-        if metrics is not None:
-            metrics.gauge("campaign_seconds").set(round(elapsed, 3))
-            metrics.gauge("campaign_runs_per_sec").set(
-                round(done / elapsed, 3) if elapsed > 0 else 0.0
-            )
-        if tracer is not None:
-            tracer.emit(
-                "campaign",
-                "campaign-end",
-                runs=total,
-                executed=done,
-                seconds=round(elapsed, 3),
-            )
-    finally:
-        if trace_sink is not None:
-            trace_sink.close()
+    else:
+        _run_pool(
+            pending,
+            run_config,
+            min(workers, len(pending)),
+            timeout_s,
+            chunk_size,
+            max_attempts,
+            _complete,
+            tracer=trace,
+            metrics=metrics,
+            snapshots=snapshots,
+        )
+    elapsed = time.perf_counter() - start
+    if metrics is not None:
+        metrics.gauge("campaign_seconds").set(round(elapsed, 3))
+        metrics.gauge("campaign_runs_per_sec").set(
+            round(done / elapsed, 3) if elapsed > 0 else 0.0
+        )
+    if trace is not None:
+        trace.emit(
+            "campaign",
+            "campaign-end",
+            runs=total,
+            executed=done,
+            seconds=round(elapsed, 3),
+        )
 
     return ResultSet(by_key[spec.key] for spec in specs)
 
 
 def _prewarm_pool_snapshots(
-    pending: Sequence[RunSpec], run_config, snapshots: Optional[bool], traced: bool
+    pending: Sequence[RunSpec], run_config, snapshots: Optional[bool]
 ) -> int:
     """Warm the parent's snapshot cache before the pool forks.
 
@@ -584,8 +564,7 @@ def _prewarm_pool_snapshots(
     workers for free — without this, each worker re-simulates the same
     fault-free prefixes.  Grid points with signal-less (E2) specs also
     get their read-logged fault-free continuation, from which workers
-    resolve dead flips without simulating them — unless the campaign is
-    *traced*, which keeps every run simulated.  Returns how many grid
+    resolve dead flips without simulating them.  Returns how many grid
     points were warmed (0 when snapshots are off).
     """
     enabled = snapshots if snapshots is not None else snapshots_mod.snapshots_enabled_default()
@@ -598,7 +577,7 @@ def _prewarm_pool_snapshots(
         point = (spec.target, spec.version, spec.mass_kg, spec.velocity_mps,
                  spec.injection_start_ms)
         points.setdefault(point, spec)
-        if spec.signal is None and not traced:
+        if spec.signal is None:
             reading.add(point)
     for point, spec in points.items():
         target = get_target(spec.target)
@@ -627,23 +606,18 @@ def _run_pool(
     max_attempts: int,
     complete: Callable[[Sequence[RunRecord]], None],
     tracer: Optional[TraceBus] = None,
-    trace_path: Optional[Path] = None,
-    trace_sink: Optional[JSONLSink] = None,
     metrics: Optional[MetricsRegistry] = None,
     snapshots: Optional[bool] = None,
 ) -> None:
     chunks = _chunked(pending, chunk_size or _default_chunk_size(len(pending), workers))
     attempts = {index: 0 for index in range(len(chunks))}
 
-    def _part_path(index: int) -> Optional[str]:
-        return f"{trace_path}.part{index}" if trace_path is not None else None
-
     def _payload(index: int):
         return (
             chunks[index],
             run_config,
             timeout_s,
-            _part_path(index),
+            tracer is not None,
             metrics is not None,
             snapshots,
         )
@@ -660,17 +634,6 @@ def _run_pool(
         if metrics is not None:
             metrics.counter("chunk_retries_total").inc()
 
-    def _merge_chunk_trace(index: int) -> None:
-        """Fold the worker's part file into the main trace as the chunk completes."""
-        part = _part_path(index)
-        if part is None:
-            return
-        path = Path(part)
-        if path.exists():
-            trace_sink.write_raw(path.read_text(encoding="utf-8"))
-            trace_sink.flush()
-            path.unlink()
-
     executor = _new_executor(workers)
     try:
         futures = {
@@ -684,7 +647,7 @@ def _run_pool(
             for future in finished:
                 index = futures.pop(future)
                 try:
-                    records, snapshot = future.result()
+                    records, snapshot, events = future.result()
                 except concurrent.futures.BrokenExecutor as exc:
                     # The pool itself died (a worker was killed): every
                     # outstanding future is void.  Rebuild the pool and
@@ -714,8 +677,15 @@ def _run_pool(
                     _note_retry(index, exc)
                     futures[executor.submit(_run_chunk, _payload(index))] = index
                 else:
+                    for event in events:
+                        tracer.emit(
+                            event.subsystem,
+                            event.kind,
+                            time_ms=event.time_ms,
+                            run_id=event.run_id,
+                            **event.data,
+                        )
                     complete(records)
-                    _merge_chunk_trace(index)
                     if metrics is not None and snapshot is not None:
                         metrics.merge(snapshot)
     finally:

@@ -10,28 +10,33 @@ reboots between runs), arms the injector, executes the run and packages
 the readouts.
 
 Observability.  Given a ``tracer`` (:class:`repro.obs.TraceBus`) the
-controller emits the run-lifecycle events (``run-start``, ``run-end``,
-``run-timeout``) and wires the bus into the run's detection log and
-injector, so detections, recoveries and bit flips stream out with their
-sim-times.  Given a ``metrics`` registry it maintains the campaign
-counters and the per-monitor detection-latency histograms.
+controller publishes each run's events once the run is over, the way
+the FIC3 reads back what the target recorded: ``run-start``, then the
+run's ``injection``, ``detection`` and ``recovery`` events in sim-time
+order (:func:`run_events`, built from the detection log and the
+injector's time-triggered schedule), then ``run-end`` — or
+``run-start`` and ``run-timeout`` for a run aborted on wall clock.  The
+tracer never reaches the simulation, so a traced run takes the same
+fast paths below as an untraced one.  Given a ``metrics`` registry the
+controller maintains the campaign counters and the per-monitor
+detection-latency histograms.
 
 Snapshot acceleration.  With ``snapshots`` enabled (the default; see
 ``REPRO_SNAPSHOTS``), "a fresh system per run" is implemented by
 restoring a cached boot-state snapshot instead of rebuilding the module
 graph (:mod:`repro.targets.snapshot`), and — when ``injection_start_ms
-> 0`` and no tracer is attached — by fast-forwarding through a memoized
-fault-free prefix, so the pre-injection trajectory of a (version, case)
-grid point is simulated once rather than once per error.  Both paths
+> 0`` — by fast-forwarding through a memoized fault-free prefix, so
+the pre-injection trajectory of a (version, case) grid point is
+simulated once rather than once per error.  Both paths
 are byte-identical to a cold run; fault-free reference runs are
 additionally memoized outright (one simulation per (version, case)),
 on the boot snapshot's cache entry.
 
-Dead-flip resolution.  Under the same gate (snapshots usable, no
-tracer), a bit flip at a random location — an :class:`ErrorSpec` with
-no ``signal``, i.e. the E2 RAM and stack sets — is checked against the
-grid point's fault-free continuation from ``injection_start_ms``,
-recorded once with read logging
+Dead-flip resolution.  Under the same gate (snapshots usable), a bit
+flip at a random location — an :class:`ErrorSpec` with no ``signal``,
+i.e. the E2 RAM and stack sets — is checked against the grid point's
+fault-free continuation from ``injection_start_ms``, recorded once
+with read logging
 (:func:`repro.targets.snapshot.fault_free_run`).  When that run never
 reads the flipped byte, the flip is dead: the system's state can only
 diverge from the fault-free run through a read of a corrupted byte, and
@@ -41,14 +46,15 @@ events, with the injection counters the injector would have fired over
 that duration (:meth:`TimeTriggeredInjector.schedule`) — exactly the
 record the simulation produces, without building or ticking a system.
 E1 flips land on monitored signals, read every cycle, and are always
-simulated; so are traced runs, keeping trace artifacts byte-stable.
-Such runs count in the ``runs_pruned_total`` metric.
+simulated.  Pruned runs count in the ``runs_pruned_total`` metric.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+import functools
+import heapq
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.injection.errors import ErrorSpec
 from repro.injection.injector import INJECTION_PERIOD_MS, TimeTriggeredInjector
@@ -62,6 +68,7 @@ __all__ = [
     "CampaignController",
     "TIMEOUT_VIOLATION",
     "record_run_metrics",
+    "run_events",
 ]
 
 #: Constraint name recorded in the verdict of a timed-out run.
@@ -97,6 +104,49 @@ def record_run_metrics(metrics, result: RunResult) -> None:
     latency = result.detection_latency_ms
     if latency is not None:
         metrics.histogram("detection_latency_ms").observe(latency)
+
+
+def run_events(
+    error: Optional[ErrorSpec],
+    detections: Sequence,
+    start_ms: int,
+    period_ms: int,
+    duration_ms: int,
+) -> List[Tuple[str, str, float, Dict[str, Any]]]:
+    """One finished run's body events as ``(subsystem, kind, time_ms, data)``.
+
+    *detections* is the run's detection log; a time-triggered *error*
+    was injected at ``start_ms, start_ms + period_ms, ...`` below
+    *duration_ms* (``None``: a fault-free run).  Events come in
+    sim-time order, an injection first within its millisecond — the
+    injector ticks before the software does — and a recovery right
+    after the detection it answers.
+    """
+    injections = []
+    if error is not None:
+        flip = {
+            "error": error.name, "address": error.address, "bit": error.bit,
+            "model": "time-triggered",
+        }
+        injections = [
+            ("injection", "injection", at, {**flip, "count": count})
+            for count, at in enumerate(range(start_ms, duration_ms, period_ms), 1)
+        ]
+    body = []
+    for event in detections:
+        body.append(("monitor", "detection", event.time, {
+            "signal": event.signal, "monitor": event.monitor_id, "value": event.value,
+            "previous": event.previous, "failed_tests": list(event.result.failed_tests),
+        }))
+        if event.recovery is not None:
+            body.append(("recovery", "recovery", event.time, {
+                "signal": event.signal, "monitor": event.monitor_id,
+                "strategy": event.recovery, "rejected": event.value,
+                "replacement": event.replacement,
+            }))
+    # Both lists are in sim-time order; on a tie the merge takes the
+    # injection first.
+    return list(heapq.merge(injections, body, key=lambda event: event[2]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,44 +227,52 @@ class CampaignController:
         name = error.name if error is not None else "-"
         return run_id_for(version, name, test_case.mass_kg, test_case.velocity_mps)
 
-    def _emit_run_start(
-        self, error: Optional[ErrorSpec], test_case: TestCase, version: str
+    def _trace(
+        self,
+        error: Optional[ErrorSpec],
+        test_case: TestCase,
+        version: str,
+        result: Optional[RunResult] = None,
+        detections: Sequence = (),
+        timeout_ms: Optional[int] = None,
     ) -> None:
-        tracer = self.tracer
-        if tracer is None:
-            return
-        tracer.run_id = self._run_id(error, test_case, version)
-        tracer.emit(
-            "campaign",
-            "run-start",
-            time_ms=0.0,
-            version=version,
-            error=error.name if error is not None else None,
-            signal=error.signal if error is not None else None,
-            mass_kg=test_case.mass_kg,
-            velocity_mps=test_case.velocity_mps,
-            target=self.target.name,
-        )
+        """Publish one finished run's events; the controller's only tracer use.
 
-    def _emit_run_end(self, result: RunResult) -> None:
-        tracer = self.tracer
-        if tracer is None:
+        ``run-start``, then :func:`run_events` and ``run-end`` for a
+        *result*, or ``run-timeout`` for a run aborted after
+        *timeout_ms* (which has no readouts, so no body events).
+        """
+        if self.tracer is None:
             return
-        tracer.emit(
-            "campaign",
-            "run-end",
-            time_ms=float(result.duration_ms),
-            detected=result.detected,
-            failed=result.failed,
-            wedged=result.wedged,
+        emit = functools.partial(
+            self.tracer.emit, run_id=self._run_id(error, test_case, version)
+        )
+        name = error.name if error is not None else None
+        target = self.target.name
+        emit(
+            "campaign", "run-start", time_ms=0.0, version=version, error=name,
+            signal=error.signal if error is not None else None,
+            mass_kg=test_case.mass_kg, velocity_mps=test_case.velocity_mps, target=target,
+        )
+        if result is None:
+            emit(
+                "campaign", "run-timeout", time_ms=float(timeout_ms), version=version,
+                error=name, timeout_ms=timeout_ms, target=target,
+            )
+            return
+        for subsystem, kind, time_ms, data in run_events(
+            error, detections, self.injection_start_ms, self.injection_period_ms,
+            result.duration_ms,
+        ):
+            emit(subsystem, kind, time_ms=time_ms, **data)
+        emit(
+            "campaign", "run-end", time_ms=float(result.duration_ms),
+            detected=result.detected, failed=result.failed, wedged=result.wedged,
             first_detection_ms=result.first_detection_ms,
             first_injection_ms=result.first_injection_ms,
-            latency_ms=result.detection_latency_ms,
-            detections=result.detection_count,
-            injections=result.injection_count,
-            duration_ms=result.duration_ms,
+            latency_ms=result.detection_latency_ms, detections=result.detection_count,
+            injections=result.injection_count, duration_ms=result.duration_ms,
         )
-        tracer.run_id = ""
 
     def _record_metrics(self, result: RunResult, detection_events=()) -> None:
         metrics = self.metrics
@@ -249,12 +307,10 @@ class CampaignController:
 
         With *fast_forward* (injected runs whose first flip lands at
         ``injection_start_ms > 0``) the restored system has already been
-        advanced through the memoized fault-free prefix.  Fast-forward is
-        skipped under an attached tracer so the trace stream of the
-        prefix window stays identical to a cold run's.
+        advanced through the memoized fault-free prefix.
         """
         if self._snapshots_usable():
-            if fast_forward and self.injection_start_ms > 0 and self.tracer is None:
+            if fast_forward and self.injection_start_ms > 0:
                 return snapshots_mod.prefixed_system(
                     self.target,
                     test_case,
@@ -275,26 +331,23 @@ class CampaignController:
     def run_reference(self, test_case: TestCase, version: str = "All") -> ExperimentRecord:
         """A fault-free reference run (the Section-3.4 precondition check).
 
-        With snapshots enabled and no tracer attached, the result is
+        With snapshots enabled, the result is
         memoized per (target, version, case, config) on the snapshot
         cache: re-validating the reference grid — including the
         per-version fault-free rows of a campaign — costs one simulation
         per grid point per process.
         """
-        self._emit_run_start(None, test_case, version)
-        if self._snapshots_usable() and self.tracer is None:
+        if self._snapshots_usable():
             continuation = snapshots_mod.fault_free_run(
                 self.target, test_case, version, run_config=self.run_config
             )
             result, events = continuation.result, continuation.events
         else:
             system = self._build_system(test_case, version)
-            if self.tracer is not None:
-                system.detection_log.tracer = self.tracer
             result = system.run()
             events = system.detection_log.events
         self.runs_executed += 1
-        self._emit_run_end(result)
+        self._trace(None, test_case, version, result, events)
         self._record_metrics(result, events)
         return ExperimentRecord(error=None, version=version, result=result)
 
@@ -304,13 +357,11 @@ class CampaignController:
         """The fault-free continuation when *error* flips a never-read byte.
 
         ``None`` — simulate the run — unless the gate holds (snapshots
-        usable, no tracer, a signal-less E2 flip) and the grid point's
+        usable, a signal-less E2 flip) and the grid point's
         fault-free run from ``injection_start_ms`` on never reads the
         flipped address.
         """
-        if error.signal is not None or self.tracer is not None:
-            return None
-        if not self._snapshots_usable():
+        if error.signal is not None or not self._snapshots_usable():
             return None
         continuation = snapshots_mod.fault_free_run(
             self.target,
@@ -335,12 +386,10 @@ class CampaignController:
         A dead flip (see the module docstring) is resolved from the
         fault-free continuation instead of being simulated.
         """
-        self._emit_run_start(error, test_case, version)
         injector = TimeTriggeredInjector(
             error,
             period_ms=self.injection_period_ms,
             start_ms=self.injection_start_ms,
-            tracer=self.tracer,
         )
         continuation = self._dead_flip_continuation(error, test_case, version)
         if continuation is not None:
@@ -357,12 +406,10 @@ class CampaignController:
                 self.metrics.counter("runs_pruned_total").inc()
         else:
             system = self._build_system(test_case, version, fast_forward=True)
-            if self.tracer is not None:
-                system.detection_log.tracer = self.tracer
             result = system.run(injector)
             events = system.detection_log.events
         self.runs_executed += 1
-        self._emit_run_end(result)
+        self._trace(error, test_case, version, result, events)
         self._record_metrics(result, events)
         return ExperimentRecord(error=error, version=version, result=result)
 
@@ -395,20 +442,6 @@ class CampaignController:
             duration_ms=timeout_ms,
         )
         self.runs_executed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            # The aborted run_injection already emitted run-start; this
-            # is the run's terminal event.
-            tracer.run_id = self._run_id(error, test_case, version)
-            tracer.emit(
-                "campaign",
-                "run-timeout",
-                time_ms=float(timeout_ms),
-                version=version,
-                error=error.name if error is not None else None,
-                timeout_ms=timeout_ms,
-                target=self.target.name,
-            )
-            tracer.run_id = ""
+        self._trace(error, test_case, version, timeout_ms=timeout_ms)
         self._record_metrics(result)
         return ExperimentRecord(error=error, version=version, result=result)

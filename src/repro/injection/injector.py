@@ -18,14 +18,9 @@ Two further fault models extend the paper's (which notes bit-flips model
   tick (a permanent fault in the cell or its driver).
 
 All three share the one-method ``tick(now_ms, memory)`` protocol the
-target system calls each millisecond.
-
-Observability.  Each injector carries an optional ``tracer``
-(:class:`repro.obs.TraceBus`); when set, every performed injection is
-published as an ``injection/injection`` trace event.  The attribute
-defaults to ``None`` and is tested only on ticks that actually inject,
-so tracing disabled costs one predicate check per injection — nothing on
-the every-millisecond fast path.
+target system calls each millisecond.  None of them publishes anything:
+a traced campaign reads a run's injections from the time-triggered
+schedule after the run (:mod:`repro.injection.fic`).
 """
 
 from __future__ import annotations
@@ -45,21 +40,6 @@ __all__ = [
 
 #: The paper's injection period.
 INJECTION_PERIOD_MS = 20
-
-
-def _trace_injection(injector, now_ms: int, model: str) -> None:
-    """Publish one ``injection`` event for *injector* (tracer known set)."""
-    error = injector.error
-    injector.tracer.emit(
-        "injection",
-        "injection",
-        time_ms=now_ms,
-        error=error.name,
-        address=error.address,
-        bit=error.bit,
-        model=model,
-        count=injector.injections,
-    )
 
 
 def schedule_counts(
@@ -85,7 +65,6 @@ class TimeTriggeredInjector:
         "start_ms",
         "injections",
         "first_injection_ms",
-        "tracer",
     )
 
     def __init__(
@@ -93,7 +72,6 @@ class TimeTriggeredInjector:
         error: ErrorSpec,
         period_ms: int = INJECTION_PERIOD_MS,
         start_ms: int = 0,
-        tracer=None,
     ) -> None:
         if period_ms <= 0:
             raise ValueError(f"period_ms must be positive, got {period_ms}")
@@ -104,7 +82,6 @@ class TimeTriggeredInjector:
         self.start_ms = start_ms
         self.injections = 0
         self.first_injection_ms: Optional[int] = None
-        self.tracer = tracer
 
     def tick(self, now_ms: int, memory: MemoryMap) -> bool:
         """Called every millisecond; injects when the trigger time is due."""
@@ -114,8 +91,6 @@ class TimeTriggeredInjector:
         self.injections += 1
         if self.first_injection_ms is None:
             self.first_injection_ms = now_ms
-        if self.tracer is not None:
-            _trace_injection(self, now_ms, "time-triggered")
         return True
 
     def schedule(self, end_ms: int) -> Tuple[Optional[int], int]:
@@ -138,16 +113,15 @@ class TimeTriggeredInjector:
 class TransientInjector:
     """A single bit-flip at one instant (transient-upset fault model)."""
 
-    __slots__ = ("error", "at_ms", "injections", "first_injection_ms", "tracer")
+    __slots__ = ("error", "at_ms", "injections", "first_injection_ms")
 
-    def __init__(self, error: ErrorSpec, at_ms: int = 0, tracer=None) -> None:
+    def __init__(self, error: ErrorSpec, at_ms: int = 0) -> None:
         if at_ms < 0:
             raise ValueError(f"at_ms must be non-negative, got {at_ms}")
         self.error = error
         self.at_ms = at_ms
         self.injections = 0
         self.first_injection_ms: Optional[int] = None
-        self.tracer = tracer
 
     def tick(self, now_ms: int, memory: MemoryMap) -> bool:
         if now_ms != self.at_ms or self.injections:
@@ -155,8 +129,6 @@ class TransientInjector:
         memory.data[self.error.address] ^= 1 << self.error.bit
         self.injections = 1
         self.first_injection_ms = now_ms
-        if self.tracer is not None:
-            _trace_injection(self, now_ms, "transient")
         return True
 
     def reset(self) -> None:
@@ -179,7 +151,6 @@ class StuckAtInjector:
         "start_ms",
         "injections",
         "first_injection_ms",
-        "tracer",
     )
 
     def __init__(
@@ -187,7 +158,6 @@ class StuckAtInjector:
         error: ErrorSpec,
         stuck_value: int = 1,
         start_ms: int = 0,
-        tracer=None,
     ) -> None:
         if stuck_value not in (0, 1):
             raise ValueError(f"stuck_value must be 0 or 1, got {stuck_value}")
@@ -198,7 +168,6 @@ class StuckAtInjector:
         self.start_ms = start_ms
         self.injections = 0
         self.first_injection_ms: Optional[int] = None
-        self.tracer = tracer
 
     def tick(self, now_ms: int, memory: MemoryMap) -> bool:
         if now_ms < self.start_ms:
@@ -212,8 +181,6 @@ class StuckAtInjector:
         self.injections += 1
         if self.first_injection_ms is None:
             self.first_injection_ms = now_ms
-        if self.tracer is not None:
-            _trace_injection(self, now_ms, "stuck-at")
         return True
 
     def reset(self) -> None:

@@ -6,18 +6,19 @@ campaign's CSV records only the per-run aggregate.  :mod:`repro.obs`
 exposes the detection pipeline the way a production system would:
 
 * :class:`TraceEvent` / :class:`TraceBus` — a structured event stream
-  with monotonic sim-time, run id, subsystem and kind, published into by
-  the monitors (detections), recovery strategies, injectors (bit flips)
-  and the campaign engine (run lifecycle, chunk dispatch, timeouts);
+  with monotonic sim-time, run id, subsystem and kind, published by the
+  campaign engine: each run's detections, recoveries and bit flips
+  (built from the run's detection log and injection schedule once the
+  run is over), run lifecycle, chunk dispatch and timeouts;
 * :class:`MetricsRegistry` — counters, gauges and fixed-bucket
   histograms (detection latency per monitor id, wedged-run counter,
   runs/sec, ...) snapshotable to a plain dict and additively mergeable
   across worker processes;
 * sinks — :class:`RingBufferSink` (in memory), :class:`JSONLSink` (one
-  JSON object per line; under the process pool each worker writes a
-  per-chunk part file merged as the chunk completes), and :class:`NullSink`
-  so that tracing disabled costs exactly one predicate check on the hot
-  path.
+  JSON object per line, written by the dispatcher alone: pool workers
+  return their chunk's events for it to re-emit), and :class:`NullSink`.
+  Tracing disabled costs nothing in the simulation: no monitor or
+  injector holds a bus.
 
 Everything is stdlib-only.  Wire-through: ``CampaignConfig(trace_path,
 metrics)`` / ``REPRO_TRACE``, CLI ``--trace`` / ``--metrics-out``.

@@ -1,11 +1,9 @@
 """The trace bus: publishers on one side, sinks on the other.
 
-Publishers (monitors, recovery, injectors, the campaign engine) hold an
-optional bus reference that is ``None`` when tracing is disabled — the
-entire disabled-path cost is one ``is not None`` predicate.  When
+Publishers (the campaign engine and the serving fleet) hold an
+optional bus reference that is ``None`` when tracing is disabled.  When
 enabled, :meth:`TraceBus.emit` stamps a monotonic sequence number and
-the current run id onto the event and fans it out to every attached
-sink.
+the run id onto the event and fans it out to every attached sink.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ __all__ = ["TraceBus"]
 class TraceBus:
     """Orders, stamps and dispatches :class:`TraceEvent` s to sinks.
 
-    The bus carries the *current run id* so per-sample publishers (a
-    monitor deep inside the simulation loop) need not know which
-    campaign run they serve; the campaign controller sets
-    :attr:`run_id` when it boots a run.
+    :attr:`run_id` is stamped onto events emitted without their own
+    ``run_id`` (the golden arrestment recorder sets it for its run).
     """
 
     __slots__ = ("_sinks", "_seq", "run_id")

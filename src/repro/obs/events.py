@@ -91,9 +91,9 @@ class TraceEvent:
 
     ``time_ms`` is monotonic *simulated* time within the run (the
     target's 1-ms time base), not wall clock — traces must replay
-    byte-identically.  ``seq`` is the bus-assigned publication index
-    (monotonic per bus; part files merged from workers keep their own
-    worker-local sequences).
+    byte-identically.  ``seq`` is the bus-assigned publication index,
+    monotonic over the whole trace: events a pool worker returns are
+    re-emitted, and so re-numbered, by the dispatcher's bus.
     """
 
     subsystem: str

@@ -7,7 +7,7 @@ layer: where the trace answers *what happened*, the registry answers
 
 * counters and histograms are **additive**, so per-worker registries
   snapshot to plain dicts and merge into the dispatcher's registry as
-  each chunk completes (the same rendezvous the trace part files use);
+  each chunk completes, with the chunk's trace events;
 * gauges are last-write-wins (a merged snapshot overwrites).
 
 Snapshots are JSON-serialisable; :meth:`MetricsRegistry.render` gives

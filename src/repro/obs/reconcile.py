@@ -39,8 +39,13 @@ def reconcile_trace(events: Iterable[TraceEvent], records: Iterable) -> List[str
 
     * a traced run has exactly one ``run-start`` and one terminal event
       (``run-end`` or ``run-timeout``);
+    * a timed-out run has no ``injection``, ``detection`` or
+      ``recovery`` events: a run's events are built after it ends, and
+      an aborted run never ends;
     * the CSV ``detected`` flag matches the presence of ``detection``
       events, and the ``run-end`` event's own ``detected`` field;
+    * the numbers of ``injection`` and ``detection`` events equal the
+      ``run-end`` event's ``injections`` and ``detections``;
     * the CSV latency equals first-detection sim-time minus
       first-injection sim-time as seen by the trace;
     * a wedged CSV record has a ``run-timeout`` event when the trace
@@ -77,14 +82,14 @@ def reconcile_trace(events: Iterable[TraceEvent], records: Iterable) -> List[str
                 f"{len(ends)} run-end + {len(timeouts)} run-timeout"
             )
 
+        detections = kinds.get("detection", [])
+        injections = kinds.get("injection", [])
         if timeouts:
-            # A timed-out run's CSV record is synthetic (no detection, no
-            # latency); events emitted before the wall-clock abort are
-            # legitimately present in the trace, so only the lifecycle
-            # shape is checked above.
+            body = len(detections) + len(injections) + len(kinds.get("recovery", []))
+            if body:
+                issues.append(f"{rid}: timed-out run carries {body} body events")
             continue
 
-        detections = kinds.get("detection", [])
         if record.detected != bool(detections):
             issues.append(
                 f"{rid}: CSV detected={record.detected} but trace has "
@@ -97,6 +102,13 @@ def reconcile_trace(events: Iterable[TraceEvent], records: Iterable) -> List[str
                     f"{rid}: run-end detected={end.get('detected')} "
                     f"!= CSV detected={record.detected}"
                 )
+            for kind, traced in (("injection", injections), ("detection", detections)):
+                counted = end.get(f"{kind}s")
+                if counted != len(traced):
+                    issues.append(
+                        f"{rid}: run-end counts {counted} {kind}s but the "
+                        f"trace has {len(traced)} {kind} events"
+                    )
             first_injection = end.get("first_injection_ms")
             if detections and first_injection is not None:
                 latency = min(e.time_ms for e in detections) - first_injection

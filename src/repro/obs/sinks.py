@@ -1,17 +1,12 @@
 """Trace sinks: where published events go.
 
 * :class:`NullSink` — drops everything; with it attached, an *enabled*
-  bus still costs only event construction, and a disabled bus (no bus at
-  all) costs one predicate check — the invariant the campaign benchmark
-  guards.
+  bus still costs only event construction, after each run.
 * :class:`RingBufferSink` — the last *capacity* events in memory, for
   interactive use and tests.
 * :class:`JSONLSink` — one JSON object per line.  Under the process pool
-  each worker writes its chunk's events to a private part file
-  (``<trace>.part<chunk>``), which the dispatcher merges into the main
-  file when the chunk's records are reported complete — a crashed or
-  retried chunk simply rewrites its part file, so the merged trace never
-  holds duplicate events for a run.
+  the dispatcher alone writes the file: workers hand their chunk's
+  events back with its records and the dispatcher re-emits them.
 """
 
 from __future__ import annotations
@@ -75,12 +70,6 @@ class JSONLSink:
     def emit(self, event: TraceEvent) -> None:
         self._handle.write(event.to_json())
         self._handle.write("\n")
-
-    def write_raw(self, text: str) -> None:
-        """Append pre-serialised JSONL *text* (worker part-file merge)."""
-        if text and not text.endswith("\n"):
-            text += "\n"
-        self._handle.write(text)
 
     def flush(self) -> None:
         self._handle.flush()

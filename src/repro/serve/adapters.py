@@ -88,6 +88,9 @@ async def serve_lines(
     ``frame`` and ``close`` op is followed by a flush so a client sees
     its detections before the next acknowledgement (the remote path
     trades throughput for ordering — bulk traffic belongs in-process).
+    A ``close`` reply carries the session's whole outcome, which the
+    fleet then forgets, so a connection holds nothing per closed
+    session and a closed session id may be opened again.
     """
     if config is None:
         config = FleetConfig()
@@ -141,9 +144,9 @@ async def serve_lines(
                             )
                         )
                 elif op == "close":
+                    sid = str(message.get("session", ""))
                     outcome = await fleet.close_session(
-                        str(message.get("session", "")),
-                        complete=bool(message.get("complete", True)),
+                        sid, complete=bool(message.get("complete", True))
                     )
                     try:
                         # Closing a lockstep member can release its group's
@@ -151,6 +154,7 @@ async def serve_lines(
                         await fleet.flush()
                     finally:
                         write(json.dumps(_result_line(outcome)))
+                        fleet.pop_outcome(sid)
                 elif op == "stats":
                     write(json.dumps({"ok": True, "stats": fleet.stats()}))
                 else:

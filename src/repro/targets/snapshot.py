@@ -20,8 +20,8 @@ fresh restored copy:
   the checkpoint-based SWIFI acceleration of the FIC/GOOFI lineage.
 
 Restored runs are byte-identical to cold runs: a snapshot is captured
-from a freshly booted system *before* any tracer is attached, every
-consumer receives its own independent copy, and the cold-vs-restored
+from a freshly booted system, every consumer receives its own
+independent copy, and the cold-vs-restored
 equivalence (full :class:`RunResult` plus detection-event list) is
 pinned by tests for every built-in target.
 

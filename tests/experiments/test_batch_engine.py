@@ -2,9 +2,9 @@
 
 The batch kernels themselves are differentially pinned in
 ``tests/targets/``; this module covers the plumbing around them: the
-``--batch``/``REPRO_BATCH`` opt-in, the tracer fallback that keeps the
-golden trace a serial-path artifact, and the metrics contract of the
-batched path.
+``--batch``/``REPRO_BATCH`` opt-in, the serial fallback of a traced
+campaign (the kernels keep no per-event values), and the metrics
+contract of the batched path.
 """
 
 import warnings
@@ -16,6 +16,7 @@ np = pytest.importorskip("numpy")
 from repro.experiments.campaign import CampaignConfig
 from repro.experiments.parallel import enumerate_e1_specs, enumerate_e2_specs, execute_specs
 from repro.injection.fic import CampaignController
+from repro.obs import NullSink, RingBufferSink, TraceBus
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -34,18 +35,16 @@ def _specs(**overrides):
 def test_trace_forces_serial_fallback_with_warning(tmp_path):
     """``--batch`` + ``--trace`` warns and runs the serial (oracle) path.
 
-    Traces are a serial-path artifact — the golden-trace regression
-    oracle (``tests/data/golden_arrestment.jsonl``) must never see
-    batch-originated events — so tracing wins and batching is skipped
-    for the whole campaign.
+    The kernels keep no per-event values to build a run's trace from,
+    so tracing wins and batching is skipped for the whole campaign.
     """
     specs = _specs()[:6]
     serial = execute_specs(specs)
-    trace_path = tmp_path / "trace.jsonl"
+    buffer = RingBufferSink()
     with pytest.warns(RuntimeWarning, match="incompatible with run tracing"):
-        traced = execute_specs(specs, batch=True, trace=trace_path)
+        traced = execute_specs(specs, batch=True, trace=TraceBus([buffer]))
     assert traced.records == serial.records
-    assert trace_path.exists() and trace_path.stat().st_size > 0
+    assert [e.kind for e in buffer.events].count("run-end") == len(specs)
 
 
 def test_batch_records_match_serial_through_engine(monkeypatch):
@@ -141,7 +140,7 @@ def test_fallback_counts_a_tracer(tmp_path):
     specs = _specs()[:3]
     metrics = MetricsRegistry()
     with pytest.warns(RuntimeWarning, match="incompatible with run tracing"):
-        execute_specs(specs, batch=True, trace=tmp_path / "t.jsonl", metrics=metrics)
+        execute_specs(specs, batch=True, trace=TraceBus([NullSink()]), metrics=metrics)
     assert _fallbacks(metrics) == {"runs_fallback_total{reason=tracer,strategy=batch}": 3}
 
 

@@ -10,7 +10,8 @@ Pins the PR's hard invariants:
   subtree (content-address invalidation);
 * a 2-way sharded run, after ``merge``, reproduces the unsharded
   aggregate CSV byte-for-byte;
-* a tracer disables replay (traced nodes execute, never replay);
+* a tracer disables replay (traced nodes execute, never replay, and
+  count as replay fallbacks) but not the pool;
 * an interrupted campaign keeps every run it finished in its node
   store, and re-running with the same store executes only the rest.
 """
@@ -353,12 +354,19 @@ class TestTracing:
     def test_tracer_disables_replay_and_emits_node_events(self, tmp_path):
         import json
 
+        from repro.obs import MetricsRegistry
+
         specs = _slice_specs("arrestor", errors=1)
         store = NodeStore(tmp_path / "nodes")
         run_campaign_graph(specs, store=store)
         trace = tmp_path / "trace.jsonl"
-        traced = run_campaign_graph(specs, store=store, trace=trace)
+        metrics = MetricsRegistry()
+        traced = run_campaign_graph(specs, store=store, trace=trace, metrics=metrics)
         assert traced.stats.cached == 0  # nodes execute, never replay
+        # Every run node had a stored record it could not replay.
+        assert metrics.snapshot()["counters"][
+            "runs_fallback_total{reason=tracer,strategy=replay}"
+        ] == len(specs)
         events = [json.loads(line) for line in trace.read_text().splitlines()]
         kinds = [event["kind"] for event in events]
         assert kinds.count("node-start") == traced.stats.executed
@@ -372,17 +380,19 @@ class TestTracing:
         assert run_node_name(specs[0]) in started
 
 
-    def test_traced_campaign_with_workers_stays_in_process(
-        self, tmp_path, monkeypatch
-    ):
+    def test_traced_campaign_with_workers_forks_a_pool(self, tmp_path, monkeypatch):
         import repro.experiments.parallel as parallel
         from repro.experiments.campaign import run_e1_campaign
         from repro.obs import read_trace, reconcile_trace
 
-        def _no_pool(workers):
-            raise AssertionError("a traced campaign must not start a pool")
+        pools = []
+        new_executor = parallel._new_executor
 
-        monkeypatch.setattr(parallel, "_new_executor", _no_pool)
+        def _counted(workers):
+            pools.append(workers)
+            return new_executor(workers)
+
+        monkeypatch.setattr(parallel, "_new_executor", _counted)
         trace = tmp_path / "trace.jsonl"
         config = CampaignConfig(
             cases_all=1, versions=("All",), workers=2, trace_path=str(trace)
@@ -391,7 +401,10 @@ class TestTracing:
             config, error_filter=lambda e: e.signal == "i" and e.signal_bit < 2
         )
         assert len(results) == 2
-        assert reconcile_trace(read_trace(trace), results.records) == []
+        assert pools == [2]
+        events = read_trace(trace)
+        assert [event.seq for event in events] == list(range(len(events)))
+        assert reconcile_trace(events, results.records) == []
 
     def test_trace_file_is_rewritten_by_a_rerun(self, tmp_path):
         from repro.obs import read_trace, reconcile_trace

@@ -15,8 +15,8 @@ from repro.experiments.campaign import CampaignConfig
 from repro.experiments.parallel import enumerate_e1_specs, execute_specs
 from repro.experiments.persistence import load_results
 from repro.obs import (
+    JSONLSink,
     MetricsRegistry,
-    NullSink,
     RingBufferSink,
     TraceBus,
     read_trace,
@@ -34,11 +34,17 @@ def _tiny_specs():
     return enumerate_e1_specs(TINY, _tiny_filter)
 
 
+def _traced(path, **kwargs):
+    """``execute_specs`` over the tiny slice, traced into the JSONL file *path*."""
+    with TraceBus([JSONLSink(path)]) as bus:
+        return execute_specs(_tiny_specs(), trace=bus, **kwargs)
+
+
 class TestEngineTracing:
     def test_serial_trace_reconciles_with_records(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         metrics = MetricsRegistry()
-        results = execute_specs(_tiny_specs(), trace=trace, metrics=metrics)
+        results = _traced(trace, metrics=metrics)
         # Tracing observes the runs without changing them.
         assert results.records == execute_specs(_tiny_specs()).records
 
@@ -49,14 +55,14 @@ class TestEngineTracing:
         assert metrics.counter("runs_total").value == len(results)
         assert metrics.gauge("campaign_runs_per_sec").value > 0
 
-    def test_pool_trace_merges_part_files_and_reconciles(self, tmp_path):
+    def test_pool_trace_is_one_reconciled_stream(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         metrics = MetricsRegistry()
-        results = execute_specs(
-            _tiny_specs(), workers=2, chunk_size=1, trace=trace, metrics=metrics
-        )
-        assert not list(tmp_path.glob("trace.jsonl.part*"))  # merged + removed
+        results = _traced(trace, workers=2, chunk_size=1, metrics=metrics)
+        assert [path.name for path in tmp_path.iterdir()] == ["trace.jsonl"]
         events = read_trace(trace)
+        # Workers' events are re-emitted through the one bus.
+        assert [event.seq for event in events] == list(range(len(events)))
         assert reconcile_trace(events, results.records) == []
         # per-chunk worker metrics were merged back into the dispatcher's registry
         assert metrics.counter("runs_total").value == len(results)
@@ -64,15 +70,15 @@ class TestEngineTracing:
     def test_pool_and_serial_traces_cover_same_runs(self, tmp_path):
         serial_trace = tmp_path / "serial.jsonl"
         pool_trace = tmp_path / "pool.jsonl"
-        execute_specs(_tiny_specs(), trace=serial_trace)
-        execute_specs(_tiny_specs(), workers=2, chunk_size=1, trace=pool_trace)
+        _traced(serial_trace)
+        _traced(pool_trace, workers=2, chunk_size=1)
 
         def run_events(path):
             by_run = {}
             for event in read_trace(path):
                 if event.run_id:
                     by_run.setdefault(event.run_id, []).append(
-                        (event.kind, event.time_ms)
+                        (event.kind, event.time_ms, event.data)
                     )
             return by_run
 
@@ -83,9 +89,10 @@ class TestEngineTracing:
         results = execute_specs(_tiny_specs()[:1], trace=TraceBus([buffer]))
         assert reconcile_trace(buffer.events, results.records) == []
 
-    def test_trace_bus_instance_rejected_with_pool(self):
-        with pytest.raises(ValueError, match="process-pool boundary"):
-            execute_specs(_tiny_specs(), workers=2, trace=TraceBus([NullSink()]))
+    def test_trace_path_is_refused_by_the_engine(self, tmp_path):
+        with pytest.raises(TypeError, match="TraceBus"):
+            execute_specs(_tiny_specs(), trace=tmp_path / "trace.jsonl")
+        assert not list(tmp_path.iterdir())
 
 
 class TestEventSchema:

@@ -203,24 +203,24 @@ class TestWedgedRunTracing:
         monkeypatch.setattr(CampaignController, "run_injection", crawling)
 
     def test_timeout_emits_trace_event_and_one_record(self, tmp_path, monkeypatch):
-        from repro.obs import read_trace, run_id_for
+        from repro.obs import RingBufferSink, TraceBus, reconcile_trace, run_id_for
 
         self._wedge_first_spec(monkeypatch)
         spec = _tiny_specs()[0]
-        trace = tmp_path / "trace.jsonl"
+        buffer = RingBufferSink()
         completed = []
         results = execute_specs(
-            [spec], timeout_s=0.05, trace=trace, on_complete=completed.extend
+            [spec], timeout_s=0.05, trace=TraceBus([buffer]), on_complete=completed.extend
         )
         assert results.records[0].wedged
         assert completed == results.records
 
-        events = [e for e in read_trace(trace) if e.kind == "run-timeout"]
-        assert len(events) == 1
-        assert events[0].run_id == run_id_for(
-            spec.version, spec.error_name, spec.mass_kg, spec.velocity_mps
-        )
-        assert events[0].data["timeout_ms"] == 50
+        # An aborted run's events are never built: lifecycle only.
+        run_id = run_id_for(spec.version, spec.error_name, spec.mass_kg, spec.velocity_mps)
+        events = [e for e in buffer.events if e.run_id == run_id]
+        assert [e.kind for e in events] == ["run-start", "run-timeout"]
+        assert events[1].data["timeout_ms"] == 50
+        assert reconcile_trace(buffer.events, results.records) == []
 
     def test_wedged_record_replays_from_the_node_store(self, tmp_path, monkeypatch):
         from repro.experiments.dag import run_campaign_graph

@@ -11,7 +11,8 @@ simulating it (:mod:`repro.injection.fic`).  These tests pin it:
 * count guards — a dead flip ticks no node and restores no snapshot, a
   serial E2 wave restores once per live run plus once per grid point
   for the recording, and a pooled one records in the parent;
-* gate — traced campaigns and E1 flips are never pruned.
+* gate — E1 flips are never pruned; a traced campaign prunes like an
+  untraced one.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ from repro.experiments.campaign import CampaignConfig
 from repro.experiments.dag import run_campaign_graph
 from repro.experiments.parallel import enumerate_e2_specs, execute_specs
 from repro.injection.fic import CampaignController
-from repro.obs import read_trace, reconcile_trace
+from repro.obs import RingBufferSink, TraceBus, reconcile_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.targets import snapshot as snapshots
 from repro.targets.base import Target
@@ -210,17 +211,21 @@ class TestCountGuards:
 
 
 class TestGate:
-    def test_traced_campaign_is_never_pruned(self, tmp_path):
-        specs = _e2_slice("tanklevel", 0)
-        untraced = execute_specs(specs)
-        trace = tmp_path / "trace.jsonl"
+    def test_traced_campaign_is_pruned_like_an_untraced_one(self):
+        specs = _e2_slice("tanklevel", _prefix_ms("tanklevel"))
+        untraced_metrics = MetricsRegistry()
+        untraced = execute_specs(specs, metrics=untraced_metrics)
+        snapshots.clear_cache()
+        buffer = RingBufferSink()
         metrics = MetricsRegistry()
-        traced = execute_specs(specs, trace=trace, metrics=metrics)
+        traced = execute_specs(specs, trace=TraceBus([buffer]), metrics=metrics)
         assert traced.records == untraced.records
-        assert "runs_pruned_total" not in metrics.snapshot()["counters"]
-        events = read_trace(trace)
+        pruned = metrics.counter("runs_pruned_total").value
+        assert pruned == untraced_metrics.counter("runs_pruned_total").value > 0
+        events = buffer.events
         assert reconcile_trace(events, traced.records) == []
-        # Every run was simulated: each one injected from tick 0 on.
+        # A pruned run's injections come from the schedule: every run
+        # injected from the late start on.
         injected = {e.run_id for e in events if e.kind == "injection"}
         assert injected == {e.run_id for e in events if e.kind == "run-start"}
 

@@ -106,19 +106,3 @@ class TestTraceBus:
         assert bus.emit("campaign", "campaign-end").kind == "campaign-end"
         assert bus.sinks == []
 
-
-class TestDisabledTracingContract:
-    """Publishers hold ``tracer=None``; the None check is the whole cost."""
-
-    def test_detection_log_tracer_defaults_to_none(self):
-        from repro.core.monitor import DetectionLog
-
-        assert DetectionLog().tracer is None
-
-    def test_injector_tracer_defaults_to_none(self):
-        from repro.arrestor.signals_map import MasterMemory
-        from repro.injection.errors import build_e1_error_set
-        from repro.injection.injector import TimeTriggeredInjector
-
-        error = build_e1_error_set(MasterMemory())[0]
-        assert TimeTriggeredInjector(error, period_ms=20).tracer is None

@@ -3,6 +3,8 @@
 import dataclasses
 from typing import Optional
 
+import pytest
+
 from repro.obs import TraceEvent, reconcile_trace, run_id_for
 
 
@@ -24,14 +26,18 @@ class FakeRecord:
 
 
 def _trace_for(record, detection_ms=(120.0,), first_injection_ms=100.0, seq=0):
-    """A minimal consistent trace for *record*."""
+    """A minimal consistent trace for *record*: one injection, its detections."""
     rid = record.run_id
+    injection_ms = () if first_injection_ms is None else (first_injection_ms,)
+    body = sorted(
+        [("injection", "injection", t) for t in injection_ms]
+        + [("monitor", "detection", t) for t in detection_ms],
+        key=lambda event: event[2],
+    )
     events = [TraceEvent("campaign", "run-start", run_id=rid, time_ms=0.0, seq=seq)]
-    for offset, time_ms in enumerate(detection_ms):
+    for offset, (subsystem, kind, time_ms) in enumerate(body):
         events.append(
-            TraceEvent(
-                "monitor", "detection", run_id=rid, time_ms=time_ms, seq=seq + 1 + offset
-            )
+            TraceEvent(subsystem, kind, run_id=rid, time_ms=time_ms, seq=seq + 1 + offset)
         )
     events.append(
         TraceEvent(
@@ -39,11 +45,13 @@ def _trace_for(record, detection_ms=(120.0,), first_injection_ms=100.0, seq=0):
             "run-end",
             run_id=rid,
             time_ms=500.0,
-            seq=seq + 1 + len(detection_ms),
+            seq=seq + 1 + len(body),
             data={
                 "detected": record.detected,
                 "wedged": record.wedged,
                 "first_injection_ms": first_injection_ms,
+                "detections": len(detection_ms),
+                "injections": len(injection_ms),
             },
         )
     )
@@ -73,10 +81,8 @@ class TestConsistentTraces:
         rid = record.run_id
         events = [
             TraceEvent("campaign", "run-start", run_id=rid, time_ms=0.0, seq=0),
-            # detections before the wall-clock abort are legitimate
-            TraceEvent("monitor", "detection", run_id=rid, time_ms=50.0, seq=1),
             TraceEvent(
-                "campaign", "run-timeout", run_id=rid, seq=2,
+                "campaign", "run-timeout", run_id=rid, seq=1,
                 data={"timeout_ms": 1000.0},
             ),
         ]
@@ -138,3 +144,35 @@ class TestDiscrepancies:
         orphan = FakeRecord(error_name="orphan")
         issues = reconcile_trace(_trace_for(orphan), [])
         assert any("missing from the result records" in issue for issue in issues)
+
+    def test_injection_count_differs_from_run_end(self):
+        record = FakeRecord()
+        events = _trace_for(record)
+        events[-1].data["injections"] = 2
+        issues = reconcile_trace(events, [record])
+        assert issues == [
+            f"{record.run_id}: run-end counts 2 injections but the trace has "
+            "1 injection events"
+        ]
+
+    def test_detection_count_differs_from_run_end(self):
+        record = FakeRecord(latency_ms=20.0)
+        events = _trace_for(record, detection_ms=(120.0, 480.0))
+        del events[-2]  # the second detection went missing
+        issues = reconcile_trace(events, [record])
+        assert issues == [
+            f"{record.run_id}: run-end counts 2 detections but the trace has "
+            "1 detection events"
+        ]
+
+    @pytest.mark.parametrize("kind", ("injection", "detection", "recovery"))
+    def test_timed_out_run_with_body_events(self, kind):
+        record = FakeRecord(detected=False, latency_ms=None, wedged=True)
+        rid = record.run_id
+        events = [
+            TraceEvent("campaign", "run-start", run_id=rid, time_ms=0.0, seq=0),
+            TraceEvent("monitor", kind, run_id=rid, time_ms=50.0, seq=1),
+            TraceEvent("campaign", "run-timeout", run_id=rid, seq=2),
+        ]
+        issues = reconcile_trace(events, [record])
+        assert issues == [f"{rid}: timed-out run carries 1 body events"]

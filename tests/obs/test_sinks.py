@@ -74,25 +74,6 @@ class TestJSONLSink:
             sink.emit(TraceEvent("campaign", "campaign-end"))
         assert [e.kind for e in read_trace(path)] == ["campaign-end"]
 
-    def test_write_raw_merges_part_file_text(self, tmp_path):
-        part = tmp_path / "trace.jsonl.part0"
-        with JSONLSink(part) as sink:
-            sink.emit(TraceEvent("monitor", "detection", seq=3))
-
-        main = tmp_path / "trace.jsonl"
-        with JSONLSink(main) as sink:
-            sink.write_raw(part.read_text(encoding="utf-8"))
-            sink.write_raw("")  # empty part: no-op
-        assert [e.seq for e in read_trace(main)] == [3]
-
-    def test_write_raw_adds_missing_trailing_newline(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        line = TraceEvent("monitor", "detection").to_json()
-        with JSONLSink(path) as sink:
-            sink.write_raw(line)  # no trailing newline
-            sink.write_raw(line + "\n")
-        assert len(read_trace(path)) == 2
-
     def test_rejects_unknown_mode(self, tmp_path):
         with pytest.raises(ValueError):
             JSONLSink(tmp_path / "t.jsonl", mode="r")

@@ -50,6 +50,28 @@ class TestProtocol:
         assert detections[0]["session"] == "s1"
         assert result["detected"]
 
+    @pytest.mark.parametrize("batch", (False, True))
+    def test_closed_outcomes_are_forgotten_and_ids_reopen(self, monkeypatch, batch):
+        import repro.serve.adapters as adapters
+
+        fleets = []
+
+        class RecordingFleet(adapters.Fleet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                fleets.append(self)
+
+        monkeypatch.setattr(adapters, "Fleet", RecordingFleet)
+        triple = [
+            json.dumps({"op": "open", "session": "s1", "target": "tanklevel"}),
+            json.dumps({"op": "frame", "session": "s1", "ticks": 10}),
+            json.dumps({"op": "close", "session": "s1", "complete": False}),
+        ]
+        _, replies = _run(triple * 20, FleetConfig(batch=batch))
+        results = [reply for reply in replies if reply.get("event") == "result"]
+        assert [result["duration_ms"] for result in results] == [10] * 20
+        assert fleets[0]._closed == {}
+
     def test_blank_lines_skipped(self):
         ops, replies = _run(["", "   ", "\n"])
         assert ops == 0
