@@ -78,10 +78,10 @@ graph-smoke:
 		tests/experiments/test_graph_campaign.py::TestGraphSmoke
 
 e1:
-	$(PYTHON) -m repro.experiments e1 --save results/e1.csv
+	PYTHONPATH=src $(PYTHON) -m repro.experiments e1 --save results/e1.csv
 
 e2:
-	$(PYTHON) -m repro.experiments e2 --save results/e2.csv
+	PYTHONPATH=src $(PYTHON) -m repro.experiments e2 --save results/e2.csv
 
 # The ablations beyond the paper's tables (EXPERIMENTS.md), through the
 # campaign graph; regenerates the committed results/ablations.{csv,txt}.
@@ -90,10 +90,10 @@ ablations:
 		--save results/ablations.csv > results/ablations.txt
 
 reference:
-	$(PYTHON) -m repro.experiments reference
+	PYTHONPATH=src $(PYTHON) -m repro.experiments reference
 
 examples:
-	for script in examples/*.py; do echo "== $$script"; $(PYTHON) $$script || exit 1; done
+	for script in examples/*.py; do echo "== $$script"; PYTHONPATH=src $(PYTHON) $$script || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

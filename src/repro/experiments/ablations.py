@@ -1,12 +1,12 @@
-"""The ablations beyond the paper's tables, run as campaign contexts.
+"""The ablations beyond the paper's tables, run as one multi-context campaign.
 
 Each ablation varies one thing the paper's campaigns hold fixed.  It is
-a short list of **contexts**: a spec list plus the run configuration its
-runs boot with.  Every context runs through the one campaign executor,
-:func:`repro.experiments.dag.run_campaign_graph`, one call per context,
-so the node store, the pool and snapshot fast-forward apply as for an
-E1/E2 campaign and a re-run against the same store replays every run.
-The four ablations, all on the arrestor's ``All`` version:
+a short list of named **contexts**, spec lists whose specs carry the
+varied run configuration, injection period or start.  All contexts run
+as one call of the campaign executor,
+:func:`repro.experiments.dag.run_campaign_graph` — one pool, one snapshot
+prewarm, one node-store pass — and a re-run against the same store
+replays every run.  The four ablations, all on the arrestor's ``All`` version:
 
 ``bit-position``
     detection per injected bit of mscnt (a counter) and SetValue (a
@@ -47,7 +47,7 @@ from repro.experiments.persistence import (
     encode_record,
     results_from_csv,
 )
-from repro.experiments.results import ResultSet, RunRecord
+from repro.experiments.results import ResultSet, RunRecord, canonical_key
 from repro.targets.base import TestCase
 from repro.targets.registry import get_target
 
@@ -81,21 +81,11 @@ _CASE = TestCase(14000.0, 55.0)
 
 @dataclasses.dataclass(frozen=True)
 class AblationContext:
-    """One campaign of an ablation: its specs and their run configuration.
-
-    The run configuration is checked against the target's own type at
-    construction, so a context built for another target fails here and
-    never inside a run or a worker.
-    """
+    """One named row group of an ablation: its specs, which carry their context."""
 
     ablation: str
     name: str
     specs: Tuple[RunSpec, ...]
-    run_config: Any = None
-
-    def __post_init__(self) -> None:
-        for target in sorted({spec.target for spec in self.specs}):
-            get_target(target).check_run_config(self.run_config)
 
 
 def _specs(
@@ -103,6 +93,7 @@ def _specs(
     case: TestCase = _CASE,
     period_ms: int = 20,
     start_ms: int = 0,
+    run_config: Any = None,
 ) -> Tuple[RunSpec, ...]:
     """E1 specs on the ``All`` version for ``(signal, bit)`` *probes*, one case."""
     errors = {
@@ -118,6 +109,7 @@ def _specs(
             period_ms,
             target=_TARGET,
             injection_start_ms=start_ms,
+            run_config=run_config,
         )
         for probe in probes
     )
@@ -128,16 +120,18 @@ def ablation_contexts() -> List[AblationContext]:
     from repro.arrestor.system import RunConfig
 
     bits = _specs([(s, b) for s in ("mscnt", "SetValue") for b in range(0, 16, 2)])
-    counters = _specs(
-        [("mscnt", 10), ("mscnt", 13), ("i", 1), ("pulscnt", 11), ("pulscnt", 13)],
-        start_ms=500,
-    )
-    set_value_msbs = _specs([("SetValue", bit) for bit in (12, 13, 14, 15)], start_ms=500)
+    counters = [("mscnt", 10), ("mscnt", 13), ("i", 1), ("pulscnt", 11), ("pulscnt", 13)]
+    set_value_msbs = [("SetValue", bit) for bit in (12, 13, 14, 15)]
     recovery = RunConfig(with_recovery=True)
+    guarded = RunConfig(with_recovery=True, slave_assertion=True)
     return [
         AblationContext("bit-position", "All", bits),
-        AblationContext("recovery", "detection-only", counters),
-        AblationContext("recovery", "detection+recovery", counters, recovery),
+        AblationContext("recovery", "detection-only", _specs(counters, start_ms=500)),
+        AblationContext(
+            "recovery",
+            "detection+recovery",
+            _specs(counters, start_ms=500, run_config=recovery),
+        ),
         *(
             AblationContext(
                 "injection-period",
@@ -146,12 +140,15 @@ def ablation_contexts() -> List[AblationContext]:
             )
             for period_ms in (7, 20, 200)
         ),
-        AblationContext("slave-assertion", "master-recovery-only", set_value_msbs, recovery),
+        AblationContext(
+            "slave-assertion",
+            "master-recovery-only",
+            _specs(set_value_msbs, start_ms=500, run_config=recovery),
+        ),
         AblationContext(
             "slave-assertion",
             "plus-slave-assertion",
-            set_value_msbs,
-            RunConfig(with_recovery=True, slave_assertion=True),
+            _specs(set_value_msbs, start_ms=500, run_config=guarded),
         ),
     ]
 
@@ -172,35 +169,28 @@ def run_ablations(
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> AblationRun:
-    """Run each context through the campaign graph, one call per context.
+    """Run every context in one campaign graph; a shared spec runs once.
 
-    A context's records come from its aggregate node, in canonical
-    order, so an executed and a replayed run read the same.  *progress*
-    hears ``(runs done, runs wanted)`` over all contexts.
+    A context's records are picked by canonical key from the aggregate
+    node of its specs' run context, in canonical order, so an executed
+    and a replayed run read the same.  *progress* hears ``(runs done,
+    runs wanted)``.
     """
     if contexts is None:
         contexts = ablation_contexts()
-    if store is not None and not isinstance(store, NodeStore):
-        store = NodeStore(store)
-    total = sum(len(context.specs) for context in contexts)
-    run = AblationRun(results={})
+    specs = list(dict.fromkeys(spec for context in contexts for spec in context.specs))
+    outcome = dag.run_campaign_graph(specs, workers=workers, store=store, progress=progress)
+    rows = [
+        (run_context, record)
+        for run_context, csv in outcome.aggregates.items()
+        for record in results_from_csv(csv).records
+    ]
+    counts = outcome.stats.by_kind.get("run", {})
+    run = AblationRun({}, counts.get("executed", 0), counts.get("cached", 0))
     for context in contexts:
-        done = run.executed + run.replayed
-        outcome = dag.run_campaign_graph(
-            context.specs,
-            run_config=context.run_config,
-            workers=workers,
-            store=store,
-            progress=None if progress is None else (
-                lambda n, _total, done=done: progress(done + n, total)
-            ),
-        )
-        run.results[(context.ablation, context.name)] = results_from_csv(
-            outcome.aggregate_csv
-        )
-        counts = outcome.stats.by_kind.get("run", {})
-        run.executed += counts.get("executed", 0)
-        run.replayed += counts.get("cached", 0)
+        wanted = {(spec.context, spec.key) for spec in context.specs}
+        picked = [r for c, r in rows if (c, canonical_key(r)) in wanted]
+        run.results[(context.ablation, context.name)] = ResultSet(picked).sorted()
     return run
 
 

@@ -190,7 +190,6 @@ def run_campaign_graph(
         )
     return dag.run_campaign_graph(
         enumerate(config, error_filter),
-        run_config=config.run_config,
         workers=config.workers,
         timeout_s=config.run_timeout_s,
         trace=config.trace_path,

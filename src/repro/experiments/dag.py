@@ -1,10 +1,12 @@
 """Campaigns expressed as a content-addressed task DAG.
 
-Every E1/E2 campaign runs through this module: it expresses the spec
-grid of :mod:`repro.experiments.parallel` as the dependency graph it
-really is, on the :mod:`repro.experiments.graph` runtime.  Every node
-is stored work; snapshot warm-up is not a node but part of running a
-wave (see :func:`~repro.experiments.parallel.execute_specs`):
+Every E1/E2 campaign and the ablations run through this module: it
+expresses a spec list of :mod:`repro.experiments.parallel` as the
+dependency graph it really is, on the :mod:`repro.experiments.graph`
+runtime.  A run is identified by its **context** and canonical key;
+the *i*-th context after the first suffixes its node names with ``@i``.
+Every node is stored work; snapshot warm-up is not a node but part of
+running a wave (see :func:`~repro.experiments.parallel.execute_specs`):
 
 ``run`` nodes
     One per :class:`~repro.experiments.parallel.RunSpec`.  Inputs are
@@ -12,10 +14,10 @@ wave (see :func:`~repro.experiments.parallel.execute_specs`):
     target's simulation sources, the run configuration and the
     injection start — :func:`context_fingerprint`), so editing
     fingerprinted code re-keys every run node while an unchanged
-    campaign replays entirely from the node store.  Ready run nodes
-    execute as one wave through the run-wave runner — serial loop,
-    chunked process pool, or vectorized batch kernels — via a group
-    runner wrapping :func:`~repro.experiments.parallel.execute_specs`
+    campaign replays entirely from the node store.  Ready run nodes of
+    every context execute as one wave through the run-wave runner —
+    serial loop, chunked process pool, or per-spec batch kernels — via
+    a group runner wrapping :func:`~repro.experiments.parallel.execute_specs`
     (their only execution path: run nodes carry no ``run`` callable),
     which reports every completed chunk as it arrives; the graph
     stores each one at once as one durable **pack** of run records (a
@@ -24,12 +26,12 @@ wave (see :func:`~repro.experiments.parallel.execute_specs`):
     campaign's only persistence: a campaign interrupted at any point
     and re-run against the same node store executes only the runs it
     had not finished.
-``aggregate`` node
-    Depends on every run node; its output is the canonical-order
-    campaign CSV (byte-stable regardless of execution or shard order).
+``aggregate`` nodes
+    One per context, over its run nodes; the output is the context's
+    canonical-order CSV (byte-stable regardless of execution or shard order).
 ``tables`` node
-    Depends on ``aggregate``; renders the paper-table artifact through
-    a caller-supplied renderer (keyed by the renderer's code
+    Depends on the first ``aggregate``; renders the paper-table artifact
+    through a caller-supplied renderer (keyed by the renderer's code
     fingerprint so a table-layout change re-renders without
     re-simulating).
 
@@ -58,14 +60,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.experiments.graph import (
     Graph,
     GraphStats,
-    GroupRunner,
     Node,
     NodeStore,
     shard_of,
 )
-from repro.experiments.parallel import RunSpec, execute_specs
+from repro.experiments.parallel import RunSpec, SpecContext, execute_specs
 from repro.experiments.persistence import decode_row, encode_record, results_to_csv
-from repro.experiments.results import ResultSet, RunRecord, canonical_key
+from repro.experiments.results import ResultSet, RunRecord
 from repro.targets.base import Target
 from repro.targets.registry import get_target
 
@@ -183,67 +184,74 @@ class GraphCampaignResult:
     #: order (shard runs carry only the shard's records).
     results: ResultSet
     stats: GraphStats
-    #: The aggregate node's canonical-order campaign CSV (None on shard
-    #: runs, which do not aggregate).
-    aggregate_csv: Optional[str] = None
+    #: Each context's canonical-order campaign CSV, in spec order (empty
+    #: on shard runs, which do not aggregate).
+    aggregates: Dict[SpecContext, str] = dataclasses.field(default_factory=dict)
     #: The tables node's rendered artifact (None when no renderer).
     tables: Optional[str] = None
     #: ``(index, count)`` when this was a shard run.
     shard: Optional[Tuple[int, int]] = None
 
+    @property
+    def aggregate_csv(self) -> Optional[str]:
+        """The first context's CSV (a one-context campaign's)."""
+        return next(iter(self.aggregates.values()), None)
+
 
 def build_campaign_graph(
     specs: Sequence[RunSpec],
-    run_config: Any = None,
     tables_renderer: Optional[TablesRenderer] = None,
     tables_fingerprint: str = "",
 ) -> Graph:
-    """The campaign DAG for *specs*: run -> aggregate -> tables.
+    """The campaign DAG for *specs*: run -> aggregate (per context) -> tables.
 
     Node keys are fully determined here (content addresses over inputs
     and dependency keys); nothing is executed.  Run nodes carry their
     :class:`RunSpec` as payload and no ``run`` callable: they execute
-    only through the run-wave group runner of :func:`run_campaign_graph`.
+    only through the run-wave group runner of :func:`run_campaign_graph`;
+    aggregate nodes carry their context.
     """
-    specs = list(specs)
     graph = Graph()
-    contexts: Dict[Tuple[str, int], str] = {}
-    run_names: List[str] = []
+    fingerprints: Dict[Tuple[str, Any, int], str] = {}
+    suffixes: Dict[SpecContext, str] = {}
+    members: Dict[SpecContext, List[RunSpec]] = {}
     for spec in specs:
-        ctx_key = (spec.target, spec.injection_start_ms)
-        if ctx_key not in contexts:
-            contexts[ctx_key] = context_fingerprint(
-                get_target(spec.target),
-                run_config,
-                injection_start_ms=spec.injection_start_ms,
+        target, run_config, _, start_ms = context = spec.context
+        # The first context keeps plain names, the i-th other one gets "@i".
+        suffix = suffixes.setdefault(context, f"@{len(suffixes)}" if suffixes else "")
+        members.setdefault(context, []).append(spec)
+        if (target, run_config, start_ms) not in fingerprints:
+            fingerprints[target, run_config, start_ms] = context_fingerprint(
+                get_target(target), run_config, injection_start_ms=start_ms
             )
-        name = run_node_name(spec)
         graph.add(
             Node(
-                name=name,
+                name=run_node_name(spec) + suffix,
                 kind="run",
-                inputs=_spec_inputs(spec, contexts[ctx_key]),
+                inputs=_spec_inputs(spec, fingerprints[target, run_config, start_ms]),
                 payload=spec,
             )
         )
-        run_names.append(name)
 
     def _aggregate(deps: Mapping[str, Any]) -> str:
-        records = [decode_row(list(deps[name])) for name in run_names]
+        records = [decode_row(list(output)) for output in deps.values()]
         return results_to_csv(ResultSet(records).sorted())
 
-    graph.add(
-        Node(
-            name=AGGREGATE_NODE,
-            kind="aggregate",
-            run=_aggregate,
-            inputs={
-                "experiments": ",".join(sorted({s.experiment for s in specs})),
-                "records": str(len(specs)),
-            },
-            deps=tuple(run_names),
+    # An empty campaign still aggregates (to a header-only CSV).
+    for context, context_specs in (members or {None: []}).items():
+        graph.add(
+            Node(
+                name=AGGREGATE_NODE + suffixes.get(context, ""),
+                kind="aggregate",
+                run=_aggregate,
+                inputs={
+                    "experiments": ",".join(sorted({s.experiment for s in context_specs})),
+                    "records": str(len(context_specs)),
+                },
+                deps=tuple(run_node_name(s) + suffixes[context] for s in context_specs),
+                payload=context,
+            )
         )
-    )
     if tables_renderer is not None:
         def _tables(deps: Mapping[str, Any]) -> str:
             from repro.experiments.persistence import results_from_csv
@@ -284,7 +292,6 @@ def _parse_shard(shard: Optional[Union[str, Tuple[int, int]]]) -> Optional[Tuple
 
 def run_campaign_graph(
     specs: Sequence[RunSpec],
-    run_config: Any = None,
     workers: int = 1,
     timeout_s: Optional[float] = None,
     trace: Any = None,
@@ -302,7 +309,8 @@ def run_campaign_graph(
 
     Record-for-record equivalent to ``execute_specs(specs, ...)``: the
     returned :attr:`~GraphCampaignResult.results` is in spec-enumeration
-    order whatever executed, replayed, or ran on how many workers.
+    order whatever executed, replayed, or ran on how many workers.  The
+    runs of every context execute as one wave.
 
     *store* (a directory path or :class:`NodeStore`) enables per-node
     memoization: each completed chunk of runs is stored as one pack as
@@ -333,7 +341,6 @@ def run_campaign_graph(
     )
     graph = build_campaign_graph(
         specs,
-        run_config=run_config,
         tables_renderer=tables_renderer,
         tables_fingerprint=tables_fingerprint,
     )
@@ -350,16 +357,10 @@ def run_campaign_graph(
             sink = JSONLSink(trace, mode="w")
             tracer = TraceBus([sink])
 
-    spec_names = [run_node_name(spec) for spec in specs]
-    if shard_spec is None:
-        wanted = None
-        wanted_names = spec_names
-    else:
+    wanted_names = [node.name for node in graph.nodes() if node.kind == "run"]
+    if shard_spec is not None:
         index, count = shard_spec
-        wanted_names = [
-            name for name in spec_names if shard_of(graph.key(name), count) == index
-        ]
-        wanted = wanted_names
+        wanted_names = [n for n in wanted_names if shard_of(graph.key(n), count) == index]
 
     total = len(wanted_names)
     stats = GraphStats()
@@ -376,10 +377,10 @@ def run_campaign_graph(
         _dep_outputs: Mapping[str, Mapping[str, Any]],
         complete: Callable[[Mapping[str, Any]], None],
     ) -> None:
-        names = {node.payload.key: node.name for node in nodes}
+        names = {node.payload: node.name for node in nodes}
 
-        def _on_complete(records: Sequence[RunRecord]) -> None:
-            chunk = {names[canonical_key(record)]: record for record in records}
+        def _on_complete(pairs: Sequence[Tuple[RunSpec, RunRecord]]) -> None:
+            chunk = {names[spec]: record for spec, record in pairs}
             executed.update(chunk)
             complete({name: encode_record(record) for name, record in chunk.items()})
             if progress is not None:
@@ -387,7 +388,6 @@ def run_campaign_graph(
 
         execute_specs(
             [node.payload for node in nodes],
-            run_config=run_config,
             workers=workers,
             timeout_s=timeout_s,
             trace=tracer,
@@ -397,15 +397,14 @@ def run_campaign_graph(
             on_complete=_on_complete,
         )
 
-    runners: Dict[str, GroupRunner] = {"run": _runner}
     try:
         outputs = graph.execute(
             store=node_store,
-            wanted=wanted,
+            wanted=None if shard_spec is None else wanted_names,
             force=force,
             tracer=tracer,
             metrics=metrics,
-            runners=runners,
+            runners={"run": _runner},
             stats=stats,
         )
     finally:
@@ -427,7 +426,11 @@ def run_campaign_graph(
     return GraphCampaignResult(
         results=ResultSet(records),
         stats=stats,
-        aggregate_csv=outputs.get(AGGREGATE_NODE),
+        aggregates={
+            node.payload: outputs[node.name]
+            for node in graph.nodes()
+            if node.kind == "aggregate" and node.name in outputs
+        },
         tables=outputs.get(TABLES_NODE),
         shard=shard_spec,
     )

@@ -5,8 +5,8 @@ serially in one Python process, the full-scale campaign takes hours.
 This module turns a campaign into
 
 1. a deterministic enumeration of **run specs** — self-describing
-   (version, error, test-case) triples carrying everything a worker
-   needs to execute one run;
+   (version, error, test-case) triples with their context, carrying
+   everything a worker needs to execute one run;
 2. a **run-wave runner** that executes specs serially, in chunks on a
    process pool, or through a target's vectorized batch kernel (each
    run still gets a pristine system — by default restored from a warm
@@ -41,7 +41,7 @@ chunk completes, so ``seq`` runs over the whole trace and a failed,
 retried chunk contributes nothing twice.
 
 Equivalence guarantee.  The final :class:`ResultSet` is assembled in
-spec-enumeration order from a key-indexed map, so a parallel campaign
+spec-enumeration order from a spec-indexed map, so a parallel campaign
 yields record-for-record the same result set as the serial loop,
 regardless of completion order.  With ``workers=1`` (or when
 multiprocessing is unavailable) the engine degrades to an in-process
@@ -56,10 +56,11 @@ import signal
 import threading
 import time
 import warnings
+from collections import Counter
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.results import ResultSet, RunRecord, canonical_key, flatten_record
+from repro.experiments.results import ResultSet, RunRecord, flatten_record
 from repro.experiments.testcases import select_spread
 from repro.injection.errors import ErrorSpec
 from repro.injection.fic import CampaignController, ExperimentRecord, record_run_metrics
@@ -72,6 +73,7 @@ from repro.obs.sinks import RingBufferSink
 
 __all__ = [
     "RunSpec",
+    "SpecContext",
     "SpecKey",
     "CampaignExecutionError",
     "enumerate_e1_specs",
@@ -79,13 +81,16 @@ __all__ = [
     "execute_specs",
 ]
 
-#: The identity of one run: (version, error name, mass, velocity).
+#: The identity of one run in its context: (version, error name, mass, velocity).
 SpecKey = Tuple[str, str, float, float]
+
+#: A run's context: (target, run config, injection period, injection start).
+SpecContext = Tuple[str, Any, int, int]
 
 ProgressHook = Callable[[int, int], None]
 
-#: Receives each completed chunk's records as they arrive.
-CompletionHook = Callable[[Sequence[RunRecord]], None]
+#: Receives each completed chunk's ``(spec, record)`` pairs as they arrive.
+CompletionHook = Callable[[Sequence[Tuple["RunSpec", RunRecord]]], None]
 
 #: Chunks that fail (worker crash, pickling error, broken pool) are
 #: retried at most this many times before the campaign aborts.
@@ -101,7 +106,7 @@ class RunSpec:
     """One run of the grid, self-describing and cheap to pickle.
 
     A spec carries the flattened :class:`ErrorSpec` fields, the test
-    case and the injection period, so a worker process can rebuild the
+    case and its whole context, so a worker process can rebuild the
     exact experiment without sharing any state with the dispatcher.
     """
 
@@ -116,17 +121,28 @@ class RunSpec:
     mass_kg: float
     velocity_mps: float
     injection_period_ms: int
-    #: Registered workload the spec runs against; defaults to the
-    #: arrestor so pre-target-layer pickles and call sites stay valid.
+    #: Registered workload the spec runs against.
     target: str = DEFAULT_TARGET
     #: Sim-time (ms) of the earliest injection; runs with a positive
     #: start share a fault-free prefix the snapshot layer fast-forwards.
     injection_start_ms: int = 0
+    #: The target's run configuration, checked against the target here,
+    #: never in a worker or a kernel; ``None`` selects its defaults.
+    run_config: Any = None
+
+    def __post_init__(self) -> None:
+        get_target(self.target).check_run_config(self.run_config)
 
     @property
     def key(self) -> SpecKey:
-        """Identity key; matches :func:`canonical_key` of the record."""
+        """Identity in a context; matches :func:`canonical_key` of the record."""
         return (self.version, self.error_name, self.mass_kg, self.velocity_mps)
+
+    @property
+    def context(self) -> SpecContext:
+        """``(target, run config, injection period, injection start)``."""
+        return (self.target, self.run_config, self.injection_period_ms,
+                self.injection_start_ms)
 
     def error_spec(self) -> ErrorSpec:
         return ErrorSpec(
@@ -151,6 +167,7 @@ class RunSpec:
         injection_period_ms: int,
         target: str = DEFAULT_TARGET,
         injection_start_ms: int = 0,
+        run_config: Any = None,
     ) -> "RunSpec":
         return cls(
             experiment=experiment,
@@ -166,6 +183,7 @@ class RunSpec:
             injection_period_ms=injection_period_ms,
             target=target,
             injection_start_ms=injection_start_ms,
+            run_config=run_config,
         )
 
 
@@ -200,6 +218,7 @@ def enumerate_e1_specs(config, error_filter: Optional[Callable] = None) -> List[
                         config.injection_period_ms,
                         target=target.name,
                         injection_start_ms=start_ms,
+                        run_config=getattr(config, "run_config", None),
                     )
                 )
     return specs
@@ -222,6 +241,7 @@ def enumerate_e2_specs(config, error_filter: Optional[Callable] = None) -> List[
             config.injection_period_ms,
             target=target.name,
             injection_start_ms=start_ms,
+            run_config=getattr(config, "run_config", None),
         )
         for error in errors
         for case in cases
@@ -266,7 +286,6 @@ def _wall_clock_limit(seconds: Optional[float]):
 
 def _execute_one(
     spec: RunSpec,
-    run_config,
     timeout_s: Optional[float],
     tracer: Optional[TraceBus] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -281,7 +300,7 @@ def _execute_one(
     controller = CampaignController(
         injection_period_ms=spec.injection_period_ms,
         injection_start_ms=spec.injection_start_ms,
-        run_config=run_config,
+        run_config=spec.run_config,
         tracer=tracer,
         metrics=metrics,
         target=spec.target,
@@ -306,12 +325,12 @@ def _run_chunk(payload) -> Tuple[List[RunRecord], Optional[dict], list]:
     the dispatcher to re-emit; with metrics on, a fresh per-chunk
     registry travels back as an additive snapshot.
     """
-    specs, run_config, timeout_s, traced, metrics_enabled, snapshots = payload
+    specs, timeout_s, traced, metrics_enabled, snapshots = payload
     registry = MetricsRegistry() if metrics_enabled else None
     buffer = RingBufferSink()
     tracer = TraceBus([buffer]) if traced else None
     records = [
-        _execute_one(spec, run_config, timeout_s, tracer, registry, snapshots)
+        _execute_one(spec, timeout_s, tracer, registry, snapshots)
         for spec in specs
     ]
     return records, registry.snapshot() if registry is not None else None, buffer.events
@@ -320,25 +339,19 @@ def _run_chunk(payload) -> Tuple[List[RunRecord], Optional[dict], list]:
 # -- batch (vectorized) execution -------------------------------------------
 
 
-def _split_batchable(
-    pending: Sequence[RunSpec], run_config
-) -> Tuple[List[RunSpec], List[RunSpec]]:
+def _split_batchable(pending: Sequence[RunSpec]) -> Tuple[List[RunSpec], List[RunSpec]]:
     """Partition *pending* into (batchable, serial) spec lists, in order.
 
-    A spec is batchable when the kernels model it (``kernel_eligible``)
-    and it flips a RAM signal.  A non-default *run_config* changes the
-    simulated window/semantics in
-    target-specific ways the kernels do not model, so it forces the
-    whole campaign serial.
+    A spec is batchable when it flips a RAM signal the kernels model
+    (``kernel_eligible``) under the target's default run configuration.
     """
-    if run_config is not None:
-        return [], list(pending)
     from repro.targets.batch.core import kernel_eligible
 
     batchable: List[RunSpec] = []
     rest: List[RunSpec] = []
     for spec in pending:
-        if spec.area == "ram" and kernel_eligible(get_target(spec.target), spec):
+        modelled = spec.run_config is None and spec.area == "ram"
+        if modelled and kernel_eligible(get_target(spec.target), spec):
             batchable.append(spec)
         else:
             rest.append(spec)
@@ -403,7 +416,6 @@ def _default_chunk_size(pending: int, workers: int) -> int:
 
 def execute_specs(
     specs: Sequence[RunSpec],
-    run_config=None,
     workers: int = 1,
     progress: Optional[ProgressHook] = None,
     timeout_s: Optional[float] = None,
@@ -419,10 +431,12 @@ def execute_specs(
 
     The returned :class:`ResultSet` is in spec-enumeration order whatever
     the execution order, so ``workers=N`` is record-for-record equivalent
-    to ``workers=1``.  *on_complete* receives each completed chunk's
-    records as they arrive (one record at a time on the serial path),
-    before *progress* hears about them — the campaign graph stores them
-    there, so an interrupted wave keeps every chunk it finished.
+    to ``workers=1``.  The specs may mix contexts; two with the same
+    context and :attr:`RunSpec.key` are refused.  *on_complete* receives
+    each completed chunk's ``(spec, record)`` pairs as they arrive (one
+    run at a time on the serial path), before *progress* hears about
+    them — the campaign graph stores them there, so an interrupted wave
+    keeps every chunk it finished.
     *snapshots* opts in/out of warm-target snapshot reuse (``None``
     follows the ``REPRO_SNAPSHOTS`` default); with a pool, the parent
     pre-warms the snapshot cache for every distinct grid point before
@@ -431,7 +445,8 @@ def execute_specs(
     *trace* is a :class:`~repro.obs.TraceBus` receiving every run's
     events, serial or pooled (workers' events are re-emitted through it
     as chunks finish; :func:`~repro.experiments.dag.run_campaign_graph`
-    also takes a JSONL path).  *metrics* is a
+    also takes a JSONL path); events name their run by its key, so a
+    traced call refuses a key shared across contexts.  *metrics* is a
     :class:`~repro.obs.MetricsRegistry` the campaign updates in place
     (worker registries are merged in as chunks finish).
 
@@ -443,7 +458,7 @@ def execute_specs(
     by the equivalence suite — and tracing forces the serial path (with
     a warning).  Every spec a batched campaign leaves serial counts in
     ``runs_fallback_total{strategy="batch",reason}``: ``tracer``,
-    ``run_config`` (a non-default run configuration) or ``spec`` (E2
+    ``run_config`` (the spec's is not the default) or ``spec`` (E2
     raw-address and stack errors, and any flip the kernels do not model).
     """
     if workers < 1:
@@ -456,9 +471,11 @@ def execute_specs(
             "(run_campaign_graph takes a JSONL path)"
         )
     specs = list(specs)
-    if len({spec.key for spec in specs}) != len(specs):
-        raise ValueError("duplicate run specs: (version, error, case) must be unique")
-    by_key: Dict[SpecKey, RunRecord] = {}
+    if len({(spec.context, spec.key) for spec in specs}) != len(specs):
+        raise ValueError("duplicate run specs: one run per (context, version, error, case)")
+    if trace is not None and len({spec.key for spec in specs}) != len(specs):
+        raise ValueError("a traced campaign needs one run id per (version, error, case)")
+    by_spec: Dict[RunSpec, RunRecord] = {}
     pending = specs
     total = len(specs)
     done = 0
@@ -474,24 +491,24 @@ def execute_specs(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            reason = "tracer"
+            reasons = ["tracer"] * len(pending)
         else:
-            batch_specs, pending = _split_batchable(pending, run_config)
-            reason = "spec" if run_config is None else "run_config"
-        if metrics is not None and pending:
-            metrics.counter("runs_fallback_total", strategy="batch", reason=reason).inc(
-                len(pending)
-            )
+            batch_specs, pending = _split_batchable(pending)
+            reasons = ["spec" if s.run_config is None else "run_config" for s in pending]
+        if metrics is not None:
+            for reason, count in Counter(reasons).items():
+                metrics.counter(
+                    "runs_fallback_total", strategy="batch", reason=reason
+                ).inc(count)
 
     use_pool = workers > 1 and pending and _multiprocessing_usable()
 
-    def _complete(chunk_records: Sequence[RunRecord]) -> None:
+    def _complete(chunk: Sequence[Tuple[RunSpec, RunRecord]]) -> None:
         nonlocal done
-        for record in chunk_records:
-            by_key[canonical_key(record)] = record
-        done += len(chunk_records)
+        by_spec.update(chunk)
+        done += len(chunk)
         if on_complete is not None:
-            on_complete(chunk_records)
+            on_complete(chunk)
         if progress is not None:
             progress(done, total)
 
@@ -508,7 +525,7 @@ def execute_specs(
         )
 
     if use_pool:
-        warmed = _prewarm_pool_snapshots(pending, run_config, snapshots)
+        warmed = _prewarm_pool_snapshots(pending, snapshots)
         if warmed and trace is not None:
             trace.emit("campaign", "snapshot-prewarm", count=warmed)
 
@@ -517,16 +534,14 @@ def execute_specs(
         for spec in batch_specs:
             groups.setdefault(spec.target, []).append(spec)
         for group in groups.values():
-            _complete(_execute_batch_group(group, metrics))
+            _complete(list(zip(group, _execute_batch_group(group, metrics))))
     if not use_pool:
         for spec in pending:
-            _complete(
-                [_execute_one(spec, run_config, timeout_s, trace, metrics, snapshots)]
-            )
+            record = _execute_one(spec, timeout_s, trace, metrics, snapshots)
+            _complete([(spec, record)])
     else:
         _run_pool(
             pending,
-            run_config,
             min(workers, len(pending)),
             timeout_s,
             chunk_size,
@@ -551,16 +566,14 @@ def execute_specs(
             seconds=round(elapsed, 3),
         )
 
-    return ResultSet(by_key[spec.key] for spec in specs)
+    return ResultSet(by_spec[spec] for spec in specs)
 
 
-def _prewarm_pool_snapshots(
-    pending: Sequence[RunSpec], run_config, snapshots: Optional[bool]
-) -> int:
+def _prewarm_pool_snapshots(pending: Sequence[RunSpec], snapshots: Optional[bool]) -> int:
     """Warm the parent's snapshot cache before the pool forks.
 
     Forked workers inherit the parent's address space, so every distinct
-    (target, version, case, prefix) snapshot built here is shared by all
+    (target, config, version, case, prefix) snapshot built here is shared by all
     workers for free — without this, each worker re-simulates the same
     fault-free prefixes.  Grid points with signal-less (E2) specs also
     get their read-logged fault-free continuation, from which workers
@@ -574,8 +587,8 @@ def _prewarm_pool_snapshots(
     points: Dict[Tuple, RunSpec] = {}
     reading = set()
     for spec in pending:
-        point = (spec.target, spec.version, spec.mass_kg, spec.velocity_mps,
-                 spec.injection_start_ms)
+        point = (spec.target, spec.run_config, spec.version, spec.mass_kg,
+                 spec.velocity_mps, spec.injection_start_ms)
         points.setdefault(point, spec)
         if spec.signal is None:
             reading.add(point)
@@ -586,12 +599,12 @@ def _prewarm_pool_snapshots(
         case = spec.test_case()
         if point in reading:
             snapshots_mod.fault_free_run(
-                target, case, spec.version, spec.injection_start_ms, run_config,
+                target, case, spec.version, spec.injection_start_ms, spec.run_config,
                 record_reads=True,
             )
         else:
             snapshots_mod.prewarm(
-                target, case, spec.version, spec.injection_start_ms, run_config
+                target, case, spec.version, spec.injection_start_ms, spec.run_config
             )
         warmed += 1
     return warmed
@@ -599,12 +612,11 @@ def _prewarm_pool_snapshots(
 
 def _run_pool(
     pending: Sequence[RunSpec],
-    run_config,
     workers: int,
     timeout_s: Optional[float],
     chunk_size: Optional[int],
     max_attempts: int,
-    complete: Callable[[Sequence[RunRecord]], None],
+    complete: CompletionHook,
     tracer: Optional[TraceBus] = None,
     metrics: Optional[MetricsRegistry] = None,
     snapshots: Optional[bool] = None,
@@ -613,22 +625,19 @@ def _run_pool(
     attempts = {index: 0 for index in range(len(chunks))}
 
     def _payload(index: int):
-        return (
-            chunks[index],
-            run_config,
-            timeout_s,
-            tracer is not None,
-            metrics is not None,
-            snapshots,
-        )
+        return (chunks[index], timeout_s, tracer is not None, metrics is not None, snapshots)
 
-    def _note_retry(index: int, exc: BaseException) -> None:
+    def _retry(index: int, exc: BaseException) -> None:
+        """Charge chunk *index* an attempt; give up after the last one."""
+        attempts[index] += 1
+        if attempts[index] >= max_attempts:
+            raise CampaignExecutionError(
+                f"chunk {index} ({len(chunks[index])} runs) failed "
+                f"{attempts[index]} times; giving up: {exc!r}"
+            ) from exc
         if tracer is not None:
             tracer.emit(
-                "campaign",
-                "chunk-retry",
-                chunk=index,
-                attempt=attempts[index],
+                "campaign", "chunk-retry", chunk=index, attempt=attempts[index],
                 error=repr(exc),
             )
         if metrics is not None:
@@ -652,13 +661,7 @@ def _run_pool(
                     # The pool itself died (a worker was killed): every
                     # outstanding future is void.  Rebuild the pool and
                     # resubmit, charging an attempt to the chunk at hand.
-                    attempts[index] += 1
-                    if attempts[index] >= max_attempts:
-                        raise CampaignExecutionError(
-                            f"chunk {index} ({len(chunks[index])} runs) failed "
-                            f"{attempts[index]} times; giving up: {exc!r}"
-                        ) from exc
-                    _note_retry(index, exc)
+                    _retry(index, exc)
                     outstanding = [index] + list(futures.values())
                     executor.shutdown(wait=False)
                     executor = _new_executor(workers)
@@ -668,13 +671,7 @@ def _run_pool(
                     }
                     break
                 except Exception as exc:
-                    attempts[index] += 1
-                    if attempts[index] >= max_attempts:
-                        raise CampaignExecutionError(
-                            f"chunk {index} ({len(chunks[index])} runs) failed "
-                            f"{attempts[index]} times; giving up: {exc!r}"
-                        ) from exc
-                    _note_retry(index, exc)
+                    _retry(index, exc)
                     futures[executor.submit(_run_chunk, _payload(index))] = index
                 else:
                     for event in events:
@@ -685,7 +682,7 @@ def _run_pool(
                             run_id=event.run_id,
                             **event.data,
                         )
-                    complete(records)
+                    complete(list(zip(chunks[index], records)))
                     if metrics is not None and snapshot is not None:
                         metrics.merge(snapshot)
     finally:

@@ -186,9 +186,11 @@ class CampaignController:
 
     ``snapshots`` opts a controller in or out of warm-target snapshot
     reuse; ``None`` follows the session default (``REPRO_SNAPSHOTS``).
-    Snapshot reuse silently disables itself when the target does not
-    support it or a custom ``classifier`` instance is supplied (its
-    identity cannot key a shared cache).
+    Snapshot reuse disables itself when the target does not support it
+    or a custom ``classifier`` instance is supplied (its identity cannot
+    key a shared cache); each run such a classifier sends down the cold
+    path counts in
+    ``runs_fallback_total{strategy="snapshot",reason="classifier"}``.
     """
 
     def __init__(
@@ -279,6 +281,11 @@ class CampaignController:
         if metrics is None:
             return
         record_run_metrics(metrics, result)
+        bypass = self.snapshots and self.classifier is not None
+        if bypass and self.target.supports_snapshots():
+            metrics.counter(
+                "runs_fallback_total", strategy="snapshot", reason="classifier"
+            ).inc()
         first_injection = result.first_injection_ms
         seen = set()
         for event in detection_events:

@@ -11,13 +11,11 @@ import pytest
 
 from repro.experiments import ablations
 from repro.experiments.ablations import (
-    AblationContext,
     ablation_contexts,
     ablations_from_csv,
     ablations_to_csv,
     render_ablations,
 )
-from repro.targets.tanklevel import TankRunConfig
 
 RESULTS = Path(__file__).resolve().parents[2] / "results" / "ablations.csv"
 
@@ -46,12 +44,6 @@ def test_csv_round_trips(committed):
     assert ablations_from_csv(ablations_to_csv(committed)) == committed
     with pytest.raises(ValueError, match="header"):
         ablations_from_csv("error_name,signal\n")
-
-
-def test_context_rejects_another_targets_run_config():
-    spec = ablation_contexts()[0].specs[0]
-    with pytest.raises(TypeError, match="arrestor expects a RunConfig"):
-        AblationContext("recovery", "tank config", (spec,), TankRunConfig())
 
 
 def test_bit_position_counter_catches_every_bit_continuous_misses_low_bits(committed):
@@ -102,3 +94,31 @@ def test_cli_rerun_against_its_store_executes_no_run(monkeypatch, tmp_path, caps
     table = render_ablations(ablations_from_csv(saved.read_text(encoding="utf-8")))
     assert cold.endswith(table + "\n") and warm.endswith(table + "\n")
     assert "period 200 ms: detected, first latency 3600 ms" in table
+
+
+def test_every_context_runs_in_one_graph_call(monkeypatch, committed):
+    """Contexts sharing a run context share its aggregate; rows are picked by key."""
+    from repro.experiments import dag
+
+    chosen = {
+        ("recovery", "detection+recovery"),
+        ("slave-assertion", "master-recovery-only"),
+        *(("injection-period", f"{period} ms") for period in (7, 20, 200)),
+    }
+    contexts = [c for c in ablation_contexts() if (c.ablation, c.name) in chosen]
+    assert len({spec.context for c in contexts for spec in c.specs}) == 4
+    calls = []
+    run_campaign_graph = dag.run_campaign_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_campaign_graph(*args, **kwargs)
+
+    monkeypatch.setattr(ablations, "ablation_contexts", lambda: contexts)
+    monkeypatch.setattr(dag, "run_campaign_graph", counted)
+    run = ablations.run_ablations()
+    assert len(calls) == 1
+    assert (run.executed, run.replayed) == (12, 0)
+    assert list(run.results) == [(c.ablation, c.name) for c in contexts]
+    for key, records in run.results.items():
+        assert records == committed[key], key

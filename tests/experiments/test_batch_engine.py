@@ -128,12 +128,41 @@ def test_fallback_counts_specs_the_kernels_do_not_model():
 def test_fallback_counts_a_run_config():
     from repro.targets.tanklevel.system import TankRunConfig
 
-    specs = _specs()[:3]
+    specs = _specs(run_config=TankRunConfig())[:3]
     metrics = MetricsRegistry()
-    execute_specs(specs, run_config=TankRunConfig(), batch=True, metrics=metrics)
+    execute_specs(specs, batch=True, metrics=metrics)
     assert _fallbacks(metrics) == {
         "runs_fallback_total{reason=run_config,strategy=batch}": 3
     }
+
+
+def test_batch_eligibility_is_decided_per_spec(monkeypatch):
+    """Default-config specs batch beside the same errors under a run config."""
+    from repro.targets.registry import get_target
+    from repro.targets.tanklevel.system import TankRunConfig
+
+    defaults = _specs()[:6]
+    configured = _specs(run_config=TankRunConfig(observe_ms=4500))[:6]
+    wave = defaults + configured
+    serial = execute_specs(wave)
+    assert {r.duration_ms for r in serial.records} == {5000, 4500}
+
+    batched = []
+    target = get_target("tanklevel")
+    run_batch = target.run_batch
+
+    def recording(specs):
+        batched.extend(specs)
+        return run_batch(specs)
+
+    monkeypatch.setattr(target, "run_batch", recording)
+    metrics = MetricsRegistry()
+    results = execute_specs(wave, batch=True, metrics=metrics)
+    assert batched == defaults
+    assert _fallbacks(metrics) == {
+        "runs_fallback_total{reason=run_config,strategy=batch}": len(configured)
+    }
+    assert results.records == serial.records
 
 
 def test_fallback_counts_a_tracer(tmp_path):

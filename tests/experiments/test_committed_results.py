@@ -107,7 +107,7 @@ def test_ablation_slice_reproduces_committed_rows():
         RESULTS.with_name("ablations.csv").read_text(encoding="utf-8")
     )
     context = next(c for c in ablation_contexts() if c.name == "detection+recovery")
-    assert context.run_config is not None
+    assert all(spec.run_config is not None for spec in context.specs)
     key = (context.ablation, context.name)
     rows = [encode_record(r) for r in run_ablations([context]).results[key].records]
     assert rows == [encode_record(r) for r in committed[key].records]

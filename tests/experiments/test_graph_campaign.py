@@ -153,8 +153,9 @@ class TestReplay:
         outcome = run_campaign_graph(changed, store=store)
         assert outcome.stats.by_kind["run"]["executed"] == 1
         assert outcome.stats.by_kind["run"]["cached"] == len(specs) - 1
-        # Aggregation depends on every run, so it re-executed too.
-        assert outcome.stats.by_kind["aggregate"]["executed"] == 1
+        # A new period is a new context with its own aggregate, and the
+        # other runs' aggregate lost a run: both re-execute.
+        assert outcome.stats.by_kind["aggregate"]["executed"] == 2
 
     def test_force_re_executes_everything(self, tmp_path):
         specs = _slice_specs("arrestor", errors=1)
@@ -243,13 +244,15 @@ class TestKeyDerivation:
             specs[:index] + [mutated] + specs[index + 1 :]
         )
         changed_keys = changed_graph.keys()
-        flipped_name = run_node_name(specs[index])
-        for spec in specs:
-            node_name = run_node_name(spec)
-            if node_name == flipped_name:
-                assert changed_keys[node_name] != base_keys[node_name]
-            else:
-                assert changed_keys[node_name] == base_keys[node_name]
+        # A new period moves the run into a context of its own, renaming
+        # that context's nodes; keys follow the runs, not the names.
+        base_runs = {n.payload: base_keys[n.name] for n in base_graph.nodes() if n.kind == "run"}
+        changed_runs = {
+            n.payload: changed_keys[n.name] for n in changed_graph.nodes() if n.kind == "run"
+        }
+        assert changed_runs[mutated] != base_runs[specs[index]]
+        for spec in specs[:index] + specs[index + 1 :]:
+            assert changed_runs[spec] == base_runs[spec]
         assert changed_keys[AGGREGATE_NODE] != base_keys[AGGREGATE_NODE]
 
     def test_graph_holds_only_stored_work(self):
@@ -267,6 +270,48 @@ class TestKeyDerivation:
         assert build_campaign_graph(specs).keys() == build_campaign_graph(
             specs
         ).keys()
+
+
+class TestContexts:
+    """Several contexts in one graph: each run keyed as if its context ran alone."""
+
+    def _contexts(self):
+        from repro.targets.tanklevel.system import TankRunConfig
+
+        base = _slice_specs("tanklevel", errors=2, versions=("All",))
+        return [
+            base,
+            [dataclasses.replace(s, run_config=TankRunConfig(observe_ms=4500)) for s in base],
+            [dataclasses.replace(s, injection_period_ms=7) for s in base],
+        ]
+
+    def test_run_and_aggregate_keys_match_one_context_graphs(self):
+        contexts = self._contexts()
+        keys = build_campaign_graph([s for specs in contexts for s in specs]).keys()
+        for index, specs in enumerate(contexts):
+            alone = build_campaign_graph(specs).keys()
+            suffix = f"@{index}" if index else ""
+            assert keys[AGGREGATE_NODE + suffix] == alone[AGGREGATE_NODE]
+            for spec in specs:
+                name = run_node_name(spec)
+                assert keys[name + suffix] == alone[name]
+        assert len(keys) == 3 * 2 + 3
+
+    def test_one_context_stores_replay_inside_a_multi_context_graph(self, tmp_path):
+        contexts = self._contexts()
+        store = NodeStore(tmp_path / "nodes")
+        alone = [run_campaign_graph(specs, store=store) for specs in contexts]
+        mixed = run_campaign_graph([s for specs in contexts for s in specs], store=store)
+        assert mixed.stats.by_kind["run"]["executed"] == 0
+        assert mixed.results.records == [r for o in alone for r in o.results.records]
+        assert list(mixed.aggregates.values()) == [o.aggregate_csv for o in alone]
+        assert mixed.aggregate_csv == alone[0].aggregate_csv
+
+    def test_an_empty_campaign_aggregates_and_renders(self):
+        outcome = run_campaign_graph([], tables_renderer=lambda results: "empty")
+        assert outcome.aggregate_csv.startswith("error_name,")
+        assert outcome.aggregate_csv.count("\n") == 1
+        assert outcome.tables == "empty"
 
 
 class TestSnapshotWarmUp:

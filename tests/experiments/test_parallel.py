@@ -54,7 +54,7 @@ class TestSpecEnumeration:
 
     def test_spec_key_matches_record_key(self):
         spec = _tiny_specs()[0]
-        record = _execute_one(spec, None, None)
+        record = _execute_one(spec, None)
         assert canonical_key(record) == spec.key
 
     def test_error_filter_applies(self):
@@ -64,6 +64,27 @@ class TestSpecEnumeration:
         spec = _tiny_specs()[0]
         with pytest.raises(ValueError, match="duplicate"):
             execute_specs([spec, spec])
+
+    def test_spec_rejects_another_targets_run_config(self):
+        from repro.targets.tanklevel import TankRunConfig
+
+        spec = _tiny_specs()[0]
+        with pytest.raises(TypeError, match="arrestor expects a RunConfig"):
+            dataclasses.replace(spec, run_config=TankRunConfig())
+
+    def test_one_key_in_two_contexts_runs_twice(self):
+        spec = _tiny_specs()[0]
+        faster = dataclasses.replace(spec, injection_period_ms=7)
+        both = execute_specs([spec, faster]).records
+        assert both == execute_specs([spec]).records + execute_specs([faster]).records
+
+    def test_traced_call_refuses_a_run_id_shared_across_contexts(self):
+        from repro.obs import NullSink, TraceBus
+
+        spec = _tiny_specs()[0]
+        faster = dataclasses.replace(spec, injection_period_ms=7)
+        with pytest.raises(ValueError, match="one run id per"):
+            execute_specs([spec, faster], trace=TraceBus([NullSink()]))
 
 
 class TestChunkSizing:
@@ -101,7 +122,7 @@ class TestChunkSizing:
 
         spec = _tiny_specs()[0]
         delayed = dataclasses.replace(spec, injection_start_ms=1000)
-        record = _execute_one(delayed, None, None)
+        record = _execute_one(delayed, None)
         assert canonical_key(record) == spec.key
 
         controller = CampaignController(
@@ -141,7 +162,9 @@ class TestEquivalence:
             on_complete=completed.extend,
             progress=lambda done, total: progress.append((done, len(completed))),
         )
-        assert sorted(completed, key=canonical_key) == results.sorted().records
+        assert all(canonical_key(record) == spec.key for spec, record in completed)
+        records = [record for _, record in completed]
+        assert sorted(records, key=canonical_key) == results.sorted().records
         assert progress == [(1, 1), (2, 2)]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -151,7 +174,7 @@ class TestEquivalence:
         class StoreFull(Exception):
             pass
 
-        def on_complete(records):
+        def on_complete(pairs):
             raise StoreFull
 
         progress = []
@@ -180,13 +203,13 @@ class TestTimeoutClassification:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(CampaignController, "run_injection", crawling)
-        record = _execute_one(_tiny_specs()[0], None, 0.05)
+        record = _execute_one(_tiny_specs()[0], 0.05)
         assert record.wedged and record.failed and not record.detected
         assert record.latency_ms is None
         assert record.duration_ms == 50
 
     def test_without_timeout_runs_complete(self):
-        record = _execute_one(_tiny_specs()[0], None, None)
+        record = _execute_one(_tiny_specs()[0], None)
         assert not record.wedged
 
 
@@ -213,7 +236,7 @@ class TestWedgedRunTracing:
             [spec], timeout_s=0.05, trace=TraceBus([buffer]), on_complete=completed.extend
         )
         assert results.records[0].wedged
-        assert completed == results.records
+        assert completed == [(spec, results.records[0])]
 
         # An aborted run's events are never built: lifecycle only.
         run_id = run_id_for(spec.version, spec.error_name, spec.mass_kg, spec.velocity_mps)
@@ -231,7 +254,7 @@ class TestWedgedRunTracing:
         first = run_campaign_graph([spec], timeout_s=0.05, store=store)
         assert first.results.records[0].wedged
 
-        def exploding(spec, run_config, timeout_s, *obs):
+        def exploding(spec, timeout_s, *obs):
             raise AssertionError(f"spec {spec.key} should not re-run")
 
         monkeypatch.setattr(parallel, "_execute_one", exploding)

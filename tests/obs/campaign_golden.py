@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from repro.experiments.ablations import ablation_contexts
 from repro.experiments.campaign import CampaignConfig
 from repro.experiments.dag import run_campaign_graph
-from repro.experiments.parallel import enumerate_e1_specs, enumerate_e2_specs
+from repro.experiments.parallel import RunSpec, enumerate_e1_specs, enumerate_e2_specs
 from repro.injection.fic import CampaignController
 from repro.obs import RingBufferSink, TraceBus
 from repro.targets.registry import get_target
@@ -59,33 +59,26 @@ def _late_start(target) -> int:
     return target.boot(_middle_case(target), "All").run().duration_ms * 19 // 20
 
 
-def campaign_slices() -> Dict[str, tuple]:
-    """Slice name -> ``(specs, run_config)``, in recording order."""
-    slices: Dict[str, tuple] = {}
+def campaign_slices() -> Dict[str, List[RunSpec]]:
+    """Slice name -> its specs, in recording order."""
+    slices: Dict[str, List[RunSpec]] = {}
     for name in ("arrestor", "tanklevel"):
         target = get_target(name)
         signals = target.monitored_signals[:2]
         config = CampaignConfig(
             target=name, versions=("All", target.versions[0]), cases_all=1, cases_per_ea=1
         )
-        slices[f"e1/{name}"] = (
-            enumerate_e1_specs(
-                config, lambda e: e.signal in signals and e.signal_bit in _E1_BITS
-            ),
-            None,
+        slices[f"e1/{name}"] = enumerate_e1_specs(
+            config, lambda e: e.signal in signals and e.signal_bit in _E1_BITS
         )
         config = CampaignConfig(
             target=name, cases_e2=1, injection_start_ms=_late_start(target)
         )
         errors = _E2_ERRORS[name]
-        slices[f"e2/{name}"] = (
-            enumerate_e2_specs(config, lambda e: e.name in errors), None
-        )
+        slices[f"e2/{name}"] = enumerate_e2_specs(config, lambda e: e.name in errors)
     for context in ablation_contexts():
         if (context.ablation, context.name) in _ABLATIONS:
-            slices[f"{context.ablation}/{context.name}"] = (
-                list(context.specs), context.run_config
-            )
+            slices[f"{context.ablation}/{context.name}"] = list(context.specs)
     return slices
 
 
@@ -111,11 +104,10 @@ def record_campaign_digests(
 ) -> Dict[str, Dict[str, str]]:
     """Trace every slice and the reference runs; slice name -> run digests."""
     digests: Dict[str, Dict[str, str]] = {}
-    for name, (specs, run_config) in campaign_slices().items():
+    for name, specs in campaign_slices().items():
         buffer = RingBufferSink()
         run_campaign_graph(
             specs,
-            run_config=run_config,
             workers=workers,
             snapshots=snapshots,
             trace=TraceBus([buffer]),

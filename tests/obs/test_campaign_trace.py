@@ -60,10 +60,7 @@ def test_recovery_events_follow_their_detection_with_the_received_value(monkeypa
         if (c.ablation, c.name) == ("recovery", "detection+recovery")
     )
     buffer = RingBufferSink()
-    run_campaign_graph(
-        context.specs, run_config=context.run_config, snapshots=False,
-        trace=TraceBus([buffer]),
-    )
+    run_campaign_graph(context.specs, snapshots=False, trace=TraceBus([buffer]))
     events = buffer.events
     recoveries = [i for i, event in enumerate(events) if event.kind == "recovery"]
     assert recoveries

@@ -13,6 +13,8 @@ serial oracle (new module semantics, changed EA parameters, reordered
 within-tick tests) fails here first.
 """
 
+import dataclasses
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -125,7 +127,7 @@ class TestBatchEligibility:
 
         config = CampaignConfig(cases_e2=1, target="arrestor")
         specs = enumerate_e2_specs(config)
-        batchable, rest = _split_batchable(specs, None)
+        batchable, rest = _split_batchable(specs)
         assert batchable == []
         assert rest == specs
 
@@ -133,8 +135,11 @@ class TestBatchEligibility:
         from repro.arrestor.system import RunConfig
         from repro.experiments.parallel import _split_batchable
 
-        specs = _full_grid_specs("arrestor")[:4]
-        batchable, rest = _split_batchable(specs, RunConfig())
+        specs = [
+            dataclasses.replace(spec, run_config=RunConfig())
+            for spec in _full_grid_specs("arrestor")[:4]
+        ]
+        batchable, rest = _split_batchable(specs)
         assert batchable == []
         assert rest == specs
 
@@ -142,7 +147,7 @@ class TestBatchEligibility:
         from repro.experiments.parallel import _split_batchable
 
         specs = _full_grid_specs("tanklevel")[:8]
-        batchable, rest = _split_batchable(specs, None)
+        batchable, rest = _split_batchable(specs)
         assert batchable == specs
         assert rest == []
 

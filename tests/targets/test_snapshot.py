@@ -252,3 +252,31 @@ class TestDefaults:
         controller.run_reference(case, "All")
         stats = cache_stats().as_dict()
         assert stats["boot_misses"] == 0  # cold boot, cache untouched
+
+    def test_custom_classifier_bypass_counts_each_run_once(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.plant.failure import FailureClassifier
+
+        key = "runs_fallback_total{reason=classifier,strategy=snapshot}"
+        target = get_target("arrestor")
+        case = target.test_cases()[0]
+        e1 = next(e for e in target.e1_error_set() if e.signal_bit == 15)
+        e2 = target.e2_error_set(seed=2000)[0]
+        counts = {}
+        for snapshots in (True, False):
+            metrics = MetricsRegistry()
+            controller = CampaignController(
+                target="arrestor",
+                snapshots=snapshots,
+                classifier=FailureClassifier(),
+                metrics=metrics,
+            )
+            controller.run_reference(case, "All")
+            controller.run_injection(e1, case, "All")
+            controller.run_injection(e2, case, "All")
+            counts[snapshots] = metrics.snapshot()["counters"].get(key, 0)
+        assert counts == {True: 3, False: 0}
+        default = MetricsRegistry()
+        controller = CampaignController(target="arrestor", snapshots=True, metrics=default)
+        controller.run_reference(case, "All")
+        assert key not in default.snapshot()["counters"]
