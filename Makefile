@@ -70,9 +70,9 @@ bench:
 bench-suite-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/suite -q
 
-# Fast end-to-end slice through the campaign task graph: cold run, warm
-# replay (zero executions), 2-way shard + merge, byte-identical
-# aggregate.  Guards the graph runtime on every `make lint`.
+# Fast end-to-end slice through the campaign graph's three stages: cold
+# run, warm replay (zero executions), 2-way shard + merge, byte-identical
+# aggregate.  Guards dag.run_campaign_graph on every `make lint`.
 graph-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/experiments/test_graph_campaign.py::TestGraphSmoke

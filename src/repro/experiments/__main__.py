@@ -413,10 +413,13 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
 
     start = time.time()
     run = run_ablations(store=args.store, workers=args.workers, progress=_progress)
+    # Wall time and counts change between runs: stderr, like the progress
+    # line, so stdout (the committed results/ablations.txt) is stable.
     print(
         f"\nAblations: {run.executed + run.replayed} runs in "
         f"{time.time() - start:.0f}s — {run.executed} runs executed, "
-        f"{run.replayed} replayed\n"
+        f"{run.replayed} replayed\n",
+        file=sys.stderr,
     )
     if args.save:
         write_text_atomic(args.save, ablations_to_csv(run.results))

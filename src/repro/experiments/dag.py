@@ -1,12 +1,10 @@
-"""Campaigns expressed as a content-addressed task DAG.
+"""Campaigns as content-addressed stored work, run in three stages.
 
-Every E1/E2 campaign and the ablations run through this module: it
-expresses a spec list of :mod:`repro.experiments.parallel` as the
-dependency graph it really is, on the :mod:`repro.experiments.graph`
-runtime.  A run is identified by its **context** and canonical key;
-the *i*-th context after the first suffixes its node names with ``@i``.
-Every node is stored work; snapshot warm-up is not a node but part of
-running a wave (see :func:`~repro.experiments.parallel.execute_specs`):
+Every E1/E2 campaign and the ablations run through this module: a spec
+list of :mod:`repro.experiments.parallel` becomes a
+:class:`~repro.experiments.graph.Graph` of stored work.  A run is
+identified by its **context** and canonical key; the *i*-th context
+after the first suffixes its node names with ``@i``:
 
 ``run`` nodes
     One per :class:`~repro.experiments.parallel.RunSpec`.  Inputs are
@@ -14,18 +12,7 @@ running a wave (see :func:`~repro.experiments.parallel.execute_specs`):
     target's simulation sources, the run configuration and the
     injection start — :func:`context_fingerprint`), so editing
     fingerprinted code re-keys every run node while an unchanged
-    campaign replays entirely from the node store.  Ready run nodes of
-    every context execute as one wave through the run-wave runner —
-    serial loop, chunked process pool, or per-spec batch kernels — via
-    a group runner wrapping :func:`~repro.experiments.parallel.execute_specs`
-    (their only execution path: run nodes carry no ``run`` callable),
-    which reports every completed chunk as it arrives; the graph
-    stores each one at once as one durable **pack** of run records (a
-    batched grid is one pack per target, a pool wave one per chunk of
-    at most 8 runs, the serial path one per run).  Those packs are the
-    campaign's only persistence: a campaign interrupted at any point
-    and re-run against the same node store executes only the runs it
-    had not finished.
+    campaign replays entirely from the node store.
 ``aggregate`` nodes
     One per context, over its run nodes; the output is the context's
     canonical-order CSV (byte-stable regardless of execution or shard order).
@@ -35,17 +22,34 @@ running a wave (see :func:`~repro.experiments.parallel.execute_specs`):
     fingerprint so a table-layout change re-renders without
     re-simulating).
 
+:func:`run_campaign_graph` runs the stages in that order, each node
+replaying from the node store when its key is stored:
+
+1. **Runs.**  The runs not stored execute as one
+   :func:`~repro.experiments.parallel.execute_specs` call — serial
+   loop, chunked process pool, or per-spec batch kernels, with snapshot
+   warm-up part of the call — which reports every completed chunk as it
+   arrives; each is stored at once as one durable **pack** (a batched
+   grid is one pack per target, a pool wave one per chunk of at most 8
+   runs, the serial path one per run).  A campaign interrupted at any
+   point and re-run against the same node store executes only the runs
+   it had not finished.
+2. **Aggregates.**  Each context's CSV, built from the stored form of
+   its runs' records.
+3. **Tables.**
+
 Sharding falls out of the content addresses: ``shard=(i, n)`` keeps
 only the run nodes whose key lands in shard *i* of *n*
-(:func:`~repro.experiments.graph.shard_of`), each shard writes a
-private node store, :func:`~repro.experiments.graph.merge_stores`
-unions them, and a final unsharded pass replays every run node from
-cache — executing zero simulations — before computing aggregation.
+(:func:`~repro.experiments.graph.shard_of`) and skips stages 2 and 3;
+each shard writes a private node store,
+:func:`~repro.experiments.graph.merge_stores` unions them, and a final
+unsharded pass replays every run node from cache — executing zero
+simulations — before aggregating.
 
 Invariants: results are record-for-record those of the serial loop
 whatever the worker count, and **a tracer disables replay**: a stored
 record keeps no detection log to build its run's events from, so a
-traced campaign executes every run node — on the pool, with snapshots
+traced campaign executes every node — on the pool, with snapshots
 and dead-flip pruning, like an untraced one.
 """
 
@@ -55,7 +59,7 @@ import dataclasses
 import hashlib
 import importlib.util
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.graph import (
     Graph,
@@ -65,12 +69,18 @@ from repro.experiments.graph import (
     shard_of,
 )
 from repro.experiments.parallel import RunSpec, SpecContext, execute_specs
-from repro.experiments.persistence import decode_row, encode_record, results_to_csv
+from repro.experiments.persistence import (
+    decode_row,
+    encode_record,
+    results_from_csv,
+    results_to_csv,
+)
 from repro.experiments.results import ResultSet, RunRecord
 from repro.targets.base import Target
 from repro.targets.registry import get_target
 
 __all__ = [
+    "CampaignGraph",
     "GraphCampaignResult",
     "build_campaign_graph",
     "code_fingerprint",
@@ -198,20 +208,30 @@ class GraphCampaignResult:
         return next(iter(self.aggregates.values()), None)
 
 
+class CampaignGraph(Graph):
+    """A campaign's graph, plus the work its run and aggregate nodes stand for."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Run node name -> the spec it executes.
+        self.runs: Dict[str, RunSpec] = {}
+        #: Aggregate node name -> its context (``None`` in an empty campaign).
+        self.aggregates: Dict[str, Optional[SpecContext]] = {}
+
+
 def build_campaign_graph(
     specs: Sequence[RunSpec],
     tables_renderer: Optional[TablesRenderer] = None,
     tables_fingerprint: str = "",
-) -> Graph:
-    """The campaign DAG for *specs*: run -> aggregate (per context) -> tables.
+) -> CampaignGraph:
+    """The campaign graph for *specs*: run -> aggregate (per context) -> tables.
 
     Node keys are fully determined here (content addresses over inputs
-    and dependency keys); nothing is executed.  Run nodes carry their
-    :class:`RunSpec` as payload and no ``run`` callable: they execute
-    only through the run-wave group runner of :func:`run_campaign_graph`;
-    aggregate nodes carry their context.
+    and dependency keys); nothing is executed.  The ``tables`` node is
+    added only with a *tables_renderer*, which :func:`run_campaign_graph`
+    calls.
     """
-    graph = Graph()
+    graph = CampaignGraph()
     fingerprints: Dict[Tuple[str, Any, int], str] = {}
     suffixes: Dict[SpecContext, str] = {}
     members: Dict[SpecContext, List[RunSpec]] = {}
@@ -224,45 +244,36 @@ def build_campaign_graph(
             fingerprints[target, run_config, start_ms] = context_fingerprint(
                 get_target(target), run_config, injection_start_ms=start_ms
             )
+        name = run_node_name(spec) + suffix
         graph.add(
             Node(
-                name=run_node_name(spec) + suffix,
+                name=name,
                 kind="run",
                 inputs=_spec_inputs(spec, fingerprints[target, run_config, start_ms]),
-                payload=spec,
             )
         )
-
-    def _aggregate(deps: Mapping[str, Any]) -> str:
-        records = [decode_row(list(output)) for output in deps.values()]
-        return results_to_csv(ResultSet(records).sorted())
+        graph.runs[name] = spec
 
     # An empty campaign still aggregates (to a header-only CSV).
     for context, context_specs in (members or {None: []}).items():
+        name = AGGREGATE_NODE + suffixes.get(context, "")
         graph.add(
             Node(
-                name=AGGREGATE_NODE + suffixes.get(context, ""),
+                name=name,
                 kind="aggregate",
-                run=_aggregate,
                 inputs={
                     "experiments": ",".join(sorted({s.experiment for s in context_specs})),
                     "records": str(len(context_specs)),
                 },
                 deps=tuple(run_node_name(s) + suffixes[context] for s in context_specs),
-                payload=context,
             )
         )
+        graph.aggregates[name] = context
     if tables_renderer is not None:
-        def _tables(deps: Mapping[str, Any]) -> str:
-            from repro.experiments.persistence import results_from_csv
-
-            return tables_renderer(results_from_csv(deps[AGGREGATE_NODE]))
-
         graph.add(
             Node(
                 name=TABLES_NODE,
                 kind="tables",
-                run=_tables,
                 inputs={"renderer": tables_fingerprint},
                 deps=(AGGREGATE_NODE,),
             )
@@ -305,29 +316,31 @@ def run_campaign_graph(
     tables_renderer: Optional[TablesRenderer] = None,
     tables_fingerprint: str = "",
 ) -> GraphCampaignResult:
-    """Execute a campaign through the graph runtime.
+    """Run a campaign's three stages: runs, aggregates, tables.
 
     Record-for-record equivalent to ``execute_specs(specs, ...)``: the
     returned :attr:`~GraphCampaignResult.results` is in spec-enumeration
     order whatever executed, replayed, or ran on how many workers.  The
-    runs of every context execute as one wave.
+    runs of every context execute as one :func:`execute_specs` call.
 
     *store* (a directory path or :class:`NodeStore`) enables per-node
-    memoization: each completed chunk of runs is stored as one pack as
-    it arrives, so an
-    unchanged campaign replays 100 % of its nodes from the store and
+    memoization: a node whose key is stored replays (unless *force*,
+    which re-executes every node and still refreshes the store), and
+    each completed chunk of runs is stored as one pack as it arrives, so
+    an unchanged campaign replays 100 % of its nodes from the store and
     simulates nothing, and an interrupted one re-run against the same
-    store simulates only what it had not finished.  *progress* hears
-    ``(runs replayed + runs executed, runs wanted)`` after each stored
-    chunk.  *shard* — ``"i/n"`` or ``(i, n)``
-    — restricts execution to the run nodes whose content address lands
-    in shard *i*, skipping aggregation; shards may run on separate
-    machines against private stores and be joined with
-    :func:`~repro.experiments.graph.merge_stores`.
+    store simulates only what it had not finished.  A stored record
+    that describes different work counts in ``stats.mismatches`` and
+    re-executes.  *progress* hears ``(runs replayed + runs executed,
+    runs wanted)`` after each stored chunk.  *shard* — ``"i/n"`` or
+    ``(i, n)`` — restricts execution to the run nodes whose content
+    address lands in shard *i*, skipping aggregation and tables; shards
+    may run on separate machines against private stores and be joined
+    with :func:`~repro.experiments.graph.merge_stores`.
 
     With *trace* (a JSONL path, rewritten, or a live
-    :class:`~repro.obs.TraceBus`), replay is disabled — every needed
-    node executes, emitting ``node-start``/``node-done`` plus each run's
+    :class:`~repro.obs.TraceBus`), replay is disabled — every node
+    executes, emitting ``node-start``/``node-done`` plus each run's
     events — on as many *workers* as an untraced campaign; run nodes
     whose record was stored count in
     ``runs_fallback_total{strategy="replay",reason="tracer"}``.
@@ -357,56 +370,97 @@ def run_campaign_graph(
             sink = JSONLSink(trace, mode="w")
             tracer = TraceBus([sink])
 
-    wanted_names = [node.name for node in graph.nodes() if node.kind == "run"]
+    wanted = list(graph.runs)
     if shard_spec is not None:
         index, count = shard_spec
-        wanted_names = [n for n in wanted_names if shard_of(graph.key(n), count) == index]
+        wanted = [name for name in wanted if shard_of(graph.key(name), count) == index]
 
-    total = len(wanted_names)
+    total = len(wanted)
     stats = GraphStats()
+    outputs: Dict[str, Any] = {}
     # Executed runs keep their live records; only replayed ones are
     # decoded from the store (which reads integer latencies as floats).
     executed: Dict[str, RunRecord] = {}
 
-    def _runs_done() -> int:
-        counts = stats.by_kind.get("run", {})
-        return counts.get("cached", 0) + counts.get("executed", 0)
+    def _start(names: Sequence[str]) -> List[str]:
+        """Replay the stored nodes among *names*; returns the rest, started."""
+        pending = []
+        for name in names:
+            node = graph.node(name)
+            if node_store is not None and not force:
+                status, output = node_store.get(node, graph.key(name))
+                if status == "hit" and tracer is None:
+                    outputs[name] = output
+                    stats.note(node.kind, "cached")
+                    if metrics is not None:
+                        metrics.counter("graph_nodes_cached_total", kind=node.kind).inc()
+                    continue
+                if status == "hit" and metrics is not None and node.kind == "run":
+                    # A stored record keeps no detection log to build
+                    # the run's events from: a traced run executes.
+                    metrics.counter(
+                        "runs_fallback_total", strategy="replay", reason="tracer"
+                    ).inc()
+                if status == "mismatch":
+                    stats.mismatches += 1
+            pending.append(name)
+        if tracer is not None:
+            for name in pending:
+                kind = graph.node(name).kind
+                tracer.emit("campaign", "node-start", node=name, node_kind=kind)
+        return pending
 
-    def _runner(
-        nodes: Sequence[Node],
-        _dep_outputs: Mapping[str, Mapping[str, Any]],
-        complete: Callable[[Mapping[str, Any]], None],
-    ) -> None:
-        names = {node.payload: node.name for node in nodes}
+    def _finish(chunk: Sequence[Tuple[str, Any]]) -> None:
+        """Record one completed chunk and store it as one pack."""
+        for name, output in chunk:
+            outputs[name] = output
+            stats.note(graph.node(name).kind, "executed")
+        if node_store is not None:
+            node_store.put(
+                [
+                    NodeStore.record(graph.node(name), graph.key(name), output)
+                    for name, output in chunk
+                ]
+            )
+        for name, _ in chunk:
+            kind = graph.node(name).kind
+            if metrics is not None:
+                metrics.counter("graph_nodes_executed_total", kind=kind).inc()
+            if tracer is not None:
+                tracer.emit("campaign", "node-done", node=name, node_kind=kind)
+
+    try:
+        # Stage 1: the runs not replayed, as one call.
+        names = {graph.runs[name]: name for name in _start(wanted)}
 
         def _on_complete(pairs: Sequence[Tuple[RunSpec, RunRecord]]) -> None:
             chunk = {names[spec]: record for spec, record in pairs}
             executed.update(chunk)
-            complete({name: encode_record(record) for name, record in chunk.items()})
+            _finish([(name, encode_record(record)) for name, record in chunk.items()])
             if progress is not None:
-                progress(_runs_done(), total)
+                counts = stats.by_kind["run"]
+                progress(counts["cached"] + counts["executed"], total)
 
-        execute_specs(
-            [node.payload for node in nodes],
-            workers=workers,
-            timeout_s=timeout_s,
-            trace=tracer,
-            metrics=metrics,
-            snapshots=snapshots,
-            batch=batch,
-            on_complete=_on_complete,
-        )
-
-    try:
-        outputs = graph.execute(
-            store=node_store,
-            wanted=None if shard_spec is None else wanted_names,
-            force=force,
-            tracer=tracer,
-            metrics=metrics,
-            runners={"run": _runner},
-            stats=stats,
-        )
+        if names:
+            execute_specs(
+                list(names),
+                workers=workers,
+                timeout_s=timeout_s,
+                trace=tracer,
+                metrics=metrics,
+                snapshots=snapshots,
+                batch=batch,
+                on_complete=_on_complete,
+            )
+        if shard_spec is None:
+            # Stage 2: each context's CSV, from its runs' stored form.
+            for name in _start(list(graph.aggregates)):
+                rows = [decode_row(list(outputs[dep])) for dep in graph.node(name).deps]
+                _finish([(name, results_to_csv(ResultSet(rows).sorted()))])
+            # Stage 3: the tables, from the first context's CSV.
+            if tables_renderer is not None and _start([TABLES_NODE]):
+                rendered = tables_renderer(results_from_csv(outputs[AGGREGATE_NODE]))
+                _finish([(TABLES_NODE, rendered)])
     finally:
         if sink is not None:
             sink.close()
@@ -421,15 +475,15 @@ def run_campaign_graph(
 
     records: List[RunRecord] = [
         executed[name] if name in executed else decode_row(list(outputs[name]))
-        for name in wanted_names
+        for name in wanted
     ]
     return GraphCampaignResult(
         results=ResultSet(records),
         stats=stats,
         aggregates={
-            node.payload: outputs[node.name]
-            for node in graph.nodes()
-            if node.kind == "aggregate" and node.name in outputs
+            context: outputs[name]
+            for name, context in graph.aggregates.items()
+            if name in outputs
         },
         tables=outputs.get(TABLES_NODE),
         shard=shard_spec,

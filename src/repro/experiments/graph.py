@@ -1,21 +1,19 @@
-"""A small deterministic task-graph runtime with content-addressed memoization.
+"""Content addresses and a durable store for campaign work.
 
-The paper's evaluation is a dependency graph — boot, fault-free
-reference run, the injected-run grid, aggregation, the Table-7/8/9
-artifacts — and :mod:`repro.experiments.dag` expresses campaigns that
-way.  This module is the underlying runtime, deliberately generic and
-free of simulation imports:
+:mod:`repro.experiments.dag` expresses a campaign as three stages of
+stored work — the injected runs, one aggregate per context, the paper
+tables — and runs them in that order.  This module holds the parts that
+know nothing about simulation:
 
 * :class:`Node` — one unit of stored work: a ``kind`` (its taxonomy
   group), a mapping of **input strings** (everything that determines
-  its output), the names of its dependency nodes, and a ``run``
-  callable receiving the dependencies' outputs (or none, when a group
-  runner executes the kind).
-* :class:`Graph` — nodes wired by name, topologically scheduled.  Every
-  node has a **content address**: SHA-256 over its kind, its sorted
-  inputs and its dependencies' keys, so a key transitively covers the
-  whole upstream subgraph.  Flip one input anywhere and exactly the
-  downstream subtree re-keys.
+  its output) and the names of the nodes it depends on.
+* :class:`Graph` — nodes by name, in insertion order; a dependency must
+  be added before its dependents, so insertion order is a topological
+  order.  Every node has a **content address**: SHA-256 over its kind,
+  its sorted inputs and its dependencies' keys, so a key transitively
+  covers the whole upstream subgraph.  Flip one input anywhere and
+  exactly the downstream subtree re-keys.
 * :class:`NodeStore` — a file-backed map from node key to completion
   record (descriptor + output payload).  Records are written in
   **packs**, one durable file per completed chunk (temp file,
@@ -24,22 +22,10 @@ free of simulation imports:
   executed node's output is stored for the next session.
   Stores union with :func:`merge_stores` (descriptor-verified), which
   is what makes multi-machine sharding work: partition the grid by node
-  key, run each shard against a private store, merge, and a final pass
-  replays entirely from cache.
-
-Scheduling is deterministic: nodes execute in topological order with
-ties broken by insertion order, and nodes of the same ``kind`` that are
-ready together can be handed to a **group runner** (the campaign layer
-uses this to fan the injected-run grid onto the existing worker pool).
-A group runner reports outputs as they arrive and each report is stored
-at once as one pack, so an interrupted wave keeps every chunk it
-finished and a re-run against the same store executes only the rest.
-
-Replay is disabled whenever a tracer is attached — a stored output
-keeps none of the events its execution publishes, so traced nodes
-execute, never replay — and per-node lifecycle is published as
-``node-start`` / ``node-cached`` / ``node-done`` trace events plus
-per-kind counters on the metrics registry.
+  key (:func:`shard_of`), run each shard against a private store,
+  merge, and a final pass replays entirely from cache.
+* :class:`GraphStats` — executed / replayed / mismatched counts, per
+  node kind.
 """
 
 from __future__ import annotations
@@ -52,19 +38,7 @@ import secrets
 import tempfile
 import time
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Node",
@@ -76,20 +50,6 @@ __all__ = [
     "shard_of",
 ]
 
-#: A group runner: receives the ready nodes of one kind, each node's
-#: dependency outputs and a ``complete`` callback, and reports
-#: ``{node name: output}`` through ``complete`` as outputs arrive (any
-#: number of calls).  Each report is finished — stored as one pack — at
-#: once, so a runner interrupted part-way keeps everything it reported.
-GroupRunner = Callable[
-    [
-        Sequence["Node"],
-        Mapping[str, Mapping[str, Any]],
-        Callable[[Mapping[str, Any]], None],
-    ],
-    None,
-]
-
 
 @dataclasses.dataclass(frozen=True)
 class Node:
@@ -98,20 +58,13 @@ class Node:
     ``inputs`` must carry *every* value that determines the output (the
     campaign layer folds the code/config context fingerprint in here);
     the content address is derived from them plus the dependency keys.
-    ``run`` receives ``{dep name: dep output}`` and returns the output,
-    which must be JSON-serialisable.  It may be ``None`` for a kind that
-    :meth:`Graph.execute` hands to a group runner (the campaign's run
-    nodes).  ``payload`` is free-form execution context (e.g. the
-    :class:`~repro.experiments.parallel.RunSpec` a run node executes);
-    it never enters the key.
+    Outputs must be JSON-serialisable.
     """
 
     name: str
     kind: str
-    run: Optional[Callable[[Mapping[str, Any]], Any]] = None
     inputs: Mapping[str, str] = dataclasses.field(default_factory=dict)
     deps: Tuple[str, ...] = ()
-    payload: Any = None
 
 
 @dataclasses.dataclass
@@ -120,33 +73,19 @@ class GraphStats:
 
     executed: int = 0
     cached: int = 0
-    skipped: int = 0
     mismatches: int = 0
     by_kind: Dict[str, Dict[str, int]] = dataclasses.field(default_factory=dict)
 
     def note(self, kind: str, outcome: str) -> None:
+        """Count one node of *kind* as ``"executed"`` or ``"cached"``."""
         setattr(self, outcome, getattr(self, outcome) + 1)
-        bucket = self.by_kind.setdefault(
-            kind, {"executed": 0, "cached": 0, "skipped": 0}
-        )
-        if outcome in bucket:
-            bucket[outcome] += 1
+        self.by_kind.setdefault(kind, {"executed": 0, "cached": 0})[outcome] += 1
 
     @property
     def hit_rate(self) -> Optional[float]:
         """Cache hit rate over the nodes that needed an output."""
         total = self.executed + self.cached
         return self.cached / total if total else None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "executed": self.executed,
-            "cached": self.cached,
-            "skipped": self.skipped,
-            "mismatches": self.mismatches,
-            "hit_rate": self.hit_rate,
-            "by_kind": {kind: dict(counts) for kind, counts in self.by_kind.items()},
-        }
 
 
 class StoreMergeError(RuntimeError):
@@ -337,11 +276,11 @@ def shard_of(key: str, shards: int) -> int:
 
 
 class GraphError(ValueError):
-    """Malformed graph: unknown dependency, duplicate node, or a cycle."""
+    """Malformed graph: a duplicate node, or a dependency not yet added."""
 
 
 class Graph:
-    """Nodes wired by name; deterministic topological execution."""
+    """Nodes by name, in insertion order (which is topological)."""
 
     def __init__(self) -> None:
         self._nodes: "Dict[str, Node]" = {}
@@ -352,6 +291,9 @@ class Graph:
     def add(self, node: Node) -> Node:
         if node.name in self._nodes:
             raise GraphError(f"duplicate node name {node.name!r}")
+        for dep in node.deps:
+            if dep not in self._nodes:
+                raise GraphError(f"node {node.name!r} depends on {dep!r}, not yet added")
         self._nodes[node.name] = node
         self._keys.clear()
         return node
@@ -368,32 +310,7 @@ class Graph:
     def nodes(self) -> List[Node]:
         return list(self._nodes.values())
 
-    # -- ordering and keys ---------------------------------------------------
-
-    def topo_order(self) -> List[str]:
-        """Dependencies before dependents; insertion order breaks ties."""
-        order: List[str] = []
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-
-        def visit(name: str, chain: Tuple[str, ...]) -> None:
-            mark = state.get(name)
-            if mark == 1:
-                return
-            if mark == 0:
-                cycle = " -> ".join(chain + (name,))
-                raise GraphError(f"dependency cycle: {cycle}")
-            node = self._nodes.get(name)
-            if node is None:
-                raise GraphError(f"unknown dependency {name!r} (from {chain[-1]!r})")
-            state[name] = 0
-            for dep in node.deps:
-                visit(dep, chain + (name,))
-            state[name] = 1
-            order.append(name)
-
-        for name in self._nodes:
-            visit(name, ())
-        return order
+    # -- keys ----------------------------------------------------------------
 
     def key(self, name: str) -> str:
         """The content address of one node (memoized per graph build).
@@ -424,155 +341,4 @@ class Graph:
 
     def keys(self) -> Dict[str, str]:
         """Every node's content address (computed without executing)."""
-        return {name: self.key(name) for name in self.topo_order()}
-
-    # -- execution -----------------------------------------------------------
-
-    def execute(
-        self,
-        store: Optional[NodeStore] = None,
-        wanted: Optional[Iterable[str]] = None,
-        force: bool = False,
-        tracer: Any = None,
-        metrics: Any = None,
-        runners: Optional[Mapping[str, GroupRunner]] = None,
-        stats: Optional[GraphStats] = None,
-    ) -> Dict[str, Any]:
-        """Execute (or replay) the graph; returns ``{name: output}``.
-
-        *wanted* restricts the goal set (a shard executes only its run
-        nodes); dependencies of wanted nodes are pulled in as needed.
-        With a *store*, nodes whose key is stored **replay** — unless
-        *force*, or a *tracer* is attached (a stored output keeps no
-        events to publish: a traced graph executes every needed node,
-        counting stored run nodes in
-        ``runs_fallback_total{strategy="replay",reason="tracer"}``, and
-        still refreshes the store).  *runners* maps a node kind
-        to a group runner executing all simultaneously ready nodes of
-        that kind in one call (the campaign layer's pool dispatch),
-        reporting — and so storing, one pack per report — outputs as
-        they arrive; kinds without a runner execute their nodes' ``run``
-        callables one by one, in topological order, one pack each.
-        """
-        order = self.topo_order()
-        position = {name: index for index, name in enumerate(order)}
-        goal: Set[str] = set(order) if wanted is None else set(wanted)
-        for name in goal:
-            if name not in self._nodes:
-                raise GraphError(f"unknown wanted node {name!r}")
-        stats = stats if stats is not None else GraphStats()
-        replay_ok = store is not None and not force
-
-        # Plan, dependents before dependencies: a node is *needed* when
-        # it is a goal or feeds a pending dependent; it is *pending*
-        # (must execute) when it is needed and cannot replay from store.
-        dependents: Dict[str, List[str]] = {name: [] for name in order}
-        for name in order:
-            for dep in self._nodes[name].deps:
-                dependents[dep].append(name)
-        needed: Set[str] = set()
-        pending: Set[str] = set()
-        cached_output: Dict[str, Any] = {}
-        for name in reversed(order):
-            if not (
-                name in goal
-                or any(dependent in pending for dependent in dependents[name])
-            ):
-                continue
-            node = self._nodes[name]
-            needed.add(name)
-            if replay_ok:
-                status, output = store.get(node, self.key(name))
-                if status == "hit" and tracer is None:
-                    cached_output[name] = output
-                    continue
-                if status == "hit" and metrics is not None and node.kind == "run":
-                    # A stored record keeps no detection log to build
-                    # the run's events from: a traced run executes.
-                    metrics.counter(
-                        "runs_fallback_total", strategy="replay", reason="tracer"
-                    ).inc()
-                if status == "mismatch":
-                    stats.mismatches += 1
-            pending.add(name)
-
-        outputs: Dict[str, Any] = {}
-        for name, output in cached_output.items():
-            node = self._nodes[name]
-            stats.note(node.kind, "cached")
-            if metrics is not None:
-                metrics.counter("graph_nodes_cached_total", kind=node.kind).inc()
-            outputs[name] = output
-        for name in order:
-            if name not in needed:
-                stats.note(self._nodes[name].kind, "skipped")
-
-        def _dep_outputs(node: Node) -> Dict[str, Any]:
-            return {dep: outputs.get(dep) for dep in node.deps}
-
-        def _finish(chunk: Sequence[Tuple[Node, Any]]) -> None:
-            """Record one completed chunk and store it as one pack."""
-            for node, output in chunk:
-                outputs[node.name] = output
-                stats.note(node.kind, "executed")
-            if store is not None and chunk:
-                store.put(
-                    [NodeStore.record(node, self.key(node.name), output) for node, output in chunk]
-                )
-            for node, _ in chunk:
-                if metrics is not None:
-                    metrics.counter("graph_nodes_executed_total", kind=node.kind).inc()
-                if tracer is not None:
-                    tracer.emit("campaign", "node-done", node=node.name, node_kind=node.kind)
-
-        # Execute in topological waves: ready pending nodes of one kind
-        # go to that kind's group runner together, everything else runs
-        # one node at a time.
-        remaining = [name for name in order if name in pending]
-        completed: Set[str] = set(cached_output)
-        if tracer is not None:
-            for name in sorted(cached_output, key=position.__getitem__):
-                node = self._nodes[name]
-                tracer.emit("campaign", "node-cached", node=name, node_kind=node.kind)
-        while remaining:
-            ready = [
-                name
-                for name in remaining
-                if all(
-                    dep in completed or dep not in pending
-                    for dep in self._nodes[name].deps
-                )
-            ]
-            if not ready:  # cannot happen on an acyclic graph
-                raise GraphError(f"scheduling deadlock among {remaining!r}")
-            kind = self._nodes[ready[0]].kind
-            wave = [name for name in ready if self._nodes[name].kind == kind]
-            nodes = [self._nodes[name] for name in wave]
-            runner = (runners or {}).get(kind)
-            if tracer is not None:
-                for node in nodes:
-                    tracer.emit("campaign", "node-start", node=node.name, node_kind=kind)
-            if runner is not None:
-                in_wave = {node.name: node for node in nodes}
-
-                def _complete(produced: Mapping[str, Any]) -> None:
-                    _finish([(in_wave[name], output) for name, output in produced.items()])
-
-                runner(nodes, {node.name: _dep_outputs(node) for node in nodes}, _complete)
-                for node in nodes:
-                    if node.name not in outputs:
-                        raise GraphError(
-                            f"group runner for kind {kind!r} returned no output "
-                            f"for node {node.name!r}"
-                        )
-            else:
-                for node in nodes:
-                    if node.run is None:
-                        raise GraphError(
-                            f"node {node.name!r} has no run callable and no group "
-                            f"runner handles kind {kind!r}"
-                        )
-                    _finish([(node, node.run(_dep_outputs(node)))])
-            completed.update(wave)
-            remaining = [name for name in remaining if name not in completed]
-        return outputs
+        return {name: self.key(name) for name in self._nodes}

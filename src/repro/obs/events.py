@@ -23,7 +23,6 @@ campaign     snapshot-prewarm  the parent warmed snapshots before forking
 campaign     chunk-retry       a worker chunk failed and was resubmitted
 campaign     campaign-end      the engine assembled the final result set
 campaign     node-start        a campaign-graph node starts executing
-campaign     node-cached       a graph node replayed from the node store
 campaign     node-done         a graph node finished (and was stored)
 ===========  ================  ==============================================
 
@@ -69,7 +68,6 @@ EVENT_KINDS = (
     (SUBSYSTEM_CAMPAIGN, "chunk-retry"),
     (SUBSYSTEM_CAMPAIGN, "campaign-end"),
     (SUBSYSTEM_CAMPAIGN, "node-start"),
-    (SUBSYSTEM_CAMPAIGN, "node-cached"),
     (SUBSYSTEM_CAMPAIGN, "node-done"),
 )
 

@@ -86,11 +86,11 @@ def test_cli_rerun_against_its_store_executes_no_run(monkeypatch, tmp_path, caps
     monkeypatch.setattr(ablations, "ablation_contexts", lambda: period)
     store, saved = tmp_path / "store", tmp_path / "ablations.csv"
     assert main(["ablations", "--store", str(store), "--save", str(saved)]) == 0
-    cold = capsys.readouterr().out
+    cold, cold_err = capsys.readouterr()
     assert main(["ablations", "--store", str(store)]) == 0
-    warm = capsys.readouterr().out
-    assert "1 runs executed, 0 replayed" in cold
-    assert "0 runs executed, 1 replayed" in warm
+    warm, warm_err = capsys.readouterr()
+    assert "1 runs executed, 0 replayed" in cold_err
+    assert "0 runs executed, 1 replayed" in warm_err
     table = render_ablations(ablations_from_csv(saved.read_text(encoding="utf-8")))
     assert cold.endswith(table + "\n") and warm.endswith(table + "\n")
     assert "period 200 ms: detected, first latency 3600 ms" in table

@@ -50,6 +50,29 @@ class TestE2Command:
         assert "Table 9" in out
 
 
+class TestAblationsCommand:
+    def test_cold_and_warm_runs_print_identical_stdout(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # `make ablations` commits stdout: it must not change between runs.
+        from repro.experiments import ablations
+
+        periods = [c for c in ablations.ablation_contexts() if c.name in ("7 ms", "200 ms")]
+        monkeypatch.setattr(ablations, "ablation_contexts", lambda: periods)
+        store, saved = tmp_path / "store", tmp_path / "ablations.csv"
+        args = ["ablations", "--store", str(store), "--save", str(saved)]
+        assert main(args) == 0
+        cold, cold_err = capsys.readouterr()
+        cold_csv = saved.read_bytes()
+        assert main(args) == 0
+        warm, warm_err = capsys.readouterr()
+        assert "2 runs executed, 0 replayed" in cold_err
+        assert "0 runs executed, 2 replayed" in warm_err
+        assert cold == warm
+        assert "period   7 ms" in cold and "period 200 ms" in cold
+        assert saved.read_bytes() == cold_csv
+
+
 class TestArgumentParsing:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

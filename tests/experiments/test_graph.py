@@ -1,9 +1,10 @@
-"""Unit tests for the task-graph runtime (:mod:`repro.experiments.graph`).
+"""Unit tests for :mod:`repro.experiments.graph`, and how a campaign uses it.
 
-Covers graph construction and ordering, content-address derivation (the
-invalidation rule), the file-backed node store, the shard/merge
-protocol, and the execution planner (replay, force, tracer, group
-runners).
+Covers graph construction, content-address derivation (the invalidation
+rule), the file-backed node store, the shard/merge protocol, and — on a
+tiny tank-level slice through
+:func:`repro.experiments.dag.run_campaign_graph` — what a campaign
+replays, forces and re-executes against its node store.
 """
 
 import json
@@ -13,7 +14,6 @@ import pytest
 from repro.experiments.graph import (
     Graph,
     GraphError,
-    GraphStats,
     Node,
     NodeStore,
     StoreMergeError,
@@ -23,75 +23,53 @@ from repro.experiments.graph import (
 from tests.experiments.store_fixtures import pack_holding, packs
 
 
-def const(value):
-    """A run callable ignoring its dependency outputs."""
-    return lambda deps: value
-
-
 def diamond():
-    """a -> (b, c) -> d, with d summing its dependencies.
+    """a -> (b, c) -> d.
 
-    Inputs carry each node's distinguishing parameter — the runtime's
-    contract: the content address covers everything that determines the
-    output, so same-kind nodes doing different work must differ there.
+    Inputs carry each node's distinguishing parameter — the content
+    address covers everything that determines the output, so same-kind
+    nodes doing different work must differ there.
     """
     graph = Graph()
-    graph.add(Node(name="a", kind="src", run=const(1), inputs={"v": "1"}))
-    graph.add(
-        Node(
-            name="b",
-            kind="mid",
-            run=lambda d: d["a"] + 10,
-            inputs={"add": "10"},
-            deps=("a",),
-        )
-    )
-    graph.add(
-        Node(
-            name="c",
-            kind="mid",
-            run=lambda d: d["a"] + 20,
-            inputs={"add": "20"},
-            deps=("a",),
-        )
-    )
-    graph.add(
-        Node(name="d", kind="sink", run=lambda d: d["b"] + d["c"], deps=("b", "c"))
-    )
+    graph.add(Node(name="a", kind="src", inputs={"v": "1"}))
+    graph.add(Node(name="b", kind="mid", inputs={"add": "10"}, deps=("a",)))
+    graph.add(Node(name="c", kind="mid", inputs={"add": "20"}, deps=("a",)))
+    graph.add(Node(name="d", kind="sink", deps=("b", "c")))
     return graph
 
 
 class TestGraphConstruction:
     def test_topo_order_deps_first(self):
-        assert diamond().topo_order() == ["a", "b", "c", "d"]
+        assert [node.name for node in diamond().nodes()] == ["a", "b", "c", "d"]
+        assert list(diamond().keys()) == ["a", "b", "c", "d"]
 
     def test_insertion_order_breaks_ties(self):
         graph = Graph()
-        graph.add(Node(name="z", kind="k", run=const(0)))
-        graph.add(Node(name="a", kind="k", run=const(0)))
-        assert graph.topo_order() == ["z", "a"]
+        graph.add(Node(name="z", kind="k"))
+        graph.add(Node(name="a", kind="k"))
+        assert [node.name for node in graph.nodes()] == ["z", "a"]
 
     def test_duplicate_name_rejected(self):
         graph = Graph()
-        graph.add(Node(name="a", kind="k", run=const(0)))
+        graph.add(Node(name="a", kind="k"))
         with pytest.raises(GraphError, match="duplicate"):
-            graph.add(Node(name="a", kind="k", run=const(0)))
+            graph.add(Node(name="a", kind="k"))
 
     def test_unknown_dependency_rejected(self):
         graph = Graph()
-        graph.add(Node(name="a", kind="k", run=const(0), deps=("ghost",)))
         with pytest.raises(GraphError, match="ghost"):
-            graph.topo_order()
+            graph.add(Node(name="a", kind="k", deps=("ghost",)))
+        assert "a" not in graph and len(graph) == 0
 
     def test_cycle_rejected(self):
+        # A dependency must be added first, so no cycle can be closed.
         graph = Graph()
-        graph.add(Node(name="a", kind="k", run=const(0), deps=("b",)))
-        graph.add(Node(name="b", kind="k", run=const(0), deps=("a",)))
-        with pytest.raises(GraphError, match="cycle"):
-            graph.topo_order()
-
-    def test_execute_returns_outputs(self):
-        assert diamond().execute() == {"a": 1, "b": 11, "c": 21, "d": 32}
+        with pytest.raises(GraphError, match="not yet added"):
+            graph.add(Node(name="a", kind="k", deps=("b",)))
+        graph.add(Node(name="b", kind="k"))
+        graph.add(Node(name="a", kind="k", deps=("b",)))
+        with pytest.raises(GraphError, match="duplicate"):
+            graph.add(Node(name="b", kind="k", deps=("a",)))
 
 
 class TestContentAddresses:
@@ -104,7 +82,6 @@ class TestContentAddresses:
         changed_graph._nodes["b"] = Node(
             name="b",
             kind="mid",
-            run=const(0),
             inputs={"v": "changed"},
             deps=("a",),
         )
@@ -116,16 +93,16 @@ class TestContentAddresses:
 
     def test_kind_enters_the_key(self):
         g1, g2 = Graph(), Graph()
-        g1.add(Node(name="n", kind="x", run=const(0)))
-        g2.add(Node(name="n", kind="y", run=const(0)))
+        g1.add(Node(name="n", kind="x"))
+        g2.add(Node(name="n", kind="y"))
         assert g1.key("n") != g2.key("n")
 
     def test_name_does_not_enter_the_key(self):
         # Content-addressing: renaming a node without changing its work
         # must not invalidate it (shards address records purely by key).
         g1, g2 = Graph(), Graph()
-        g1.add(Node(name="n1", kind="x", run=const(0), inputs={"v": "1"}))
-        g2.add(Node(name="n2", kind="x", run=const(0), inputs={"v": "1"}))
+        g1.add(Node(name="n1", kind="x", inputs={"v": "1"}))
+        g2.add(Node(name="n2", kind="x", inputs={"v": "1"}))
         assert g1.key("n1") == g2.key("n2")
 
 
@@ -137,7 +114,7 @@ def _put(store, node, key, output):
 class TestNodeStore:
     def test_roundtrip(self, tmp_path):
         store = NodeStore(tmp_path / "s")
-        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
+        node = Node(name="n", kind="k", inputs={"v": "1"})
         path = _put(store, node, "k" * 64, {"answer": 42})
         assert path.parent == store.dir and path.suffix == ".pack"
         assert store.get(node, "k" * 64) == ("hit", {"answer": 42})
@@ -149,15 +126,15 @@ class TestNodeStore:
 
     def test_missing_key_is_a_miss(self, tmp_path):
         store = NodeStore(tmp_path / "s")
-        node = Node(name="n", kind="k", run=const(0))
+        node = Node(name="n", kind="k")
         assert store.get(node, "0" * 64) == ("miss", None)
         assert len(store) == 0 and list(store.iter_keys()) == []
 
     def test_descriptor_mismatch_is_not_a_hit(self, tmp_path):
         store = NodeStore(tmp_path / "s")
-        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
+        node = Node(name="n", kind="k", inputs={"v": "1"})
         _put(store, node, "k" * 64, 1)
-        other = Node(name="n", kind="k", run=const(0), inputs={"v": "2"})
+        other = Node(name="n", kind="k", inputs={"v": "2"})
         assert store.get(other, "k" * 64) == ("mismatch", None)
         assert NodeStore(tmp_path / "s").get(other, "k" * 64) == ("mismatch", None)
 
@@ -180,7 +157,7 @@ class TestNodeStore:
         import repro.experiments.graph as graph_module
 
         store = NodeStore(tmp_path / "s")
-        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
+        node = Node(name="n", kind="k", inputs={"v": "1"})
         first = _put(store, node, "k" * 64, "old")
 
         def exploding(*args, **kwargs):
@@ -226,9 +203,7 @@ class TestNodeStore:
 
     def test_records_carry_descriptor(self, tmp_path):
         store = NodeStore(tmp_path / "s")
-        node = Node(
-            name="n", kind="k", run=const(0), inputs={"v": "1"}, deps=("up",)
-        )
+        node = Node(name="n", kind="k", inputs={"v": "1"}, deps=("up",))
         path = _put(store, node, "k" * 64, "out")
         assert json.loads(path.read_text()) == {
             "format": NodeStore.FORMAT,
@@ -245,7 +220,7 @@ class TestNodeStore:
         }
 
     def test_foreign_and_per_node_files_are_ignored(self, tmp_path):
-        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
+        node = Node(name="n", kind="k", inputs={"v": "1"})
         store = NodeStore(tmp_path / "s")
         store.dir.mkdir(parents=True)
         record = NodeStore.record(node, "k" * 64, "old layout")
@@ -264,8 +239,8 @@ class TestNodeStore:
         assert NodeStore(tmp_path / "s").get(node, "k" * 64) == ("hit", "new")
 
     def test_latest_matching_record_wins(self, tmp_path):
-        node = Node(name="n", kind="k", run=const(0), inputs={"v": "1"})
-        poisoned = Node(name="n", kind="k", run=const(0), inputs={"v": "poisoned"})
+        node = Node(name="n", kind="k", inputs={"v": "1"})
+        poisoned = Node(name="n", kind="k", inputs={"v": "poisoned"})
         store = NodeStore(tmp_path / "s")
         _put(store, poisoned, "k" * 64, "foreign")
         _put(store, node, "k" * 64, "first")
@@ -284,7 +259,7 @@ class TestNodeStore:
 
 
 def _batch_node(index):
-    return Node(name=f"n{index}", kind="k", run=const(0), inputs={"i": str(index)})
+    return Node(name=f"n{index}", kind="k", inputs={"i": str(index)})
 
 
 def _put_batch(root, writer):
@@ -301,7 +276,7 @@ def _put_batch(root, writer):
 class TestMergeStores:
     def _store_with(self, root, name, value):
         store = NodeStore(root)
-        node = Node(name=name, kind="k", run=const(0), inputs={"n": name})
+        node = Node(name=name, kind="k", inputs={"n": name})
         graph = Graph()
         graph.add(node)
         _put(store, node, graph.key(name), value)
@@ -377,185 +352,163 @@ class TestSharding:
             shard_of("0" * 64, 0)
 
 
+def _slice(errors=2):
+    """A tiny tank-level E1 slice: the All version, one case per error."""
+    from repro.experiments.campaign import CampaignConfig
+    from repro.experiments.parallel import enumerate_e1_specs
+
+    config = CampaignConfig(
+        cases_all=1, versions=("All",), target="tanklevel", injection_start_ms=3000
+    )
+    specs = enumerate_e1_specs(config)
+    names = sorted({spec.error_name for spec in specs})[:errors]
+    return [spec for spec in specs if spec.error_name in names]
+
+
+def _campaign(specs, store=None, renderer=lambda results: f"{len(results)} runs", **kwargs):
+    """``run_campaign_graph`` over *specs*, with a tables stage."""
+    from repro.experiments.dag import run_campaign_graph
+
+    return run_campaign_graph(
+        specs, store=store, tables_renderer=renderer, tables_fingerprint="t", **kwargs
+    )
+
+
 class TestExecutionPlanning:
+    """What a campaign replays from its node store and what it executes."""
+
     def test_second_run_replays_everything(self, tmp_path):
-        store = NodeStore(tmp_path / "s")
-        diamond().execute(store=store)
-        stats = GraphStats()
-        outputs = diamond().execute(store=store, stats=stats)
-        assert outputs == {"a": 1, "b": 11, "c": 21, "d": 32}
-        assert stats.executed == 0
-        assert stats.cached == 4
-        assert stats.hit_rate == 1.0
+        specs = _slice()
+        cold = _campaign(specs, NodeStore(tmp_path / "s"))
+        warm = _campaign(specs, NodeStore(tmp_path / "s"))
+        assert (warm.stats.executed, warm.stats.cached) == (0, len(specs) + 2)
+        assert warm.stats.hit_rate == 1.0
+        assert warm.results.records == cold.results.records
+        assert (warm.aggregate_csv, warm.tables) == (cold.aggregate_csv, cold.tables)
 
     def test_force_re_executes_and_refreshes(self, tmp_path):
+        specs = _slice()
         store = NodeStore(tmp_path / "s")
-        diamond().execute(store=store)
-        stats = GraphStats()
-        diamond().execute(store=store, force=True, stats=stats)
-        assert stats.cached == 0
-        assert stats.executed == 4
+        _campaign(specs, store)
+        forced = _campaign(specs, store, force=True)
+        assert forced.stats.cached == 0
+        assert forced.stats.executed == len(specs) + 2
+        assert len(packs(store)) == 2 * (len(specs) + 2)
 
-    def test_tracer_disables_replay(self, tmp_path):
-        class BusStub:
-            def __init__(self):
-                self.events = []
-
-            def emit(self, subsystem, kind, **data):
-                self.events.append((subsystem, kind, data))
-
+    def test_force_refresh_is_what_later_lookups_return(self, tmp_path):
+        specs = _slice(errors=1)
         store = NodeStore(tmp_path / "s")
-        diamond().execute(store=store)
-        bus = BusStub()
-        stats = GraphStats()
-        diamond().execute(store=store, tracer=bus, stats=stats)
-        assert stats.cached == 0
-        assert stats.executed == 4
-        kinds = [kind for _, kind, _ in bus.events]
-        assert kinds.count("node-start") == 4
-        assert kinds.count("node-done") == 4
-        assert "node-cached" not in kinds
-
-    def test_wanted_subset_skips_unneeded(self, tmp_path):
-        stats = GraphStats()
-        outputs = diamond().execute(wanted=["b"], stats=stats)
-        assert outputs == {"a": 1, "b": 11}
-        assert stats.executed == 2
-        assert stats.skipped == 2
+        assert _campaign(specs, store, renderer=lambda results: "old").tables == "old"
+        _campaign(specs, store, renderer=lambda results: "new", force=True)
+        for view in (store, NodeStore(tmp_path / "s")):
+            assert _campaign(specs, view, renderer=lambda results: "old").tables == "new"
 
     def test_partial_store_executes_only_the_gap(self, tmp_path):
+        specs = _slice()
         store = NodeStore(tmp_path / "s")
-        diamond().execute(store=store, wanted=["b"])
-        stats = GraphStats()
-        outputs = diamond().execute(store=store, stats=stats)
-        assert outputs["d"] == 32
-        assert stats.cached == 2  # a, b replayed
-        assert stats.executed == 2  # c, d executed
+        _campaign(specs[:1], store)
+        outcome = _campaign(specs, store)
+        assert outcome.stats.by_kind["run"] == {"executed": len(specs) - 1, "cached": 1}
+        # The aggregate covers a new run set, so it and the tables re-execute.
+        assert outcome.stats.by_kind["aggregate"] == {"executed": 1, "cached": 0}
+        assert outcome.results.records == _campaign(specs).results.records
 
     def test_descriptor_mismatch_re_executes(self, tmp_path):
+        from repro.experiments.dag import build_campaign_graph, run_node_name
+
+        specs = _slice()
+        cold = _campaign(specs, NodeStore(tmp_path / "s"))
+        # Corrupt one run's record descriptor in place, inside its pack.
         store = NodeStore(tmp_path / "s")
-        graph = diamond()
-        graph.execute(store=store)
-        # Corrupt node b's record descriptor in place, inside its pack.
-        key = graph.key("b")
+        key = build_campaign_graph(specs).key(run_node_name(specs[0]))
         path = pack_holding(store, key)
         pack = json.loads(path.read_text())
         for record in pack["records"]:
             if record["key"] == key:
                 record["inputs"] = {"v": "poisoned"}
         path.write_text(json.dumps(pack))
-        stats = GraphStats()
-        outputs = diamond().execute(store=NodeStore(tmp_path / "s"), stats=stats)
-        assert outputs["d"] == 32
+        stats = _campaign(specs, NodeStore(tmp_path / "s")).stats
         assert stats.mismatches == 1
-        assert stats.by_kind["mid"]["executed"] == 1
+        assert stats.by_kind["run"] == {"executed": 1, "cached": len(specs) - 1}
         # The re-executed record is what later lookups return; the
         # earlier mismatched one never shadows it.
-        again = GraphStats()
-        assert diamond().execute(store=NodeStore(tmp_path / "s"), stats=again) == outputs
-        assert (again.executed, again.cached, again.mismatches) == (0, 4, 0)
+        again = _campaign(specs, NodeStore(tmp_path / "s"))
+        assert (again.stats.executed, again.stats.mismatches) == (0, 0)
+        assert again.results.records == cold.results.records
 
-    def test_force_refresh_is_what_later_lookups_return(self, tmp_path):
+    def test_tracer_disables_replay(self, tmp_path):
+        from repro.obs import RingBufferSink, TraceBus
+
+        specs = _slice()
         store = NodeStore(tmp_path / "s")
-        graph = Graph()
-        graph.add(Node(name="n", kind="k", run=const("old"), inputs={"v": "1"}))
-        graph.execute(store=store)
-        forced = Graph()
-        forced.add(Node(name="n", kind="k", run=const("new"), inputs={"v": "1"}))
-        forced.execute(store=store, force=True)
-        assert graph.execute(store=store) == {"n": "new"}
-        assert graph.execute(store=NodeStore(tmp_path / "s")) == {"n": "new"}
+        _campaign(specs, store)
+        buffer = RingBufferSink()
+        stats = _campaign(specs, store, trace=TraceBus([buffer])).stats
+        assert (stats.cached, stats.executed) == (0, len(specs) + 2)
+        kinds = [event.kind for event in buffer.events]
+        assert kinds.count("node-start") == kinds.count("node-done") == len(specs) + 2
 
-    def test_unknown_wanted_rejected(self):
-        with pytest.raises(GraphError, match="ghost"):
-            diamond().execute(wanted=["ghost"])
+    def test_wanted_subset_skips_unneeded(self, tmp_path):
+        # A shard wants only its runs: no aggregate, no tables.
+        specs = _slice(errors=4)
+        shards = [_campaign(specs, shard=(index, 2)) for index in range(2)]
+        assert sum(len(shard.results) for shard in shards) == len(specs)
+        for shard in shards:
+            assert set(shard.stats.by_kind) <= {"run"}
+            assert shard.stats.executed == len(shard.results)
+            assert shard.aggregates == {} and shard.tables is None
 
 
 class TestGroupRunners:
-    def test_same_kind_wave_dispatched_together(self):
-        graph = Graph()
-        for index in range(4):
-            graph.add(
-                Node(
-                    name=f"n{index}",
-                    kind="batch",
-                    run=const(None),
-                    inputs={"i": str(index)},
-                )
-            )
-        waves = []
+    """The run stage: every run not replayed goes to one ``execute_specs`` call."""
 
-        def runner(nodes, dep_outputs, complete):
-            waves.append([node.name for node in nodes])
-            complete({node.name: node.inputs["i"] for node in nodes})
+    def test_same_kind_wave_dispatched_together(self, tmp_path, monkeypatch):
+        import dataclasses
 
-        outputs = graph.execute(runners={"batch": runner})
-        assert waves == [["n0", "n1", "n2", "n3"]]
-        assert outputs == {"n0": "0", "n1": "1", "n2": "2", "n3": "3"}
+        import repro.experiments.dag as dag_module
 
-    def test_node_without_run_needs_a_runner(self):
-        graph = Graph()
-        graph.add(Node(name="n", kind="batch"))
-        with pytest.raises(GraphError, match="no run callable"):
-            graph.execute()
-        assert graph.execute(
-            runners={"batch": lambda nodes, deps, complete: complete({"n": 1})}
-        ) == {"n": 1}
+        specs = _slice()
+        other = [dataclasses.replace(specs[-1], injection_period_ms=7)]
+        store = NodeStore(tmp_path / "s")
+        _campaign(specs[:1], store)
+        calls = []
+        execute_specs = dag_module.execute_specs
 
-    def test_runner_must_cover_all_nodes(self):
-        graph = Graph()
-        graph.add(Node(name="n", kind="batch", run=const(0)))
-        with pytest.raises(GraphError, match="no output"):
-            graph.execute(runners={"batch": lambda nodes, deps, complete: None})
+        def counted(wave, **kwargs):
+            calls.append(list(wave))
+            return execute_specs(wave, **kwargs)
+
+        monkeypatch.setattr(dag_module, "execute_specs", counted)
+        _campaign(specs + other, store)
+        assert calls == [specs[1:] + other]
 
     def test_reported_outputs_are_stored_before_the_runner_returns(self, tmp_path):
-        graph = Graph()
-        for index in range(3):
-            graph.add(Node(name=f"n{index}", kind="batch", run=const(None),
-                           inputs={"i": str(index)}))
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(done, total):
+            raise Interrupted
+
+        specs = _slice()
         store = NodeStore(tmp_path / "s")
-
-        def interrupted(nodes, deps, complete):
-            complete({nodes[0].name: "first"})
-            complete({nodes[1].name: "second"})
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            graph.execute(store=store, runners={"batch": interrupted})
-        assert len(store) == 2
-        assert len(packs(store)) == 2  # one pack per report
-
-        rerun = []
-
-        def rest(nodes, deps, complete):
-            rerun.extend(node.name for node in nodes)
-            complete({node.name: "late" for node in nodes})
-
-        outputs = graph.execute(store=store, runners={"batch": rest})
-        assert rerun == ["n2"]
-        assert outputs == {"n0": "first", "n1": "second", "n2": "late"}
-
-    def test_runner_receives_dependency_outputs(self):
-        graph = Graph()
-        graph.add(Node(name="up", kind="src", run=const(7)))
-        graph.add(Node(name="down", kind="batch", run=const(None), deps=("up",)))
-        seen = {}
-
-        def runner(nodes, dep_outputs, complete):
-            seen.update(dep_outputs)
-            complete({node.name: 0 for node in nodes})
-
-        graph.execute(runners={"batch": runner})
-        assert seen == {"down": {"up": 7}}
+        with pytest.raises(Interrupted):
+            _campaign(specs, store, progress=interrupt)
+        # The serial path reports, and so stores, one run at a time.
+        assert len(store) == 1 and len(packs(store)) == 1
+        resumed = _campaign(specs, store)
+        assert resumed.stats.by_kind["run"] == {"executed": len(specs) - 1, "cached": 1}
 
     def test_metrics_counters(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
 
+        specs = _slice()
         store = NodeStore(tmp_path / "s")
         metrics = MetricsRegistry()
-        diamond().execute(store=store, metrics=metrics)
+        _campaign(specs, store, metrics=metrics)
         rendered = metrics.render()
-        assert "graph_nodes_executed_total{kind=mid} 2" in rendered
+        assert f"graph_nodes_executed_total{{kind=run}} {len(specs)}" in rendered
+        assert "graph_nodes_executed_total{kind=aggregate} 1" in rendered
         metrics2 = MetricsRegistry()
-        diamond().execute(store=store, metrics=metrics2)
-        assert "graph_nodes_cached_total{kind=sink} 1" in metrics2.render()
+        _campaign(specs, store, metrics=metrics2)
+        assert "graph_nodes_cached_total{kind=tables} 1" in metrics2.render()
+        assert "graph_nodes_executed_total" not in metrics2.render()

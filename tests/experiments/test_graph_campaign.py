@@ -26,13 +26,14 @@ from hypothesis import strategies as st
 from repro.experiments.campaign import CampaignConfig
 from repro.experiments.dag import (
     AGGREGATE_NODE,
+    TABLES_NODE,
     build_campaign_graph,
     code_fingerprint,
     context_fingerprint,
     run_campaign_graph,
     run_node_name,
 )
-from repro.experiments.graph import GraphStats, NodeStore, merge_stores
+from repro.experiments.graph import NodeStore, merge_stores
 from repro.experiments.parallel import enumerate_e1_specs, execute_specs
 from repro.targets import snapshot as snapshots
 from repro.targets.base import Target
@@ -85,7 +86,7 @@ class TestFullGridEquivalence:
 
 
 class TestSerialSliceEquivalence:
-    """The non-batch group runner path matches the serial engine."""
+    """The non-batch run stage matches the serial engine."""
 
     @pytest.mark.parametrize("name", target_names())
     def test_slice_identical(self, name, tmp_path):
@@ -246,10 +247,8 @@ class TestKeyDerivation:
         changed_keys = changed_graph.keys()
         # A new period moves the run into a context of its own, renaming
         # that context's nodes; keys follow the runs, not the names.
-        base_runs = {n.payload: base_keys[n.name] for n in base_graph.nodes() if n.kind == "run"}
-        changed_runs = {
-            n.payload: changed_keys[n.name] for n in changed_graph.nodes() if n.kind == "run"
-        }
+        base_runs = {spec: base_keys[name] for name, spec in base_graph.runs.items()}
+        changed_runs = {spec: changed_keys[name] for name, spec in changed_graph.runs.items()}
         assert changed_runs[mutated] != base_runs[specs[index]]
         for spec in specs[:index] + specs[index + 1 :]:
             assert changed_runs[spec] == base_runs[spec]
@@ -262,8 +261,9 @@ class TestKeyDerivation:
         assert kinds == {"run", "aggregate", "tables"}
         runs = [node for node in graph.nodes() if node.kind == "run"]
         assert len(runs) == len(specs)
-        # Run nodes execute only through the run-wave runner.
-        assert all(node.run is None and node.deps == () for node in runs)
+        assert list(graph.runs) == [node.name for node in runs]
+        assert list(graph.runs.values()) == specs
+        assert all(node.deps == () for node in runs)
 
     def test_identical_grid_has_identical_keys(self):
         specs = _slice_specs("tanklevel", errors=2)
@@ -424,6 +424,34 @@ class TestTracing:
         ]
         assert run_node_name(specs[0]) in started
 
+    def test_traced_cold_campaign_emits_node_events_stage_by_stage(self):
+        from repro.obs import RingBufferSink, TraceBus
+
+        # A traced campaign needs one run id per run: the contexts hold
+        # different errors.
+        specs = _slice_specs("tanklevel", errors=4, versions=("All",))
+        base = specs[: len(specs) // 2]
+        other = [dataclasses.replace(s, injection_period_ms=7) for s in specs[len(specs) // 2 :]]
+        buffer = RingBufferSink()
+        run_campaign_graph(
+            base + other, trace=TraceBus([buffer]), tables_renderer=lambda results: "t"
+        )
+        node_events = [
+            (event.kind, event.data["node_kind"], event.data["node"])
+            for event in buffer.events
+            if event.kind.startswith("node-")
+        ]
+        runs = [run_node_name(s) for s in base] + [run_node_name(s) + "@1" for s in other]
+        aggregates = [AGGREGATE_NODE, AGGREGATE_NODE + "@1"]
+        # Every run starts, each serial chunk (one run) is done as it is
+        # stored, then the aggregates, then tables.
+        assert node_events == (
+            [("node-start", "run", name) for name in runs]
+            + [("node-done", "run", name) for name in runs]
+            + [("node-start", "aggregate", name) for name in aggregates]
+            + [("node-done", "aggregate", name) for name in aggregates]
+            + [("node-start", "tables", TABLES_NODE), ("node-done", "tables", TABLES_NODE)]
+        )
 
     def test_traced_campaign_with_workers_forks_a_pool(self, tmp_path, monkeypatch):
         import repro.experiments.parallel as parallel

@@ -100,8 +100,9 @@ class TestEventSchema:
         from repro.obs.events import EVENT_KINDS
 
         kinds = {kind for _subsystem, kind in EVENT_KINDS}
-        assert {"node-start", "node-cached", "node-done", "snapshot-prewarm"} <= kinds
-        assert not kinds & {"resume-restored", "store-restored"}
+        assert {"node-start", "node-done", "snapshot-prewarm"} <= kinds
+        # A traced campaign replays nothing, so no node is ever cached.
+        assert not kinds & {"resume-restored", "store-restored", "node-cached"}
 
 
 class TestCliTracing:

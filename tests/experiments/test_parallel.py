@@ -260,7 +260,7 @@ class TestWedgedRunTracing:
         monkeypatch.setattr(parallel, "_execute_one", exploding)
         again = run_campaign_graph([spec], timeout_s=0.05, store=store)
         assert again.results.records == first.results.records
-        assert again.stats.by_kind["run"] == {"executed": 0, "cached": 1, "skipped": 0}
+        assert again.stats.by_kind["run"] == {"executed": 0, "cached": 1}
 
 
 class TestRetry:
