@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint coverage regen-golden bench graph-smoke bench-suite-smoke e1 e2 ablations reference examples clean
+.PHONY: install test lint coverage regen-golden bench graph-smoke serve-smoke bench-suite-smoke e1 e2 ablations reference examples clean
 
 # Coverage floor for the instrumented packages (ratchet: raise as
 # coverage improves, never lower).
@@ -18,7 +18,7 @@ test:
 # always followed by the repo's own assertion linter — plan rules plus
 # the EA4xx/EA5xx source-level packs (AST def-use over every
 # fingerprinted module) — on every registered target, the task-graph
-# smoke and the repository benchmark's self-test.  Fails on any new
+# and serving smokes and the repository benchmark's self-test.  Fails on any new
 # finding.
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
@@ -34,6 +34,7 @@ lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis --all-targets --source
 	@$(MAKE) --no-print-directory coverage
 	@$(MAKE) --no-print-directory graph-smoke
+	@$(MAKE) --no-print-directory serve-smoke
 	@$(MAKE) --no-print-directory bench-suite-smoke
 
 # Ratcheted coverage gate over the assertion engines and the
@@ -76,6 +77,15 @@ bench-suite-smoke:
 graph-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/experiments/test_graph_campaign.py::TestGraphSmoke
+
+# Fast check of batch serving's one running kernel per target: the
+# continuous-group tests (sessions joining a running kernel on any
+# round, churn, gauges), then a short batched CLI run over whole tank
+# windows.  Guards repro.serve's batch path on every `make lint`.
+serve-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/serve/test_continuous_group.py
+	PYTHONPATH=src $(PYTHON) -m repro.serve --target tanklevel --sessions 8 \
+		--frame-ticks 500 --batch
 
 e1:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments e1 --save results/e1.csv

@@ -11,9 +11,10 @@ Layers (bottom up):
 * :mod:`repro.serve.session` — one streamed instance; restores from the
   snapshot cache, advances the resumable run loop per frame, lands the
   declared injection schedule exactly as the offline injector would.
-* :mod:`repro.serve.batchserve` — lockstep generations of eligible
-  sessions over the resumable vectorized kernels (one numpy step per
-  round for hundreds of sessions).
+* :mod:`repro.serve.batchserve` — one long-lived group of eligible
+  sessions per target over its resumable vectorized kernel (one numpy
+  step per round for hundreds of sessions); a session opened mid-run
+  joins the running kernel and finishes on its own tick.
 * :mod:`repro.serve.fleet` — the scheduler: one drain loop over
   bounded per-session queues with backpressure, LRU ``max_sessions``
   eviction, per-round failure isolation, ``repro.obs`` metrics and

@@ -149,7 +149,7 @@ async def serve_lines(
                         sid, complete=bool(message.get("complete", True))
                     )
                     try:
-                        # Closing a lockstep member can release its group's
+                        # Closing a batch member can release its group's
                         # queued round; serve it before the reply.
                         await fleet.flush()
                     finally:

@@ -1,36 +1,40 @@
-"""Vectorized serving: lockstep batch groups over the batch kernels.
+"""Vectorized serving: one running batch kernel per target.
 
 The serving hot path: sessions of the same target whose specs are
 *batch-eligible* are pooled into a :class:`BatchGroup`.  One telemetry
 round pops one frame per member and a single ``advance`` of the
 target's ``batch_kernel`` executes the round for every member at once —
 one numpy step advances hundreds of sessions — while the per-row
-detection book yields each session's events.  A group shares one clock
-and one ``finished`` flag, so only a kernel whose rows end together
-(the tank's fixed window) can back one; arrestor rows stop
-independently, so arrestor sessions are served serially.
+detection book yields each session's events.
 
-Groups are *generational*: members join only while the group's shared
-sim-clock is still at zero (all rows of a kernel advance in lockstep),
-so sessions opened after a group started stepping seed the next group.
-Rows whose session closed early stay in the arrays (advancing a dead
-row is the identity on everything observable) but stop gating
-readiness.
+A group is long-lived: a session opened while it runs queues, and the
+queued sessions join the running kernel in one ``join`` at the start of
+the next round.  Each row keeps its own session clock (the group tick it
+joined on is its offset) and finishes on the last tick of its own
+window, so a member finishes on its own tick and a finished member
+neither gates rounds nor advances.  Only a kernel whose tick body reads
+the clock only to stage checks can take rows mid-run; the arrestor's
+slave schedule branches on the clock, so arrestor sessions are served
+serially.  A closed member's row leaves the kernel, the event log and
+the group's per-row lists at the start of the next round, and the rows
+behind it are renumbered, so a group under churn holds only its open
+members.
 
 Detections stay numpy arrays: each round's ``(rows, time_ms, monitor)``
 arrays go into the group's :class:`EventLog`, and a member's
 :class:`~repro.serve.session.ServeEvent`\\ s are built only when they
 are read.  Closing a member costs the same whatever its event count:
-its outcome keeps the log (never the kernel) and builds its events on
-first read, and :meth:`EventLog.round_events` serves a per-event
-consumer.  The fleet counts detections and observes latencies straight
-from the arrays.
+its outcome takes its own slice of the log's arrays and builds its
+events on first read, and :meth:`EventLog.round_events` serves a
+per-event consumer.  The fleet counts detections and observes
+latencies straight from the arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
@@ -55,14 +59,14 @@ def batch_fallback_reason(target: Target, spec: SessionSpec) -> Optional[str]:
     ``address``: a raw-address flip, whose per-row semantics are not
     expressible as the kernels' XOR masks.  ``spec``: a spec the kernel
     does not model (``kernel_eligible``; e.g. fault-free).  ``kernel``:
-    the target's kernel rows do not end together, so one group clock
-    cannot serve them.
+    the target's kernel tick reads the clock, so sessions cannot join it
+    while it runs.
     """
     if spec.address is not None:
         return "address"
     if not kernel_eligible(target, spec):
         return "spec"
-    if not target.batch_kernel.rows_end_together:
+    if not target.batch_kernel.step_clock_staged_only:
         return "kernel"
     return None
 
@@ -84,63 +88,83 @@ def _batch_spec(spec: SessionSpec) -> BatchRunSpec:
     )
 
 
+def _events(
+    session_id: str, signal: Optional[str], monitor_ids: Tuple[str, ...], time_ms, monitor
+) -> Tuple[ServeEvent, ...]:
+    """One member's detection arrays as events, in record order."""
+    n = len(time_ms)
+    # ``map`` keeps the per-event loop in C: a read builds hundreds.
+    return tuple(
+        map(
+            ServeEvent,
+            repeat(session_id, n),
+            time_ms.tolist(),
+            map(monitor_ids.__getitem__, monitor.tolist()),
+            repeat(signal, n),
+        )
+    )
+
+
 class EventLog:
     """A batch group's detections, kept as arrays until a member reads them.
 
     :meth:`append` logs one round's ``(rows, time_ms, monitor)`` arrays.
-    The first :meth:`events` read after new rounds folds them into one
-    array set sorted by row — a stable sort, so each member's events stay
-    in record order — and every member's events are then one slice of
-    it.  The log holds the label tables and the arrays, never the
-    kernel, so a closed member's outcome can keep it past its group.
+    The first :meth:`take` after new rounds folds them into one array
+    set sorted by row — a stable sort, so each member's events stay in
+    record order — and every member's events are then one slice of it.
     """
 
     def __init__(self, session_ids: List[str], signals: List[Optional[str]]) -> None:
-        #: The group's own label lists; they grow as members join.
+        #: The group's own per-row label lists.
         self.session_ids = session_ids
         self.monitor_ids: List[str] = []
         self._signals = signals
         #: Rounds logged since the last fold.
         self._rounds: List[Tuple[Any, Any, Any]] = []
-        #: The folded events, sorted by row, and each row's ``[lo, hi)``
-        #: bounds into them (row ``r`` is ``bounds[r]:bounds[r + 1]``).
+        #: The folded events, sorted by row.
         self._sorted: Optional[Tuple[Any, Any, Any]] = None
-        self._bounds: List[int] = []
 
     def append(self, rows, time_ms, monitor) -> None:
         if len(rows):
-            # Narrow: a closed member's outcome may keep the log past its group.
             self._rounds.append(
                 (rows.astype(np.int32), time_ms.astype(np.int32), monitor.astype(np.int16))
             )
 
-    def _fold(self) -> None:
-        parts = self._rounds if self._sorted is None else [self._sorted] + self._rounds
-        rows, time_ms, monitor = (np.concatenate(column) for column in zip(*parts))
-        order = np.argsort(rows, kind="stable")
-        self._sorted = (rows[order], time_ms[order], monitor[order])
-        self._rounds = []
-        counts = np.bincount(rows, minlength=len(self.session_ids))
-        self._bounds = [0] + np.cumsum(counts).tolist()
-
-    def events(self, row: int) -> Tuple[ServeEvent, ...]:
-        """Row *row*'s detections so far as events, in record order."""
+    def _fold(self) -> Tuple[Any, Any, Any]:
         if self._rounds:
-            self._fold()
+            parts = self._rounds if self._sorted is None else [self._sorted] + self._rounds
+            rows, time_ms, monitor = (np.concatenate(column) for column in zip(*parts))
+            order = np.argsort(rows, kind="stable")
+            self._sorted = (rows[order], time_ms[order], monitor[order])
+            self._rounds = []
         if self._sorted is None:
-            return ()
-        lo, hi = self._bounds[row], self._bounds[row + 1]
-        _, time_ms, monitor = self._sorted
-        # ``map`` keeps the per-event loop in C: a read builds hundreds.
-        return tuple(
-            map(
-                ServeEvent,
-                repeat(self.session_ids[row], hi - lo),
-                time_ms[lo:hi].tolist(),
-                map(self.monitor_ids.__getitem__, monitor[lo:hi].tolist()),
-                repeat(self._signals[row], hi - lo),
-            )
+            empty = np.empty(0, dtype=np.int32)
+            return empty, empty, empty
+        return self._sorted
+
+    def take(self, row: int) -> Callable[[], Tuple[ServeEvent, ...]]:
+        """A builder of row *row*'s events so far, over its own copy of them.
+
+        The builder keeps no reference to the log, its group or kernel.
+        """
+        rows, time_ms, monitor = self._fold()
+        # Search in the log's own dtype: a mixed-dtype search copies ``rows``.
+        lo, hi = rows.searchsorted(np.array([row, row + 1], dtype=rows.dtype)).tolist()
+        return functools.partial(
+            _events,
+            self.session_ids[row],
+            self._signals[row],
+            tuple(self.monitor_ids),
+            time_ms[lo:hi].copy(),
+            monitor[lo:hi].copy(),
         )
+
+    def compact(self, keep) -> None:
+        """Keep the rows in mask *keep*, renumbered in order (see ``BatchKernel.remove``)."""
+        rows, time_ms, monitor = self._fold()
+        kept = keep[rows]
+        renumber = (np.cumsum(keep) - 1).astype(np.int32)
+        self._sorted = (renumber[rows[kept]], time_ms[kept], monitor[kept])
 
     def round_events(self, rows, time_ms, monitor) -> List[ServeEvent]:
         """One round's :meth:`BatchGroup.advance` arrays as events, in their order."""
@@ -157,88 +181,134 @@ class EventLog:
 
 
 class BatchGroup:
-    """A generation of lockstep sessions sharing one vectorized kernel."""
+    """One target's batch-served sessions on one running kernel.
+
+    Members are kernel rows in join order.  :meth:`add` queues a
+    session and :meth:`close` takes one out; both take effect in the
+    kernel at the start of the next :meth:`advance`.
+    """
 
     def __init__(self, target: Target, max_rows: int = 512) -> None:
-        if not (target.supports_batch() and target.batch_kernel.rows_end_together):
-            raise ServeError(f"no lockstep batch kernel for target {target.name!r}")
+        kernel = target.batch_kernel if target.supports_batch() else None
+        if kernel is None or not kernel.step_clock_staged_only:
+            raise ServeError(f"no joinable batch kernel for target {target.name!r}")
         self.target = target
         self.max_rows = max_rows
-        self._specs: List[BatchRunSpec] = []
-        self.session_ids: List[str] = []
-        self.active: List[bool] = []
-        self._signals: List[Optional[str]] = []
         self.kernel = None
+        #: Per kernel row: the member's session id and injected signal.
+        self.session_ids: List[str] = []
+        self._signals: List[Optional[str]] = []
+        #: Open members' kernel rows.
         self._row_of: Dict[str, int] = {}
+        #: Sessions that join, and closed rows that leave, next round.
+        self._joining: List[SessionSpec] = []
+        self._leaving: List[int] = []
         self.log = EventLog(self.session_ids, self._signals)
-        #: Per row, set at seal: the injection start, and whether the
-        #: first detection at or after it has been reported.
-        self._start = None
-        self._latency_done = None
+        #: Per row: the injection start, and whether the first detection
+        #: at or after it has been reported.
+        self._start = np.zeros(0, dtype=np.int64)
+        self._latency_done = np.zeros(0, dtype=bool)
+        #: Per row, whether its window ran out (``None``: not read since
+        #: the last round).
+        self._finished: Optional[List[bool]] = None
+        #: Running members with no frame queued at the last round check.
+        self.waiting = 0
 
     def __len__(self) -> int:
-        return len(self.session_ids)
-
-    @property
-    def sealed(self) -> bool:
-        """Stepping has begun; no further members may join."""
-        return self.kernel is not None
+        """Open members, joined or queued to join."""
+        return len(self._row_of) + len(self._joining)
 
     @property
     def accepting(self) -> bool:
-        return not self.sealed and len(self) < self.max_rows
+        return len(self) < self.max_rows
 
     @property
     def clock_ms(self) -> int:
         return self.kernel.now_ms if self.kernel is not None else 0
 
     @property
-    def finished(self) -> bool:
-        return self.kernel is not None and self.kernel.finished
-
-    def add(self, spec: SessionSpec) -> int:
-        """Admit a session; returns its row index."""
-        if self.sealed:
-            raise ServeError("batch group already sealed (sim-clock advanced)")
-        row = len(self.session_ids)
-        self._specs.append(_batch_spec(spec))
-        self.session_ids.append(spec.session_id)
-        self.active.append(True)
-        self._signals.append(spec.signal)
-        self._row_of[spec.session_id] = row
-        return row
-
-    def row_of(self, session_id: str) -> int:
-        return self._row_of[session_id]
+    def live_rows(self) -> int:
+        """Rows the kernel still advances."""
+        return len(self.kernel.rows) if self.kernel is not None else 0
 
     @property
     def monitor_ids(self) -> List[str]:
         """The monitor names the ``monitor`` arrays index."""
         return self.log.monitor_ids
 
-    def deactivate(self, session_id: str) -> None:
-        """Stop gating rounds on this member (its session closed)."""
-        self.active[self._row_of[session_id]] = False
+    def add(self, spec: SessionSpec) -> None:
+        """Admit a session; it joins the kernel at the start of the next round."""
+        self._joining.append(spec)
+
+    def _finished_rows(self) -> List[bool]:
+        if self._finished is None:
+            self._finished = (self.kernel.row_last_ms >= 0).tolist()
+        return self._finished
+
+    def is_finished(self, session_id: str) -> bool:
+        """Whether the member's window ran out (a queued member's has not)."""
+        row = self._row_of.get(session_id)
+        return row is not None and self._finished_rows()[row]
+
+    def members(self) -> Tuple[List[str], List[str]]:
+        """Open members as ``(running, finished)`` session ids.
+
+        A finished member's window ran out: it no longer gates rounds.
+        """
+        running = [spec.session_id for spec in self._joining]
+        finished: List[str] = []
+        if self._row_of:
+            done = self._finished_rows()
+            for session_id, row in self._row_of.items():
+                (finished if done[row] else running).append(session_id)
+        return running, finished
+
+    def _sync(self) -> None:
+        """Drop the closed rows, then join the queued sessions."""
+        if self._leaving:
+            self.kernel.remove(self._leaving)
+            keep = np.ones(len(self.session_ids), dtype=bool)
+            keep[self._leaving] = False
+            self._leaving = []
+            self.log.compact(keep)
+            kept = keep.tolist()
+            # In place: the log shares these lists.
+            self.session_ids[:] = [sid for sid, k in zip(self.session_ids, kept) if k]
+            self._signals[:] = [signal for signal, k in zip(self._signals, kept) if k]
+            self._start = self._start[keep]
+            self._latency_done = self._latency_done[keep]
+            self._row_of = {sid: row for row, sid in enumerate(self.session_ids)}
+        if self._joining:
+            specs = [_batch_spec(spec) for spec in self._joining]
+            if self.kernel is None:
+                self.kernel = self.target.batch_kernel(specs, capture_events=True)
+                self.log.monitor_ids = self.kernel.book.monitor_ids
+            else:
+                self.kernel.join(specs)
+            for spec in self._joining:
+                self._row_of[spec.session_id] = len(self.session_ids)
+                self.session_ids.append(spec.session_id)
+                self._signals.append(spec.signal)
+            self._start = np.concatenate(
+                [self._start, [spec.start_ms for spec in self._joining]]
+            )
+            self._latency_done = np.concatenate(
+                [self._latency_done, np.zeros(len(specs), dtype=bool)]
+            )
+            self._joining = []
+        self._finished = None
 
     def advance(self, ticks: int) -> Tuple[Any, Any, Any]:
-        """One lockstep round: *ticks* milliseconds for every row.
+        """One round: *ticks* milliseconds for every running member.
 
-        Returns the active members' detections of the round as aligned
-        int64 arrays ``(rows, time_ms, monitor)``, ordered by row and, within
-        a row, in record order; ``monitor`` indexes :attr:`monitor_ids`.
+        Returns the round's detections as aligned int64 arrays ``(rows,
+        time_ms, monitor)``, ordered by row and, within a row, in record
+        order; ``monitor`` indexes :attr:`monitor_ids`.
         """
-        if self.kernel is None:
-            self.kernel = self.target.batch_kernel(self._specs, capture_events=True)
-            self.log.monitor_ids = self.kernel.book.monitor_ids
-            self._start = np.array(
-                [spec.injection_start_ms for spec in self._specs], dtype=np.int64
-            )
-            self._latency_done = np.zeros(len(self._specs), dtype=bool)
+        self._sync()
         self.kernel.advance(ticks)
+        self._finished = None
         rows, time_ms, monitor = self.kernel.drain_events()
-        if not all(self.active):
-            keep = np.array(self.active)[rows]
-            rows, time_ms, monitor = rows[keep], time_ms[keep], monitor[keep]
         order = np.argsort(rows, kind="stable")
         detections = (rows[order], time_ms[order], monitor[order])
         self.log.append(*detections)
@@ -268,13 +338,21 @@ class BatchGroup:
         self._latency_done[rows] = True
         return (time_ms[first] - self._start[rows]).tolist()
 
-    def result(self, session_id: str) -> RunResult:
-        """The member's result as of the group's current sim-clock.
+    def close(
+        self, session_id: str
+    ) -> Tuple[RunResult, Callable[[], Tuple[ServeEvent, ...]], bool]:
+        """Take a member out of the group.
 
-        Before the first round the row's boot state comes from a
-        one-row kernel of its own, so the group stays unsealed.
+        Returns its result as of its last executed tick, a builder of
+        its events (see :meth:`EventLog.take`) and whether its window
+        ran out.  A member still queued to join is joined first, so its
+        result is its boot state.  The row leaves the kernel at the
+        start of the next round.
         """
-        row = self._row_of[session_id]
-        if self.kernel is None:
-            return self.target.batch_kernel([self._specs[row]]).outcome(0).result
-        return self.kernel.outcome(row).result
+        if session_id not in self._row_of:
+            self._sync()
+        row = self._row_of.pop(session_id)
+        result = self.kernel.outcome(row).result
+        finished = self._finished_rows()[row]
+        self._leaving.append(row)
+        return result, self.log.take(row), finished

@@ -8,9 +8,15 @@ ingest`` blocks when a session's queue is full — backpressure instead
 of unbounded buffering), and the drain loop routes them two ways:
 
 * **batch path** — sessions eligible for a vectorized kernel are pooled
-  into generational :class:`~repro.serve.batchserve.BatchGroup`\\ s; a
-  round fires when every open member has a frame queued and one numpy
-  step advances the whole group.  Its detections stay arrays: counters
+  into one long-lived :class:`~repro.serve.batchserve.BatchGroup` per
+  target (more only past ``batch_rows`` members); a session opened
+  while the group runs joins its kernel at the start of the next round.
+  A round fires when every running member has a frame queued and one
+  numpy step advances the whole group; a member whose window ran out
+  no longer gates rounds, and its frames are consumed as no-ops.  The
+  ``serve_batch_rows{target}`` and ``serve_batch_waiting{target}``
+  gauges show the rows a target's kernel advances and the running
+  members a round is waiting on.  Its detections stay arrays: counters
   and latencies are taken from them per round, and
   :class:`~repro.serve.session.ServeEvent`\\ s are built only for a
   per-event consumer (``on_event`` or a tracer) or when a closed
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import functools
 import os
 import time
 from collections import OrderedDict, deque
@@ -130,7 +135,7 @@ class _Handle:
     @property
     def finished(self) -> bool:
         if self.group is not None:
-            return self.group.finished
+            return self.group.is_finished(self.spec.session_id)
         return self.session.finished
 
 
@@ -165,6 +170,8 @@ class Fleet:
             phase: metrics.counter("serve_phase_seconds_total", phase=phase)
             for phase in PHASES
         }
+        #: The targets that have had a batch group (their gauges exist).
+        self._batch_targets: List[str] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -247,15 +254,40 @@ class Fleet:
         for group in self._groups:
             while self._batch_round(group):
                 progressed = True
+        if self._batch_targets:
+            self._batch_gauges()
         return progressed
 
+    def _batch_gauges(self) -> Dict[str, Dict[str, int]]:
+        """Set and return each batch target's ``rows`` and ``waiting`` gauges."""
+        gauges = {target: {"rows": 0, "waiting": 0} for target in self._batch_targets}
+        for group in self._groups:
+            gauge = gauges[group.target.name]
+            gauge["rows"] += group.live_rows
+            gauge["waiting"] += group.waiting
+        for target, gauge in gauges.items():
+            self.metrics.gauge("serve_batch_rows", target=target).set(gauge["rows"])
+            self.metrics.gauge("serve_batch_waiting", target=target).set(gauge["waiting"])
+        return gauges
+
     def _batch_round(self, group: BatchGroup) -> bool:
-        """Fire one lockstep round if every open member has a frame."""
+        """Fire one round if every running member has a frame.
+
+        A finished member's frames are consumed on the spot: its window
+        ran out, so a frame advances nothing.
+        """
         handles = self._handles
-        members = [
-            handles[sid] for sid, active in zip(group.session_ids, group.active) if active
-        ]
-        if not members or any(h.queue.empty() for h in members):
+        running, finished = group.members()
+        for sid in finished:
+            queue = handles[sid].queue
+            if not queue.empty():
+                done = [queue.get_nowait() for _ in range(queue.qsize())]
+                self._queued -= len(done)
+                now = time.monotonic()
+                self._frames_done(done, now, now)
+        members = [handles[sid] for sid in running]
+        group.waiting = sum(1 for handle in members if handle.queue.empty())
+        if not members or group.waiting:
             return False
         frames = [handle.queue.get_nowait() for handle in members]
         self._queued -= len(frames)
@@ -295,6 +327,8 @@ class Fleet:
                 return group
         group = BatchGroup(target, max_rows=self.config.batch_rows)
         self._groups.append(group)
+        if target.name not in self._batch_targets:
+            self._batch_targets.append(target.name)
         return group
 
     # -- sessions ------------------------------------------------------------
@@ -427,7 +461,7 @@ class Fleet:
         self._check_errors()
         handle = self._handle(session_id)
         # Serial leftovers are fed through; batch leftovers cannot advance
-        # a single row of a lockstep group, so they count as dropped.
+        # a single row of a group, so they count as dropped.
         while not handle.queue.empty():
             frame = handle.queue.get_nowait()
             self._queued -= 1
@@ -438,11 +472,8 @@ class Fleet:
         started = time.monotonic()
         if handle.is_batch:
             group = handle.group
-            events = functools.partial(group.log.events, group.row_of(session_id))
-            group.deactivate(session_id)
-            result = group.result(session_id)
-            completed = group.finished
-            if not any(group.active):
+            result, events, completed = group.close(session_id)
+            if not len(group):
                 self._groups.remove(group)
             # A round this member was holding back may be ready now.
             self._wake.set()
@@ -536,10 +567,13 @@ class Fleet:
 
     def stats(self) -> dict:
         """A JSON-friendly snapshot of the fleet's counters."""
+        batch = self._batch_gauges()
         snap = self.metrics.snapshot()
         return {
             "sessions_active": len(self._handles),
             "queued_frames": self._queued,
+            "batch_rows": {target: gauge["rows"] for target, gauge in batch.items()},
+            "batch_waiting": {target: gauge["waiting"] for target, gauge in batch.items()},
             "counters": snap["counters"],
             "snapshot_cache": snapshots_mod.cache_stats().as_dict(),
         }

@@ -78,7 +78,7 @@ class SessionSpec:
         if not self.session_id:
             raise ValueError("session_id must be non-empty")
         # Checked here, not at first use: a batch member fails its whole
-        # lockstep group's rounds.
+        # group's rounds.
         for name in ("mass_kg", "velocity_mps"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -134,7 +134,7 @@ class Frame:
         self.flips = tuple((int(a), int(b)) for a, b in self.flips)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class ServeEvent:
     """One online detection: a monitor fired inside a served instance.
 
@@ -151,6 +151,26 @@ class ServeEvent:
     signal: Optional[str] = None
     value: Optional[int] = None
     previous: Optional[int] = None
+
+    def __init__(
+        self,
+        session_id: str,
+        time_ms: int,
+        monitor_id: str,
+        signal: Optional[str] = None,
+        value: Optional[int] = None,
+        previous: Optional[int] = None,
+    ) -> None:
+        # The generated frozen ``__init__`` pays one ``object.__setattr__``
+        # per field; a batch read builds hundreds of events, so the fields
+        # go straight into the instance dict.
+        fields = self.__dict__
+        fields["session_id"] = session_id
+        fields["time_ms"] = time_ms
+        fields["monitor_id"] = monitor_id
+        fields["signal"] = signal
+        fields["value"] = value
+        fields["previous"] = previous
 
 
 class SessionOutcome:

@@ -192,7 +192,8 @@ class ArrestorBatchKernel(BatchKernel):
     """The vectorized arrestor system; rows stop independently."""
 
     window_ms = OBSERVE_MS_MAX
-    rows_end_together = False
+    # The slave node's schedule branches on the group clock (``step``).
+    step_clock_staged_only = False
     ea_ids = EA_IDS
     signal_by_ea = SIGNAL_BY_EA
     signal_state = {
@@ -208,52 +209,49 @@ class ArrestorBatchKernel(BatchKernel):
     assertion_parameters = staticmethod(assertion_parameters)
     classifier = FailureClassifier
 
-    def boot(self) -> None:
-        """MasterNode.boot / SlaveNode.__init__ / Environment."""
-        specs = self.specs
+    def boot(self, specs) -> None:
+        """MasterNode.boot / SlaveNode.__init__ / Environment, for the joining *specs*."""
         n = len(specs)
-
-        self.mscnt = np.zeros(n, dtype=np.int64)
-        self.ms_slot_nbr = np.zeros(n, dtype=np.int64)
-        self.pulscnt = np.zeros(n, dtype=np.int64)
-        self.i_var = np.zeros(n, dtype=np.int64)
-        self.set_value = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
-        self.is_value = np.zeros(n, dtype=np.int64)
-        self.out_value = np.zeros(n, dtype=np.int64)
-        self.target_sv = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
-        self.m_est = np.full(n, k.INITIAL_MASS_GUESS_KG, dtype=np.int64)
-        self.p_cap = np.zeros(n, dtype=np.int64)
-        self.v_prev = np.zeros(n, dtype=np.int64)
-        self.v0 = np.zeros(n, dtype=np.int64)
-        self.last_cp_pulscnt = np.zeros(n, dtype=np.int64)
-        self.last_cp_mscnt = np.zeros(n, dtype=np.int64)
-        self.prev_pulscnt = np.zeros(n, dtype=np.int64)
-        self.dist_acc = np.zeros(n, dtype=np.int64)
-        self.integral = np.zeros(n, dtype=np.int64)
-        self.comm_tx = np.zeros(n, dtype=np.int64)
-
-        self.s_set_value = np.full(n, k.PRETENSION_COUNTS, dtype=np.int64)
-        self.s_is_value = np.zeros(n, dtype=np.int64)
-        self.s_out_value = np.zeros(n, dtype=np.int64)
-        self.s_integral = np.zeros(n, dtype=np.int64)
-
-        self.mass = np.array([float(spec.mass_kg) for spec in specs], dtype=np.float64)
-        self.velocity = np.array(
-            [float(spec.velocity_mps) for spec in specs], dtype=np.float64
+        self.append_state(
+            mscnt=np.zeros(n, dtype=np.int64),
+            ms_slot_nbr=np.zeros(n, dtype=np.int64),
+            pulscnt=np.zeros(n, dtype=np.int64),
+            i_var=np.zeros(n, dtype=np.int64),
+            set_value=np.full(n, k.PRETENSION_COUNTS, dtype=np.int64),
+            is_value=np.zeros(n, dtype=np.int64),
+            out_value=np.zeros(n, dtype=np.int64),
+            target_sv=np.full(n, k.PRETENSION_COUNTS, dtype=np.int64),
+            m_est=np.full(n, k.INITIAL_MASS_GUESS_KG, dtype=np.int64),
+            p_cap=np.zeros(n, dtype=np.int64),
+            v_prev=np.zeros(n, dtype=np.int64),
+            v0=np.zeros(n, dtype=np.int64),
+            last_cp_pulscnt=np.zeros(n, dtype=np.int64),
+            last_cp_mscnt=np.zeros(n, dtype=np.int64),
+            prev_pulscnt=np.zeros(n, dtype=np.int64),
+            dist_acc=np.zeros(n, dtype=np.int64),
+            integral=np.zeros(n, dtype=np.int64),
+            comm_tx=np.zeros(n, dtype=np.int64),
+            s_set_value=np.full(n, k.PRETENSION_COUNTS, dtype=np.int64),
+            s_is_value=np.zeros(n, dtype=np.int64),
+            s_out_value=np.zeros(n, dtype=np.int64),
+            s_integral=np.zeros(n, dtype=np.int64),
+            mass=np.array([float(spec.mass_kg) for spec in specs], dtype=np.float64),
+            velocity=np.array(
+                [float(spec.velocity_mps) for spec in specs], dtype=np.float64
+            ),
+            position=np.zeros(n, dtype=np.float64),
+            stopped=np.zeros(n, dtype=bool),
+            master_pa=np.zeros(n, dtype=np.float64),
+            slave_pa=np.zeros(n, dtype=np.float64),
+            master_cmd_pa=np.zeros(n, dtype=np.float64),
+            slave_cmd_pa=np.zeros(n, dtype=np.float64),
+            max_g=np.zeros(n, dtype=np.float64),
+            max_f=np.zeros(n, dtype=np.float64),
+            total_pulses=np.zeros(n, dtype=np.int64),
+            emitted_pulses=np.zeros(n, dtype=np.int64),
+            tx_pending=np.zeros(n, dtype=bool),
+            deadline=np.full(n, -1, dtype=np.int64),
         )
-        self.position = np.zeros(n, dtype=np.float64)
-        self.stopped = np.zeros(n, dtype=bool)
-        self.master_pa = np.zeros(n, dtype=np.float64)
-        self.slave_pa = np.zeros(n, dtype=np.float64)
-        self.master_cmd_pa = np.zeros(n, dtype=np.float64)
-        self.slave_cmd_pa = np.zeros(n, dtype=np.float64)
-        self.max_g = np.zeros(n, dtype=np.float64)
-        self.max_f = np.zeros(n, dtype=np.float64)
-        self.total_pulses = np.zeros(n, dtype=np.int64)
-        self.emitted_pulses = np.zeros(n, dtype=np.int64)
-
-        self.tx_pending = np.zeros(n, dtype=bool)
-        self.deadline = np.full(n, -1, dtype=np.int64)
 
     def step(self) -> None:
         """Execute one millisecond for every live row."""

@@ -12,10 +12,11 @@ module holds the pieces both kernels share:
   subclass (named by ``Target.batch_kernel``) supplies its boot state,
   tick body and per-row physics summary.  The base class owns the
   injector (one scalar test per tick: the next tick on which any row
-  fires) and row compaction: the per-row arrays hold only the rows that
-  are still running, ``rows`` maps them back to spec order, and a row
-  that finishes has its summary fields and last tick copied into
-  full-size final arrays before it is dropped.
+  fires), per-row clocks (a row may join a running kernel and keeps its
+  own session time and window) and row compaction: the per-row arrays
+  hold only the rows that are still running, ``rows`` maps them back to
+  spec order, and a row that finishes has its summary fields and last
+  tick copied into spec-sized final arrays before it is dropped.
 * :class:`VecMonitor` — the vectorized executable assertion, tested a
   block of ticks at a time.  A kernel *stages* each check (the tested
   values and the row mask, copied into a ``(ticks, live rows)`` buffer)
@@ -162,13 +163,17 @@ class DetectionBook:
 
     The book is always spec-sized while the masks it receives cover the
     kernel's live rows only: ``rows`` gives the spec index of each mask
-    position, and the kernel replaces it whenever it compacts.
+    position, and the kernel replaces it whenever it compacts.  Checks
+    arrive on the kernel's group clock; ``offset`` holds each spec row's
+    join tick, and the book records every tick as that row's session
+    time (group time minus offset).
     """
 
     def __init__(self, n: int, capture_events: bool = False) -> None:
         require_numpy()
         self._n = n
         self.rows = np.arange(n)
+        self.offset = np.zeros(n, dtype=np.int64)
         self.monitor_ids: List[str] = []
         self._index: Dict[str, int] = {}
         #: Per monitor (indexed like ``monitor_ids``), per spec row.
@@ -192,12 +197,38 @@ class DetectionBook:
             self.first_order.append(np.full(self._n, -1, dtype=np.int64))
         return index
 
+    def grow(self, n: int, offset: int) -> None:
+        """Append *n* spec rows that joined on group tick *offset*; they are live."""
+        self.rows = np.concatenate([self.rows, np.arange(self._n, self._n + n)])
+        self.offset = np.concatenate([self.offset, np.full(n, offset, dtype=np.int64)])
+        self._n += n
+        for arrays, fill in ((self.count, 0), (self.first_ms, -1), (self.first_order, -1)):
+            arrays[:] = [np.concatenate([a, np.full(n, fill, dtype=np.int64)]) for a in arrays]
+
+    def compact(self, keep) -> None:
+        """Keep the spec rows in mask *keep*, renumbered in order.
+
+        Every live row must be kept.  Captured events of dropped rows go.
+        """
+        renumber = np.cumsum(keep) - 1
+        self.rows = renumber[self.rows]
+        self.offset = self.offset[keep]
+        self._n = len(self.offset)
+        for arrays in (self.count, self.first_ms, self.first_order):
+            arrays[:] = [a[keep] for a in arrays]
+        if self.events:
+            events = []
+            for order, rows, now_ms, index in self.events:
+                kept = keep[rows]
+                events.append((order[kept], renumber[rows[kept]], now_ms[kept], index))
+            self.events = events
+
     def record(self, violation, now_ms, monitor_id: str, order=None) -> None:
         """Record one monitor's violations over the live rows.
 
         *violation* is a ``(checks, live rows)`` mask, one line per
-        check, and *now_ms* and *order* give each check's tick and
-        sequence number.  A one-dimensional *violation* is one check at
+        check, and *now_ms* and *order* give each check's group tick
+        and sequence number.  A one-dimensional *violation* is one check at
         tick *now_ms*; without *order* the checks take the next
         sequence numbers.
         """
@@ -222,17 +253,21 @@ class DetectionBook:
         if np.count_nonzero(fresh):
             cols, rows = cols[fresh], rows[fresh]
             first = violation[:, cols].argmax(axis=0)
-            first_ms[rows] = now_ms[first]
+            first_ms[rows] = now_ms[first] - self.offset[rows]
             self.first_order[index][rows] = order[first]
         if self.events is not None:
             checks, cols = np.nonzero(violation)
-            self.events.append((order[checks], self.rows[cols], now_ms[checks], index))
+            rows = self.rows[cols]
+            self.events.append(
+                (order[checks], rows, now_ms[checks] - self.offset[rows], index)
+            )
 
     def drain_events(self) -> Tuple[Any, Any, Any]:
         """Pop the recorded events as aligned int64 arrays in check order.
 
         Returns ``(rows, time_ms, monitor)``: each event's row in spec
-        order, its tick, and its monitor's index into ``monitor_ids``.
+        order, its session tick, and its monitor's index into
+        ``monitor_ids``.
         The arrays are empty when nothing was captured (or capture is off).
         """
         chunks = self.events
@@ -485,6 +520,18 @@ class VecMonitor:
         self.has_prev = self.has_prev[keep]
         self._allocate(len(self.prev))
 
+    def grow(self, has_prev, block: int) -> None:
+        """Append rows without a reference, *has_prev* set where none is needed.
+
+        The buffers are reallocated for the new width and *block*; the
+        kernel flushes first.
+        """
+        self.prev = np.concatenate([self.prev, np.zeros(len(has_prev), dtype=np.int64)])
+        self.has_prev = np.concatenate([self.has_prev, has_prev])
+        self.all_prev = bool(self.has_prev.all())
+        self.block = block
+        self._allocate(len(self.prev))
+
 
 def injection_masks(specs, signals, signal_variables=None):
     """Per-signal XOR arrays plus the per-row period/start arrays.
@@ -535,41 +582,48 @@ def kernel_eligible(target, spec) -> bool:
 
 
 class BatchKernel:
-    """One target's vectorized system as a resumable lockstep machine.
+    """One target's vectorized system as a resumable machine over many runs.
 
     Every row is one injection run, tested by the EAs of its spec's
-    version (``ea_rows``), and all rows share the sim-clock ``now_ms``
+    version (``ea_rows``).  The rows share the group clock ``now_ms``
     (the next tick to execute), so one :meth:`advance` over the whole
     window (the offline grid) and many small ones (serving rounds)
-    execute the same statements in the same order.  A subclass sets the
-    class attributes and supplies :meth:`boot`, :meth:`step` and
-    :meth:`summary`.
+    execute the same statements in the same order.  A row may
+    :meth:`join` a running kernel: its ``offset`` is the group tick it
+    joined on, its session time is group time minus that offset, and
+    its injection schedule, window, detections and outcome are all in
+    session time, so it reads as a run booted cold at tick 0.  A
+    subclass sets the class attributes and supplies :meth:`boot`,
+    :meth:`step` and :meth:`summary`.
 
-    Every numpy array :meth:`boot` sets on the instance is per-row state
-    of shape ``(N,)``.  The arrays hold the live rows only: a kernel
-    whose rows stop independently calls :meth:`retire` on the tick some
-    rows finish, which copies their :attr:`summary_fields` and last tick
-    into spec-sized final arrays and drops them from every per-row array
-    — the boot state, the injection arrays, ``ea_rows`` and each
+    :meth:`boot` appends the joining rows' state with
+    :meth:`append_state`; every such array is per-row state of shape
+    ``(N,)``.  The arrays hold the live rows only: a row whose window
+    ends, or which a kernel's :meth:`step` finishes early, goes through
+    :meth:`retire`, which copies its :attr:`summary_fields` and last
+    tick into spec-sized final arrays and drops it from every per-row
+    array — the boot state, the injection arrays, ``ea_rows`` and each
     monitor's references — so later ticks cost only what the live rows
-    need.  ``rows`` is the spec index of each live row, in spec order.
+    need.  ``rows`` is the spec index of each live row, in spec order;
+    :meth:`remove` forgets rows altogether and renumbers the rest.
 
     A :meth:`step` *stages* each check on its monitor
     (:meth:`VecMonitor.stage`) instead of testing it, and the monitors
     test their staged checks a block of up to :attr:`block` ticks at a
-    time: when a buffer fills, before every :meth:`retire` compaction
-    and at the end of :meth:`__init__` and of every :meth:`advance`
-    (:meth:`flush`).  So between calls nothing is staged and the
-    detection book is current.
+    time: when a buffer fills, before every compaction and at the end
+    of every :meth:`join` and :meth:`advance` (:meth:`flush`).  So
+    between calls nothing is staged and the detection book is current.
     """
 
-    #: The observation window: no row executes tick ``window_ms`` or later.
+    #: The observation window: no row executes its session tick ``window_ms``.
     window_ms: int
     #: The most ticks one block test covers (fewer for many rows).
     block_ticks: int = 256
-    #: Whether every row ends on the window's last tick; a kernel whose
-    #: rows stop independently calls :meth:`retire` from :meth:`step`.
-    rows_end_together: bool = True
+    #: Whether :meth:`step` reads the clock only to stage checks.  Such
+    #: a tick body treats a row the same on any group tick, so rows may
+    #: :meth:`join` a running kernel; one that branches on the clock
+    #: needs every row to start on tick 0.
+    step_clock_staged_only: bool = True
     ea_ids: Tuple[str, ...]
     signal_by_ea: Dict[str, str]
     #: The signals a row may inject into, each mapped to the name of the
@@ -584,52 +638,35 @@ class BatchKernel:
 
     def __init__(self, specs: Sequence, capture_events: bool = False) -> None:
         require_numpy()
-        self.specs = list(specs)
-        n = len(self.specs)
-        if n == 0:
+        if not specs:
             raise ValueError(f"{type(self).__name__} needs at least one spec")
-        for r, spec in enumerate(self.specs):
-            self.version_monitors(spec.version, r)
+        self.specs: List[Any] = []
         params = self.assertion_parameters()
-        versions = np.array([spec.version for spec in self.specs])
-        every_ea = versions == "All"
-        self.ea_rows = {ea: every_ea | (versions == ea) for ea in self.ea_ids}
-        #: Ticks per block test (see :data:`_BLOCK_CELLS`).
-        self.block = max(1, min(self.block_ticks, _BLOCK_CELLS // n))
+        self.block = 1
         self.monitors = {
-            ea: VecMonitor(ea, params[self.signal_by_ea[ea]], n, self.block)
-            for ea in self.ea_ids
+            ea: VecMonitor(ea, params[self.signal_by_ea[ea]], 0) for ea in self.ea_ids
         }
-        for ea, monitor in self.monitors.items():
-            # A row whose version leaves this EA out never tests it, so it
-            # never lacks a reference that matters; counting it as having
-            # one lets ``all_prev`` turn true once the tested rows have one.
-            monitor.has_prev = ~self.ea_rows[ea]
-        self.book = DetectionBook(n, capture_events=capture_events)
+        self.book = DetectionBook(0, capture_events=capture_events)
         self.rows = self.book.rows
-        self.xor, self.period, self.start = injection_masks(self.specs, self.signal_state)
+        self.ea_rows = {ea: np.zeros(0, dtype=bool) for ea in self.ea_ids}
+        self.xor = {signal: np.zeros(0, dtype=np.int64) for signal in self.signal_state}
+        self.period = np.zeros(0, dtype=np.int64)
+        self.start = np.zeros(0, dtype=np.int64)
+        #: The group tick each live row joined on.
+        self.offset = np.zeros(0, dtype=np.int64)
+        #: The session tick each spec row finished on (-1 = still running).
+        self.row_last_ms = np.zeros(0, dtype=np.int64)
+        self._state: Tuple[str, ...] = ()
+        self._final: Dict[str, Any] = {}
         self.now_ms = 0
-        self._next_injection = self._next_injection_ms(0)
-        before = set(vars(self))
-        self.boot()
-        self._state = tuple(
-            name
-            for name, value in vars(self).items()
-            if name not in before and isinstance(value, np.ndarray)
-        )
-        for name in self._state:
-            if getattr(self, name).shape != (n,):
-                raise TypeError(f"boot state {name!r} is not a per-row (N,) array")
-        #: The tick each row finished on (-1 = still running).
-        self.row_last_ms = np.full(n, -1, dtype=np.int64)
-        self._final = {
-            name: np.zeros(n, dtype=getattr(self, name).dtype)
-            for name in self.summary_fields
-        }
-        self.flush()
+        self.join(specs)
 
-    def boot(self) -> None:
-        """Set every row's state as the serial system boots it."""
+    def boot(self, specs: Sequence) -> None:
+        """Boot the joining *specs* as the serial system boots them.
+
+        Sets their state with :meth:`append_state`; a boot-time check
+        is staged on the rows in :attr:`joining`.
+        """
         raise NotImplementedError
 
     def step(self) -> None:
@@ -662,26 +699,110 @@ class BatchKernel:
             f"(expected 'All' or one of {', '.join(cls.ea_ids)})"
         )
 
+    def join(self, specs: Sequence) -> None:
+        """Boot *specs* as new rows whose session time starts on tick ``now_ms``.
+
+        The live rows' staged checks are tested first; only the new rows
+        are booted.  They join with no monitor reference, and the block
+        length follows the new row count.
+        """
+        specs = list(specs)
+        if not specs:
+            return
+        if self.now_ms and not self.step_clock_staged_only:
+            raise ValueError(
+                f"{type(self).__name__}'s tick reads the clock: rows join on tick 0 only"
+            )
+        first = len(self.specs)
+        for r, spec in enumerate(specs, first):
+            self.version_monitors(spec.version, r)
+        xor, period, start = injection_masks(specs, self.signal_state)
+        self.flush()
+        n = len(specs)
+        now = self.now_ms
+        versions = np.array([spec.version for spec in specs])
+        every_ea = versions == "All"
+        joining_ea = {ea: every_ea | (versions == ea) for ea in self.ea_ids}
+        self.ea_rows = {
+            ea: np.concatenate([self.ea_rows[ea], joining_ea[ea]]) for ea in self.ea_ids
+        }
+        self.xor = {signal: np.concatenate([self.xor[signal], xor[signal]]) for signal in xor}
+        self.period = np.concatenate([self.period, period])
+        self.start = np.concatenate([self.start, start + now])
+        self.offset = np.concatenate([self.offset, np.full(n, now, dtype=np.int64)])
+        self.specs += specs
+        self.book.grow(n, now)
+        self.rows = self.book.rows
+        self.row_last_ms = np.concatenate([self.row_last_ms, np.full(n, -1, dtype=np.int64)])
+        #: Ticks per block test (see :data:`_BLOCK_CELLS`).
+        self.block = max(1, min(self.block_ticks, _BLOCK_CELLS // len(self.rows)))
+        for ea, monitor in self.monitors.items():
+            # A row whose version leaves this EA out never tests it, so it
+            # never lacks a reference that matters; counting it as having
+            # one lets ``all_prev`` turn true once the tested rows have one.
+            monitor.grow(~joining_ea[ea], self.block)
+        #: The live rows being booted (a mask over the live rows).
+        self.joining = np.arange(len(self.rows)) >= len(self.rows) - n
+        self.boot(specs)
+        self._next_injection = self._next_injection_ms(now)
+        self.flush()
+
+    def append_state(self, **arrays: Any) -> None:
+        """Append the joining rows' boot state, one ``(joining,)`` array per name.
+
+        The first call names the per-row state; every later join must
+        give the same names.
+        """
+        n = int(np.count_nonzero(self.joining))
+        if not self._state:
+            self._state = tuple(arrays)
+            for name, value in arrays.items():
+                setattr(self, name, value[:0])
+            self._final = {
+                name: np.zeros(0, dtype=arrays[name].dtype) for name in self.summary_fields
+            }
+        if set(arrays) != set(self._state):
+            raise TypeError(f"boot state {sorted(arrays)} != {sorted(self._state)}")
+        for name, value in arrays.items():
+            if np.shape(value) != (n,):
+                raise TypeError(f"boot state {name!r} is not a per-row (N,) array")
+            setattr(self, name, np.concatenate([getattr(self, name), value]))
+        for name, final in self._final.items():
+            self._final[name] = np.concatenate([final, np.zeros(n, dtype=final.dtype)])
+
     @property
     def finished(self) -> bool:
-        return self.now_ms >= self.window_ms or len(self.rows) == 0
+        """No row is left running."""
+        return len(self.rows) == 0
 
     def last_ms(self, r: int) -> int:
-        """The last millisecond row *r* executed (-1 = none yet)."""
+        """The last session millisecond row *r* executed (-1 = none yet)."""
         last = int(self.row_last_ms[r])
-        return self.now_ms - 1 if last < 0 else last
+        return self.now_ms - 1 - int(self.book.offset[r]) if last < 0 else last
 
     def advance(self, ticks: int) -> None:
-        """Execute up to *ticks* further milliseconds, stopping when finished."""
+        """Execute up to *ticks* further milliseconds, stopping when finished.
+
+        A row retires on the last tick of its own window.
+        """
         if ticks < 0:
             raise ValueError(f"ticks must be non-negative, got {ticks}")
         end = self.now_ms + ticks
-        while self.now_ms < end and not self.finished:
+        self._update_last_tick()
+        while self.now_ms < end and len(self.rows):
             if self.now_ms == self._next_injection:
                 self._inject()
             self.step()
+            if self.now_ms == self._last_tick:
+                self.retire(self.offset == self.now_ms + 1 - self.window_ms)
             self.now_ms += 1
         self.flush()
+
+    def _update_last_tick(self) -> None:
+        """The group tick on which the earliest live row's window ends."""
+        self._last_tick = (
+            int(self.offset.min()) + self.window_ms - 1 if len(self.offset) else -1
+        )
 
     def flush(self) -> None:
         """Test every monitor's staged checks (see :meth:`VecMonitor.flush`)."""
@@ -690,6 +811,8 @@ class BatchKernel:
 
     def _next_injection_ms(self, tick: int) -> int:
         """The first tick at or after *tick* on which any live row fires."""
+        if not len(self.start):
+            return -1
         late = np.maximum(tick - self.start, 0)
         return int((self.start + -(-late // self.period) * self.period).min())
 
@@ -707,17 +830,42 @@ class BatchKernel:
         gone = self.rows[done]
         for name, final in self._final.items():
             final[gone] = getattr(self, name)[done]
-        self.row_last_ms[gone] = self.now_ms
-        keep = ~done
+        self.row_last_ms[gone] = self.now_ms - self.book.offset[gone]
+        self._keep_live(~done)
+
+    def _keep_live(self, keep) -> None:
+        """Drop the live rows not in mask *keep* from every per-row array."""
         self.rows = self.book.rows = self.rows[keep]
         for name in self._state:
             setattr(self, name, getattr(self, name)[keep])
         self.xor = {signal: flips[keep] for signal, flips in self.xor.items()}
         self.period = self.period[keep]
         self.start = self.start[keep]
+        self.offset = self.offset[keep]
         self.ea_rows = {ea: rows[keep] for ea, rows in self.ea_rows.items()}
         for monitor in self.monitors.values():
             monitor.compact(keep)
+        self._update_last_tick()
+
+    def remove(self, rows: Sequence[int]) -> None:
+        """Forget spec rows *rows*, live or finished; the rest are renumbered.
+
+        A live row stops where it is.  Every spec-sized array — the
+        specs, final values, last ticks and the detection book — drops
+        the rows, and the kept rows take the spec indices ``0..`` in
+        order, as :meth:`retire` compacts the live arrays.
+        """
+        self.flush()
+        keep = np.ones(len(self.specs), dtype=bool)
+        keep[np.asarray(rows, dtype=np.int64)] = False
+        live = keep[self.rows]
+        if not live.all():
+            self._keep_live(live)
+        self.specs = [spec for spec, kept in zip(self.specs, keep.tolist()) if kept]
+        self.row_last_ms = self.row_last_ms[keep]
+        self._final = {name: final[keep] for name, final in self._final.items()}
+        self.book.compact(keep)
+        self.rows = self.book.rows
 
     def drain_events(self) -> Tuple[Any, Any, Any]:
         """Pop captured detections as ``(rows, time_ms, monitor)`` arrays;

@@ -1,13 +1,14 @@
 """Vectorized batch kernel for the tank-level target.
 
 Replays :class:`repro.targets.tanklevel.system.TankSystem` over ``(N,)``
-arrays: every row is one injection run, and the 5000-tick observation
-window advances all rows in lockstep.  The serial system is the oracle —
+arrays: every row is one injection run with a 5000-tick observation
+window of its own.  The serial system is the oracle —
 every statement here mirrors a statement of the serial tick path, in the
 same order, on the same 16-bit masked integer arithmetic and the same
 float64 plant updates, so results are identical row-for-row (pinned by
-``tests/targets/test_batch_equivalence.py``).  Every row ends on the
-window's last tick, so the kernel also backs lockstep serving groups.
+``tests/targets/test_batch_equivalence.py``).  The tick body reads the
+clock only to stage checks, so rows may join a running kernel: this
+kernel backs the serving groups.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _TARGET = int(TARGET_LEVEL_MM)
 
 
 class TankBatchKernel(BatchKernel):
-    """The vectorized tank system (all rows end at :data:`OBSERVE_MS`)."""
+    """The vectorized tank system (each row runs :data:`OBSERVE_MS` ticks)."""
 
     window_ms = OBSERVE_MS
     ea_ids = ins.EA_IDS
@@ -58,31 +59,32 @@ class TankBatchKernel(BatchKernel):
     assertion_parameters = staticmethod(ins.assertion_parameters)
     classifier = TankFailureClassifier
 
-    def boot(self) -> None:
-        """TankNode.boot on a cleared memory image."""
-        specs = self.specs
+    def boot(self, specs) -> None:
+        """TankNode.boot on a cleared memory image, for the joining *specs*."""
         n = len(specs)
-        self.demand = np.array(
-            [demand_for(spec.mass_kg) for spec in specs], dtype=np.float64
+        level_mm = np.array(
+            [initial_level_for(spec.velocity_mps) for spec in specs], dtype=np.float64
         )
-        self.level_mm = np.array(
-            [initial_level_for(spec.velocity_mps) for spec in specs],
-            dtype=np.float64,
+        self.append_state(
+            demand=np.array([demand_for(spec.mass_kg) for spec in specs], dtype=np.float64),
+            level_mm=level_mm,
+            initial_level=level_mm.copy(),
+            max_level=level_mm.copy(),
+            min_level=level_mm.copy(),
+            # int(round(...)) is banker's rounding, same as np.rint.
+            level=np.rint(level_mm).astype(np.int64),
+            tick=np.zeros(n, dtype=np.int64),
+            slot_id=np.zeros(n, dtype=np.int64),
+            set_point=np.zeros(n, dtype=np.int64),
+            flow_acc=np.zeros(n, dtype=np.int64),
+            valve_cmd=np.zeros(n, dtype=np.int64),
+            last_ctrl_tick=np.zeros(n, dtype=np.int64),
+            drain_received=np.zeros(n, dtype=np.int64),
         )
-        self.initial_level = self.level_mm.copy()
-        self.max_level = self.level_mm.copy()
-        self.min_level = self.level_mm.copy()
-        # int(round(...)) is banker's rounding, same as np.rint.
-        self.level = np.rint(self.level_mm).astype(np.int64)
-        self.tick = np.zeros(n, dtype=np.int64)
-        self.slot_id = np.zeros(n, dtype=np.int64)
-        self.set_point = np.zeros(n, dtype=np.int64)
-        self.flow_acc = np.zeros(n, dtype=np.int64)
-        self.valve_cmd = np.zeros(n, dtype=np.int64)
-        self.last_ctrl_tick = np.zeros(n, dtype=np.int64)
-        self.drain_received = np.zeros(n, dtype=np.int64)
         # Boot validates the first level sample (EA2's reference seed).
-        self.monitors["EA2"].stage(self.level, 0, self.ea_rows["EA2"], self.book)
+        self.monitors["EA2"].stage(
+            self.level, self.now_ms, self.ea_rows["EA2"] & self.joining, self.book
+        )
 
     def step(self) -> None:
         """Execute one millisecond for every row (the serial tick body)."""
@@ -99,10 +101,11 @@ class TankBatchKernel(BatchKernel):
         slot = np.where(slot >= ins.N_SLOTS, 0, slot)
         self.slot_id = slot
 
-        # Rows advance their slot counter in lockstep, so each slot's mask
-        # is all-False on 4 of every 5 ticks (only a corrupted slot_id
-        # desynchronises a row); an empty slot section is the identity on
-        # every piece of state it touches, so it is skipped outright.
+        # Rows that joined on ticks equal mod 5 advance their slot counters
+        # in lockstep, so each slot's mask is all-False on 4 of every 5
+        # ticks when all rows did (only a corrupted slot_id desynchronises
+        # a row); an empty slot section is the identity on every piece of
+        # state it touches, so it is skipped outright.
         present = np.bincount(slot, minlength=ins.N_SLOTS)
 
         # -- LEVEL_S ----------------------------------------------------------

@@ -134,9 +134,9 @@ class TestEligibility:
         spec = SessionSpec(session_id="s", target="tanklevel", address=10, bit=0)
         assert not batch_eligible(target, spec)
 
-    def test_kernel_whose_rows_end_apart_serves_serially(self):
-        # The arrestor has a batch kernel, but its rows stop at different
-        # ticks, so one shared group clock cannot serve them.
+    def test_kernel_whose_tick_reads_the_clock_serves_serially(self):
+        # The arrestor has a batch kernel, but its slave schedule branches
+        # on the clock, so no session can join it while it runs.
         target = get_target("arrestor")
         spec = SessionSpec(
             session_id="s",
@@ -145,7 +145,7 @@ class TestEligibility:
             signal_bit=0,
         )
         assert target.supports_batch()
-        assert not target.batch_kernel.rows_end_together
+        assert not target.batch_kernel.step_clock_staged_only
         assert not batch_eligible(target, spec)
         with pytest.raises(ServeError):
             BatchGroup(target)
@@ -160,19 +160,24 @@ class TestEligibility:
         assert fleet._groups == []
 
 
+def _member(sid, bit=1):
+    return SessionSpec(session_id=sid, target="tanklevel", signal="tick", signal_bit=bit)
+
+
 class TestBatchGroup:
-    def test_group_seals_on_first_advance(self):
-        target = get_target("tanklevel")
-        group = BatchGroup(target)
-        group.add(SessionSpec(session_id="a", target="tanklevel",
-                              signal="tick", signal_bit=1))
-        assert group.accepting
+    def test_member_added_after_a_round_joins_the_running_kernel(self):
+        group = BatchGroup(get_target("tanklevel"))
+        group.add(_member("a"))
         group.advance(20)
-        assert group.sealed
-        assert not group.accepting
-        with pytest.raises(Exception):
-            group.add(SessionSpec(session_id="b", target="tanklevel",
-                                  signal="tick", signal_bit=2))
+        kernel = group.kernel
+        group.add(_member("b", bit=2))
+        assert group.accepting and len(group) == 2
+        group.advance(20)
+        # One kernel: the second member joined it on group tick 20.
+        assert group.kernel is kernel and group.clock_ms == 40
+        assert kernel.offset.tolist() == [0, 20]
+        assert group.close("a")[0].duration_ms == 40
+        assert group.close("b")[0].duration_ms == 20
 
     def test_max_rows_stops_accepting(self):
         target = get_target("tanklevel")
@@ -182,14 +187,15 @@ class TestBatchGroup:
                                   signal="tick", signal_bit=1))
         assert not group.accepting
 
-    def test_deactivated_member_leaves_group_running(self):
+    def test_closed_member_leaves_the_running_group(self):
         target = get_target("tanklevel")
         group = BatchGroup(target)
         for sid in ("a", "b"):
             group.add(SessionSpec(session_id=sid, target="tanklevel",
                                   signal="tick", signal_bit=6))
         group.advance(40)
-        group.deactivate("a")
+        group.close("a")
         rows, _, _ = group.advance(40)
-        assert all(group.session_ids[row] == "b" for row in rows.tolist())
+        assert len(rows) and all(group.session_ids[row] == "b" for row in rows.tolist())
+        assert group.session_ids == ["b"] and len(group.kernel.specs) == 1
         assert group.clock_ms == 80

@@ -283,8 +283,8 @@ class _ScriptKernel(BatchKernel):
     retire_ms = -1
     retire_rows = None
 
-    def boot(self):
-        self.x = np.zeros(len(self.specs), dtype=np.int64)
+    def boot(self, specs):
+        self.append_state(x=np.zeros(len(specs), dtype=np.int64))
 
     def step(self):
         now = self.now_ms
