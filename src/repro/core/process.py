@@ -18,14 +18,18 @@ signals, producing/consuming modules and dataflow; pathway queries answer
 step 2; a lightweight FMECA table ranks criticality for step 4; and an
 :class:`InstrumentationPlan` collects the outcome of steps 5-7 in a form
 that :class:`repro.core.monitor.MonitorBank` (step 8) can consume.
+
+The dataflow is an adjacency map: successor and predecessor dicts keyed
+by node, each holding its neighbours as an insertion-ordered dict.  The
+pathway queries are iterative walks over it.  A target's inventory has a
+few dozen nodes, so a graph library would cost every importing process
+more start-up time and memory than the queries ever take.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.classes import SignalClass
 from repro.core.parameters import ContinuousParams, DiscreteParams, ModalParameterSet
@@ -39,6 +43,11 @@ __all__ = [
 ]
 
 Params = Union[ContinuousParams, DiscreteParams, ModalParameterSet]
+
+#: A dataflow node: ``("signal", name)`` or ``("module", name)``.
+Node = Tuple[str, str]
+#: Node -> its neighbours, in the order the edges were declared.
+Adjacency = Dict[Node, Dict[Node, None]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,11 +103,21 @@ class SignalInventory:
     The dataflow graph is bipartite-ish: module nodes and signal nodes,
     with an edge ``producer -> signal`` and ``signal -> consumer`` for each
     declaration, so pathway queries (step 2) are plain graph reachability.
+    ``_succ`` and ``_pred`` hold every node, each with its successors or
+    predecessors in edge-declaration order.
     """
 
     def __init__(self) -> None:
         self._signals: Dict[str, SignalDeclaration] = {}
-        self._graph = nx.DiGraph()
+        self._succ: Adjacency = {}
+        self._pred: Adjacency = {}
+
+    def _add_edge(self, tail: Node, head: Node) -> None:
+        for node in (tail, head):
+            self._succ.setdefault(node, {})
+            self._pred.setdefault(node, {})
+        self._succ[tail][head] = None
+        self._pred[head][tail] = None
 
     # -- steps 1 & 3 ---------------------------------------------------------
 
@@ -114,12 +133,9 @@ class SignalInventory:
             raise ValueError(f"signal {name!r} already declared")
         decl = SignalDeclaration(name, kind, producer, tuple(consumers))
         self._signals[name] = decl
-        self._graph.add_node(("signal", name))
-        self._graph.add_node(("module", producer))
-        self._graph.add_edge(("module", producer), ("signal", name))
+        self._add_edge(("module", producer), ("signal", name))
         for consumer in decl.consumers:
-            self._graph.add_node(("module", consumer))
-            self._graph.add_edge(("signal", name), ("module", consumer))
+            self._add_edge(("signal", name), ("module", consumer))
         return decl
 
     def __contains__(self, name: str) -> bool:
@@ -149,7 +165,7 @@ class SignalInventory:
 
     @property
     def modules(self) -> List[str]:
-        return sorted(n for kind, n in self._graph.nodes if kind == "module")
+        return sorted(n for kind, n in self._succ if kind == "module")
 
     # -- step 2: pathways ----------------------------------------------------
 
@@ -158,28 +174,52 @@ class SignalInventory:
 
         Each pathway is the sequence of signal names traversed (module
         hops elided), e.g. ``["pulscnt", "SetValue", "OutValue"]``.
+        Pathways come in depth-first order, each node's successors taken
+        in declaration order; ``pathways(s, s)`` is ``[[s]]``.
         """
         src, dst = ("signal", source), ("signal", sink)
-        if src not in self._graph or dst not in self._graph:
+        if src not in self._succ or dst not in self._succ:
             raise KeyError(f"unknown signal in pathway query: {source!r} -> {sink!r}")
-        paths = nx.all_simple_paths(self._graph, src, dst)
-        return [[name for kind, name in path if kind == "signal"] for path in paths]
+        found: List[List[str]] = []
+        # The current path (an insertion-ordered dict doubles as its
+        # membership set) and, per node on it, its untried successors.
+        path: Dict[Node, None] = {}
+        branches: List[Iterator[Node]] = [iter((src,))]
+        while branches:
+            step = next((n for n in branches[-1] if n not in path), None)
+            if step is None:
+                branches.pop()
+                if path:
+                    path.popitem()
+            elif step == dst:
+                found.append([n for kind, n in (*path, dst) if kind == "signal"])
+            else:
+                path[step] = None
+                branches.append(iter(self._succ[step]))
+        return found
+
+    def _reachable(self, name: str, adjacency: Adjacency) -> Set[str]:
+        """Signals reachable from signal *name* along *adjacency*, itself excluded."""
+        start = ("signal", name)
+        if start not in adjacency:
+            raise KeyError(f"unknown signal {name!r}")
+        seen = {start}
+        todo = [start]
+        while todo:
+            for nxt in adjacency[todo.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        seen.discard(start)
+        return {n for kind, n in seen if kind == "signal"}
 
     def downstream_signals(self, name: str) -> Set[str]:
         """Signals reachable from *name* through the dataflow (influence set)."""
-        node = ("signal", name)
-        if node not in self._graph:
-            raise KeyError(f"unknown signal {name!r}")
-        return {
-            n for kind, n in nx.descendants(self._graph, node) if kind == "signal"
-        }
+        return self._reachable(name, self._succ)
 
     def upstream_signals(self, name: str) -> Set[str]:
         """Signals from which *name* is reachable (its dependency set)."""
-        node = ("signal", name)
-        if node not in self._graph:
-            raise KeyError(f"unknown signal {name!r}")
-        return {n for kind, n in nx.ancestors(self._graph, node) if kind == "signal"}
+        return self._reachable(name, self._pred)
 
     def influence_on_outputs(self, name: str) -> Set[str]:
         """Which system outputs the signal can influence (steps 2 + 3)."""

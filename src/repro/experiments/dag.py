@@ -331,10 +331,12 @@ def run_campaign_graph(
     simulates nothing, and an interrupted one re-run against the same
     store simulates only what it had not finished.  A stored record
     that describes different work counts in ``stats.mismatches`` and
-    re-executes.  *progress* hears ``(runs replayed + runs executed,
-    runs wanted)`` after each stored chunk.  *shard* — ``"i/n"`` or
-    ``(i, n)`` — restricts execution to the run nodes whose content
-    address lands in shard *i*, skipping aggregation and tables; shards
+    re-executes.  Once the store's superseded records outnumber its live
+    ones, it is compacted into one pack.  *progress* hears ``(runs
+    replayed + runs executed, runs wanted)`` after each stored chunk.
+    *shard* — ``"i/n"`` or ``(i, n)`` — restricts execution to the run
+    nodes whose content address lands in shard *i*, skipping
+    aggregation and tables; shards
     may run on separate machines against private stores and be joined
     with :func:`~repro.experiments.graph.merge_stores`.
 
@@ -464,6 +466,8 @@ def run_campaign_graph(
     finally:
         if sink is not None:
             sink.close()
+    if node_store is not None and node_store.superseded > len(node_store):
+        node_store.compact()
 
     run_counts = stats.by_kind.get("run", {})
     if progress is not None and run_counts.get("cached") and not run_counts.get("executed"):

@@ -116,7 +116,8 @@ class NodeStore:
     record index; what this instance writes afterwards joins it too.  A
     torn or foreign pack, and any file that is not a pack (the
     one-file-per-node ``<key>.json`` layout included), reads as empty:
-    its nodes simply re-execute.
+    its nodes simply re-execute.  Re-executed nodes leave superseded
+    records behind; :meth:`compact` rewrites the packs as one.
     """
 
     SUBDIR = "nodes"
@@ -128,6 +129,9 @@ class NodeStore:
         self.root = Path(root)
         self.dir = self.root / self.SUBDIR
         self._index: Optional[Dict[str, dict]] = None
+        #: Records read into the index and put since; less the index's
+        #: size, the superseded ones.
+        self._stored = 0
 
     @staticmethod
     def record(node: Node, key: str, output: Any) -> Dict[str, Any]:
@@ -141,17 +145,28 @@ class NodeStore:
             "output": output,
         }
 
+    def _packs(self) -> List[Path]:
+        """The pack files, in write order."""
+        return sorted(self.dir.glob(f"*{self.SUFFIX}")) if self.dir.is_dir() else []
+
     def _records(self) -> Dict[str, dict]:
         """Key → its latest record (the packs, read once in write order)."""
         if self._index is None:
             self._index = {}
-            paths = sorted(self.dir.glob(f"*{self.SUFFIX}")) if self.dir.is_dir() else []
-            for path in paths:
-                self._index.update((record["key"], record) for record in _read_pack(path))
+            for path in self._packs():
+                records = _read_pack(path)
+                self._stored += len(records)
+                self._index.update((record["key"], record) for record in records)
         return self._index
 
     def __len__(self) -> int:
         return len(self._records())
+
+    @property
+    def superseded(self) -> int:
+        """Stored records a later record of the same key replaces."""
+        live = len(self._records())  # the first read counts the stored records
+        return self._stored - live
 
     def iter_keys(self) -> Iterable[str]:
         return iter(sorted(self._records()))
@@ -185,8 +200,48 @@ class NodeStore:
         records = list(records)
         if not records:
             raise ValueError("a pack holds at least one record")
+        path = self._write(records, time.time_ns())
+        if self._index is not None:
+            self._index.update((record["key"], record) for record in records)
+            self._stored += len(records)
+        return path
+
+    def compact(self) -> Optional[Path]:
+        """Rewrite the packs as one pack of the latest record per key.
+
+        Lists the packs, writes their latest records as one pack (temp
+        file, ``fsync``, rename) named to sort right after the newest of
+        them, then unlinks exactly the packs it read.  A crash before the
+        unlinks leaves duplicates, which read the same because the latest
+        record wins.  A pack another writer adds meanwhile is neither
+        read nor unlinked, and a file holding no records is left alone.
+        Returns the new pack, or ``None`` when fewer than two packs hold
+        records.
+        """
+        read: List[Path] = []
+        latest: Dict[str, dict] = {}
+        for path in self._packs():
+            records = _read_pack(path)
+            if records:
+                read.append(path)
+                latest.update((record["key"], record) for record in records)
+        if len(read) < 2:
+            return None
+        head = read[-1].name[:20]
+        stamp = int(head) + 1 if head.isdigit() else time.time_ns()
+        path = self._write(list(latest.values()), stamp)
+        for old in read:
+            try:
+                os.unlink(old)
+            except FileNotFoundError:
+                pass
+        self._index, self._stored = latest, len(latest)
+        return path
+
+    def _write(self, records: List[Mapping[str, Any]], stamp: int) -> Path:
+        """Write *records* as one pack whose name starts with *stamp*."""
         self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.dir / f"{time.time_ns():020d}-{secrets.token_hex(6)}{self.SUFFIX}"
+        path = self.dir / f"{stamp:020d}-{secrets.token_hex(6)}{self.SUFFIX}"
         fd, tmp_name = tempfile.mkstemp(prefix=f".{path.stem}.", suffix=".tmp", dir=self.dir)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -206,8 +261,6 @@ class NodeStore:
             except OSError:
                 pass
             raise
-        if self._index is not None:
-            self._index.update((record["key"], record) for record in records)
         return path
 
 

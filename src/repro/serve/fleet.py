@@ -454,8 +454,13 @@ class Fleet:
     ) -> SessionOutcome:
         """Close one session and return its outcome (result + events).
 
-        A batch member's events are built when its outcome's ``events``
-        is first read, so the close itself costs the same at any event
+        With *complete* the rest of the observation window runs, so on
+        either path the result equals an offline run's and ``completed``
+        is true; a batch member whose window has not run out is
+        completed by its spec's cold serial run.  Without it the result
+        is the run as far as the stream carried it.  A batch member's
+        events are otherwise built when its outcome's ``events`` is
+        first read, so the close itself costs the same at any event
         count.
         """
         self._check_errors()
@@ -477,6 +482,17 @@ class Fleet:
                 self._groups.remove(group)
             # A round this member was holding back may be ready now.
             self._wake.set()
+            if complete and not completed:
+                # One row cannot run on without its group.  The spec's
+                # cold serial run is that row's trajectory (batch ≡
+                # serial), so it completes the window as a serial close
+                # does, and its events include the rest of the window's.
+                session = Session(
+                    handle.spec, target=group.target, snapshots=self.config.snapshots
+                )
+                result = session.close()
+                events = tuple(session.events)
+                completed = True
         else:
             result = handle.session.close(complete=complete)
             completed = complete or handle.session.finished

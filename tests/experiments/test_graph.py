@@ -8,6 +8,7 @@ replays, forces and re-executes against its node store.
 """
 
 import json
+import time
 
 import pytest
 
@@ -250,6 +251,97 @@ class TestNodeStore:
             assert view.get(node, "k" * 64) == ("hit", "forced")
             assert view.load("k" * 64)["output"] == "forced"
             assert len(view) == 1
+
+    def test_compact_keeps_the_latest_record_per_key_in_one_pack(self, tmp_path):
+        store = NodeStore(tmp_path / "s")
+        nodes = [_batch_node(index) for index in range(3)]
+        for output in ("old", "new"):
+            for index, node in enumerate(nodes):
+                _put(store, node, f"{index:064x}", f"{output}{index}")
+        assert store.superseded == 3 and len(store) == 3
+        foreign = store.dir / "garbage.pack"
+        foreign.write_bytes(b"not a pack")
+        path = store.compact()
+        assert packs(store) == [path, foreign]
+        assert store.superseded == 0
+        for view in (store, NodeStore(tmp_path / "s")):
+            for index, node in enumerate(nodes):
+                assert view.get(node, f"{index:064x}") == ("hit", f"new{index}")
+        assert store.compact() is None
+
+    def test_crash_before_the_unlinks_reads_the_latest_records(self, tmp_path, monkeypatch):
+        import repro.experiments.graph as graph_module
+
+        store = NodeStore(tmp_path / "s")
+        node = _batch_node(0)
+        for output in ("first", "second", "third"):
+            _put(store, node, "k" * 64, output)
+        _put(store, _batch_node(1), "j" * 64, "other")
+        before = packs(store)
+
+        def crash(path):
+            raise RuntimeError("simulated crash before the unlinks")
+
+        monkeypatch.setattr(graph_module.os, "unlink", crash)
+        with pytest.raises(RuntimeError):
+            store.compact()
+        monkeypatch.undo()
+        # The compacted pack landed next to every pack it read.
+        assert len(packs(store)) == len(before) + 1 and set(before) < set(packs(store))
+        reopened = NodeStore(tmp_path / "s")
+        assert reopened.get(node, "k" * 64) == ("hit", "third")
+        assert reopened.get(_batch_node(1), "j" * 64) == ("hit", "other")
+        reopened.compact()
+        assert len(packs(store)) == 1
+        assert NodeStore(tmp_path / "s").get(node, "k" * 64) == ("hit", "third")
+
+    def test_writer_landing_during_a_compaction_keeps_its_pack(self, tmp_path, monkeypatch):
+        import repro.experiments.graph as graph_module
+
+        store = NodeStore(tmp_path / "s")
+        node = _batch_node(0)
+        _put(store, node, "k" * 64, "old")
+        _put(store, node, "k" * 64, "new")
+        real_read = graph_module._read_pack
+        raced = []
+
+        def read_then_race(path):
+            # Another writer's pack lands after the listing, mid-read.
+            if not raced:
+                raced.append(_put(NodeStore(tmp_path / "s"), node, "k" * 64, "raced"))
+            return real_read(path)
+
+        monkeypatch.setattr(graph_module, "_read_pack", read_then_race)
+        compacted = store.compact()
+        monkeypatch.undo()
+        assert packs(store) == [compacted] + raced
+        assert NodeStore(tmp_path / "s").get(node, "k" * 64) == ("hit", "raced")
+
+    def test_writers_racing_compactions_lose_no_pack(self, tmp_path):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_put_batch, args=(str(tmp_path / "s"), writer))
+            for writer in range(3)
+        ]
+        for writer in writers:
+            writer.start()
+        store = NodeStore(tmp_path / "s")
+        deadline = time.monotonic() + 60
+        while any(writer.is_alive() for writer in writers) and time.monotonic() < deadline:
+            store.compact()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert all(writer.exitcode == 0 for writer in writers)
+        store.compact()
+        reopened = NodeStore(tmp_path / "s")
+        # Writers 0-2 cover keys 0..48 (windows of 25 starting every 12).
+        assert len(reopened) == 49 and len(packs(reopened)) == 1
+        for index in range(49):
+            expected = ("hit", ["out", index] * 50)
+            assert reopened.get(_batch_node(index), f"{index:064x}") == expected
+        assert not list(reopened.dir.glob("*.tmp"))
 
     def test_empty_pack_refused(self, tmp_path):
         store = NodeStore(tmp_path / "s")

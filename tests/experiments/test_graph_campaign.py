@@ -676,6 +676,24 @@ class TestStoreWrites:
         assert len(packs(NodeStore(tmp_path / "nodes"))) == len(specs) + 1
 
 
+    def test_forced_reruns_compact_back_to_one_pack(self, tmp_path):
+        specs = _slice_specs("tanklevel", errors=2)
+        store = tmp_path / "nodes"
+        cold = run_campaign_graph(specs, store=store)
+        live = len(specs) + 1  # + aggregate
+        assert len(packs(NodeStore(store))) == live
+        # One forced re-run supersedes as many records as are live: kept.
+        run_campaign_graph(specs, store=store, force=True)
+        assert len(packs(NodeStore(store))) == 2 * live
+        # The next one tips superseded over live: one pack of live records.
+        run_campaign_graph(specs, store=store, force=True)
+        [path] = packs(NodeStore(store))
+        assert len(json.loads(path.read_text())["records"]) == live
+        warm = run_campaign_graph(specs, store=store)
+        assert warm.stats.hit_rate == 1.0
+        assert warm.aggregate_csv == cold.aggregate_csv
+
+
 class TestGraphSmoke:
     """Fast end-to-end slice for ``make graph-smoke``."""
 

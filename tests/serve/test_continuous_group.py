@@ -272,13 +272,16 @@ def test_churn_keeps_every_per_row_array_at_most_batch_rows():
                 (group,) = fleet._groups
                 assert max(row_counts(group)) <= batch_rows
                 # Finished members close, and every fifth round one more
-                # closes early.
-                leaving = [sid for sid in live if fleet.is_finished(sid)]
+                # is abandoned early (closed without completing).
+                finished = [sid for sid in live if fleet.is_finished(sid)]
+                leaving = list(finished)
                 if r % 5 == 4 and len(leaving) < len(live):
                     leaving.append(next(sid for sid in live if sid not in leaving))
                 for sid in leaving:
                     live.remove(sid)
-                    outcomes.append(await fleet.close_session(sid))
+                    outcomes.append(
+                        await fleet.close_session(sid, complete=sid in finished)
+                    )
         return outcomes
 
     outcomes = asyncio.run(main())

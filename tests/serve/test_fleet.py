@@ -210,6 +210,26 @@ class TestBatchPath:
 
         asyncio.run(main())
 
+    def test_default_close_completes_a_batch_member_like_a_serial_one(self):
+        spec = next(s for s in synthetic_specs("tanklevel", 8) if s.signal == "slot_id")
+
+        async def close_after_one_frame(batch):
+            async with Fleet(FleetConfig(batch=batch)) as fleet:
+                await fleet.open_session(spec)
+                await fleet.ingest(Frame(session_id=spec.session_id, ticks=100))
+                assert await fleet.flush() == 0
+                return await fleet.close_session(spec.session_id)
+
+        batched = asyncio.run(close_after_one_frame(True))
+        serial = asyncio.run(close_after_one_frame(False))
+        assert _rides_batch(spec)
+        assert batched.result == serial.result
+        assert batched.result.duration_ms > 100
+        assert batched.completed and serial.completed
+        keys = [[(e.time_ms, e.monitor_id) for e in o.events] for o in (batched, serial)]
+        assert keys[0] == keys[1]
+        assert keys[0]
+
     def test_closing_a_member_releases_the_round_it_held_back(self):
         async def main():
             async with Fleet(FleetConfig(batch=True)) as fleet:
