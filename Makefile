@@ -16,8 +16,8 @@ test:
 
 # Static checks: ruff + mypy when installed (pip install -e .[lint]),
 # always followed by the repo's own assertion linter — plan rules plus
-# the EA4xx/EA5xx source-level packs (AST def-use over every
-# fingerprinted module) — on every registered target, the task-graph
+# the EA4xx/EA5xx source-level packs (AST def-use over the modules each
+# target's own module imports) — on every registered target, the task-graph
 # and serving smokes and the repository benchmark's self-test.  Fails on any new
 # finding.
 lint:
@@ -73,10 +73,13 @@ bench-suite-smoke:
 
 # Fast end-to-end slice through the campaign graph's three stages: cold
 # run, warm replay (zero executions), 2-way shard + merge, byte-identical
-# aggregate.  Guards dag.run_campaign_graph on every `make lint`.
+# aggregate; then the run-key guards (edits to a copy of src/repro re-key
+# exactly the targets that import the edited file).  Guards
+# dag.run_campaign_graph on every `make lint`.
 graph-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
-		tests/experiments/test_graph_campaign.py::TestGraphSmoke
+		tests/experiments/test_graph_campaign.py::TestGraphSmoke \
+		tests/experiments/test_run_keys.py
 
 # Fast check of batch serving's one running kernel per target: the
 # continuous-group tests (sessions joining a running kernel on any

@@ -19,12 +19,11 @@ Five built-in rule packs (27 rules):
 * **coverage** (EA301-EA303) — static bounds on the Section-2.4 model's
   ``Pds`` and ``Pem`` terms, unguarded output pathways;
 * **source dataflow/placement** (EA401-EA404) — an AST def-use pass over
-  the target's fingerprinted source modules: phase-locked checks behind
-  the wrap idiom, written-never-checked signals, dead monitors,
+  the modules the target's own module imports: phase-locked checks
+  behind the wrap idiom, written-never-checked signals, dead monitors,
   unguarded communication-buffer consumption (Section 2.3 placement);
-* **source drift** (EA501-EA505) — memory map vs plan vs
-  ``monitored_signals`` disagreement, and fingerprint-completeness of
-  the import closure (the incremental store's stale-cache guard).
+* **source drift** (EA501-EA503) — memory map vs plan vs
+  ``monitored_signals`` disagreement.
 
 Library use::
 
@@ -52,12 +51,7 @@ from repro.analysis.engine import analyze_params, analyze_plan, analyze_target_s
 from repro.analysis.registry import Rule, RuleContext, RuleRegistry, default_registry
 from repro.analysis.rules_coverage import estimate_pds
 from repro.analysis.selfcheck import build_default_target, self_check
-from repro.analysis.source import (
-    DEFAULT_FINGERPRINT_EXEMPT,
-    SignalEvent,
-    SourceModel,
-    build_source_model,
-)
+from repro.analysis.source import SignalEvent, SourceModel, build_source_model
 
 __all__ = [
     "AnalysisOptions",
@@ -78,5 +72,4 @@ __all__ = [
     "SignalEvent",
     "SourceModel",
     "build_source_model",
-    "DEFAULT_FINGERPRINT_EXEMPT",
 ]

@@ -18,8 +18,8 @@ A ``--target`` is either a registered workload name (see
 an ``InstrumentationPlan``, a ``(plan, fmeca_entries)`` pair, or a
 mapping with ``"plan"`` and optional ``"fmeca"`` keys.
 
-``--source`` additionally parses the target's fingerprinted source
-modules (never importing them) and runs the EA4xx placement and EA5xx
+``--source`` additionally parses the modules the target's own module
+imports (never importing them) and runs the EA4xx placement and EA5xx
 drift rules; such findings carry ``file:line`` in both text and JSON
 output.  It requires a registered target (or ``--all-targets``), since
 only those ship source to analyse.
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--source",
         action="store_true",
         help="also run the source-level EA4xx/EA5xx rules over the "
-        "target's fingerprinted modules (registered targets only)",
+        "modules the target imports (registered targets only)",
     )
     parser.add_argument(
         "--list-targets",
@@ -294,8 +294,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise UsageError("--source requires --target NAME or --all-targets")
             if ":" in args.target:
                 raise UsageError(
-                    "--source needs a registered target (its fingerprinted "
-                    "sources), not a module:callable plan factory"
+                    "--source needs a registered target (the modules it "
+                    "imports), not a module:callable plan factory"
                 )
         plan, fmeca, target = _resolve_target(args.target)
     except (UsageError, ValueError) as exc:

@@ -143,14 +143,6 @@ class AnalysisOptions:
         EA401 flags post-wrap checks whose wrap modulus divides it (the
         phase-lock idiom: every injected corruption is folded back into
         the legal domain before the check runs).
-    ``fingerprint_exempt``
-        Module-name prefixes the fingerprint-completeness rule EA504
-        neither requires in ``fingerprint_sources()`` nor walks further.
-        Defaults: the observability layer (result-neutral by the golden
-        trace harness), the target registry (pure dispatch — covering
-        it would weld every target's result cache to every workload)
-        and the analysis package itself (the linter never runs during a
-        campaign).
     """
 
     critical_rpn: int = 100
@@ -158,11 +150,6 @@ class AnalysisOptions:
     pem_floor: float = 0.8
     word_values: int = 1 << 16
     injection_period_ms: int = 20
-    fingerprint_exempt: Tuple[str, ...] = (
-        "repro.obs",
-        "repro.targets.registry",
-        "repro.analysis",
-    )
 
     def __post_init__(self) -> None:
         if self.critical_rpn < 1:
@@ -177,7 +164,6 @@ class AnalysisOptions:
             raise ValueError(
                 f"injection_period_ms must be >= 1, got {self.injection_period_ms}"
             )
-        object.__setattr__(self, "fingerprint_exempt", tuple(self.fingerprint_exempt))
 
 
 class AnalysisReport:

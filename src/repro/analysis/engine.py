@@ -146,8 +146,7 @@ def analyze_target_source(
 ) -> AnalysisReport:
     """Run the source-scope rules (EA4xx/EA5xx) over one target.
 
-    Parses the modules named by ``target.fingerprint_sources()`` (plus
-    their intra-repository import closure) into a
+    Parses the import closure of the target class's module into a
     :class:`~repro.analysis.source.SourceModel` — nothing is imported or
     executed — and checks placement (dataflow) and drift against the
     target's shipped plan.  Pass *source_model* to reuse a prebuilt
@@ -158,9 +157,7 @@ def analyze_target_source(
     registry = registry if registry is not None else default_registry()
     options = options if options is not None else AnalysisOptions()
     if source_model is None:
-        source_model = build_source_model(
-            target, exempt=options.fingerprint_exempt
-        )
+        source_model = build_source_model(target)
     plan, fmeca = target.lint_target()
     ctx = RuleContext(
         options=options,

@@ -14,7 +14,7 @@ Scopes partition the rule set by what a check needs to see:
     inventory and (optionally) the FMECA table;
 ``source``
     a :class:`~repro.analysis.source.SourceModel` def-use graph of the
-    target's fingerprinted source modules, alongside the plan and the
+    modules the target's own module imports, alongside the plan and the
     target object (the EA4xx/EA5xx packs).
 
 Users extend the analyser by registering custom rules::

@@ -137,7 +137,8 @@ def check_dead_monitor(ctx: RuleContext) -> Iterator[Finding]:
             f"dead monitor: {first.function} checks the signal but no "
             f"analysed code ever writes it, so only the boot value is tested",
             hint="either the producing write is missing from the analysed "
-            "sources (fingerprint drift) or the monitor guards nothing",
+            "sources (the target module does not import it) or the "
+            "monitor guards nothing",
             file=first.file,
             line=first.line,
         )

@@ -1,10 +1,9 @@
-"""Configuration-drift rules (EA501-EA505).
+"""Configuration-drift rules (EA501-EA503).
 
-The instrumentation plan, the memory map, the target's
-``monitored_signals`` surface and the ``fingerprint_sources()`` list all
-describe the same configuration from different angles; when they drift
-apart the campaign silently measures something other than what the plan
-claims.  These rules cross-check the
+The instrumentation plan, the memory map and the target's
+``monitored_signals`` surface all describe the same configuration from
+different angles; when they drift apart the campaign silently measures
+something other than what the plan claims.  These rules cross-check the
 :class:`~repro.analysis.source.SourceModel` against the plan and the
 target object:
 
@@ -14,16 +13,8 @@ target object:
 * **EA502** — a planned signal does not exist in any analysed memory
   map: the plan monitors a phantom;
 * **EA503** — ``Target.monitored_signals`` disagrees with the plan's
-  signal list (the campaign's E1 error set and the plan would diverge);
-* **EA504** — a module the target source transitively imports is covered
-  by no ``fingerprint_sources()`` entry.  This is the stale-cache bug
-  class of the campaign graph's node store: edits to the uncovered module
-  change behaviour without invalidating cached campaign results;
-* **EA505** — a ``fingerprint_sources()`` entry resolves to no module or
-  package: the fingerprint hashes nothing for it, so the entry is dead weight
-  (or a typo hiding a real source).
+  signal list (the campaign's E1 error set and the plan would diverge).
 """
-
 from __future__ import annotations
 
 from typing import Iterator, Optional
@@ -110,39 +101,6 @@ def check_target_plan_agreement(ctx: RuleContext) -> Iterator[Finding]:
         )
 
 
-def check_fingerprint_completeness(ctx: RuleContext) -> Iterator[Finding]:
-    """Every transitively imported module is fingerprint-covered."""
-    model = _model(ctx)
-    if model is None:
-        return
-    for record in model.uncovered_imports:
-        yield Finding(
-            record.module,
-            f"{record.importer} imports {record.module}, which no "
-            f"fingerprint_sources() entry covers — edits there change run "
-            f"behaviour without invalidating cached campaign results",
-            hint="add the module (or a covering package) to "
-            "fingerprint_sources(), or exempt it via "
-            "AnalysisOptions.fingerprint_exempt if it is result-neutral",
-            file=record.file,
-            line=record.line,
-        )
-
-
-def check_fingerprint_resolvable(ctx: RuleContext) -> Iterator[Finding]:
-    """Every fingerprint entry names an existing module or package."""
-    model = _model(ctx)
-    if model is None:
-        return
-    for entry in model.unresolved_entries:
-        yield Finding(
-            entry,
-            "fingerprint_sources() names a module that does not resolve to "
-            "any source file; the campaign fingerprint hashes nothing for it",
-            hint="fix the name or drop the entry",
-        )
-
-
 def register(registry: RuleRegistry) -> None:
     """Register the drift pack into *registry*."""
     registry.add(
@@ -172,26 +130,6 @@ def register(registry: RuleRegistry) -> None:
             Severity.ERROR,
             "source",
             check_target_plan_agreement,
-            pack=PACK,
-        )
-    )
-    registry.add(
-        Rule(
-            "EA504",
-            "transitively imported module not fingerprint-covered",
-            Severity.ERROR,
-            "source",
-            check_fingerprint_completeness,
-            pack=PACK,
-        )
-    )
-    registry.add(
-        Rule(
-            "EA505",
-            "unresolvable fingerprint_sources() entry",
-            Severity.WARNING,
-            "source",
-            check_fingerprint_resolvable,
             pack=PACK,
         )
     )

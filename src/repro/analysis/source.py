@@ -2,10 +2,10 @@
 
 The dynamic harness proves what the shipped instrumentation *does*; this
 module proves things about what the target source *says*.  It parses —
-never imports or executes — every module named by
-:meth:`~repro.targets.base.Target.fingerprint_sources` plus the
-intra-repository modules those transitively import, and builds a
-per-signal def-use model:
+never imports or executes — the modules of a target's import closure
+(:func:`repro.closure.import_closure` from the target class's own
+module, the same file set the campaign graph keys the target's runs by)
+and builds a per-signal def-use model:
 
 * **memory models** — classes exposing a ``signal_variable`` mapping are
   recognised as target memories; their ``__init__`` allocations
@@ -24,18 +24,7 @@ per-signal def-use model:
   ``N`` (resolved through module constants and ``import ... as k``
   aliases, ``-1`` when unresolvable), so the EA401 placement rule can
   decide whether a later check is phase-locked against the injection
-  period;
-* **import closure** — intra-repository imports of covered modules are
-  walked; imports that no fingerprint entry covers are recorded with
-  their file:line for the EA504 stale-cache rule.
-
-A fingerprint entry covers a module when it names the module, an
-ancestor package, or a descendant (so an entry like ``repro.targets.base``
-also vouches for the pure-facade package ``repro.targets`` it sits in).
-Module files are resolved by path arithmetic under the root package's
-search path — the analyser imports nothing, matching the
-:mod:`repro.analysis` contract that the system under analysis is never
-executed.
+  period.
 
 The model is deliberately syntactic: it recognises the handle idioms
 this repository's targets use, not arbitrary Python.  Rules built on it
@@ -48,32 +37,17 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib.util
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+from repro.closure import import_closure, module_file
 
 __all__ = [
     "SignalEvent",
     "MemoryModel",
     "FunctionInfo",
-    "ImportRecord",
     "SourceModel",
     "build_source_model",
-    "DEFAULT_FINGERPRINT_EXEMPT",
 ]
-
-#: Default module-name prefixes exempt from fingerprint coverage (see
-#: :class:`~repro.analysis.diagnostics.AnalysisOptions.fingerprint_exempt`):
-#: the observability layer (result-neutrality is enforced dynamically by
-#: the golden-trace harness), the target registry (pure dispatch —
-#: covering it would weld every target's result cache to every
-#: workload), and the analysis package itself (the linter never runs
-#: during a campaign).
-DEFAULT_FINGERPRINT_EXEMPT: Tuple[str, ...] = (
-    "repro.obs",
-    "repro.targets.registry",
-    "repro.analysis",
-)
 
 #: Check-helper method names (the arrestor's ``ModuleBase.checked`` and
 #: the tank node's ``_checked`` share the read-test-writeback shape).
@@ -152,27 +126,14 @@ class FunctionInfo:
 
 
 @dataclasses.dataclass(frozen=True)
-class ImportRecord:
-    """An intra-repository import no fingerprint entry covers (EA504)."""
-
-    module: str
-    importer: str
-    file: str
-    line: int
-
-
-@dataclasses.dataclass(frozen=True)
 class SourceModel:
     """The def-use model :func:`build_source_model` produces."""
 
     target_name: str
-    entries: Tuple[str, ...]
-    unresolved_entries: Tuple[str, ...]
     modules: Tuple[str, ...]
     memories: Tuple[MemoryModel, ...]
     events: Tuple[SignalEvent, ...]
     functions: Tuple[FunctionInfo, ...]
-    uncovered_imports: Tuple[ImportRecord, ...]
 
     def for_signal(self, signal: str) -> List[SignalEvent]:
         return [e for e in self.events if e.signal == signal]
@@ -224,83 +185,6 @@ class SourceModel:
         )
 
 
-# -- module location ----------------------------------------------------------
-
-
-class _Locator:
-    """Resolve dotted module names to source files by path arithmetic.
-
-    Only the *root* package of a dotted name is looked up through the
-    import machinery (and the roots in play — ``repro``, test fixtures —
-    are already imported); every submodule is resolved as a file-system
-    path under the root's search locations, so the analyser never
-    triggers an import of the code it is inspecting.
-    """
-
-    def __init__(self, extra: Mapping[str, str]):
-        self.extra = dict(extra)
-        self._roots: Dict[str, Optional[List[Path]]] = {}
-
-    def _root_paths(self, root: str) -> Optional[List[Path]]:
-        if root not in self._roots:
-            try:
-                spec = importlib.util.find_spec(root)
-            except (ImportError, ValueError):
-                spec = None
-            if spec is None or not spec.submodule_search_locations:
-                self._roots[root] = None
-            else:
-                self._roots[root] = [Path(p) for p in spec.submodule_search_locations]
-        return self._roots[root]
-
-    def locate(self, name: str) -> Optional[Tuple[str, Path]]:
-        """``("module" | "package", path-to-.py-file)`` or ``None``."""
-        root, _, rest = name.partition(".")
-        bases = self._root_paths(root)
-        if bases is None:
-            return None
-        for base in bases:
-            path = base.joinpath(*rest.split(".")) if rest else base
-            init = path / "__init__.py"
-            if path.is_dir() and init.is_file():
-                return ("package", init)
-            if rest:
-                as_file = path.with_suffix(".py")
-                if as_file.is_file():
-                    return ("module", as_file)
-        return None
-
-    def is_module(self, name: str) -> bool:
-        return name in self.extra or self.locate(name) is not None
-
-    def package_dir(self, name: str) -> Optional[Path]:
-        found = self.locate(name)
-        if found and found[0] == "package":
-            return found[1].parent
-        return None
-
-
-def _covered(module: str, entries: Sequence[str]) -> bool:
-    """Whether any fingerprint entry vouches for *module*.
-
-    An entry covers the module itself, its descendants, and its ancestor
-    packages (an ancestor is a facade whose source the entry's own hash
-    chain already depends on through the re-export).
-    """
-    return any(
-        module == entry
-        or module.startswith(entry + ".")
-        or entry.startswith(module + ".")
-        for entry in entries
-    )
-
-
-def _exempt(module: str, prefixes: Sequence[str]) -> bool:
-    return any(
-        module == prefix or module.startswith(prefix + ".") for prefix in prefixes
-    )
-
-
 # -- parsing ------------------------------------------------------------------
 
 
@@ -336,32 +220,9 @@ def _parse(name: str, file: str, text: str) -> _ParsedModule:
     return parsed
 
 
-def _module_imports(
-    tree: ast.Module, locator: _Locator
-) -> List[Tuple[str, int]]:
-    """All absolute imports in *tree* as ``(module name, line)`` pairs.
-
-    ``from pkg import name`` resolves to the submodule ``pkg.name`` when
-    that is an importable module, else to ``pkg`` itself (a facade
-    re-export).  Relative imports do not occur in this repository and
-    are ignored.
-    """
-    found: List[Tuple[str, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                found.append((alias.name, node.lineno))
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for alias in node.names:
-                candidate = f"{node.module}.{alias.name}"
-                if locator.is_module(candidate):
-                    found.append((candidate, node.lineno))
-                else:
-                    found.append((node.module, node.lineno))
-    return found
-
-
-def _record_import_aliases(parsed: _ParsedModule, locator: _Locator) -> None:
+def _record_import_aliases(
+    parsed: _ParsedModule, is_module: Callable[[str], bool]
+) -> None:
     for node in ast.walk(parsed.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -370,7 +231,7 @@ def _record_import_aliases(parsed: _ParsedModule, locator: _Locator) -> None:
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             for alias in node.names:
                 candidate = f"{node.module}.{alias.name}"
-                if locator.is_module(candidate):
+                if is_module(candidate):
                     parsed.import_aliases[alias.asname or alias.name] = candidate
 
 
@@ -902,111 +763,42 @@ def _scan_module_events(
 def build_source_model(
     target: Optional[object] = None,
     *,
-    entries: Optional[Sequence[str]] = None,
-    extra_sources: Optional[Mapping[str, str]] = None,
-    exempt: Sequence[str] = DEFAULT_FINGERPRINT_EXEMPT,
+    sources: Optional[Mapping[str, str]] = None,
     target_name: Optional[str] = None,
 ) -> SourceModel:
-    """Parse a target's fingerprinted sources into a :class:`SourceModel`.
+    """Parse a target's import closure into a :class:`SourceModel`.
 
-    *entries* defaults to ``target.fingerprint_sources()``.
-    *extra_sources* maps dotted module names to source text and takes
-    precedence over the file system — the fixture tests use it to
-    analyse seeded-defect modules that are never importable.  *exempt*
-    prefixes are neither required in the fingerprint nor walked.
+    The modules are :func:`~repro.closure.import_closure` of the target
+    class's own module.  *sources* maps dotted module names to source
+    text and replaces that closure: the fixture tests use it to analyse
+    seeded-defect modules that are never importable.
     """
-    if entries is None:
+    if sources is None:
         if target is None:
-            raise ValueError("build_source_model needs a target or explicit entries")
-        entries = tuple(target.fingerprint_sources())
+            raise ValueError("build_source_model needs a target or sources")
+        texts = {
+            module: (file, data.decode("utf-8"))
+            for module, (file, data) in import_closure(
+                type(target).__module__
+            ).items()
+        }
     else:
-        entries = tuple(entries)
+        texts = {
+            module: (f"<fixture:{module}>", text)
+            for module, text in sorted(sources.items())
+        }
     name = target_name or getattr(target, "name", None) or "<unnamed>"
-    extra = dict(extra_sources or {})
-    locator = _Locator(extra)
 
-    roots = {entry.partition(".")[0] for entry in entries}
-    roots.update(key.partition(".")[0] for key in extra)
-
-    # Expand fingerprint entries to concrete module files.
-    to_parse: Dict[str, Tuple[str, Optional[str]]] = {}
-    unresolved: List[str] = []
-    for entry in entries:
-        matched = False
-        for key, text in extra.items():
-            if key == entry or key.startswith(entry + "."):
-                to_parse.setdefault(key, (f"<fixture:{key}>", text))
-                matched = True
-        found = locator.locate(entry)
-        if found is not None:
-            matched = True
-            kind, init_file = found
-            if kind == "module":
-                to_parse.setdefault(entry, (str(init_file), None))
-            else:
-                package_dir = init_file.parent
-                for source_file in sorted(package_dir.rglob("*.py")):
-                    relative = source_file.relative_to(package_dir)
-                    parts = list(relative.parts)
-                    if parts[-1] == "__init__.py":
-                        parts = parts[:-1]
-                    else:
-                        parts[-1] = parts[-1][: -len(".py")]
-                    module = ".".join([entry] + parts)
-                    to_parse.setdefault(module, (str(source_file), None))
-        if not matched:
-            unresolved.append(entry)
-
-    # Parse the entry modules, then walk covered imports to a fixpoint.
-    parsed: Dict[str, _ParsedModule] = {}
-    uncovered: Dict[Tuple[str, str], ImportRecord] = {}
-    queue = sorted(to_parse)
-
-    def parse_one(module: str, file: str, text: Optional[str]) -> None:
-        if text is None:
-            text = Path(file).read_text(encoding="utf-8")
-        parsed[module] = _parse(module, file, text)
-
-    for module in queue:
-        file, text = to_parse[module]
-        parse_one(module, file, text)
-
-    while queue:
-        module = queue.pop()
-        current = parsed[module]
-        for imported, line in _module_imports(current.tree, locator):
-            if imported.partition(".")[0] not in roots:
-                continue
-            if _exempt(imported, exempt):
-                continue
-            if not _covered(imported, entries):
-                key = (imported, current.file)
-                if key not in uncovered:
-                    uncovered[key] = ImportRecord(
-                        module=imported,
-                        importer=current.name,
-                        file=current.file,
-                        line=line,
-                    )
-                continue
-            if imported in parsed:
-                continue
-            if imported in extra:
-                parse_one(imported, f"<fixture:{imported}>", extra[imported])
-                queue.append(imported)
-                continue
-            found = locator.locate(imported)
-            if found is not None:
-                parse_one(imported, str(found[1]), None)
-                queue.append(imported)
+    def is_module(module: str) -> bool:
+        return module in texts or module_file(module) is not None
 
     # Phase A: constants, import aliases, memory models, the symbol table.
-    ordered = [parsed[module] for module in sorted(parsed)]
+    ordered = [_parse(module, file, text) for module, (file, text) in texts.items()]
     memories: List[MemoryModel] = []
     global_attrs: Dict[str, str] = {}
     constants_of: Dict[str, Mapping[str, int]] = {}
     for module in ordered:
-        _record_import_aliases(module, locator)
+        _record_import_aliases(module, is_module)
         constants_of[module.name] = module.constants
         for memory in _find_memories(module):
             memories.append(memory)
@@ -1020,13 +812,8 @@ def build_source_model(
 
     return SourceModel(
         target_name=name,
-        entries=entries,
-        unresolved_entries=tuple(unresolved),
-        modules=tuple(module.name for module in ordered),
+        modules=tuple(texts),
         memories=tuple(memories),
         events=tuple(events),
         functions=tuple(functions),
-        uncovered_imports=tuple(
-            uncovered[key] for key in sorted(uncovered)
-        ),
     )

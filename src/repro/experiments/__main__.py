@@ -79,12 +79,11 @@ from repro.experiments.persistence import (
 )
 from repro.experiments.campaign import (
     CampaignConfig,
-    _tables_renderer,
     run_campaign_graph,
     run_reference_grid,
 )
 from repro.experiments.results import ResultSet
-from repro.experiments.tables import render_table6
+from repro.experiments.tables import render_table6, tables_renderer
 from repro.targets.registry import default_target_name, get_target, target_names
 
 
@@ -304,7 +303,7 @@ def _cmd_e1(args: argparse.Namespace) -> int:
     if args.signal is not None:
         results = ResultSet(results.subset(signal=args.signal))
         print(f"filtered to {len(results)} runs on signal {args.signal}\n")
-    render, _ = _tables_renderer("e1", config.versions, target.monitored_signals)
+    render, _ = tables_renderer("e1", config.versions, target.monitored_signals)
     print(render(results))
     return 0
 
@@ -327,7 +326,7 @@ def _cmd_e2(args: argparse.Namespace) -> int:
         return 0
     results = load_results(args.load)
     print(f"loaded {len(results)} runs from {args.load}\n")
-    render, _ = _tables_renderer("e2", config.versions)
+    render, _ = tables_renderer("e2", config.versions)
     print(render(results))
     return 0
 
@@ -351,11 +350,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     versions = results.versions
     e1_signals = results.signals
     if not e1_signals:
-        render, _ = _tables_renderer("e2", versions)
+        render, _ = tables_renderer("e2", versions)
         print(render(results))
         return 0
 
-    render, _ = _tables_renderer("e1", versions, e1_signals)
+    render, _ = tables_renderer("e1", versions, e1_signals)
     print(render(results))
     print()
     print("Detection threshold bit per signal (lowest bit with total")

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.experiments.parallel import enumerate_e1_specs, enumerate_e2_specs
 from repro.experiments.results import ResultSet
+from repro.experiments.tables import E1_VERSIONS, tables_renderer
 from repro.injection.fic import CampaignController
 from repro.targets.registry import get_target
 
@@ -32,9 +33,6 @@ __all__ = [
     "run_campaign_graph",
     "run_reference_grid",
 ]
-
-#: The eight system versions of the E1 experiment.
-E1_VERSIONS: Tuple[str, ...] = ("EA1", "EA2", "EA3", "EA4", "EA5", "EA6", "EA7", "All")
 
 ProgressHook = Callable[[int, int], None]
 
@@ -109,47 +107,6 @@ class CampaignConfig:
             )
 
 
-def _tables_renderer(
-    experiment: str, versions: Sequence[str], signals: Sequence[str] = ()
-):
-    """The tables renderer for one experiment's records, plus its fingerprint.
-
-    E1 records render as Tables 7 and 8 over *versions* (columns) and
-    *signals* (rows); E2 records as Table 9 alone.  A campaign's tables
-    node uses it with the config's versions and the target's monitored
-    signals, ``report``/``--load`` with what the saved records carry.
-    The renderer is keyed by a digest of the table layer's source, so a
-    table-layout change re-renders the artifact without re-simulating a
-    single run (the run nodes' keys are untouched).
-    """
-    import hashlib
-
-    from repro.experiments import tables as tables_module
-
-    fingerprint = hashlib.sha256(
-        Path(tables_module.__file__).read_bytes()
-    ).hexdigest()
-    signals = tuple(signals)
-    versions = tuple(versions)
-
-    if experiment == "e1":
-        def render(results: ResultSet) -> str:
-            return (
-                "Table 7. Error detection probabilities (%)\n"
-                + tables_module.render_table7(results, versions, signals=signals)
-                + "\n\nTable 8. Error detection latencies (ms)\n"
-                + tables_module.render_table8(results, versions, signals=signals)
-            )
-    else:
-        def render(results: ResultSet) -> str:
-            return (
-                "Table 9. Results for error set E2\n"
-                + tables_module.render_table9(results)
-            )
-
-    return render, fingerprint
-
-
 def run_campaign_graph(
     config: Optional[CampaignConfig] = None,
     experiment: str = "e1",
@@ -183,7 +140,7 @@ def run_campaign_graph(
     enumerate = enumerate_e1_specs if experiment == "e1" else enumerate_e2_specs
     renderer = fingerprint = None
     if tables and shard is None:
-        renderer, fingerprint = _tables_renderer(
+        renderer, fingerprint = tables_renderer(
             experiment,
             config.versions,
             get_target(config.target).monitored_signals,

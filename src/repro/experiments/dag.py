@@ -9,17 +9,18 @@ after the first suffixes its node names with ``@i``:
 ``run`` nodes
     One per :class:`~repro.experiments.parallel.RunSpec`.  Inputs are
     the spec's fields plus the **context fingerprint** (SHA-256 over the
-    target's simulation sources, the run configuration and the
-    injection start — :func:`context_fingerprint`), so editing
-    fingerprinted code re-keys every run node while an unchanged
-    campaign replays entirely from the node store.
+    source of the target module's import closure, the run configuration
+    and the injection start — :func:`context_fingerprint`), so editing
+    code the target imports re-keys its run nodes while an unchanged
+    campaign, or one whose engine alone changed, replays entirely from
+    the node store.
 ``aggregate`` nodes
     One per context, over its run nodes; the output is the context's
     canonical-order CSV (byte-stable regardless of execution or shard order).
 ``tables`` node
     Depends on the first ``aggregate``; renders the paper-table artifact
-    through a caller-supplied renderer (keyed by the renderer's code
-    fingerprint so a table-layout change re-renders without
+    through a caller-supplied renderer (keyed by the closure digest of
+    the table layer, so a table-layout change re-renders without
     re-simulating).
 
 :func:`run_campaign_graph` runs the stages in that order, each node
@@ -57,10 +58,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.closure import source_digest
 from repro.experiments.graph import (
     Graph,
     GraphStats,
@@ -98,42 +99,19 @@ ProgressHook = Callable[[int, int], None]
 TablesRenderer = Callable[[ResultSet], str]
 
 
-def _module_source_files(module_name: str) -> List[Path]:
-    """Every ``.py`` file belonging to *module_name* (package or module).
-
-    Located with ``find_spec``, which imports at most the parent
-    packages: hashing a module must not execute it (the batch kernels
-    would pull numpy into every campaign process).
-    """
-    spec = importlib.util.find_spec(module_name)
-    if spec is None or not spec.has_location:  # namespace/builtin: nothing to hash
-        return []
-    path = Path(spec.origin)
-    if spec.submodule_search_locations is not None:
-        return sorted(path.parent.rglob("*.py"))
-    return [path]
-
-
 def code_fingerprint(target: Target) -> str:
     """SHA-256 over the source code that determines *target*'s run results.
 
-    Files are hashed in sorted path order, each prefixed by its
-    package-relative name, so renames and content edits both change the
-    digest while the absolute checkout location does not.
+    That code is the import closure of the target class's own module
+    (:func:`repro.closure.source_digest`): every ``repro`` module its
+    import statements reach, transitively, function-level imports
+    included.  Editing any of them re-keys exactly the runs of the
+    targets that reach it.  The campaign engine is not in the closure,
+    so a refactor of how runs execute, replay or aggregate keeps every
+    stored run.  Stored outputs stay valid across such a change because
+    their encoding is pinned separately (``NodeStore.FORMAT``).
     """
-    digest = hashlib.sha256()
-    seen = set()
-    for module_name in target.fingerprint_sources():
-        for path in _module_source_files(module_name):
-            if path in seen:
-                continue
-            seen.add(path)
-            anchor = path.parts.index(module_name.split(".", 1)[0])
-            digest.update("/".join(path.parts[anchor:]).encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-    return digest.hexdigest()
+    return source_digest(type(target).__module__)
 
 
 def context_fingerprint(

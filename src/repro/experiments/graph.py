@@ -123,6 +123,10 @@ class NodeStore:
     SUBDIR = "nodes"
     SUFFIX = ".pack"
     #: The ``format`` field every pack carries; anything else is foreign.
+    #: Run keys hash the target's simulation code, not the engine, so
+    #: this is the one guard of what a stored output means: bump it
+    #: whenever ``persistence.encode_record`` or ``results_to_csv``
+    #: changes what they write.
     FORMAT = "repro-node-pack/1"
 
     def __init__(self, root: Union[str, Path]) -> None:

@@ -9,19 +9,31 @@ Each function returns the table as a string in the layout of the paper:
   version, over all detected errors;
 * Table 9 — E2 results per memory area: the three coverage measures and
   the latency summaries for all errors and for failure-causing errors.
+
+:func:`tables_renderer` frames them as a campaign's ``tables`` artifact.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arrestor.instrumentation import EA_BY_SIGNAL, EA_IDS
 from repro.arrestor.signals_map import MONITORED_SIGNALS
-from repro.experiments.campaign import E1_VERSIONS
+from repro.closure import source_digest
 from repro.experiments.results import ResultSet
 from repro.injection.errors import E1_ERRORS_PER_SIGNAL, ErrorSpec
 
-__all__ = ["render_table6", "render_table7", "render_table8", "render_table9"]
+__all__ = [
+    "E1_VERSIONS",
+    "render_table6",
+    "render_table7",
+    "render_table8",
+    "render_table9",
+    "tables_renderer",
+]
+
+#: The eight system versions of the E1 experiment.
+E1_VERSIONS: Tuple[str, ...] = ("EA1", "EA2", "EA3", "EA4", "EA5", "EA6", "EA7", "All")
 
 
 def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:
@@ -175,3 +187,36 @@ def render_table9(results: ResultSet) -> str:
                 ]
             )
     return _layout(rows)
+
+
+def tables_renderer(
+    experiment: str, versions: Sequence[str], signals: Sequence[str] = ()
+) -> Tuple[Callable[[ResultSet], str], str]:
+    """The tables renderer for one experiment's records, plus its fingerprint.
+
+    E1 records render as Tables 7 and 8 over *versions* (columns) and
+    *signals* (rows); E2 records as Table 9 alone.  A campaign's tables
+    node uses it with the config's versions and the target's monitored
+    signals, ``report``/``--load`` with what the saved records carry.
+    The fingerprint is the digest of this module's import closure (the
+    records and statistics it renders included), so a table-layout
+    change re-renders the artifact without re-simulating a single run,
+    and an engine change does not re-render it.
+    """
+    fingerprint = source_digest(__name__)
+    signals = tuple(signals)
+    versions = tuple(versions)
+
+    if experiment == "e1":
+        def render(results: ResultSet) -> str:
+            return (
+                "Table 7. Error detection probabilities (%)\n"
+                + render_table7(results, versions, signals=signals)
+                + "\n\nTable 8. Error detection latencies (ms)\n"
+                + render_table8(results, versions, signals=signals)
+            )
+    else:
+        def render(results: ResultSet) -> str:
+            return "Table 9. Results for error set E2\n" + render_table9(results)
+
+    return render, fingerprint

@@ -100,28 +100,3 @@ class ArrestorTarget(Target):
         )
 
         return build_instrumentation_plan(), default_fmeca_entries()
-
-    def fingerprint_sources(self) -> Tuple[str, ...]:
-        # The default would hash all of repro.targets (this adapter's
-        # package), needlessly invalidating arrestor results when an
-        # unrelated workload changes; pin the arrestor's actual sources.
-        return (
-            "repro.core",
-            "repro.memory",
-            "repro.plant",
-            "repro.rtos",
-            "repro.injection",
-            "repro.targets.base",
-            "repro.targets.snapshot",
-            "repro.targets.arrestor",
-            "repro.targets.batch.core",
-            "repro.targets.batch.arrestor",
-            "repro.experiments.testcases",
-            "repro.experiments.graph",
-            "repro.experiments.dag",
-            "repro.experiments.parallel",
-            "repro.experiments.persistence",
-            "repro.experiments.results",
-            "repro.stats",
-            "repro.arrestor",
-        )

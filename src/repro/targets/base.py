@@ -432,39 +432,6 @@ class Target(abc.ABC):
             for r, spec in zip(row_of, specs)
         ]
 
-    def fingerprint_sources(self) -> Tuple[str, ...]:
-        """Module/package names whose source code determines run results.
-
-        The campaign graph hashes these sources into the content
-        address of every run node (:func:`repro.experiments.dag.code_fingerprint`),
-        so editing any of them invalidates exactly the affected target's
-        stored runs.  The
-        default covers the shared simulation stack plus the package the
-        concrete target class lives in; targets with code outside that
-        package extend the tuple (see :class:`ArrestorTarget`).
-        """
-        package = type(self).__module__.rsplit(".", 1)[0]
-        return (
-            "repro.core",
-            "repro.memory",
-            "repro.plant",
-            "repro.rtos",
-            "repro.injection",
-            "repro.targets.base",
-            "repro.targets.snapshot",
-            "repro.experiments.testcases",
-            # The execution engine and the campaign task graph decide
-            # how runs execute, replay, and aggregate, so their source
-            # is part of every stored record's content address.
-            "repro.experiments.graph",
-            "repro.experiments.dag",
-            "repro.experiments.parallel",
-            "repro.experiments.persistence",
-            "repro.experiments.results",
-            "repro.stats",
-            package,
-        )
-
     # -- static analysis -----------------------------------------------------
 
     @abc.abstractmethod
@@ -475,14 +442,11 @@ class Target(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def validate_target(target: Target, check_source: bool = False) -> Target:
+def validate_target(target: Target) -> Target:
     """Sanity-check a target's static surface at registration time.
 
-    With *check_source* the target's fingerprinted source modules are
-    additionally parsed and run through the source-scope rules
-    (EA4xx/EA5xx; see :mod:`repro.analysis.source`) and any
-    error-severity finding raises — the slow, thorough variant used by
-    the analysis self-check, not by registration.
+    The source-level rules (EA4xx/EA5xx) are the linter's, not
+    registration's: :func:`repro.analysis.engine.analyze_target_source`.
     """
     if not target.name:
         raise ValueError(f"{type(target).__name__} must set a non-empty name")
@@ -498,13 +462,4 @@ def validate_target(target: Target, check_source: bool = False) -> Target:
         raise ValueError(f"target {target.name!r} monitors no signals")
     if len(set(signals)) != len(signals):
         raise ValueError(f"target {target.name!r} has duplicate monitored signals")
-    if check_source:
-        from repro.analysis.engine import analyze_target_source
-
-        report = analyze_target_source(target)
-        if not report.ok:
-            raise ValueError(
-                f"target {target.name!r} fails source-level analysis:\n"
-                f"{report.format_text()}"
-            )
     return target

@@ -9,8 +9,9 @@ latencies.  The serial tick loop remains the oracle — the batch kernels
 are pinned run-for-run against it by the differential harness in
 ``tests/targets/test_batch_equivalence.py``.
 
-This package deliberately contains no imports: each target's kernel
-module (``repro.targets.batch.arrestor``, ``repro.targets.batch.
-tanklevel``) is imported lazily by its target adapter so neither target's
-fingerprint closure picks up the other's kernel.
+Nothing imports this package's ``__init__`` by name (each target
+adapter imports its own kernel module, ``repro.targets.batch.arrestor``
+or ``repro.targets.batch.tanklevel``, inside a method), so it is in no
+target's import closure and neither target's run key hashes the
+other's kernel (:mod:`repro.closure`).
 """

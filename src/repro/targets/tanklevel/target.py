@@ -89,14 +89,6 @@ class TankLevelTarget(Target):
         # own attribute (the benchmark's span probes wrap it per target).
         return super().run_batch(specs)
 
-    def fingerprint_sources(self) -> Tuple[str, ...]:
-        # The batch kernel is an alternate execution path for this
-        # target's runs, so its source is result-determining too.
-        return super().fingerprint_sources() + (
-            "repro.targets.batch.core",
-            "repro.targets.batch.tanklevel",
-        )
-
     def lint_target(self):
         from repro.targets.tanklevel.instrumentation import (
             build_instrumentation_plan,

@@ -4,7 +4,7 @@ Each ``ea*.py`` module in this directory plants exactly one defect a
 source rule must catch; ``memonly.py`` is a clean memory-only module the
 drift tests combine with deliberately-wrong plans.  The files are
 **never imported**: tests read them as text and hand them to
-:func:`repro.analysis.source.build_source_model` via ``extra_sources``
+:func:`repro.analysis.source.build_source_model` via ``sources``
 under the fake package root ``fixpkg``, exactly as the analyser treats
 real target source (parse, never execute).
 """
@@ -68,11 +68,9 @@ class FixtureTarget(Target):
         self,
         planned: Sequence[str],
         monitored: Optional[Sequence[str]] = None,
-        entries: Sequence[str] = (PACKAGE,),
     ) -> None:
         self._planned = tuple(planned)
         self._monitored = tuple(monitored if monitored is not None else planned)
-        self._entries = tuple(entries)
 
     @property
     def versions(self) -> Tuple[str, ...]:
@@ -97,21 +95,16 @@ class FixtureTarget(Target):
     def lint_target(self):
         return simple_plan(self._planned), ()
 
-    def fingerprint_sources(self) -> Tuple[str, ...]:
-        return self._entries
-
 
 def fixture_model(
     stems: Sequence[str],
-    entries: Sequence[str] = (PACKAGE,),
     sources: Optional[Dict[str, str]] = None,
 ):
     """Build just the :class:`SourceModel` over fixture modules."""
     from repro.analysis.source import build_source_model
 
     return build_source_model(
-        entries=tuple(entries),
-        extra_sources=sources if sources is not None else fixture_sources(*stems),
+        sources=sources if sources is not None else fixture_sources(*stems),
         target_name=FixtureTarget.name,
     )
 
@@ -120,18 +113,16 @@ def analyze_fixture(
     stems: Sequence[str],
     planned: Sequence[str],
     monitored: Optional[Sequence[str]] = None,
-    entries: Sequence[str] = (PACKAGE,),
     options=None,
 ):
     """Run the source-scope rules over fixture modules; returns the report."""
     from repro.analysis.engine import analyze_target_source
     from repro.analysis.source import build_source_model
 
-    target = FixtureTarget(planned, monitored=monitored, entries=entries)
+    target = FixtureTarget(planned, monitored=monitored)
     model = build_source_model(
         target,
-        entries=entries,
-        extra_sources=fixture_sources(*stems),
+        sources=fixture_sources(*stems),
         target_name=FixtureTarget.name,
     )
     return analyze_target_source(target, source_model=model, options=options)

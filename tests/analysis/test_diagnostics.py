@@ -114,9 +114,9 @@ class TestDiagnosticLocation:
         assert diag.format().startswith("src/a.py:12: EA401 ")
 
     def test_format_with_file_only(self):
-        diag = Diagnostic("EA504", Severity.ERROR, "mod", "msg", file="src/a.py")
+        diag = Diagnostic("EA401", Severity.ERROR, "mod", "msg", file="src/a.py")
         assert diag.location == "src/a.py"
-        assert diag.format().startswith("src/a.py: EA504 ")
+        assert diag.format().startswith("src/a.py: EA401 ")
 
     def test_format_unchanged_without_location(self):
         diag = _diag()

@@ -1,4 +1,4 @@
-"""Each EA5xx drift rule must fire on its seeded configuration."""
+"""Each EA50x drift rule must fire on its seeded configuration."""
 
 from repro.analysis.diagnostics import Severity
 from tests.analysis.fixtures import PACKAGE, analyze_fixture
@@ -44,35 +44,3 @@ class TestEA503TargetPlanAgreement:
         assert diag.severity is Severity.ERROR
         assert diag.subject == "other"
         assert diag.file is None and diag.line is None
-
-
-class TestEA504FingerprintCompleteness:
-    def test_fires_on_uncovered_transitive_import(self):
-        report = analyze_fixture(
-            ["ea504_uncovered", "ea504_helper"],
-            planned=[],
-            entries=(f"{PACKAGE}.ea504_uncovered",),
-        )
-        (diag,) = _findings(report, "EA504")
-        assert diag.severity is Severity.ERROR
-        assert diag.subject == f"{PACKAGE}.ea504_helper"
-        assert diag.file == f"<fixture:{PACKAGE}.ea504_uncovered>"
-        assert diag.line == 8
-        assert "fingerprint_sources" in diag.message
-
-    def test_silent_when_package_entry_covers_import(self):
-        report = analyze_fixture(["ea504_uncovered", "ea504_helper"], planned=[])
-        assert not _findings(report, "EA504")
-
-
-class TestEA505FingerprintResolvable:
-    def test_fires_on_unresolvable_entry(self):
-        report = analyze_fixture(
-            ["memonly"],
-            planned=["SetPoint"],
-            entries=(PACKAGE, f"{PACKAGE}.nonexistent"),
-        )
-        (diag,) = _findings(report, "EA505")
-        assert diag.severity is Severity.WARNING
-        assert diag.subject == f"{PACKAGE}.nonexistent"
-        assert report.ok  # warning-only report stays ok

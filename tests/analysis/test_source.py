@@ -4,7 +4,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.source import DEFAULT_FINGERPRINT_EXEMPT, build_source_model
+from repro.analysis.source import build_source_model
+from repro.closure import import_closure
 from tests.analysis.fixtures import (
     FIXTURE_DIR,
     PACKAGE,
@@ -71,41 +72,14 @@ class TestDefUseEvents:
         assert "write" in kinds and "check" not in kinds
 
 
-class TestCoverageTracking:
-    def test_uncovered_import_recorded(self):
-        model = fixture_model(
-            ["ea504_uncovered", "ea504_helper"],
-            entries=(f"{PACKAGE}.ea504_uncovered",),
-        )
-        assert len(model.uncovered_imports) == 1
-        record = model.uncovered_imports[0]
-        assert record.module == f"{PACKAGE}.ea504_helper"
-        assert record.importer == f"{PACKAGE}.ea504_uncovered"
-        assert record.line == 8
-
-    def test_package_entry_covers_submodule_import(self):
-        model = fixture_model(["ea504_uncovered", "ea504_helper"])
-        assert model.uncovered_imports == ()
-
-    def test_unresolved_entry_recorded(self):
-        model = fixture_model(
-            ["memonly"], entries=(PACKAGE, f"{PACKAGE}.nonexistent")
-        )
-        assert f"{PACKAGE}.nonexistent" in model.unresolved_entries
-
-    def test_exempt_default_is_result_neutral_layers(self):
-        assert "repro.obs" in DEFAULT_FINGERPRINT_EXEMPT
-        assert "repro.analysis" in DEFAULT_FINGERPRINT_EXEMPT
-
-
 class TestRealTargets:
     @pytest.mark.parametrize("name", ["arrestor", "tanklevel"])
     def test_shipped_target_closure_is_complete(self, name):
         from repro.targets.registry import get_target
 
-        model = build_source_model(get_target(name))
-        assert model.uncovered_imports == ()
-        assert model.unresolved_entries == ()
+        target = get_target(name)
+        model = build_source_model(target)
+        assert model.modules == tuple(import_closure(type(target).__module__))
         assert len(model.memories) == 1
         assert model.events  # the def-use pass sees real traffic
 

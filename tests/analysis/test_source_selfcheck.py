@@ -14,14 +14,14 @@ import pytest
 from repro.analysis.engine import analyze_plan, analyze_target_source
 from repro.analysis.registry import default_registry
 from repro.analysis.selfcheck import check_all_targets
-from repro.targets.base import validate_target
+from repro.closure import import_closure
 from repro.targets.registry import get_target, target_names
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 SOURCE_RULE_IDS = [
     "EA401", "EA402", "EA403", "EA404",
-    "EA501", "EA502", "EA503", "EA504", "EA505",
+    "EA501", "EA502", "EA503",
 ]
 
 
@@ -42,7 +42,7 @@ def _snapshot(name):
         "ok": report.ok,
         "diagnostics": report.to_dicts(),
         "source_rules": sorted(r.id for r in registry.for_scope("source")),
-        "fingerprint_entries": sorted(target.fingerprint_sources()),
+        "keyed_modules": list(import_closure(type(target).__module__)),
     }
 
 
@@ -74,22 +74,10 @@ class TestSelfCheckIntegration:
             assert report.ok, f"{name}: {report.format_text()}"
 
     @pytest.mark.parametrize("name", ["arrestor", "tanklevel"])
-    def test_validate_target_check_source(self, name):
-        validate_target(get_target(name), check_source=True)
-
-    def test_validate_target_raises_on_incomplete_fingerprint(self):
-        from repro.targets.arrestor import ArrestorTarget
-
-        class BrokenFingerprint(ArrestorTarget):
-            def fingerprint_sources(self):
-                return tuple(
-                    entry
-                    for entry in super().fingerprint_sources()
-                    if entry != "repro.experiments.testcases"
-                )
-
-        with pytest.raises(ValueError, match="EA504"):
-            validate_target(BrokenFingerprint(), check_source=True)
+    def test_target_source_clean(self, name):
+        report = analyze_target_source(get_target(name))
+        assert report.ok, report.format_text()
+        assert report.diagnostics == ()
 
 
 class TestCli:

@@ -1,77 +1,86 @@
-"""Regression pins for the corrected fingerprint lists (EA504 fixes).
+"""The files a target's run key hashes cover the code its runs execute.
 
-PR 6's source analysis found both shipped targets fingerprinting fewer
-modules than they actually import (``repro.targets.snapshot`` and
-``repro.experiments.testcases`` were missing): cached campaign results
-survived edits that change behaviour.  These tests pin the corrected
-lists and prove the import closure is now fully covered.
+A run node's key hashes the import closure of the target class's own
+module (:func:`repro.closure.import_closure`).  Import statements are
+only a proxy for what runs, so this pins the proxy against the real
+thing: a cold serial run and a batch pass execute no ``repro`` file
+outside the closure.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.source import build_source_model
+import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+_EXECUTED = """
+import json, os, sys
+import repro
+from repro.closure import import_closure
+from repro.injection.injector import TimeTriggeredInjector
+from repro.targets.batch.core import BatchRunSpec
 from repro.targets.registry import get_target
 
-# The execution engine and campaign task graph decide how runs execute,
-# replay and aggregate, so both targets fingerprint them alongside the
-# simulation stack.
-ENGINE_FINGERPRINT = {
-    "repro.experiments.graph",
-    "repro.experiments.dag",
-    "repro.experiments.parallel",
-    "repro.experiments.persistence",
-    "repro.experiments.results",
-    "repro.stats",
-}
+target = get_target(sys.argv[1])
+case = target.test_cases()[12]
+error = target.e1_error_set()[3]
+specs = [
+    BatchRunSpec(
+        version=version,
+        signal=error.signal,
+        signal_bit=error.signal_bit,
+        mass_kg=case.mass_kg,
+        velocity_mps=case.velocity_mps,
+        injection_start_ms=13,
+    )
+    for version in ("All", target.versions[0])
+]
+executed = set()
 
-ARRESTOR_FINGERPRINT = {
-    "repro.core",
-    "repro.memory",
-    "repro.plant",
-    "repro.rtos",
-    "repro.injection",
-    "repro.targets.base",
-    "repro.targets.snapshot",
-    "repro.targets.arrestor",
-    "repro.experiments.testcases",
-    "repro.arrestor",
-    # The vectorized batch kernel is an alternate execution engine for
-    # the same runs: its semantics must invalidate cached results too.
-    "repro.targets.batch.core",
-    "repro.targets.batch.arrestor",
-} | ENGINE_FINGERPRINT
+def profile(frame, event, arg):
+    if event == "call":
+        executed.add(frame.f_code.co_filename)
 
-TANKLEVEL_FINGERPRINT = {
-    "repro.core",
-    "repro.memory",
-    "repro.plant",
-    "repro.rtos",
-    "repro.injection",
-    "repro.targets.base",
-    "repro.targets.snapshot",
-    "repro.experiments.testcases",
-    "repro.targets.tanklevel",
-    "repro.targets.batch.core",
-    "repro.targets.batch.tanklevel",
-} | ENGINE_FINGERPRINT
+sys.setprofile(profile)
+target.boot(case).run(TimeTriggeredInjector(error, period_ms=20, start_ms=13))
+target.run_batch(specs)
+sys.setprofile(None)
+package = os.path.dirname(os.path.abspath(repro.__file__))
+keyed = [path for path, _ in import_closure(type(target).__module__).values()]
+print(json.dumps({
+    "executed": sorted(
+        os.path.relpath(path, package)
+        for path in executed
+        if path.startswith(package + os.sep)
+    ),
+    "keyed": sorted(os.path.relpath(path, package) for path in keyed),
+}))
+"""
 
 
 class TestFingerprintLists:
-    def test_arrestor_list_pinned(self):
-        assert set(get_target("arrestor").fingerprint_sources()) == (
-            ARRESTOR_FINGERPRINT
-        )
-
-    def test_tanklevel_list_pinned(self):
-        assert set(get_target("tanklevel").fingerprint_sources()) == (
-            TANKLEVEL_FINGERPRINT
-        )
-
     @pytest.mark.parametrize("name", ["arrestor", "tanklevel"])
     def test_import_closure_fully_covered(self, name):
-        model = build_source_model(get_target(name))
-        assert model.uncovered_imports == ()
-        assert model.unresolved_entries == ()
+        pytest.importorskip("numpy")  # the batch pass
+        # A fresh process, so modules the runs import lazily execute
+        # under the profiler too.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", _EXECUTED, name],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        files = json.loads(out.stdout)
+        assert files["executed"], "the profiler saw no repro code run"
+        # A file here runs without being keyed: an edit to it would
+        # replay stale stored runs.  Reach it by an import statement.
+        unkeyed = set(files["executed"]) - set(files["keyed"])
+        assert not unkeyed, sorted(unkeyed)
 
 
 class TestMemoryDeclaredSignals:
