@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint coverage regen-golden bench graph-smoke serve-smoke bench-suite-smoke e1 e2 ablations reference examples clean
+.PHONY: install test lint coverage regen-golden bench graph-smoke serve-smoke tick-smoke bench-suite-smoke e1 e2 ablations reference examples clean
 
 # Coverage floor for the instrumented packages (ratchet: raise as
 # coverage improves, never lower).
@@ -17,9 +17,9 @@ test:
 # Static checks: ruff + mypy when installed (pip install -e .[lint]),
 # always followed by the repo's own assertion linter — plan rules plus
 # the EA4xx/EA5xx source-level packs (AST def-use over the modules each
-# target's own module imports) — on every registered target, the task-graph
-# and serving smokes and the repository benchmark's self-test.  Fails on any new
-# finding.
+# target's own module imports) — on every registered target, the task-graph,
+# serving and serial-tick smokes and the repository benchmark's self-test.
+# Fails on any new finding.
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check src/repro/; \
@@ -35,6 +35,7 @@ lint:
 	@$(MAKE) --no-print-directory coverage
 	@$(MAKE) --no-print-directory graph-smoke
 	@$(MAKE) --no-print-directory serve-smoke
+	@$(MAKE) --no-print-directory tick-smoke
 	@$(MAKE) --no-print-directory bench-suite-smoke
 
 # Ratcheted coverage gate over the assertion engines and the
@@ -89,6 +90,17 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/serve/test_continuous_group.py
 	PYTHONPATH=src $(PYTHON) -m repro.serve --target tanklevel --sessions 8 \
 		--frame-ticks 500 --batch
+
+# Fast check of the serial tick (a few seconds): the per-tick call ledger
+# of both targets, the pinned byte-for-byte memory traffic, the plant step
+# and the golden arrestment trace.  A hot-path edit that changes what the
+# simulated program reads or writes fails here.
+tick-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -q \
+		tests/arrestor/test_tick_call_counts.py \
+		tests/targets/test_memory_traffic.py \
+		tests/plant/test_environment_step.py \
+		tests/obs/test_golden_trace.py
 
 e1:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments e1 --save results/e1.csv

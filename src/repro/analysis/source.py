@@ -18,6 +18,13 @@ and builds a per-signal def-use model:
   now)``) becomes a :class:`SignalEvent` with module/function/order and
   file:line, with class-level (``self._slot = mem.slot_id``) and local
   (``comm_tx = master.mem.comm_tx_set_value``) aliases resolved;
+* **in-place word access** — the serial tick reads and writes its words
+  on the memory ``bytearray`` directly: with ``self._slot_at =
+  mem.slot_id.address`` (or a local ``a = self._slot_at``), a load
+  ``data[a]`` is a read of the signal and a store ``data[a] = ...`` a
+  write (the ``data[a + 1]`` high byte belongs to the same access), and
+  ``monitor.test(value, now)`` on a local that holds an unchecked read
+  is a check of that read's signal;
 * **taint + wrap tracking** — a local assigned from a standalone
   unchecked read is tainted by that signal; folding it through the wrap
   idiom (``if slot >= N: slot = 0`` or ``slot % N``) records the modulus
@@ -49,8 +56,9 @@ __all__ = [
     "build_source_model",
 ]
 
-#: Check-helper method names (the arrestor's ``ModuleBase.checked`` and
-#: the tank node's ``_checked`` share the read-test-writeback shape).
+#: Check-helper method names: ``checked(monitor, var, now)``, the
+#: read-test-writeback shape of the arrestor's ``ModuleBase.checked``,
+#: also under a private name.
 _CHECK_HELPERS = ("checked", "_checked")
 
 
@@ -356,6 +364,7 @@ class _FunctionScanner:
         parsed: _ParsedModule,
         qualname: str,
         class_attr_symbols: Mapping[str, str],
+        class_addresses: Mapping[str, str],
         global_attr_symbols: Mapping[str, str],
         constants_of: Mapping[str, Mapping[str, int]],
         events: List[SignalEvent],
@@ -363,12 +372,14 @@ class _FunctionScanner:
         self.parsed = parsed
         self.qualname = qualname
         self.class_attrs = class_attr_symbols
+        self.class_addresses = class_addresses
         self.global_attrs = global_attr_symbols
         self.constants_of = constants_of
         self.events = events
         self.index = 0
         self.taint: Dict[str, Tuple[str, Optional[int]]] = {}
         self.local_symbols: Dict[str, str] = {}
+        self.local_addresses: Dict[str, str] = {}
         self.has_test_call = False
         self.has_clamp = False
 
@@ -387,6 +398,17 @@ class _FunctionScanner:
             ):
                 return self.class_attrs[attr]
             return self.global_attrs.get(attr)
+        return None
+
+    def resolve_address(self, expr: ast.expr) -> Optional[str]:
+        """The signal whose word address an index expression denotes."""
+        if isinstance(expr, ast.Name):
+            return self.local_addresses.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            if expr.attr == "address":
+                return self.resolve_handle(expr.value)
+            if isinstance(expr.value, ast.Name) and expr.value.id == "self":
+                return self.class_addresses.get(expr.attr)
         return None
 
     def resolve_constant(self, expr: ast.expr) -> Optional[int]:
@@ -441,6 +463,14 @@ class _FunctionScanner:
             return info
         if isinstance(node, ast.Call):
             self._scan_call(node, wstack, info)
+        elif isinstance(node, ast.Subscript) and (
+            signal := self.resolve_address(node.slice)
+        ):
+            # An in-place word read: data[a] (its data[a + 1] is the same read).
+            in_write = bool(wstack) and wstack[-1] == signal
+            self.emit("read", signal, node, in_write=in_write)
+            if not in_write:
+                info.reads.append(signal)
         elif isinstance(node, ast.Name):
             if node.id in self.taint:
                 info.tainted.append(node.id)
@@ -472,24 +502,28 @@ class _FunctionScanner:
                         info.merge(self.scan_expr(arg, wstack))
                 return
 
-        # Direct monitor use: monitor.test(var.get(), now) or .test(value, now).
+        # Direct monitor use: monitor.test(var.get(), now) or .test(value, now);
+        # a value local that holds an unchecked read names the checked signal.
         if name == "test":
             self.has_test_call = True
             args = list(node.args)
             if args:
                 first = args[0]
+                signal = None
                 if (
                     isinstance(first, ast.Call)
                     and isinstance(first.func, ast.Attribute)
                     and first.func.attr == "get"
                 ):
                     signal = self.resolve_handle(first.func.value)
-                    if signal is not None:
-                        self.emit("check", signal, node)
-                        info.had_check = True
-                        for arg in args[1:]:
-                            info.merge(self.scan_expr(arg, wstack))
-                        return
+                elif isinstance(first, ast.Name) and first.id in self.taint:
+                    signal = self.taint[first.id][0]
+                if signal is not None:
+                    self.emit("check", signal, node)
+                    info.had_check = True
+                    for arg in args[1:]:
+                        info.merge(self.scan_expr(arg, wstack))
+                    return
             info.had_check = True
             for arg in args:
                 info.merge(self.scan_expr(arg, wstack))
@@ -505,26 +539,8 @@ class _FunctionScanner:
                     if not in_write:
                         info.reads.append(signal)
                 else:
-                    inner = _ExprInfo()
-                    for arg in node.args:
-                        inner.merge(self.scan_expr(arg, wstack + [signal]))
-                    wrap: Optional[int] = None
-                    tainted = False
-                    for local in inner.tainted:
-                        taint_signal, taint_wrap = self.taint[local]
-                        if taint_signal == signal:
-                            tainted = True
-                            wrap = taint_wrap
-                            break
-                    self.emit(
-                        "write",
-                        signal,
-                        node,
-                        tainted=tainted,
-                        rmw=(name == "add"),
-                        wrap_modulus=wrap,
-                    )
-                    info.merge(inner)
+                    rmw = name == "add"
+                    info.merge(self._write(signal, node, node.args, wstack, rmw))
                 return
             # Unresolvable handle (e.g. a parameter): scan args only.
             for arg in node.args:
@@ -549,6 +565,29 @@ class _FunctionScanner:
             info.merge(self.scan_expr(keyword.value, wstack))
         if isinstance(func, ast.Attribute):
             info.merge(self.scan_expr(func.value, wstack))
+
+    def _write(
+        self,
+        signal: str,
+        node: ast.AST,
+        values: List[ast.expr],
+        wstack: List[str],
+        rmw: bool = False,
+    ) -> _ExprInfo:
+        """Emit a write of *signal* whose value is *values*; their scan info."""
+        inner = _ExprInfo()
+        for value in values:
+            inner.merge(self.scan_expr(value, wstack + [signal]))
+        wrap: Optional[int] = None
+        tainted = False
+        for local in inner.tainted:
+            taint_signal, taint_wrap = self.taint[local]
+            if taint_signal == signal:
+                tainted = True
+                wrap = taint_wrap
+                break
+        self.emit("write", signal, node, tainted=tainted, rmw=rmw, wrap_modulus=wrap)
+        return inner
 
     # -- statements -------------------------------------------------------
 
@@ -611,19 +650,32 @@ class _FunctionScanner:
         if isinstance(node, ast.Assign):
             targets = node.targets
             value = node.value
+            if len(targets) == 1 and isinstance(targets[0], ast.Name):
+                name = targets[0].id
+                self.local_addresses.pop(name, None)
+                if isinstance(value, ast.Attribute):
+                    symbol = self.resolve_handle(value)
+                    if symbol is not None:
+                        # A handle alias (comm_tx = master.mem.comm_tx_set_value):
+                        # binding a Variable object is not a memory read.
+                        self.local_symbols[name] = symbol
+                        self.taint.pop(name, None)
+                        return
+                    symbol = self.resolve_address(value)
+                    if symbol is not None:
+                        # An address alias (a = self._slot_at): not a read either.
+                        self.local_symbols.pop(name, None)
+                        self.local_addresses[name] = symbol
+                        self.taint.pop(name, None)
+                        return
             if (
                 len(targets) == 1
-                and isinstance(targets[0], ast.Name)
-                and isinstance(value, ast.Attribute)
+                and isinstance(targets[0], ast.Subscript)
+                and (symbol := self.resolve_address(targets[0].slice))
             ):
-                symbol = self.resolve_handle(value)
-                if symbol is not None:
-                    # A handle alias (comm_tx = master.mem.comm_tx_set_value):
-                    # binding a Variable object is not a memory read.
-                    name = targets[0].id
-                    self.local_symbols[name] = symbol
-                    self.taint.pop(name, None)
-                    return
+                # An in-place word write: data[a] = ... (data[a + 1] completes it).
+                self._write(symbol, node, [value], [])
+                return
             info = self.scan_expr(value, [])
             if (
                 isinstance(value, ast.BinOp)
@@ -698,9 +750,14 @@ class _FunctionScanner:
 
 def _class_attr_symbols(
     node: ast.ClassDef, global_attrs: Mapping[str, str]
-) -> Dict[str, str]:
-    """``self._x = mem.slot_id``-style aliases from a class ``__init__``."""
+) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Handle and address aliases from a class ``__init__``.
+
+    ``self._x = mem.slot_id`` aliases the handle, ``self._x_at =
+    mem.slot_id.address`` the signal's word address.
+    """
     aliases: Dict[str, str] = {}
+    addresses: Dict[str, str] = {}
     for item in node.body:
         if not (isinstance(item, ast.FunctionDef) and item.name == "__init__"):
             continue
@@ -717,7 +774,14 @@ def _class_attr_symbols(
             value = stmt.value
             if isinstance(value, ast.Attribute) and value.attr in global_attrs:
                 aliases[target.attr] = global_attrs[value.attr]
-    return aliases
+            elif (
+                isinstance(value, ast.Attribute)
+                and value.attr == "address"
+                and isinstance(value.value, ast.Attribute)
+                and value.value.attr in global_attrs
+            ):
+                addresses[target.attr] = global_attrs[value.value.attr]
+    return aliases, addresses
 
 
 def _scan_module_events(
@@ -728,10 +792,19 @@ def _scan_module_events(
     functions: List[FunctionInfo],
 ) -> None:
     def scan_function(
-        func: ast.FunctionDef, qualname: str, class_attrs: Mapping[str, str]
+        func: ast.FunctionDef,
+        qualname: str,
+        class_attrs: Mapping[str, str],
+        class_addresses: Mapping[str, str],
     ) -> None:
         scanner = _FunctionScanner(
-            parsed, qualname, class_attrs, global_attrs, constants_of, events
+            parsed,
+            qualname,
+            class_attrs,
+            class_addresses,
+            global_attrs,
+            constants_of,
+            events,
         )
         for stmt in func.body:
             scanner.scan_stmt(stmt)
@@ -749,12 +822,14 @@ def _scan_module_events(
 
     for node in parsed.tree.body:
         if isinstance(node, ast.ClassDef):
-            class_attrs = _class_attr_symbols(node, global_attrs)
+            class_attrs, class_addresses = _class_attr_symbols(node, global_attrs)
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    scan_function(item, f"{node.name}.{item.name}", class_attrs)
+                    scan_function(
+                        item, f"{node.name}.{item.name}", class_attrs, class_addresses
+                    )
         elif isinstance(node, ast.FunctionDef):
-            scan_function(node, node.name, {})
+            scan_function(node, node.name, {}, {})
 
 
 # -- the builder --------------------------------------------------------------

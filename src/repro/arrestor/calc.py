@@ -77,7 +77,6 @@ class Calc(ModuleBase):
         self._v0 = mem.v0_cmps
         self._m_est = mem.m_est_kg
         self._p_cap = mem.p_cap_counts
-        self._cp_pulses = mem.cp_pulses
         self._telemetry_index = mem.telemetry_index
         self._telemetry_ring = mem.telemetry_ring
         self._mon_i = node.monitors.get("EA3")
@@ -86,6 +85,14 @@ class Calc(ModuleBase):
         self._prev_pulscnt = scratch.slot("calc.prev_pulscnt")
         self._dist_acc = scratch.slot("calc.dist_acc")
         self._v_mean_tmp = scratch.slot("calc.v_mean")
+        # Addresses of the words the per-pass body accesses in place.
+        self._i_at = mem.i.address
+        self._pulscnt_at = mem.pulscnt.address
+        self._set_value_at = mem.set_value.address
+        self._target_at = mem.target_set_value.address
+        self._prev_pulscnt_at = self._prev_pulscnt.address
+        self._dist_acc_at = self._dist_acc.address
+        self._cp_pulses_at = [variable.address for variable in mem.cp_pulses]
 
     # -- per-pass body ---------------------------------------------------
 
@@ -102,19 +109,36 @@ class Calc(ModuleBase):
                 if outcome.kind != "ok":
                     return  # this pass is lost to the control-flow upset
 
-        i = self.checked(self._mon_i, self._i, now_ms)
+        data = self.data
+        a = self._i_at
+        i = data[a] | (data[a + 1] << 8)
+        monitor = self._mon_i
+        if monitor is not None:
+            result = monitor.test(i, now_ms)
+            if result != i:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
+                i = result
 
         # Accumulate the live working set: distance and time since the
         # previous checkpoint.
-        pulscnt = self._pulscnt.get()
-        delta = (pulscnt - self._prev_pulscnt.get()) & 0xFFFF
+        a = self._pulscnt_at
+        pulscnt = data[a] | (data[a + 1] << 8)
+        a = self._prev_pulscnt_at
+        delta = (pulscnt - (data[a] | (data[a + 1] << 8))) & 0xFFFF
         if delta > 0x8000:
             delta = 0  # the count appears to have moved backwards
-        self._prev_pulscnt.set(pulscnt)
-        self._dist_acc.add(delta)
+        data[a] = pulscnt & 0xFF
+        data[a + 1] = pulscnt >> 8
+        a = self._dist_acc_at
+        dist = ((data[a] | (data[a + 1] << 8)) + delta) & 0xFFFF
+        data[a] = dist & 0xFF
+        data[a + 1] = dist >> 8
 
-        if i < k.N_CHECKPOINTS and pulscnt >= self._cp_pulses[i].get():
-            self._handle_checkpoint(i)
+        if i < k.N_CHECKPOINTS:
+            a = self._cp_pulses_at[i]
+            if pulscnt >= data[a] | (data[a + 1] << 8):
+                self._handle_checkpoint(i)
 
         self._slew_set_value()
 
@@ -221,20 +245,25 @@ class Calc(ModuleBase):
     # -- set-point slewing -------------------------------------------------
 
     def _slew_set_value(self) -> None:
-        current = self._set_value.get()
-        target = self._target.get()
+        data = self.data
+        a = self._set_value_at
+        current = data[a] | (data[a + 1] << 8)
+        b = self._target_at
+        target = data[b] | (data[b + 1] << 8)
         if current == target:
             return
         if current < target:
             step = target - current
             if step > k.SETVALUE_SLEW_PER_PASS:
                 step = k.SETVALUE_SLEW_PER_PASS
-            self._set_value.set(current + step)
+            current += step
         else:
             step = current - target
             if step > k.SETVALUE_SLEW_PER_PASS:
                 step = k.SETVALUE_SLEW_PER_PASS
-            self._set_value.set(current - step)
+            current -= step
+        data[a] = current & 0xFF
+        data[a + 1] = current >> 8
 
     # -- telemetry -------------------------------------------------------------
 

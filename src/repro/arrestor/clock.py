@@ -23,8 +23,8 @@ class Clock(ModuleBase):
     def __init__(self, node) -> None:
         super().__init__(node, return_slot=0)
         mem = node.mem
-        self._mscnt = mem.mscnt
-        self._slot = mem.ms_slot_nbr
+        self._mscnt_at = mem.mscnt.address
+        self._slot_at = mem.ms_slot_nbr.address
         self._mon_slot = node.monitors.get("EA5")
         self._mon_mscnt = node.monitors.get("EA6")
 
@@ -34,22 +34,43 @@ class Clock(ModuleBase):
         The slot counter wraps through ``if (++slot >= N) slot = 0`` —
         the idiom a 16-bit target uses — so a corrupted value re-enters
         the valid domain within one tick while EA5 still observes the
-        illegal transition.
+        illegal transition.  Words are accessed in place (see
+        :mod:`repro.arrestor.module_base`), the saved-context check of
+        :meth:`enter` included.
         """
-        if not self.enter():
+        data = self.data
+        a = self._return_address
+        if data[a] != self._return_lo or data[a + 1] != self._return_hi:
+            self.context_lost()
             # The context block is corrupted: time-keeping is lost this
             # tick.  The scheduler still needs a slot; re-use the stored
             # one (whatever state it is in).
-            return self._slot.get() % k.N_SLOTS
+            a = self._slot_at
+            return (data[a] | (data[a + 1] << 8)) % k.N_SLOTS
 
-        self._mscnt.add(1)
-        if self._mon_mscnt is not None:
-            self.checked(self._mon_mscnt, self._mscnt, now_ms)
+        a = self._mscnt_at
+        mscnt = ((data[a] | (data[a + 1] << 8)) + 1) & 0xFFFF
+        data[a] = mscnt & 0xFF
+        data[a + 1] = mscnt >> 8
+        monitor = self._mon_mscnt
+        if monitor is not None:
+            mscnt = data[a] | (data[a + 1] << 8)
+            result = monitor.test(mscnt, now_ms)
+            if result != mscnt:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
 
-        slot = self._slot.get() + 1
+        a = self._slot_at
+        slot = (data[a] | (data[a + 1] << 8)) + 1
         if slot >= k.N_SLOTS:
             slot = 0
-        self._slot.set(slot)
-        if self._mon_slot is not None:
-            slot = self.checked(self._mon_slot, self._slot, now_ms)
+        data[a] = slot & 0xFF
+        data[a + 1] = slot >> 8
+        monitor = self._mon_slot
+        if monitor is not None:
+            stored = data[a] | (data[a + 1] << 8)
+            slot = monitor.test(stored, now_ms)
+            if slot != stored:
+                data[a] = slot & 0xFF
+                data[a + 1] = (slot >> 8) & 0xFF
         return slot % k.N_SLOTS

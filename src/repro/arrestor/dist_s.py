@@ -20,19 +20,33 @@ class DistS(ModuleBase):
     def __init__(self, node) -> None:
         super().__init__(node, return_slot=1)
         mem = node.mem
-        self._pulscnt = mem.pulscnt
-        self._latch = mem.raw_pulse_latch
+        self._pulscnt_at = mem.pulscnt.address
+        self._latch_at = mem.raw_pulse_latch.address
         self._poll = node.env.rotation_sensor.poll
         self._mon = node.monitors.get("EA4")
 
     def step(self, now_ms: int) -> None:
-        if not self.enter():
+        data = self.data
+        a = self._return_address
+        if data[a] != self._return_lo or data[a + 1] != self._return_hi:
+            self.context_lost()
             return
         # Hardware read into the interface latch, then accumulate from the
         # latch — the two-stage pattern of a real sensor interface.
-        self._latch.set(self._poll())
-        new_pulses = self._latch.get()
+        a = self._latch_at
+        latched = self._poll() & 0xFFFF
+        data[a] = latched & 0xFF
+        data[a + 1] = latched >> 8
+        new_pulses = data[a] | (data[a + 1] << 8)
+        a = self._pulscnt_at
         if new_pulses:
-            self._pulscnt.add(new_pulses)
-        if self._mon is not None:
-            self.checked(self._mon, self._pulscnt, now_ms)
+            pulscnt = ((data[a] | (data[a + 1] << 8)) + new_pulses) & 0xFFFF
+            data[a] = pulscnt & 0xFF
+            data[a + 1] = pulscnt >> 8
+        monitor = self._mon
+        if monitor is not None:
+            pulscnt = data[a] | (data[a + 1] << 8)
+            result = monitor.test(pulscnt, now_ms)
+            if result != pulscnt:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF

@@ -8,9 +8,16 @@ Each module:
   the node (the control-flow-error semantics of
   :mod:`repro.memory.stack`); an intact word is recognised in place,
   without a ``consult`` call,
-* runs the executable assertions placed at its location (Table 4) via
-  :meth:`checked`, which also writes a recovery value back into the
-  signal's memory when the monitor is configured with recovery.
+* runs the executable assertions placed at its location (Table 4),
+  writing a recovery value back into the signal's memory when the
+  monitor is configured with recovery.
+
+The modules that run every tick (CLOCK, DIST_S, CALC) read and write
+their 16-bit little-endian words in place on the node's ``bytearray``
+(:attr:`ModuleBase.data`, ``data[a] | (data[a + 1] << 8)``) and make one
+``SignalMonitor.test`` call per check; the slot modules keep the
+:class:`~repro.memory.memmap.Variable` handles and :meth:`checked`.
+Either way every byte is read and written in the same order.
 """
 
 from __future__ import annotations
@@ -31,13 +38,14 @@ class ModuleBase:
 
     def __init__(self, node, return_slot: Optional[int] = None) -> None:
         self.node = node
+        #: The node's memory image, for in-place word access.
+        self.data = node.mem.map.data
         self._return_slot = return_slot
         self._return_table = None
         if return_slot is not None:
             table = node.mem.return_words
             self._return_table = table
             pristine = table.pristine(return_slot)
-            self._return_data = table.memory.data
             self._return_address = table.word_variable(return_slot).address
             self._return_lo = pristine & 0xFF
             self._return_hi = pristine >> 8
@@ -55,14 +63,22 @@ class ModuleBase:
         execution somewhere harmless-but-wrong: the module body does not
         run this invocation.  A ``wedge`` outcome halts the node.
         """
-        table = self._return_table
-        if table is None:
+        if self._return_table is None:
             return True
-        data = self._return_data
+        data = self.data
         address = self._return_address
         if data[address] == self._return_lo and data[address + 1] == self._return_hi:
             return True
-        if table.consult(self._return_slot).kind == "wedge":
+        return self.context_lost()
+
+    def context_lost(self) -> bool:
+        """The slow half of :meth:`enter`, once the in-place check failed.
+
+        Consults the corrupted word and wedges the node on a ``wedge``
+        outcome; always returns False (the invocation is lost).  Modules
+        that inline the in-place check call it directly.
+        """
+        if self._return_table.consult(self._return_slot).kind == "wedge":
             self.node.wedge()
         return False
 

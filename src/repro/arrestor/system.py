@@ -181,9 +181,11 @@ class TargetSystem(BootedSystem):
         tx_pending = self._tx_pending
         aircraft = env.aircraft
         slot_comm = k.SLOT_COMM
+        due = injector.next_due(start_ms) if injector is not None else None
         for now in range(start_ms, end_ms):
-            if injector is not None:
+            if now == due:
                 injector.tick(now, memory)
+                due = injector.next_due(now + 1)
             slot = master.tick(now)
             # The link shifts the transmit buffer out during the
             # millisecond after COMM writes it, so the slave receives the

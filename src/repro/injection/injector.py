@@ -17,8 +17,10 @@ Two further fault models extend the paper's (which notes bit-flips model
 * :class:`StuckAtInjector` — the bit is forced to a fixed value on every
   tick (a permanent fault in the cell or its driver).
 
-All three share the one-method ``tick(now_ms, memory)`` protocol the
-target system calls each millisecond.  None of them publishes anything:
+All three share the ``tick(now_ms, memory)`` / ``next_due(now_ms)``
+protocol: the target system's run loop asks ``next_due`` for the first
+tick at or after a given one on which ``tick`` may act, and calls
+``tick`` on that tick only.  None of them publishes anything:
 a traced campaign reads a run's injections from the time-triggered
 schedule after the run (:mod:`repro.injection.fic`).
 """
@@ -84,7 +86,7 @@ class TimeTriggeredInjector:
         self.first_injection_ms: Optional[int] = None
 
     def tick(self, now_ms: int, memory: MemoryMap) -> bool:
-        """Called every millisecond; injects when the trigger time is due."""
+        """Inject when *now_ms* is a trigger time; returns whether it did."""
         if now_ms < self.start_ms or (now_ms - self.start_ms) % self.period_ms:
             return False
         memory.data[self.error.address] ^= 1 << self.error.bit
@@ -92,6 +94,12 @@ class TimeTriggeredInjector:
         if self.first_injection_ms is None:
             self.first_injection_ms = now_ms
         return True
+
+    def next_due(self, now_ms: int) -> int:
+        """The first trigger time at or after *now_ms*."""
+        if now_ms <= self.start_ms:
+            return self.start_ms
+        return now_ms + (self.start_ms - now_ms) % self.period_ms
 
     def schedule(self, end_ms: int) -> Tuple[Optional[int], int]:
         """``(first_injection_ms, injections)`` of a run ending before *end_ms*.
@@ -130,6 +138,12 @@ class TransientInjector:
         self.injections = 1
         self.first_injection_ms = now_ms
         return True
+
+    def next_due(self, now_ms: int) -> Optional[int]:
+        """``at_ms`` while the flip is still to come, else ``None``."""
+        if self.injections or now_ms > self.at_ms:
+            return None
+        return self.at_ms
 
     def reset(self) -> None:
         self.injections = 0
@@ -182,6 +196,10 @@ class StuckAtInjector:
         if self.first_injection_ms is None:
             self.first_injection_ms = now_ms
         return True
+
+    def next_due(self, now_ms: int) -> int:
+        """Every tick from ``start_ms`` on: the software may undo the force."""
+        return max(now_ms, self.start_ms)
 
     def reset(self) -> None:
         self.injections = 0

@@ -131,8 +131,9 @@ class ReadLog(bytearray):
 
     Indexed and sliced reads are recorded in :attr:`reads`; writes record
     nothing.  Every typed accessor (:class:`Variable`, the ``read_*``
-    methods, control-word checks) reads through ``__getitem__``, so the
-    set is exactly the bytes the software computed with.  The snapshot
+    methods, control-word checks) and the serial tick's in-place word
+    reads (``data[a] | (data[a + 1] << 8)``) go through ``__getitem__``,
+    so the set is exactly the bytes the software computed with.  The snapshot
     layer runs a cell's fault-free continuation once on a copy whose
     memory is a ``ReadLog`` (see
     :func:`repro.targets.snapshot.fault_free_run`); ordinary runs keep

@@ -34,16 +34,17 @@ from __future__ import annotations
 
 import functools
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.targets.base import RunResult, Target
-from repro.targets.batch.core import BatchRunSpec, kernel_eligible
 from repro.serve.session import ServeError, ServeEvent, SessionSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.targets.batch.core import BatchRunSpec
+
+# numpy and the batch kernels are imported where they are used, so that
+# importing this module (and ``repro.serve``) loads neither: a serial-only
+# fleet or a ``--stdin`` client never pays for them.
 
 __all__ = [
     "batch_eligible",
@@ -62,6 +63,8 @@ def batch_fallback_reason(target: Target, spec: SessionSpec) -> Optional[str]:
     the target's kernel tick reads the clock, so sessions cannot join it
     while it runs.
     """
+    from repro.targets.batch.core import kernel_eligible
+
     if spec.address is not None:
         return "address"
     if not kernel_eligible(target, spec):
@@ -77,6 +80,8 @@ def batch_eligible(target: Target, spec: SessionSpec) -> bool:
 
 
 def _batch_spec(spec: SessionSpec) -> BatchRunSpec:
+    from repro.targets.batch.core import BatchRunSpec
+
     return BatchRunSpec(
         version=spec.version,
         signal=spec.signal,
@@ -125,12 +130,16 @@ class EventLog:
         self._sorted: Optional[Tuple[Any, Any, Any]] = None
 
     def append(self, rows, time_ms, monitor) -> None:
+        import numpy as np
+
         if len(rows):
             self._rounds.append(
                 (rows.astype(np.int32), time_ms.astype(np.int32), monitor.astype(np.int16))
             )
 
     def _fold(self) -> Tuple[Any, Any, Any]:
+        import numpy as np
+
         if self._rounds:
             parts = self._rounds if self._sorted is None else [self._sorted] + self._rounds
             rows, time_ms, monitor = (np.concatenate(column) for column in zip(*parts))
@@ -147,6 +156,8 @@ class EventLog:
 
         The builder keeps no reference to the log, its group or kernel.
         """
+        import numpy as np
+
         rows, time_ms, monitor = self._fold()
         # Search in the log's own dtype: a mixed-dtype search copies ``rows``.
         lo, hi = rows.searchsorted(np.array([row, row + 1], dtype=rows.dtype)).tolist()
@@ -161,6 +172,8 @@ class EventLog:
 
     def compact(self, keep) -> None:
         """Keep the rows in mask *keep*, renumbered in order (see ``BatchKernel.remove``)."""
+        import numpy as np
+
         rows, time_ms, monitor = self._fold()
         kept = keep[rows]
         renumber = (np.cumsum(keep) - 1).astype(np.int32)
@@ -192,6 +205,8 @@ class BatchGroup:
         kernel = target.batch_kernel if target.supports_batch() else None
         if kernel is None or not kernel.step_clock_staged_only:
             raise ServeError(f"no joinable batch kernel for target {target.name!r}")
+        import numpy as np
+
         self.target = target
         self.max_rows = max_rows
         self.kernel = None
@@ -265,6 +280,8 @@ class BatchGroup:
 
     def _sync(self) -> None:
         """Drop the closed rows, then join the queued sessions."""
+        import numpy as np
+
         if self._leaving:
             self.kernel.remove(self._leaving)
             keep = np.ones(len(self.session_ids), dtype=bool)
@@ -305,6 +322,8 @@ class BatchGroup:
         time_ms, monitor)``, ordered by row and, within a row, in record
         order; ``monitor`` indexes :attr:`monitor_ids`.
         """
+        import numpy as np
+
         self._sync()
         self.kernel.advance(ticks)
         self._finished = None
@@ -316,6 +335,8 @@ class BatchGroup:
 
     def monitor_counts(self, monitor) -> List[Tuple[str, int]]:
         """``(monitor id, detections)`` for each monitor in a round's *monitor* array."""
+        import numpy as np
+
         counts = np.bincount(monitor).tolist()
         return [(self.monitor_ids[i], n) for i, n in enumerate(counts) if n]
 
@@ -328,6 +349,8 @@ class BatchGroup:
         each member whose first such event is in this round, in row
         order; each member is reported once.
         """
+        import numpy as np
+
         late = (time_ms >= self._start[rows]) & ~self._latency_done[rows]
         rows, time_ms = rows[late], time_ms[late]
         if not len(rows):

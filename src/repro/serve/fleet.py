@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import importlib.util
 import os
 import time
 from collections import OrderedDict, deque
@@ -57,7 +58,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 from repro.obs.metrics import MetricsRegistry
 from repro.targets.registry import get_target
 from repro.targets import snapshot as snapshots_mod
-from repro.targets.batch.core import numpy_available
 from repro.serve.batchserve import BatchGroup, batch_fallback_reason
 from repro.serve.session import (
     Frame,
@@ -81,6 +81,11 @@ BATCH_ENV_VAR = "REPRO_SERVE_BATCH"
 
 #: The ``phase`` labels of ``serve_phase_seconds_total``.
 PHASES = ("open", "feed", "round", "close")
+
+
+def numpy_available() -> bool:
+    """Whether numpy is installed, found without importing it."""
+    return importlib.util.find_spec("numpy") is not None
 
 
 def batch_default() -> bool:

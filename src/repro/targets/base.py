@@ -153,7 +153,7 @@ class BootedSystem(abc.ABC):
 
     @abc.abstractmethod
     def _advance(self, injector, start_ms: int, end_ms: int) -> Optional[int]:
-        """Execute ticks *start_ms* .. *end_ms* - 1, *injector* first on each.
+        """Execute ticks *start_ms* .. *end_ms* - 1, each due injection first.
 
         Returns the tick the run stopped on, or ``None`` when it ran to
         *end_ms*.  Only :meth:`advance` calls it, never with an empty range.
@@ -170,10 +170,12 @@ class BootedSystem(abc.ABC):
     def advance(self, until_ms: int, injector=None) -> None:
         """Run the loop up to (excluding) tick *until_ms*, or until it ends.
 
-        *injector* (``tick(now_ms, memory)``) is ticked before each
-        executed tick, so a flip due at tick *t* lands before *t* runs
-        and nothing is ticked after the run ended.  Advancing in pieces
-        executes the same ticks in the same order as one call.
+        *injector* (``tick(now_ms, memory)`` and ``next_due(now_ms)``,
+        see :mod:`repro.injection.injector`) is ticked before each
+        executed tick it is due on, so a flip due at tick *t* lands
+        before *t* runs and nothing is ticked after the run ended.
+        Advancing in pieces executes the same ticks in the same order as
+        one call.
         """
         if until_ms < 0:
             raise ValueError(f"until_ms must be non-negative, got {until_ms}")

@@ -96,6 +96,21 @@ class TankNode:
         self._mon_acc = self.monitors.get("EA3")
         self._mon_slot = self.monitors.get("EA4")
         self._mon_tick = self.monitors.get("EA5")
+        # The tick reads and writes its words in place on the memory image
+        # (``data[a] | (data[a + 1] << 8)``), one monitor call per check.
+        self.data = self.mem.map.data
+        mem = self.mem
+        self._tick_at = mem.tick.address
+        self._slot_at = mem.slot_id.address
+        self._level_at = mem.level.address
+        self._latch_at = mem.level_raw_latch.address
+        self._last_tick_at = mem.last_ctrl_tick.address
+        self._err_at = mem.ctrl_err.address
+        self._sp_raw_at = mem.ctrl_sp_raw.address
+        self._set_point_at = mem.set_point.address
+        self._flow_acc_at = mem.flow_acc.address
+        self._valve_at = mem.valve_cmd.address
+        self._comm_at = mem.comm_set_point.address
         self.boot()
 
     def boot(self) -> None:
@@ -126,76 +141,137 @@ class TankNode:
         ):
             var.set(value)
 
-    @staticmethod
-    def _checked(monitor: Optional[SignalMonitor], var, now_ms: int) -> int:
-        """Read *var* through *monitor*; write a recovery value back."""
-        value = var.get()
-        if monitor is None:
-            return value
-        result = monitor.test(value, now_ms)
-        if result != value:
-            var.set(result)
-        return result
-
     # -- modules -------------------------------------------------------------
 
     def _level_s(self, now_ms: int) -> None:
         """LEVEL_S: acquire the level sensor into the application image."""
-        latch = int(round(self.plant.level_mm))
-        self.mem.level_raw_latch.set(latch)
-        self.mem.level.set(self.mem.level_raw_latch.get())
+        data = self.data
+        latch = int(round(self.plant.level_mm)) & 0xFFFF
+        a = self._latch_at
+        data[a] = latch & 0xFF
+        data[a + 1] = latch >> 8
+        level = data[a] | (data[a + 1] << 8)
+        a = self._level_at
+        data[a] = level & 0xFF
+        data[a + 1] = level >> 8
 
     def _ctrl(self, now_ms: int) -> None:
         """CTRL: P-control with slew limiting, plus the volume account."""
-        mem = self.mem
-        level = self._checked(self._mon_level, mem.level, now_ms)
+        data = self.data
+        a = self._level_at
+        level = data[a] | (data[a + 1] << 8)
+        monitor = self._mon_level
+        if monitor is not None:
+            result = monitor.test(level, now_ms)
+            if result != level:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
+                level = result
         # Elapsed time since the last pass scales the slew budget (the
         # paper's parameter sources: actuator authority per unit time).
-        tick = mem.tick.get()
-        elapsed = (tick - mem.last_ctrl_tick.get()) & 0xFFFF
-        mem.last_ctrl_tick.set(tick)
+        a = self._tick_at
+        tick = data[a] | (data[a + 1] << 8)
+        a = self._last_tick_at
+        elapsed = (tick - (data[a] | (data[a + 1] << 8))) & 0xFFFF
+        data[a] = tick & 0xFF
+        data[a + 1] = tick >> 8
         budget = ins.SLEW_PER_MS * elapsed
         # Scratch locals live on the stack and are read back, so stack
         # corruption propagates into the set-point.
-        mem.ctrl_err.set(int(TARGET_LEVEL_MM) - level)
-        err = mem.ctrl_err.get()
-        mem.ctrl_sp_raw.set(min(max(ins.CTRL_KP * err, 0), ins.SETPOINT_MAX))
-        sp_raw = mem.ctrl_sp_raw.get()
-        sp = mem.set_point.get()
+        a = self._err_at
+        err = int(TARGET_LEVEL_MM) - level
+        data[a] = err & 0xFF
+        data[a + 1] = (err >> 8) & 0xFF
+        err = data[a] | (data[a + 1] << 8)
+        if err >= 0x8000:
+            err -= 0x10000
+        a = self._sp_raw_at
+        sp_raw = min(max(ins.CTRL_KP * err, 0), ins.SETPOINT_MAX)
+        data[a] = sp_raw & 0xFF
+        data[a + 1] = sp_raw >> 8
+        sp_raw = data[a] | (data[a + 1] << 8)
+        a = self._set_point_at
+        sp = data[a] | (data[a + 1] << 8)
         if sp_raw > sp:
             sp = min(sp + budget, sp_raw)
         elif sp_raw < sp:
             sp = max(sp - budget, sp_raw)
-        mem.set_point.set(sp)
-        mem.flow_acc.set(mem.flow_acc.get() + (sp >> 6))
-        self._checked(self._mon_acc, mem.flow_acc, now_ms)
+        data[a] = sp & 0xFF
+        data[a + 1] = (sp >> 8) & 0xFF
+        a = self._flow_acc_at
+        flow = (data[a] | (data[a + 1] << 8)) + (sp >> 6)
+        data[a] = flow & 0xFF
+        data[a + 1] = (flow >> 8) & 0xFF
+        flow = data[a] | (data[a + 1] << 8)
+        monitor = self._mon_acc
+        if monitor is not None:
+            result = monitor.test(flow, now_ms)
+            if result != flow:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
 
     def _valve_a(self, now_ms: int) -> None:
         """VALVE_A: drive the inlet valve from the (tested) set-point."""
-        sp = self._checked(self._mon_sp, self.mem.set_point, now_ms)
-        self.mem.valve_cmd.set(min(max(sp, 0), ins.SETPOINT_MAX))
+        data = self.data
+        a = self._set_point_at
+        sp = data[a] | (data[a + 1] << 8)
+        monitor = self._mon_sp
+        if monitor is not None:
+            result = monitor.test(sp, now_ms)
+            if result != sp:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
+                sp = result
+        valve = min(max(sp, 0), ins.SETPOINT_MAX)
+        a = self._valve_at
+        data[a] = valve & 0xFF
+        data[a + 1] = valve >> 8
 
     def _comm(self, now_ms: int) -> None:
         """COMM: publish the set-point to the drain node's receive buffer."""
-        self.mem.comm_set_point.set(self.mem.set_point.get())
+        data = self.data
+        a = self._set_point_at
+        sp = data[a] | (data[a + 1] << 8)
+        a = self._comm_at
+        data[a] = sp & 0xFF
+        data[a + 1] = sp >> 8
 
     # -- execution -----------------------------------------------------------
 
     def tick(self, now_ms: int) -> int:
         """One millisecond of node execution; returns the slot that ran."""
-        mem = self.mem
-        mem.tick.add(1)
-        self._checked(self._mon_tick, mem.tick, now_ms)
+        data = self.data
+        a = self._tick_at
+        tick = ((data[a] | (data[a + 1] << 8)) + 1) & 0xFFFF
+        data[a] = tick & 0xFF
+        data[a + 1] = tick >> 8
+        tick = data[a] | (data[a + 1] << 8)
+        monitor = self._mon_tick
+        if monitor is not None:
+            result = monitor.test(tick, now_ms)
+            if result != tick:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
         # CLOCK consumes slot_id to pick the next slot, so EA4 tests the
         # stored value at that consumption — before the wrap idiom
         # ``if (++slot >= N) slot = 0`` folds a corrupted value back into
         # the valid domain (the 5-slot cycle divides the 20-ms injection
         # period, so a post-wrap test would always observe the one legal
         # wrap transition and miss the corruption entirely).
-        slot = self._checked(self._mon_slot, mem.slot_id, now_ms) + 1
+        a = self._slot_at
+        slot = data[a] | (data[a + 1] << 8)
+        monitor = self._mon_slot
+        if monitor is not None:
+            result = monitor.test(slot, now_ms)
+            if result != slot:
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
+                slot = result
+        slot += 1
         if slot >= ins.N_SLOTS:
             slot = 0
-        mem.slot_id.set(slot)
+        data[a] = slot & 0xFF
+        data[a + 1] = (slot >> 8) & 0xFF
         if slot == SLOT_LEVEL_S:
             self._level_s(now_ms)
         elif slot == SLOT_CTRL:
@@ -260,13 +336,17 @@ class TankSystem(BootedSystem):
         plant = self.plant
         drain = self.drain
         memory = mem.map
+        data = node.data
+        valve = node._valve_at
+        due = injector.next_due(start_ms) if injector is not None else None
         for now in range(start_ms, end_ms):
-            if injector is not None:
+            if now == due:
                 injector.tick(now, memory)
+                due = injector.next_due(now + 1)
             slot = node.tick(now)
             if slot == SLOT_COMM:
                 drain.receive(mem.comm_set_point.get())
-            plant.advance(_DT_S, mem.valve_cmd.get(), drain.trim_lps)
+            plant.advance(_DT_S, data[valve] | (data[valve + 1] << 8), drain.trim_lps)
         return None
 
     def result_now(self, injector=None) -> RunResult:

@@ -25,6 +25,12 @@ class TestEA401PhaseLockedPlacement:
         assert "phase-locked" in diag.message
         assert not report.ok
 
+    def test_fires_on_the_in_place_idiom(self):
+        report = analyze_fixture(["ea401_inplace"], planned=["slot_id"])
+        (diag,) = _findings(report, "EA401")
+        assert diag.subject == "slot_id"
+        assert diag.file == _fixture_file("ea401_inplace")
+
     def test_injection_period_option_is_plumbed_through(self):
         # Arrestor's N_SLOTS=7 placement is safe at the paper's 20-ms
         # period (20 % 7 != 0) but phase-locks at a 21-ms period.

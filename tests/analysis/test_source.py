@@ -50,6 +50,16 @@ class TestDefUseEvents:
         assert write.file.endswith("ea401_phaselock>")
         assert 0 < write.line < check.line
 
+    def test_in_place_word_access(self):
+        model = fixture_model(["ea401_inplace"])
+        events = model.for_signal("slot_id")
+        assert [e.kind for e in events] == ["read", "write", "read", "check", "write"]
+        read, write, reread, check, writeback = events
+        assert all(e.function == "FixNode.step" for e in events)
+        assert write.tainted and write.wrap_modulus == 5
+        assert not reread.tainted and check.index > write.index
+        assert not writeback.tainted and writeback.wrap_modulus is None
+
     def test_check_helper_marks_function_guarded(self):
         model = fixture_model(["ea401_phaselock"])
         (helper,) = model.functions_named("checked")

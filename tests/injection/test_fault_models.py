@@ -78,6 +78,42 @@ class TestStuckAtInjector:
             StuckAtInjector(_spec(), start_ms=-1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda error: TimeTriggeredInjector(error),
+        lambda error: TimeTriggeredInjector(error, period_ms=7, start_ms=5),
+        lambda error: TransientInjector(error, at_ms=13),
+        lambda error: TransientInjector(error, at_ms=40),
+        lambda error: StuckAtInjector(error, stuck_value=1, start_ms=9),
+        lambda error: StuckAtInjector(error, stuck_value=0),
+    ],
+    ids=["tt-0-20", "tt-5-7", "transient-13", "transient-40", "stuck1-9", "stuck0-0"],
+)
+def test_ticking_on_next_due_equals_ticking_every_tick(make):
+    # The run loops tick an injector only on the ticks ``next_due`` names,
+    # asking again at the start of every resumed advance (here tick 40, a
+    # due tick of the time-triggered and the late transient schedules),
+    # while the software rewrites the byte on every fourth tick.
+    def run(every_tick):
+        memory = MasterMemory().map
+        injector = make(_spec())
+        due = injector.next_due(0)
+        bytes_seen = []
+        for now in range(60):
+            if now == 40:
+                due = injector.next_due(now)
+            if every_tick or now == due:
+                injector.tick(now, memory)
+                due = injector.next_due(now + 1)
+            if now % 4 == 0:
+                memory.write_u8(0x08, 0x5A)
+            bytes_seen.append(memory.read_u8(0x08))
+        return bytes_seen, injector.injections, injector.first_injection_ms
+
+    assert run(every_tick=False) == run(every_tick=True)
+
+
 class TestFaultModelsOnTargetSystem:
     """The three fault models against the same signal bit."""
 

@@ -81,7 +81,9 @@ class TestReadPaths:
     def test_module_enter_reads_its_return_word(self):
         memory = _memory()
         table = ControlWordTable(memory, RegionAllocator(STACK), [3, 0, 4])
-        node = SimpleNamespace(mem=SimpleNamespace(return_words=table), wedge=None)
+        node = SimpleNamespace(
+            mem=SimpleNamespace(map=memory, return_words=table), wedge=None
+        )
         module = ModuleBase(node, return_slot=2)
         word = table.word_variable(2).address
         _taken(memory)
