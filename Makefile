@@ -99,6 +99,7 @@ tick-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/arrestor/test_tick_call_counts.py \
 		tests/targets/test_memory_traffic.py \
+		tests/core/test_inframe_check.py \
 		tests/plant/test_environment_step.py \
 		tests/obs/test_golden_trace.py
 

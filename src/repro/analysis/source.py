@@ -13,8 +13,8 @@ and builds a per-signal def-use model:
   n))``) yield the attribute → signal-symbol table that keys everything
   else;
 * **signal events** — every ``.get()`` / ``.set()`` / ``.add()`` on a
-  resolvable signal handle and every check idiom
-  (``ModuleBase.checked(monitor, var, now)`` and ``monitor.test(var.get(),
+  resolvable signal handle and every check idiom (a ``checked(monitor,
+  var, now)`` read-test-writeback helper and ``monitor.test(var.get(),
   now)``) becomes a :class:`SignalEvent` with module/function/order and
   file:line, with class-level (``self._slot = mem.slot_id``) and local
   (``comm_tx = master.mem.comm_tx_set_value``) aliases resolved;
@@ -56,9 +56,8 @@ __all__ = [
     "build_source_model",
 ]
 
-#: Check-helper method names: ``checked(monitor, var, now)``, the
-#: read-test-writeback shape of the arrestor's ``ModuleBase.checked``,
-#: also under a private name.
+#: Check-helper method names: ``checked(monitor, var, now)``, a
+#: read-test-writeback helper over a handle, also under a private name.
 _CHECK_HELPERS = ("checked", "_checked")
 
 

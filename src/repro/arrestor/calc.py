@@ -25,8 +25,9 @@ Control law (integer arithmetic throughout, as on the 16-bit target):
 CALC's working set (previous pulse count, distance and time accumulated
 since the last checkpoint) lives on its stack frame — the frame of the
 always-running background process — so stack-area injections can corrupt
-a *live* computation.  Its frame linkage words are consulted every pass;
-see :mod:`repro.memory.stack` for what corrupted linkage does.
+a *live* computation.  Its frame linkage words are checked every pass,
+the whole span in one in-place slice comparison; see
+:mod:`repro.memory.stack` for what corrupted linkage does.
 
 Per Table 4, EA3 (checkpoint counter ``i``, continuous/monotonic/
 dynamic) is placed here.
@@ -64,8 +65,15 @@ class Calc(ModuleBase):
     def __init__(self, node) -> None:
         super().__init__(node)
         mem = node.mem
-        self._frame = mem.calc_frame
-        self._frame_words = range(len(mem.calc_frame))
+        frame = mem.calc_frame
+        self._frame = frame
+        self._frame_start = frame.start
+        self._frame_end = frame.end
+        self._frame_pristine = frame.pristine_bytes
+        self._frame_words = [
+            (slot, address, frame.pristine(slot))
+            for slot, address in enumerate(frame.addresses)
+        ]
         self._mscnt = mem.mscnt
         self._pulscnt = mem.pulscnt
         self._i = mem.i
@@ -97,19 +105,18 @@ class Calc(ModuleBase):
     # -- per-pass body ---------------------------------------------------
 
     def step(self, now_ms: int) -> None:
-        # Consult the frame-linkage words of the background frame.  An
-        # intact frame consults "ok" on every word, so the per-word walk
-        # only runs once some word is corrupted.
-        if not self._frame.intact():
-            for word in self._frame_words:
-                outcome = self._frame.consult(word)
-                if outcome.kind == "wedge":
-                    self.node.wedge()
-                    return
-                if outcome.kind != "ok":
+        # Check the frame-linkage words of the background frame: the span
+        # against its pristine bytes, then, only once some word is
+        # corrupted, word by word up to the first corrupted one.
+        data = self.data
+        if data[self._frame_start : self._frame_end] != self._frame_pristine:
+            for slot, a, pristine in self._frame_words:
+                word = data[a] | (data[a + 1] << 8)
+                if word != pristine:
+                    if self._frame.classify(slot, word).kind == "wedge":
+                        self.node.wedge()
                     return  # this pass is lost to the control-flow upset
 
-        data = self.data
         a = self._i_at
         i = data[a] | (data[a + 1] << 8)
         monitor = self._mon_i

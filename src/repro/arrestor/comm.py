@@ -24,12 +24,20 @@ class Comm(ModuleBase):
     def __init__(self, node) -> None:
         super().__init__(node)
         mem = node.mem
-        self._set_value = mem.set_value
-        self._tx = mem.comm_tx_set_value
-        self._seq = mem.comm_seq
+        self._set_value_at = mem.set_value.address
+        self._tx_at = mem.comm_tx_set_value.address
+        self._seq_at = mem.comm_seq.address
 
     def step(self, now_ms: int) -> None:
         # COMM has no saved-context word of its own: it runs from the
         # dispatch table's slot word directly.
-        self._tx.set(self._set_value.get())
-        self._seq.add(1)
+        data = self.data
+        a = self._set_value_at
+        set_value = data[a] | (data[a + 1] << 8)
+        a = self._tx_at
+        data[a] = set_value & 0xFF
+        data[a + 1] = set_value >> 8
+        a = self._seq_at
+        seq = ((data[a] | (data[a + 1] << 8)) + 1) & 0xFFFF
+        data[a] = seq & 0xFF
+        data[a + 1] = seq >> 8

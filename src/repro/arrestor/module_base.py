@@ -12,20 +12,24 @@ Each module:
   writing a recovery value back into the signal's memory when the
   monitor is configured with recovery.
 
-The modules that run every tick (CLOCK, DIST_S, CALC) read and write
-their 16-bit little-endian words in place on the node's ``bytearray``
-(:attr:`ModuleBase.data`, ``data[a] | (data[a + 1] << 8)``) and make one
-``SignalMonitor.test`` call per check; the slot modules keep the
-:class:`~repro.memory.memmap.Variable` handles and :meth:`checked`.
-Either way every byte is read and written in the same order.
+Every module reads and writes its 16-bit little-endian words in place on
+the node's ``bytearray`` (:attr:`ModuleBase.data`, ``data[a] | (data[a +
+1] << 8)``) and makes one ``SignalMonitor.test`` call per check.  The
+return-word check is inline too::
+
+    a = self._return_address
+    if data[a] != self._return_lo or data[a + 1] != self._return_hi:
+        self.context_lost()
+        return
+
+A check reads the signal's word, tests it and, when the monitor returns
+a different (recovery) value, writes that value back before the module
+computes with it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-from repro.core.monitor import SignalMonitor
-from repro.memory.memmap import Variable
 
 __all__ = ["ModuleBase"]
 
@@ -46,59 +50,25 @@ class ModuleBase:
             table = node.mem.return_words
             self._return_table = table
             pristine = table.pristine(return_slot)
-            self._return_address = table.word_variable(return_slot).address
+            self._return_address = table.addresses[return_slot]
             self._return_lo = pristine & 0xFF
             self._return_hi = pristine >> 8
 
     # -- control flow ------------------------------------------------------
 
-    def enter(self) -> bool:
-        """Check the module's saved-context word; False loses the call.
+    def context_lost(self) -> None:
+        """The module's saved-context word differs from its pristine value.
 
-        An intact word is recognised in place: its two bytes equal the
-        pristine value, which is exactly when
+        The word's two bytes differ from the pristine value exactly when
         :meth:`~repro.memory.stack.ControlWordTable.consult` answers
-        ``ok``.  Any other word goes through ``consult``.  A
-        ``redirect``/``skip`` outcome means the corrupted context sent
-        execution somewhere harmless-but-wrong: the module body does not
-        run this invocation.  A ``wedge`` outcome halts the node.
-        """
-        if self._return_table is None:
-            return True
-        data = self.data
-        address = self._return_address
-        if data[address] == self._return_lo and data[address + 1] == self._return_hi:
-            return True
-        return self.context_lost()
-
-    def context_lost(self) -> bool:
-        """The slow half of :meth:`enter`, once the in-place check failed.
-
-        Consults the corrupted word and wedges the node on a ``wedge``
-        outcome; always returns False (the invocation is lost).  Modules
-        that inline the in-place check call it directly.
+        something other than ``ok``.  A ``redirect``/``skip`` outcome
+        means the corrupted context sent execution somewhere
+        harmless-but-wrong: the module body does not run this
+        invocation.  A ``wedge`` outcome halts the node.  ``consult``
+        reads the word again, as the compiled return path would.
         """
         if self._return_table.consult(self._return_slot).kind == "wedge":
             self.node.wedge()
-        return False
-
-    # -- executable assertions ---------------------------------------------
-
-    @staticmethod
-    def checked(monitor: Optional[SignalMonitor], var: Variable, now_ms: int) -> int:
-        """Read *var* through *monitor* (when enabled) at time *now_ms*.
-
-        Returns the value the module should compute with; a recovery
-        replacement is written back to memory so the rest of the system
-        sees the recovered signal.
-        """
-        value = var.get()
-        if monitor is None:
-            return value
-        result = monitor.test(value, now_ms)
-        if result != value:
-            var.set(result)
-        return result
 
     # -- interface -----------------------------------------------------------
 

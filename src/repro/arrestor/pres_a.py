@@ -19,12 +19,25 @@ class PresA(ModuleBase):
 
     def __init__(self, node) -> None:
         super().__init__(node, return_slot=4)
-        self._out_value = node.mem.out_value
-        self._env = node.env
+        self._out_value_at = node.mem.out_value.address
+        self._command_valve = node.env.command_master_valve_counts
         self._mon = node.monitors.get("EA7")
 
     def step(self, now_ms: int) -> None:
-        if not self.enter():
+        data = self.data
+        a = self._return_address
+        if data[a] != self._return_lo or data[a + 1] != self._return_hi:
+            self.context_lost()
             return
-        out = self.checked(self._mon, self._out_value, now_ms)
-        self._env.command_master_valve_counts(out)
+        a = self._out_value_at
+        out = data[a] | (data[a + 1] << 8)
+        monitor = self._mon
+        if monitor is not None:
+            result = monitor.test(out, now_ms)
+            if result != out:
+                # Recovery: the replacement is written back, so the rest
+                # of the system sees the recovered signal.
+                data[a] = result & 0xFF
+                data[a + 1] = (result >> 8) & 0xFF
+                out = result
+        self._command_valve(out)

@@ -20,12 +20,23 @@ class PresS(ModuleBase):
     def __init__(self, node) -> None:
         super().__init__(node, return_slot=2)
         mem = node.mem
-        self._is_value = mem.is_value
-        self._latch = mem.raw_pressure_latch
-        self._env = node.env
+        self._is_value_at = mem.is_value.address
+        self._latch_at = mem.raw_pressure_latch.address
+        self._read_pressure = node.env.read_master_pressure_counts
 
     def step(self, now_ms: int) -> None:
-        if not self.enter():
+        data = self.data
+        a = self._return_address
+        if data[a] != self._return_lo or data[a + 1] != self._return_hi:
+            self.context_lost()
             return
-        self._latch.set(self._env.read_master_pressure_counts())
-        self._is_value.set(self._latch.get())
+        # Sensor read into the interface latch, then published from the
+        # latch (words in place, see repro.arrestor.module_base).
+        a = self._latch_at
+        latched = self._read_pressure() & 0xFFFF
+        data[a] = latched & 0xFF
+        data[a + 1] = latched >> 8
+        is_value = data[a] | (data[a + 1] << 8)
+        a = self._is_value_at
+        data[a] = is_value & 0xFF
+        data[a + 1] = is_value >> 8

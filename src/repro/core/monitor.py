@@ -148,8 +148,16 @@ class SignalMonitor:
         "_assertions",
         "_assertion",
         "_holds",
+        "_continuous",
+        "_smin",
+        "_smax",
+        "_rmin_incr",
+        "_rmax_incr",
+        "_rmin_decr",
+        "_rmax_decr",
+        "_wrap",
+        "_hold_ok",
         "_prev",
-        "_last_valid",
         "_reference_observed",
         "tests_run",
         "violations",
@@ -181,18 +189,36 @@ class SignalMonitor:
                 mode: build_assertion(signal_class, params.params_for(mode))
                 for mode in params.modes
             }
-            self._assertion = self._assertions[params.mode]
+            self._bind(self._assertions[params.mode])
         else:
             self._modal = None
             self._assertions = None
-            self._assertion = build_assertion(signal_class, params)
-        self._holds = self._assertion.holds
+            self._bind(build_assertion(signal_class, params))
         self._prev: Optional[Hashable] = None
-        self._last_valid: Optional[Hashable] = None
         self.tests_run = 0
         self.violations = 0
 
     # -- configuration -----------------------------------------------------
+
+    def _bind(self, assertion: Union[ContinuousAssertion, DiscreteAssertion]) -> None:
+        """Make *assertion* the active one.
+
+        A continuous assertion's Table-2 parameters are copied onto the
+        monitor, where :meth:`test` evaluates them in its own frame; a
+        discrete assertion is tested through its bound ``holds``.
+        """
+        self._assertion = assertion
+        self._holds = assertion.holds
+        self._continuous = type(assertion) is ContinuousAssertion
+        if self._continuous:
+            self._smin = assertion._smin
+            self._smax = assertion._smax
+            self._rmin_incr = assertion._rmin_incr
+            self._rmax_incr = assertion._rmax_incr
+            self._rmin_decr = assertion._rmin_decr
+            self._rmax_decr = assertion._rmax_decr
+            self._wrap = assertion._wrap
+            self._hold_ok = assertion._hold_ok
 
     @property
     def params(self) -> Params:
@@ -213,8 +239,7 @@ class SignalMonitor:
         if self._modal is None:
             raise ParameterError(f"signal {self.name!r} has no modes")
         self._modal.mode = mode
-        self._assertion = self._assertions[mode]
-        self._holds = self._assertion.holds
+        self._bind(self._assertions[mode])
 
     @property
     def previous(self) -> Optional[Hashable]:
@@ -224,7 +249,6 @@ class SignalMonitor:
     def reset(self) -> None:
         """Forget the reference value (e.g. across system restarts)."""
         self._prev = None
-        self._last_valid = None
 
     # -- testing -------------------------------------------------------------
 
@@ -233,29 +257,61 @@ class SignalMonitor:
 
         Returns the value the consumer should use: *value* itself when the
         test passes, or the recovery strategy's replacement on a violation
-        (falling back to *value* when no recovery is configured).  The
-        active assertion's ``holds`` is bound at construction and on every
-        :meth:`set_mode`, so a passing test makes that one call.
+        (falling back to *value* when no recovery is configured).
+
+        A continuous signal's Table-2 test runs in this frame, comparison
+        for comparison as :meth:`ContinuousAssertion.holds
+        <repro.core.assertions.ContinuousAssertion.holds>`, which stays
+        the reference (``tests/core/test_inframe_check.py`` pins the two
+        equal); a discrete signal's test is its assertion's bound
+        ``holds``.  Either way a passing test makes no further call.
         """
         self.tests_run += 1
-        if self._holds(value, self._prev):
+        prev = self._prev
+        if self._continuous:
+            if value > self._smax or value < self._smin:
+                pass  # tests 1/2 failed
+            elif prev is None:
+                self._prev = value
+                return value
+            elif value > prev:
+                if self._rmin_incr <= value - prev <= self._rmax_incr or (
+                    self._wrap
+                    and self._rmin_decr
+                    <= (prev - self._smin) + (self._smax - value)
+                    <= self._rmax_decr
+                ):
+                    self._prev = value
+                    return value
+            elif value < prev:
+                if self._rmin_decr <= prev - value <= self._rmax_decr or (
+                    self._wrap
+                    and self._rmin_incr
+                    <= (self._smax - prev) + (value - self._smin)
+                    <= self._rmax_incr
+                ):
+                    self._prev = value
+                    return value
+            elif self._hold_ok:
+                self._prev = value
+                return value
+        elif self._holds(value, prev):
             self._prev = value
-            self._last_valid = value
             return value
         assertion = self._assertion
-        result = assertion.check(value, self._prev)
+        result = assertion.check(value, prev)
         self.violations += 1
         recovery = self.recovery
         strategy = replacement = None
         if recovery is not None:
             strategy = type(recovery).__name__
-            replacement = recovery.recover(value, self._prev, assertion.params)
+            replacement = recovery.recover(value, prev, assertion.params)
         self.log.record(
             DetectionEvent(
                 signal=self.name,
                 time=time,
                 value=value,
-                previous=self._prev,
+                previous=prev,
                 result=result,
                 monitor_id=self.monitor_id,
                 recovery=strategy,

@@ -65,10 +65,12 @@ class ControlWordTable:
       watchdog-less hang).
 
     The words are contiguous 16-bit little-endian slots, so the table's
-    pristine contents are one fixed byte string: :meth:`intact` compares
-    the table's byte span with it in a single slice comparison, and
-    :meth:`consult` reads a word's two bytes straight from the memory's
-    ``bytearray``.
+    pristine contents are one fixed byte string, :attr:`pristine_bytes`,
+    spanning ``data[start:end]``.  The serial tick reads the words in
+    place (a slot's word, or the whole span in one slice comparison) and
+    hands only a word that differs from its pristine value to
+    :meth:`classify`; :meth:`consult` is that read plus
+    :meth:`classify`, for everything off the hot path.
     """
 
     #: Tag placed in the high bits of every valid control word.
@@ -92,19 +94,24 @@ class ControlWordTable:
             Variable(memory, symbol)
             for symbol in allocator.allocate_array(name, len(module_ids))
         ]
-        self._addresses = [word.address for word in self._words]
-        self._start = self._addresses[0]
-        self._end = self._start + 2 * len(self._words)
-        if self._addresses != list(range(self._start, self._end, 2)):
+        #: Each slot's word address; the words are contiguous, so the
+        #: table spans ``start`` (inclusive) to ``end`` (exclusive).
+        self.addresses = [word.address for word in self._words]
+        self.start = self.addresses[0]
+        self.end = self.start + 2 * len(self._words)
+        if self.addresses != list(range(self.start, self.end, 2)):
             raise ValueError(f"control word table {name!r} is not contiguous")
         self._expected = [self.BASE + mid for mid in self.module_ids]
-        self._pristine = b"".join(word.to_bytes(2, "little") for word in self._expected)
+        #: The span's bytes at boot.
+        self.pristine_bytes = b"".join(
+            word.to_bytes(2, "little") for word in self._expected
+        )
         self._data = memory.data
         self.reset()
 
     def reset(self) -> None:
         """Write the pristine control words (node boot)."""
-        self._data[self._start : self._end] = self._pristine
+        self._data[self.start : self.end] = self.pristine_bytes
 
     def __len__(self) -> int:
         return len(self._words)
@@ -119,22 +126,20 @@ class ControlWordTable:
         """
         return self._expected[slot]
 
-    def intact(self) -> bool:
-        """Whether every word still holds its pristine value.
-
-        Exactly ``all(consult(k).kind == "ok" for k in range(len(self)))``:
-        :meth:`consult` answers ``ok`` if and only if the word equals its
-        pristine value.
-        """
-        return self._data[self._start : self._end] == self._pristine
-
     def consult(self, slot: int) -> DispatchOutcome:
         """Read slot *slot*'s word and derive the dispatch consequence."""
-        address = self._addresses[slot]
+        address = self.addresses[slot]
         data = self._data
         word = data[address] | (data[address + 1] << 8)
         if word == self._expected[slot]:
             return _OK
+        return self.classify(slot, word)
+
+    def classify(self, slot: int, word: int) -> DispatchOutcome:
+        """The consequence of slot *slot* holding *word*, not its pristine value.
+
+        Reads no memory: the caller has read the word.  Never ``ok``.
+        """
         low = word & 0xFF
         high = word & 0xFF00
         if high == self.BASE:

@@ -13,7 +13,8 @@ as the FIC3 analyses its experiment readouts.
 
 :meth:`Environment.advance` is the serial simulator's plant step and runs
 every simulated millisecond, so it is one function over locals rather
-than a chain of component calls.  The components' own ``advance`` /
+than a chain of component calls; once the aircraft has stopped it only
+moves the valves and the clock.  The components' own ``advance`` /
 ``update`` methods (:class:`PressureValve`, :class:`Aircraft`,
 :class:`RotationSensor`) remain the reference physics: the step is pinned
 bit-identical to their composition by
@@ -113,6 +114,11 @@ class Environment:
         this step bit-identical to their composition.  The valves'
         ``1 - exp(-dt / tau)`` is computed once per distinct ``dt``.  *dt*
         is validated before any state changes.
+
+        Once the aircraft has stopped, the step is short: the valves lag
+        toward their commands and time advances, but the position, and
+        with it the sensor count, cannot change, and a zero deceleration
+        and force cannot raise the maxima.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -130,26 +136,33 @@ class Environment:
         slave.pressure_pa = slave_pa
 
         aircraft = self.aircraft
-        position = aircraft.position_m
-        velocity = aircraft.velocity_mps
         if aircraft.stopped:
             # The cable cannot push: a stopped aircraft stays stopped.
-            decel = force = 0.0
+            aircraft.deceleration_mps2 = aircraft.cable_force_n = 0.0
+            time_s = self.time_s + dt
+            self.time_s = time_s
+            if self._trace_period_s is not None and time_s >= self._next_trace_s:
+                self.trace.append(
+                    (time_s, aircraft.position_m, aircraft.velocity_mps, 0.0, 0.0)
+                )
+                self._next_trace_s += self._trace_period_s
+            return
+        position = aircraft.position_m
+        velocity = aircraft.velocity_mps
+        force = BRAKE_FORCE_PER_PA * (master_pa + slave_pa)
+        decel = (force + DRAG_COEFF * velocity * velocity) / aircraft.mass_kg
+        new_velocity = velocity - decel * dt
+        if new_velocity <= 0.0:
+            # Stop inside the step: advance by the exact stopping fraction.
+            fraction = velocity / (decel * dt)
+            position += velocity * dt * fraction / 2.0
+            velocity = 0.0
+            aircraft.stopped = True
         else:
-            force = BRAKE_FORCE_PER_PA * (master_pa + slave_pa)
-            decel = (force + DRAG_COEFF * velocity * velocity) / aircraft.mass_kg
-            new_velocity = velocity - decel * dt
-            if new_velocity <= 0.0:
-                # Stop inside the step: advance by the exact stopping fraction.
-                fraction = velocity / (decel * dt)
-                position += velocity * dt * fraction / 2.0
-                velocity = 0.0
-                aircraft.stopped = True
-            else:
-                position += (velocity + new_velocity) * dt / 2.0
-                velocity = new_velocity
-            aircraft.position_m = position
-            aircraft.velocity_mps = velocity
+            position += (velocity + new_velocity) * dt / 2.0
+            velocity = new_velocity
+        aircraft.position_m = position
+        aircraft.velocity_mps = velocity
         aircraft.deceleration_mps2 = decel
         aircraft.cable_force_n = force
         sensor = self.rotation_sensor

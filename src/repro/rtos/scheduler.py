@@ -20,10 +20,12 @@ which ... runs in the background."*
 Control-flow-error emulation: slot dispatch can be routed through a
 :class:`repro.memory.stack.ControlWordTable` stored in the emulated
 stack.  A corrupted control word then redirects, skips, or wedges the
-dispatch — see :mod:`repro.memory.stack`.  Once the node is wedged
-(the CPU has left its program) nothing more runs: a wedge raised by an
-every-tick task or by the slot dispatch ends the tick there, and later
-ticks execute nothing.
+dispatch — see :mod:`repro.memory.stack`.  The tick reads the slot's
+word once, in place, and only a word that differs from its pristine
+value goes to :meth:`~repro.memory.stack.ControlWordTable.classify`.
+Once the node is wedged (the CPU has left its program) nothing more
+runs: a wedge raised by an every-tick task or by the slot dispatch ends
+the tick there, and later ticks execute nothing.
 
 Dispatch is direct: :meth:`SlotScheduler.tick` calls each task's
 ``step`` itself and keeps the task's ``invocations`` count, so one
@@ -52,6 +54,10 @@ class SlotScheduler:
         self._background: Optional[Task] = None
         self._by_id: Dict[int, Task] = {}
         self._control_words: Optional[ControlWordTable] = None
+        #: The dispatch table's memory, word addresses and pristine words.
+        self._dispatch_data: Optional[bytearray] = None
+        self._dispatch_at: List[int] = []
+        self._dispatch_pristine: List[int] = []
         self.wedged = False
         self.ticks = 0
 
@@ -98,6 +104,9 @@ class SlotScheduler:
                 f"{self.n_slots} slots"
             )
         self._control_words = table
+        self._dispatch_data = table.memory.data
+        self._dispatch_at = list(table.addresses)
+        self._dispatch_pristine = [table.pristine(slot) for slot in range(len(table))]
 
     def expected_control_ids(self) -> List[int]:
         """The per-slot module ids a pristine control table should hold."""
@@ -120,21 +129,23 @@ class SlotScheduler:
             task.step(now_ms)
             if self.wedged:
                 return
-        table = self._control_words
-        if table is None:
+        data = self._dispatch_data
+        if data is None:
             task = self._slot_tasks[slot]
         else:
-            outcome = table.consult(slot)
-            kind = outcome.kind
-            if kind == "ok":
+            a = self._dispatch_at[slot]
+            word = data[a] | (data[a + 1] << 8)
+            if word == self._dispatch_pristine[slot]:
                 task = self._slot_tasks[slot]
-            elif kind == "redirect":
-                task = self._by_id.get(outcome.target)
-            elif kind == "wedge":
-                self.wedged = True
-                return
-            else:  # "skip": run nothing this slot.
-                task = None
+            else:
+                outcome = self._control_words.classify(slot, word)
+                if outcome.kind == "redirect":
+                    task = self._by_id.get(outcome.target)
+                elif outcome.kind == "wedge":
+                    self.wedged = True
+                    return
+                else:  # "skip": run nothing this slot.
+                    task = None
         if task is not None:
             task.invocations += 1
             task.step(now_ms)

@@ -1,61 +1,73 @@
-"""Focused tests for the module base: checked() plumbing and enter()."""
+"""Focused tests for the module base: the in-place checked read and the
+return-word check.
 
-import pytest
+A module's check reads the signal's word in place, tests it and writes a
+recovery value back; PRES_A's EA7 check on ``OutValue`` is the case
+driven here (the value it commands the valve with, and the word's bytes
+afterwards).
+"""
 
 from repro.arrestor.master import MasterNode
-from repro.arrestor.module_base import ModuleBase
 from repro.core.classes import SignalClass
 from repro.core.monitor import SignalMonitor
 from repro.core.parameters import ContinuousParams
 from repro.core.recovery import HoldLastValid
-from repro.memory.layout import MemoryRegion, RegionAllocator
-from repro.memory.memmap import MemoryMap, Variable
 from repro.plant.environment import Environment
 
 
-def _variable(value=100):
-    region = MemoryRegion("ram", 0, 16)
-    memory = MemoryMap([region])
-    var = Variable(memory, RegionAllocator(region).allocate("x"))
-    var.set(value)
-    return var
+def _pres_a(value, recovery=None, monitored=True):
+    """A master node whose OutValue word holds *value*; PRES_A and its
+    valve commands, with an EA7 monitor on ``random(0, 1000, 5, 5)``."""
+    node = MasterNode(Environment(14000, 55), enabled_eas=())
+    pres_a = node.pres_a
+    if monitored:
+        pres_a._mon = SignalMonitor(
+            "OutValue",
+            SignalClass.CONTINUOUS_RANDOM,
+            ContinuousParams.random(0, 1000, 5, 5),
+            recovery=recovery,
+        )
+    commands = []
+    pres_a._command_valve = commands.append
+    node.mem.out_value.set(value)
+    return node, pres_a, commands
+
+
+def _word_bytes(node):
+    address = node.mem.out_value.address
+    return bytes(node.mem.map.data[address : address + 2])
 
 
 class TestChecked:
     def test_without_monitor_reads_through(self):
-        var = _variable(123)
-        assert ModuleBase.checked(None, var, 0) == 123
+        node, pres_a, commands = _pres_a(123, monitored=False)
+        pres_a.step(0)
+        assert commands == [123]
+        assert _word_bytes(node) == (123).to_bytes(2, "little")
 
     def test_passing_value_left_in_memory(self):
-        var = _variable(100)
-        monitor = SignalMonitor(
-            "x", SignalClass.CONTINUOUS_RANDOM, ContinuousParams.random(0, 1000, 5, 5)
-        )
-        monitor.test(98, 0)
-        assert ModuleBase.checked(monitor, var, 1) == 100
-        assert var.get() == 100
+        node, pres_a, commands = _pres_a(100)
+        pres_a._mon.test(98, 0)
+        pres_a.step(1)
+        assert commands == [100]
+        assert _word_bytes(node) == (100).to_bytes(2, "little")
+        assert pres_a._mon.violations == 0
 
     def test_recovery_value_written_back(self):
-        var = _variable(900)
-        monitor = SignalMonitor(
-            "x",
-            SignalClass.CONTINUOUS_RANDOM,
-            ContinuousParams.random(0, 1000, 5, 5),
-            recovery=HoldLastValid(),
-        )
-        monitor.test(100, 0)
-        assert ModuleBase.checked(monitor, var, 1) == 100  # repaired
-        assert var.get() == 100  # and persisted for the next consumer
+        node, pres_a, commands = _pres_a(900, recovery=HoldLastValid())
+        pres_a._mon.test(100, 0)
+        pres_a.step(1)
+        assert commands == [100]  # repaired
+        # and persisted for the next consumer
+        assert _word_bytes(node) == (100).to_bytes(2, "little")
 
     def test_detection_without_recovery_keeps_memory(self):
-        var = _variable(900)
-        monitor = SignalMonitor(
-            "x", SignalClass.CONTINUOUS_RANDOM, ContinuousParams.random(0, 1000, 5, 5)
-        )
-        monitor.test(100, 0)
-        assert ModuleBase.checked(monitor, var, 1) == 900
-        assert var.get() == 900
-        assert monitor.violations == 1
+        node, pres_a, commands = _pres_a(900)
+        pres_a._mon.test(100, 0)
+        pres_a.step(1)
+        assert commands == [900]
+        assert _word_bytes(node) == (900).to_bytes(2, "little")
+        assert pres_a._mon.violations == 1
 
 
 class TestEnterSemantics:

@@ -8,7 +8,7 @@ write must record nothing.
 
 from types import SimpleNamespace
 
-from repro.arrestor.module_base import ModuleBase
+from repro.arrestor.pres_s import PresS
 from repro.memory.layout import MemoryRegion, RegionAllocator
 from repro.memory.memmap import MemoryMap, ReadLog, Variable
 from repro.memory.stack import ControlWordTable, ScratchArena
@@ -73,25 +73,34 @@ class TestReadPaths:
         memory = _memory()
         table = ControlWordTable(memory, RegionAllocator(STACK), [3, 0, 4])
         assert _taken(memory) == set()  # reset() writes the pristine words
-        assert table.intact()
-        assert _taken(memory) == set(range(STACK.start, STACK.start + 6))
+        assert table.classify(1, 0x1234).kind == "wedge"
+        assert _taken(memory) == set()  # the caller has read the word
         assert table.consult(1).kind == "ok"
         assert _taken(memory) == {STACK.start + 2, STACK.start + 3}
 
     def test_module_enter_reads_its_return_word(self):
         memory = _memory()
         table = ControlWordTable(memory, RegionAllocator(STACK), [3, 0, 4])
+        ram = RegionAllocator(RAM)
+        latch = Variable(memory, ram.allocate("latch"))
         node = SimpleNamespace(
-            mem=SimpleNamespace(map=memory, return_words=table), wedge=None
+            mem=SimpleNamespace(
+                map=memory,
+                return_words=table,
+                is_value=Variable(memory, ram.allocate("IsValue")),
+                raw_pressure_latch=latch,
+            ),
+            env=SimpleNamespace(read_master_pressure_counts=lambda: 7),
+            wedge=None,
         )
-        module = ModuleBase(node, return_slot=2)
-        word = table.word_variable(2).address
+        module = PresS(node)  # saved-context word: return slot 2
+        word = table.addresses[2]
         _taken(memory)
-        assert module.enter()
-        assert _taken(memory) == {word, word + 1}
+        module.step(0)  # the return word, then the latch read back
+        assert _taken(memory) == {word, word + 1, latch.address, latch.address + 1}
         table.word_variable(2).set(ControlWordTable.BASE + 0x77)  # skip-class
         _taken(memory)
-        assert not module.enter()  # consult decides, reading the same word
+        module.step(0)  # consult decides, reading the same word; no body
         assert _taken(memory) == {word, word + 1}
 
     def test_scratch_slot_read(self):

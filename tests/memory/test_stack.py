@@ -15,6 +15,11 @@ def _stack():
     return mem, RegionAllocator(region), region
 
 
+def _intact(mem, table):
+    """CALC's in-place frame check: the table's span against its pristine bytes."""
+    return mem.data[table.start : table.end] == table.pristine_bytes
+
+
 class TestControlWordTable:
     def test_pristine_words_dispatch_ok(self):
         mem, alloc, _ = _stack()
@@ -82,11 +87,11 @@ class TestControlWordTable:
     def test_intact_after_clear_and_reset(self):
         mem, alloc, _ = _stack()
         table = ControlWordTable(mem, alloc, [0x03, 0x04])
-        assert table.intact()
+        assert _intact(mem, table)
         mem.clear()
-        assert not table.intact()
+        assert not _intact(mem, table)
         table.reset()
-        assert table.intact()
+        assert _intact(mem, table)
 
     @given(
         st.lists(st.integers(0, 0xFF), min_size=1, max_size=12),
@@ -110,7 +115,11 @@ class TestControlWordTable:
             else:
                 word.set(value)
         every_ok = all(table.consult(k).kind == "ok" for k in range(len(table)))
-        assert table.intact() == every_ok
+        assert _intact(mem, table) == every_ok
+        for k, address in enumerate(table.addresses):
+            word = mem.data[address] | (mem.data[address + 1] << 8)
+            if word != table.pristine(k):
+                assert table.classify(k, word) == table.consult(k)
 
 
 class TestScratchArena:
